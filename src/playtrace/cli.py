@@ -73,12 +73,12 @@ def _jitter_from_meta(meta: dict) -> Jitter:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    traces = [load_trace(p) for p in args.traces]
     params = AnalysisParams(
         fps=args.fps,
         min_visibility=args.min_visibility,
         min_lifespan_s=args.min_lifespan,
     )
+    traces = [load_trace(p) for p in args.traces]
     if len(traces) == 1 and args.runs > 1:
         meta = traces[0].metadata
         if "scene" not in meta:

@@ -9,7 +9,7 @@ intersected so that only regions stable across runs survive.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,6 +36,11 @@ class TestOpportunity:
     @property
     def duration_ms(self) -> int:
         return self.end_ms - self.start_ms
+
+
+def opportunity_sort_key(o: TestOpportunity) -> tuple[int, str, int]:
+    """The order opportunities are reported, scheduled and drawn in."""
+    return (o.start_ms, o.trackable_id, o.end_ms)
 
 
 def life_spans(
@@ -132,26 +137,43 @@ def filter_by_duration(
 def cross_run_matches(
     runs: Sequence[Sequence[TestOpportunity]],
 ) -> list[tuple[TestOpportunity, ...]]:
-    """Groups of opportunities, one per run, that share a trackable and overlap in time."""
+    """Groups of opportunities, one per run, that share a trackable and overlap in time.
+
+    Groups grow one run at a time and are dropped once their common window
+    is empty, so the work follows the overlapping groups, not the product of
+    the per-run counts.  They come out in itertools.product order over each
+    run's opportunities sorted by (start, end).
+    """
     if not runs:
         return []
-    ids_per_run = [set(o.trackable_id for o in run) for run in runs]
-    common = set.intersection(*ids_per_run)
     matches: list[tuple[TestOpportunity, ...]] = []
-    for tid in sorted(common):
-        per_run = [
-            sorted(
-                (o for o in run if o.trackable_id == tid),
-                key=lambda o: (o.start_ms, o.end_ms),
+    # a trackable missing from any run empties its partial groups there
+    for tid in sorted({o.trackable_id for o in runs[0]}):
+        # partial groups with their common [start, end] window
+        partial = [((), -math.inf, math.inf)]
+        for run in runs:
+            candidates = sorted(
+                (o for o in run if o.trackable_id == tid), key=lambda o: (o.start_ms, o.end_ms)
             )
-            for run in runs
-        ]
-        for combo in itertools.product(*per_run):
-            start = max(o.start_ms for o in combo)
-            end = min(o.end_ms for o in combo)
-            if start <= end:
-                matches.append(combo)
+            grown = []
+            for combo, start, end in partial:
+                for o in candidates:
+                    if o.start_ms > end:
+                        break  # every later candidate starts later still
+                    lo, hi = max(start, o.start_ms), min(end, o.end_ms)
+                    if lo <= hi:
+                        grown.append((combo + (o,), lo, hi))
+            partial = grown
+        matches.extend(combo for combo, _, _ in partial)
     return matches
+
+
+def common_box(combo: Sequence[TestOpportunity]) -> Rect | None:
+    """Intersection of the stable boxes of one cross-run group, None when empty."""
+    box: Rect | None = combo[0].stable_box
+    for o in combo[1:]:
+        box = rect_intersect(box, o.stable_box)
+    return box
 
 
 def intersect_runs(
@@ -171,15 +193,13 @@ def intersect_runs(
     if not runs:
         raise ValueError("need at least one run")
     if len(runs) == 1:
-        return sorted(runs[0], key=lambda o: (o.start_ms, o.trackable_id, o.end_ms))
+        return sorted(runs[0], key=opportunity_sort_key)
     w, h = screen
     screen_px = float(w) * float(h)
     min_ms = min_lifespan_s * 1000.0
     out: list[TestOpportunity] = []
     for combo in cross_run_matches(runs):
-        box: Rect | None = combo[0].stable_box
-        for o in combo[1:]:
-            box = rect_intersect(box, o.stable_box)
+        box = common_box(combo)
         if box is None or rect_area(box) / screen_px < min_visibility:
             continue
         start = max(o.start_ms for o in combo)
@@ -198,5 +218,5 @@ def intersect_runs(
                 frame_indices=tuple(sorted(frames)),
             )
         )
-    out.sort(key=lambda o: (o.start_ms, o.trackable_id, o.end_ms))
+    out.sort(key=opportunity_sort_key)
     return out

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .geometry import Rect, rect_area, rect_intersect
-from .lifespan import TestOpportunity, cross_run_matches
+from .lifespan import TestOpportunity, common_box, cross_run_matches
 
 
 @dataclass(frozen=True)
@@ -116,10 +116,7 @@ def compute_metrics(
     screen_px = float(screen[0]) * float(screen[1])
     overlap_total = 0.0
     for combo in matches:
-        box: Rect | None = combo[0].stable_box
-        for o in combo[1:]:
-            box = rect_intersect(box, o.stable_box)
-        overlap_total += rect_area(box) / screen_px
+        overlap_total += rect_area(common_box(combo)) / screen_px
     biggest_run = max(len(run) for run in runs)
     return VideoMetrics(
         avg_plane_duration_s=avg_s,

@@ -8,6 +8,7 @@ more than one is available.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,6 +20,7 @@ from .lifespan import (
     filter_by_duration,
     intersect_runs,
     life_spans,
+    opportunity_sort_key,
 )
 from .metrics import VideoMetrics, compute_metrics
 from .trace import PlaybackTrace, sample_frames
@@ -32,6 +34,15 @@ class AnalysisParams:
     fps: float = DEFAULT_ANALYSIS_FPS
     min_visibility: float = DEFAULT_MIN_VISIBILITY
     min_lifespan_s: float = DEFAULT_MIN_LIFESPAN_S
+
+    def __post_init__(self) -> None:
+        # chained comparisons are False for NaN, so NaN fails every check
+        if not 0 < self.fps < math.inf:
+            raise ValueError(f"fps must be finite and > 0, got {self.fps}")
+        if not 0 <= self.min_visibility <= 1:
+            raise ValueError(f"min_visibility must be in [0, 1], got {self.min_visibility}")
+        if not 0 <= self.min_lifespan_s < math.inf:
+            raise ValueError(f"min_lifespan_s must be finite and >= 0, got {self.min_lifespan_s}")
 
 
 def trackable_box_sequences(
@@ -67,7 +78,7 @@ def analyze_run(
         opportunities.extend(
             filter_by_duration(tid, spans, timestamps, params.min_lifespan_s)
         )
-    opportunities.sort(key=lambda o: (o.start_ms, o.trackable_id, o.end_ms))
+    opportunities.sort(key=opportunity_sort_key)
     return opportunities
 
 

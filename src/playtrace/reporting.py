@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .geometry import Rect
-from .lifespan import TestOpportunity
+from .lifespan import TestOpportunity, opportunity_sort_key
 from .metrics import VideoMetrics, metrics_to_dict
 
 # lane colors, cycled by lane index
@@ -107,9 +107,7 @@ def render_gantt(
             f'<text x="{_MARGIN_LEFT - 10}" y="{y + _LANE_HEIGHT / 2 + 4:.0f}" '
             f'text-anchor="end">{_escape(tid)}</text>'
         )
-    ordered = sorted(
-        opportunities, key=lambda o: (o.start_ms, o.trackable_id, o.end_ms)
-    )
+    ordered = sorted(opportunities, key=opportunity_sort_key)
     for o in ordered:
         idx = lane_index[o.trackable_id]
         y = _MARGIN_TOP + idx * (_LANE_HEIGHT + _LANE_GAP)
@@ -141,9 +139,7 @@ def opportunities_to_dict(
     params: Mapping[str, Any],
     metrics: VideoMetrics | None = None,
 ) -> dict:
-    ordered = sorted(
-        opportunities, key=lambda o: (o.start_ms, o.trackable_id, o.end_ms)
-    )
+    ordered = sorted(opportunities, key=opportunity_sort_key)
     out: dict[str, Any] = {
         "opportunities": [
             {

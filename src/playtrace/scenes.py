@@ -9,7 +9,7 @@ regular scene loader so they serialize exactly like user-provided files.
 
 from __future__ import annotations
 
-from .simulator import Jitter, SimScene, scene_from_dict
+from .simulator import SimScene, scene_from_dict
 
 _COMMON = {
     "screen": [1920, 1080],
@@ -293,8 +293,3 @@ def benchmark_scene(name: str) -> SimScene:
         if d["name"] == name:
             return scene_from_dict(d)
     raise KeyError(f"no benchmark scene named '{name}'")
-
-
-def scene_jitter(scene: SimScene) -> Jitter:
-    """The recording jitter a scene declares for itself (may be zero)."""
-    return scene.default_jitter

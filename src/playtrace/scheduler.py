@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .geometry import Rect
-from .lifespan import TestOpportunity
+from .lifespan import TestOpportunity, opportunity_sort_key
 
 
 class GestureKind(str, Enum):
@@ -209,7 +209,7 @@ def schedule_guided(
     durations = dict(DEFAULT_DURATIONS_MS, **(durations_ms or {}))
     kind_rng = random.Random(seed)
     place_rng = random.Random(seed + _PLACEMENT_STREAM_OFFSET)
-    opps = sorted(opportunities, key=lambda o: (o.start_ms, o.trackable_id, o.end_ms))
+    opps = sorted(opportunities, key=opportunity_sort_key)
     events: list[GestureEvent] = []
     busy_until = 0
     t = 0

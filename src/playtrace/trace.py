@@ -233,7 +233,7 @@ def load_trace(path: str | Path) -> PlaybackTrace:
                         f"{where}: unsupported version {obj.get('version')!r}"
                     )
                 fps = obj.get("fps")
-                if isinstance(fps, bool) or not isinstance(fps, (int, float)) or fps <= 0:
+                if isinstance(fps, bool) or not isinstance(fps, (int, float)) or not 0 < fps < math.inf:
                     raise TraceValidationError(f"{where}: fps must be a positive number")
                 header = obj
                 continue

@@ -21,9 +21,8 @@ from .geometry import (
     rect_area,
     subtract_occluders,
 )
+from .lifespan import DEFAULT_MIN_VISIBILITY
 from .trace import FrameRecord, TrackableSnapshot, TrackingState
-
-DEFAULT_MIN_VISIBILITY = 0.10
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ in its own test oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -200,3 +201,28 @@ def life_spans_reference(boxes, screen, min_visibility):
         spans.append((cur, members))
         i = j
     return spans
+
+
+# --------------------------------------------------------------- cross-run
+
+def cross_run_matches_bruteforce(runs):
+    """Every group of one opportunity per run that shares a trackable and a time.
+
+    Tries the full product of each run's opportunities (sorted by start,
+    then end) per common trackable, trackables in sorted order, and keeps
+    the groups whose windows have a common instant.
+    """
+    if not runs:
+        return []
+    common = set.intersection(*({o.trackable_id for o in run} for run in runs))
+    matches = []
+    for tid in sorted(common):
+        per_run = [
+            sorted((o for o in run if o.trackable_id == tid),
+                   key=lambda o: (o.start_ms, o.end_ms))
+            for run in runs
+        ]
+        for combo in itertools.product(*per_run):
+            if max(o.start_ms for o in combo) <= min(o.end_ms for o in combo):
+                matches.append(combo)
+    return matches

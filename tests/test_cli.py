@@ -122,6 +122,27 @@ def test_analyze_malformed_trace(tmp_path, capsys):
     assert "bad.jsonl:1:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "knobs, field",
+    [
+        (["--fps", "nan"], "fps"),
+        (["--fps", "0"], "fps"),
+        (["--min-visibility", "-1", "--min-lifespan", "-5"], "min_visibility"),
+        (["--min-visibility", "1.5"], "min_visibility"),
+        (["--min-lifespan", "-5"], "min_lifespan_s"),
+        (["--min-lifespan", "inf"], "min_lifespan_s"),
+    ],
+)
+def test_analyze_rejects_bad_knobs(tmp_path, trace_path, capsys, knobs, field):
+    out = tmp_path / "x"
+    rc = main(["analyze", str(trace_path), *knobs, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_schedule_from_report(tmp_path, trace_path):
     out = tmp_path / "analysis"
     assert main(["analyze", str(trace_path), "--out", str(out)]) == 0

@@ -14,6 +14,7 @@ from playtrace.lifespan import (
     intersect_runs,
     life_spans,
 )
+from playtrace.metrics import compute_metrics
 
 import oracles
 
@@ -139,6 +140,67 @@ def test_cross_run_matches_pairs_by_overlap():
     # ids must match in every run
     d = _opp("u", _r(0, 0, 50, 50), 0, 5000)
     assert cross_run_matches([[a], [d]]) == []
+
+
+# windows on a 500 ms grid, so touching and nested windows are common
+_window = st.tuples(st.integers(0, 8), st.integers(0, 4)).map(
+    lambda t: (t[0] * 500, (t[0] + t[1]) * 500)
+)
+_box = st.sampled_from([_r(0, 0, 100, 50), _r(50, 0, 150, 50), _r(120, 60, 200, 100)])
+
+
+@st.composite
+def _opportunity_runs(draw):
+    runs = []
+    for _ in range(draw(st.integers(1, 5))):
+        run = [
+            _opp(tid, draw(_box), *draw(_window))
+            for tid in "abc"
+            for _ in range(draw(st.integers(0, 4)))
+        ]
+        runs.append(draw(st.permutations(run)))
+    return runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_opportunity_runs())
+def test_cross_run_join_matches_bruteforce_product(runs):
+    got = cross_run_matches(runs)
+    want = oracles.cross_run_matches_bruteforce(runs)
+    # same groups of the very same objects, in the same order
+    assert [tuple(map(id, c)) for c in got] == [tuple(map(id, c)) for c in want]
+
+
+def test_cross_run_join_scales_with_matches_not_runs():
+    # 16 runs x 4 windows each: 4^16 candidate groups, of which only the 4
+    # groups of aligned windows overlap in time
+    windows = [(0, 2000), (3000, 5000), (6000, 8000), (9000, 11000)]
+    runs = [
+        [
+            _opp("t", _r(r, 0, 100 + r, 50), start, end, frames=range(10 * w, 10 * w + 21))
+            for w, (start, end) in enumerate(windows)
+        ]
+        for r in range(16)
+    ]
+    matches = cross_run_matches(runs)
+    assert len(matches) == 4
+    for (start, end), combo in zip(windows, matches):
+        assert [(o.start_ms, o.end_ms) for o in combo] == [(start, end)] * 16
+
+    out = intersect_runs(runs, SCREEN, 0.10, 2.0)
+    assert [(o.start_ms, o.end_ms) for o in out] == windows
+    for w, o in enumerate(out):
+        assert o.stable_box == _r(15, 0, 100, 50)
+        assert o.frame_indices == tuple(range(10 * w, 10 * w + 21))
+
+    m = compute_metrics(runs, SCREEN)
+    assert m.opportunity_count == 4
+    assert m.avg_plane_duration_s == 2.0
+    # each group's common box is 85 x 50 px of a 200 x 100 screen
+    assert m.mean_overlap_area_ratio == pytest.approx(85 * 50 / 20000)
+    # runs i and j agree on every window; their boxes are offset by d = |i - j|
+    ious = [(100 - (j - i)) / (100 + (j - i)) for i in range(16) for j in range(i + 1, 16)]
+    assert m.mutual_stability == pytest.approx(sum(ious) / len(ious))
 
 
 def test_intersect_runs_single_run_sorted():

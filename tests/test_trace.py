@@ -120,6 +120,13 @@ def test_bad_format_and_version(tmp_path):
         load_trace(_write(tmp_path, [_header(fps=-1), _frame()]))
 
 
+@pytest.mark.parametrize("fps", [float("nan"), float("inf")], ids=["nan", "infinity"])
+def test_non_finite_fps_rejected(tmp_path, fps):
+    p = _write(tmp_path, [_header(fps=fps), _frame()])
+    with pytest.raises(TraceValidationError, match="fps must be a positive number"):
+        load_trace(p)
+
+
 def test_error_carries_line_number(tmp_path):
     p = tmp_path / "bad.jsonl"
     p.write_text(json.dumps(_header()) + "\n" + "{not json\n", encoding="utf-8")

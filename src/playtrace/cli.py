@@ -14,6 +14,7 @@ I/O failures such as missing files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -31,11 +32,11 @@ from .scheduler import (
     schedule_random,
 )
 from .simulator import (
-    Jitter,
     SceneError,
     execute_schedule,
     generate_trace,
     gsr_summary,
+    jitter_from_dict,
     load_scene,
     outcomes_to_dict,
     scene_from_dict,
@@ -64,14 +65,6 @@ def parse_mix(text: str) -> dict[GestureKind, float]:
     return mix
 
 
-def _jitter_from_meta(meta: dict) -> Jitter:
-    jd = meta.get("jitter", {})
-    return Jitter(
-        vertex_noise_m=float(jd.get("vertex_noise_m", 0.0)),
-        dropout_prob=float(jd.get("dropout_prob", 0.0)),
-    )
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     params = AnalysisParams(
         fps=args.fps,
@@ -87,7 +80,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "embedded in the trace metadata"
             )
         scene = scene_from_dict(meta["scene"])
-        jitter = _jitter_from_meta(meta)
+        # the recorded jitter, which need not be the scene's default
+        jitter = jitter_from_dict(meta.get("jitter", {}))
         traces = [
             generate_trace(scene, args.jitter_seed_base + r, jitter)
             for r in range(args.runs)
@@ -95,12 +89,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     per_run, final, metrics = analyze_runs(traces, params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    params_dict = {
-        "fps": params.fps,
-        "min_visibility": params.min_visibility,
-        "min_lifespan_s": params.min_lifespan_s,
-        "runs": len(traces),
-    }
+    params_dict = {**dataclasses.asdict(params), "runs": len(traces)}
     write_report(final, params_dict, out / "report.json", metrics=metrics)
     duration = max(max(t.duration_ms for t in traces), 1)
     (out / "gantt.svg").write_text(render_gantt(final, duration), encoding="utf-8")

@@ -92,7 +92,10 @@ def analyze_runs(
     """
     if not traces:
         raise ValueError("need at least one trace")
-    screen = (traces[0].frames[0].screen_w, traces[0].frames[0].screen_h)
+    screens = sorted({(f.screen_w, f.screen_h) for t in traces for f in t.frames})
+    if len(screens) > 1:
+        raise ValueError(f"runs must share one screen size, got {screens}")
+    screen = screens[0]
     per_run = [analyze_run(t, params) for t in traces]
     final = intersect_runs(per_run, screen, params.min_visibility, params.min_lifespan_s)
     return per_run, final, compute_metrics(per_run, screen)

@@ -163,6 +163,15 @@ def dump_json(obj: Any, path: str | Path) -> None:
     )
 
 
+def load_json(path: str | Path) -> Any:
+    """Read a JSON file; a syntax error is a ValueError that names the file."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path.name}: invalid JSON: {exc.msg}") from None
+
+
 def write_report(
     opportunities: Sequence[TestOpportunity],
     params: Mapping[str, Any],
@@ -177,7 +186,7 @@ def load_report(path: str | Path) -> tuple[list[TestOpportunity], dict]:
 
     Frame index sets are not stored in reports, so they come back empty.
     """
-    d = json.loads(Path(path).read_text(encoding="utf-8"))
+    d = load_json(path)
     try:
         opps = [
             TestOpportunity(

@@ -15,7 +15,6 @@ cadence.  A given (inputs, seed) pair always produces the identical schedule.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -25,6 +24,7 @@ from typing import Callable, Mapping, Sequence
 
 from .geometry import Rect
 from .lifespan import TestOpportunity, opportunity_sort_key
+from .reporting import dump_json, load_json
 
 
 class GestureKind(str, Enum):
@@ -189,13 +189,47 @@ _BUILDERS: dict[GestureKind, Callable[..., tuple[tuple[TrackPoint, ...], ...]]] 
 }
 
 
+def _clocked_walk(
+    generator: str,
+    duration_ms: int,
+    seed: int,
+    mix: Mapping[GestureKind, float] | None,
+    min_gap_ms: int,
+    place: Callable[[random.Random, int, int], tuple[Rect, str | None] | None],
+) -> EventSchedule:
+    """The clocked walk of both generators.
+
+    place(place_rng, t, duration) returns the rectangle to touch and the
+    target id, or None to decline the attempt.
+    """
+    if not min_gap_ms > 0:
+        raise ValueError(f"min_gap_ms must be positive, got {min_gap_ms}")
+    mix = _validate_mix(mix or DEFAULT_MIX)
+    kind_rng = random.Random(seed)
+    place_rng = random.Random(seed + _PLACEMENT_STREAM_OFFSET)
+    events: list[GestureEvent] = []
+    busy_until = 0
+    t = 0
+    while t < duration_ms:
+        if t >= busy_until:
+            kind = _draw_kind(kind_rng, mix)
+            dur = DEFAULT_DURATIONS_MS[kind]
+            busy_until = t + dur
+            spot = place(place_rng, t, dur)
+            if spot is not None and t + dur <= duration_ms:
+                rect, target = spot
+                tracks = _BUILDERS[kind](place_rng, rect, t, dur)
+                events.append(GestureEvent(kind, t, t + dur, tracks, target_id=target))
+        t += min_gap_ms
+    return EventSchedule(generator, seed, mix, tuple(events))
+
+
 def schedule_guided(
     opportunities: Sequence[TestOpportunity],
     duration_ms: int,
     seed: int,
     mix: Mapping[GestureKind, float] | None = None,
     min_gap_ms: int = DEFAULT_MIN_GAP_MS,
-    durations_ms: Mapping[GestureKind, int] | None = None,
 ) -> EventSchedule:
     """Schedule gestures into active test opportunities.
 
@@ -205,29 +239,18 @@ def schedule_guided(
     declined, with its slot still consumed, when no opportunity is active or
     the gesture cannot finish before the picked opportunity closes.
     """
-    mix = _validate_mix(mix or DEFAULT_MIX)
-    durations = dict(DEFAULT_DURATIONS_MS, **(durations_ms or {}))
-    kind_rng = random.Random(seed)
-    place_rng = random.Random(seed + _PLACEMENT_STREAM_OFFSET)
     opps = sorted(opportunities, key=opportunity_sort_key)
-    events: list[GestureEvent] = []
-    busy_until = 0
-    t = 0
-    while t < duration_ms:
-        if t >= busy_until:
-            kind = _draw_kind(kind_rng, mix)
-            dur = durations[kind]
-            busy_until = t + dur
-            active = [o for o in opps if o.start_ms <= t <= o.end_ms]
-            if active:
-                opp = active[place_rng.randrange(len(active))]
-                if t + dur <= opp.end_ms and t + dur <= duration_ms:
-                    tracks = _BUILDERS[kind](place_rng, _inset(opp.stable_box), t, dur)
-                    events.append(
-                        GestureEvent(kind, t, t + dur, tracks, target_id=opp.trackable_id)
-                    )
-        t += min_gap_ms
-    return EventSchedule("GUIDED", seed, mix, tuple(events))
+
+    def place(rng: random.Random, t: int, dur: int) -> tuple[Rect, str | None] | None:
+        active = [o for o in opps if o.start_ms <= t <= o.end_ms]
+        if not active:
+            return None
+        opp = active[rng.randrange(len(active))]
+        if t + dur > opp.end_ms:
+            return None
+        return _inset(opp.stable_box), opp.trackable_id
+
+    return _clocked_walk("GUIDED", duration_ms, seed, mix, min_gap_ms, place)
 
 
 def schedule_random(
@@ -236,32 +259,17 @@ def schedule_random(
     seed: int,
     mix: Mapping[GestureKind, float] | None = None,
     min_gap_ms: int = DEFAULT_MIN_GAP_MS,
-    durations_ms: Mapping[GestureKind, int] | None = None,
 ) -> EventSchedule:
     """Schedule gestures blindly over the whole screen (random baseline).
 
     Same attempt cadence as the guided generator; an attempt is emitted
     whenever the gesture finishes inside the schedule horizon.
     """
-    mix = _validate_mix(mix or DEFAULT_MIX)
-    durations = dict(DEFAULT_DURATIONS_MS, **(durations_ms or {}))
-    kind_rng = random.Random(seed)
-    place_rng = random.Random(seed + _PLACEMENT_STREAM_OFFSET)
     w, h = screen
     full = Rect(0.0, 0.0, float(w), float(h))
-    events: list[GestureEvent] = []
-    busy_until = 0
-    t = 0
-    while t < duration_ms:
-        if t >= busy_until:
-            kind = _draw_kind(kind_rng, mix)
-            dur = durations[kind]
-            busy_until = t + dur
-            if t + dur <= duration_ms:
-                tracks = _BUILDERS[kind](place_rng, full, t, dur)
-                events.append(GestureEvent(kind, t, t + dur, tracks, target_id=None))
-        t += min_gap_ms
-    return EventSchedule("RANDOM", seed, mix, tuple(events))
+    return _clocked_walk(
+        "RANDOM", duration_ms, seed, mix, min_gap_ms, lambda rng, t, dur: (full, None)
+    )
 
 
 def schedule_to_dict(schedule: EventSchedule) -> dict:
@@ -303,11 +311,8 @@ def schedule_from_dict(d: dict) -> EventSchedule:
 
 
 def save_schedule(schedule: EventSchedule, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(schedule_to_dict(schedule), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    dump_json(schedule_to_dict(schedule), path)
 
 
 def load_schedule(path: str | Path) -> EventSchedule:
-    return schedule_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return schedule_from_dict(load_json(path))

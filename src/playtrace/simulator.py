@@ -10,15 +10,15 @@ finish.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
 
+from .reporting import dump_json, load_json
 from .scheduler import EventSchedule, GestureEvent, GestureKind
 from .trace import (
     FrameRecord,
@@ -151,6 +151,19 @@ def validate_scene(scene: SimScene) -> SimScene:
     return scene
 
 
+def jitter_from_dict(jd: Any) -> Jitter:
+    """Jitter from its JSON object (a scene's or a trace's); missing fields are 0."""
+    if not isinstance(jd, dict):
+        raise SceneError(f"jitter must be an object, got {type(jd).__name__}")
+    try:
+        return Jitter(
+            vertex_noise_m=float(jd.get("vertex_noise_m", 0.0)),
+            dropout_prob=float(jd.get("dropout_prob", 0.0)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise SceneError(f"malformed jitter: {exc}") from None
+
+
 def scene_from_dict(d: dict) -> SimScene:
     try:
         planes = tuple(
@@ -183,7 +196,6 @@ def scene_from_dict(d: dict) -> SimScene:
             )
             for kd in d["camera_path"]
         )
-        jd = d.get("jitter", {})
         scene = SimScene(
             name=str(d.get("name", "")),
             screen_w=int(d["screen"][0]),
@@ -195,10 +207,7 @@ def scene_from_dict(d: dict) -> SimScene:
             far_m=float(d["intrinsics"]["far_m"]),
             camera_path=path,
             planes=planes,
-            default_jitter=Jitter(
-                vertex_noise_m=float(jd.get("vertex_noise_m", 0.0)),
-                dropout_prob=float(jd.get("dropout_prob", 0.0)),
-            ),
+            default_jitter=jitter_from_dict(d.get("jitter", {})),
         )
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         if isinstance(exc, SceneError):
@@ -241,25 +250,20 @@ def scene_to_dict(scene: SimScene) -> dict:
             }
             for p in scene.planes
         ],
-        "jitter": {
-            "vertex_noise_m": scene.default_jitter.vertex_noise_m,
-            "dropout_prob": scene.default_jitter.dropout_prob,
-        },
+        "jitter": asdict(scene.default_jitter),
     }
 
 
 def load_scene(path: str | Path) -> SimScene:
     try:
-        d = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SceneError(f"{Path(path).name}: invalid JSON: {exc.msg}") from None
+        d = load_json(path)
+    except ValueError as exc:
+        raise SceneError(str(exc)) from None
     return scene_from_dict(d)
 
 
 def save_scene(scene: SimScene, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(scene_to_dict(scene), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    dump_json(scene_to_dict(scene), path)
 
 
 def perspective_matrix(fov_y_deg: float, aspect: float, near: float, far: float) -> np.ndarray:
@@ -303,11 +307,8 @@ def look_at_matrix(eye: np.ndarray, target: np.ndarray, up: np.ndarray) -> np.nd
 def camera_pose_at(scene: SimScene, t_ms: float) -> tuple[np.ndarray, np.ndarray]:
     """Camera position and view matrix at time t (clamped to the keyframe range)."""
     path = scene.camera_path
-    if t_ms <= path[0].t_ms or len(path) == 1:
-        k = path[0]
-        return k.position.copy(), look_at_matrix(k.position, k.look_at, k.up)
-    if t_ms >= path[-1].t_ms:
-        k = path[-1]
+    if t_ms <= path[0].t_ms or t_ms >= path[-1].t_ms:
+        k = path[0] if t_ms <= path[0].t_ms else path[-1]
         return k.position.copy(), look_at_matrix(k.position, k.look_at, k.up)
     hi = 1
     while path[hi].t_ms < t_ms:
@@ -400,7 +401,7 @@ def generate_trace(
         )
     meta = {
         "scene": scene_to_dict(scene),
-        "jitter": {"vertex_noise_m": jitter.vertex_noise_m, "dropout_prob": jitter.dropout_prob},
+        "jitter": asdict(jitter),
         "jitter_seed": jitter_seed,
     }
     return PlaybackTrace(frames=tuple(frames), source_fps=scene.fps, metadata=meta)
@@ -424,23 +425,23 @@ def _rays_from_pixels(
     return eye, dirs
 
 
-def hit_test_batch(
-    scene: SimScene, t_ms: float, points: np.ndarray, ignore_detection: bool = False
-) -> list[str | None]:
-    """Nearest surface under each screen point at time t, or None for sky.
+def cast_rays(
+    scene: SimScene, t_ms: float, points: np.ndarray
+) -> tuple[list[str | None], np.ndarray]:
+    """One ray pass for screen points at time t.
 
-    Only planes whose tracking reports them at t participate, unless
-    ignore_detection is set (useful to tell 'nothing there' apart from
-    'there but not yet tracked').
+    Returns the nearest tracked surface under each point (None for sky or
+    where tracking does not report the surface at t) and a mask of the points
+    that lie over any surface, tracked or not, which tells 'there but not
+    yet tracked' apart from 'nothing there'.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     eye, dirs = _rays_from_pixels(scene, t_ms, points)
     n_pts = len(points)
     best_t = np.full(n_pts, np.inf)
     best_id: list[str | None] = [None] * n_pts
+    over_any = np.zeros(n_pts, dtype=bool)
     for plane in scene.planes:
-        if not ignore_detection and not plane_detected(plane, t_ms):
-            continue
         denom = dirs @ plane.normal
         with np.errstate(divide="ignore", invalid="ignore"):
             t_ray = float(np.dot(plane.normal, plane.center - eye)) / denom
@@ -457,11 +458,19 @@ def hit_test_batch(
             )
         else:
             inside = _points_in_polygon_mask(a, b, plane.local_vertices)
+        over_any |= valid & inside
+        if not plane_detected(plane, t_ms):
+            continue
         hit = valid & inside & (t_ray < best_t)
         for i in np.nonzero(hit)[0]:
             best_t[i] = t_ray[i]
             best_id[i] = plane.plane_id
-    return best_id
+    return best_id, over_any
+
+
+def hit_test_batch(scene: SimScene, t_ms: float, points: np.ndarray) -> list[str | None]:
+    """Nearest tracked surface under each screen point at time t, or None for sky."""
+    return cast_rays(scene, t_ms, points)[0]
 
 
 def _points_in_polygon_mask(
@@ -500,9 +509,7 @@ class GestureOutcome:
 
 
 def _track_positions(track: Sequence[tuple[int, float, float]], times: np.ndarray) -> np.ndarray:
-    ts = np.array([p[0] for p in track], dtype=float)
-    xs = np.array([p[1] for p in track], dtype=float)
-    ys = np.array([p[2] for p in track], dtype=float)
+    ts, xs, ys = np.array(track, dtype=float).T
     return np.stack([np.interp(times, ts, xs), np.interp(times, ts, ys)], axis=1)
 
 
@@ -526,11 +533,13 @@ def execute_schedule(
         else:
             n = max(MIN_PATH_SAMPLES, max(len(tr) for tr in ev.tracks))
             times = np.linspace(float(ev.t_start_ms), float(ev.t_end_ms), n)
-        track_pts = [_track_positions(tr, times) for tr in ev.tracks]
+        track_pts = np.stack([_track_positions(tr, times) for tr in ev.tracks], axis=1)
         seen: set[str | None] = set()
-        for k, t in enumerate(times):
-            pts = np.array([tp[k] for tp in track_pts])
-            seen.update(hit_test_batch(scene, float(t), pts))
+        over_any = False
+        for t, pts in zip(times, track_pts):
+            ids, over = cast_rays(scene, float(t), pts)
+            seen.update(ids)
+            over_any = over_any or bool(over.any())
         if None not in seen and len(seen) == 1:
             outcomes.append(GestureOutcome(ev, True, OutcomeReason.HIT))
             continue
@@ -541,13 +550,7 @@ def execute_schedule(
             reason = OutcomeReason.LEFT_PLANE_MID_GESTURE
         else:
             # nothing tracked anywhere: was there geometry at all?
-            undetected = False
-            for k, t in enumerate(times):
-                pts = np.array([tp[k] for tp in track_pts])
-                if any(i is not None for i in hit_test_batch(scene, float(t), pts, ignore_detection=True)):
-                    undetected = True
-                    break
-            reason = OutcomeReason.PLANE_NOT_TRACKED if undetected else OutcomeReason.MISS_NO_PLANE
+            reason = OutcomeReason.PLANE_NOT_TRACKED if over_any else OutcomeReason.MISS_NO_PLANE
         outcomes.append(GestureOutcome(ev, False, reason))
     summary = gsr_summary(outcomes)
     return outcomes, summary

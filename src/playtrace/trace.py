@@ -237,7 +237,13 @@ def load_trace(path: str | Path) -> PlaybackTrace:
                     raise TraceValidationError(f"{where}: fps must be a positive number")
                 header = obj
                 continue
-            frames.append(_frame_from_dict(obj, where))
+            frame = _frame_from_dict(obj, where)
+            if frames and (frame.screen_w, frame.screen_h) != (frames[0].screen_w, frames[0].screen_h):
+                raise TraceValidationError(
+                    f"{where}: screen {frame.screen_w}x{frame.screen_h} differs from "
+                    f"the first frame's {frames[0].screen_w}x{frames[0].screen_h}"
+                )
+            frames.append(frame)
     if header is None:
         raise TraceParseError(f"{path.name}: empty file, expected a header line")
     if not frames:

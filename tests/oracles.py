@@ -226,3 +226,87 @@ def cross_run_matches_bruteforce(runs):
             if max(o.start_ms for o in combo) <= min(o.end_ms for o in combo):
                 matches.append(combo)
     return matches
+
+
+# ------------------------------------------------------------------ replay
+
+def _camera_at(scene, t):
+    """Eye and unit right/up/forward axes, keyframes interpolated linearly."""
+    keys = scene.camera_path
+    k0 = k1 = min(keys, key=lambda k: abs(k.t_ms - t))  # clamped, or on a keyframe
+    f = 0.0
+    for a, b in zip(keys, keys[1:]):
+        if a.t_ms < t < b.t_ms:
+            k0, k1, f = a, b, (t - a.t_ms) / (b.t_ms - a.t_ms)
+
+    def lerp(p, q):
+        p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+        return p + (q - p) * f
+
+    eye = lerp(k0.position, k1.position)
+    fwd = lerp(k0.look_at, k1.look_at) - eye
+    fwd /= np.linalg.norm(fwd)
+    right = np.cross(fwd, lerp(k0.up, k1.up))
+    right /= np.linalg.norm(right)
+    return eye, right, np.cross(right, fwd), fwd
+
+
+def nearest_plane(scene, t, point, tracked_only):
+    """Id of the nearest surface under a screen point through a pinhole camera."""
+    eye, right, up, fwd = _camera_at(scene, t)
+    tan_half = math.tan(math.radians(scene.fov_y_deg) / 2.0)
+    x_ndc = 2.0 * point[0] / scene.screen_w - 1.0
+    y_ndc = 1.0 - 2.0 * point[1] / scene.screen_h
+    d = fwd + right * (x_ndc * tan_half * scene.screen_w / scene.screen_h) + up * (y_ndc * tan_half)
+    d /= np.linalg.norm(d)
+    best, best_s = None, math.inf
+    for p in scene.planes:
+        tracked = t >= p.detect_delay_ms and not any(s <= t < e for s, e in p.lost_intervals)
+        if tracked_only and not tracked:
+            continue
+        denom = float(np.dot(d, p.normal))
+        if abs(denom) <= 1e-12:
+            continue
+        s = float(np.dot(p.normal, p.center - eye)) / denom
+        if s <= 1e-12 or s >= best_s:
+            continue
+        rel = eye + d * s - p.center
+        a, b = float(np.dot(rel, p.axis_u)), float(np.dot(rel, p.axis_v))
+        if p.local_vertices is None:
+            inside = abs(a) <= p.extent_u + 1e-9 and abs(b) <= p.extent_v + 1e-9
+        else:
+            inside = contains(list(p.local_vertices), (a, b), eps=0.0)
+        if inside:
+            best, best_s = p.plane_id, s
+    return best
+
+
+def replay_reason_two_pass(scene, event):
+    """Outcome reason of one gesture, found with two casts.
+
+    Taps are checked at their start, other gestures at max(10, track length)
+    evenly spaced times.  The first pass casts against tracked surfaces only;
+    when it found none at any sample, a second pass ignores tracking to tell
+    PLANE_NOT_TRACKED from MISS_NO_PLANE.
+    """
+    t0, t1 = float(event.t_start_ms), float(event.t_end_ms)
+    if event.kind.value == "TAP":
+        times = [t0]
+    else:
+        times = np.linspace(t0, t1, max(10, max(len(tr) for tr in event.tracks)))
+    samples = []
+    for t in times:
+        for track in event.tracks:
+            ts, xs, ys = zip(*track)
+            samples.append((float(t), (np.interp(t, ts, xs), np.interp(t, ts, ys))))
+    seen = {nearest_plane(scene, t, pt, tracked_only=True) for t, pt in samples}
+    ids = seen - {None}
+    if None not in seen and len(ids) == 1:
+        return "HIT"
+    if len(ids) >= 2:
+        return "SPLIT_TARGETS"
+    if ids:
+        return "LEFT_PLANE_MID_GESTURE"
+    if any(nearest_plane(scene, t, pt, tracked_only=False) for t, pt in samples):
+        return "PLANE_NOT_TRACKED"
+    return "MISS_NO_PLANE"

@@ -8,7 +8,7 @@ import pytest
 
 from playtrace.cli import main, parse_mix
 from playtrace.reporting import load_report
-from playtrace.scheduler import GestureKind, load_schedule
+from playtrace.scheduler import GestureKind, load_schedule, save_schedule, schedule_random
 from playtrace.simulator import (
     CameraKeyframe,
     Jitter,
@@ -141,6 +141,74 @@ def test_analyze_rejects_bad_knobs(tmp_path, trace_path, capsys, knobs, field):
     assert err.startswith(f"error: {field} ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def _assert_input_error(rc, capsys):
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    return err
+
+
+def test_analyze_rejects_trace_jitter_that_is_not_an_object(tmp_path, capsys):
+    trace = generate_trace(_scene())
+    trace = dataclasses.replace(trace, metadata={**trace.metadata, "jitter": None})
+    path = tmp_path / "null-jitter.jsonl"
+    save_trace(trace, path)
+    rc = main(["analyze", str(path), "--runs", "3", "--out", str(tmp_path / "x")])
+    assert "jitter" in _assert_input_error(rc, capsys)
+
+
+def test_analyze_rejects_screen_change_mid_trace(tmp_path, capsys):
+    trace = generate_trace(_scene())
+    small = [dataclasses.replace(f, screen_w=960, screen_h=540) for f in trace.frames[90:]]
+    path = tmp_path / "resized.jsonl"
+    save_trace(dataclasses.replace(trace, frames=trace.frames[:90] + tuple(small)), path)
+    rc = main(["analyze", str(path), "--out", str(tmp_path / "x")])
+    assert "resized.jsonl:92: screen 960x540" in _assert_input_error(rc, capsys)
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_scene_jitter_that_is_not_an_object(tmp_path, capsys, command):
+    scene_path = tmp_path / "scene.json"
+    save_scene(_scene(), scene_path)
+    d = json.loads(scene_path.read_text())
+    d["jitter"] = []
+    scene_path.write_text(json.dumps(d))
+    sched_path = tmp_path / "random.json"
+    save_schedule(schedule_random((1920, 1080), 6000, 0), sched_path)
+    args = {
+        "simulate": ["--schedule", str(sched_path), "--out", str(tmp_path / "o.json")],
+        "compare": ["--runs", "1"],
+    }[command]
+    rc = main([command, str(scene_path), *args])
+    assert "jitter" in _assert_input_error(rc, capsys)
+
+
+def test_invalid_json_errors_name_the_file(tmp_path, capsys):
+    bad = tmp_path / "broken.json"
+    bad.write_text("{not json")
+    scene_path = tmp_path / "scene.json"
+    save_scene(_scene(), scene_path)
+    rc = main(["schedule", str(bad), "--out", str(tmp_path / "s.json")])
+    assert "broken.json: invalid JSON" in _assert_input_error(rc, capsys)
+    rc = main(["simulate", str(scene_path), "--schedule", str(bad), "--out", str(tmp_path / "o.json")])
+    assert "broken.json: invalid JSON" in _assert_input_error(rc, capsys)
+    rc = main(["simulate", str(bad), "--schedule", str(bad), "--out", str(tmp_path / "o.json")])
+    assert "broken.json: invalid JSON" in _assert_input_error(rc, capsys)
+
+
+@pytest.mark.parametrize("gap", ["0", "-5"])
+def test_schedule_rejects_non_positive_gap(tmp_path, trace_path, capsys, gap):
+    out = tmp_path / "analysis"
+    assert main(["analyze", str(trace_path), "--out", str(out)]) == 0
+    sched_path = tmp_path / "guided.json"
+    rc = main(
+        ["schedule", str(out / "report.json"), "--min-gap-ms", gap, "--out", str(sched_path)]
+    )
+    assert _assert_input_error(rc, capsys).startswith("error: min_gap_ms ")
+    assert not sched_path.exists()
 
 
 def test_schedule_from_report(tmp_path, trace_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -111,3 +113,15 @@ def test_analyze_runs_intersects_jittered_runs():
 def test_analyze_runs_requires_traces():
     with pytest.raises(ValueError):
         analyze_runs([])
+
+
+def test_analyze_runs_rejects_mixed_screens():
+    scene = _scene()
+    big = generate_trace(scene)
+    small = generate_trace(dataclasses.replace(scene, screen_w=960, screen_h=540))
+    with pytest.raises(ValueError, match="screen"):
+        analyze_runs([big, small])
+    # a screen that changes inside one in-memory run is caught the same way
+    mixed = dataclasses.replace(big, frames=big.frames[:90] + small.frames[90:])
+    with pytest.raises(ValueError, match="screen"):
+        analyze_runs([mixed])

@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from playtrace.scheduler import DEFAULT_MIX, EventSchedule, GestureEvent, GestureKind
+import oracles
+from playtrace.scenes import benchmark_scene
+from playtrace.scheduler import (
+    DEFAULT_MIX,
+    EventSchedule,
+    GestureEvent,
+    GestureKind,
+    schedule_random,
+)
 from playtrace.simulator import (
     CameraKeyframe,
     GestureOutcome,
@@ -15,12 +23,12 @@ from playtrace.simulator import (
     ScenePlane,
     SimScene,
     camera_pose_at,
+    cast_rays,
     execute_schedule,
     frame_times,
     generate_trace,
     gsr_summary,
     hit_test,
-    hit_test_batch,
     load_scene,
     outcomes_to_dict,
     plane_detected,
@@ -255,8 +263,10 @@ def test_hit_test_prefers_nearest():
 def test_hit_test_detection_gate():
     scene = _scene([_plane(detect_delay_ms=5000)])
     assert hit_test(scene, 1000, (960.0, 540.0)) is None
-    forced = hit_test_batch(scene, 1000, np.array([[960.0, 540.0]]), ignore_detection=True)
-    assert forced == ["p"]
+    # one pass also tells 'there but not tracked' from 'nothing there'
+    ids, over_any = cast_rays(scene, 1000, np.array([[960.0, 540.0], [0.0, 0.0]]))
+    assert ids == [None, None]
+    assert over_any.tolist() == [True, False]
     assert hit_test(scene, 6000, (960.0, 540.0)) == "p"
 
 
@@ -315,6 +325,21 @@ def test_execute_schedule_split_targets():
     crossing = _drag_event(_screen(-0.3, 0.0), _screen(0.3, 0.0))
     outcomes, _ = execute_schedule(scene, _sched([crossing]))
     assert outcomes[0].reason == OutcomeReason.SPLIT_TARGETS
+
+
+@pytest.mark.parametrize("name", ["static-duo", "drift-trio"])
+def test_replay_reasons_match_two_pass_oracle(name):
+    # static-duo detects its second mat late; drift-trio loses a pad mid-run
+    scene = benchmark_scene(name)
+    reasons = []
+    for seed in (1, 2):
+        sched = schedule_random((scene.screen_w, scene.screen_h), scene.duration_ms, seed)
+        outcomes, _ = execute_schedule(scene, sched)
+        for o in outcomes:
+            assert o.reason.value == oracles.replay_reason_two_pass(scene, o.event)
+            reasons.append(o.reason)
+    assert OutcomeReason.PLANE_NOT_TRACKED in reasons
+    assert OutcomeReason.MISS_NO_PLANE in reasons
 
 
 def test_execute_schedule_past_duration():

@@ -157,6 +157,12 @@ def test_bad_screen(tmp_path):
         load_trace(_write(tmp_path, [_header(), _frame(screen=[1920, 0])]))
 
 
+def test_screen_change_mid_trace_rejected(tmp_path):
+    frames = [_frame(t) for t in (0, 100)] + [_frame(200, screen=[960, 540])]
+    with pytest.raises(TraceValidationError, match=r"t\.jsonl:4: screen 960x540 differs"):
+        load_trace(_write(tmp_path, [_header(), *frames]))
+
+
 def test_trackable_validation(tmp_path):
     degenerate = _trackable(verts=[[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(TraceValidationError, match="3 vertices"):

@@ -164,10 +164,12 @@ def dump_json(obj: Any, path: str | Path) -> None:
 
 
 def load_json(path: str | Path) -> Any:
-    """Read a JSON file; a syntax error is a ValueError that names the file."""
+    """Read a JSON file; bad text or syntax is a ValueError that names the file."""
     path = Path(path)
     try:
         return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path.name}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path.name}: invalid JSON: {exc.msg}") from None
 

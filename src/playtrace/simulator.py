@@ -83,6 +83,15 @@ class Jitter:
     vertex_noise_m: float = 0.0
     dropout_prob: float = 0.0
 
+    def __post_init__(self) -> None:
+        # comparisons with NaN are false, so NaN fails both checks
+        if not 0.0 <= self.vertex_noise_m < math.inf:
+            raise SceneError(
+                f"jitter vertex_noise_m must be a finite number >= 0, got {self.vertex_noise_m}"
+            )
+        if not 0.0 <= self.dropout_prob <= 1.0:
+            raise SceneError(f"jitter dropout_prob must be in [0, 1], got {self.dropout_prob}")
+
 
 @dataclass(frozen=True)
 class SimScene:
@@ -156,12 +165,11 @@ def jitter_from_dict(jd: Any) -> Jitter:
     if not isinstance(jd, dict):
         raise SceneError(f"jitter must be an object, got {type(jd).__name__}")
     try:
-        return Jitter(
-            vertex_noise_m=float(jd.get("vertex_noise_m", 0.0)),
-            dropout_prob=float(jd.get("dropout_prob", 0.0)),
-        )
+        noise = float(jd.get("vertex_noise_m", 0.0))
+        dropout = float(jd.get("dropout_prob", 0.0))
     except (TypeError, ValueError) as exc:
         raise SceneError(f"malformed jitter: {exc}") from None
+    return Jitter(vertex_noise_m=noise, dropout_prob=dropout)
 
 
 def scene_from_dict(d: dict) -> SimScene:
@@ -279,56 +287,90 @@ def perspective_matrix(fov_y_deg: float, aspect: float, near: float, far: float)
     return m
 
 
-def look_at_matrix(eye: np.ndarray, target: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """World -> camera matrix for a camera at eye looking at target."""
-    eye = np.asarray(eye, dtype=float)
-    f = np.asarray(target, dtype=float) - eye
-    fn = float(np.linalg.norm(f))
-    if fn < 1e-12:
-        raise SceneError("camera position and look-at target coincide")
-    f = f / fn
-    s = np.cross(f, np.asarray(up, dtype=float))
-    sn = float(np.linalg.norm(s))
-    if sn < 1e-12:
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row pair of two (n, 3) arrays, summed as np.dot sums."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product of each row pair, with np.cross's arithmetic for 3-vectors."""
+    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
+
+
+def _look_at_rows(eye: np.ndarray, target: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """World -> camera matrices (n, 4, 4), one per row of eye, target and up."""
+    f = target - eye
+    fn = np.sqrt(_dot_rows(f, f))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = f / fn[:, None]
+        s = _cross_rows(f, up)
+        sn = np.sqrt(_dot_rows(s, s))
+        s = s / sn[:, None]
+    bad = np.flatnonzero((fn < 1e-12) | (sn < 1e-12))
+    if bad.size:
+        if fn[bad[0]] < 1e-12:
+            raise SceneError("camera position and look-at target coincide")
         raise SceneError("camera up vector is parallel to the view direction")
-    s = s / sn
-    u = np.cross(s, f)
-    m = np.eye(4)
-    m[0, :3] = s
-    m[1, :3] = u
-    m[2, :3] = -f
-    m[0, 3] = -float(np.dot(s, eye))
-    m[1, 3] = -float(np.dot(u, eye))
-    m[2, 3] = float(np.dot(f, eye))
+    u = _cross_rows(s, f)
+    m = np.zeros((len(eye), 4, 4))
+    m[:, 0, :3] = s
+    m[:, 1, :3] = u
+    m[:, 2, :3] = -f
+    m[:, 0, 3] = -_dot_rows(s, eye)
+    m[:, 1, 3] = -_dot_rows(u, eye)
+    m[:, 2, 3] = _dot_rows(f, eye)
+    m[:, 3, 3] = 1.0
     m.flags.writeable = False
     return m
 
 
+def look_at_matrix(eye: np.ndarray, target: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """World -> camera matrix for a camera at eye looking at target."""
+    rows = [np.asarray(v, dtype=float).reshape(1, 3) for v in (eye, target, up)]
+    return _look_at_rows(*rows)[0]
+
+
+def camera_poses(
+    scene: SimScene, times: Sequence[float] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Camera positions (T, 3) and view matrices (T, 4, 4) at each of T times.
+
+    Keyframes are interpolated linearly; a time at or outside the first or
+    last keyframe takes that keyframe as it is.
+    """
+    path = scene.camera_path
+    t = np.asarray(times, dtype=float).reshape(-1)
+    key_t = np.array([k.t_ms for k in path], dtype=float)
+    keys = np.array([(k.position, k.look_at, k.up) for k in path])
+    rows = np.where((t <= key_t[0])[:, None, None], keys[0], keys[-1])
+    inner = (t > key_t[0]) & (t < key_t[-1])
+    if inner.any():
+        # at an inner keyframe's own time this is the end of the segment before it
+        hi = np.searchsorted(key_t, t[inner], side="left")
+        f = (t[inner] - key_t[hi - 1]) / (key_t[hi] - key_t[hi - 1])
+        rows[inner] = keys[hi - 1] + (keys[hi] - keys[hi - 1]) * f[:, None, None]
+    eyes = rows[:, 0].copy()
+    eyes.flags.writeable = False
+    return eyes, _look_at_rows(eyes, rows[:, 1], rows[:, 2])
+
+
 def camera_pose_at(scene: SimScene, t_ms: float) -> tuple[np.ndarray, np.ndarray]:
     """Camera position and view matrix at time t (clamped to the keyframe range)."""
-    path = scene.camera_path
-    if t_ms <= path[0].t_ms or t_ms >= path[-1].t_ms:
-        k = path[0] if t_ms <= path[0].t_ms else path[-1]
-        return k.position.copy(), look_at_matrix(k.position, k.look_at, k.up)
-    hi = 1
-    while path[hi].t_ms < t_ms:
-        hi += 1
-    a, b = path[hi - 1], path[hi]
-    f = (t_ms - a.t_ms) / (b.t_ms - a.t_ms)
-    pos = a.position + (b.position - a.position) * f
-    look = a.look_at + (b.look_at - a.look_at) * f
-    up = a.up + (b.up - a.up) * f
-    return pos, look_at_matrix(pos, look, up)
+    eyes, views = camera_poses(scene, [t_ms])
+    return eyes[0], views[0]
 
 
-def plane_detected(plane: ScenePlane, t_ms: float) -> bool:
-    """Whether tracking reports the plane at time t (delay and loss, not dropout)."""
-    if t_ms < plane.detect_delay_ms:
-        return False
+def plane_detected(plane: ScenePlane, t_ms: float | np.ndarray) -> bool | np.ndarray:
+    """Whether tracking reports the plane at time t (delay and loss, not dropout).
+
+    Elementwise for an array of times.
+    """
+    t = np.asarray(t_ms)
+    detected = t >= plane.detect_delay_ms
     for s, e in plane.lost_intervals:
-        if s <= t_ms < e:
-            return False
-    return True
+        detected = detected & ((t < s) | (t >= e))
+    return detected
 
 
 def frame_times(scene: SimScene) -> list[int]:
@@ -361,12 +403,14 @@ def generate_trace(
     rng = np.random.default_rng(jitter_seed)
     aspect = scene.screen_w / scene.screen_h
     proj = perspective_matrix(scene.fov_y_deg, aspect, scene.near_m, scene.far_m)
+    times = frame_times(scene)
+    eyes, views = camera_poses(scene, times)
+    planes = [(p, p.pose(), plane_detected(p, np.array(times))) for p in scene.planes]
     frames: list[FrameRecord] = []
-    for t in frame_times(scene):
-        eye, view = camera_pose_at(scene, t)
+    for i, t in enumerate(times):
         trackables: list[TrackableSnapshot] = []
-        for plane in scene.planes:
-            if not plane_detected(plane, t):
+        for plane, pose, detected in planes:
+            if not detected[i]:
                 continue
             if jitter.dropout_prob > 0.0 and rng.random() < jitter.dropout_prob:
                 continue
@@ -374,26 +418,24 @@ def generate_trace(
             if jitter.vertex_noise_m > 0.0:
                 noise = rng.normal(0.0, jitter.vertex_noise_m, size=(len(verts), 2))
                 verts = tuple(
-                    (x + float(nx), z + float(nz)) for (x, z), (nx, nz) in zip(verts, noise)
+                    (x + nx, z + nz) for (x, z), (nx, nz) in zip(verts, noise.tolist())
                 )
             trackables.append(
                 TrackableSnapshot(
                     trackable_id=plane.plane_id,
-                    pose=plane.pose(),
+                    pose=pose,
                     local_vertices=verts,
                     center_world=plane.center,
                     normal_world=plane.normal,
                     tracking_state=TrackingState.TRACKING,
                 )
             )
-        cam_pos = np.array(eye, dtype=float)
-        cam_pos.flags.writeable = False
         frames.append(
             FrameRecord(
                 timestamp_ms=t,
-                view=view,
+                view=views[i],
                 projection=proj,
-                camera_position=cam_pos,
+                camera_position=eyes[i],
                 screen_w=scene.screen_w,
                 screen_h=scene.screen_h,
                 trackables=tuple(trackables),
@@ -407,22 +449,56 @@ def generate_trace(
     return PlaybackTrace(frames=tuple(frames), source_fps=scene.fps, metadata=meta)
 
 
-def _rays_from_pixels(
-    scene: SimScene, t_ms: float, points: np.ndarray
+def _cast(
+    scene: SimScene, times: np.ndarray, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """World-space origin and unit directions for screen points at time t."""
-    eye, view = camera_pose_at(scene, t_ms)
+    """One ray pass for (g, k, 2) screen points: k points at each of g times.
+
+    Returns, per point, the index into scene.planes of the nearest tracked
+    surface (-1 for sky, or where tracking does not report the surface at
+    that time) and whether the point lies over any surface, tracked or not.
+    The camera and the inverse of proj @ view are computed once per distinct
+    time.  Each time's k points go through the same matrix products as a
+    cast of those k points alone, so the rays do not depend on the batch.
+    """
+    uniq, inverse = np.unique(times, return_inverse=True)
+    eyes, views = camera_poses(scene, uniq)
     aspect = scene.screen_w / scene.screen_h
     proj = perspective_matrix(scene.fov_y_deg, aspect, scene.near_m, scene.far_m)
-    inv = np.linalg.inv(proj @ view)
-    x_ndc = 2.0 * points[:, 0] / scene.screen_w - 1.0
-    y_ndc = 1.0 - 2.0 * points[:, 1] / scene.screen_h
-    clip = np.stack([x_ndc, y_ndc, np.ones_like(x_ndc), np.ones_like(x_ndc)], axis=1)
-    world = clip @ inv.T
-    world = world[:, :3] / world[:, 3:4]
+    inv_t = np.linalg.inv(proj @ views)[inverse].transpose(0, 2, 1)
+    eye = eyes[inverse][:, None, :]
+    x_ndc = 2.0 * points[..., 0] / scene.screen_w - 1.0
+    y_ndc = 1.0 - 2.0 * points[..., 1] / scene.screen_h
+    clip = np.stack([x_ndc, y_ndc, np.ones_like(x_ndc), np.ones_like(x_ndc)], axis=-1)
+    world = clip @ inv_t
+    world = world[..., :3] / world[..., 3:4]
     dirs = world - eye
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return eye, dirs
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    best_t = np.full(x_ndc.shape, np.inf)
+    best = np.full(x_ndc.shape, -1)
+    over_any = np.zeros(x_ndc.shape, dtype=bool)
+    for i, plane in enumerate(scene.planes):
+        denom = dirs @ plane.normal
+        to_plane = _dot_rows(np.broadcast_to(plane.normal, eyes.shape), plane.center - eyes)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_ray = to_plane[inverse][:, None] / denom
+        valid = (np.abs(denom) > _RAY_PARALLEL_EPS) & (t_ray > _RAY_PARALLEL_EPS)
+        if not np.any(valid):
+            continue
+        rel = eye + dirs * t_ray[..., None] - plane.center
+        a = rel @ plane.axis_u
+        b = rel @ plane.axis_v
+        if plane.local_vertices is None:
+            inside = (np.abs(a) <= plane.extent_u + _HIT_EPS_M) & (
+                np.abs(b) <= plane.extent_v + _HIT_EPS_M
+            )
+        else:
+            inside = _points_in_polygon_mask(a, b, plane.local_vertices)
+        over_any |= valid & inside
+        hit = valid & inside & plane_detected(plane, times)[:, None] & (t_ray < best_t)
+        best_t[hit] = t_ray[hit]
+        best[hit] = i
+    return best, over_any
 
 
 def cast_rays(
@@ -435,37 +511,9 @@ def cast_rays(
     that lie over any surface, tracked or not, which tells 'there but not
     yet tracked' apart from 'nothing there'.
     """
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    eye, dirs = _rays_from_pixels(scene, t_ms, points)
-    n_pts = len(points)
-    best_t = np.full(n_pts, np.inf)
-    best_id: list[str | None] = [None] * n_pts
-    over_any = np.zeros(n_pts, dtype=bool)
-    for plane in scene.planes:
-        denom = dirs @ plane.normal
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_ray = float(np.dot(plane.normal, plane.center - eye)) / denom
-        valid = (np.abs(denom) > _RAY_PARALLEL_EPS) & (t_ray > _RAY_PARALLEL_EPS)
-        if not np.any(valid):
-            continue
-        pts = eye + dirs * t_ray[:, None]
-        rel = pts - plane.center
-        a = rel @ plane.axis_u
-        b = rel @ plane.axis_v
-        if plane.local_vertices is None:
-            inside = (np.abs(a) <= plane.extent_u + _HIT_EPS_M) & (
-                np.abs(b) <= plane.extent_v + _HIT_EPS_M
-            )
-        else:
-            inside = _points_in_polygon_mask(a, b, plane.local_vertices)
-        over_any |= valid & inside
-        if not plane_detected(plane, t_ms):
-            continue
-        hit = valid & inside & (t_ray < best_t)
-        for i in np.nonzero(hit)[0]:
-            best_t[i] = t_ray[i]
-            best_id[i] = plane.plane_id
-    return best_id, over_any
+    points = np.asarray(points, dtype=float).reshape(1, -1, 2)
+    best, over_any = _cast(scene, np.array([float(t_ms)]), points)
+    return [scene.planes[i].plane_id if i >= 0 else None for i in best[0]], over_any[0]
 
 
 def hit_test_batch(scene: SimScene, t_ms: float, points: np.ndarray) -> list[str | None]:
@@ -476,7 +524,7 @@ def hit_test_batch(scene: SimScene, t_ms: float, points: np.ndarray) -> list[str
 def _points_in_polygon_mask(
     xs: np.ndarray, ys: np.ndarray, poly: Sequence[tuple[float, float]]
 ) -> np.ndarray:
-    inside = np.zeros(len(xs), dtype=bool)
+    inside = np.zeros(xs.shape, dtype=bool)
     n = len(poly)
     for i in range(n):
         ax, ay = poly[i]
@@ -524,7 +572,7 @@ def execute_schedule(
     where the schedule contained no gesture of that kind.
     """
     validate_scene(scene)
-    outcomes: list[GestureOutcome] = []
+    samples: list[tuple[np.ndarray, np.ndarray]] = []
     for ev in schedule.events:
         if ev.t_end_ms > scene.duration_ms:
             raise SceneError(f"gesture at {ev.t_start_ms} ms runs past the scene duration")
@@ -533,17 +581,28 @@ def execute_schedule(
         else:
             n = max(MIN_PATH_SAMPLES, max(len(tr) for tr in ev.tracks))
             times = np.linspace(float(ev.t_start_ms), float(ev.t_end_ms), n)
-        track_pts = np.stack([_track_positions(tr, times) for tr in ev.tracks], axis=1)
-        seen: set[str | None] = set()
-        over_any = False
-        for t, pts in zip(times, track_pts):
-            ids, over = cast_rays(scene, float(t), pts)
-            seen.update(ids)
-            over_any = over_any or bool(over.any())
-        if None not in seen and len(seen) == 1:
+        samples.append(
+            (times, np.stack([_track_positions(tr, times) for tr in ev.tracks], axis=1))
+        )
+    # one ray pass over all samples of the gestures with the same finger count
+    seen_over: dict[int, tuple[set[int], bool]] = {}  # event index -> planes seen, over any
+    for fingers in {pts.shape[1] for _, pts in samples}:
+        idx = [i for i, (_, pts) in enumerate(samples) if pts.shape[1] == fingers]
+        best, over_any = _cast(
+            scene,
+            np.concatenate([samples[i][0] for i in idx]),
+            np.concatenate([samples[i][1] for i in idx]),
+        )
+        bounds = np.cumsum([0] + [len(samples[i][0]) for i in idx]).tolist()
+        for i, lo, hi in zip(idx, bounds, bounds[1:]):
+            seen_over[i] = set(best[lo:hi].ravel().tolist()), bool(over_any[lo:hi].any())
+    outcomes: list[GestureOutcome] = []
+    for i, ev in enumerate(schedule.events):
+        seen, over_any = seen_over[i]
+        if -1 not in seen and len(seen) == 1:
             outcomes.append(GestureOutcome(ev, True, OutcomeReason.HIT))
             continue
-        hit_ids = {s for s in seen if s is not None}
+        hit_ids = seen - {-1}
         if len(hit_ids) >= 2:
             reason = OutcomeReason.SPLIT_TARGETS
         elif len(hit_ids) == 1:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -201,18 +201,27 @@ def _frame_to_dict(f: FrameRecord) -> dict:
     }
 
 
+def _utf8_lines(fh: TextIO, name: str) -> Iterator[str]:
+    """The lines of a text file opened as UTF-8; other bytes are a TraceParseError."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise TraceParseError(f"{name}: not UTF-8 text: {exc}") from None
+
+
 def load_trace(path: str | Path) -> PlaybackTrace:
     """Load and validate a JSONL trace file.
 
-    Raises TraceParseError for malformed JSON or missing fields (with the
-    offending line number), TraceValidationError for contract violations,
+    Raises TraceParseError for text that is not UTF-8, and for malformed
+    JSON or missing fields (with the offending line number),
+    TraceValidationError for contract violations,
     and the usual OSError family for I/O trouble.
     """
     path = Path(path)
     frames: list[FrameRecord] = []
     header: dict | None = None
     with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(_utf8_lines(fh, path.name), start=1):
             line = line.strip()
             if not line:
                 continue

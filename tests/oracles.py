@@ -251,6 +251,10 @@ def _camera_at(scene, t):
     return eye, right, np.cross(right, fwd), fwd
 
 
+def _tracked(plane, t):
+    return t >= plane.detect_delay_ms and not any(s <= t < e for s, e in plane.lost_intervals)
+
+
 def nearest_plane(scene, t, point, tracked_only):
     """Id of the nearest surface under a screen point through a pinhole camera."""
     eye, right, up, fwd = _camera_at(scene, t)
@@ -261,8 +265,7 @@ def nearest_plane(scene, t, point, tracked_only):
     d /= np.linalg.norm(d)
     best, best_s = None, math.inf
     for p in scene.planes:
-        tracked = t >= p.detect_delay_ms and not any(s <= t < e for s, e in p.lost_intervals)
-        if tracked_only and not tracked:
+        if tracked_only and not _tracked(p, t):
             continue
         denom = float(np.dot(d, p.normal))
         if abs(denom) <= 1e-12:
@@ -310,3 +313,138 @@ def replay_reason_two_pass(scene, event):
     if any(nearest_plane(scene, t, pt, tracked_only=False) for t, pt in samples):
         return "PLANE_NOT_TRACKED"
     return "MISS_NO_PLANE"
+
+
+# ------------------------------------------------- per-time camera and replay
+#
+# The simulator's camera and replay as they were before they were batched:
+# one camera pose, one 4x4 inverse and one small ray cast per timestamp.
+# The batched code must give the same bits (camera) and the same outcomes.
+
+def look_at_per_time(eye, target, up):
+    """World -> camera matrix for one eye, with np.cross and np.dot."""
+    eye = np.asarray(eye, dtype=float)
+    f = np.asarray(target, dtype=float) - eye
+    fn = float(np.linalg.norm(f))
+    if fn < 1e-12:
+        raise ValueError("camera position and look-at target coincide")
+    f = f / fn
+    s = np.cross(f, np.asarray(up, dtype=float))
+    sn = float(np.linalg.norm(s))
+    if sn < 1e-12:
+        raise ValueError("camera up vector is parallel to the view direction")
+    s = s / sn
+    u = np.cross(s, f)
+    m = np.eye(4)
+    m[0, :3] = s
+    m[1, :3] = u
+    m[2, :3] = -f
+    m[0, 3] = -float(np.dot(s, eye))
+    m[1, 3] = -float(np.dot(u, eye))
+    m[2, 3] = float(np.dot(f, eye))
+    return m
+
+
+def camera_pose_per_time(scene, t_ms):
+    """Camera position and view matrix at one time, clamped to the keyframes."""
+    path = scene.camera_path
+    if t_ms <= path[0].t_ms or t_ms >= path[-1].t_ms:
+        k = path[0] if t_ms <= path[0].t_ms else path[-1]
+        return k.position.copy(), look_at_per_time(k.position, k.look_at, k.up)
+    hi = 1
+    while path[hi].t_ms < t_ms:
+        hi += 1
+    a, b = path[hi - 1], path[hi]
+    f = (t_ms - a.t_ms) / (b.t_ms - a.t_ms)
+    pos = a.position + (b.position - a.position) * f
+    look = a.look_at + (b.look_at - a.look_at) * f
+    up = a.up + (b.up - a.up) * f
+    return pos, look_at_per_time(pos, look, up)
+
+
+def _cast_per_time(scene, t_ms, points):
+    """Nearest tracked plane id per screen point at one time, and an any-plane mask."""
+    eye, view = camera_pose_per_time(scene, t_ms)
+    g = 1.0 / math.tan(math.radians(scene.fov_y_deg) / 2.0)
+    near, far = scene.near_m, scene.far_m
+    proj = np.zeros((4, 4))
+    proj[0, 0] = g / (scene.screen_w / scene.screen_h)
+    proj[1, 1] = g
+    proj[2, 2] = (far + near) / (near - far)
+    proj[2, 3] = 2.0 * far * near / (near - far)
+    proj[3, 2] = -1.0
+    inv = np.linalg.inv(proj @ view)
+    x_ndc = 2.0 * points[:, 0] / scene.screen_w - 1.0
+    y_ndc = 1.0 - 2.0 * points[:, 1] / scene.screen_h
+    clip = np.stack([x_ndc, y_ndc, np.ones_like(x_ndc), np.ones_like(x_ndc)], axis=1)
+    world = clip @ inv.T
+    world = world[:, :3] / world[:, 3:4]
+    dirs = world - eye
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    n_pts = len(points)
+    best_t = np.full(n_pts, np.inf)
+    best_id = [None] * n_pts
+    over_any = np.zeros(n_pts, dtype=bool)
+    for plane in scene.planes:
+        denom = dirs @ plane.normal
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_ray = float(np.dot(plane.normal, plane.center - eye)) / denom
+        valid = (np.abs(denom) > 1e-12) & (t_ray > 1e-12)
+        if not np.any(valid):
+            continue
+        rel = eye + dirs * t_ray[:, None] - plane.center
+        a = rel @ plane.axis_u
+        b = rel @ plane.axis_v
+        if plane.local_vertices is None:
+            inside = (np.abs(a) <= plane.extent_u + 1e-9) & (np.abs(b) <= plane.extent_v + 1e-9)
+        else:
+            inside = np.zeros(n_pts, dtype=bool)
+            poly = plane.local_vertices
+            for i in range(len(poly)):
+                (ax, ay), (bx, by) = poly[i], poly[(i + 1) % len(poly)]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    x_cross = ax + (b - ay) / (by - ay) * (bx - ax)
+                inside ^= ((ay > b) != (by > b)) & (x_cross > a)
+        over_any |= valid & inside
+        if not _tracked(plane, t_ms):
+            continue
+        for i in np.nonzero(valid & inside & (t_ray < best_t))[0]:
+            best_t[i] = t_ray[i]
+            best_id[i] = plane.plane_id
+    return best_id, over_any
+
+
+def replay_per_sample(scene, schedule):
+    """(success, reason) of every gesture, casting one timestamp at a time.
+
+    Taps are checked at their start, other gestures at max(10, track length)
+    evenly spaced times, every finger at every time.
+    """
+    results = []
+    for ev in schedule.events:
+        if ev.kind.value == "TAP":
+            times = np.array([float(ev.t_start_ms)])
+        else:
+            n = max(10, max(len(tr) for tr in ev.tracks))
+            times = np.linspace(float(ev.t_start_ms), float(ev.t_end_ms), n)
+        tracks = []
+        for tr in ev.tracks:
+            ts, xs, ys = np.array(tr, dtype=float).T
+            tracks.append(np.stack([np.interp(times, ts, xs), np.interp(times, ts, ys)], axis=1))
+        track_pts = np.stack(tracks, axis=1)
+        seen = set()
+        over_any = False
+        for t, pts in zip(times, track_pts):
+            ids, over = _cast_per_time(scene, float(t), pts)
+            seen.update(ids)
+            over_any = over_any or bool(over.any())
+        ids = seen - {None}
+        if None not in seen and len(ids) == 1:
+            results.append((True, "HIT"))
+        elif len(ids) >= 2:
+            results.append((False, "SPLIT_TARGETS"))
+        elif ids:
+            results.append((False, "LEFT_PLANE_MID_GESTURE"))
+        else:
+            results.append((False, "PLANE_NOT_TRACKED" if over_any else "MISS_NO_PLANE"))
+    return results

@@ -199,6 +199,61 @@ def test_invalid_json_errors_name_the_file(tmp_path, capsys):
     assert "broken.json: invalid JSON" in _assert_input_error(rc, capsys)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dropout_prob", 5.0),
+        ("dropout_prob", -0.5),
+        ("dropout_prob", float("nan")),
+        ("vertex_noise_m", -0.01),
+        ("vertex_noise_m", float("inf")),
+    ],
+)
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_scene_jitter_out_of_range(tmp_path, capsys, command, field, value):
+    scene_path = tmp_path / "scene.json"
+    save_scene(_scene(), scene_path)
+    d = json.loads(scene_path.read_text())
+    d["jitter"][field] = value
+    scene_path.write_text(json.dumps(d))
+    sched_path = tmp_path / "random.json"
+    save_schedule(schedule_random((1920, 1080), 6000, 0), sched_path)
+    args = {
+        "simulate": ["--schedule", str(sched_path), "--out", str(tmp_path / "o.json")],
+        "compare": ["--runs", "1"],
+    }[command]
+    rc = main([command, str(scene_path), *args])
+    assert _assert_input_error(rc, capsys).startswith(f"error: jitter {field} ")
+
+
+def test_analyze_rejects_trace_jitter_out_of_range(tmp_path, capsys):
+    trace = generate_trace(_scene())
+    meta = {**trace.metadata, "jitter": {"vertex_noise_m": 0.0, "dropout_prob": 1.5}}
+    path = tmp_path / "bad-jitter.jsonl"
+    save_trace(dataclasses.replace(trace, metadata=meta), path)
+    rc = main(["analyze", str(path), "--runs", "2", "--out", str(tmp_path / "x")])
+    assert _assert_input_error(rc, capsys).startswith("error: jitter dropout_prob ")
+
+
+def test_non_utf8_errors_name_the_file(tmp_path, trace_path, capsys):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    scene_path = tmp_path / "scene.json"
+    save_scene(_scene(), scene_path)
+    sched_path = tmp_path / "random.json"
+    save_schedule(schedule_random((1920, 1080), 6000, 0), sched_path)
+    out = tmp_path / "o.json"
+    for argv in (
+        ["simulate", str(bad), "--schedule", str(sched_path), "--out", str(out)],  # scene
+        ["simulate", str(scene_path), "--schedule", str(bad), "--out", str(out)],  # schedule
+        ["schedule", str(bad), "--out", str(out)],  # report
+        ["analyze", str(bad), "--out", str(tmp_path / "x")],  # trace
+    ):
+        err = _assert_input_error(main(argv), capsys)
+        assert err.startswith("error: utf16.json: not UTF-8 text: "), argv
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("gap", ["0", "-5"])
 def test_schedule_rejects_non_positive_gap(tmp_path, trace_path, capsys, gap):
     out = tmp_path / "analysis"

@@ -1,17 +1,20 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 import oracles
-from playtrace.scenes import benchmark_scene
+from playtrace.pipeline import AnalysisParams, analyze_runs
+from playtrace.scenes import benchmark_scene, benchmark_scenes
 from playtrace.scheduler import (
     DEFAULT_MIX,
     EventSchedule,
     GestureEvent,
     GestureKind,
+    schedule_guided,
     schedule_random,
 )
 from playtrace.simulator import (
@@ -23,6 +26,7 @@ from playtrace.simulator import (
     ScenePlane,
     SimScene,
     camera_pose_at,
+    camera_poses,
     cast_rays,
     execute_schedule,
     frame_times,
@@ -258,6 +262,11 @@ def test_hit_test_prefers_nearest():
     assert hit_test(scene, 0, (960.0, 540.0)) == "shelf"
     # past the shelf edge only the floor is under the ray
     assert hit_test(scene, 0, _screen(0.6, 0.0)) == "floor"
+    # on a tie between two planes at one depth the earlier plane wins
+    left = _plane("left", center=(-0.2, 0.0, 0.0))
+    right = _plane("right", center=(0.2, 0.0, 0.0))
+    assert hit_test(_scene([left, right]), 0, (960.0, 540.0)) == "left"
+    assert hit_test(_scene([right, left]), 0, (960.0, 540.0)) == "right"
 
 
 def test_hit_test_detection_gate():
@@ -347,6 +356,10 @@ def test_execute_schedule_past_duration():
     late = _tap_event((960.0, 540.0), t=1999)
     with pytest.raises(SceneError, match="past the scene duration"):
         execute_schedule(scene, _sched([late]))
+    good = _tap_event((960.0, 540.0), t=100)
+    late_drag = _drag_event((960.0, 540.0), (1000.0, 540.0), t=1800, dur=300)
+    with pytest.raises(SceneError, match="past the scene duration"):
+        execute_schedule(scene, _sched([good, late_drag]))
 
 
 def test_gsr_summary_math():
@@ -378,3 +391,118 @@ def test_outcomes_to_dict_shape():
             "reason": "HIT",
         }
     ]
+
+
+# ------------------------------------------- batched camera and replay vs oracles
+
+PACK = [s.name for s in benchmark_scenes()]
+
+
+def _assert_poses_match_oracle(scene, times):
+    eyes, views = camera_poses(scene, times)
+    assert eyes.shape == (len(times), 3) and views.shape == (len(times), 4, 4)
+    for i, t in enumerate(times):
+        eye, view = oracles.camera_pose_per_time(scene, t)
+        assert np.array_equal(eyes[i], eye), (scene.name, t)
+        assert np.array_equal(views[i], view), (scene.name, t)
+
+
+@pytest.mark.parametrize("name", PACK)
+def test_camera_poses_match_per_time_oracle(name):
+    scene = benchmark_scene(name)
+    first, last = scene.camera_path[0].t_ms, scene.camera_path[-1].t_ms
+    keys = [k.t_ms for k in scene.camera_path]
+    outside = [first - 250, first - 0.5, last + 0.5, last + 1000]
+    _assert_poses_match_oracle(scene, frame_times(scene) + keys + outside)
+
+
+def test_camera_poses_clamp_like_oracle():
+    up = np.array([0.0, 0.0, -1.0])
+    # 0.35 + (1.7 - 0.35) * 1.0 != 1.7: at 2000 ms the pose is the 1000-2000
+    # segment's end, not the middle keyframe itself
+    path = (
+        CameraKeyframe(1000, np.array([0.35, 2.0, 0.0]), np.array([0.0, 0.0, 0.0]), up),
+        CameraKeyframe(2000, np.array([1.7, 2.5, 0.3]), np.array([1.0, 0.0, 0.0]), up),
+        CameraKeyframe(3000, np.array([1.0, 2.5, 0.3]), np.array([1.0, 0.0, 0.2]), up),
+    )
+    moving = _scene([_plane()], path=path, duration=5000)
+    times = [0, 999.5, 1000, 1000.25, 1999, 2000, 2000.5, 2999, 3000, 3000.5, 4999]
+    _assert_poses_match_oracle(moving, times)
+    _assert_poses_match_oracle(_scene([_plane()]), [-100, 0, 0.5, 5000, 20000])
+    eye, view = camera_pose_at(moving, 1000.25)
+    eyes, views = camera_poses(moving, [1000.25])
+    assert np.array_equal(eye, eyes[0]) and np.array_equal(view, views[0])
+
+
+@pytest.mark.parametrize("name", PACK)
+def test_replay_matches_per_sample_oracle(name):
+    scene = benchmark_scene(name)
+    for seed in (1, 2):
+        trace = generate_trace(scene, seed * 100, scene.default_jitter)
+        _per_run, final, _metrics = analyze_runs([trace], AnalysisParams())
+        guided = schedule_guided(final, scene.duration_ms, seed)
+        rand = schedule_random((scene.screen_w, scene.screen_h), scene.duration_ms, seed)
+        for sched in (guided, rand):
+            expected = [
+                GestureOutcome(ev, ok, OutcomeReason(reason))
+                for ev, (ok, reason) in zip(sched.events, oracles.replay_per_sample(scene, sched))
+            ]
+            got = outcomes_to_dict(*execute_schedule(scene, sched))
+            assert got == outcomes_to_dict(expected, gsr_summary(expected))
+
+
+# SHA-256 of save_trace bytes, recorded before the camera path was batched:
+# noisy-trio has dropout and vertex noise, orbit-one a moving camera.
+_TRACE_DIGESTS = {
+    ("noisy-trio", 1): "62f8fc2d50dcd4134e98e1eb91e3793befd04f4fc08125f36b873e5d6d8cf02b",
+    ("noisy-trio", 2): "694c23dbc50dbf7b8d260417dc63cf42e6dd5e8fff71ba127fa0f357a8a9ff5e",
+    ("orbit-one", 1): "2d3b512ad4c490d7c7159fb9acda6a491abc4708ec211460ab9bcc879f84d7ed",
+    ("orbit-one", 2): "8531ce510e661acbbc456e082b64b9b945ad301b1d08742a1cdb395881d44256",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(_TRACE_DIGESTS))
+def test_trace_bytes_pinned(tmp_path, name, seed):
+    path = tmp_path / "trace.jsonl"
+    save_trace(generate_trace(benchmark_scene(name), jitter_seed=seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _TRACE_DIGESTS[(name, seed)]
+
+
+def test_execute_schedule_empty():
+    outcomes, summary = execute_schedule(_scene([_plane()]), _sched([]))
+    assert outcomes == []
+    assert summary == {**{k.value: None for k in GestureKind}, "overall": None}
+
+
+def _bad_camera_scene(path):
+    return _scene([_plane()], duration=2000, path=path)
+
+
+def test_camera_eye_on_target_rejected():
+    up = np.array([0.0, 0.0, -1.0])
+    # the eye and the target pass through (0, 1, 0) together at 1000 ms
+    path = (
+        CameraKeyframe(0, np.array([0.0, 2.0, 0.0]), np.array([0.0, 0.0, 0.0]), up),
+        CameraKeyframe(2000, np.array([0.0, 0.0, 0.0]), np.array([0.0, 2.0, 0.0]), up),
+    )
+    still = (CameraKeyframe(0, np.array([0.0, 2.0, 0.0]), np.array([0.0, 2.0, 0.0]), up),)
+    for scene in (_bad_camera_scene(path), _bad_camera_scene(still)):
+        with pytest.raises(SceneError, match="coincide"):
+            generate_trace(scene)
+        with pytest.raises(SceneError, match="coincide"):
+            execute_schedule(scene, _sched([_tap_event((960.0, 540.0), t=1000)]))
+
+
+def test_camera_up_parallel_to_view_rejected():
+    down = (
+        CameraKeyframe(
+            0, np.array([0.0, 2.0, 0.0]), np.array([0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+        ),
+    )
+    scene = _bad_camera_scene(down)
+    with pytest.raises(SceneError, match="parallel"):
+        generate_trace(scene)
+    with pytest.raises(SceneError, match="parallel"):
+        execute_schedule(scene, _sched([_tap_event((960.0, 540.0), t=1000)]))
+    with pytest.raises(SceneError, match="parallel"):
+        camera_pose_at(scene, 500)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ COLLINEAR_EPS = 1e-9        # |cross product| below this means collinear
 SHRINK_STEP = 0.025         # per-pass inward step, as a fraction of the current extent
 MAX_SHRINK_PASSES = 200
 MIN_RECT_EXTENT_PX = 1.0    # the search gives up once either extent falls to this
+_QUICK_TEST_LIMIT_PX = 2.0**20  # coordinates the quick containment test decides within
 
 
 @dataclass(frozen=True)
@@ -113,13 +114,22 @@ def project_vertex(
     """
     v = np.asarray(v_local, dtype=float)
     clip = proj @ (view @ (model @ v))
-    w = float(clip[3])
+    return clip_to_screen(clip.tolist(), screen_w, screen_h, v_local)
+
+
+def clip_to_screen(
+    clip: Sequence[float], screen_w: float, screen_h: float, v_local: Sequence[float]
+) -> Point | None:
+    """Perspective division and viewport transform of one clip-space vertex.
+
+    Returns None when clip-space w <= BEHIND_W_EPS (behind the camera) and
+    raises ArithmeticError, naming v_local, for non-finite pixels.
+    """
+    x_clip, y_clip, _, w = clip
     if w <= BEHIND_W_EPS:
         return None
-    x_ndc = float(clip[0]) / w
-    y_ndc = float(clip[1]) / w
-    x = (x_ndc + 1.0) / 2.0 * screen_w
-    y = (1.0 - (y_ndc + 1.0) / 2.0) * screen_h
+    x = (x_clip / w + 1.0) / 2.0 * screen_w
+    y = (1.0 - (y_clip / w + 1.0) / 2.0) * screen_h
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ArithmeticError(f"non-finite screen coordinates from vertex {v_local!r}")
     return (x, y)
@@ -441,6 +451,18 @@ def convex_subtract(piece: Polygon, occluder: Polygon) -> list[list[Point]]:
     return parts
 
 
+def _boxes_apart(a: Polygon, b: Polygon) -> bool:
+    """True when the bounding boxes of a and b, a's grown by 1 px, do not meet."""
+    ax = [p[0] for p in a]
+    ay = [p[1] for p in a]
+    bx = [p[0] for p in b]
+    by = [p[1] for p in b]
+    return (
+        max(bx) < min(ax) - 1.0 or max(ax) + 1.0 < min(bx)
+        or max(by) < min(ay) - 1.0 or max(ay) + 1.0 < min(by)
+    )
+
+
 def subtract_occluders(subject: Polygon, occluders: Sequence[Polygon]) -> list[list[Point]]:
     """Subject minus the union of occluders, as interior-disjoint convex pieces.
 
@@ -449,6 +471,8 @@ def subtract_occluders(subject: Polygon, occluders: Sequence[Polygon]) -> list[l
     """
     pieces = convex_pieces(subject)
     for occ in occluders:
+        if len(occ) < 3 or all(_boxes_apart(occ, piece) for piece in pieces):
+            continue  # convex_subtract would return every piece unchanged
         for occ_part in convex_pieces(occ):
             nxt: list[list[Point]] = []
             for piece in pieces:
@@ -457,6 +481,64 @@ def subtract_occluders(subject: Polygon, occluders: Sequence[Polygon]) -> list[l
             if not pieces:
                 return []
     return pieces
+
+
+def _containment_test(poly: Polygon) -> Callable[[Point], bool]:
+    """``point_in_polygon(p, poly)`` for many p, deciding clear cases from edge-line signs.
+
+    For edge a->b let c(p) = cross(a, b, p), which is affine in p.  The
+    polygon, region and boundary, lies in the convex hull of its vertices,
+    so between the least and the greatest c of any vertex.  Let the margin
+    be 2 * CONTAINMENT_EPS_PX * |ab|.  A point whose c is more than the
+    margin beyond that range, for some edge, is more than 2 eps from every
+    edge and outside: point_in_polygon says False.  A point whose c exceeds
+    the margin on the same side of every edge line sees the boundary turn
+    one way around it all along, so its winding number is the polygon's
+    turning number k; it is more than eps from every edge, and
+    point_in_polygon says inside exactly when k is odd.  A point equal to a
+    vertex is on the boundary, so inside.  Any other point, and every point
+    of a polygon with a zero-length edge, goes to point_in_polygon.
+    Rounding in c stays below 1e-8 px while points and vertices lie within
+    2**20 px of the origin; beyond that, or for non-finite coordinates,
+    every point goes to point_in_polygon.
+    """
+    n = len(poly)
+    lim = _QUICK_TEST_LIMIT_PX
+    if n < 3 or not all(-lim <= v <= lim for p in poly for v in p):
+        return lambda p: point_in_polygon(p, poly)
+    edges = []
+    units = []
+    for i in range(n):
+        (ax, ay), (bx, by) = poly[i], poly[(i + 1) % n]
+        dx, dy = bx - ax, by - ay
+        length = math.hypot(dx, dy)
+        cs = [dx * (y - ay) - dy * (x - ax) for x, y in poly]
+        margin = 2.0 * CONTAINMENT_EPS_PX * length
+        edges.append((ax, ay, dx, dy, margin, min(cs) - margin, max(cs) + margin))
+        units.append((dx / length, dy / length) if length else (0.0, 0.0))
+    turning = sum(
+        math.atan2(ux * vy - uy * vx, ux * vx + uy * vy)
+        for (ux, uy), (vx, vy) in zip(units, units[1:] + units[:1])
+    )
+    odd = round(turning / (2.0 * math.pi)) % 2 == 1
+    vertices = {(x, y) for x, y in poly}
+
+    def inside(p: Point) -> bool:
+        px, py = p
+        if not (-lim <= px <= lim and -lim <= py <= lim):
+            return point_in_polygon(p, poly)
+        left = right = True
+        for ax, ay, dx, dy, margin, lo, hi in edges:
+            c = dx * (py - ay) - dy * (px - ax)
+            if c < lo or c > hi:
+                return False
+            left = left and c > margin
+            right = right and c < -margin
+        if left or right:
+            return odd
+        return (px, py) in vertices or point_in_polygon(p, poly)
+
+    return inside
 
 
 def _conservative_shrink(
@@ -475,12 +557,13 @@ def _conservative_shrink(
     the number of passes used, or (None, passes) when the rect degenerates
     or the pass budget runs out.
     """
+    inside = _containment_test(poly)
     passes = 0
     while True:
-        in_tl = point_in_polygon((x_min, y_min), poly)
-        in_tr = point_in_polygon((x_max, y_min), poly)
-        in_bl = point_in_polygon((x_min, y_max), poly)
-        in_br = point_in_polygon((x_max, y_max), poly)
+        in_tl = inside((x_min, y_min))
+        in_tr = inside((x_max, y_min))
+        in_bl = inside((x_min, y_max))
+        in_br = inside((x_max, y_max))
         if in_tl and in_tr and in_bl and in_br:
             return Rect(x_min, y_min, x_max, y_max), passes
         dx = x_max - x_min

@@ -115,6 +115,11 @@ def _unit(v: np.ndarray, what: str) -> np.ndarray:
     return v
 
 
+def _finite(values: Any, what: str) -> None:
+    if not np.isfinite(np.asarray(values, dtype=float)).all():
+        raise SceneError(f"{what} must be finite numbers")
+
+
 def _vec(values: Sequence[float]) -> np.ndarray:
     v = np.array([float(x) for x in values], dtype=float)
     v.flags.writeable = False
@@ -124,12 +129,13 @@ def _vec(values: Sequence[float]) -> np.ndarray:
 def validate_scene(scene: SimScene) -> SimScene:
     if scene.screen_w <= 0 or scene.screen_h <= 0:
         raise SceneError("screen dimensions must be positive")
-    if scene.fps <= 0 or scene.duration_ms <= 0:
-        raise SceneError("fps and duration must be positive")
+    # comparisons with NaN are false, so NaN fails these checks
+    if not 0.0 < scene.fps < math.inf or scene.duration_ms <= 0:
+        raise SceneError("fps and duration must be positive, and fps finite")
     if not (0.0 < scene.fov_y_deg < 180.0):
         raise SceneError("fov_y_deg must be in (0, 180)")
-    if not (0.0 < scene.near_m < scene.far_m):
-        raise SceneError("need 0 < near < far")
+    if not (0.0 < scene.near_m < scene.far_m < math.inf):
+        raise SceneError("need 0 < near < far < inf")
     if not scene.camera_path:
         raise SceneError("camera path needs at least one keyframe")
     times = [k.t_ms for k in scene.camera_path]
@@ -137,11 +143,20 @@ def validate_scene(scene: SimScene) -> SimScene:
         raise SceneError("camera keyframes must have strictly increasing times")
     if times[0] < 0 or times[-1] > scene.duration_ms:
         raise SceneError("camera keyframe times must lie within the scene duration")
+    for i, k in enumerate(scene.camera_path):
+        for name, v in (("pos", k.position), ("look_at", k.look_at), ("up", k.up)):
+            _finite(v, f"camera_path[{i}] {name}")
     seen: set[str] = set()
     for p in scene.planes:
         if p.plane_id in seen:
             raise SceneError(f"duplicate plane id '{p.plane_id}'")
         seen.add(p.plane_id)
+        for name, v in (
+            ("center", p.center), ("normal", p.normal), ("axis_u", p.axis_u),
+            ("axis_v", p.axis_v), ("extents", (p.extent_u, p.extent_v)),
+            ("verts", p.local_vertices or ()),
+        ):
+            _finite(v, f"plane '{p.plane_id}' {name}")
         _unit(p.normal, f"plane '{p.plane_id}' normal")
         _unit(p.axis_u, f"plane '{p.plane_id}' axis_u")
         _unit(p.axis_v, f"plane '{p.plane_id}' axis_v")
@@ -217,7 +232,7 @@ def scene_from_dict(d: dict) -> SimScene:
             planes=planes,
             default_jitter=jitter_from_dict(d.get("jitter", {})),
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         if isinstance(exc, SceneError):
             raise
         raise SceneError(f"malformed scene: {exc}") from None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -77,21 +78,39 @@ class PlaybackTrace:
         return self.frames[-1].timestamp_ms if self.frames else 0
 
 
-def _as_float_list(value: Any, count: int, what: str) -> list[float]:
+_NUMBER_TYPES = {float, int}
+MAX_SCREEN_PX = 2**31 - 1
+MAX_T_MS = 2**53     # larger integers do not survive the float arithmetic of sampling
+
+
+def _finite_floats(values: list) -> np.ndarray | None:
+    """values as a float array, or None unless every entry is a finite int or float.
+
+    The type check runs in C over the whole list and rejects bool, str,
+    None and nested lists; an integer literal too large for a float fails
+    the conversion.  Ints convert as float(v) does.
+    """
+    if not set(map(type, values)) <= _NUMBER_TYPES:
+        return None
+    try:
+        arr = np.array(values, dtype=float)
+    except OverflowError:
+        return None
+    return arr if np.isfinite(arr).all() else None
+
+
+def _float_array(value: Any, count: int, what: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != count:
         raise TraceValidationError(f"{what}: expected a list of {count} numbers")
-    out = []
-    for v in value:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise TraceValidationError(f"{what}: all entries must be finite numbers")
-        out.append(float(v))
-    return out
+    arr = _finite_floats(value)
+    if arr is None:
+        raise TraceValidationError(f"{what}: all entries must be finite numbers")
+    return arr
 
 
 def mat4_from_list(values: Any, what: str = "matrix") -> Mat4:
     """Build a read-only 4x4 matrix from 16 column-major floats."""
-    flat = _as_float_list(values, 16, what)
-    m = np.array(flat, dtype=float).reshape((4, 4), order="F")
+    m = _float_array(values, 16, what).reshape((4, 4), order="F")
     m.flags.writeable = False
     return m
 
@@ -100,19 +119,14 @@ def mat4_to_list(m: Mat4) -> list[float]:
     return [float(v) for v in np.asarray(m, dtype=float).flatten(order="F")]
 
 
-def _vec3_from_list(values: Any, what: str) -> np.ndarray:
-    v = np.array(_as_float_list(values, 3, what), dtype=float)
-    v.flags.writeable = False
-    return v
-
-
 def _require(d: dict, key: str, where: str) -> Any:
     if key not in d:
         raise TraceParseError(f"{where}: missing field '{key}'")
     return d[key]
 
 
-def _snapshot_from_dict(d: Any, where: str) -> TrackableSnapshot:
+def _trackable_fields(d: Any, where: str) -> tuple[str, str, TrackingState, list]:
+    """Structural checks of one trackable: (id, where, state, raw vertices)."""
     if not isinstance(d, dict):
         raise TraceParseError(f"{where}: trackable entry must be an object")
     tid = _require(d, "id", where)
@@ -122,60 +136,103 @@ def _snapshot_from_dict(d: Any, where: str) -> TrackableSnapshot:
     raw_verts = _require(d, "verts", where)
     if not isinstance(raw_verts, list) or len(raw_verts) < 3:
         raise TraceValidationError(f"{where}: polygon needs at least 3 vertices")
-    verts = []
-    for i, pair in enumerate(raw_verts):
-        verts.append(tuple(_as_float_list(pair, 2, f"{where} vertex {i}")))
-    if not is_simple_polygon(verts):
-        raise TraceValidationError(f"{where}: polygon must be simple (no self-intersection)")
-    normal = _vec3_from_list(_require(d, "normal", where), f"{where} normal")
-    norm_len = float(np.linalg.norm(normal))
-    if abs(norm_len - 1.0) > 1e-6:
-        raise TraceValidationError(f"{where}: normal must be unit length, got |n|={norm_len:.8f}")
-    state_raw = _require(d, "state", where)
+    for key in ("normal", "state", "pose", "center"):
+        _require(d, key, where)
     try:
-        state = TrackingState(state_raw)
+        state = TrackingState(d["state"])
     except ValueError:
-        raise TraceValidationError(f"{where}: unknown tracking state {state_raw!r}") from None
-    return TrackableSnapshot(
-        trackable_id=tid,
-        pose=mat4_from_list(_require(d, "pose", where), f"{where} pose"),
-        local_vertices=tuple(verts),
-        center_world=_vec3_from_list(_require(d, "center", where), f"{where} center"),
-        normal_world=normal,
-        tracking_state=state,
-    )
+        raise TraceValidationError(f"{where}: unknown tracking state {d['state']!r}") from None
+    return tid, where, state, raw_verts
+
+
+def _frame_numbers(fields: list[tuple[Any, int, str, str | int]]) -> np.ndarray:
+    """Every numeric field of a frame, validated at once, as one read-only array.
+
+    fields holds (value, length, where, name) in the order errors are
+    reported; an int name is a vertex index.  Only when the whole-frame
+    check fails are the fields checked one by one, so that the error names
+    the first bad one.
+    """
+    flat: list = []
+    for value, count, _, _ in fields:
+        if not isinstance(value, list) or len(value) != count:
+            break
+        flat += value
+    else:
+        arr = _finite_floats(flat)
+        if arr is not None:
+            arr.flags.writeable = False
+            return arr
+    for value, count, where, name in fields:
+        what = f"{where} {name}" if isinstance(name, str) else f"{where} vertex {name}"
+        _float_array(value, count, what)
+    raise AssertionError("a frame failed the numeric check but none of its fields did")
 
 
 def _frame_from_dict(d: dict, where: str) -> FrameRecord:
     t_ms = _require(d, "t_ms", where)
-    if isinstance(t_ms, bool) or not isinstance(t_ms, int):
-        raise TraceValidationError(f"{where}: t_ms must be an integer")
+    if isinstance(t_ms, bool) or not isinstance(t_ms, int) or abs(t_ms) > MAX_T_MS:
+        raise TraceValidationError(f"{where}: t_ms must be an integer (at most 2**53 in magnitude)")
     screen = _require(d, "screen", where)
     if (
         not isinstance(screen, list)
         or len(screen) != 2
-        or any(isinstance(v, bool) or not isinstance(v, int) or v <= 0 for v in screen)
+        or any(isinstance(v, bool) or not isinstance(v, int) or not 0 < v <= MAX_SCREEN_PX
+               for v in screen)
     ):
-        raise TraceValidationError(f"{where}: screen must be two positive integers")
+        raise TraceValidationError(
+            f"{where}: screen must be two positive integers (at most {MAX_SCREEN_PX})"
+        )
     raw_trackables = _require(d, "trackables", where)
     if not isinstance(raw_trackables, list):
         raise TraceParseError(f"{where}: trackables must be a list")
-    trackables = tuple(
-        _snapshot_from_dict(td, where) for td in raw_trackables
-    )
+    tracks = [_trackable_fields(td, where) for td in raw_trackables]
     seen: set[str] = set()
-    for t in trackables:
-        if t.trackable_id in seen:
-            raise TraceValidationError(f"{where}: duplicate trackable id '{t.trackable_id}'")
-        seen.add(t.trackable_id)
+    for tid, _, _, _ in tracks:
+        if tid in seen:
+            raise TraceValidationError(f"{where}: duplicate trackable id '{tid}'")
+        seen.add(tid)
+
+    # per trackable: vertices, normal (3), pose (16), center (3); then the camera
+    fields: list[tuple[Any, int, str, str | int]] = []
+    for td, (_, tw, _, raw_verts) in zip(raw_trackables, tracks):
+        fields += [(xz, 2, tw, i) for i, xz in enumerate(raw_verts)]
+        fields += [(td["normal"], 3, tw, "normal"), (td["pose"], 16, tw, "pose"),
+                   (td["center"], 3, tw, "center")]
+    fields += [(_require(d, "view", where), 16, where, "view"),
+               (_require(d, "proj", where), 16, where, "proj"),
+               (_require(d, "cam_pos", where), 3, where, "cam_pos")]
+    arr = _frame_numbers(fields)
+
+    trackables = []
+    o = 0
+    for tid, tw, state, raw_verts in tracks:
+        xz = arr[o:o + 2 * len(raw_verts)].tolist()
+        o += len(xz)
+        verts = tuple(zip(xz[0::2], xz[1::2]))
+        if not is_simple_polygon(verts):
+            raise TraceValidationError(f"{tw}: polygon must be simple (no self-intersection)")
+        normal = arr[o:o + 3]
+        norm_len = math.sqrt(normal.dot(normal))  # np.linalg.norm's sum, without its overhead
+        if abs(norm_len - 1.0) > 1e-6:
+            raise TraceValidationError(f"{tw}: normal must be unit length, got |n|={norm_len:.8f}")
+        trackables.append(TrackableSnapshot(
+            trackable_id=tid,
+            pose=arr[o + 3:o + 19].reshape((4, 4), order="F"),
+            local_vertices=verts,
+            center_world=arr[o + 19:o + 22],
+            normal_world=normal,
+            tracking_state=state,
+        ))
+        o += 22
     return FrameRecord(
         timestamp_ms=t_ms,
-        view=mat4_from_list(_require(d, "view", where), f"{where} view"),
-        projection=mat4_from_list(_require(d, "proj", where), f"{where} proj"),
-        camera_position=_vec3_from_list(_require(d, "cam_pos", where), f"{where} cam_pos"),
+        view=arr[o:o + 16].reshape((4, 4), order="F"),
+        projection=arr[o + 16:o + 32].reshape((4, 4), order="F"),
+        camera_position=arr[o + 32:o + 35],
         screen_w=screen[0],
         screen_h=screen[1],
-        trackables=trackables,
+        trackables=tuple(trackables),
     )
 
 
@@ -242,7 +299,11 @@ def load_trace(path: str | Path) -> PlaybackTrace:
                         f"{where}: unsupported version {obj.get('version')!r}"
                     )
                 fps = obj.get("fps")
-                if isinstance(fps, bool) or not isinstance(fps, (int, float)) or not 0 < fps < math.inf:
+                if (
+                    isinstance(fps, bool)
+                    or not isinstance(fps, (int, float))
+                    or not 0 < fps <= sys.float_info.max
+                ):
                     raise TraceValidationError(f"{where}: fps must be a positive number")
                 header = obj
                 continue

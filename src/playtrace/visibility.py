@@ -16,8 +16,8 @@ from .geometry import (
     Point,
     Rect,
     clip_polygon,
+    clip_to_screen,
     inscribed_rect,
-    project_vertex,
     rect_area,
     subtract_occluders,
 )
@@ -54,12 +54,20 @@ def screen_clip_polygon(screen_w: float, screen_h: float) -> list[Point]:
 
 
 def project_trackable(t: TrackableSnapshot, frame: FrameRecord) -> list[Point] | None:
-    """Screen-space polygon of a trackable, or None if any vertex is behind the camera."""
+    """Screen-space polygon of a trackable, or None if any vertex is behind the camera.
+
+    All vertices go through one stacked matmul per matrix: numpy multiplies
+    each (4, 1) item with the same BLAS gemv as ``project_vertex``'s 1-D
+    vertex, so every pixel is bit-equal to the per-vertex path.  A (4, n)
+    matmul or einsum is not: it sums the products in another order.  As in
+    ``project_vertex``, the first vertex that is behind the camera (None)
+    or lands on non-finite pixels (ArithmeticError) decides.
+    """
+    v = np.array([(x, 0.0, z, 1.0) for x, z in t.local_vertices]).reshape(-1, 4, 1)
+    clip = (frame.projection @ (frame.view @ (t.pose @ v)))[:, :, 0].tolist()
     pts: list[Point] = []
-    for x, z in t.local_vertices:
-        p = project_vertex(
-            (x, 0.0, z, 1.0), t.pose, frame.view, frame.projection, frame.screen_w, frame.screen_h
-        )
+    for c, (x, z) in zip(clip, t.local_vertices):
+        p = clip_to_screen(c, frame.screen_w, frame.screen_h, (x, 0.0, z, 1.0))
         if p is None:
             return None
         pts.append(p)

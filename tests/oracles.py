@@ -448,3 +448,105 @@ def replay_per_sample(scene, schedule):
         else:
             results.append((False, "PLANE_NOT_TRACKED" if over_any else "MISS_NO_PLANE"))
     return results
+
+
+# ------------------------------------------------------- per-vertex visibility
+#
+# Per-frame visibility as it was before its fast paths: each vertex projected
+# with its own three matmuls, every inscribed-box corner tested with
+# point_in_polygon, and every occluder subtracted from every piece however
+# far apart they are.  Only those three loops are spelled out; the clipping
+# and subtraction kernels they call are the package's own, which the fast
+# paths left unchanged.
+
+def project_per_vertex(t, frame):
+    """Screen polygon of a trackable, one vertex at a time; None if one is behind."""
+    pts = []
+    for x, z in t.local_vertices:
+        clip = frame.projection @ (frame.view @ (t.pose @ np.array([x, 0.0, z, 1.0])))
+        w = float(clip[3])
+        if w <= 1e-9:
+            return None
+        pts.append((
+            (float(clip[0]) / w + 1.0) / 2.0 * frame.screen_w,
+            (1.0 - (float(clip[1]) / w + 1.0) / 2.0) * frame.screen_h,
+        ))
+    return pts
+
+
+def inscribed_rect_pip(poly, screen_w, screen_h):
+    """The inscribed-box search with every corner tested by point_in_polygon."""
+    from playtrace import geometry as g
+
+    xs = [p[0] for p in poly]
+    ys = [p[1] for p in poly]
+    x_min, x_max = max(0.0, min(xs)), min(float(screen_w), max(xs))
+    y_min, y_max = max(0.0, min(ys)), min(float(screen_h), max(ys))
+    if x_min >= x_max or y_min >= y_max:
+        return None
+    for passes in itertools.count():
+        in_tl = g.point_in_polygon((x_min, y_min), poly)
+        in_tr = g.point_in_polygon((x_max, y_min), poly)
+        in_bl = g.point_in_polygon((x_min, y_max), poly)
+        in_br = g.point_in_polygon((x_max, y_max), poly)
+        if in_tl and in_tr and in_bl and in_br:
+            return g.Rect(x_min, y_min, x_max, y_max)
+        dx, dy = x_max - x_min, y_max - y_min
+        if dx <= g.MIN_RECT_EXTENT_PX or dy <= g.MIN_RECT_EXTENT_PX or passes >= g.MAX_SHRINK_PASSES:
+            return None
+        if not (in_tl and in_bl):
+            x_min = max(0.0, x_min + g.SHRINK_STEP * dx)
+        if not (in_tr and in_br):
+            x_max = min(float(screen_w), x_max - g.SHRINK_STEP * dx)
+        if not (in_tl and in_tr):
+            y_min = max(0.0, y_min + g.SHRINK_STEP * dy)
+        if not (in_bl and in_br):
+            y_max = min(float(screen_h), y_max - g.SHRINK_STEP * dy)
+
+
+def subtract_occluders_unskipped(subject, occluders):
+    """Subject minus every convex part of every occluder, none skipped."""
+    from playtrace import geometry as g
+
+    pieces = g.convex_pieces(subject)
+    for occ in occluders:
+        for occ_part in g.convex_pieces(occ):
+            pieces = [part for piece in pieces for part in g.convex_subtract(piece, occ_part)]
+            if not pieces:
+                return []
+    return pieces
+
+
+def analyze_frame_per_vertex(frame, min_visibility, frame_index):
+    """analyze_frame over the three loops above, in the same near-to-far order."""
+    from playtrace import geometry as g
+    from playtrace.trace import TrackingState
+    from playtrace.visibility import VisibleBox, facing_camera, screen_clip_polygon
+
+    w, h = frame.screen_w, frame.screen_h
+    candidates = []
+    for t in frame.trackables:
+        if t.tracking_state != TrackingState.TRACKING:
+            continue
+        poly = project_per_vertex(t, frame)
+        if poly is not None:
+            dist = float(np.linalg.norm(np.asarray(frame.camera_position, dtype=float) - t.center_world))
+            candidates.append((dist, t, poly))
+    candidates.sort(key=lambda c: c[0])
+    boxes = []
+    for i, (dist, t, poly) in enumerate(candidates):
+        if not facing_camera(t, frame.camera_position):
+            continue
+        on_screen = g.clip_polygon(poly, screen_clip_polygon(w, h))
+        if len(on_screen) < 3:
+            continue
+        pieces = subtract_occluders_unskipped(on_screen, [p for d, _, p in candidates[:i] if d < dist])
+        best = None
+        for piece in pieces:
+            r = inscribed_rect_pip(piece, w, h)
+            if r is not None and (best is None or g.rect_area(r) > g.rect_area(best)):
+                best = r
+        if best is not None and g.rect_area(best) / (float(w) * float(h)) >= min_visibility:
+            boxes.append(VisibleBox(t.trackable_id, frame_index, best,
+                                    g.rect_area(best) / (float(w) * float(h)), dist))
+    return boxes

@@ -357,3 +357,68 @@ def test_scenes_writes_pack(tmp_path, capsys):
 
     for f in files:
         load_scene(out / f)
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("camera_path", 0, "pos", 0), float("nan"), "camera_path[0] pos must be finite numbers"),
+        (("camera_path", 0, "look_at", 2), float("inf"), "camera_path[0] look_at must be finite numbers"),
+        (("camera_path", 0, "up", 1), float("nan"), "camera_path[0] up must be finite numbers"),
+        (("planes", 0, "center", 0), float("inf"), "plane 'table' center must be finite numbers"),
+        (("planes", 0, "normal", 1), float("nan"), "plane 'table' normal must be finite numbers"),
+        (("planes", 0, "axis_u", 0), float("nan"), "plane 'table' axis_u must be finite numbers"),
+        (("planes", 0, "axis_v", 2), float("-inf"), "plane 'table' axis_v must be finite numbers"),
+        (("planes", 0, "extents", 1), float("nan"), "plane 'table' extents must be finite numbers"),
+        (("fps",), float("nan"), "fps and duration must be positive, and fps finite"),
+        (("intrinsics", "far_m"), float("inf"), "need 0 < near < far < inf"),
+    ],
+    ids=["pos-nan", "look_at-inf", "up-nan", "center-inf", "normal-nan", "axis_u-nan",
+         "axis_v-inf", "extent-nan", "fps-nan", "far-inf"],
+)
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_scene_non_finite_number(tmp_path, capsys, command, path, value, message):
+    scene_path = tmp_path / "scene.json"
+    save_scene(_scene(), scene_path)
+    d = json.loads(scene_path.read_text())
+    *keys, last = path
+    target = d
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    scene_path.write_text(json.dumps(d))
+    sched_path = tmp_path / "random.json"
+    save_schedule(schedule_random((1920, 1080), 6000, 0), sched_path)
+    args = {
+        "simulate": ["--schedule", str(sched_path), "--out", str(tmp_path / "o.json")],
+        "compare": ["--runs", "1"],
+    }[command]
+    rc = main([command, str(scene_path), *args])
+    assert _assert_input_error(rc, capsys) == f"error: {message}\n"
+
+
+HUGE_INT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ('"view": [', "run.jsonl:3 view: all entries must be finite numbers"),
+        ('"cam_pos": [', "run.jsonl:3 cam_pos: all entries must be finite numbers"),
+        ('"verts": [[', "run.jsonl:3 trackable 'table' vertex 0: all entries must be finite numbers"),
+        ('"screen": [', "run.jsonl:3: screen must be two positive integers"),
+        ('"t_ms": ', "run.jsonl:3: t_ms must be an integer"),
+        ('"fps": ', "run.jsonl:1: fps must be a positive number"),
+    ],
+    ids=["view", "cam_pos", "vertex", "screen", "t_ms", "fps"],
+)
+def test_analyze_rejects_huge_integer_literal(tmp_path, trace_path, capsys, field, message):
+    # an integer literal too large for a float, in the first number of the field
+    lines = trace_path.read_text().splitlines(keepends=True)
+    line = 0 if field == '"fps": ' else 2
+    start = lines[line].index(field) + len(field)
+    end = min(i for i in (lines[line].find(",", start), lines[line].find("]", start)) if i >= 0)
+    lines[line] = lines[line][:start] + HUGE_INT + lines[line][end:]
+    trace_path.write_text("".join(lines))
+    rc = main(["analyze", str(trace_path), "--out", str(tmp_path / "x")])
+    assert _assert_input_error(rc, capsys).startswith(f"error: {message}")

@@ -293,6 +293,116 @@ def test_shrink_pass_budget():
     assert passes <= g.MAX_SHRINK_PASSES
 
 
+# ------------------------------------------------ quick containment test
+
+PENTAGRAM = [(math.cos(a) * 100.0 + 300.0, math.sin(a) * 100.0 + 200.0)
+             for a in (math.pi / 2 + k * 4.0 * math.pi / 5.0 for k in range(5))]
+OFFSETS_PX = (0.0, 0.5e-6, -0.5e-6, 1e-6, -1e-6, 3e-6, -3e-6)
+
+
+def _probe_points(poly, rng):
+    """Vertices, edge points and points just off both, plus a few random ones."""
+    pts = []
+    n = len(poly)
+    for i in range(n):
+        (ax, ay), (bx, by) = poly[i], poly[(i + 1) % n]
+        length = math.hypot(bx - ax, by - ay)
+        nx, ny = ((ay - by) / length, (bx - ax) / length) if length > 0 else (0.0, 1.0)
+        for t in (0.0, 0.5, rng.random()):
+            x, y = ax + t * (bx - ax), ay + t * (by - ay)
+            pts += [(x + d * nx, y + d * ny) for d in OFFSETS_PX]
+        pts += [(ax + d, ay) for d in OFFSETS_PX] + [(ax, ay + d) for d in OFFSETS_PX]
+        pts += [(ax + d, ay + d) for d in OFFSETS_PX]
+    xs = [p[0] for p in poly]
+    ys = [p[1] for p in poly]
+    pts += [(rng.uniform(min(xs) - 5, max(xs) + 5), rng.uniform(min(ys) - 5, max(ys) + 5))
+            for _ in range(20)]
+    return pts
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["convex", "star"]),
+       st.sampled_from(["plain", "repeated", "collinear"]))
+def test_quick_containment_agrees_with_point_in_polygon(seed, shape, extra):
+    rng = random.Random(seed)
+    center = (rng.uniform(0.0, 1920.0), rng.uniform(0.0, 1080.0))
+    radius = rng.uniform(0.5, 600.0)
+    if shape == "convex":
+        poly = oracles.random_convex(rng, center, radius, rng.randrange(3, 12))
+    else:
+        poly = oracles.random_star(rng, center, 0.3 * radius, radius, rng.randrange(5, 12))
+    k = rng.randrange(len(poly))
+    if extra == "repeated":
+        poly.insert(k, poly[k])
+    elif extra == "collinear":
+        (ax, ay), (bx, by) = poly[k - 1], poly[k]
+        poly.insert(k, (ax + 0.5 * (bx - ax), ay + 0.5 * (by - ay)))
+    if rng.random() < 0.5:
+        poly.reverse()
+    inside = g._containment_test(poly)
+    for p in _probe_points(poly, rng):
+        assert inside(p) == point_in_polygon(p, poly), (poly, p)
+
+
+@pytest.mark.parametrize("poly", [SQUARE, SQUARE_CW, L_SHAPE, STAR, PENTAGRAM],
+                         ids=["square", "square-cw", "l-shape", "star", "pentagram"])
+def test_quick_containment_fixed_shapes(poly):
+    inside = g._containment_test(poly)
+    for p in _probe_points(poly, random.Random(5)):
+        assert inside(p) == point_in_polygon(p, poly), p
+
+
+def test_quick_containment_decides_clear_points(monkeypatch):
+    inside = g._containment_test(SQUARE)
+    # the pentagram's centre is wound twice: outside under the even-odd rule
+    in_pentagram = g._containment_test(PENTAGRAM)
+
+    def refuse(*_):
+        raise AssertionError("point_in_polygon called")
+
+    monkeypatch.setattr(g, "point_in_polygon", refuse)
+    assert inside((5.0, 5.0)) and inside((3e-6, 10.0 - 3e-6)) and inside((10.0, 0.0))
+    assert not inside((-3e-6, 5.0)) and not inside((10.0 + 3e-6, 10.0 + 3e-6))
+    assert not in_pentagram((300.0, 200.0))
+    with pytest.raises(AssertionError, match="point_in_polygon called"):
+        inside((1e-6, 5.0))  # within 2 eps of an edge: left to point_in_polygon
+
+
+def _band_beside(poly, side, gap, depth):
+    """A rectangle beside poly's bounding box, gap px from it, across its whole span."""
+    xs = [p[0] for p in poly]
+    ys = [p[1] for p in poly]
+    x0, x1, y0, y1 = min(xs) - 5.0, max(xs) + 5.0, min(ys) - 5.0, max(ys) + 5.0
+    if side == "right":
+        x0, x1 = max(xs) + gap, max(xs) + gap + depth
+    elif side == "left":
+        x0, x1 = min(xs) - gap - depth, min(xs) - gap
+    elif side == "below":
+        y0, y1 = max(ys) + gap, max(ys) + gap + depth
+    else:
+        y0, y1 = min(ys) - gap - depth, min(ys) - gap
+    return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000))
+def test_subtract_occluders_matches_unskipped(seed):
+    rng = random.Random(seed)
+    subject = oracles.random_star(rng, (500.0, 400.0), 80.0, 200.0, rng.randrange(5, 10))
+    occluders = []
+    for _ in range(rng.randrange(1, 5)):
+        if rng.random() < 0.3:
+            occluders.append(oracles.random_convex(rng, (rng.uniform(350, 650), rng.uniform(250, 550)), 60.0))
+            continue
+        # from overlapping the subject's box to just past the 1 px skip margin
+        gap = rng.choice([-3.0, -0.5, -1e-3, 0.0, 1e-3, 0.5, 0.999, 1.0, 1.001, 3.0])
+        side = rng.choice(["right", "left", "below", "above"])
+        occluders.append(_band_beside(subject, side, gap, rng.uniform(1.0, 40.0)))
+    assert subtract_occluders(subject, occluders) == oracles.subtract_occluders_unskipped(
+        subject, occluders
+    )
+
+
 # --------------------------------------------------------------- projection
 
 def _simple_camera():

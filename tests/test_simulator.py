@@ -99,9 +99,13 @@ def test_validate_scene_rejects_bad_input():
     for field, value in [
         ("screen_w", 0),
         ("fps", 0.0),
+        ("fps", math.inf),
+        ("fps", math.nan),
         ("duration_ms", -5),
         ("fov_y_deg", 180.0),
         ("near_m", 200.0),
+        ("near_m", math.nan),
+        ("far_m", math.inf),
         ("camera_path", ()),
     ]:
         with pytest.raises(SceneError):

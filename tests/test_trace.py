@@ -230,3 +230,89 @@ def test_sample_frames_bad_fps():
         sample_frames(tr, 0.0)
     with pytest.raises(TraceValidationError):
         sample_frames(PlaybackTrace(frames=(), source_fps=30.0), 10.0)
+
+
+# ---------------------------------------------------------- numeric fields
+#
+# Every numeric field of a frame, with the text its errors name.  Each bad
+# value replaces the field's last entry, except "wrong length", which drops
+# that entry.
+
+_NUMERIC_FIELDS = {
+    "view": (lambda f: f, "view", 16, "view"),
+    "proj": (lambda f: f, "proj", 16, "proj"),
+    "cam_pos": (lambda f: f, "cam_pos", 3, "cam_pos"),
+    "pose": (lambda f: f["trackables"][0], "pose", 16, "trackable 'plane-1' pose"),
+    "center": (lambda f: f["trackables"][0], "center", 3, "trackable 'plane-1' center"),
+    "normal": (lambda f: f["trackables"][0], "normal", 3, "trackable 'plane-1' normal"),
+    "vertex": (lambda f: f["trackables"][0]["verts"], 1, 2, "trackable 'plane-1' vertex 1"),
+}
+
+_BAD_ENTRIES = {
+    "true": True,
+    "string": "1.0",
+    "null": None,
+    "nan": float("nan"),
+    "infinity": float("inf"),
+    "nested-list": [1.0],
+}
+
+
+def _corrupt(field, bad):
+    frame = _frame(33)
+    owner_of, key, _, _ = _NUMERIC_FIELDS[field]
+    owner = owner_of(frame)
+    values = list(owner[key])
+    if bad == "wrong-length":
+        values.pop()
+    else:
+        values[-1] = _BAD_ENTRIES[bad]
+    owner[key] = values
+    return frame
+
+
+@pytest.mark.parametrize("bad", [*_BAD_ENTRIES, "wrong-length"])
+@pytest.mark.parametrize("field", list(_NUMERIC_FIELDS))
+def test_bad_numeric_entry_names_field_and_line(tmp_path, field, bad):
+    p = _write(tmp_path, [_header(), _frame(0), _corrupt(field, bad)])
+    _, _, count, what = _NUMERIC_FIELDS[field]
+    problem = (
+        f"expected a list of {count} numbers" if bad == "wrong-length"
+        else "all entries must be finite numbers"
+    )
+    with pytest.raises(TraceValidationError) as exc:
+        load_trace(p)
+    assert str(exc.value) == f"t.jsonl:3 {what}: {problem}"
+
+
+def test_integer_numbers_load_as_floats_and_save_as_floats(tmp_path):
+    def frame(num):
+        return _frame(
+            0,
+            trackables=[_trackable(
+                pose=[num(v) for v in IDENTITY16],
+                verts=[[num(1), num(0)], [num(0), num(1)], [num(-1), num(0)]],
+                center=[num(0), num(0), num(0)],
+                normal=[num(0), num(1), num(0)],
+            )],
+            view=[num(v) for v in IDENTITY16],
+            proj=[num(v) for v in IDENTITY16],
+            cam_pos=[num(0), num(2), num(0)],
+        )
+
+    ints = _write(tmp_path, [_header(meta={}), frame(int)])
+    assert '"verts": [[1, 0], [0, 1], [-1, 0]]' in ints.read_text()
+    tr = load_trace(ints)
+    t = tr.frames[0].trackables[0]
+    assert t.local_vertices == ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0))
+    assert all(type(v) is float for xz in t.local_vertices for v in xz)
+    assert tr.frames[0].view.dtype == np.float64
+    saved = tmp_path / "saved.jsonl"
+    save_trace(tr, saved)
+    floats = tmp_path / "floats.jsonl"
+    floats.write_text(
+        "".join(json.dumps(x) + "\n" for x in [_header(meta={}), frame(float)]),
+        encoding="utf-8",
+    )
+    assert '"verts": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]' in saved.read_text()
+    assert saved.read_bytes() == floats.read_bytes()

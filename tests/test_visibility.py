@@ -1,12 +1,22 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from playtrace.simulator import look_at_matrix, perspective_matrix
-from playtrace.trace import FrameRecord, TrackableSnapshot, TrackingState
+import oracles
+from playtrace.scenes import benchmark_scene, benchmark_scenes
+from playtrace.simulator import generate_trace, look_at_matrix, perspective_matrix
+from playtrace.trace import (
+    FrameRecord,
+    TrackableSnapshot,
+    TrackingState,
+    load_trace,
+    sample_frames,
+    save_trace,
+)
 from playtrace.visibility import (
     analyze_frame,
     facing_camera,
@@ -158,3 +168,56 @@ def test_nearer_plane_unaffected_by_farther():
 def test_offscreen_plane_clipped_away():
     f = _frame([_plane("gone", (50.0, 0.0, 0.0), 0.5, 0.5)])
     assert analyze_frame(f, min_visibility=0.001) == []
+
+
+# ------------------------------------------------ against the per-vertex path
+
+def _rotation(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    return q * np.sign(np.diag(r))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_project_trackable_bit_equal_to_per_vertex(order):
+    # general rotations, where a (4, n) matmul or einsum rounds differently
+    rng = np.random.default_rng(7)
+    proj = perspective_matrix(60.0, W / H, 0.05, 100.0)
+    for _ in range(200):
+        eye = rng.normal(size=3) * 2.0
+        eye[1] = abs(eye[1]) + 2.0
+        view = look_at_matrix(eye, rng.normal(size=3) * 0.2, np.array([0.0, 1.0, 0.0]))
+        pose = np.eye(4)
+        pose[:3, :3] = _rotation(rng) * 0.1
+        pose[:3, 3] = rng.normal(size=3) * 0.2
+        verts = tuple(map(tuple, rng.uniform(-1.0, 1.0, size=(int(rng.integers(3, 9)), 2)).tolist()))
+        t = TrackableSnapshot("t", np.asarray(pose, order=order), verts, np.zeros(3),
+                              np.array([0.0, 1.0, 0.0]), TrackingState.TRACKING)
+        f = FrameRecord(0, np.asarray(view, order=order), np.asarray(proj, order=order),
+                        eye, W, H, (t,))
+        assert project_trackable(t, f) == oracles.project_per_vertex(t, f)
+
+
+def test_project_trackable_first_bad_vertex_decides():
+    # local z runs along world y, so local (0, 5) sits above the camera
+    pose = np.array([[1.0, 0, 0, 0], [0, 0, 1.0, 0], [0, 1.0, 0, 0], [0, 0, 0, 1.0]])
+    t = TrackableSnapshot("t", pose, (), np.zeros(3), np.array([0.0, 1.0, 0.0]),
+                          TrackingState.TRACKING)
+    f = _frame([t])
+    behind_then_huge = dataclasses.replace(t, local_vertices=((0.0, 0.0), (0.0, 5.0), (1e308, 0.0)))
+    assert project_trackable(behind_then_huge, f) is None
+    huge_then_behind = dataclasses.replace(t, local_vertices=((0.0, 0.0), (1e308, 0.0), (0.0, 5.0)))
+    with pytest.raises(ArithmeticError, match=r"vertex \(1e\+308, 0\.0, 0\.0, 1\.0\)"):
+        project_trackable(huge_then_behind, f)
+
+
+@pytest.mark.parametrize("scene", [s.name for s in benchmark_scenes()])
+def test_analyze_frame_matches_per_vertex_pipeline(tmp_path, scene):
+    sc = benchmark_scene(scene)
+    for seed in (1, 2):
+        trace = generate_trace(sc, jitter_seed=seed, jitter=sc.default_jitter)
+        path = tmp_path / f"{seed}.jsonl"
+        save_trace(trace, path)
+        # rendered frames hold C-order matrices, loaded ones column-major views
+        for tr in (trace, load_trace(path)):
+            for i, f in enumerate(sample_frames(tr, 10.0).frames):
+                assert analyze_frame(f, 0.0, i) == oracles.analyze_frame_per_vertex(f, 0.0, i)

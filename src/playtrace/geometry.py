@@ -42,7 +42,8 @@ class Rect:
     y_max: float
 
     def __post_init__(self) -> None:
-        if self.x_min > self.x_max or self.y_min > self.y_max:
+        # comparisons with NaN are false, so NaN fails this check
+        if not (self.x_min <= self.x_max and self.y_min <= self.y_max):
             raise ValueError(f"inverted rect: {self!r}")
 
     @property
@@ -87,34 +88,6 @@ def rect_intersect(a: Rect | None, b: Rect | None) -> Rect | None:
     if x_min > x_max or y_min > y_max:
         return None
     return Rect(x_min, y_min, x_max, y_max)
-
-
-def rect_contains(rect: Rect, point: Point, eps: float = 0.0) -> bool:
-    x, y = point
-    return (
-        rect.x_min - eps <= x <= rect.x_max + eps
-        and rect.y_min - eps <= y <= rect.y_max + eps
-    )
-
-
-def project_vertex(
-    v_local: Sequence[float],
-    model: np.ndarray,
-    view: np.ndarray,
-    proj: np.ndarray,
-    screen_w: float,
-    screen_h: float,
-) -> Point | None:
-    """Map a homogeneous local-space vertex to screen pixels.
-
-    The vertex goes through model, view and projection in that order, then
-    perspective division and the viewport transform (with the y axis flipped
-    so that pixel y grows downward).  Returns None when the vertex lies
-    behind the camera, i.e. clip-space w <= 1e-9.
-    """
-    v = np.asarray(v_local, dtype=float)
-    clip = proj @ (view @ (model @ v))
-    return clip_to_screen(clip.tolist(), screen_w, screen_h, v_local)
 
 
 def clip_to_screen(
@@ -243,13 +216,12 @@ def _segments_cross(a1: Point, a2: Point, b1: Point, b2: Point) -> bool:
     return False
 
 
-def point_in_polygon(point: Point, poly: Polygon, eps: float = CONTAINMENT_EPS_PX) -> bool:
-    """Even-odd containment test; boundary points within eps count as inside."""
+def point_in_polygon(point: Point, poly: Polygon) -> bool:
+    """Even-odd containment test; boundary points within CONTAINMENT_EPS_PX count as inside."""
     px, py = point
-    n = len(poly)
-    if n == 0:
+    if len(poly) == 0:
         return False
-    eps_sq = eps * eps
+    eps_sq = CONTAINMENT_EPS_PX * CONTAINMENT_EPS_PX
     for a, b in _edges(poly):
         if _point_segment_dist_sq(point, a, b) <= eps_sq:
             return True

@@ -125,11 +125,3 @@ def compute_metrics(
         mean_overlap_area_ratio=overlap_total / biggest_run if biggest_run else 0.0,
     )
 
-
-def metrics_to_dict(m: VideoMetrics) -> dict:
-    return {
-        "avg_plane_duration_s": m.avg_plane_duration_s,
-        "opportunity_count": m.opportunity_count,
-        "mutual_stability": m.mutual_stability,
-        "mean_overlap_area_ratio": m.mean_overlap_area_ratio,
-    }

@@ -56,7 +56,7 @@ def trackable_box_sequences(
     n = len(sampled.frames)
     sequences: dict[str, list[Rect | None]] = {}
     for idx, frame in enumerate(sampled.frames):
-        for vb in analyze_frame(frame, min_visibility=min_visibility, frame_index=idx):
+        for vb in analyze_frame(frame, min_visibility=min_visibility):
             seq = sequences.get(vb.trackable_id)
             if seq is None:
                 seq = [None] * n

@@ -7,12 +7,14 @@ files, which makes reports diffable and cacheable.
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .geometry import Rect
 from .lifespan import TestOpportunity, opportunity_sort_key
-from .metrics import VideoMetrics, metrics_to_dict
+from .metrics import VideoMetrics
 
 # lane colors, cycled by lane index
 PALETTE = (
@@ -56,11 +58,7 @@ def _tick_step_ms(duration_ms: int) -> int:
     return 600_000
 
 
-def render_gantt(
-    opportunities: Sequence[TestOpportunity],
-    duration_ms: int,
-    chart_width_px: int = CHART_WIDTH_PX,
-) -> str:
+def render_gantt(opportunities: Sequence[TestOpportunity], duration_ms: int) -> str:
     """Timeline SVG: one lane per trackable, one block per opportunity.
 
     Block x extents are linear in time over the chart width, so block
@@ -73,8 +71,8 @@ def render_gantt(
     lanes = _lane_order(opportunities)
     lane_index = {tid: i for i, tid in enumerate(lanes)}
     height = _MARGIN_TOP + max(1, len(lanes)) * (_LANE_HEIGHT + _LANE_GAP) + _MARGIN_BOTTOM
-    width = _MARGIN_LEFT + chart_width_px + _MARGIN_RIGHT
-    scale = chart_width_px / duration_ms
+    width = _MARGIN_LEFT + CHART_WIDTH_PX + _MARGIN_RIGHT
+    scale = CHART_WIDTH_PX / duration_ms
 
     parts: list[str] = []
     parts.append(
@@ -86,7 +84,7 @@ def render_gantt(
     )
     axis_y = height - _MARGIN_BOTTOM + 10
     parts.append(
-        f'<line x1="{_MARGIN_LEFT}" y1="{axis_y}" x2="{_MARGIN_LEFT + chart_width_px}" '
+        f'<line x1="{_MARGIN_LEFT}" y1="{axis_y}" x2="{_MARGIN_LEFT + CHART_WIDTH_PX}" '
         f'y2="{axis_y}" stroke="#333" stroke-width="1"/>'
     )
     step = _tick_step_ms(duration_ms)
@@ -153,7 +151,7 @@ def opportunities_to_dict(
         "params": dict(params),
     }
     if metrics is not None:
-        out["metrics"] = metrics_to_dict(metrics)
+        out["metrics"] = asdict(metrics)
     return out
 
 
@@ -189,18 +187,17 @@ def load_report(path: str | Path) -> tuple[list[TestOpportunity], dict]:
     Frame index sets are not stored in reports, so they come back empty.
     """
     d = load_json(path)
+    opps = []
     try:
-        opps = [
-            TestOpportunity(
-                trackable_id=str(od["id"]),
-                stable_box=Rect(*[float(v) for v in od["box"]]),
-                start_ms=int(od["start_ms"]),
-                end_ms=int(od["end_ms"]),
-                frame_indices=(),
-            )
-            for od in d["opportunities"]
-        ]
+        for i, od in enumerate(d["opportunities"]):
+            box = [float(v) for v in od["box"]]
+            start_ms, end_ms = int(od["start_ms"]), int(od["end_ms"])
+            if not all(map(math.isfinite, box)):
+                raise ValueError(f"opportunity {i}: box coordinates must be finite, got {box}")
+            if start_ms > end_ms:
+                raise ValueError(f"opportunity {i}: start_ms {start_ms} is after end_ms {end_ms}")
+            opps.append(TestOpportunity(str(od["id"]), Rect(*box), start_ms, end_ms, ()))
         params = dict(d["params"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed report: {exc}") from None
     return opps, params

@@ -9,6 +9,8 @@ regular scene loader so they serialize exactly like user-provided files.
 
 from __future__ import annotations
 
+import math
+
 from .simulator import SimScene, scene_from_dict
 
 _COMMON = {
@@ -19,17 +21,13 @@ _COMMON = {
 
 _DOWN = [0.0, 0.0, -1.0]  # up vector for straight-down cameras
 
+_FLAT = {"normal": [0, 1, 0], "axis_u": [1, 0, 0], "axis_v": [0, 0, 1]}  # a horizontal plane
+
 
 def _orbit_path(
-    duration_ms: int,
-    radius: float,
-    height: float,
-    sweep_deg: float,
-    look_at: list[float],
-    steps: int = 10,
+    duration_ms: int, radius: float, height: float, sweep_deg: float, look_at: list[float]
 ) -> list[dict]:
-    import math
-
+    steps = 10
     keys = []
     for i in range(steps + 1):
         t = round(duration_ms * i / steps)
@@ -59,9 +57,7 @@ _SCENES: list[dict] = [
             {
                 "id": "table",
                 "center": [0, 0, 0],
-                "normal": [0, 1, 0],
-                "axis_u": [1, 0, 0],
-                "axis_v": [0, 0, 1],
+                **_FLAT,
                 "extents": [0.9, 0.7],
                 "detect_delay_ms": 500,
             }
@@ -79,9 +75,7 @@ _SCENES: list[dict] = [
             {
                 "id": "panel",
                 "center": [0.35, 0, -0.2],
-                "normal": [0, 1, 0],
-                "axis_u": [1, 0, 0],
-                "axis_v": [0, 0, 1],
+                **_FLAT,
                 "extents": [0.65, 0.5],
                 "detect_delay_ms": 500,
             }
@@ -98,18 +92,14 @@ _SCENES: list[dict] = [
             {
                 "id": "left",
                 "center": [-0.57, 0, 0.05],
-                "normal": [0, 1, 0],
-                "axis_u": [1, 0, 0],
-                "axis_v": [0, 0, 1],
+                **_FLAT,
                 "extents": [0.56, 0.62],
                 "detect_delay_ms": 500,
             },
             {
                 "id": "right",
                 "center": [0.62, 0, -0.1],
-                "normal": [0, 1, 0],
-                "axis_u": [1, 0, 0],
-                "axis_v": [0, 0, 1],
+                **_FLAT,
                 "extents": [0.54, 0.64],
                 "detect_delay_ms": 2500,
             },
@@ -128,9 +118,7 @@ _SCENES: list[dict] = [
             {
                 "id": "desk",
                 "center": [0, 0, 0],
-                "normal": [0, 1, 0],
-                "axis_u": [1, 0, 0],
-                "axis_v": [0, 0, 1],
+                **_FLAT,
                 "extents": [1.2, 0.95],
                 "detect_delay_ms": 500,
             }
@@ -149,18 +137,14 @@ _SCENES: list[dict] = [
             {
                 "id": "mat-a",
                 "center": [-0.5, 0, 0.05],
-                "normal": [0, 1, 0],
-                "axis_u": [1, 0, 0],
-                "axis_v": [0, 0, 1],
+                **_FLAT,
                 "extents": [0.92, 0.68],
                 "detect_delay_ms": 500,
             },
             {
                 "id": "mat-b",
                 "center": [1.7, 0, -0.02],
-                "normal": [0, 1, 0],
-                "axis_u": [1, 0, 0],
-                "axis_v": [0, 0, 1],
+                **_FLAT,
                 "extents": [0.84, 0.62],
                 "detect_delay_ms": 800,
             },
@@ -176,9 +160,7 @@ _SCENES: list[dict] = [
             {
                 "id": "board",
                 "center": [0, 0, 0],
-                "normal": [0, 1, 0],
-                "axis_u": [1, 0, 0],
-                "axis_v": [0, 0, 1],
+                **_FLAT,
                 "extents": [1.12, 0.92],
                 "detect_delay_ms": 600,
             }
@@ -197,18 +179,14 @@ _SCENES: list[dict] = [
             {
                 "id": "pad-a",
                 "center": [-1.55, 0, 0.1],
-                "normal": [0, 1, 0],
-                "axis_u": [1, 0, 0],
-                "axis_v": [0, 0, 1],
+                **_FLAT,
                 "extents": [0.75, 0.60],
                 "detect_delay_ms": 500,
             },
             {
                 "id": "pad-b",
                 "center": [0.05, 0, -0.15],
-                "normal": [0, 1, 0],
-                "axis_u": [1, 0, 0],
-                "axis_v": [0, 0, 1],
+                **_FLAT,
                 "extents": [0.77, 0.62],
                 "detect_delay_ms": 1500,
                 "lost_intervals": [[12000, 15000]],
@@ -216,9 +194,7 @@ _SCENES: list[dict] = [
             {
                 "id": "pad-c",
                 "center": [1.58, 0, 0.12],
-                "normal": [0, 1, 0],
-                "axis_u": [1, 0, 0],
-                "axis_v": [0, 0, 1],
+                **_FLAT,
                 "extents": [0.73, 0.59],
                 "detect_delay_ms": 3000,
             },
@@ -235,9 +211,7 @@ _SCENES: list[dict] = [
             {
                 "id": "floor",
                 "center": [0, 0, 0],
-                "normal": [0, 1, 0],
-                "axis_u": [1, 0, 0],
-                "axis_v": [0, 0, 1],
+                **_FLAT,
                 "extents": [1.3, 1.05],
                 "detect_delay_ms": 400,
             }
@@ -253,27 +227,21 @@ _SCENES: list[dict] = [
             {
                 "id": "pad-a",
                 "center": [-1.5, 0, 0.0],
-                "normal": [0, 1, 0],
-                "axis_u": [1, 0, 0],
-                "axis_v": [0, 0, 1],
+                **_FLAT,
                 "extents": [0.72, 0.57],
                 "detect_delay_ms": 500,
             },
             {
                 "id": "pad-b",
                 "center": [0.0, 0, 0.1],
-                "normal": [0, 1, 0],
-                "axis_u": [1, 0, 0],
-                "axis_v": [0, 0, 1],
+                **_FLAT,
                 "extents": [0.73, 0.59],
                 "detect_delay_ms": 1000,
             },
             {
                 "id": "pad-c",
                 "center": [1.5, 0, -0.08],
-                "normal": [0, 1, 0],
-                "axis_u": [1, 0, 0],
-                "axis_v": [0, 0, 1],
+                **_FLAT,
                 "extents": [0.70, 0.55],
                 "detect_delay_ms": 2000,
             },

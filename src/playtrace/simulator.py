@@ -25,6 +25,7 @@ from .trace import (
     PlaybackTrace,
     TrackableSnapshot,
     TrackingState,
+    json_numbers,
 )
 
 _HIT_EPS_M = 1e-9         # slack when testing a hit point against surface bounds
@@ -120,8 +121,25 @@ def _finite(values: Any, what: str) -> None:
         raise SceneError(f"{what} must be finite numbers")
 
 
-def _vec(values: Sequence[float]) -> np.ndarray:
-    v = np.array([float(x) for x in values], dtype=float)
+def _number(value: Any, what: str) -> float:
+    """A JSON number (int or float, not bool) as a float; anything else names what."""
+    if json_numbers([value]):
+        try:
+            return float(value)
+        except OverflowError:
+            raise SceneError(f"{what} is too large for a float") from None
+    raise SceneError(f"{what} must be a JSON number, got {value!r}")
+
+
+def _integer(value: Any, what: str) -> int:
+    """A JSON integer (not bool or float); anything else names what."""
+    if type(value) is not int:
+        raise SceneError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _vec(values: Sequence[Any], what: str) -> np.ndarray:
+    v = np.array([_number(x, what) for x in values], dtype=float)
     v.flags.writeable = False
     return v
 
@@ -179,60 +197,62 @@ def jitter_from_dict(jd: Any) -> Jitter:
     """Jitter from its JSON object (a scene's or a trace's); missing fields are 0."""
     if not isinstance(jd, dict):
         raise SceneError(f"jitter must be an object, got {type(jd).__name__}")
-    try:
-        noise = float(jd.get("vertex_noise_m", 0.0))
-        dropout = float(jd.get("dropout_prob", 0.0))
-    except (TypeError, ValueError) as exc:
-        raise SceneError(f"malformed jitter: {exc}") from None
-    return Jitter(vertex_noise_m=noise, dropout_prob=dropout)
+    return Jitter(
+        vertex_noise_m=_number(jd.get("vertex_noise_m", 0.0), "jitter vertex_noise_m"),
+        dropout_prob=_number(jd.get("dropout_prob", 0.0), "jitter dropout_prob"),
+    )
+
+
+def _plane_from_dict(pd: dict) -> ScenePlane:
+    pid = str(pd["id"])
+    where, in_verts = f"plane '{pid}'", f"plane '{pid}' verts"
+    return ScenePlane(
+        plane_id=pid,
+        center=_vec(pd["center"], f"{where} center"),
+        normal=_vec(pd["normal"], f"{where} normal"),
+        axis_u=_vec(pd["axis_u"], f"{where} axis_u"),
+        axis_v=_vec(pd["axis_v"], f"{where} axis_v"),
+        extent_u=_number(pd["extents"][0], f"{where} extents"),
+        extent_v=_number(pd["extents"][1], f"{where} extents"),
+        detect_delay_ms=_integer(pd.get("detect_delay_ms", 0), f"{where} detect_delay_ms"),
+        lost_intervals=tuple(
+            (_integer(s, f"{where} lost_intervals"), _integer(e, f"{where} lost_intervals"))
+            for s, e in pd.get("lost_intervals", [])
+        ),
+        local_vertices=(
+            tuple((_number(x, in_verts), _number(z, in_verts)) for x, z in pd["verts"])
+            if "verts" in pd
+            else None
+        ),
+    )
 
 
 def scene_from_dict(d: dict) -> SimScene:
     try:
-        planes = tuple(
-            ScenePlane(
-                plane_id=str(pd["id"]),
-                center=_vec(pd["center"]),
-                normal=_vec(pd["normal"]),
-                axis_u=_vec(pd["axis_u"]),
-                axis_v=_vec(pd["axis_v"]),
-                extent_u=float(pd["extents"][0]),
-                extent_v=float(pd["extents"][1]),
-                detect_delay_ms=int(pd.get("detect_delay_ms", 0)),
-                lost_intervals=tuple(
-                    (int(s), int(e)) for s, e in pd.get("lost_intervals", [])
-                ),
-                local_vertices=(
-                    tuple((float(x), float(z)) for x, z in pd["verts"])
-                    if "verts" in pd
-                    else None
-                ),
-            )
-            for pd in d["planes"]
-        )
+        planes = tuple(_plane_from_dict(pd) for pd in d["planes"])
         path = tuple(
             CameraKeyframe(
-                t_ms=int(kd["t_ms"]),
-                position=_vec(kd["pos"]),
-                look_at=_vec(kd["look_at"]),
-                up=_vec(kd.get("up", (0.0, 1.0, 0.0))),
+                t_ms=_integer(kd["t_ms"], f"camera_path[{i}] t_ms"),
+                position=_vec(kd["pos"], f"camera_path[{i}] pos"),
+                look_at=_vec(kd["look_at"], f"camera_path[{i}] look_at"),
+                up=_vec(kd.get("up", (0.0, 1.0, 0.0)), f"camera_path[{i}] up"),
             )
-            for kd in d["camera_path"]
+            for i, kd in enumerate(d["camera_path"])
         )
         scene = SimScene(
             name=str(d.get("name", "")),
-            screen_w=int(d["screen"][0]),
-            screen_h=int(d["screen"][1]),
-            fps=float(d["fps"]),
-            duration_ms=int(d["duration_ms"]),
-            fov_y_deg=float(d["intrinsics"]["fov_y_deg"]),
-            near_m=float(d["intrinsics"]["near_m"]),
-            far_m=float(d["intrinsics"]["far_m"]),
+            screen_w=_integer(d["screen"][0], "screen"),
+            screen_h=_integer(d["screen"][1], "screen"),
+            fps=_number(d["fps"], "fps"),
+            duration_ms=_integer(d["duration_ms"], "duration_ms"),
+            fov_y_deg=_number(d["intrinsics"]["fov_y_deg"], "fov_y_deg"),
+            near_m=_number(d["intrinsics"]["near_m"], "near_m"),
+            far_m=_number(d["intrinsics"]["far_m"], "far_m"),
             camera_path=path,
             planes=planes,
             default_jitter=jitter_from_dict(d.get("jitter", {})),
         )
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
         if isinstance(exc, SceneError):
             raise
         raise SceneError(f"malformed scene: {exc}") from None
@@ -340,12 +360,6 @@ def _look_at_rows(eye: np.ndarray, target: np.ndarray, up: np.ndarray) -> np.nda
     return m
 
 
-def look_at_matrix(eye: np.ndarray, target: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """World -> camera matrix for a camera at eye looking at target."""
-    rows = [np.asarray(v, dtype=float).reshape(1, 3) for v in (eye, target, up)]
-    return _look_at_rows(*rows)[0]
-
-
 def camera_poses(
     scene: SimScene, times: Sequence[float] | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -368,12 +382,6 @@ def camera_poses(
     eyes = rows[:, 0].copy()
     eyes.flags.writeable = False
     return eyes, _look_at_rows(eyes, rows[:, 1], rows[:, 2])
-
-
-def camera_pose_at(scene: SimScene, t_ms: float) -> tuple[np.ndarray, np.ndarray]:
-    """Camera position and view matrix at time t (clamped to the keyframe range)."""
-    eyes, views = camera_poses(scene, [t_ms])
-    return eyes[0], views[0]
 
 
 def plane_detected(plane: ScenePlane, t_ms: float | np.ndarray) -> bool | np.ndarray:
@@ -516,24 +524,12 @@ def _cast(
     return best, over_any
 
 
-def cast_rays(
-    scene: SimScene, t_ms: float, points: np.ndarray
-) -> tuple[list[str | None], np.ndarray]:
-    """One ray pass for screen points at time t.
-
-    Returns the nearest tracked surface under each point (None for sky or
-    where tracking does not report the surface at t) and a mask of the points
-    that lie over any surface, tracked or not, which tells 'there but not
-    yet tracked' apart from 'nothing there'.
-    """
-    points = np.asarray(points, dtype=float).reshape(1, -1, 2)
-    best, over_any = _cast(scene, np.array([float(t_ms)]), points)
-    return [scene.planes[i].plane_id if i >= 0 else None for i in best[0]], over_any[0]
-
-
 def hit_test_batch(scene: SimScene, t_ms: float, points: np.ndarray) -> list[str | None]:
     """Nearest tracked surface under each screen point at time t, or None for sky."""
-    return cast_rays(scene, t_ms, points)[0]
+    points = np.asarray(points, dtype=float).reshape(1, -1, 2)
+    best, _ = _cast(scene, np.array([float(t_ms)]), points)
+    ids = [p.plane_id for p in scene.planes]
+    return np.array(ids + [None], dtype=object)[best[0]].tolist()
 
 
 def _points_in_polygon_mask(

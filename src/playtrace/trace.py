@@ -83,36 +83,24 @@ MAX_SCREEN_PX = 2**31 - 1
 MAX_T_MS = 2**53     # larger integers do not survive the float arithmetic of sampling
 
 
+def json_numbers(values: list) -> bool:
+    """True when every entry is an int or a float; a C-speed type check that rejects bool."""
+    return set(map(type, values)) <= _NUMBER_TYPES
+
+
 def _finite_floats(values: list) -> np.ndarray | None:
     """values as a float array, or None unless every entry is a finite int or float.
 
-    The type check runs in C over the whole list and rejects bool, str,
-    None and nested lists; an integer literal too large for a float fails
-    the conversion.  Ints convert as float(v) does.
+    bool, str, None and nested lists fail json_numbers; an integer literal
+    too large for a float fails the conversion.  Ints convert as float(v) does.
     """
-    if not set(map(type, values)) <= _NUMBER_TYPES:
+    if not json_numbers(values):
         return None
     try:
         arr = np.array(values, dtype=float)
     except OverflowError:
         return None
     return arr if np.isfinite(arr).all() else None
-
-
-def _float_array(value: Any, count: int, what: str) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != count:
-        raise TraceValidationError(f"{what}: expected a list of {count} numbers")
-    arr = _finite_floats(value)
-    if arr is None:
-        raise TraceValidationError(f"{what}: all entries must be finite numbers")
-    return arr
-
-
-def mat4_from_list(values: Any, what: str = "matrix") -> Mat4:
-    """Build a read-only 4x4 matrix from 16 column-major floats."""
-    m = _float_array(values, 16, what).reshape((4, 4), order="F")
-    m.flags.writeable = False
-    return m
 
 
 def mat4_to_list(m: Mat4) -> list[float]:
@@ -165,7 +153,10 @@ def _frame_numbers(fields: list[tuple[Any, int, str, str | int]]) -> np.ndarray:
             return arr
     for value, count, where, name in fields:
         what = f"{where} {name}" if isinstance(name, str) else f"{where} vertex {name}"
-        _float_array(value, count, what)
+        if not isinstance(value, list) or len(value) != count:
+            raise TraceValidationError(f"{what}: expected a list of {count} numbers")
+        if _finite_floats(value) is None:
+            raise TraceValidationError(f"{what}: all entries must be finite numbers")
     raise AssertionError("a frame failed the numeric check but none of its fields did")
 
 

@@ -30,7 +30,6 @@ class VisibleBox:
     """A usable screen region of one trackable in one frame."""
 
     trackable_id: str
-    frame_index: int
     box: Rect
     visibility_ratio: float
     camera_distance: float
@@ -57,11 +56,11 @@ def project_trackable(t: TrackableSnapshot, frame: FrameRecord) -> list[Point] |
     """Screen-space polygon of a trackable, or None if any vertex is behind the camera.
 
     All vertices go through one stacked matmul per matrix: numpy multiplies
-    each (4, 1) item with the same BLAS gemv as ``project_vertex``'s 1-D
-    vertex, so every pixel is bit-equal to the per-vertex path.  A (4, n)
-    matmul or einsum is not: it sums the products in another order.  As in
-    ``project_vertex``, the first vertex that is behind the camera (None)
-    or lands on non-finite pixels (ArithmeticError) decides.
+    each (4, 1) item with the same BLAS gemv as a 1-D vertex, so every pixel
+    is bit-equal to the per-vertex reference ``oracles.project_per_vertex``
+    in the tests.  A (4, n) matmul or einsum is not: it sums the products in
+    another order.  The first vertex that is behind the camera (None) or
+    lands on non-finite pixels (ArithmeticError) decides.
     """
     v = np.array([(x, 0.0, z, 1.0) for x, z in t.local_vertices]).reshape(-1, 4, 1)
     clip = (frame.projection @ (frame.view @ (t.pose @ v)))[:, :, 0].tolist()
@@ -75,9 +74,7 @@ def project_trackable(t: TrackableSnapshot, frame: FrameRecord) -> list[Point] |
 
 
 def analyze_frame(
-    frame: FrameRecord,
-    min_visibility: float = DEFAULT_MIN_VISIBILITY,
-    frame_index: int = 0,
+    frame: FrameRecord, min_visibility: float = DEFAULT_MIN_VISIBILITY
 ) -> list[VisibleBox]:
     """Visible boxes for every tracked, camera-facing surface in a frame.
 
@@ -125,7 +122,6 @@ def analyze_frame(
             boxes.append(
                 VisibleBox(
                     trackable_id=t.trackable_id,
-                    frame_index=frame_index,
                     box=best,
                     visibility_ratio=ratio,
                     camera_distance=dist,

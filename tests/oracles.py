@@ -517,7 +517,7 @@ def subtract_occluders_unskipped(subject, occluders):
     return pieces
 
 
-def analyze_frame_per_vertex(frame, min_visibility, frame_index):
+def analyze_frame_per_vertex(frame, min_visibility):
     """analyze_frame over the three loops above, in the same near-to-far order."""
     from playtrace import geometry as g
     from playtrace.trace import TrackingState
@@ -547,6 +547,6 @@ def analyze_frame_per_vertex(frame, min_visibility, frame_index):
             if r is not None and (best is None or g.rect_area(r) > g.rect_area(best)):
                 best = r
         if best is not None and g.rect_area(best) / (float(w) * float(h)) >= min_visibility:
-            boxes.append(VisibleBox(t.trackable_id, frame_index, best,
+            boxes.append(VisibleBox(t.trackable_id, best,
                                     g.rect_area(best) / (float(w) * float(h)), dist))
     return boxes

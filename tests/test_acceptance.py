@@ -270,7 +270,7 @@ def test_c5_stable_boxes_land_on_their_planes():
             for idx in opp.frame_indices:
                 ids = hit_test_batch(scene, float(times[idx]), pts)
                 points_checked += len(ids)
-                wrong = sum(1 for i in ids if i != opp.trackable_id)
+                wrong = len(ids) - ids.count(opp.trackable_id)
                 if wrong:
                     misses.append(
                         f"{scene.name}/{opp.trackable_id}@{times[idx]}ms: "

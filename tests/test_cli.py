@@ -378,6 +378,12 @@ def test_scenes_writes_pack(tmp_path, capsys):
 )
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_scene_non_finite_number(tmp_path, capsys, command, path, value, message):
+    rc = _run_edited_scene(tmp_path, command, path, value)
+    assert _assert_input_error(rc, capsys) == f"error: {message}\n"
+
+
+def _run_edited_scene(tmp_path, command, path, value):
+    """Run command on the test scene with the entry at path set to value."""
     scene_path = tmp_path / "scene.json"
     save_scene(_scene(), scene_path)
     d = json.loads(scene_path.read_text())
@@ -393,8 +399,59 @@ def test_scene_non_finite_number(tmp_path, capsys, command, path, value, message
         "simulate": ["--schedule", str(sched_path), "--out", str(tmp_path / "o.json")],
         "compare": ["--runs", "1"],
     }[command]
-    rc = main([command, str(scene_path), *args])
-    assert _assert_input_error(rc, capsys) == f"error: {message}\n"
+    return main([command, str(scene_path), *args])
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("planes", 0, "extents", 0), "0.6", "plane 'table' extents must be a JSON number, got "),
+        (("planes", 0, "center", 0), True, "plane 'table' center must be a JSON number, got "),
+        (("planes", 0, "verts"), [[-0.5, -0.5], ["0.5", -0.5], [0.5, 0.5]],
+         "plane 'table' verts must be a JSON number, got "),
+        (("camera_path", 0, "up", 2), None, "camera_path[0] up must be a JSON number, got "),
+        (("fps",), "30", "fps must be a JSON number, got "),
+        (("fps",), 10**400, "fps is too large for a float"),
+        (("intrinsics", "near_m"), False, "near_m must be a JSON number, got "),
+        (("jitter", "dropout_prob"), "0.1", "jitter dropout_prob must be a JSON number, got "),
+        (("screen", 0), "1920", "screen must be a JSON integer, got "),
+        (("screen", 1), 1080.7, "screen must be a JSON integer, got "),
+        (("duration_ms",), 6000.0, "duration_ms must be a JSON integer, got "),
+        (("camera_path", 0, "t_ms"), "0", "camera_path[0] t_ms must be a JSON integer, got "),
+        (("planes", 0, "detect_delay_ms"), True,
+         "plane 'table' detect_delay_ms must be a JSON integer, got "),
+        (("planes", 0, "lost_intervals"), [[1000, "2000"]],
+         "plane 'table' lost_intervals must be a JSON integer, got "),
+    ],
+    ids=["extent-str", "center-bool", "verts-str", "up-null", "fps-str", "fps-huge", "near-bool",
+         "dropout-str", "screen-str", "screen-float", "duration-float", "t_ms-str", "delay-bool",
+         "lost-str"],
+)
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_scene_numbers_must_be_json_numbers(tmp_path, capsys, command, path, value, message):
+    rc = _run_edited_scene(tmp_path, command, path, value)
+    assert _assert_input_error(rc, capsys).startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"box": [float("nan"), 100, 900, 700]}, "opportunity 0: box coordinates must be finite"),
+        ({"box": [100, 100, float("inf"), 700]}, "opportunity 0: box coordinates must be finite"),
+        ({"start_ms": 5000, "end_ms": 4000}, "opportunity 0: start_ms 5000 is after end_ms 4000"),
+    ],
+    ids=["box-nan", "box-inf", "window-inverted"],
+)
+def test_schedule_rejects_bad_report_entries(tmp_path, trace_path, capsys, edit, message):
+    out = tmp_path / "analysis"
+    assert main(["analyze", str(trace_path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    report["opportunities"][0].update(edit)
+    (out / "report.json").write_text(json.dumps(report))
+    sched_path = tmp_path / "guided.json"
+    rc = main(["schedule", str(out / "report.json"), "--out", str(sched_path)])
+    assert _assert_input_error(rc, capsys).startswith(f"error: malformed report: {message}")
+    assert not sched_path.exists()
 
 
 HUGE_INT = "1" + "0" * 400

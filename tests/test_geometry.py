@@ -12,6 +12,7 @@ from playtrace import geometry as g
 from playtrace.geometry import (
     Rect,
     clip_polygon,
+    clip_to_screen,
     convex_pieces,
     convex_subtract,
     inscribed_rect,
@@ -20,9 +21,7 @@ from playtrace.geometry import (
     line_param_t,
     point_in_polygon,
     polygon_area,
-    project_vertex,
     rect_area,
-    rect_contains,
     rect_intersect,
     signed_area,
     subtract_occluders,
@@ -53,6 +52,12 @@ def test_rect_rejects_inverted():
         Rect(5.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         Rect(0.0, 5.0, 1.0, 1.0)
+    # comparisons with NaN are false, so a NaN coordinate is never in order
+    for i in range(4):
+        coords = [0.0, 0.0, 1.0, 1.0]
+        coords[i] = math.nan
+        with pytest.raises(ValueError):
+            Rect(*coords)
 
 
 def test_rect_area_none_is_zero():
@@ -69,14 +74,6 @@ def test_rect_intersect():
     touching = rect_intersect(a, Rect(10, 0, 20, 10))
     assert touching == Rect(10, 0, 10, 10)
     assert rect_area(touching) == 0.0
-
-
-def test_rect_contains_eps():
-    r = Rect(0, 0, 10, 10)
-    assert rect_contains(r, (5, 5))
-    assert rect_contains(r, (10, 10))
-    assert not rect_contains(r, (10.5, 5))
-    assert rect_contains(r, (10.5, 5), eps=1.0)
 
 
 # ------------------------------------------------------------ line crossing
@@ -418,19 +415,24 @@ def _simple_camera():
     return view, proj
 
 
+def _project(v, model, view, proj, w, h):
+    """One vertex through model, view and projection, then clip_to_screen."""
+    return clip_to_screen((proj @ (view @ (model @ np.asarray(v)))).tolist(), w, h, v)
+
+
 def test_project_vertex_center_and_flip():
     view, proj = _simple_camera()
     model = np.eye(4)
-    p = project_vertex((0.0, 0.0, -2.0, 1.0), model, view, proj, 100, 100)
+    p = _project((0.0, 0.0, -2.0, 1.0), model, view, proj, 100, 100)
     assert p == pytest.approx((50.0, 50.0))
     # +y in world goes up, so it must land above center, i.e. smaller pixel y
-    p_up = project_vertex((0.0, 1.0, -2.0, 1.0), model, view, proj, 100, 100)
+    p_up = _project((0.0, 1.0, -2.0, 1.0), model, view, proj, 100, 100)
     assert p_up[1] < 50.0
-    p_right = project_vertex((1.0, 0.0, -2.0, 1.0), model, view, proj, 100, 100)
+    p_right = _project((1.0, 0.0, -2.0, 1.0), model, view, proj, 100, 100)
     assert p_right[0] > 50.0
 
 
 def test_project_vertex_behind_camera():
     view, proj = _simple_camera()
-    assert project_vertex((0.0, 0.0, 2.0, 1.0), np.eye(4), view, proj, 100, 100) is None
-    assert project_vertex((0.0, 0.0, 0.0, 1.0), np.eye(4), view, proj, 100, 100) is None
+    assert _project((0.0, 0.0, 2.0, 1.0), np.eye(4), view, proj, 100, 100) is None
+    assert _project((0.0, 0.0, 0.0, 1.0), np.eye(4), view, proj, 100, 100) is None

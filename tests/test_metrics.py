@@ -8,9 +8,9 @@ from playtrace.metrics import (
     box_iou,
     compute_metrics,
     interval_iou,
-    metrics_to_dict,
     pairwise_stability,
 )
+from playtrace.reporting import opportunities_to_dict
 
 
 def _opp(tid, box, start, end):
@@ -123,7 +123,7 @@ def test_compute_metrics_normalizes_by_largest_run():
 
 def test_metrics_to_dict_round_trip():
     m = compute_metrics([[_opp("a", Rect(0, 0, 10, 10), 0, 1000)]], (50, 50))
-    d = metrics_to_dict(m)
+    d = opportunities_to_dict([], {}, m)["metrics"]
     assert d == {
         "avg_plane_duration_s": 1.0,
         "opportunity_count": 1,

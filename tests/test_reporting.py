@@ -8,6 +8,7 @@ from playtrace.geometry import Rect
 from playtrace.lifespan import TestOpportunity
 from playtrace.metrics import compute_metrics
 from playtrace.reporting import (
+    CHART_WIDTH_PX,
     load_report,
     opportunities_to_dict,
     render_gantt,
@@ -40,10 +41,10 @@ def test_gantt_is_valid_svg_with_one_block_per_opportunity():
 
 def test_gantt_block_width_proportional_to_duration():
     opps = [_opp("a", 0, 2500), _opp("b", 0, 10000)]
-    svg = render_gantt(opps, 10000, chart_width_px=1000)
+    svg = render_gantt(opps, 10000)
     widths = {b.get("data-id"): float(b.get("width")) for b in _blocks(svg)}
-    assert widths["a"] == pytest.approx(250.0, abs=0.01)
-    assert widths["b"] == pytest.approx(1000.0, abs=0.01)
+    assert widths["a"] == pytest.approx(CHART_WIDTH_PX / 4, abs=0.01)
+    assert widths["b"] == pytest.approx(CHART_WIDTH_PX, abs=0.01)
     xs = {b.get("data-id"): float(b.get("x")) for b in _blocks(svg)}
     assert xs["a"] == xs["b"]
 

@@ -25,9 +25,8 @@ from playtrace.simulator import (
     SceneError,
     ScenePlane,
     SimScene,
-    camera_pose_at,
+    _cast,
     camera_poses,
-    cast_rays,
     execute_schedule,
     frame_times,
     generate_trace,
@@ -168,12 +167,10 @@ def test_camera_pose_clamps_and_lerps():
         CameraKeyframe(3000, p1, np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, -1.0])),
     )
     scene = _scene([_plane()], path=path, duration=5000)
-    before, _ = camera_pose_at(scene, 0)
-    assert np.allclose(before, p0)
-    after, _ = camera_pose_at(scene, 4999)
-    assert np.allclose(after, p1)
-    mid, _ = camera_pose_at(scene, 2000)
-    assert np.allclose(mid, [0.5, 2.0, 0.0])
+    eyes, _ = camera_poses(scene, [0, 4999, 2000])
+    assert np.allclose(eyes[0], p0)
+    assert np.allclose(eyes[1], p1)
+    assert np.allclose(eyes[2], [0.5, 2.0, 0.0])
 
 
 def test_frame_times_rounding():
@@ -277,9 +274,9 @@ def test_hit_test_detection_gate():
     scene = _scene([_plane(detect_delay_ms=5000)])
     assert hit_test(scene, 1000, (960.0, 540.0)) is None
     # one pass also tells 'there but not tracked' from 'nothing there'
-    ids, over_any = cast_rays(scene, 1000, np.array([[960.0, 540.0], [0.0, 0.0]]))
-    assert ids == [None, None]
-    assert over_any.tolist() == [True, False]
+    best, over_any = _cast(scene, np.array([1000.0]), np.array([[[960.0, 540.0], [0.0, 0.0]]]))
+    assert best.tolist() == [[-1, -1]]
+    assert over_any.tolist() == [[True, False]]
     assert hit_test(scene, 6000, (960.0, 540.0)) == "p"
 
 
@@ -433,9 +430,6 @@ def test_camera_poses_clamp_like_oracle():
     times = [0, 999.5, 1000, 1000.25, 1999, 2000, 2000.5, 2999, 3000, 3000.5, 4999]
     _assert_poses_match_oracle(moving, times)
     _assert_poses_match_oracle(_scene([_plane()]), [-100, 0, 0.5, 5000, 20000])
-    eye, view = camera_pose_at(moving, 1000.25)
-    eyes, views = camera_poses(moving, [1000.25])
-    assert np.array_equal(eye, eyes[0]) and np.array_equal(view, views[0])
 
 
 @pytest.mark.parametrize("name", PACK)
@@ -509,4 +503,4 @@ def test_camera_up_parallel_to_view_rejected():
     with pytest.raises(SceneError, match="parallel"):
         execute_schedule(scene, _sched([_tap_event((960.0, 540.0), t=1000)]))
     with pytest.raises(SceneError, match="parallel"):
-        camera_pose_at(scene, 500)
+        camera_poses(scene, [500])

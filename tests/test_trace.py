@@ -13,7 +13,6 @@ from playtrace.trace import (
     TrackableSnapshot,
     TrackingState,
     load_trace,
-    mat4_from_list,
     mat4_to_list,
     sample_frames,
     save_trace,
@@ -88,9 +87,9 @@ def test_round_trip(tmp_path):
         assert a.trackables[0].local_vertices == b.trackables[0].local_vertices
 
 
-def test_mat4_column_major():
+def test_mat4_column_major(tmp_path):
     vals = [float(i) for i in range(16)]
-    m = mat4_from_list(vals)
+    m = load_trace(_write(tmp_path, [_header(), _frame(view=vals)])).frames[0].view
     # column-major: the first four values are the first column
     assert m[0, 0] == 0.0 and m[1, 0] == 1.0 and m[3, 0] == 3.0
     assert m[0, 1] == 4.0
@@ -186,11 +185,13 @@ def test_trackable_validation(tmp_path):
 
 
 def _synthetic_trace(timestamps, fps):
+    identity = np.eye(4)
+    identity.flags.writeable = False
     frames = tuple(
         FrameRecord(
             timestamp_ms=t,
-            view=mat4_from_list(IDENTITY16),
-            projection=mat4_from_list(IDENTITY16),
+            view=identity,
+            projection=identity,
             camera_position=np.zeros(3),
             screen_w=100,
             screen_h=100,

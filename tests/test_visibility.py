@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from playtrace.scenes import benchmark_scene, benchmark_scenes
-from playtrace.simulator import generate_trace, look_at_matrix, perspective_matrix
+from playtrace.simulator import generate_trace, perspective_matrix
 from playtrace.trace import (
     FrameRecord,
     TrackableSnapshot,
@@ -29,7 +29,7 @@ W, H = 1920, 1080
 
 def _frame(planes, cam=(0.0, 2.0, 0.0), t_ms=0):
     eye = np.array(cam, dtype=float)
-    view = look_at_matrix(eye, np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.0, -1.0]))
+    view = oracles.look_at_per_time(eye, np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.0, -1.0]))
     proj = perspective_matrix(60.0, W / H, 0.1, 100.0)
     return FrameRecord(
         timestamp_ms=t_ms,
@@ -97,12 +97,11 @@ def test_project_trackable_behind_camera():
 
 def test_single_plane_box():
     f = _frame([_plane("table", (0, 0, 0), 1.0, 0.5)])
-    boxes = analyze_frame(f, min_visibility=0.10, frame_index=7)
+    boxes = analyze_frame(f, min_visibility=0.10)
     assert len(boxes) == 1
     vb = boxes[0]
     px = _px_per_m(2.0)
     assert vb.trackable_id == "table"
-    assert vb.frame_index == 7
     assert vb.camera_distance == pytest.approx(2.0)
     assert vb.box.x_min == pytest.approx(960 - px, abs=1e-6)
     assert vb.box.x_max == pytest.approx(960 + px, abs=1e-6)
@@ -185,7 +184,7 @@ def test_project_trackable_bit_equal_to_per_vertex(order):
     for _ in range(200):
         eye = rng.normal(size=3) * 2.0
         eye[1] = abs(eye[1]) + 2.0
-        view = look_at_matrix(eye, rng.normal(size=3) * 0.2, np.array([0.0, 1.0, 0.0]))
+        view = oracles.look_at_per_time(eye, rng.normal(size=3) * 0.2, np.array([0.0, 1.0, 0.0]))
         pose = np.eye(4)
         pose[:3, :3] = _rotation(rng) * 0.1
         pose[:3, 3] = rng.normal(size=3) * 0.2
@@ -220,4 +219,4 @@ def test_analyze_frame_matches_per_vertex_pipeline(tmp_path, scene):
         # rendered frames hold C-order matrices, loaded ones column-major views
         for tr in (trace, load_trace(path)):
             for i, f in enumerate(sample_frames(tr, 10.0).frames):
-                assert analyze_frame(f, 0.0, i) == oracles.analyze_frame_per_vertex(f, 0.0, i)
+                assert analyze_frame(f, 0.0) == oracles.analyze_frame_per_vertex(f, 0.0), i

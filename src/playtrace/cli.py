@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .lifespan import DEFAULT_MIN_LIFESPAN_S, DEFAULT_MIN_VISIBILITY
-from .pipeline import DEFAULT_ANALYSIS_FPS, AnalysisParams, analyze_runs
+from .pipeline import DEFAULT_ANALYSIS_FPS, AnalysisParams, analyze_boxes, analyze_runs, run_boxes
 from .reporting import dump_json, load_report, render_gantt, write_report
 from .scenes import benchmark_scenes
 from .scheduler import (
@@ -42,7 +42,7 @@ from .simulator import (
     scene_from_dict,
     save_scene,
 )
-from .trace import TraceError, load_trace
+from .trace import TraceError, iter_frames, read_header
 
 
 def parse_mix(text: str) -> dict[GestureKind, float]:
@@ -71,9 +71,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         min_visibility=args.min_visibility,
         min_lifespan_s=args.min_lifespan,
     )
-    traces = [load_trace(p) for p in args.traces]
-    if len(traces) == 1 and args.runs > 1:
-        meta = traces[0].metadata
+    if len(args.traces) == 1 and args.runs > 1:
+        path = args.traces[0]
+        meta = read_header(path)[1]
+        for _ in iter_frames(path):  # the frames go unused, but a bad one rejects the trace
+            pass
         if "scene" not in meta:
             raise ValueError(
                 "multi-run analysis of a single trace needs a scene description "
@@ -82,18 +84,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         scene = scene_from_dict(meta["scene"])
         # the recorded jitter, which need not be the scene's default
         jitter = jitter_from_dict(meta.get("jitter", {}))
-        traces = [
-            generate_trace(scene, args.jitter_seed_base + r, jitter)
-            for r in range(args.runs)
-        ]
-    per_run, final, metrics = analyze_runs(traces, params)
+        traces = (
+            generate_trace(scene, args.jitter_seed_base + r, jitter) for r in range(args.runs)
+        )
+        runs = [run_boxes(t.frames, t.source_fps, params) for t in traces]
+    else:
+        runs = [run_boxes(iter_frames(p), read_header(p)[0], params) for p in args.traces]
+    per_run, final, metrics = analyze_boxes(runs, params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    params_dict = {**dataclasses.asdict(params), "runs": len(traces)}
+    params_dict = {**dataclasses.asdict(params), "runs": len(runs)}
     write_report(final, params_dict, out / "report.json", metrics=metrics)
-    duration = max(max(t.duration_ms for t in traces), 1)
+    duration = max(max(r.duration_ms for r in runs), 1)
     (out / "gantt.svg").write_text(render_gantt(final, duration), encoding="utf-8")
-    print(f"{len(final)} opportunities across {len(traces)} run(s) -> {out}")
+    print(f"{len(final)} opportunities across {len(runs)} run(s) -> {out}")
     return 0
 
 

@@ -3,14 +3,15 @@
 Chains the pieces together: resample a trace to the analysis rate, compute
 per-frame visible boxes, split them into life spans, keep the long ones as
 test opportunities, and intersect several runs of the same recording when
-more than one is available.
+more than one is available.  Frames pass through one loop (run_boxes) as
+they arrive, so a run costs memory for its boxes, not for its frames.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .geometry import Rect
 from .lifespan import (
@@ -23,7 +24,7 @@ from .lifespan import (
     opportunity_sort_key,
 )
 from .metrics import VideoMetrics, compute_metrics
-from .trace import PlaybackTrace, sample_frames
+from .trace import FrameRecord, PlaybackTrace, TraceValidationError, decimate
 from .visibility import analyze_frame
 
 DEFAULT_ANALYSIS_FPS = 10.0
@@ -45,57 +46,96 @@ class AnalysisParams:
             raise ValueError(f"min_lifespan_s must be finite and >= 0, got {self.min_lifespan_s}")
 
 
-def trackable_box_sequences(
-    sampled: PlaybackTrace, min_visibility: float = DEFAULT_MIN_VISIBILITY
-) -> dict[str, list[Rect | None]]:
-    """Per-trackable box per frame over an already-sampled trace.
+@dataclass(frozen=True)
+class RunBoxes:
+    """What the analysis keeps of one run: its boxes, not its frames."""
 
-    The dict is keyed in order of first appearance; each value has one slot
-    per frame, None where the trackable produced no usable box.
+    boxes: dict[str, list[Rect | None]]  # per trackable, one slot per kept frame
+    timestamps_ms: list[int]             # of the kept frames
+    screen: tuple[int, int]
+    duration_ms: int                     # last timestamp of the full trace
+
+
+def run_boxes(
+    frames: Iterable[FrameRecord], source_fps: float, params: AnalysisParams = AnalysisParams()
+) -> RunBoxes:
+    """The one frame loop: decimate, then find each kept frame's boxes as it arrives.
+
+    frames may be a trace's tuple or a stream from iter_frames; no frame is
+    held after its boxes are found.  The boxes dict is keyed in order of
+    first appearance; each value has one slot per kept frame, None where
+    the trackable produced no usable box.
     """
-    n = len(sampled.frames)
-    sequences: dict[str, list[Rect | None]] = {}
-    for idx, frame in enumerate(sampled.frames):
-        for vb in analyze_frame(frame, min_visibility=min_visibility):
-            seq = sequences.get(vb.trackable_id)
+    first: FrameRecord | None = None
+    last: FrameRecord | None = None
+
+    def full_trace() -> Iterator[FrameRecord]:
+        nonlocal first, last
+        for f in frames:
+            if first is None:
+                first = f
+            last = f
+            yield f
+
+    boxes: dict[str, list[Rect | None]] = {}
+    timestamps: list[int] = []
+    for frame in decimate(full_trace(), source_fps, params.fps):
+        idx = len(timestamps)
+        for vb in analyze_frame(frame, min_visibility=params.min_visibility):
+            seq = boxes.get(vb.trackable_id)
             if seq is None:
-                seq = [None] * n
-                sequences[vb.trackable_id] = seq
-            seq[idx] = vb.box
-    return sequences
+                seq = boxes[vb.trackable_id] = []
+            seq += [None] * (idx - len(seq))
+            seq.append(vb.box)
+        timestamps.append(frame.timestamp_ms)
+    if first is None or last is None:
+        raise TraceValidationError("cannot analyze an empty trace")
+    for seq in boxes.values():
+        seq += [None] * (len(timestamps) - len(seq))
+    return RunBoxes(boxes, timestamps, (first.screen_w, first.screen_h), last.timestamp_ms)
+
+
+def analyze_boxes(
+    runs: Sequence[RunBoxes], params: AnalysisParams = AnalysisParams()
+) -> tuple[list[list[TestOpportunity]], list[TestOpportunity], VideoMetrics]:
+    """Opportunities of several runs of one recording, intersected.
+
+    Returns (per-run opportunity lists, surviving opportunities, metrics).
+    With a single run the surviving set is just that run's own result.
+    """
+    if not runs:
+        raise ValueError("need at least one trace")
+    screens = sorted({r.screen for r in runs})
+    if len(screens) > 1:
+        raise ValueError(f"runs must share one screen size, got {screens}")
+    screen = screens[0]
+    per_run = []
+    for run in runs:
+        opportunities: list[TestOpportunity] = []
+        for tid, boxes in run.boxes.items():
+            spans = life_spans(boxes, screen, params.min_visibility)
+            opportunities.extend(
+                filter_by_duration(tid, spans, run.timestamps_ms, params.min_lifespan_s)
+            )
+        opportunities.sort(key=opportunity_sort_key)
+        per_run.append(opportunities)
+    final = intersect_runs(per_run, screen, params.min_visibility, params.min_lifespan_s)
+    return per_run, final, compute_metrics(per_run, screen)
 
 
 def analyze_run(
     trace: PlaybackTrace, params: AnalysisParams = AnalysisParams()
 ) -> list[TestOpportunity]:
     """Test opportunities of a single trace."""
-    sampled = sample_frames(trace, params.fps)
-    screen = (sampled.frames[0].screen_w, sampled.frames[0].screen_h)
-    timestamps = [f.timestamp_ms for f in sampled.frames]
-    opportunities: list[TestOpportunity] = []
-    for tid, boxes in trackable_box_sequences(sampled, params.min_visibility).items():
-        spans = life_spans(boxes, screen, params.min_visibility)
-        opportunities.extend(
-            filter_by_duration(tid, spans, timestamps, params.min_lifespan_s)
-        )
-    opportunities.sort(key=opportunity_sort_key)
-    return opportunities
+    return analyze_runs([trace], params)[0][0]
 
 
 def analyze_runs(
     traces: Sequence[PlaybackTrace], params: AnalysisParams = AnalysisParams()
 ) -> tuple[list[list[TestOpportunity]], list[TestOpportunity], VideoMetrics]:
-    """Analyze several runs of one recording and intersect the results.
-
-    Returns (per-run opportunity lists, surviving opportunities, metrics).
-    With a single trace the surviving set is just that run's own result.
-    """
-    if not traces:
-        raise ValueError("need at least one trace")
+    """analyze_boxes over in-memory traces, one run each."""
+    # trace files are checked as they are read; a whole trace in memory is checked here
     screens = sorted({(f.screen_w, f.screen_h) for t in traces for f in t.frames})
     if len(screens) > 1:
         raise ValueError(f"runs must share one screen size, got {screens}")
-    screen = screens[0]
-    per_run = [analyze_run(t, params) for t in traces]
-    final = intersect_runs(per_run, screen, params.min_visibility, params.min_lifespan_s)
-    return per_run, final, compute_metrics(per_run, screen)
+    return analyze_boxes([run_boxes(t.frames, t.source_fps, params) for t in traces], params)

@@ -15,6 +15,7 @@ from typing import Any, Mapping, Sequence
 from .geometry import Rect
 from .lifespan import TestOpportunity, opportunity_sort_key
 from .metrics import VideoMetrics
+from .trace import json_numbers
 
 # lane colors, cycled by lane index
 PALETTE = (
@@ -190,8 +191,13 @@ def load_report(path: str | Path) -> tuple[list[TestOpportunity], dict]:
     opps = []
     try:
         for i, od in enumerate(d["opportunities"]):
-            box = [float(v) for v in od["box"]]
-            start_ms, end_ms = int(od["start_ms"]), int(od["end_ms"])
+            box, start_ms, end_ms = od["box"], od["start_ms"], od["end_ms"]
+            if not isinstance(box, list) or len(box) != 4 or not json_numbers(box):
+                raise ValueError(f"opportunity {i}: box must be a list of 4 numbers, got {box!r}")
+            for name, v in (("start_ms", start_ms), ("end_ms", end_ms)):
+                if type(v) is not int:
+                    raise ValueError(f"opportunity {i}: {name} must be a JSON integer, got {v!r}")
+            box = [float(v) for v in box]
             if not all(map(math.isfinite, box)):
                 raise ValueError(f"opportunity {i}: box coordinates must be finite, got {box}")
             if start_ms > end_ms:

@@ -31,6 +31,7 @@ from .trace import (
 _HIT_EPS_M = 1e-9         # slack when testing a hit point against surface bounds
 _RAY_PARALLEL_EPS = 1e-12
 MIN_PATH_SAMPLES = 10     # gesture paths are checked at no fewer points than this
+MAX_SCENE_FRAMES = 1_000_000  # frames one rendered trace may hold: 9.3 h at 30 fps
 
 
 class SceneError(ValueError):
@@ -138,7 +139,10 @@ def _integer(value: Any, what: str) -> int:
     return value
 
 
-def _vec(values: Sequence[Any], what: str) -> np.ndarray:
+def _vec(values: Any, length: int, what: str) -> np.ndarray:
+    """A JSON list of exactly length numbers as a read-only float array."""
+    if not isinstance(values, list) or len(values) != length:
+        raise SceneError(f"{what}: expected {length} numbers")
     v = np.array([_number(x, what) for x in values], dtype=float)
     v.flags.writeable = False
     return v
@@ -150,6 +154,12 @@ def validate_scene(scene: SimScene) -> SimScene:
     # comparisons with NaN are false, so NaN fails these checks
     if not 0.0 < scene.fps < math.inf or scene.duration_ms <= 0:
         raise SceneError("fps and duration must be positive, and fps finite")
+    # compared as duration_ms > budget * 1000 / fps, which cannot overflow a float
+    if scene.duration_ms > MAX_SCENE_FRAMES * 1000.0 / scene.fps:
+        raise SceneError(
+            f"fps {scene.fps} and duration_ms {scene.duration_ms} make more than "
+            f"{MAX_SCENE_FRAMES} frames, the budget for one trace"
+        )
     if not (0.0 < scene.fov_y_deg < 180.0):
         raise SceneError("fov_y_deg must be in (0, 180)")
     if not (0.0 < scene.near_m < scene.far_m < math.inf):
@@ -205,22 +215,23 @@ def jitter_from_dict(jd: Any) -> Jitter:
 
 def _plane_from_dict(pd: dict) -> ScenePlane:
     pid = str(pd["id"])
-    where, in_verts = f"plane '{pid}'", f"plane '{pid}' verts"
+    where = f"plane '{pid}'"
+    extent_u, extent_v = _vec(pd["extents"], 2, f"{where} extents").tolist()
     return ScenePlane(
         plane_id=pid,
-        center=_vec(pd["center"], f"{where} center"),
-        normal=_vec(pd["normal"], f"{where} normal"),
-        axis_u=_vec(pd["axis_u"], f"{where} axis_u"),
-        axis_v=_vec(pd["axis_v"], f"{where} axis_v"),
-        extent_u=_number(pd["extents"][0], f"{where} extents"),
-        extent_v=_number(pd["extents"][1], f"{where} extents"),
+        center=_vec(pd["center"], 3, f"{where} center"),
+        normal=_vec(pd["normal"], 3, f"{where} normal"),
+        axis_u=_vec(pd["axis_u"], 3, f"{where} axis_u"),
+        axis_v=_vec(pd["axis_v"], 3, f"{where} axis_v"),
+        extent_u=extent_u,
+        extent_v=extent_v,
         detect_delay_ms=_integer(pd.get("detect_delay_ms", 0), f"{where} detect_delay_ms"),
         lost_intervals=tuple(
             (_integer(s, f"{where} lost_intervals"), _integer(e, f"{where} lost_intervals"))
             for s, e in pd.get("lost_intervals", [])
         ),
         local_vertices=(
-            tuple((_number(x, in_verts), _number(z, in_verts)) for x, z in pd["verts"])
+            tuple(tuple(_vec(xz, 2, f"{where} verts").tolist()) for xz in pd["verts"])
             if "verts" in pd
             else None
         ),
@@ -233,9 +244,9 @@ def scene_from_dict(d: dict) -> SimScene:
         path = tuple(
             CameraKeyframe(
                 t_ms=_integer(kd["t_ms"], f"camera_path[{i}] t_ms"),
-                position=_vec(kd["pos"], f"camera_path[{i}] pos"),
-                look_at=_vec(kd["look_at"], f"camera_path[{i}] look_at"),
-                up=_vec(kd.get("up", (0.0, 1.0, 0.0)), f"camera_path[{i}] up"),
+                position=_vec(kd["pos"], 3, f"camera_path[{i}] pos"),
+                look_at=_vec(kd["look_at"], 3, f"camera_path[{i}] look_at"),
+                up=_vec(kd.get("up", [0.0, 1.0, 0.0]), 3, f"camera_path[{i}] up"),
             )
             for i, kd in enumerate(d["camera_path"])
         )

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterator, Sequence, TextIO
+from typing import Any, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -257,68 +257,93 @@ def _utf8_lines(fh: TextIO, name: str) -> Iterator[str]:
         raise TraceParseError(f"{name}: not UTF-8 text: {exc}") from None
 
 
-def load_trace(path: str | Path) -> PlaybackTrace:
-    """Load and validate a JSONL trace file.
+def _trace_objects(fh: TextIO, name: str) -> Iterator[tuple[str, dict]]:
+    """(file:line, JSON object) for each non-blank line of an open trace file."""
+    for lineno, line in enumerate(_utf8_lines(fh, name), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{name}:{lineno}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceParseError(f"{where}: invalid JSON: {exc.msg}") from None
+        if not isinstance(obj, dict):
+            raise TraceParseError(f"{where}: expected a JSON object")
+        yield where, obj
 
-    Raises TraceParseError for text that is not UTF-8, and for malformed
-    JSON or missing fields (with the offending line number),
-    TraceValidationError for contract violations,
-    and the usual OSError family for I/O trouble.
+
+def _header(objects: Iterator[tuple[str, dict]], name: str) -> tuple[float, dict]:
+    """The validated (fps, meta) of the header line, the first object of the file."""
+    first = next(objects, None)
+    if first is None:
+        raise TraceParseError(f"{name}: empty file, expected a header line")
+    where, obj = first
+    if obj.get("format") != TRACE_FORMAT:
+        raise TraceValidationError(
+            f"{where}: header format must be '{TRACE_FORMAT}', got {obj.get('format')!r}"
+        )
+    if obj.get("version") != TRACE_VERSION:
+        raise TraceValidationError(f"{where}: unsupported version {obj.get('version')!r}")
+    fps = obj.get("fps")
+    if (
+        isinstance(fps, bool)
+        or not isinstance(fps, (int, float))
+        or not 0 < fps <= sys.float_info.max
+    ):
+        raise TraceValidationError(f"{where}: fps must be a positive number")
+    meta = obj.get("meta", {})
+    if not isinstance(meta, dict):
+        raise TraceValidationError(f"{name}: header meta must be an object")
+    return float(fps), meta
+
+
+def read_header(path: str | Path) -> tuple[float, dict]:
+    """The recording fps and the meta object of a trace file, validated; no frame is read."""
+    path = Path(path)
+    with path.open("r", encoding="utf-8") as fh:
+        return _header(_trace_objects(fh, path.name), path.name)
+
+
+def iter_frames(path: str | Path) -> Iterator[FrameRecord]:
+    """Validate a JSONL trace file and yield its frames one at a time.
+
+    The header is read and checked before the first frame.  Each frame is
+    checked on its own line and against the ones before it (one screen size,
+    strictly increasing timestamps), so an error names the line where the
+    fault first shows.  Raises TraceParseError for text that is not UTF-8,
+    and for malformed JSON or missing fields, TraceValidationError for
+    contract violations, and the usual OSError family for I/O trouble.
     """
     path = Path(path)
-    frames: list[FrameRecord] = []
-    header: dict | None = None
     with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(_utf8_lines(fh, path.name), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path.name}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceParseError(f"{where}: invalid JSON: {exc.msg}") from None
-            if not isinstance(obj, dict):
-                raise TraceParseError(f"{where}: expected a JSON object")
-            if header is None:
-                if obj.get("format") != TRACE_FORMAT:
-                    raise TraceValidationError(
-                        f"{where}: header format must be '{TRACE_FORMAT}', got {obj.get('format')!r}"
-                    )
-                if obj.get("version") != TRACE_VERSION:
-                    raise TraceValidationError(
-                        f"{where}: unsupported version {obj.get('version')!r}"
-                    )
-                fps = obj.get("fps")
-                if (
-                    isinstance(fps, bool)
-                    or not isinstance(fps, (int, float))
-                    or not 0 < fps <= sys.float_info.max
-                ):
-                    raise TraceValidationError(f"{where}: fps must be a positive number")
-                header = obj
-                continue
+        objects = _trace_objects(fh, path.name)
+        _header(objects, path.name)
+        first = prev = None
+        for where, obj in objects:
             frame = _frame_from_dict(obj, where)
-            if frames and (frame.screen_w, frame.screen_h) != (frames[0].screen_w, frames[0].screen_h):
+            if first is None:
+                first = frame
+            elif (frame.screen_w, frame.screen_h) != (first.screen_w, first.screen_h):
                 raise TraceValidationError(
                     f"{where}: screen {frame.screen_w}x{frame.screen_h} differs from "
-                    f"the first frame's {frames[0].screen_w}x{frames[0].screen_h}"
+                    f"the first frame's {first.screen_w}x{first.screen_h}"
                 )
-            frames.append(frame)
-    if header is None:
-        raise TraceParseError(f"{path.name}: empty file, expected a header line")
-    if not frames:
+            elif frame.timestamp_ms <= prev.timestamp_ms:
+                raise TraceValidationError(
+                    f"{path.name}: timestamps must be strictly increasing "
+                    f"({prev.timestamp_ms} then {frame.timestamp_ms})"
+                )
+            yield frame
+            prev = frame
+    if first is None:
         raise TraceValidationError(f"{path.name}: trace has no frames")
-    for prev, cur in zip(frames, frames[1:]):
-        if cur.timestamp_ms <= prev.timestamp_ms:
-            raise TraceValidationError(
-                f"{path.name}: timestamps must be strictly increasing "
-                f"({prev.timestamp_ms} then {cur.timestamp_ms})"
-            )
-    meta = header.get("meta", {})
-    if not isinstance(meta, dict):
-        raise TraceValidationError(f"{path.name}: header meta must be an object")
-    return PlaybackTrace(frames=tuple(frames), source_fps=float(header["fps"]), metadata=meta)
+
+
+def load_trace(path: str | Path) -> PlaybackTrace:
+    """Load and validate a whole JSONL trace file; iter_frames lists what it rejects."""
+    fps, meta = read_header(path)
+    return PlaybackTrace(frames=tuple(iter_frames(path)), source_fps=fps, metadata=meta)
 
 
 def save_trace(trace: PlaybackTrace, path: str | Path) -> None:
@@ -336,13 +361,32 @@ def save_trace(trace: PlaybackTrace, path: str | Path) -> None:
             fh.write(json.dumps(_frame_to_dict(f)) + "\n")
 
 
-def sample_frames(trace: PlaybackTrace, target_fps: float) -> PlaybackTrace:
-    """Decimate a trace to roughly target_fps without interpolating.
+def decimate(
+    frames: Iterable[FrameRecord], source_fps: float, target_fps: float
+) -> Iterator[FrameRecord]:
+    """The frames that sample_frames keeps, yielded as they arrive.
 
     Walks the frames keeping the first one at or after each sampling
     deadline; deadlines advance in steps of 1000/target_fps from the start
-    of the trace.  When the target rate is at or above the source rate the
-    trace is returned unchanged.
+    of the trace.  When the target rate is at or above the source rate
+    every frame is kept.
+    """
+    if target_fps >= source_fps:
+        yield from frames
+        return
+    period = 1000.0 / target_fps
+    deadline = 0.0
+    for f in frames:
+        if f.timestamp_ms >= deadline:
+            yield f
+            deadline = (math.floor(f.timestamp_ms / period) + 1.0) * period
+
+
+def sample_frames(trace: PlaybackTrace, target_fps: float) -> PlaybackTrace:
+    """Decimate a trace to roughly target_fps without interpolating (see decimate).
+
+    When the target rate is at or above the source rate the trace is
+    returned unchanged.
     """
     if target_fps <= 0:
         raise ValueError("target_fps must be positive")
@@ -350,11 +394,5 @@ def sample_frames(trace: PlaybackTrace, target_fps: float) -> PlaybackTrace:
         raise TraceValidationError("cannot sample an empty trace")
     if target_fps >= trace.source_fps:
         return trace
-    period = 1000.0 / target_fps
-    selected: list[FrameRecord] = []
-    deadline = 0.0
-    for f in trace.frames:
-        if f.timestamp_ms >= deadline:
-            selected.append(f)
-            deadline = (math.floor(f.timestamp_ms / period) + 1.0) * period
-    return replace(trace, frames=tuple(selected), source_fps=target_fps)
+    selected = tuple(decimate(trace.frames, trace.source_fps, target_fps))
+    return replace(trace, frames=selected, source_fps=target_fps)

@@ -550,3 +550,52 @@ def analyze_frame_per_vertex(frame, min_visibility):
             boxes.append(VisibleBox(t.trackable_id, best,
                                     g.rect_area(best) / (float(w) * float(h)), dist))
     return boxes
+
+
+# ------------------------------------------------------------ eager analysis
+# `analyze` as it was before frames were streamed: every trace loaded whole,
+# then decimated into a second tuple, then every kept frame analysed into
+# boxes laid out one slot per frame.  The per-frame and per-span kernels are
+# the package's own; only the order of the work differs.
+
+def sample_frames_reference(timestamps, source_fps, target_fps):
+    """The timestamps sample_frames keeps, by its documented deadline walk."""
+    if target_fps >= source_fps:
+        return list(timestamps)
+    period = 1000.0 / target_fps
+    kept = []
+    deadline = 0.0
+    for t in timestamps:
+        if t >= deadline:
+            kept.append(t)
+            deadline = (math.floor(t / period) + 1.0) * period
+    return kept
+
+
+def analyze_eager(traces, params):
+    """(surviving opportunities, metrics, Gantt duration) of whole in-memory traces."""
+    from playtrace.lifespan import filter_by_duration, intersect_runs, life_spans, opportunity_sort_key
+    from playtrace.metrics import compute_metrics
+    from playtrace.trace import sample_frames
+    from playtrace.visibility import analyze_frame
+
+    screens = sorted({(f.screen_w, f.screen_h) for t in traces for f in t.frames})
+    assert len(screens) == 1, screens
+    per_run = []
+    for trace in traces:
+        sampled = sample_frames(trace, params.fps)
+        n = len(sampled.frames)
+        sequences = {}
+        for idx, frame in enumerate(sampled.frames):
+            for vb in analyze_frame(frame, min_visibility=params.min_visibility):
+                sequences.setdefault(vb.trackable_id, [None] * n)[idx] = vb.box
+        timestamps = [f.timestamp_ms for f in sampled.frames]
+        opps = []
+        for tid, boxes in sequences.items():
+            spans = life_spans(boxes, screens[0], params.min_visibility)
+            opps.extend(filter_by_duration(tid, spans, timestamps, params.min_lifespan_s))
+        opps.sort(key=opportunity_sort_key)
+        per_run.append(opps)
+    final = intersect_runs(per_run, screens[0], params.min_visibility, params.min_lifespan_s)
+    duration = max(max(t.duration_ms for t in traces), 1)
+    return final, compute_metrics(per_run, screens[0]), duration

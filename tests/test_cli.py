@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -158,6 +159,18 @@ def test_analyze_rejects_trace_jitter_that_is_not_an_object(tmp_path, capsys):
     save_trace(trace, path)
     rc = main(["analyze", str(path), "--runs", "3", "--out", str(tmp_path / "x")])
     assert "jitter" in _assert_input_error(rc, capsys)
+
+
+def test_analyze_runs_still_rejects_a_bad_last_frame(tmp_path, trace_path, capsys):
+    # with --runs the trace's frames go unused, but they are still read and checked
+    lines = trace_path.read_text().splitlines(keepends=True)
+    lines[-1] = lines[-1].replace('"cam_pos": [', '"cam_pos": [true, ', 1)
+    trace_path.write_text("".join(lines))
+    out = tmp_path / "x"
+    rc = main(["analyze", str(trace_path), "--runs", "3", "--out", str(out)])
+    err = _assert_input_error(rc, capsys)
+    assert err.startswith(f"error: run.jsonl:{len(lines)} cam_pos: ")
+    assert not out.exists()
 
 
 def test_analyze_rejects_screen_change_mid_trace(tmp_path, capsys):
@@ -434,13 +447,69 @@ def test_scene_numbers_must_be_json_numbers(tmp_path, capsys, command, path, val
 
 
 @pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("camera_path", 0, "pos"), [0, 2.0], "camera_path[0] pos: expected 3 numbers"),
+        (("camera_path", 0, "look_at"), [0, 0, 0, 1], "camera_path[0] look_at: expected 3 numbers"),
+        (("camera_path", 0, "up"), 1.0, "camera_path[0] up: expected 3 numbers"),
+        (("planes", 0, "center"), [0, 0], "plane 'table' center: expected 3 numbers"),
+        (("planes", 0, "normal"), [], "plane 'table' normal: expected 3 numbers"),
+        (("planes", 0, "axis_u"), [1, 0], "plane 'table' axis_u: expected 3 numbers"),
+        (("planes", 0, "axis_v"), {"z": 1}, "plane 'table' axis_v: expected 3 numbers"),
+        (("planes", 0, "extents"), [0.6, 0.5, 0.1], "plane 'table' extents: expected 2 numbers"),
+        (("planes", 0, "verts"), [[-0.5, -0.5], [0.5], [0.5, 0.5]],
+         "plane 'table' verts: expected 2 numbers"),
+    ],
+    ids=["pos", "look_at", "up", "center", "normal", "axis_u", "axis_v", "extents", "verts"],
+)
+def test_scene_vectors_must_have_their_length(tmp_path, capsys, path, value, message):
+    rc = _run_edited_scene(tmp_path, "compare", path, value)
+    assert _assert_input_error(rc, capsys) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "fps, duration_ms",
+    [(1e300, 6000), (30.0, 10**15), (1e300, 10**400)],
+    ids=["huge-fps", "huge-duration", "both"],
+)
+def test_scene_frame_budget(tmp_path, capsys, fps, duration_ms):
+    scene_path = tmp_path / "scene.json"
+    save_scene(_scene(), scene_path)
+    d = json.loads(scene_path.read_text())
+    d.update(fps=fps, duration_ms=duration_ms)
+    scene_path.write_text(json.dumps(d))
+
+    def hang(signum, frame):
+        pytest.fail("compare did not reject the scene within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        rc = main(["compare", str(scene_path), "--runs", "1"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    err = _assert_input_error(rc, capsys)
+    assert err.startswith(f"error: fps {float(fps)} and duration_ms {duration_ms} make more than ")
+    assert err.endswith(" 1000000 frames, the budget for one trace\n")
+
+
+@pytest.mark.parametrize(
     "edit, message",
     [
         ({"box": [float("nan"), 100, 900, 700]}, "opportunity 0: box coordinates must be finite"),
         ({"box": [100, 100, float("inf"), 700]}, "opportunity 0: box coordinates must be finite"),
         ({"start_ms": 5000, "end_ms": 4000}, "opportunity 0: start_ms 5000 is after end_ms 4000"),
+        ({"start_ms": 1500.9}, "opportunity 0: start_ms must be a JSON integer, got 1500.9"),
+        ({"end_ms": "4000"}, "opportunity 0: end_ms must be a JSON integer, got '4000'"),
+        ({"start_ms": True}, "opportunity 0: start_ms must be a JSON integer, got True"),
+        ({"box": ["100", 100, 900, 700]}, "opportunity 0: box must be a list of 4 numbers"),
+        ({"box": [100, 100, 900]}, "opportunity 0: box must be a list of 4 numbers"),
+        ({"box": [100, 100, 900, 700, 5]}, "opportunity 0: box must be a list of 4 numbers"),
+        ({"box": [100, False, 900, 700]}, "opportunity 0: box must be a list of 4 numbers"),
     ],
-    ids=["box-nan", "box-inf", "window-inverted"],
+    ids=["box-nan", "box-inf", "window-inverted", "start-float", "end-str", "start-bool",
+         "box-str", "box-short", "box-long", "box-bool"],
 )
 def test_schedule_rejects_bad_report_entries(tmp_path, trace_path, capsys, edit, message):
     out = tmp_path / "analysis"

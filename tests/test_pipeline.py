@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from playtrace.pipeline import AnalysisParams, analyze_run, analyze_runs, trackable_box_sequences
+from playtrace.pipeline import AnalysisParams, analyze_run, analyze_runs, run_boxes
 from playtrace.simulator import CameraKeyframe, Jitter, ScenePlane, SimScene, generate_trace
 from playtrace.trace import sample_frames
 
@@ -47,11 +47,13 @@ def _scene(duration=6000, planes=None, jitter=None):
 def test_box_sequences_cover_every_frame():
     trace = generate_trace(_scene())
     sampled = sample_frames(trace, 10.0)
-    seqs = trackable_box_sequences(sampled)
-    assert set(seqs) == {"table"}
-    boxes = seqs["table"]
+    run = run_boxes(trace.frames, trace.source_fps, AnalysisParams(fps=10.0))
+    assert set(run.boxes) == {"table"}
+    boxes = run.boxes["table"]
     assert len(boxes) == len(sampled.frames)
     assert all(b is not None for b in boxes)
+    assert run.timestamps_ms == [f.timestamp_ms for f in sampled.frames]
+    assert run.duration_ms == trace.duration_ms
 
 
 def test_analyze_run_finds_full_span_opportunity():

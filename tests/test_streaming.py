@@ -1,0 +1,102 @@
+"""Streamed `analyze` against the eager reference, and its memory bound."""
+
+from __future__ import annotations
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import oracles
+from playtrace.cli import main
+from playtrace.pipeline import AnalysisParams
+from playtrace.reporting import render_gantt, write_report
+from playtrace.scenes import benchmark_scene
+from playtrace.simulator import CameraKeyframe, ScenePlane, SimScene, generate_trace
+from playtrace.trace import load_trace, save_trace
+
+
+def _eager_outputs(traces, out, params=AnalysisParams()):
+    """report.json and gantt.svg as analyze wrote them from whole traces."""
+    final, metrics, duration = oracles.analyze_eager(traces, params)
+    out.mkdir()
+    params_dict = {**dataclasses.asdict(params), "runs": len(traces)}
+    write_report(final, params_dict, out / "report.json", metrics=metrics)
+    (out / "gantt.svg").write_text(render_gantt(final, duration), encoding="utf-8")
+
+
+def _assert_same_outputs(a, b):
+    for name in ("report.json", "gantt.svg"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize(
+    "name, fps",
+    [("pan-exit", 30.0), ("noisy-trio", 30.0), ("static-duo", 10.0)],
+    ids=["pan-exit", "noisy-trio", "static-duo-10fps"],
+)
+def test_streamed_analyze_matches_eager_reference(tmp_path, name, fps, seed):
+    # at 10 fps the recording rate equals --fps, so decimation keeps every frame
+    scene = dataclasses.replace(benchmark_scene(name), fps=fps)
+    paths = []
+    for r in range(2):
+        paths.append(tmp_path / f"run{r}.jsonl")
+        save_trace(generate_trace(scene, seed * 100 + r), paths[-1])
+    loaded = [load_trace(p) for p in paths]
+    for tag in (1, 2):
+        assert main(["analyze", *map(str, paths[:tag]), "--out", str(tmp_path / f"s{tag}")]) == 0
+        _eager_outputs(loaded[:tag], tmp_path / f"e{tag}")
+        _assert_same_outputs(tmp_path / f"s{tag}", tmp_path / f"e{tag}")
+
+
+def test_streamed_multi_run_regeneration_matches_eager_reference(tmp_path):
+    scene = benchmark_scene("drift-trio")
+    path = tmp_path / "one.jsonl"
+    save_trace(generate_trace(scene, 7), path)
+    argv = ["analyze", str(path), "--runs", "3", "--jitter-seed-base", "5"]
+    assert main([*argv, "--out", str(tmp_path / "s")]) == 0
+    traces = [generate_trace(scene, 5 + r, scene.default_jitter) for r in range(3)]
+    _eager_outputs(traces, tmp_path / "e")
+    _assert_same_outputs(tmp_path / "s", tmp_path / "e")
+
+
+def _static_scene(frames: int) -> SimScene:
+    """One table under a still camera, recorded for the given number of 30 fps frames."""
+    table = ScenePlane(
+        plane_id="table",
+        center=np.array([0.0, 0.0, 0.0]),
+        normal=np.array([0.0, 1.0, 0.0]),
+        axis_u=np.array([1.0, 0.0, 0.0]),
+        axis_v=np.array([0.0, 0.0, 1.0]),
+        extent_u=0.6,
+        extent_v=0.5,
+    )
+    key = CameraKeyframe(0, np.array([0.0, 2.0, 0.0]), np.zeros(3), np.array([0.0, 0.0, -1.0]))
+    return SimScene(
+        name="memory", screen_w=1920, screen_h=1080, fps=30.0,
+        duration_ms=frames * 100 // 3, fov_y_deg=60.0, near_m=0.01, far_m=100.0,
+        camera_path=(key,), planes=(table,),
+    )
+
+
+def test_analyze_memory_grows_with_boxes_not_frames(tmp_path):
+    n = 600
+    paths = {}
+    for frames in (n, 2 * n):
+        paths[frames] = tmp_path / f"{frames}.jsonl"
+        save_trace(generate_trace(_static_scene(frames)), paths[frames])
+
+    def peak(frames: int) -> int:
+        tracemalloc.start()
+        try:
+            assert main(["analyze", str(paths[frames]), "--out", str(tmp_path / f"o{frames}")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(n)  # first call: imports and caches
+    growth = peak(2 * n) - peak(n)
+    # holding a parsed frame costs about 5 KB; n more frames may cost a tenth of that
+    assert growth < n * 500, f"peak grew by {growth} B for {n} more frames"

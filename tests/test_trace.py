@@ -4,7 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from playtrace.trace import (
     FrameRecord,
     PlaybackTrace,
@@ -12,8 +15,11 @@ from playtrace.trace import (
     TraceValidationError,
     TrackableSnapshot,
     TrackingState,
+    decimate,
+    iter_frames,
     load_trace,
     mat4_to_list,
+    read_header,
     sample_frames,
     save_trace,
 )
@@ -146,6 +152,33 @@ def test_timestamps_strictly_increasing(tmp_path):
         load_trace(p)
 
 
+def test_backward_timestamp_is_reported_before_later_faults(tmp_path):
+    broken = _frame(300)
+    del broken["view"]
+    p = _write(tmp_path, [_header(), _frame(100), _frame(50), broken])
+    with pytest.raises(TraceValidationError, match=r"^t\.jsonl: timestamps must be strictly "
+                       r"increasing \(100 then 50\)$"):
+        load_trace(p)
+
+
+def test_iter_frames_yields_each_frame_before_reading_the_next(tmp_path):
+    broken = _frame(300)
+    del broken["view"]
+    frames = iter_frames(_write(tmp_path, [_header(), _frame(100), _frame(200), broken]))
+    assert [next(frames).timestamp_ms, next(frames).timestamp_ms] == [100, 200]
+    with pytest.raises(TraceParseError, match=r"t\.jsonl:4: missing field 'view'"):
+        next(frames)
+
+
+def test_header_faults_come_before_frame_faults(tmp_path):
+    broken = _frame(0)
+    del broken["view"]
+    p = _write(tmp_path, [_header(meta=[]), broken])
+    for read in (read_header, load_trace, lambda p: next(iter_frames(p))):
+        with pytest.raises(TraceValidationError, match="header meta must be an object"):
+            read(p)
+
+
 def test_float_timestamp_rejected(tmp_path):
     with pytest.raises(TraceValidationError, match="t_ms"):
         load_trace(_write(tmp_path, [_header(), _frame(t_ms=1.5)]))
@@ -223,6 +256,21 @@ def test_sample_frames_gap():
     tr = _synthetic_trace([0, 100, 1000, 1100, 1250], 10.0)
     out = sample_frames(tr, 5.0)
     assert [f.timestamp_ms for f in out.frames] == [0, 1000, 1250]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    gaps=st.lists(st.integers(1, 400), max_size=60),
+    start=st.integers(-500, 500),
+    source_fps=st.floats(1.0, 120.0),
+    target_fps=st.floats(0.5, 120.0),
+)
+def test_decimate_matches_the_deadline_walk(gaps, start, source_fps, target_fps):
+    timestamps = [start + sum(gaps[:i]) for i in range(len(gaps) + 1)]
+    tr = _synthetic_trace(timestamps, source_fps)
+    streamed = [f.timestamp_ms for f in decimate(iter(tr.frames), source_fps, target_fps)]
+    assert streamed == oracles.sample_frames_reference(timestamps, source_fps, target_fps)
+    assert streamed == [f.timestamp_ms for f in sample_frames(tr, target_fps).frames]
 
 
 def test_sample_frames_bad_fps():

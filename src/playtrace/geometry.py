@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ COLLINEAR_EPS = 1e-9        # |cross product| below this means collinear
 SHRINK_STEP = 0.025         # per-pass inward step, as a fraction of the current extent
 MAX_SHRINK_PASSES = 200
 MIN_RECT_EXTENT_PX = 1.0    # the search gives up once either extent falls to this
-_QUICK_TEST_LIMIT_PX = 2.0**20  # coordinates the quick containment test decides within
 
 
 @dataclass(frozen=True)
@@ -262,27 +261,36 @@ def _clip_one_edge(poly: list[Point], a: Point, b: Point, sign: float) -> list[P
     return out
 
 
-def clip_polygon(subject: Polygon, clip: Polygon) -> list[Point]:
-    """Sutherland-Hodgman intersection of a polygon with a convex clip.
+def _winding_loop(poly: Polygon) -> tuple[float, list[tuple[Point, Point]]]:
+    """Sign of poly's signed area (0.0 below AREA_EPS_PX2) and its edges."""
+    orient = signed_area(poly)
+    return 0.0 if abs(orient) <= AREA_EPS_PX2 else math.copysign(1.0, orient), list(_edges(poly))
 
-    The clip polygon may be wound either way; its interior side is derived
-    from its signed area.  Vertices exactly on a clip edge are kept.  Raises
-    ValueError when the clip polygon is not convex.
-    """
+
+def clip_loop(clip: Polygon) -> tuple[float, list[tuple[Point, Point]]]:
+    """A convex clip polygon wound either way, checked once, as (interior sign, edges)."""
     if len(clip) < 3:
         raise ValueError("clip polygon needs at least 3 vertices")
     if not is_convex(clip):
         raise ValueError("clip polygon must be convex")
-    orient = signed_area(clip)
-    if abs(orient) <= AREA_EPS_PX2:
+    return _winding_loop(clip)
+
+
+def clip_by_loop(subject: Polygon, sign: float, edges: Sequence[tuple[Point, Point]]) -> list[Point]:
+    """Sutherland-Hodgman clip of subject by a clip_loop, keeping vertices on a clip edge."""
+    if not sign:
         return []
-    sign = 1.0 if orient > 0 else -1.0
     out = [(float(x), float(y)) for x, y in subject]
-    for a, b in _edges(clip):
+    for a, b in edges:
         out = _clip_one_edge(out, a, b, sign)
         if not out:
             return []
     return out
+
+
+def clip_polygon(subject: Polygon, clip: Polygon) -> list[Point]:
+    """clip_by_loop(subject, *clip_loop(clip)): raises ValueError when clip is not convex."""
+    return clip_by_loop(subject, *clip_loop(clip))
 
 
 def _clean_polygon(poly: Polygon) -> list[Point]:
@@ -397,22 +405,13 @@ def convex_subtract(piece: Polygon, occluder: Polygon) -> list[list[Point]]:
     A piece that does not actually meet the occluder is returned whole, so
     disjoint occluders never fragment it.
     """
-    orient = signed_area(occluder)
-    if abs(orient) <= AREA_EPS_PX2:
-        return [list(piece)]
-    sign = 1.0 if orient > 0 else -1.0
-    occ_edges = list(_edges(occluder))
-    overlap = list(piece)
-    for a, b in occ_edges:
-        overlap = _clip_one_edge(overlap, a, b, sign)
-        if not overlap:
-            break
+    sign, occ_edges = _winding_loop(occluder)
+    overlap = clip_by_loop(piece, sign, occ_edges)
     if not overlap or polygon_area(overlap) <= AREA_EPS_PX2:
         return [list(piece)]
     parts: list[list[Point]] = []
     for i, (a, b) in enumerate(occ_edges):
-        region = list(piece)
-        region = _clip_one_edge(region, a, b, -sign)
+        region = _clip_one_edge(list(piece), a, b, -sign)
         for j in range(i):
             if not region:
                 break
@@ -455,124 +454,123 @@ def subtract_occluders(subject: Polygon, occluders: Sequence[Polygon]) -> list[l
     return pieces
 
 
-def _containment_test(poly: Polygon) -> Callable[[Point], bool]:
-    """``point_in_polygon(p, poly)`` for many p, deciding clear cases from edge-line signs.
+class _EdgeLoops(NamedTuple):
+    """Edge a->b of each of many polygons, as (polygons, E) arrays.
 
-    For edge a->b let c(p) = cross(a, b, p), which is affine in p.  The
-    polygon, region and boundary, lies in the convex hull of its vertices,
-    so between the least and the greatest c of any vertex.  Let the margin
-    be 2 * CONTAINMENT_EPS_PX * |ab|.  A point whose c is more than the
-    margin beyond that range, for some edge, is more than 2 eps from every
-    edge and outside: point_in_polygon says False.  A point whose c exceeds
-    the margin on the same side of every edge line sees the boundary turn
-    one way around it all along, so its winding number is the polygon's
-    turning number k; it is more than eps from every edge, and
-    point_in_polygon says inside exactly when k is odd.  A point equal to a
-    vertex is on the boundary, so inside.  Any other point, and every point
-    of a polygon with a zero-length edge, goes to point_in_polygon.
-    Rounding in c stays below 1e-8 px while points and vertices lie within
-    2**20 px of the origin; beyond that, or for non-finite coordinates,
-    every point goes to point_in_polygon.
+    Shorter polygons are padded with their first vertex: the extra edges
+    have zero length, so they straddle no point, and ``real`` keeps them
+    out of the distance test.
     """
-    n = len(poly)
-    lim = _QUICK_TEST_LIMIT_PX
-    if n < 3 or not all(-lim <= v <= lim for p in poly for v in p):
-        return lambda p: point_in_polygon(p, poly)
-    edges = []
-    units = []
-    for i in range(n):
-        (ax, ay), (bx, by) = poly[i], poly[(i + 1) % n]
-        dx, dy = bx - ax, by - ay
-        length = math.hypot(dx, dy)
-        cs = [dx * (y - ay) - dy * (x - ax) for x, y in poly]
-        margin = 2.0 * CONTAINMENT_EPS_PX * length
-        edges.append((ax, ay, dx, dy, margin, min(cs) - margin, max(cs) + margin))
-        units.append((dx / length, dy / length) if length else (0.0, 0.0))
-    turning = sum(
-        math.atan2(ux * vy - uy * vx, ux * vx + uy * vy)
-        for (ux, uy), (vx, vy) in zip(units, units[1:] + units[:1])
-    )
-    odd = round(turning / (2.0 * math.pi)) % 2 == 1
-    vertices = {(x, y) for x, y in poly}
 
-    def inside(p: Point) -> bool:
-        px, py = p
-        if not (-lim <= px <= lim and -lim <= py <= lim):
-            return point_in_polygon(p, poly)
-        left = right = True
-        for ax, ay, dx, dy, margin, lo, hi in edges:
-            c = dx * (py - ay) - dy * (px - ax)
-            if c < lo or c > hi:
-                return False
-            left = left and c > margin
-            right = right and c < -margin
-        if left or right:
-            return odd
-        return (px, py) in vertices or point_in_polygon(p, poly)
+    ax: np.ndarray
+    ay: np.ndarray
+    by: np.ndarray
+    dx: np.ndarray          # b - a
+    dy: np.ndarray
+    len_sq: np.ndarray      # inf where |ab|^2 <= PARALLEL_EPS, so t = 0 and the distance is to a
+    real: np.ndarray
 
-    return inside
+    @classmethod
+    def of(cls, polys: Sequence[Polygon]) -> _EdgeLoops:
+        size = max(len(p) for p in polys)
+        xy = np.array([[*p, *[p[0]] * (size - len(p))] for p in polys], dtype=float)
+        ax, ay = xy[:, :, 0], xy[:, :, 1]
+        by = np.roll(ay, -1, axis=1)
+        dx = np.roll(ax, -1, axis=1) - ax
+        dy = by - ay
+        len_sq = dx * dx + dy * dy
+        real = np.arange(size) < np.array([len(p) for p in polys])[:, None]
+        return cls(ax, ay, by, dx, dy, np.where(len_sq <= PARALLEL_EPS, np.inf, len_sq), real)
 
 
-def _conservative_shrink(
-    x_min: float,
-    y_min: float,
-    x_max: float,
-    y_max: float,
-    poly: Polygon,
-    screen_w: float,
-    screen_h: float,
-) -> tuple[Rect | None, int]:
-    """Shrink the rect until all four corners sit inside poly.
+def _squared(v: np.ndarray) -> np.ndarray:
+    """v ** 2 as Python computes it (libm pow), which can differ from v * v in the last bit."""
+    return np.float_power(v, 2.0)
 
-    Each pass moves only the sides whose corner pair is not fully inside,
-    by 2.5% of the rect's current extent on that axis.  Returns the rect and
-    the number of passes used, or (None, passes) when the rect degenerates
-    or the pass budget runs out.
+
+def _points_inside(e: _EdgeLoops, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """point_in_polygon of each point in row i of (px, py) against polygon i of e.
+
+    Elementwise numpy with point_in_polygon's expressions in its order, so
+    every answer is the scalar function's: near an edge by
+    _point_segment_dist_sq, else the parity of the crossings to the right.
     """
-    inside = _containment_test(poly)
-    passes = 0
-    while True:
-        in_tl = inside((x_min, y_min))
-        in_tr = inside((x_max, y_min))
-        in_bl = inside((x_min, y_max))
-        in_br = inside((x_max, y_max))
-        if in_tl and in_tr and in_bl and in_br:
-            return Rect(x_min, y_min, x_max, y_max), passes
+    px = px[:, :, None]
+    py = py[:, :, None]
+    ax, ay, by, dx, dy, len_sq, real = (a[:, None, :] for a in e)
+    t = np.clip(((px - ax) * dx + (py - ay) * dy) / len_sq, 0.0, 1.0)
+    dist_sq = _squared(px - (ax + t * dx)) + _squared(py - (ay + t * dy))
+    near = ((dist_sq <= CONTAINMENT_EPS_PX * CONTAINMENT_EPS_PX) & real).any(axis=2)
+    straddle = (ay > py) != (by > py)
+    # dy is nonzero wherever an edge straddles; elsewhere any divisor will do
+    x_cross = ax + (py - ay) / np.where(straddle, dy, 1.0) * dx
+    return near | (np.count_nonzero(straddle & (x_cross > px), axis=2) % 2 == 1)
+
+
+# Python's max(lo, v) and min(hi, v) elementwise, down to the sign of a zero
+def _at_least(lo: float, v: np.ndarray) -> np.ndarray:
+    return np.where(v > lo, v, lo)
+
+
+def _at_most(hi: float, v: np.ndarray) -> np.ndarray:
+    return np.where(v < hi, v, hi)
+
+
+def inscribed_rects(
+    pieces: Sequence[Polygon], screen_w: float, screen_h: float
+) -> tuple[list[Rect | None], list[int]]:
+    """Largest-effort axis-aligned rectangles inside many polygons, searched in lockstep.
+
+    Each rect starts as its polygon's bounding box clamped to the screen.
+    One numpy pass tests the corners of every rect still shrinking and
+    moves the sides whose corner pair is not fully inside by SHRINK_STEP of
+    the rect's extent on that axis.  A search ends with its rect when all
+    four corners are inside, or with None once an extent is
+    MIN_RECT_EXTENT_PX or less or after MAX_SHRINK_PASSES.  Not the maximal
+    inscribed rectangle, but a cheap and stable one.  Returns the rects and
+    each search's passes; raises ValueError for fewer than 3 vertices.
+    """
+    if any(len(p) < 3 for p in pieces):
+        raise ValueError("polygon needs at least 3 vertices")
+    rects: list[Rect | None] = [None] * len(pieces)
+    if not pieces:
+        return rects, []
+    passes = np.zeros(len(pieces), dtype=int)
+    w, h = float(screen_w), float(screen_h)
+    loops = _EdgeLoops.of(pieces)
+    x_min = _at_least(0.0, loops.ax.min(axis=1))
+    y_min = _at_least(0.0, loops.ay.min(axis=1))
+    x_max = _at_most(w, loops.ax.max(axis=1))
+    y_max = _at_most(h, loops.ay.max(axis=1))
+    keep = (x_min < x_max) & (y_min < y_max)
+    idx = np.flatnonzero(keep)
+    n = 0
+    while idx.size:
+        x_min, y_min, x_max, y_max = x_min[keep], y_min[keep], x_max[keep], y_max[keep]
+        loops = _EdgeLoops(*(a[keep] for a in loops))
+        in_tl, in_tr, in_bl, in_br = _points_inside(
+            loops,
+            np.stack([x_min, x_max, x_min, x_max], axis=1),
+            np.stack([y_min, y_min, y_max, y_max], axis=1),
+        ).T
+        found = in_tl & in_tr & in_bl & in_br
+        boxes = np.stack([x_min, y_min, x_max, y_max], axis=1)[found]
+        for i, box in zip(idx[found].tolist(), boxes.tolist()):
+            rects[i] = Rect(*box)
+        passes[idx] = n
         dx = x_max - x_min
         dy = y_max - y_min
-        if dx <= MIN_RECT_EXTENT_PX or dy <= MIN_RECT_EXTENT_PX:
-            return None, passes
-        if passes >= MAX_SHRINK_PASSES:
-            return None, passes
-        if not (in_tl and in_bl):
-            x_min = max(0.0, x_min + SHRINK_STEP * dx)
-        if not (in_tr and in_br):
-            x_max = min(screen_w, x_max - SHRINK_STEP * dx)
-        if not (in_tl and in_tr):
-            y_min = max(0.0, y_min + SHRINK_STEP * dy)
-        if not (in_bl and in_br):
-            y_max = min(screen_h, y_max - SHRINK_STEP * dy)
-        passes += 1
+        keep = ~found & (dx > MIN_RECT_EXTENT_PX) & (dy > MIN_RECT_EXTENT_PX)
+        keep &= n < MAX_SHRINK_PASSES
+        x_min = np.where(in_tl & in_bl, x_min, _at_least(0.0, x_min + SHRINK_STEP * dx))
+        x_max = np.where(in_tr & in_br, x_max, _at_most(w, x_max - SHRINK_STEP * dx))
+        y_min = np.where(in_tl & in_tr, y_min, _at_least(0.0, y_min + SHRINK_STEP * dy))
+        y_max = np.where(in_bl & in_br, y_max, _at_most(h, y_max - SHRINK_STEP * dy))
+        idx = idx[keep]
+        n += 1
+    return rects, passes.tolist()
 
 
 def inscribed_rect(poly: Polygon, screen_w: float, screen_h: float) -> Rect | None:
-    """Largest-effort axis-aligned rectangle inside a polygon.
-
-    Starts from the polygon's bounding box clamped to the screen and shrinks
-    it conservatively until every corner lies inside the polygon.  Not the
-    maximal inscribed rectangle, but a cheap and stable approximation.
-    Returns None when the search degenerates below 1 px on either axis or
-    does not converge within the pass budget.
-    """
-    if len(poly) < 3:
-        raise ValueError("polygon needs at least 3 vertices")
-    xs = [p[0] for p in poly]
-    ys = [p[1] for p in poly]
-    x_min = max(0.0, min(xs))
-    x_max = min(float(screen_w), max(xs))
-    y_min = max(0.0, min(ys))
-    y_max = min(float(screen_h), max(ys))
-    if x_min >= x_max or y_min >= y_max:
-        return None
-    rect, _ = _conservative_shrink(x_min, y_min, x_max, y_max, poly, float(screen_w), float(screen_h))
-    return rect
+    """inscribed_rects for one polygon: its rect, or None."""
+    return inscribed_rects([poly], screen_w, screen_h)[0][0]

@@ -4,7 +4,8 @@ Chains the pieces together: resample a trace to the analysis rate, compute
 per-frame visible boxes, split them into life spans, keep the long ones as
 test opportunities, and intersect several runs of the same recording when
 more than one is available.  Frames pass through one loop (run_boxes) as
-they arrive, so a run costs memory for its boxes, not for its frames.
+they arrive, so a run costs memory for its boxes and for the pieces of one
+block of frames, not for its frames.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from .lifespan import (
 )
 from .metrics import VideoMetrics, compute_metrics
 from .trace import FrameRecord, PlaybackTrace, TraceValidationError, decimate
-from .visibility import analyze_frame
+from .visibility import SurfacePieces, fit_boxes, frame_pieces
 
 DEFAULT_ANALYSIS_FPS = 10.0
+BOX_BLOCK_FRAMES = 256  # kept frames whose pieces share one box search (fit_boxes)
 
 
 @dataclass(frozen=True)
@@ -59,10 +61,11 @@ class RunBoxes:
 def run_boxes(
     frames: Iterable[FrameRecord], source_fps: float, params: AnalysisParams = AnalysisParams()
 ) -> RunBoxes:
-    """The one frame loop: decimate, then find each kept frame's boxes as it arrives.
+    """The one frame loop: decimate, then find the kept frames' boxes a block at a time.
 
     frames may be a trace's tuple or a stream from iter_frames; no frame is
-    held after its boxes are found.  The boxes dict is keyed in order of
+    held after its pieces are found, and one fit_boxes call serves up to
+    BOX_BLOCK_FRAMES kept frames.  The boxes dict is keyed in order of
     first appearance; each value has one slot per kept frame, None where
     the trackable produced no usable box.
     """
@@ -79,17 +82,28 @@ def run_boxes(
 
     boxes: dict[str, list[Rect | None]] = {}
     timestamps: list[int] = []
+    block: list[list[SurfacePieces]] = []
+
+    def flush() -> None:
+        # a run has one screen (RunBoxes.screen), the first frame's
+        found = fit_boxes(block, first.screen_w, first.screen_h, params.min_visibility)
+        for idx, frame_boxes in enumerate(found, len(timestamps) - len(block)):
+            for vb in frame_boxes:
+                seq = boxes.get(vb.trackable_id)
+                if seq is None:
+                    seq = boxes[vb.trackable_id] = []
+                seq += [None] * (idx - len(seq))
+                seq.append(vb.box)
+        block.clear()
+
     for frame in decimate(full_trace(), source_fps, params.fps):
-        idx = len(timestamps)
-        for vb in analyze_frame(frame, min_visibility=params.min_visibility):
-            seq = boxes.get(vb.trackable_id)
-            if seq is None:
-                seq = boxes[vb.trackable_id] = []
-            seq += [None] * (idx - len(seq))
-            seq.append(vb.box)
+        block.append(frame_pieces(frame))
         timestamps.append(frame.timestamp_ms)
+        if len(block) == BOX_BLOCK_FRAMES:
+            flush()
     if first is None or last is None:
         raise TraceValidationError("cannot analyze an empty trace")
+    flush()
     for seq in boxes.values():
         seq += [None] * (len(timestamps) - len(seq))
     return RunBoxes(boxes, timestamps, (first.screen_w, first.screen_h), last.timestamp_ms)

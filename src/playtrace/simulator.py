@@ -139,6 +139,16 @@ def _integer(value: Any, what: str) -> int:
     return value
 
 
+def _intervals(values: Any, what: str) -> tuple[tuple[int, int], ...]:
+    """A JSON list of [start, end] integer pairs; anything else names what."""
+    if not isinstance(values, list):
+        raise SceneError(f"{what} must be a list of [start, end] pairs, got {values!r}")
+    for iv in values:
+        if not isinstance(iv, list) or len(iv) != 2:
+            raise SceneError(f"{what}: expected [start, end] pairs of integers, got {iv!r}")
+    return tuple((_integer(s, what), _integer(e, what)) for s, e in values)
+
+
 def _vec(values: Any, length: int, what: str) -> np.ndarray:
     """A JSON list of exactly length numbers as a read-only float array."""
     if not isinstance(values, list) or len(values) != length:
@@ -226,10 +236,7 @@ def _plane_from_dict(pd: dict) -> ScenePlane:
         extent_u=extent_u,
         extent_v=extent_v,
         detect_delay_ms=_integer(pd.get("detect_delay_ms", 0), f"{where} detect_delay_ms"),
-        lost_intervals=tuple(
-            (_integer(s, f"{where} lost_intervals"), _integer(e, f"{where} lost_intervals"))
-            for s, e in pd.get("lost_intervals", [])
-        ),
+        lost_intervals=_intervals(pd.get("lost_intervals", []), f"{where} lost_intervals"),
         local_vertices=(
             tuple(tuple(_vec(xz, 2, f"{where} verts").tolist()) for xz in pd["verts"])
             if "verts" in pd

@@ -366,16 +366,16 @@ def decimate(
 ) -> Iterator[FrameRecord]:
     """The frames that sample_frames keeps, yielded as they arrive.
 
-    Walks the frames keeping the first one at or after each sampling
-    deadline; deadlines advance in steps of 1000/target_fps from the start
-    of the trace.  When the target rate is at or above the source rate
-    every frame is kept.
+    Walks the frames keeping the first frame, then the first one at or
+    after each sampling deadline; deadlines are the multiples of
+    1000/target_fps ms.  When the target rate is at or above the source
+    rate every frame is kept.
     """
     if target_fps >= source_fps:
         yield from frames
         return
     period = 1000.0 / target_fps
-    deadline = 0.0
+    deadline = -math.inf
     for f in frames:
         if f.timestamp_ms >= deadline:
             yield f

@@ -4,25 +4,33 @@ Turns the trackables of one frame into screen-space candidate boxes: project
 the surface polygon, clip it to the screen, carve out anything hidden behind
 nearer surfaces, then fit a conservative axis-aligned box into what is left.
 A box survives only when it covers at least ``min_visibility`` of the screen.
+The box fitting is split off (frame_pieces, then fit_boxes) so that one
+inscribed_rects call can serve the pieces of many frames.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .geometry import (
     Point,
     Rect,
-    clip_polygon,
+    clip_by_loop,
+    clip_loop,
     clip_to_screen,
-    inscribed_rect,
+    inscribed_rects,
     rect_area,
     subtract_occluders,
 )
 from .lifespan import DEFAULT_MIN_VISIBILITY
 from .trace import FrameRecord, TrackableSnapshot, TrackingState
+
+# (trackable id, camera distance, visible convex pieces) of one surface in one frame
+SurfacePieces = tuple[str, float, list[list[Point]]]
 
 
 @dataclass(frozen=True)
@@ -73,23 +81,18 @@ def project_trackable(t: TrackableSnapshot, frame: FrameRecord) -> list[Point] |
     return pts
 
 
-def analyze_frame(
-    frame: FrameRecord, min_visibility: float = DEFAULT_MIN_VISIBILITY
-) -> list[VisibleBox]:
-    """Visible boxes for every tracked, camera-facing surface in a frame.
+def frame_pieces(frame: FrameRecord) -> list[SurfacePieces]:
+    """The visible pieces of each candidate surface in a frame, near to far.
 
     Surfaces that are PAUSED or STOPPED are ignored entirely.  Surfaces that
-    face away from the camera produce no box but still occlude: any TRACKING
+    face away from the camera get no entry but still occlude: any TRACKING
     projection nearer to the camera (by distance to the surface center) is
-    subtracted before the box is fitted.  Results keep the near-to-far
-    order in which they were computed.
+    subtracted from the on-screen polygon.  Ties in distance keep the
+    frame's trackable order.  An entry with no pieces is fully occluded.
     """
-    w, h = frame.screen_w, frame.screen_h
-    clip = screen_clip_polygon(w, h)
-    screen_px = float(w) * float(h)
+    screen = clip_loop(screen_clip_polygon(frame.screen_w, frame.screen_h))
     cam = frame.camera_position
 
-    # near-to-far candidates; ties keep the frame's trackable order
     candidates: list[tuple[float, TrackableSnapshot, list[Point]]] = []
     for t in frame.trackables:
         if t.tracking_state != TrackingState.TRACKING:
@@ -101,30 +104,49 @@ def analyze_frame(
         candidates.append((dist, t, poly))
     candidates.sort(key=lambda c: c[0])
 
-    boxes: list[VisibleBox] = []
+    found: list[SurfacePieces] = []
     for i, (dist, t, poly) in enumerate(candidates):
         if not facing_camera(t, cam):
             continue
-        on_screen = clip_polygon(poly, clip)
+        on_screen = clip_by_loop(poly, *screen)
         if len(on_screen) < 3:
             continue
         occluders = [p for d, _, p in candidates[:i] if d < dist]
-        pieces = subtract_occluders(on_screen, occluders)
-        best: Rect | None = None
-        for piece in pieces:
-            r = inscribed_rect(piece, w, h)
-            if r is not None and (best is None or rect_area(r) > rect_area(best)):
-                best = r
-        if best is None:
-            continue
-        ratio = rect_area(best) / screen_px
-        if ratio >= min_visibility:
-            boxes.append(
-                VisibleBox(
-                    trackable_id=t.trackable_id,
-                    box=best,
-                    visibility_ratio=ratio,
-                    camera_distance=dist,
-                )
-            )
-    return boxes
+        found.append((t.trackable_id, dist, subtract_occluders(on_screen, occluders)))
+    return found
+
+
+def fit_boxes(
+    frames: Sequence[list[SurfacePieces]], screen_w: int, screen_h: int, min_visibility: float
+) -> list[list[VisibleBox]]:
+    """Each frame's boxes from its frame_pieces, with one inscribed_rects over all their pieces.
+
+    A surface keeps the largest rect of its pieces (the first of equal
+    ones), and only when it covers at least min_visibility of the screen.
+    """
+    rects, _ = inscribed_rects([p for found in frames for _, _, ps in found for p in ps],
+                               screen_w, screen_h)
+    it = iter(rects)
+    screen_px = float(screen_w) * float(screen_h)
+    out: list[list[VisibleBox]] = []
+    for found in frames:
+        boxes: list[VisibleBox] = []
+        for tid, dist, pieces in found:
+            best: Rect | None = None
+            for r in itertools.islice(it, len(pieces)):
+                if r is not None and (best is None or rect_area(r) > rect_area(best)):
+                    best = r
+            if best is None:
+                continue
+            ratio = rect_area(best) / screen_px
+            if ratio >= min_visibility:
+                boxes.append(VisibleBox(tid, best, ratio, dist))
+        out.append(boxes)
+    return out
+
+
+def analyze_frame(
+    frame: FrameRecord, min_visibility: float = DEFAULT_MIN_VISIBILITY
+) -> list[VisibleBox]:
+    """Visible boxes for every tracked, camera-facing surface in a frame, near to far."""
+    return fit_boxes([frame_pieces(frame)], frame.screen_w, frame.screen_h, min_visibility)[0]

@@ -564,7 +564,7 @@ def sample_frames_reference(timestamps, source_fps, target_fps):
         return list(timestamps)
     period = 1000.0 / target_fps
     kept = []
-    deadline = 0.0
+    deadline = -math.inf
     for t in timestamps:
         if t >= deadline:
             kept.append(t)

@@ -108,16 +108,7 @@ def test_c2_inscribed_rectangle_containment():
             assert oracles.contains(poly, corner, eps=1e-6), (
                 f"corner {corner} outside polygon"
             )
-        xs = [p[0] for p in poly]
-        ys = [p[1] for p in poly]
-        _, passes = g._conservative_shrink(
-            max(0.0, min(xs)),
-            max(0.0, min(ys)),
-            min(float(SCREEN[0]), max(xs)),
-            min(float(SCREEN[1]), max(ys)),
-            poly,
-            *SCREEN,
-        )
+        (_,), (passes,) = g.inscribed_rects([poly], *SCREEN)
         worst_passes = max(worst_passes, passes)
         checked += 1
     ok = checked >= 100 and worst_passes <= 200

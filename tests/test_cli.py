@@ -9,6 +9,7 @@ import pytest
 
 from playtrace.cli import main, parse_mix
 from playtrace.reporting import load_report
+from playtrace.scenes import benchmark_scene
 from playtrace.scheduler import GestureKind, load_schedule, save_schedule, schedule_random
 from playtrace.simulator import (
     CameraKeyframe,
@@ -57,6 +58,29 @@ def trace_path(tmp_path):
     path = tmp_path / "run.jsonl"
     save_trace(generate_trace(_scene()), path)
     return path
+
+
+def test_analyze_keeps_frames_before_time_zero(tmp_path):
+    # the static-center recording shifted 30 s earlier: every frame has a negative t_ms
+    path = tmp_path / "run.jsonl"
+    save_trace(generate_trace(benchmark_scene("static-center")), path)
+    header, *frames = path.read_text(encoding="utf-8").splitlines()
+    shifted = tmp_path / "shifted.jsonl"
+    lines = [header]
+    for line in frames:
+        d = json.loads(line)
+        d["t_ms"] -= 30_000
+        lines.append(json.dumps(d))
+    shifted.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    reports = []
+    for p in (path, shifted):
+        assert main(["analyze", str(p), "--out", str(tmp_path / p.stem)]) == 0
+        reports.append(load_report(tmp_path / p.stem / "report.json")[0])
+    plain, early = reports
+    assert plain
+    assert [(o.trackable_id, o.stable_box, o.start_ms - 30_000, o.end_ms - 30_000) for o in plain] == [
+        (o.trackable_id, o.stable_box, o.start_ms, o.end_ms) for o in early
+    ]
 
 
 def test_parse_mix():
@@ -444,6 +468,20 @@ def _run_edited_scene(tmp_path, command, path, value):
 def test_scene_numbers_must_be_json_numbers(tmp_path, capsys, command, path, value, message):
     rc = _run_edited_scene(tmp_path, command, path, value)
     assert _assert_input_error(rc, capsys).startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ([[1000, 2000, 3000]], "plane 'table' lost_intervals: expected [start, end] pairs of integers"),
+        ([5], "plane 'table' lost_intervals: expected [start, end] pairs of integers"),
+        (5, "plane 'table' lost_intervals must be a list of [start, end] pairs"),
+    ],
+    ids=["triple", "bare-int", "not-a-list"],
+)
+def test_scene_lost_intervals_must_be_pairs(tmp_path, capsys, value, message):
+    rc = _run_edited_scene(tmp_path, "compare", ("planes", 0, "lost_intervals"), value)
+    assert _assert_input_error(rc, capsys).startswith(f"error: {message}, got ")
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from playtrace.geometry import (
     convex_pieces,
     convex_subtract,
     inscribed_rect,
+    inscribed_rects,
     is_convex,
     is_simple_polygon,
     line_param_t,
@@ -282,19 +283,61 @@ def test_inscribed_rect_random_stars():
 
 def test_shrink_pass_budget():
     poly = [(0.0, 0.0), (600.0, 0.0), (600.0, 400.0), (0.0, 400.0)]
-    rect, passes = g._conservative_shrink(0.0, 0.0, 600.0, 400.0, poly, 640.0, 480.0)
+    (rect,), (passes,) = inscribed_rects([poly], 640.0, 480.0)
     assert rect is not None
     assert passes == 0
     star = oracles.random_star(random.Random(3), (300.0, 240.0), 70.0, 200.0)
-    rect, passes = g._conservative_shrink(100.0, 40.0, 500.0, 440.0, star, 640.0, 480.0)
+    (rect,), (passes,) = inscribed_rects([star], 640.0, 480.0)
     assert passes <= g.MAX_SHRINK_PASSES
+    # a sliver across a huge screen never fits and shrinks 5 % a pass: the budget ends it
+    sliver = [(0.0, 0.0), (1e12, 1e12), (1e12, 1e12 - 1.0)]
+    (rect,), (passes,) = inscribed_rects([sliver], 1e12, 1e12)
+    assert rect is None and passes == g.MAX_SHRINK_PASSES
 
 
-# ------------------------------------------------ quick containment test
+def test_inscribed_rects_match_one_at_a_time():
+    rng = random.Random(17)
+    polys = [oracles.random_star(rng, (rng.uniform(0, 640), rng.uniform(0, 480)),
+                                 rng.uniform(1, 60), rng.uniform(60, 300), rng.randrange(5, 14))
+             for _ in range(40)]
+    polys += [SQUARE, L_SHAPE, [(700.0, 10.0), (720.0, 10.0), (720.0, 30.0)]]
+    rects, passes = inscribed_rects(polys, 640, 480)
+    assert rects == [oracles.inscribed_rect_pip(p, 640, 480) for p in polys]
+    assert rects == [inscribed_rect(p, 640, 480) for p in polys]
+    assert all(0 <= n <= g.MAX_SHRINK_PASSES for n in passes)
+    assert inscribed_rects([], 640, 480) == ([], [])
+    with pytest.raises(ValueError):
+        inscribed_rects([SQUARE, [(0.0, 0.0), (1.0, 1.0)]], 640, 480)
+
+
+def test_squared_is_python_pow():
+    # libm pow rounds this square differently from x * x
+    x = -917.4457982197728
+    assert x ** 2 != x * x
+    assert float(g._squared(np.array([x]))[0]) == x ** 2 == 841706.7926711161
+
+
+# ------------------------------------------------ batched containment test
+#
+# geometry._points_inside is point_in_polygon for many polygons and points
+# at once; these check it answers exactly as the scalar function, with
+# polygons of different sizes in one batch so that padding is exercised.
 
 PENTAGRAM = [(math.cos(a) * 100.0 + 300.0, math.sin(a) * 100.0 + 200.0)
              for a in (math.pi / 2 + k * 4.0 * math.pi / 5.0 for k in range(5))]
 OFFSETS_PX = (0.0, 0.5e-6, -0.5e-6, 1e-6, -1e-6, 3e-6, -3e-6)
+TRIANGLE = [(0.0, 0.0), (40.0, 0.0), (0.0, 30.0)]
+
+
+def _assert_batch_matches_scalar(polys, rng):
+    """_points_inside on every polygon's probe points at once equals point_in_polygon on each."""
+    probes = [_probe_points(poly, rng) for poly in polys]
+    k = max(len(p) for p in probes)
+    pts = np.array([p + [p[0]] * (k - len(p)) for p in probes])
+    inside = g._points_inside(g._EdgeLoops.of(polys), pts[:, :, 0], pts[:, :, 1])
+    for i, (poly, ps) in enumerate(zip(polys, probes)):
+        for j, p in enumerate(ps):
+            assert inside[i, j] == point_in_polygon(p, poly), (poly, p)
 
 
 def _probe_points(poly, rng):
@@ -336,33 +379,29 @@ def test_quick_containment_agrees_with_point_in_polygon(seed, shape, extra):
         poly.insert(k, (ax + 0.5 * (bx - ax), ay + 0.5 * (by - ay)))
     if rng.random() < 0.5:
         poly.reverse()
-    inside = g._containment_test(poly)
-    for p in _probe_points(poly, rng):
-        assert inside(p) == point_in_polygon(p, poly), (poly, p)
+    _assert_batch_matches_scalar([poly, PENTAGRAM, TRIANGLE], rng)
+
+
+def test_padding_edges_stay_out_of_the_distance_test():
+    # p is within 1e-6 px of the first vertex measured directly, but not as
+    # point_in_polygon measures it, along either edge through that vertex
+    tri = [(1150.3444973341238, 64.89852886639854), (779.2070117461626, 396.0442056789138),
+           (1003.6822760555453, -410.38105761907883)]
+    p = (1150.3444979997576, 64.89852961267714)
+    assert not point_in_polygon(p, tri)
+    # batched with a square, the triangle gets a zero-length edge at its first vertex
+    inside = g._points_inside(g._EdgeLoops.of([tri, SQUARE]),
+                              np.array([[p[0]], [5.0]]), np.array([[p[1]], [5.0]]))
+    assert inside[:, 0].tolist() == [False, True]
 
 
 @pytest.mark.parametrize("poly", [SQUARE, SQUARE_CW, L_SHAPE, STAR, PENTAGRAM],
                          ids=["square", "square-cw", "l-shape", "star", "pentagram"])
 def test_quick_containment_fixed_shapes(poly):
-    inside = g._containment_test(poly)
-    for p in _probe_points(poly, random.Random(5)):
-        assert inside(p) == point_in_polygon(p, poly), p
-
-
-def test_quick_containment_decides_clear_points(monkeypatch):
-    inside = g._containment_test(SQUARE)
+    _assert_batch_matches_scalar([poly, TRIANGLE, STAR], random.Random(5))
     # the pentagram's centre is wound twice: outside under the even-odd rule
-    in_pentagram = g._containment_test(PENTAGRAM)
-
-    def refuse(*_):
-        raise AssertionError("point_in_polygon called")
-
-    monkeypatch.setattr(g, "point_in_polygon", refuse)
-    assert inside((5.0, 5.0)) and inside((3e-6, 10.0 - 3e-6)) and inside((10.0, 0.0))
-    assert not inside((-3e-6, 5.0)) and not inside((10.0 + 3e-6, 10.0 + 3e-6))
-    assert not in_pentagram((300.0, 200.0))
-    with pytest.raises(AssertionError, match="point_in_polygon called"):
-        inside((1e-6, 5.0))  # within 2 eps of an edge: left to point_in_polygon
+    assert not g._points_inside(g._EdgeLoops.of([PENTAGRAM]), np.array([[300.0]]),
+                                np.array([[200.0]]))[0, 0]
 
 
 def _band_beside(poly, side, gap, depth):

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import oracles
+from playtrace import geometry as g
+from playtrace.pipeline import AnalysisParams, run_boxes
 from playtrace.scenes import benchmark_scene, benchmark_scenes
 from playtrace.simulator import generate_trace, perspective_matrix
 from playtrace.trace import (
@@ -20,6 +22,7 @@ from playtrace.trace import (
 from playtrace.visibility import (
     analyze_frame,
     facing_camera,
+    frame_pieces,
     project_trackable,
     screen_clip_polygon,
 )
@@ -220,3 +223,28 @@ def test_analyze_frame_matches_per_vertex_pipeline(tmp_path, scene):
         for tr in (trace, load_trace(path)):
             for i, f in enumerate(sample_frames(tr, 10.0).frames):
                 assert analyze_frame(f, 0.0) == oracles.analyze_frame_per_vertex(f, 0.0), i
+
+
+@pytest.mark.parametrize("scene", [s.name for s in benchmark_scenes()])
+def test_inscribed_rects_match_scalar_search_on_pack_pieces(scene):
+    sc = benchmark_scene(scene)
+    for seed in (1, 2):
+        trace = generate_trace(sc, jitter_seed=seed, jitter=sc.default_jitter)
+        pieces = [p for f in sample_frames(trace, 10.0).frames
+                  for _, _, ps in frame_pieces(f) for p in ps]
+        rects, passes = g.inscribed_rects(pieces, sc.screen_w, sc.screen_h)
+        assert rects == [oracles.inscribed_rect_pip(p, sc.screen_w, sc.screen_h) for p in pieces]
+        assert max(passes, default=0) <= g.MAX_SHRINK_PASSES
+
+
+def test_screen_clip_is_checked_once_per_frame(monkeypatch):
+    checked = []
+    real = g.is_convex
+    monkeypatch.setattr(g, "is_convex", lambda poly: checked.append(list(poly)) or real(poly))
+    planes = [_plane("a", (-0.6, 0.0, 0.0), 0.3, 0.3), _plane("b", (0.6, 0.0, 0.0), 0.3, 0.3),
+              _plane("c", (0.0, 0.5, 0.0), 0.2, 0.2)]
+    frames = [_frame(planes, t_ms=100 * k) for k in range(5)]
+    assert len(analyze_frame(frames[0], 0.0)) == 3
+    run = run_boxes(frames, 10.0, AnalysisParams(fps=10.0, min_visibility=0.0))
+    assert all(None not in boxes for boxes in run.boxes.values())
+    assert checked.count(screen_clip_polygon(W, H)) == 1 + len(frames)

@@ -3,11 +3,11 @@
 from .geometry import Rect, rect_area, rect_intersect
 from .lifespan import TestOpportunity, filter_by_duration, intersect_runs, life_spans
 from .metrics import VideoMetrics, compute_metrics
-from .pipeline import AnalysisParams, analyze_run, analyze_runs
+from .pipeline import AnalysisParams, analyze_boxes, run_boxes
 from .scheduler import EventSchedule, GestureEvent, GestureKind, schedule_guided, schedule_random
 from .simulator import Jitter, SimScene, execute_schedule, generate_trace, hit_test, load_scene
-from .trace import PlaybackTrace, load_trace, sample_frames, save_trace
-from .visibility import VisibleBox, analyze_frame
+from .trace import PlaybackTrace, load_trace, save_trace
+from .visibility import VisibleBox
 
 __version__ = "0.1.0"
 
@@ -23,9 +23,7 @@ __all__ = [
     "TestOpportunity",
     "VideoMetrics",
     "VisibleBox",
-    "analyze_frame",
-    "analyze_run",
-    "analyze_runs",
+    "analyze_boxes",
     "compute_metrics",
     "execute_schedule",
     "filter_by_duration",
@@ -37,7 +35,7 @@ __all__ = [
     "load_trace",
     "rect_area",
     "rect_intersect",
-    "sample_frames",
+    "run_boxes",
     "save_trace",
     "schedule_guided",
     "schedule_random",

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .lifespan import DEFAULT_MIN_LIFESPAN_S, DEFAULT_MIN_VISIBILITY
-from .pipeline import DEFAULT_ANALYSIS_FPS, AnalysisParams, analyze_boxes, analyze_runs, run_boxes
+from .pipeline import DEFAULT_ANALYSIS_FPS, AnalysisParams, RunBoxes, analyze_boxes, run_boxes
 from .reporting import dump_json, load_report, render_gantt, write_report
 from .scenes import benchmark_scenes
 from .scheduler import (
@@ -32,7 +32,9 @@ from .scheduler import (
     schedule_random,
 )
 from .simulator import (
+    Jitter,
     SceneError,
+    SimScene,
     execute_schedule,
     generate_trace,
     gsr_summary,
@@ -65,6 +67,14 @@ def parse_mix(text: str) -> dict[GestureKind, float]:
     return mix
 
 
+def _generated_runs(
+    scene: SimScene, jitter: Jitter, seed_base: int, runs: int, params: AnalysisParams
+) -> list[RunBoxes]:
+    """The boxes of runs rendered with jitter seeds seed_base, seed_base + 1, ..., one at a time."""
+    traces = (generate_trace(scene, seed_base + r, jitter) for r in range(runs))
+    return [run_boxes(t.frames, t.source_fps, params) for t in traces]
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     params = AnalysisParams(
         fps=args.fps,
@@ -84,10 +94,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         scene = scene_from_dict(meta["scene"])
         # the recorded jitter, which need not be the scene's default
         jitter = jitter_from_dict(meta.get("jitter", {}))
-        traces = (
-            generate_trace(scene, args.jitter_seed_base + r, jitter) for r in range(args.runs)
-        )
-        runs = [run_boxes(t.frames, t.source_fps, params) for t in traces]
+        runs = _generated_runs(scene, jitter, args.jitter_seed_base, args.runs, params)
     else:
         runs = [run_boxes(iter_frames(p), read_header(p)[0], params) for p in args.traces]
     per_run, final, metrics = analyze_boxes(runs, params)
@@ -95,8 +102,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     params_dict = {**dataclasses.asdict(params), "runs": len(runs)}
     write_report(final, params_dict, out / "report.json", metrics=metrics)
-    duration = max(max(r.duration_ms for r in runs), 1)
-    (out / "gantt.svg").write_text(render_gantt(final, duration), encoding="utf-8")
+    # the chart starts at 0 ms, or at the first frame when that is earlier
+    start = min(0, min(r.timestamps_ms[0] for r in runs))
+    end = max(max(r.duration_ms for r in runs), start + 1)
+    (out / "gantt.svg").write_text(render_gantt(final, end, start), encoding="utf-8")
     print(f"{len(final)} opportunities across {len(runs)} run(s) -> {out}")
     return 0
 
@@ -137,11 +146,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     pooled_guided = []
     pooled_random = []
     for seed in args.seeds:
-        traces = [
-            generate_trace(scene, seed * 100 + r, scene.default_jitter)
-            for r in range(args.runs)
-        ]
-        _per_run, final, _metrics = analyze_runs(traces, params)
+        runs = _generated_runs(scene, scene.default_jitter, seed * 100, args.runs, params)
+        _per_run, final, _metrics = analyze_boxes(runs, params)
         guided = schedule_guided(final, scene.duration_ms, seed)
         rand = schedule_random(
             (scene.screen_w, scene.screen_h), scene.duration_ms, seed

@@ -17,6 +17,7 @@ import numpy as np
 
 Point = tuple[float, float]
 Polygon = Sequence[Point]
+ClipLoop = tuple[float, list[tuple[Point, Point]]]  # (interior sign, edges): see clip_loop
 
 # Shared tolerances.
 CONTAINMENT_EPS_PX = 1e-6   # points within this distance of a boundary count as inside
@@ -261,13 +262,13 @@ def _clip_one_edge(poly: list[Point], a: Point, b: Point, sign: float) -> list[P
     return out
 
 
-def _winding_loop(poly: Polygon) -> tuple[float, list[tuple[Point, Point]]]:
+def _winding_loop(poly: Polygon) -> ClipLoop:
     """Sign of poly's signed area (0.0 below AREA_EPS_PX2) and its edges."""
     orient = signed_area(poly)
     return 0.0 if abs(orient) <= AREA_EPS_PX2 else math.copysign(1.0, orient), list(_edges(poly))
 
 
-def clip_loop(clip: Polygon) -> tuple[float, list[tuple[Point, Point]]]:
+def clip_loop(clip: Polygon) -> ClipLoop:
     """A convex clip polygon wound either way, checked once, as (interior sign, edges)."""
     if len(clip) < 3:
         raise ValueError("clip polygon needs at least 3 vertices")
@@ -569,8 +570,3 @@ def inscribed_rects(
         idx = idx[keep]
         n += 1
     return rects, passes.tolist()
-
-
-def inscribed_rect(poly: Polygon, screen_w: float, screen_h: float) -> Rect | None:
-    """inscribed_rects for one polygon: its rect, or None."""
-    return inscribed_rects([poly], screen_w, screen_h)[0][0]

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .geometry import Rect
+from .geometry import Rect, clip_loop
 from .lifespan import (
     DEFAULT_MIN_LIFESPAN_S,
     DEFAULT_MIN_VISIBILITY,
@@ -25,8 +25,8 @@ from .lifespan import (
     opportunity_sort_key,
 )
 from .metrics import VideoMetrics, compute_metrics
-from .trace import FrameRecord, PlaybackTrace, TraceValidationError, decimate
-from .visibility import SurfacePieces, fit_boxes, frame_pieces
+from .trace import FrameRecord, TraceValidationError, decimate
+from .visibility import SurfacePieces, fit_boxes, frame_pieces, screen_clip_polygon
 
 DEFAULT_ANALYSIS_FPS = 10.0
 BOX_BLOCK_FRAMES = 256  # kept frames whose pieces share one box search (fit_boxes)
@@ -67,7 +67,8 @@ def run_boxes(
     held after its pieces are found, and one fit_boxes call serves up to
     BOX_BLOCK_FRAMES kept frames.  The boxes dict is keyed in order of
     first appearance; each value has one slot per kept frame, None where
-    the trackable produced no usable box.
+    the trackable produced no usable box.  A run has one screen: a frame
+    whose screen differs from the first frame's is a ValueError.
     """
     first: FrameRecord | None = None
     last: FrameRecord | None = None
@@ -77,6 +78,11 @@ def run_boxes(
         for f in frames:
             if first is None:
                 first = f
+            elif (f.screen_w, f.screen_h) != (first.screen_w, first.screen_h):
+                raise ValueError(
+                    f"frame at {f.timestamp_ms} ms: screen {f.screen_w}x{f.screen_h} differs "
+                    f"from the first frame's {first.screen_w}x{first.screen_h}"
+                )
             last = f
             yield f
 
@@ -85,7 +91,6 @@ def run_boxes(
     block: list[list[SurfacePieces]] = []
 
     def flush() -> None:
-        # a run has one screen (RunBoxes.screen), the first frame's
         found = fit_boxes(block, first.screen_w, first.screen_h, params.min_visibility)
         for idx, frame_boxes in enumerate(found, len(timestamps) - len(block)):
             for vb in frame_boxes:
@@ -97,7 +102,9 @@ def run_boxes(
         block.clear()
 
     for frame in decimate(full_trace(), source_fps, params.fps):
-        block.append(frame_pieces(frame))
+        if not timestamps:  # the first kept frame is the first frame
+            screen_loop = clip_loop(screen_clip_polygon(frame.screen_w, frame.screen_h))
+        block.append(frame_pieces(frame, screen_loop))
         timestamps.append(frame.timestamp_ms)
         if len(block) == BOX_BLOCK_FRAMES:
             flush()
@@ -135,21 +142,3 @@ def analyze_boxes(
         per_run.append(opportunities)
     final = intersect_runs(per_run, screen, params.min_visibility, params.min_lifespan_s)
     return per_run, final, compute_metrics(per_run, screen)
-
-
-def analyze_run(
-    trace: PlaybackTrace, params: AnalysisParams = AnalysisParams()
-) -> list[TestOpportunity]:
-    """Test opportunities of a single trace."""
-    return analyze_runs([trace], params)[0][0]
-
-
-def analyze_runs(
-    traces: Sequence[PlaybackTrace], params: AnalysisParams = AnalysisParams()
-) -> tuple[list[list[TestOpportunity]], list[TestOpportunity], VideoMetrics]:
-    """analyze_boxes over in-memory traces, one run each."""
-    # trace files are checked as they are read; a whole trace in memory is checked here
-    screens = sorted({(f.screen_w, f.screen_h) for t in traces for f in t.frames})
-    if len(screens) > 1:
-        raise ValueError(f"runs must share one screen size, got {screens}")
-    return analyze_boxes([run_boxes(t.frames, t.source_fps, params) for t in traces], params)

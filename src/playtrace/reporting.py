@@ -59,21 +59,21 @@ def _tick_step_ms(duration_ms: int) -> int:
     return 600_000
 
 
-def render_gantt(opportunities: Sequence[TestOpportunity], duration_ms: int) -> str:
-    """Timeline SVG: one lane per trackable, one block per opportunity.
+def render_gantt(opportunities: Sequence[TestOpportunity], end_ms: int, start_ms: int = 0) -> str:
+    """Timeline SVG over [start_ms, end_ms]: one lane per trackable, one block per opportunity.
 
     Block x extents are linear in time over the chart width, so block
     widths are proportional to opportunity durations.  Blocks carry
     class="block" plus data attributes with their raw timing, which keeps
     the output machine-checkable.
     """
-    if duration_ms <= 0:
-        raise ValueError("duration_ms must be positive")
+    if end_ms <= start_ms:
+        raise ValueError(f"the chart must end after it starts, got [{start_ms}, {end_ms}] ms")
     lanes = _lane_order(opportunities)
     lane_index = {tid: i for i, tid in enumerate(lanes)}
     height = _MARGIN_TOP + max(1, len(lanes)) * (_LANE_HEIGHT + _LANE_GAP) + _MARGIN_BOTTOM
     width = _MARGIN_LEFT + CHART_WIDTH_PX + _MARGIN_RIGHT
-    scale = CHART_WIDTH_PX / duration_ms
+    scale = CHART_WIDTH_PX / (end_ms - start_ms)
 
     parts: list[str] = []
     parts.append(
@@ -88,10 +88,10 @@ def render_gantt(opportunities: Sequence[TestOpportunity], duration_ms: int) -> 
         f'<line x1="{_MARGIN_LEFT}" y1="{axis_y}" x2="{_MARGIN_LEFT + CHART_WIDTH_PX}" '
         f'y2="{axis_y}" stroke="#333" stroke-width="1"/>'
     )
-    step = _tick_step_ms(duration_ms)
-    t = 0
-    while t <= duration_ms:
-        x = _MARGIN_LEFT + t * scale
+    step = _tick_step_ms(end_ms - start_ms)
+    t = -(-start_ms // step) * step  # the first whole step at or after the start
+    while t <= end_ms:
+        x = _MARGIN_LEFT + (t - start_ms) * scale
         parts.append(
             f'<line x1="{_fmt(x)}" y1="{axis_y}" x2="{_fmt(x)}" y2="{axis_y + 5}" '
             f'stroke="#333" stroke-width="1"/>'
@@ -110,7 +110,7 @@ def render_gantt(opportunities: Sequence[TestOpportunity], duration_ms: int) -> 
     for o in ordered:
         idx = lane_index[o.trackable_id]
         y = _MARGIN_TOP + idx * (_LANE_HEIGHT + _LANE_GAP)
-        x = _MARGIN_LEFT + o.start_ms * scale
+        x = _MARGIN_LEFT + (o.start_ms - start_ms) * scale
         w = (o.end_ms - o.start_ms) * scale
         color = PALETTE[idx % len(PALETTE)]
         box = o.stable_box

@@ -17,14 +17,16 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .geometry import Rect
 from .lifespan import TestOpportunity, opportunity_sort_key
 from .reporting import dump_json, load_json
+from .trace import MAX_T_MS, json_numbers
 
 
 class GestureKind(str, Enum):
@@ -52,6 +54,7 @@ DEFAULT_DURATIONS_MS: dict[GestureKind, int] = {
 }
 
 DEFAULT_MIN_GAP_MS = 100
+MAX_SCHEDULE_STEPS = 1_000_000  # clock steps one schedule may walk: 27.8 h at a 100 ms gap
 BOX_INSET_FRACTION = 0.05   # touches stay this far (fractionally) inside the box
 _TRACK_SAMPLES = 8
 # offset separating the placement stream from the kind stream for one seed
@@ -204,6 +207,12 @@ def _clocked_walk(
     """
     if not min_gap_ms > 0:
         raise ValueError(f"min_gap_ms must be positive, got {min_gap_ms}")
+    # ceiling division, which stays exact for an integer horizon of any size
+    if -(-duration_ms // min_gap_ms) > MAX_SCHEDULE_STEPS:
+        raise ValueError(
+            f"duration_ms {duration_ms} and min_gap_ms {min_gap_ms} make more than "
+            f"{MAX_SCHEDULE_STEPS} steps, the budget for one schedule"
+        )
     mix = _validate_mix(mix or DEFAULT_MIX)
     kind_rng = random.Random(seed)
     place_rng = random.Random(seed + _PLACEMENT_STREAM_OFFSET)
@@ -289,25 +298,49 @@ def schedule_to_dict(schedule: EventSchedule) -> dict:
     }
 
 
+def _time(v: Any, what: str) -> int:
+    if type(v) is not int or abs(v) > MAX_T_MS:
+        raise ValueError(f"{what} must be a JSON integer of at most {MAX_T_MS} in size, got {v!r}")
+    return v
+
+
+def _coordinate(v: Any, what: str) -> float:
+    # compared exactly, so NaN and an integer too large for a float both fail
+    if not (json_numbers([v]) and abs(v) <= sys.float_info.max):
+        raise ValueError(f"{what} must be a finite JSON number, got {v!r}")
+    return float(v)
+
+
+def _event_from_dict(ed: dict) -> GestureEvent:
+    t = ed["t"]
+    if not isinstance(t, list) or len(t) != 2:
+        raise ValueError(f"t must be [t_start, t_end], got {t!r}")
+    t_start, t_end = _time(t[0], "t_start"), _time(t[1], "t_end")
+    if t_start > t_end:
+        raise ValueError(f"t_start {t_start} is after t_end {t_end}")
+    tracks = tuple(
+        tuple((_time(pt, "track time"), _coordinate(x, "track x"), _coordinate(y, "track y"))
+              for pt, x, y in track)
+        for track in ed["tracks"]
+    )
+    if not tracks or not all(tracks):
+        raise ValueError("tracks must be a non-empty list of non-empty tracks")
+    return GestureEvent(GestureKind(ed["kind"]), t_start, t_end, tracks, ed.get("target"))
+
+
 def schedule_from_dict(d: dict) -> EventSchedule:
+    """A schedule from its JSON form, checked event by event as it enters."""
+    where = ""
     try:
         mix = {GestureKind(k): float(v) for k, v in d["mix"].items()}
-        events = tuple(
-            GestureEvent(
-                kind=GestureKind(ed["kind"]),
-                t_start_ms=int(ed["t"][0]),
-                t_end_ms=int(ed["t"][1]),
-                tracks=tuple(
-                    tuple((int(t), float(x), float(y)) for t, x, y in track)
-                    for track in ed["tracks"]
-                ),
-                target_id=ed.get("target"),
-            )
-            for ed in d["events"]
-        )
-        return EventSchedule(str(d["generator"]), int(d["seed"]), mix, events)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ValueError(f"malformed schedule: {exc}") from None
+        generator, seed = str(d["generator"]), int(d["seed"])
+        events = []
+        for i, ed in enumerate(d["events"]):
+            where = f"event {i}: "
+            events.append(_event_from_dict(ed))
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+        raise ValueError(f"malformed schedule: {where}{exc}") from None
+    return EventSchedule(generator, seed, mix, tuple(events))
 
 
 def save_schedule(schedule: EventSchedule, path: str | Path) -> None:

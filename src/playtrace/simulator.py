@@ -18,9 +18,11 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from .geometry import PARALLEL_EPS
 from .reporting import dump_json, load_json
 from .scheduler import EventSchedule, GestureEvent, GestureKind
 from .trace import (
+    UNIT_EPS,
     FrameRecord,
     PlaybackTrace,
     TrackableSnapshot,
@@ -29,7 +31,6 @@ from .trace import (
 )
 
 _HIT_EPS_M = 1e-9         # slack when testing a hit point against surface bounds
-_RAY_PARALLEL_EPS = 1e-12
 MIN_PATH_SAMPLES = 10     # gesture paths are checked at no fewer points than this
 MAX_SCENE_FRAMES = 1_000_000  # frames one rendered trace may hold: 9.3 h at 30 fps
 
@@ -112,7 +113,7 @@ class SimScene:
 
 def _unit(v: np.ndarray, what: str) -> np.ndarray:
     n = float(np.linalg.norm(v))
-    if abs(n - 1.0) > 1e-6:
+    if abs(n - 1.0) > UNIT_EPS:
         raise SceneError(f"{what} must be unit length, |v|={n:.8f}")
     return v
 
@@ -203,7 +204,7 @@ def validate_scene(scene: SimScene) -> SimScene:
             (p.axis_v, p.normal, "axis_v/normal"),
             (p.axis_u, p.axis_v, "axis_u/axis_v"),
         ):
-            if abs(float(np.dot(a, b))) > 1e-6:
+            if abs(float(np.dot(a, b))) > UNIT_EPS:
                 raise SceneError(f"plane '{p.plane_id}': {names} must be orthogonal")
         if p.extent_u <= 0 or p.extent_v <= 0:
             raise SceneError(f"plane '{p.plane_id}': extents must be positive")
@@ -360,9 +361,9 @@ def _look_at_rows(eye: np.ndarray, target: np.ndarray, up: np.ndarray) -> np.nda
         s = _cross_rows(f, up)
         sn = np.sqrt(_dot_rows(s, s))
         s = s / sn[:, None]
-    bad = np.flatnonzero((fn < 1e-12) | (sn < 1e-12))
+    bad = np.flatnonzero((fn < PARALLEL_EPS) | (sn < PARALLEL_EPS))
     if bad.size:
-        if fn[bad[0]] < 1e-12:
+        if fn[bad[0]] < PARALLEL_EPS:
             raise SceneError("camera position and look-at target coincide")
         raise SceneError("camera up vector is parallel to the view direction")
     u = _cross_rows(s, f)
@@ -523,7 +524,7 @@ def _cast(
         to_plane = _dot_rows(np.broadcast_to(plane.normal, eyes.shape), plane.center - eyes)
         with np.errstate(divide="ignore", invalid="ignore"):
             t_ray = to_plane[inverse][:, None] / denom
-        valid = (np.abs(denom) > _RAY_PARALLEL_EPS) & (t_ray > _RAY_PARALLEL_EPS)
+        valid = (np.abs(denom) > PARALLEL_EPS) & (t_ray > PARALLEL_EPS)
         if not np.any(valid):
             continue
         rel = eye + dirs * t_ray[..., None] - plane.center

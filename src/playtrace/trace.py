@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable, Iterator, TextIO
@@ -81,6 +81,7 @@ class PlaybackTrace:
 _NUMBER_TYPES = {float, int}
 MAX_SCREEN_PX = 2**31 - 1
 MAX_T_MS = 2**53     # larger integers do not survive the float arithmetic of sampling
+UNIT_EPS = 1e-6      # tolerance of unit-length and orthogonality checks on direction vectors
 
 
 def json_numbers(values: list) -> bool:
@@ -205,7 +206,7 @@ def _frame_from_dict(d: dict, where: str) -> FrameRecord:
             raise TraceValidationError(f"{tw}: polygon must be simple (no self-intersection)")
         normal = arr[o:o + 3]
         norm_len = math.sqrt(normal.dot(normal))  # np.linalg.norm's sum, without its overhead
-        if abs(norm_len - 1.0) > 1e-6:
+        if abs(norm_len - 1.0) > UNIT_EPS:
             raise TraceValidationError(f"{tw}: normal must be unit length, got |n|={norm_len:.8f}")
         trackables.append(TrackableSnapshot(
             trackable_id=tid,
@@ -286,11 +287,7 @@ def _header(objects: Iterator[tuple[str, dict]], name: str) -> tuple[float, dict
     if obj.get("version") != TRACE_VERSION:
         raise TraceValidationError(f"{where}: unsupported version {obj.get('version')!r}")
     fps = obj.get("fps")
-    if (
-        isinstance(fps, bool)
-        or not isinstance(fps, (int, float))
-        or not 0 < fps <= sys.float_info.max
-    ):
+    if not (json_numbers([fps]) and 0 < fps <= sys.float_info.max):
         raise TraceValidationError(f"{where}: fps must be a positive number")
     meta = obj.get("meta", {})
     if not isinstance(meta, dict):
@@ -364,7 +361,7 @@ def save_trace(trace: PlaybackTrace, path: str | Path) -> None:
 def decimate(
     frames: Iterable[FrameRecord], source_fps: float, target_fps: float
 ) -> Iterator[FrameRecord]:
-    """The frames that sample_frames keeps, yielded as they arrive.
+    """Decimate frames to roughly target_fps without interpolating, as they arrive.
 
     Walks the frames keeping the first frame, then the first one at or
     after each sampling deadline; deadlines are the multiples of
@@ -380,19 +377,3 @@ def decimate(
         if f.timestamp_ms >= deadline:
             yield f
             deadline = (math.floor(f.timestamp_ms / period) + 1.0) * period
-
-
-def sample_frames(trace: PlaybackTrace, target_fps: float) -> PlaybackTrace:
-    """Decimate a trace to roughly target_fps without interpolating (see decimate).
-
-    When the target rate is at or above the source rate the trace is
-    returned unchanged.
-    """
-    if target_fps <= 0:
-        raise ValueError("target_fps must be positive")
-    if not trace.frames:
-        raise TraceValidationError("cannot sample an empty trace")
-    if target_fps >= trace.source_fps:
-        return trace
-    selected = tuple(decimate(trace.frames, trace.source_fps, target_fps))
-    return replace(trace, frames=selected, source_fps=target_fps)

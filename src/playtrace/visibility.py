@@ -17,16 +17,15 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (
+    ClipLoop,
     Point,
     Rect,
     clip_by_loop,
-    clip_loop,
     clip_to_screen,
     inscribed_rects,
     rect_area,
     subtract_occluders,
 )
-from .lifespan import DEFAULT_MIN_VISIBILITY
 from .trace import FrameRecord, TrackableSnapshot, TrackingState
 
 # (trackable id, camera distance, visible convex pieces) of one surface in one frame
@@ -81,7 +80,7 @@ def project_trackable(t: TrackableSnapshot, frame: FrameRecord) -> list[Point] |
     return pts
 
 
-def frame_pieces(frame: FrameRecord) -> list[SurfacePieces]:
+def frame_pieces(frame: FrameRecord, screen: ClipLoop) -> list[SurfacePieces]:
     """The visible pieces of each candidate surface in a frame, near to far.
 
     Surfaces that are PAUSED or STOPPED are ignored entirely.  Surfaces that
@@ -89,8 +88,8 @@ def frame_pieces(frame: FrameRecord) -> list[SurfacePieces]:
     projection nearer to the camera (by distance to the surface center) is
     subtracted from the on-screen polygon.  Ties in distance keep the
     frame's trackable order.  An entry with no pieces is fully occluded.
+    screen is the clip_loop of the frame's screen_clip_polygon, built once per run.
     """
-    screen = clip_loop(screen_clip_polygon(frame.screen_w, frame.screen_h))
     cam = frame.camera_position
 
     candidates: list[tuple[float, TrackableSnapshot, list[Point]]] = []
@@ -143,10 +142,3 @@ def fit_boxes(
                 boxes.append(VisibleBox(tid, best, ratio, dist))
         out.append(boxes)
     return out
-
-
-def analyze_frame(
-    frame: FrameRecord, min_visibility: float = DEFAULT_MIN_VISIBILITY
-) -> list[VisibleBox]:
-    """Visible boxes for every tracked, camera-facing surface in a frame, near to far."""
-    return fit_boxes([frame_pieces(frame)], frame.screen_w, frame.screen_h, min_visibility)[0]

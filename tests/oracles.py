@@ -518,7 +518,7 @@ def subtract_occluders_unskipped(subject, occluders):
 
 
 def analyze_frame_per_vertex(frame, min_visibility):
-    """analyze_frame over the three loops above, in the same near-to-far order."""
+    """frame_boxes over the three loops above, in the same near-to-far order."""
     from playtrace import geometry as g
     from playtrace.trace import TrackingState
     from playtrace.visibility import VisibleBox, facing_camera, screen_clip_polygon
@@ -554,12 +554,12 @@ def analyze_frame_per_vertex(frame, min_visibility):
 
 # ------------------------------------------------------------ eager analysis
 # `analyze` as it was before frames were streamed: every trace loaded whole,
-# then decimated into a second tuple, then every kept frame analysed into
-# boxes laid out one slot per frame.  The per-frame and per-span kernels are
-# the package's own; only the order of the work differs.
+# then decimated into a second list, then every kept frame analysed alone
+# into boxes laid out one slot per frame.  The per-frame and per-span kernels
+# are the package's own; only the order of the work differs.
 
-def sample_frames_reference(timestamps, source_fps, target_fps):
-    """The timestamps sample_frames keeps, by its documented deadline walk."""
+def decimate_reference(timestamps, source_fps, target_fps):
+    """The timestamps decimate keeps, by its documented deadline walk."""
     if target_fps >= source_fps:
         return list(timestamps)
     period = 1000.0 / target_fps
@@ -572,24 +572,33 @@ def sample_frames_reference(timestamps, source_fps, target_fps):
     return kept
 
 
+def frame_boxes(frame, min_visibility):
+    """The visible boxes of one frame on its own: frame_pieces, then a one-frame fit_boxes."""
+    from playtrace.geometry import clip_loop
+    from playtrace.visibility import fit_boxes, frame_pieces, screen_clip_polygon
+
+    w, h = frame.screen_w, frame.screen_h
+    pieces = frame_pieces(frame, clip_loop(screen_clip_polygon(w, h)))
+    return fit_boxes([pieces], w, h, min_visibility)[0]
+
+
 def analyze_eager(traces, params):
     """(surviving opportunities, metrics, Gantt duration) of whole in-memory traces."""
     from playtrace.lifespan import filter_by_duration, intersect_runs, life_spans, opportunity_sort_key
     from playtrace.metrics import compute_metrics
-    from playtrace.trace import sample_frames
-    from playtrace.visibility import analyze_frame
+    from playtrace.trace import decimate
 
     screens = sorted({(f.screen_w, f.screen_h) for t in traces for f in t.frames})
     assert len(screens) == 1, screens
     per_run = []
     for trace in traces:
-        sampled = sample_frames(trace, params.fps)
-        n = len(sampled.frames)
+        sampled = list(decimate(trace.frames, trace.source_fps, params.fps))
+        n = len(sampled)
         sequences = {}
-        for idx, frame in enumerate(sampled.frames):
-            for vb in analyze_frame(frame, min_visibility=params.min_visibility):
+        for idx, frame in enumerate(sampled):
+            for vb in frame_boxes(frame, min_visibility=params.min_visibility):
                 sequences.setdefault(vb.trackable_id, [None] * n)[idx] = vb.box
-        timestamps = [f.timestamp_ms for f in sampled.frames]
+        timestamps = [f.timestamp_ms for f in sampled]
         opps = []
         for tid, boxes in sequences.items():
             spans = life_spans(boxes, screens[0], params.min_visibility)

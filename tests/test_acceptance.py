@@ -18,9 +18,9 @@ import pytest
 import oracles
 from playtrace import geometry as g
 from playtrace.cli import main as cli_main
-from playtrace.geometry import clip_polygon, inscribed_rect, polygon_area
+from playtrace.geometry import clip_polygon, polygon_area
 from playtrace.lifespan import life_spans
-from playtrace.pipeline import AnalysisParams, analyze_run, analyze_runs
+from playtrace.pipeline import AnalysisParams, analyze_boxes, run_boxes
 from playtrace.scenes import benchmark_scene, benchmark_scenes
 from playtrace.scheduler import GestureKind, schedule_guided, schedule_random
 from playtrace.simulator import (
@@ -30,11 +30,16 @@ from playtrace.simulator import (
     hit_test_batch,
     save_scene,
 )
-from playtrace.trace import sample_frames, save_trace
+from playtrace.trace import save_trace
 
 SCREEN = (1920, 1080)
 COVERAGE_EXEMPT = 0.40
 MULTI_FINGER = (GestureKind.PINCH, GestureKind.ROTATE)
+
+
+def _analyze(traces, params=AnalysisParams()):
+    """(per-run opportunities, surviving opportunities, metrics) of in-memory traces."""
+    return analyze_boxes([run_boxes(t.frames, t.source_fps, params) for t in traces], params)
 
 
 def _report(n: int, ok: bool, detail: str) -> str:
@@ -101,14 +106,13 @@ def test_c2_inscribed_rectangle_containment():
         cx = rng.uniform(r_hi + 10.0, SCREEN[0] - r_hi - 10.0)
         cy = rng.uniform(r_hi + 10.0, SCREEN[1] - r_hi - 10.0)
         poly = oracles.random_star(rng, (cx, cy), r_lo, r_hi, rng.randrange(6, 16))
-        rect = inscribed_rect(poly, *SCREEN)
+        (rect,), (passes,) = g.inscribed_rects([poly], *SCREEN)
         assert rect is not None, "no rectangle found in a star with a fat kernel"
         assert rect.width > 0 and rect.height > 0
         for corner in rect.corners():
             assert oracles.contains(poly, corner, eps=1e-6), (
                 f"corner {corner} outside polygon"
             )
-        (_,), (passes,) = g.inscribed_rects([poly], *SCREEN)
         worst_passes = max(worst_passes, passes)
         checked += 1
     ok = checked >= 100 and worst_passes <= 200
@@ -206,11 +210,11 @@ def test_c4_threshold_monotonicity():
         for trace in variants:
             traces_checked += 1
             by_vis = {
-                mv: analyze_run(trace, AnalysisParams(min_visibility=mv))
+                mv: _analyze([trace], AnalysisParams(min_visibility=mv))[1]
                 for mv in (0.05, 0.10, 0.20)
             }
             by_life = {
-                ls: analyze_run(trace, AnalysisParams(min_lifespan_s=ls))
+                ls: _analyze([trace], AnalysisParams(min_lifespan_s=ls))[1]
                 for ls in (1.0, 2.0, 3.0)
             }
             for strict, loose in (
@@ -253,9 +257,9 @@ def test_c5_stable_boxes_land_on_their_planes():
     misses = []
     for scene in benchmark_scenes():
         trace = generate_trace(scene, 0, Jitter())
-        sampled = sample_frames(trace, params.fps)
-        times = [f.timestamp_ms for f in sampled.frames]
-        for opp in analyze_run(trace, params):
+        run = run_boxes(trace.frames, trace.source_fps, params)
+        times = run.timestamps_ms
+        for opp in analyze_boxes([run], params)[1]:
             opportunities += 1
             pts = _grid_points(opp.stable_box)
             for idx in opp.frame_indices:
@@ -313,7 +317,7 @@ def benchmark_sweep():
                 generate_trace(scene, seed * 100 + r, scene.default_jitter)
                 for r in range(3)
             ]
-            _per_run, final, _metrics = analyze_runs(traces, AnalysisParams())
+            _per_run, final, _metrics = _analyze(traces)
             guided = schedule_guided(final, scene.duration_ms, seed)
             rand = schedule_random(
                 (scene.screen_w, scene.screen_h), scene.duration_ms, seed
@@ -459,12 +463,12 @@ def test_c8_cli_outputs_are_byte_identical(tmp_path):
 def test_c9_stability_metric_tracks_run_agreement():
     scene = benchmark_scene("noisy-trio")
     clean = generate_trace(scene, 1, Jitter())
-    _, _, metrics_same = analyze_runs([clean, clean, clean], AnalysisParams())
+    _, _, metrics_same = _analyze([clean, clean, clean])
     flaky = Jitter(
         vertex_noise_m=scene.default_jitter.vertex_noise_m, dropout_prob=0.10
     )
     flaky_traces = [generate_trace(scene, 100 + r, flaky) for r in range(3)]
-    _, _, metrics_flaky = analyze_runs(flaky_traces, AnalysisParams())
+    _, _, metrics_flaky = _analyze(flaky_traces)
     same = metrics_same.mutual_stability
     degraded = metrics_flaky.mutual_stability
     ok = same == 1.0 and degraded is not None and degraded < 1.0

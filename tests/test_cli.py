@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import signal
 
 import numpy as np
@@ -60,8 +61,8 @@ def trace_path(tmp_path):
     return path
 
 
-def test_analyze_keeps_frames_before_time_zero(tmp_path):
-    # the static-center recording shifted 30 s earlier: every frame has a negative t_ms
+def _static_center_and_shifted(tmp_path):
+    """The static-center recording, and the same recording shifted 30 s earlier."""
     path = tmp_path / "run.jsonl"
     save_trace(generate_trace(benchmark_scene("static-center")), path)
     header, *frames = path.read_text(encoding="utf-8").splitlines()
@@ -72,15 +73,32 @@ def test_analyze_keeps_frames_before_time_zero(tmp_path):
         d["t_ms"] -= 30_000
         lines.append(json.dumps(d))
     shifted.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    reports = []
     for p in (path, shifted):
         assert main(["analyze", str(p), "--out", str(tmp_path / p.stem)]) == 0
-        reports.append(load_report(tmp_path / p.stem / "report.json")[0])
-    plain, early = reports
+    return tmp_path / path.stem, tmp_path / shifted.stem
+
+
+def test_analyze_keeps_frames_before_time_zero(tmp_path):
+    # every frame of the shifted recording has a negative t_ms
+    plain, early = (load_report(out / "report.json")[0] for out in _static_center_and_shifted(tmp_path))
     assert plain
     assert [(o.trackable_id, o.stable_box, o.start_ms - 30_000, o.end_ms - 30_000) for o in plain] == [
         (o.trackable_id, o.stable_box, o.start_ms, o.end_ms) for o in early
     ]
+
+
+def test_gantt_of_frames_before_time_zero_stays_in_the_chart(tmp_path):
+    # the chart starts at the first frame when that is before 0 ms
+    block = re.compile(r'<rect class="block"[^>]* x="([-\d.]+)" y="\d+" width="([\d.]+)"')
+    plain, early = (
+        block.findall((out / "gantt.svg").read_text(encoding="utf-8"))
+        for out in _static_center_and_shifted(tmp_path)
+    )
+    assert len(early) == 1
+    x, width = map(float, early[0])
+    assert early[0][1] == "971.60"
+    assert 150 <= x and x + width <= 1150
+    assert early == plain
 
 
 def test_parse_mix():
@@ -351,6 +369,73 @@ def test_simulate_runs_schedule(tmp_path, trace_path):
     d = json.loads(result.read_text())
     assert d["gsr"]["overall"] == 1.0
     assert all(o["success"] for o in d["outcomes"])
+
+
+def _set_track_x(value):
+    def edit(ev):
+        ev["tracks"][0][0][1] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda ev: ev.update(t=[100, 50]), "t_start 100 is after t_end 50"),
+        (lambda ev: ev.update(t=["0", "50"]), "t_start must be a JSON integer"),
+        (lambda ev: ev.update(t=[True, 50]), "t_start must be a JSON integer"),
+        (lambda ev: ev.update(t=[0, 50.7]), "t_end must be a JSON integer"),
+        (lambda ev: ev["tracks"][0][0].__setitem__(0, 10**400), "track time must be a JSON integer"),
+        (_set_track_x(10**400), "track x must be a finite JSON number"),
+        (_set_track_x(float("nan")), "track x must be a finite JSON number, got nan"),
+        (_set_track_x(float("inf")), "track x must be a finite JSON number, got inf"),
+        (lambda ev: ev.update(tracks=[]), "tracks must be a non-empty list of non-empty tracks"),
+        (lambda ev: ev.update(tracks=[[]]), "tracks must be a non-empty list of non-empty tracks"),
+    ],
+    ids=["t-inverted", "t-str", "t-bool", "t-float", "track-time-huge", "x-huge", "x-nan",
+         "x-inf", "no-tracks", "empty-track"],
+)
+def test_simulate_rejects_malformed_schedule(tmp_path, capsys, edit, message):
+    scene_path = tmp_path / "scene.json"
+    save_scene(_scene(), scene_path)
+    sched_path = tmp_path / "random.json"
+    save_schedule(schedule_random((1920, 1080), 6000, 0), sched_path)
+    d = json.loads(sched_path.read_text())
+    edit(d["events"][0])
+    sched_path.write_text(json.dumps(d))
+    out = tmp_path / "o.json"
+    rc = main(["simulate", str(scene_path), "--schedule", str(sched_path), "--out", str(out)])
+    err = _assert_input_error(rc, capsys)
+    assert err.startswith(f"error: malformed schedule: event 0: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["duration-ms", "report-end-ms"])
+def test_schedule_horizon_budget(tmp_path, trace_path, capsys, source):
+    out = tmp_path / "analysis"
+    assert main(["analyze", str(trace_path), "--out", str(out)]) == 0
+    argv = ["schedule", str(out / "report.json"), "--out", str(tmp_path / "guided.json")]
+    if source == "duration-ms":
+        argv += ["--duration-ms", "100000000000"]
+    else:
+        report = json.loads((out / "report.json").read_text())
+        report["opportunities"][0]["end_ms"] = 100_000_000_000
+        (out / "report.json").write_text(json.dumps(report))
+
+    def hang(signum, frame):
+        pytest.fail("schedule did not reject the horizon within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        rc = main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert _assert_input_error(rc, capsys) == (
+        "error: duration_ms 100000000000 and min_gap_ms 100 make more than 1000000 steps, "
+        "the budget for one schedule\n"
+    )
+    assert not (tmp_path / "guided.json").exists()
 
 
 def test_compare_prints_table_and_writes_json(tmp_path, capsys):

@@ -15,7 +15,6 @@ from playtrace.geometry import (
     clip_to_screen,
     convex_pieces,
     convex_subtract,
-    inscribed_rect,
     inscribed_rects,
     is_convex,
     is_simple_polygon,
@@ -238,32 +237,37 @@ def test_subtract_occluders_two_bites():
 
 # ------------------------------------------------------------ inscribed box
 
+def _one_rect(poly, screen_w, screen_h):
+    (rect,), _ = inscribed_rects([poly], screen_w, screen_h)
+    return rect
+
+
 def test_inscribed_rect_recovers_rectangle():
     poly = [(10.0, 20.0), (200.0, 20.0), (200.0, 90.0), (10.0, 90.0)]
-    r = inscribed_rect(poly, 640, 480)
+    r = _one_rect(poly, 640, 480)
     assert r == Rect(10.0, 20.0, 200.0, 90.0)
 
 
 def test_inscribed_rect_clamped_by_screen():
     poly = [(-50.0, -50.0), (100.0, -50.0), (100.0, 100.0), (-50.0, 100.0)]
-    r = inscribed_rect(poly, 640, 480)
+    r = _one_rect(poly, 640, 480)
     assert r == Rect(0.0, 0.0, 100.0, 100.0)
 
 
 def test_inscribed_rect_off_screen():
     poly = [(700.0, 10.0), (720.0, 10.0), (720.0, 30.0), (700.0, 30.0)]
-    assert inscribed_rect(poly, 640, 480) is None
+    assert _one_rect(poly, 640, 480) is None
 
 
 def test_inscribed_rect_requires_polygon():
     with pytest.raises(ValueError):
-        inscribed_rect([(0.0, 0.0), (1.0, 1.0)], 640, 480)
+        _one_rect([(0.0, 0.0), (1.0, 1.0)], 640, 480)
 
 
 def test_inscribed_rect_avoids_notch():
     big_l = [(0.0, 0.0), (400.0, 0.0), (400.0, 160.0), (160.0, 160.0),
              (160.0, 400.0), (0.0, 400.0)]
-    r = inscribed_rect(big_l, 640, 480)
+    r = _one_rect(big_l, 640, 480)
     assert r is not None
     for corner in r.corners():
         assert oracles.contains(big_l, corner, eps=1e-6)
@@ -274,7 +278,7 @@ def test_inscribed_rect_random_stars():
     for _ in range(60):
         poly = oracles.random_star(rng, (rng.uniform(250, 400), rng.uniform(200, 300)),
                                    70.0, 180.0, rng.randrange(6, 16))
-        r = inscribed_rect(poly, 640, 480)
+        r = _one_rect(poly, 640, 480)
         assert r is not None
         assert rect_area(r) > 0.0
         for corner in r.corners():
@@ -303,7 +307,7 @@ def test_inscribed_rects_match_one_at_a_time():
     polys += [SQUARE, L_SHAPE, [(700.0, 10.0), (720.0, 10.0), (720.0, 30.0)]]
     rects, passes = inscribed_rects(polys, 640, 480)
     assert rects == [oracles.inscribed_rect_pip(p, 640, 480) for p in polys]
-    assert rects == [inscribed_rect(p, 640, 480) for p in polys]
+    assert rects == [_one_rect(p, 640, 480) for p in polys]
     assert all(0 <= n <= g.MAX_SHRINK_PASSES for n in passes)
     assert inscribed_rects([], 640, 480) == ([], [])
     with pytest.raises(ValueError):

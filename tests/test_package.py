@@ -27,3 +27,11 @@ def test_imports_are_stdlib_or_numpy(path):
 
 def test_sources_found():
     assert len(SOURCES) >= 10
+
+
+def test_every_exported_name_imports():
+    import playtrace
+
+    namespace: dict = {}
+    exec("from playtrace import *", namespace)  # an __all__ name that is missing raises here
+    assert set(playtrace.__all__) <= set(namespace)

@@ -5,9 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from playtrace.pipeline import AnalysisParams, analyze_run, analyze_runs, run_boxes
+from playtrace.pipeline import AnalysisParams, analyze_boxes, run_boxes
 from playtrace.simulator import CameraKeyframe, Jitter, ScenePlane, SimScene, generate_trace
-from playtrace.trace import sample_frames
+from playtrace.trace import decimate
 
 
 def _scene(duration=6000, planes=None, jitter=None):
@@ -44,21 +44,25 @@ def _scene(duration=6000, planes=None, jitter=None):
     )
 
 
+def _analyze(traces, params=AnalysisParams()):
+    return analyze_boxes([run_boxes(t.frames, t.source_fps, params) for t in traces], params)
+
+
 def test_box_sequences_cover_every_frame():
     trace = generate_trace(_scene())
-    sampled = sample_frames(trace, 10.0)
+    sampled = list(decimate(trace.frames, trace.source_fps, 10.0))
     run = run_boxes(trace.frames, trace.source_fps, AnalysisParams(fps=10.0))
     assert set(run.boxes) == {"table"}
     boxes = run.boxes["table"]
-    assert len(boxes) == len(sampled.frames)
+    assert len(boxes) == len(sampled)
     assert all(b is not None for b in boxes)
-    assert run.timestamps_ms == [f.timestamp_ms for f in sampled.frames]
+    assert run.timestamps_ms == [f.timestamp_ms for f in sampled]
     assert run.duration_ms == trace.duration_ms
 
 
 def test_analyze_run_finds_full_span_opportunity():
     trace = generate_trace(_scene())
-    opps = analyze_run(trace)
+    opps = _analyze([trace])[1]
     assert len(opps) == 1
     opp = opps[0]
     assert opp.trackable_id == "table"
@@ -82,15 +86,15 @@ def test_analyze_run_respects_min_lifespan():
         detect_delay_ms=4500,
     )
     trace = generate_trace(_scene(planes=[plane]))
-    assert analyze_run(trace) == []
-    kept = analyze_run(trace, AnalysisParams(min_lifespan_s=1.0))
+    assert _analyze([trace])[1] == []
+    kept = _analyze([trace], AnalysisParams(min_lifespan_s=1.0))[1]
     assert len(kept) == 1
     assert kept[0].start_ms >= 4500
 
 
 def test_analyze_runs_single_trace_passthrough():
     trace = generate_trace(_scene())
-    per_run, final, metrics = analyze_runs([trace])
+    per_run, final, metrics = _analyze([trace])
     assert per_run == [final]
     assert metrics.opportunity_count == 1
     assert metrics.mutual_stability is None
@@ -99,7 +103,7 @@ def test_analyze_runs_single_trace_passthrough():
 def test_analyze_runs_intersects_jittered_runs():
     scene = _scene(jitter=Jitter(vertex_noise_m=0.004))
     traces = [generate_trace(scene, jitter_seed=s) for s in (1, 2, 3)]
-    per_run, final, metrics = analyze_runs(traces)
+    per_run, final, metrics = _analyze(traces)
     assert all(len(r) == 1 for r in per_run)
     assert len(final) == 1
     assert metrics.mutual_stability is not None
@@ -114,7 +118,7 @@ def test_analyze_runs_intersects_jittered_runs():
 
 def test_analyze_runs_requires_traces():
     with pytest.raises(ValueError):
-        analyze_runs([])
+        analyze_boxes([])
 
 
 def test_analyze_runs_rejects_mixed_screens():
@@ -122,8 +126,10 @@ def test_analyze_runs_rejects_mixed_screens():
     big = generate_trace(scene)
     small = generate_trace(dataclasses.replace(scene, screen_w=960, screen_h=540))
     with pytest.raises(ValueError, match="screen"):
-        analyze_runs([big, small])
-    # a screen that changes inside one in-memory run is caught the same way
+        _analyze([big, small])
+    # a screen that changes inside one in-memory run is caught as its frames pass
     mixed = dataclasses.replace(big, frames=big.frames[:90] + small.frames[90:])
-    with pytest.raises(ValueError, match="screen"):
-        analyze_runs([mixed])
+    at = small.frames[90].timestamp_ms
+    message = f"frame at {at} ms: screen 960x540 differs from the first frame's 1920x1080"
+    with pytest.raises(ValueError, match=message):
+        _analyze([mixed])

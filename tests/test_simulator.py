@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from playtrace.pipeline import AnalysisParams, analyze_runs
+from playtrace.pipeline import analyze_boxes, run_boxes
 from playtrace.scenes import benchmark_scene, benchmark_scenes
 from playtrace.scheduler import (
     DEFAULT_MIX,
@@ -437,7 +437,7 @@ def test_replay_matches_per_sample_oracle(name):
     scene = benchmark_scene(name)
     for seed in (1, 2):
         trace = generate_trace(scene, seed * 100, scene.default_jitter)
-        _per_run, final, _metrics = analyze_runs([trace], AnalysisParams())
+        _per_run, final, _metrics = analyze_boxes([run_boxes(trace.frames, trace.source_fps)])
         guided = schedule_guided(final, scene.duration_ms, seed)
         rand = schedule_random((scene.screen_w, scene.screen_h), scene.duration_ms, seed)
         for sched in (guided, rand):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from playtrace.pipeline import AnalysisParams, run_boxes
 from playtrace.trace import (
     FrameRecord,
     PlaybackTrace,
@@ -20,7 +21,6 @@ from playtrace.trace import (
     load_trace,
     mat4_to_list,
     read_header,
-    sample_frames,
     save_trace,
 )
 
@@ -235,27 +235,27 @@ def _synthetic_trace(timestamps, fps):
     return PlaybackTrace(frames=frames, source_fps=fps)
 
 
+def _kept(tr, target_fps):
+    return [f.timestamp_ms for f in decimate(tr.frames, tr.source_fps, target_fps)]
+
+
 def test_sample_frames_basic_decimation():
     # 30 fps -> 10 fps keeps the first frame at or after each 100 ms deadline
     tr = _synthetic_trace(list(range(0, 1000, 33)), 30.0)
-    out = sample_frames(tr, 10.0)
-    kept = [f.timestamp_ms for f in out.frames]
-    assert kept == [0, 132, 231, 330, 429, 528, 627, 726, 825, 924]
-    assert out.source_fps == 10.0
+    assert _kept(tr, 10.0) == [0, 132, 231, 330, 429, 528, 627, 726, 825, 924]
 
 
 def test_sample_frames_no_upsampling():
     tr = _synthetic_trace([0, 100, 200], 10.0)
-    assert sample_frames(tr, 10.0) is tr
-    assert sample_frames(tr, 60.0) is tr
+    assert list(decimate(tr.frames, 10.0, 10.0)) == list(tr.frames)
+    assert list(decimate(tr.frames, 10.0, 60.0)) == list(tr.frames)
 
 
 def test_sample_frames_gap():
     # a recording gap longer than the period resumes on the next real frame,
     # and the deadline realigns to the absolute grid rather than drifting
     tr = _synthetic_trace([0, 100, 1000, 1100, 1250], 10.0)
-    out = sample_frames(tr, 5.0)
-    assert [f.timestamp_ms for f in out.frames] == [0, 1000, 1250]
+    assert _kept(tr, 5.0) == [0, 1000, 1250]
 
 
 @settings(max_examples=200, deadline=None)
@@ -269,16 +269,17 @@ def test_decimate_matches_the_deadline_walk(gaps, start, source_fps, target_fps)
     timestamps = [start + sum(gaps[:i]) for i in range(len(gaps) + 1)]
     tr = _synthetic_trace(timestamps, source_fps)
     streamed = [f.timestamp_ms for f in decimate(iter(tr.frames), source_fps, target_fps)]
-    assert streamed == oracles.sample_frames_reference(timestamps, source_fps, target_fps)
-    assert streamed == [f.timestamp_ms for f in sample_frames(tr, target_fps).frames]
+    assert streamed == oracles.decimate_reference(timestamps, source_fps, target_fps)
+    run = run_boxes(tr.frames, source_fps, AnalysisParams(fps=target_fps))
+    assert streamed == run.timestamps_ms
 
 
 def test_sample_frames_bad_fps():
     tr = _synthetic_trace([0], 30.0)
     with pytest.raises(ValueError):
-        sample_frames(tr, 0.0)
+        run_boxes(tr.frames, tr.source_fps, AnalysisParams(fps=0.0))
     with pytest.raises(TraceValidationError):
-        sample_frames(PlaybackTrace(frames=(), source_fps=30.0), 10.0)
+        run_boxes((), 30.0, AnalysisParams(fps=10.0))
 
 
 # ---------------------------------------------------------- numeric fields

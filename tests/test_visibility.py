@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from playtrace import geometry as g
+from playtrace.lifespan import DEFAULT_MIN_VISIBILITY
 from playtrace.pipeline import AnalysisParams, run_boxes
 from playtrace.scenes import benchmark_scene, benchmark_scenes
 from playtrace.simulator import generate_trace, perspective_matrix
@@ -15,12 +16,11 @@ from playtrace.trace import (
     FrameRecord,
     TrackableSnapshot,
     TrackingState,
+    decimate,
     load_trace,
-    sample_frames,
     save_trace,
 )
 from playtrace.visibility import (
-    analyze_frame,
     facing_camera,
     frame_pieces,
     project_trackable,
@@ -95,12 +95,12 @@ def test_project_trackable_behind_camera():
     above = _plane("t", (0.0, 3.0, 0.0), 0.5, 0.5)
     f = _frame([above])
     assert project_trackable(above, f) is None
-    assert analyze_frame(f) == []
+    assert oracles.frame_boxes(f, DEFAULT_MIN_VISIBILITY) == []
 
 
 def test_single_plane_box():
     f = _frame([_plane("table", (0, 0, 0), 1.0, 0.5)])
-    boxes = analyze_frame(f, min_visibility=0.10)
+    boxes = oracles.frame_boxes(f, min_visibility=0.10)
     assert len(boxes) == 1
     vb = boxes[0]
     px = _px_per_m(2.0)
@@ -116,8 +116,8 @@ def test_single_plane_box():
 
 def test_min_visibility_excludes():
     f = _frame([_plane("table", (0, 0, 0), 1.0, 0.5)])
-    assert analyze_frame(f, min_visibility=0.10)
-    assert analyze_frame(f, min_visibility=0.30) == []
+    assert oracles.frame_boxes(f, min_visibility=0.10)
+    assert oracles.frame_boxes(f, min_visibility=0.30) == []
 
 
 def test_paused_and_stopped_ignored():
@@ -125,14 +125,14 @@ def test_paused_and_stopped_ignored():
         _plane("p", (0, 0, 0), 1.0, 1.0, state=TrackingState.PAUSED),
         _plane("s", (0, 0, 0), 1.0, 1.0, state=TrackingState.STOPPED),
     ])
-    assert analyze_frame(f, min_visibility=0.01) == []
+    assert oracles.frame_boxes(f, min_visibility=0.01) == []
 
 
 def test_back_facing_yields_no_box_but_occludes():
     # "shade" hangs at y=1 facing up, i.e. away from the camera above it
     shade = _plane("shade", (0.0, 1.0, 0.0), 0.3, 0.3, normal=(0.0, -1.0, 0.0))
     floor = _plane("floor", (0.0, 0.0, 0.0), 1.0, 0.5)
-    boxes = analyze_frame(_frame([floor, shade]), min_visibility=0.02)
+    boxes = oracles.frame_boxes(_frame([floor, shade]), min_visibility=0.02)
     ids = [b.trackable_id for b in boxes]
     assert "shade" not in ids
     assert ids == ["floor"]
@@ -141,7 +141,7 @@ def test_back_facing_yields_no_box_but_occludes():
     box = boxes[0].box
     assert box.x_max <= 960 - hole_half + 1e-6 or box.x_min >= 960 + hole_half - 1e-6
     # without the shade the floor box spans the full projection
-    full = analyze_frame(_frame([floor]), min_visibility=0.02)[0].box
+    full = oracles.frame_boxes(_frame([floor]), min_visibility=0.02)[0].box
     assert full.width > box.width
 
 
@@ -149,18 +149,18 @@ def test_paused_plane_does_not_occlude():
     shade = _plane("shade", (0.0, 1.0, 0.0), 0.3, 0.3, normal=(0.0, -1.0, 0.0),
                    state=TrackingState.PAUSED)
     floor = _plane("floor", (0.0, 0.0, 0.0), 1.0, 0.5)
-    with_paused = analyze_frame(_frame([floor, shade]), min_visibility=0.02)[0].box
-    alone = analyze_frame(_frame([floor]), min_visibility=0.02)[0].box
+    with_paused = oracles.frame_boxes(_frame([floor, shade]), min_visibility=0.02)[0].box
+    alone = oracles.frame_boxes(_frame([floor]), min_visibility=0.02)[0].box
     assert with_paused == alone
 
 
 def test_nearer_plane_unaffected_by_farther():
     near = _plane("near", (0.0, 1.0, 0.0), 0.35, 0.35)
     far = _plane("far", (0.0, 0.0, 0.0), 1.0, 0.6)
-    boxes = analyze_frame(_frame([far, near]), min_visibility=0.02)
+    boxes = oracles.frame_boxes(_frame([far, near]), min_visibility=0.02)
     by_id = {b.trackable_id: b for b in boxes}
     assert set(by_id) == {"near", "far"}
-    near_alone = analyze_frame(_frame([near]), min_visibility=0.02)[0].box
+    near_alone = oracles.frame_boxes(_frame([near]), min_visibility=0.02)[0].box
     assert by_id["near"].box == near_alone
     # results come back ordered near to far
     assert [b.trackable_id for b in boxes] == ["near", "far"]
@@ -169,7 +169,7 @@ def test_nearer_plane_unaffected_by_farther():
 
 def test_offscreen_plane_clipped_away():
     f = _frame([_plane("gone", (50.0, 0.0, 0.0), 0.5, 0.5)])
-    assert analyze_frame(f, min_visibility=0.001) == []
+    assert oracles.frame_boxes(f, min_visibility=0.001) == []
 
 
 # ------------------------------------------------ against the per-vertex path
@@ -221,8 +221,8 @@ def test_analyze_frame_matches_per_vertex_pipeline(tmp_path, scene):
         save_trace(trace, path)
         # rendered frames hold C-order matrices, loaded ones column-major views
         for tr in (trace, load_trace(path)):
-            for i, f in enumerate(sample_frames(tr, 10.0).frames):
-                assert analyze_frame(f, 0.0) == oracles.analyze_frame_per_vertex(f, 0.0), i
+            for i, f in enumerate(decimate(tr.frames, tr.source_fps, 10.0)):
+                assert oracles.frame_boxes(f, 0.0) == oracles.analyze_frame_per_vertex(f, 0.0), i
 
 
 @pytest.mark.parametrize("scene", [s.name for s in benchmark_scenes()])
@@ -230,21 +230,23 @@ def test_inscribed_rects_match_scalar_search_on_pack_pieces(scene):
     sc = benchmark_scene(scene)
     for seed in (1, 2):
         trace = generate_trace(sc, jitter_seed=seed, jitter=sc.default_jitter)
-        pieces = [p for f in sample_frames(trace, 10.0).frames
-                  for _, _, ps in frame_pieces(f) for p in ps]
+        screen = g.clip_loop(screen_clip_polygon(sc.screen_w, sc.screen_h))
+        pieces = [p for f in decimate(trace.frames, trace.source_fps, 10.0)
+                  for _, _, ps in frame_pieces(f, screen) for p in ps]
         rects, passes = g.inscribed_rects(pieces, sc.screen_w, sc.screen_h)
         assert rects == [oracles.inscribed_rect_pip(p, sc.screen_w, sc.screen_h) for p in pieces]
         assert max(passes, default=0) <= g.MAX_SHRINK_PASSES
 
 
-def test_screen_clip_is_checked_once_per_frame(monkeypatch):
+def test_screen_clip_is_checked_once_per_run(monkeypatch):
     checked = []
     real = g.is_convex
     monkeypatch.setattr(g, "is_convex", lambda poly: checked.append(list(poly)) or real(poly))
     planes = [_plane("a", (-0.6, 0.0, 0.0), 0.3, 0.3), _plane("b", (0.6, 0.0, 0.0), 0.3, 0.3),
               _plane("c", (0.0, 0.5, 0.0), 0.2, 0.2)]
     frames = [_frame(planes, t_ms=100 * k) for k in range(5)]
-    assert len(analyze_frame(frames[0], 0.0)) == 3
     run = run_boxes(frames, 10.0, AnalysisParams(fps=10.0, min_visibility=0.0))
+    assert set(run.boxes) == {"a", "b", "c"}
     assert all(None not in boxes for boxes in run.boxes.values())
-    assert checked.count(screen_clip_polygon(W, H)) == 1 + len(frames)
+    assert len(run.timestamps_ms) == len(frames)
+    assert checked.count(screen_clip_polygon(W, H)) == 1

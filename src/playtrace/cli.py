@@ -46,6 +46,8 @@ from .simulator import (
 )
 from .trace import TraceError, iter_frames, read_header
 
+MAX_RUNS = 1_000  # runs one analyze or compare may take: each run is a whole trace
+
 
 def parse_mix(text: str) -> dict[GestureKind, float]:
     """Parse "TAP=0.55,DRAG=0.25,PINCH=0.1,ROTATE=0.1" into a mix dict."""
@@ -67,6 +69,11 @@ def parse_mix(text: str) -> dict[GestureKind, float]:
     return mix
 
 
+def _check_runs(runs: int) -> None:
+    if not 1 <= runs <= MAX_RUNS:
+        raise ValueError(f"--runs must be between 1 and {MAX_RUNS}, the budget of runs, got {runs}")
+
+
 def _generated_runs(
     scene: SimScene, jitter: Jitter, seed_base: int, runs: int, params: AnalysisParams
 ) -> list[RunBoxes]:
@@ -76,6 +83,7 @@ def _generated_runs(
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    _check_runs(args.runs)
     params = AnalysisParams(
         fps=args.fps,
         min_visibility=args.min_visibility,
@@ -140,6 +148,7 @@ def _fmt_rate(v: float | None) -> str:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    _check_runs(args.runs)
     scene = load_scene(args.scene)
     params = AnalysisParams()
     per_seed = []

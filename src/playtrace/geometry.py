@@ -517,6 +517,68 @@ def _at_most(hi: float, v: np.ndarray) -> np.ndarray:
     return np.where(v < hi, v, hi)
 
 
+def simple_polygons(polys: Sequence[Polygon]) -> np.ndarray:
+    """is_simple_polygon of each polygon, as a bool array, in one numpy pass per vertex count.
+
+    Elementwise numpy with is_simple_polygon's expressions in its order, so
+    every verdict is the scalar one.  A polygon on which the scalar function
+    raises OverflowError (Python's ** 2 of a finite value past the float
+    range) is not simple here.
+    """
+    simple = np.zeros(len(polys), dtype=bool)
+    by_size: dict[int, list[int]] = {}
+    for i, p in enumerate(polys):
+        by_size.setdefault(len(p), []).append(i)
+    with np.errstate(all="ignore"):
+        for n, idx in by_size.items():
+            if n >= 3:
+                xy = np.array([polys[i] for i in idx], dtype=float).reshape(len(idx), n, 2)
+                simple[idx] = _simple_of_size(xy[:, :, 0], xy[:, :, 1])
+    return simple
+
+
+def _simple_of_size(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """simple_polygons of polygons of one size n >= 3, given as (polygons, n) coordinates."""
+    n = x.shape[1]
+    overflow = np.zeros(len(x), dtype=bool)
+
+    def squared(v: np.ndarray, evaluated: np.ndarray | bool = True) -> np.ndarray:
+        """_squared(v), noting polygons where Python's v ** 2 would raise OverflowError."""
+        nonlocal overflow
+        sq = _squared(v)
+        overflow |= (np.isinf(sq) & np.isfinite(v) & evaluated).any(axis=1)
+        return sq
+
+    # a repeated vertex: _dist_sq of every pair
+    i, j = np.triu_indices(n, 1)
+    repeated = squared(x[:, i] - x[:, j]) + squared(y[:, i] - y[:, j]) <= PARALLEL_EPS
+
+    # _segments_cross of every pair of non-adjacent edges (i, i + 1) and (j, j + 1), as its
+    # four tests of a point p against a segment s1 -> s2: p = i, i + 1, j, j + 1 in turn
+    pairs = [(i, j) for i in range(n) for j in range(i + 2, n) if (j + 1) % n != i]
+    i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
+    i1, j1 = (i + 1) % n, (j + 1) % n
+    p = np.concatenate([i, i1, j, j1])
+    s1 = np.concatenate([j, j, i, i])
+    s2 = np.concatenate([j1, j1, i1, i1])
+    px, py, ax, ay = x[:, p], y[:, p], x[:, s1], y[:, s1]
+    dx = x[:, s2] - ax
+    dy = y[:, s2] - ay
+    d = dx * (py - ay) - dy * (px - ax)  # _cross(s1, s2, p)
+    d1, d2, d3, d4 = np.split(d > 0, 4, axis=1)
+    crossed = (d1 != d2) & (d3 != d4)
+    # collinear overlap: _point_segment_dist_sq(p, s1, s2), which runs where abs(d) <= COLLINEAR_EPS
+    collinear = np.abs(d) <= COLLINEAR_EPS
+    len_sq = dx * dx + dy * dy
+    short = len_sq <= PARALLEL_EPS
+    t = ((px - ax) * dx + (py - ay) * dy) / np.where(short, 1.0, len_sq)
+    t = _at_most(1.0, _at_least(0.0, t))
+    qx = np.where(short, ax, ax + t * dx)
+    qy = np.where(short, ay, ay + t * dy)
+    near = squared(px - qx, collinear) + squared(py - qy, collinear) <= PARALLEL_EPS
+    return ~(repeated.any(axis=1) | crossed.any(axis=1) | (collinear & near).any(axis=1) | overflow)
+
+
 def inscribed_rects(
     pieces: Sequence[Polygon], screen_w: float, screen_h: float
 ) -> tuple[list[Rect | None], list[int]]:

@@ -325,6 +325,16 @@ def _event_from_dict(ed: dict) -> GestureEvent:
     )
     if not tracks or not all(tracks):
         raise ValueError("tracks must be a non-empty list of non-empty tracks")
+    for track in tracks:
+        # replay interpolates along each track, which needs its times in order
+        for (a, _, _), (b, _, _) in zip(track, track[1:]):
+            if b < a:
+                raise ValueError(f"track times must not decrease ({a} then {b})")
+        if track[0][0] < t_start or track[-1][0] > t_end:
+            raise ValueError(
+                f"track times {track[0][0]}..{track[-1][0]} must lie in "
+                f"[t_start, t_end] = [{t_start}, {t_end}]"
+            )
     return GestureEvent(GestureKind(ed["kind"]), t_start, t_end, tracks, ed.get("target"))
 
 

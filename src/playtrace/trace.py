@@ -13,12 +13,14 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Iterator, TextIO
+from typing import Any, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
-from .geometry import is_simple_polygon
+from .geometry import is_simple_polygon, simple_polygons
 
 TRACE_FORMAT = "tariplay-trace"
 TRACE_VERSION = 1
@@ -78,10 +80,14 @@ class PlaybackTrace:
         return self.frames[-1].timestamp_ms if self.frames else 0
 
 
+_TRACKING_STATES = {s.value: s for s in TrackingState}   # TrackingState(v), without the Enum call
 _NUMBER_TYPES = {float, int}
 MAX_SCREEN_PX = 2**31 - 1
 MAX_T_MS = 2**53     # larger integers do not survive the float arithmetic of sampling
 UNIT_EPS = 1e-6      # tolerance of unit-length and orthogonality checks on direction vectors
+# Frame lines iter_frames checks in one numpy pass.  Each block's frames share
+# one number array, so this bounds the lines read ahead of the consumer.
+INGEST_BLOCK_LINES = 64
 
 
 def json_numbers(values: list) -> bool:
@@ -128,10 +134,54 @@ def _trackable_fields(d: Any, where: str) -> tuple[str, str, TrackingState, list
     for key in ("normal", "state", "pose", "center"):
         _require(d, key, where)
     try:
-        state = TrackingState(d["state"])
-    except ValueError:
+        state = _TRACKING_STATES[d["state"]]
+    except (KeyError, TypeError):
         raise TraceValidationError(f"{where}: unknown tracking state {d['state']!r}") from None
     return tid, where, state, raw_verts
+
+
+# The numeric fields of a frame and their lengths, in the order of its number
+# array: each trackable's vertices (2 each) then these, then the camera's.
+_TRACKABLE_NUMBERS = (("normal", 3), ("pose", 16), ("center", 3))
+_CAMERA_NUMBERS = (("view", 16), ("proj", 16), ("cam_pos", 3))
+
+
+class _FrameHead(NamedTuple):
+    """A frame that passed the structural checks, before its numbers are."""
+
+    t_ms: int
+    screen: list[int]
+    raw_trackables: list[dict]
+    tracks: list[tuple[str, str, TrackingState, list]]   # _trackable_fields of each
+
+
+def _frame_head(d: dict, where: str) -> _FrameHead:
+    """The structural checks of a frame: fields, types, t_ms, screen, ids and states."""
+    t_ms = _require(d, "t_ms", where)
+    if isinstance(t_ms, bool) or not isinstance(t_ms, int) or abs(t_ms) > MAX_T_MS:
+        raise TraceValidationError(f"{where}: t_ms must be an integer (at most 2**53 in magnitude)")
+    screen = _require(d, "screen", where)
+    if (
+        not isinstance(screen, list)
+        or len(screen) != 2
+        or any(isinstance(v, bool) or not isinstance(v, int) or not 0 < v <= MAX_SCREEN_PX
+               for v in screen)
+    ):
+        raise TraceValidationError(
+            f"{where}: screen must be two positive integers (at most {MAX_SCREEN_PX})"
+        )
+    raw_trackables = _require(d, "trackables", where)
+    if not isinstance(raw_trackables, list):
+        raise TraceParseError(f"{where}: trackables must be a list")
+    tracks = [_trackable_fields(td, where) for td in raw_trackables]
+    seen: set[str] = set()
+    for tid, _, _, _ in tracks:
+        if tid in seen:
+            raise TraceValidationError(f"{where}: duplicate trackable id '{tid}'")
+        seen.add(tid)
+    for key, _ in _CAMERA_NUMBERS:
+        _require(d, key, where)
+    return _FrameHead(t_ms, screen, raw_trackables, tracks)
 
 
 def _frame_numbers(fields: list[tuple[Any, int, str, str | int]]) -> np.ndarray:
@@ -161,71 +211,119 @@ def _frame_numbers(fields: list[tuple[Any, int, str, str | int]]) -> np.ndarray:
     raise AssertionError("a frame failed the numeric check but none of its fields did")
 
 
-def _frame_from_dict(d: dict, where: str) -> FrameRecord:
-    t_ms = _require(d, "t_ms", where)
-    if isinstance(t_ms, bool) or not isinstance(t_ms, int) or abs(t_ms) > MAX_T_MS:
-        raise TraceValidationError(f"{where}: t_ms must be an integer (at most 2**53 in magnitude)")
-    screen = _require(d, "screen", where)
-    if (
-        not isinstance(screen, list)
-        or len(screen) != 2
-        or any(isinstance(v, bool) or not isinstance(v, int) or not 0 < v <= MAX_SCREEN_PX
-               for v in screen)
-    ):
-        raise TraceValidationError(
-            f"{where}: screen must be two positive integers (at most {MAX_SCREEN_PX})"
-        )
-    raw_trackables = _require(d, "trackables", where)
-    if not isinstance(raw_trackables, list):
-        raise TraceParseError(f"{where}: trackables must be a list")
-    tracks = [_trackable_fields(td, where) for td in raw_trackables]
-    seen: set[str] = set()
-    for tid, _, _, _ in tracks:
-        if tid in seen:
-            raise TraceValidationError(f"{where}: duplicate trackable id '{tid}'")
-        seen.add(tid)
+def _vertices(arr: np.ndarray, o: int, n: int) -> tuple[tuple[float, float], ...]:
+    """The n (x, z) vertices stored flat in arr from offset o."""
+    xz = arr[o:o + 2 * n].tolist()
+    return tuple(zip(xz[0::2], xz[1::2]))
 
+
+def _unit_length_error(normal: np.ndarray) -> str | None:
+    """Why normal is not of unit length within UNIT_EPS, or None when it is."""
+    norm_len = math.sqrt(normal.dot(normal))  # np.linalg.norm's sum, without its overhead
+    return None if abs(norm_len - 1.0) <= UNIT_EPS else f"unit length, got |n|={norm_len:.8f}"
+
+
+def _frame_from_dict(d: dict, where: str) -> FrameRecord:
+    """One frame, checked field by field: each error names its field and comes in reading order."""
+    head = _frame_head(d, where)
     # per trackable: vertices, normal (3), pose (16), center (3); then the camera
     fields: list[tuple[Any, int, str, str | int]] = []
-    for td, (_, tw, _, raw_verts) in zip(raw_trackables, tracks):
+    for td, (_, tw, _, raw_verts) in zip(head.raw_trackables, head.tracks):
         fields += [(xz, 2, tw, i) for i, xz in enumerate(raw_verts)]
-        fields += [(td["normal"], 3, tw, "normal"), (td["pose"], 16, tw, "pose"),
-                   (td["center"], 3, tw, "center")]
-    fields += [(_require(d, "view", where), 16, where, "view"),
-               (_require(d, "proj", where), 16, where, "proj"),
-               (_require(d, "cam_pos", where), 3, where, "cam_pos")]
+        fields += [(td[key], count, tw, key) for key, count in _TRACKABLE_NUMBERS]
+    fields += [(d[key], count, where, key) for key, count in _CAMERA_NUMBERS]
     arr = _frame_numbers(fields)
-
-    trackables = []
     o = 0
-    for tid, tw, state, raw_verts in tracks:
-        xz = arr[o:o + 2 * len(raw_verts)].tolist()
-        o += len(xz)
-        verts = tuple(zip(xz[0::2], xz[1::2]))
-        if not is_simple_polygon(verts):
+    for _, tw, _, raw_verts in head.tracks:
+        n2 = 2 * len(raw_verts)
+        if not is_simple_polygon(_vertices(arr, o, len(raw_verts))):
             raise TraceValidationError(f"{tw}: polygon must be simple (no self-intersection)")
-        normal = arr[o:o + 3]
-        norm_len = math.sqrt(normal.dot(normal))  # np.linalg.norm's sum, without its overhead
-        if abs(norm_len - 1.0) > UNIT_EPS:
-            raise TraceValidationError(f"{tw}: normal must be unit length, got |n|={norm_len:.8f}")
+        problem = _unit_length_error(arr[o + n2:o + n2 + 3])
+        if problem is not None:
+            raise TraceValidationError(f"{tw}: normal must be {problem}")
+        o += n2 + 22
+    return _frame_record(head, arr, 0)
+
+
+def _frame_record(head: _FrameHead, arr: np.ndarray, o: int) -> FrameRecord:
+    """The frame of a checked head whose numbers start at offset o of arr."""
+    trackables = []
+    for tid, _, state, raw_verts in head.tracks:
+        verts = _vertices(arr, o, len(raw_verts))
+        o += 2 * len(raw_verts)
         trackables.append(TrackableSnapshot(
             trackable_id=tid,
             pose=arr[o + 3:o + 19].reshape((4, 4), order="F"),
             local_vertices=verts,
             center_world=arr[o + 19:o + 22],
-            normal_world=normal,
+            normal_world=arr[o:o + 3],
             tracking_state=state,
         ))
         o += 22
     return FrameRecord(
-        timestamp_ms=t_ms,
+        timestamp_ms=head.t_ms,
         view=arr[o:o + 16].reshape((4, 4), order="F"),
         projection=arr[o + 16:o + 32].reshape((4, 4), order="F"),
         camera_position=arr[o + 32:o + 35],
-        screen_w=screen[0],
-        screen_h=screen[1],
+        screen_w=head.screen[0],
+        screen_h=head.screen[1],
         trackables=tuple(trackables),
     )
+
+
+def _block_frames(block: list[tuple[str, dict]]) -> list[FrameRecord] | None:
+    """The frames of a block of lines when every one passes its checks, else None.
+
+    The structural checks run per frame, as _frame_from_dict runs them;
+    the numbers, polygons and normals of the whole block are checked in one
+    numpy pass each.  A normal is passed here only when it is clearly of
+    unit length; one near the tolerance goes to _unit_length_error.
+    """
+    trackable_numbers = itemgetter(*(key for key, _ in _TRACKABLE_NUMBERS))
+    trackable_counts = [count for _, count in _TRACKABLE_NUMBERS]
+    camera_numbers = itemgetter(*(key for key, _ in _CAMERA_NUMBERS))
+    camera_counts = [count for _, count in _CAMERA_NUMBERS]
+    heads: list[tuple[_FrameHead, int]] = []   # each head and the offset of its numbers
+    polys: list[tuple[int, int]] = []           # (offset, vertex count) of every polygon
+    fields: list = []                           # the numeric fields, in number-array order
+    counts: list[int] = []                      # and the length each must have
+    o = 0
+    try:
+        for where, d in block:
+            head = _frame_head(d, where)
+            heads.append((head, o))
+            for td, (_, _, _, raw_verts) in zip(head.raw_trackables, head.tracks):
+                n = len(raw_verts)
+                polys.append((o, n))
+                o += 2 * n + 22
+                fields += raw_verts
+                fields += trackable_numbers(td)
+                counts += [2] * n
+                counts += trackable_counts
+            fields += camera_numbers(d)
+            counts += camera_counts
+            o += 35
+    except TraceError:
+        return None
+    if set(map(type, fields)) != {list} or list(map(len, fields)) != counts:
+        return None
+    flat = list(chain.from_iterable(fields))
+    arr = _finite_floats(flat)
+    if arr is None:
+        return None
+    arr.flags.writeable = False
+    if polys:
+        if not simple_polygons([arr[o:o + 2 * n].reshape(n, 2) for o, n in polys]).all():
+            return None
+        at = np.array([o + 2 * n for o, n in polys])[:, None] + np.arange(3)
+        normals = arr[at]
+        with np.errstate(over="ignore"):
+            length = np.sqrt(normals[:, 0] * normals[:, 0] + normals[:, 1] * normals[:, 1]
+                             + normals[:, 2] * normals[:, 2])
+        for k in np.flatnonzero(~(np.abs(length - 1.0) <= UNIT_EPS / 2)).tolist():
+            if _unit_length_error(normals[k]) is not None:
+                return None
+    return [_frame_record(head, arr, o) for head, o in heads]
 
 
 def _snapshot_to_dict(t: TrackableSnapshot) -> dict:
@@ -302,37 +400,66 @@ def read_header(path: str | Path) -> tuple[float, dict]:
         return _header(_trace_objects(fh, path.name), path.name)
 
 
+def _read_block(
+    objects: Iterator[tuple[str, dict]]
+) -> tuple[list[tuple[str, dict]], TraceParseError | None]:
+    """Up to INGEST_BLOCK_LINES objects, and the read error that ended the block early, if any."""
+    block: list[tuple[str, dict]] = []
+    try:
+        for item in objects:
+            block.append(item)
+            if len(block) == INGEST_BLOCK_LINES:
+                break
+    except TraceParseError as exc:
+        return block, exc
+    return block, None
+
+
 def iter_frames(path: str | Path) -> Iterator[FrameRecord]:
     """Validate a JSONL trace file and yield its frames one at a time.
 
     The header is read and checked before the first frame.  Each frame is
     checked on its own line and against the ones before it (one screen size,
     strictly increasing timestamps), so an error names the line where the
-    fault first shows.  Raises TraceParseError for text that is not UTF-8,
-    and for malformed JSON or missing fields, TraceValidationError for
-    contract violations, and the usual OSError family for I/O trouble.
+    fault first shows.  Frames are read and checked in blocks of
+    INGEST_BLOCK_LINES lines (see _block_frames); a block that fails any
+    check is checked again frame by frame through _frame_from_dict, so the
+    first fault in reading order is the one reported, and a read error
+    inside a block is raised after the frames before it.  Raises
+    TraceParseError for text that is not UTF-8, and for malformed JSON or
+    missing fields, TraceValidationError for contract violations, and the
+    usual OSError family for I/O trouble.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         objects = _trace_objects(fh, path.name)
         _header(objects, path.name)
         first = prev = None
-        for where, obj in objects:
-            frame = _frame_from_dict(obj, where)
-            if first is None:
-                first = frame
-            elif (frame.screen_w, frame.screen_h) != (first.screen_w, first.screen_h):
-                raise TraceValidationError(
-                    f"{where}: screen {frame.screen_w}x{frame.screen_h} differs from "
-                    f"the first frame's {first.screen_w}x{first.screen_h}"
-                )
-            elif frame.timestamp_ms <= prev.timestamp_ms:
-                raise TraceValidationError(
-                    f"{path.name}: timestamps must be strictly increasing "
-                    f"({prev.timestamp_ms} then {frame.timestamp_ms})"
-                )
-            yield frame
-            prev = frame
+        while True:
+            block, read_error = _read_block(objects)
+            frames = _block_frames(block)
+            if frames is None:
+                frames = (_frame_from_dict(obj, where) for where, obj in block)
+            for (where, _), frame in zip(block, frames):
+                if first is None:
+                    first = frame
+                elif (frame.screen_w, frame.screen_h) != (first.screen_w, first.screen_h):
+                    raise TraceValidationError(
+                        f"{where}: screen {frame.screen_w}x{frame.screen_h} differs from "
+                        f"the first frame's {first.screen_w}x{first.screen_h}"
+                    )
+                elif frame.timestamp_ms <= prev.timestamp_ms:
+                    raise TraceValidationError(
+                        f"{path.name}: timestamps must be strictly increasing "
+                        f"({prev.timestamp_ms} then {frame.timestamp_ms})"
+                    )
+                yield frame
+                prev = frame
+            if read_error is not None:
+                raise read_error
+            if len(block) < INGEST_BLOCK_LINES:
+                break
+            del block, frames  # this block's objects go before the next block is read
     if first is None:
         raise TraceValidationError(f"{path.name}: trace has no frames")
 

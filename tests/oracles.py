@@ -1,8 +1,10 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is deliberately written from scratch against the documented
-behavior, not by calling into playtrace, so a bug in the package cannot hide
-in its own test oracle.
+Most references here are written from scratch against the documented
+behavior, not by calling into playtrace, so a bug in the package cannot
+hide in its own test oracle.  The eager-analysis and per-line ingest
+references at the end reuse the package's kernels and differ only in the
+order of the work.
 """
 
 from __future__ import annotations
@@ -608,3 +610,40 @@ def analyze_eager(traces, params):
     final = intersect_runs(per_run, screens[0], params.min_visibility, params.min_lifespan_s)
     duration = max(max(t.duration_ms for t in traces), 1)
     return final, compute_metrics(per_run, screens[0]), duration
+
+
+# ------------------------------------------------------------- trace ingest
+# iter_frames as it was before frames were validated in blocks: each line is
+# decoded and checked by the package's per-frame parser before the next line
+# is read.  The block reader falls back on the same parser, which holds the
+# one definition of each error message; only the order of the work differs.
+
+def iter_frames_per_line(path):
+    """Yield the frames of a trace file, validating one line at a time."""
+    from pathlib import Path
+
+    from playtrace.trace import TraceValidationError, _frame_from_dict, _header, _trace_objects
+
+    path = Path(path)
+    with path.open("r", encoding="utf-8") as fh:
+        objects = _trace_objects(fh, path.name)
+        _header(objects, path.name)
+        first = prev = None
+        for where, obj in objects:
+            frame = _frame_from_dict(obj, where)
+            if first is None:
+                first = frame
+            elif (frame.screen_w, frame.screen_h) != (first.screen_w, first.screen_h):
+                raise TraceValidationError(
+                    f"{where}: screen {frame.screen_w}x{frame.screen_h} differs from "
+                    f"the first frame's {first.screen_w}x{first.screen_h}"
+                )
+            elif frame.timestamp_ms <= prev.timestamp_ms:
+                raise TraceValidationError(
+                    f"{path.name}: timestamps must be strictly increasing "
+                    f"({prev.timestamp_ms} then {frame.timestamp_ms})"
+                )
+            yield frame
+            prev = frame
+    if first is None:
+        raise TraceValidationError(f"{path.name}: trace has no frames")

@@ -8,7 +8,7 @@ import signal
 import numpy as np
 import pytest
 
-from playtrace.cli import main, parse_mix
+from playtrace.cli import MAX_RUNS, main, parse_mix
 from playtrace.reporting import load_report
 from playtrace.scenes import benchmark_scene
 from playtrace.scheduler import GestureKind, load_schedule, save_schedule, schedule_random
@@ -194,6 +194,18 @@ def _assert_input_error(rc, capsys):
     return err
 
 
+@pytest.mark.parametrize("runs", [0, -3, MAX_RUNS + 1])
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+def test_runs_outside_the_budget_are_rejected_first(tmp_path, capsys, command, runs):
+    # the input does not exist, so reading it first would exit 2
+    missing = str(tmp_path / "missing.jsonl")
+    out = tmp_path / "out"
+    rc = main([command, missing, "--runs", str(runs), "--out", str(out)])
+    err = _assert_input_error(rc, capsys)
+    assert err == f"error: --runs must be between 1 and {MAX_RUNS}, the budget of runs, got {runs}\n"
+    assert not out.exists()
+
+
 def test_analyze_rejects_trace_jitter_that_is_not_an_object(tmp_path, capsys):
     trace = generate_trace(_scene())
     trace = dataclasses.replace(trace, metadata={**trace.metadata, "jitter": None})
@@ -377,6 +389,13 @@ def _set_track_x(value):
     return edit
 
 
+def _shift_track_times(dt):
+    def edit(ev):
+        for point in ev["tracks"][0]:
+            point[0] += dt
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -390,9 +409,14 @@ def _set_track_x(value):
         (_set_track_x(float("inf")), "track x must be a finite JSON number, got inf"),
         (lambda ev: ev.update(tracks=[]), "tracks must be a non-empty list of non-empty tracks"),
         (lambda ev: ev.update(tracks=[[]]), "tracks must be a non-empty list of non-empty tracks"),
+        (lambda ev: ev["tracks"][0].reverse(), "track times must not decrease (700 then 600)"),
+        (_shift_track_times(100_000),
+         "track times 100000..100700 must lie in [t_start, t_end] = [0, 700]"),
+        (_shift_track_times(-1), "track times -1..699 must lie in [t_start, t_end] = [0, 700]"),
     ],
     ids=["t-inverted", "t-str", "t-bool", "t-float", "track-time-huge", "x-huge", "x-nan",
-         "x-inf", "no-tracks", "empty-track"],
+         "x-inf", "no-tracks", "empty-track", "track-reversed", "track-shifted",
+         "track-early"],
 )
 def test_simulate_rejects_malformed_schedule(tmp_path, capsys, edit, message):
     scene_path = tmp_path / "scene.json"
@@ -407,6 +431,21 @@ def test_simulate_rejects_malformed_schedule(tmp_path, capsys, edit, message):
     err = _assert_input_error(rc, capsys)
     assert err.startswith(f"error: malformed schedule: event 0: {message}")
     assert not out.exists()
+
+
+def test_simulate_accepts_equal_neighbouring_track_times(tmp_path):
+    scene_path = tmp_path / "scene.json"
+    save_scene(_scene(), scene_path)
+    sched_path = tmp_path / "random.json"
+    save_schedule(schedule_random((1920, 1080), 6000, 0), sched_path)
+    d = json.loads(sched_path.read_text())
+    track = d["events"][0]["tracks"][0]
+    track[1][0] = track[0][0]          # a finger resting for one sample
+    track[-1][0] = d["events"][0]["t"][1]
+    sched_path.write_text(json.dumps(d))
+    out = tmp_path / "o.json"
+    assert main(["simulate", str(scene_path), "--schedule", str(sched_path), "--out", str(out)]) == 0
+    assert out.exists()
 
 
 @pytest.mark.parametrize("source", ["duration-ms", "report-end-ms"])

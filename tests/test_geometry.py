@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from playtrace import geometry as g
@@ -24,6 +24,7 @@ from playtrace.geometry import (
     rect_area,
     rect_intersect,
     signed_area,
+    simple_polygons,
     subtract_occluders,
     triangulate_simple,
 )
@@ -119,6 +120,78 @@ def test_is_simple_polygon():
     bowtie = [(0, 0), (10, 10), (10, 0), (0, 10)]
     assert not is_simple_polygon(bowtie)
     assert not is_simple_polygon([(0, 0), (5, 5), (0, 0), (5, 0)])
+
+
+# ------------------------------------------------ batched simplicity test
+#
+# geometry.simple_polygons is is_simple_polygon for many polygons at once;
+# these check that every verdict is the scalar one.
+
+def _scalar_simple(poly):
+    """is_simple_polygon, with the OverflowError of Python's ** 2 read as not simple."""
+    try:
+        return is_simple_polygon(poly)
+    except OverflowError:
+        return False
+
+
+# dx ** 2 + dy ** 2 is just above PARALLEL_EPS here, but dx * dx + dy * dy is not
+POW_EDGE = (8.657068469149748e-07, 5.005513512163686e-07)
+BOWTIE = [(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)]
+
+
+@st.composite
+def _polygons(draw):
+    """Polygons of 3 to 8 vertices, near the edges of every test in is_simple_polygon."""
+    n = draw(st.integers(3, 8))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["star", "grid", "swapped", "repeated", "notch"]))
+    if kind == "grid":
+        # small integer coordinates: many repeats, collinear overlaps and crossings
+        poly = [(float(rng.randint(-2, 2)), float(rng.randint(-2, 2))) for _ in range(n)]
+    elif kind == "notch":
+        # the notch vertex (2, gap) sits on or near edge 0, which is not next to its edges
+        gap = draw(st.sampled_from([0.0, 1e-10, 2.5e-10, 3e-10, -1e-10, 1e-7, 1e-6, 0.5]))
+        poly = ([(0.0, 0.0), (4.0, 0.0)] + [(4.0, 2.0 + 0.1 * k) for k in range(n - 4)]
+                + [(2.0, gap), (0.0, 2.0)])[:n]
+    else:
+        angles = sorted(rng.uniform(0.0, 2.0 * math.pi) for _ in range(n))
+        poly = [(rng.uniform(0.2, 1.0) * math.cos(a), rng.uniform(0.2, 1.0) * math.sin(a))
+                for a in angles]
+        i, j = rng.randrange(n), rng.randrange(n)
+        if kind == "swapped":
+            poly[i], poly[j] = poly[j], poly[i]
+        elif kind == "repeated":
+            # vertex j replaced by vertex i moved by less or more than PARALLEL_EPS allows
+            dx, dy = draw(st.sampled_from([(0.0, 0.0), (0.9e-6, 0.0), (1.1e-6, 0.0),
+                                           (0.0, -0.9e-6), POW_EDGE]))
+            if i != j:
+                poly[j] = (poly[i][0] + dx, poly[i][1] + dy)
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e154, 1e300]))
+    shift = draw(st.sampled_from([0.0, 3.0, 1e300]))
+    poly = [(x * scale + shift, y * scale - shift) for x, y in poly]
+    if draw(st.booleans()):
+        poly.reverse()
+    return poly
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_polygons(), min_size=1, max_size=6))
+@example([[(0.0, 0.0), POW_EDGE, (0.0, 1.0)]])
+@example([BOWTIE, BOWTIE[::-1], SQUARE, STAR])
+@example([[(x * 1e300, y * 1e300) for x, y in SQUARE], [(x + 1e300, y) for x, y in SQUARE]])
+def test_simple_polygons_match_the_scalar_test(polys):
+    assert simple_polygons(polys).tolist() == [_scalar_simple(p) for p in polys]
+
+
+def test_simple_polygons_fixed_shapes():
+    polys = [SQUARE, BOWTIE, [(0.0, 0.0), (1.0, 1.0)], [], STAR, L_SHAPE[::-1],
+             [(0.0, 0.0), POW_EDGE, (0.0, 1.0)]]
+    assert simple_polygons(polys).tolist() == [True, False, False, False, True, True, True]
+    assert simple_polygons([]).tolist() == []
+    with pytest.raises(OverflowError):
+        is_simple_polygon([(x * 1e300, y * 1e300) for x, y in SQUARE])
+    assert not simple_polygons([[(x * 1e300, y * 1e300) for x, y in SQUARE]])[0]
 
 
 def test_point_in_polygon_boundary_inclusive():

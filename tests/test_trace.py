@@ -4,12 +4,15 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from playtrace.pipeline import AnalysisParams, run_boxes
+from playtrace.scenes import benchmark_scene
+from playtrace.simulator import generate_trace
 from playtrace.trace import (
+    INGEST_BLOCK_LINES,
     FrameRecord,
     PlaybackTrace,
     TraceParseError,
@@ -308,8 +311,8 @@ _BAD_ENTRIES = {
 }
 
 
-def _corrupt(field, bad):
-    frame = _frame(33)
+def _corrupt(field, bad, t_ms=33):
+    frame = _frame(t_ms)
     owner_of, key, _, _ = _NUMERIC_FIELDS[field]
     owner = owner_of(frame)
     values = list(owner[key])
@@ -366,3 +369,183 @@ def test_integer_numbers_load_as_floats_and_save_as_floats(tmp_path):
     )
     assert '"verts": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]' in saved.read_text()
     assert saved.read_bytes() == floats.read_bytes()
+
+
+# ------------------------------------------------------ block-validated ingest
+#
+# iter_frames checks frames in blocks of INGEST_BLOCK_LINES lines.  These
+# tests hold it to oracles.iter_frames_per_line, which checks one line at a
+# time: the same frames, the same first error, at the same file:line.
+
+_B = INGEST_BLOCK_LINES
+
+
+def _write_lines(tmp_path, lines):
+    """A trace file of JSON objects, raw text lines and raw byte lines."""
+    p = tmp_path / "t.jsonl"
+    p.write_bytes(b"".join(
+        (line if isinstance(line, bytes)
+         else (line if isinstance(line, str) else json.dumps(line)).encode("utf-8")) + b"\n"
+        for line in lines
+    ))
+    return p
+
+
+def _outcome(read, path):
+    """(timestamps yielded, exception type, message) of reading a whole trace."""
+    seen = []
+    try:
+        for frame in read(path):
+            seen.append(frame.timestamp_ms)
+    except Exception as exc:  # the readers must agree on every exception, TraceError or not
+        return seen, type(exc), str(exc)
+    return seen, None, None
+
+
+def _edit(change):
+    """A fault that edits the frame dict in place."""
+    def fault(f):
+        change(f)
+        return f
+    return fault
+
+
+def _plane(f):
+    return f["trackables"][0]
+
+
+_FAULTS = {
+    # structure
+    "t_ms-missing": _edit(lambda f: f.pop("t_ms")),
+    "t_ms-float": _edit(lambda f: f.update(t_ms=f["t_ms"] + 0.5)),
+    "t_ms-bool": _edit(lambda f: f.update(t_ms=True)),
+    "t_ms-huge": _edit(lambda f: f.update(t_ms=2**53 + 1)),
+    "t_ms-backward": _edit(lambda f: f.update(t_ms=f["t_ms"] - 40)),
+    "t_ms-repeated": _edit(lambda f: f.update(t_ms=f["t_ms"] - 33)),
+    "screen-zero": _edit(lambda f: f.update(screen=[1920, 0])),
+    "screen-short": _edit(lambda f: f.update(screen=[1920])),
+    "screen-changed": _edit(lambda f: f.update(screen=[960, 540])),
+    "trackables-missing": _edit(lambda f: f.pop("trackables")),
+    "trackables-not-list": _edit(lambda f: f.update(trackables="plane-1")),
+    "trackable-not-object": _edit(lambda f: f.update(trackables=[5])),
+    "id-missing": _edit(lambda f: _plane(f).pop("id")),
+    "id-empty": _edit(lambda f: _plane(f).update(id="")),
+    "duplicate-id": _edit(lambda f: f.update(trackables=[_trackable(), _trackable()])),
+    "verts-missing": _edit(lambda f: _plane(f).pop("verts")),
+    "verts-two": _edit(lambda f: _plane(f).update(verts=[[0.0, 0.0], [1.0, 0.0]])),
+    "verts-not-list": _edit(lambda f: _plane(f).update(verts=7)),
+    "vertex-number": _edit(lambda f: _plane(f)["verts"].__setitem__(1, 1.0)),
+    "vertex-string": _edit(lambda f: _plane(f)["verts"].__setitem__(1, "ab")),
+    "normal-missing": _edit(lambda f: _plane(f).pop("normal")),
+    "state-missing": _edit(lambda f: _plane(f).pop("state")),
+    "pose-missing": _edit(lambda f: _plane(f).pop("pose")),
+    "center-missing": _edit(lambda f: _plane(f).pop("center")),
+    "state-unknown": _edit(lambda f: _plane(f).update(state="FLYING")),
+    "state-unhashable": _edit(lambda f: _plane(f).update(state=["TRACKING"])),
+    "view-missing": _edit(lambda f: f.pop("view")),
+    "proj-missing": _edit(lambda f: f.pop("proj")),
+    "cam_pos-missing": _edit(lambda f: f.pop("cam_pos")),
+    # polygons
+    "bowtie": _edit(lambda f: _plane(f).update(verts=[[0, 0], [1, 1], [1, 0], [0, 1]])),
+    "repeated-vertex": _edit(lambda f: _plane(f).update(
+        verts=[[0.0, 0.0], [1.0, 0.0], [1.0, 0.0000005], [0.0, 1.0]])),
+    "huge-polygon": _edit(lambda f: _plane(f).update(
+        verts=[[-1e300, -1e300], [1e300, -1e300], [1e300, 1e300], [-1e300, 1e300]])),
+    # normals, on both sides of UNIT_EPS and at it
+    "normal-long": _edit(lambda f: _plane(f).update(normal=[0.0, 2.0, 0.0])),
+    "normal-just-long": _edit(lambda f: _plane(f).update(normal=[0.0, 1.0000015, 0.0])),
+    "normal-at-tolerance": _edit(lambda f: _plane(f).update(normal=[0.0, 1.000001, 0.0])),
+    "normal-just-unit": _edit(lambda f: _plane(f).update(normal=[0.0, 0.9999995, 0.0])),
+    # lines that are not frame objects
+    "invalid-json": lambda f: "{not json",
+    "truncated-json": lambda f: json.dumps(f)[:-7],
+    "not-object": lambda f: "[1, 2]",
+    "not-utf8": lambda f: json.dumps(f).encode("utf-8").replace(b"plane-1", b"plane-\xff"),
+    "blank-line": lambda f: "",
+    # every entry of test_bad_numeric_entry_names_field_and_line's catalogue
+    **{
+        f"{field}-{bad}": (lambda field, bad: lambda f: _corrupt(field, bad, f["t_ms"]))(field, bad)
+        for field in _NUMERIC_FIELDS for bad in [*_BAD_ENTRIES, "wrong-length"]
+    },
+}
+_SPOTS = [b * _B + k for b in range(3) for k in (0, _B // 2, _B - 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_frames=st.integers(2 * _B + 1, 3 * _B),
+    faults=st.lists(st.tuples(st.sampled_from(sorted(_FAULTS)), st.sampled_from(_SPOTS)),
+                    min_size=1, max_size=2),
+)
+@example(n_frames=3 * _B, faults=[("view-nan", 1), ("not-utf8", 3 * _B - 1)])
+@example(n_frames=2 * _B + 1, faults=[("normal-just-unit", _B - 1), ("blank-line", _B)])
+def test_block_reader_matches_the_per_line_reader(tmp_path_factory, n_frames, faults):
+    lines = [_header()] + [_frame(33 * i) for i in range(n_frames)]
+    for name, spot in faults:
+        k = 1 + min(spot, n_frames - 1)
+        lines[k] = _FAULTS[name](_frame(33 * (k - 1)))
+    p = _write_lines(tmp_path_factory.mktemp("ingest"), lines)
+    assert _outcome(iter_frames, p) == _outcome(oracles.iter_frames_per_line, p)
+
+
+def test_bad_number_is_reported_before_a_later_read_error(tmp_path):
+    lines = [_header(), _corrupt("view", "nan", 0), _frame(33), _frame(66), "{not json", _frame(132)]
+    p = _write_lines(tmp_path, lines)
+    with pytest.raises(TraceValidationError) as exc:
+        list(iter_frames(p))
+    assert str(exc.value) == "t.jsonl:2 view: all entries must be finite numbers"
+    assert _outcome(iter_frames, p) == _outcome(oracles.iter_frames_per_line, p)
+
+
+@pytest.mark.parametrize("line, message", [("{not json", "invalid JSON"),
+                                           ("[1, 2]", "expected a JSON object")])
+def test_read_error_comes_after_the_frames_read_before_it(tmp_path, line, message):
+    frames = iter_frames(_write_lines(tmp_path, [_header(), _frame(0), _frame(33), line, _frame(99)]))
+    assert [next(frames).timestamp_ms, next(frames).timestamp_ms] == [0, 33]
+    with pytest.raises(TraceParseError, match=rf"^t\.jsonl:4: {message}"):
+        next(frames)
+
+
+@pytest.mark.parametrize("spots", [[_B - 1], [_B], [_B - 1, _B]],
+                         ids=["block-last", "next-block-first", "both"])
+def test_faults_at_a_block_boundary(tmp_path, spots):
+    lines = [_header()] + [_frame(33 * i) for i in range(_B + 5)]
+    for k in spots:
+        lines[1 + k] = _corrupt("pose", "null", 33 * k)
+    p = _write_lines(tmp_path, lines)
+    seen, kind, message = _outcome(iter_frames, p)
+    assert seen == [33 * i for i in range(spots[0])]
+    assert kind is TraceValidationError
+    assert message == f"t.jsonl:{spots[0] + 2} trackable 'plane-1' pose: all entries must be finite numbers"
+    assert (seen, kind, message) == _outcome(oracles.iter_frames_per_line, p)
+
+
+def _assert_same_array(a, b):
+    assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides)
+    assert a.tobytes() == b.tobytes()
+    assert not a.flags.writeable and not b.flags.writeable
+
+
+def test_block_reader_arrays_match_the_per_line_reader(tmp_path):
+    # the long-session workload's scene, three blocks and a bit of it
+    full = generate_trace(benchmark_scene("drift-trio"), 3)
+    path = tmp_path / "session.jsonl"
+    save_trace(PlaybackTrace(full.frames[:3 * _B + 7], full.source_fps, full.metadata), path)
+    got = list(iter_frames(path))
+    want = list(oracles.iter_frames_per_line(path))
+    assert len(got) == len(want) == 3 * _B + 7
+    assert sum(len(f.trackables) for f in got) > 3 * _B
+    for a, b in zip(got, want):
+        assert (a.timestamp_ms, a.screen_w, a.screen_h) == (b.timestamp_ms, b.screen_w, b.screen_h)
+        for name in ("view", "projection", "camera_position"):
+            _assert_same_array(getattr(a, name), getattr(b, name))
+        assert len(a.trackables) == len(b.trackables)
+        for ta, tb in zip(a.trackables, b.trackables):
+            assert (ta.trackable_id, ta.tracking_state) == (tb.trackable_id, tb.tracking_state)
+            assert ta.local_vertices == tb.local_vertices
+            assert all(type(v) is float for xz in ta.local_vertices for v in xz)
+            for name in ("pose", "center_world", "normal_world"):
+                _assert_same_array(getattr(ta, name), getattr(tb, name))
+    resaved = tmp_path / "resaved.jsonl"
+    save_trace(load_trace(path), resaved)
+    assert resaved.read_bytes() == path.read_bytes()

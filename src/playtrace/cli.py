@@ -36,11 +36,12 @@ from .simulator import (
     SceneError,
     SimScene,
     execute_schedule,
-    generate_trace,
+    frame_times,
     gsr_summary,
     jitter_from_dict,
     load_scene,
     outcomes_to_dict,
+    render_frames,
     scene_from_dict,
     save_scene,
 )
@@ -77,9 +78,20 @@ def _check_runs(runs: int) -> None:
 def _generated_runs(
     scene: SimScene, jitter: Jitter, seed_base: int, runs: int, params: AnalysisParams
 ) -> list[RunBoxes]:
-    """The boxes of runs rendered with jitter seeds seed_base, seed_base + 1, ..., one at a time."""
-    traces = (generate_trace(scene, seed_base + r, jitter) for r in range(runs))
-    return [run_boxes(t.frames, t.source_fps, params) for t in traces]
+    """The boxes of runs rendered with jitter seeds seed_base, seed_base + 1, ..., one at a time.
+
+    Only the frames the analysis keeps are rendered, and run_boxes keeps
+    them all again; each run still lasts until the last frame of the full
+    render, which sets the end of the Gantt chart.
+    """
+    end_ms = frame_times(scene)[-1]
+    return [
+        dataclasses.replace(
+            run_boxes(render_frames(scene, seed_base + r, jitter, params.fps), scene.fps, params),
+            duration_ms=end_ms,
+        )
+        for r in range(runs)
+    ]
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

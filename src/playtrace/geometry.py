@@ -182,26 +182,6 @@ def is_convex(poly: Polygon) -> bool:
     return True
 
 
-def is_simple_polygon(poly: Polygon) -> bool:
-    """True when no two non-adjacent edges intersect and no vertex repeats."""
-    n = len(poly)
-    if n < 3:
-        return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _dist_sq(poly[i], poly[j]) <= PARALLEL_EPS:
-                return False
-    for i in range(n):
-        a1, a2 = poly[i], poly[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue  # adjacent edges share a vertex by construction
-            b1, b2 = poly[j], poly[(j + 1) % n]
-            if _segments_cross(a1, a2, b1, b2):
-                return False
-    return True
-
-
 def _segments_cross(a1: Point, a2: Point, b1: Point, b2: Point) -> bool:
     d1 = _cross(b1, b2, a1)
     d2 = _cross(b1, b2, a2)
@@ -518,12 +498,15 @@ def _at_most(hi: float, v: np.ndarray) -> np.ndarray:
 
 
 def simple_polygons(polys: Sequence[Polygon]) -> np.ndarray:
-    """is_simple_polygon of each polygon, as a bool array, in one numpy pass per vertex count.
+    """Whether each polygon is simple, as a bool array, in one numpy pass per vertex count.
 
-    Elementwise numpy with is_simple_polygon's expressions in its order, so
-    every verdict is the scalar one.  A polygon on which the scalar function
-    raises OverflowError (Python's ** 2 of a finite value past the float
-    range) is not simple here.
+    A polygon is simple when no vertex repeats (_dist_sq within
+    PARALLEL_EPS) and no two non-adjacent edges cross or overlap
+    (_segments_cross).  The tests compare every verdict with a scalar loop
+    over those two helpers, and the expressions here are elementwise copies
+    of theirs in their order.  A polygon on which the scalar loop raises
+    OverflowError (Python's ** 2 of a finite value past the float range)
+    is not simple here.
     """
     simple = np.zeros(len(polys), dtype=bool)
     by_size: dict[int, list[int]] = {}

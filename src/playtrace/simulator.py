@@ -14,7 +14,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .trace import (
     PlaybackTrace,
     TrackableSnapshot,
     TrackingState,
+    deadline_walk,
     json_numbers,
 )
 
@@ -427,17 +428,20 @@ def frame_times(scene: SimScene) -> list[int]:
     return times
 
 
-def generate_trace(
+def render_frames(
     scene: SimScene,
     jitter_seed: int = 0,
     jitter: Jitter | None = None,
-) -> PlaybackTrace:
-    """Render the scene into a playback trace.
+    keep_fps: float = math.inf,
+) -> Iterator[FrameRecord]:
+    """Render the scene's frames one at a time, building only those decimation keeps.
 
     Dropout makes a detected plane vanish from single frames at random;
     vertex noise perturbs the reported polygon corners in the plane's local
-    frame.  Both draw from one generator seeded with jitter_seed, so equal
-    (scene, seed, jitter) inputs give byte-identical traces.
+    frame.  Both draw from one generator seeded with jitter_seed.  Every
+    frame of frame_times(scene) makes its draws in order, but only the
+    frames that decimate(..., scene.fps, keep_fps) would keep are built, so
+    the frames yielded equal those of the full render that decimation keeps.
     """
     validate_scene(scene)
     if jitter is None:
@@ -446,22 +450,32 @@ def generate_trace(
     aspect = scene.screen_w / scene.screen_h
     proj = perspective_matrix(scene.fov_y_deg, aspect, scene.near_m, scene.far_m)
     times = frame_times(scene)
-    eyes, views = camera_poses(scene, times)
-    planes = [(p, p.pose(), plane_detected(p, np.array(times))) for p in scene.planes]
-    frames: list[FrameRecord] = []
+    keep = deadline_walk(scene.fps, keep_fps)
+    kept = [keep(t) for t in times]
+    eyes, views = camera_poses(scene, [t for t, k in zip(times, kept) if k])
+    planes = [
+        (p, p.pose(), plane_detected(p, np.array(times)).tolist(), p.vertices())
+        for p in scene.planes
+    ]
+    draws = jitter.dropout_prob > 0.0 or jitter.vertex_noise_m > 0.0
+    poses = zip(eyes, views)
     for i, t in enumerate(times):
+        if not (kept[i] or draws):
+            continue  # a frame that is neither built nor draws jitter
         trackables: list[TrackableSnapshot] = []
-        for plane, pose, detected in planes:
+        for plane, pose, detected, verts in planes:
             if not detected[i]:
                 continue
             if jitter.dropout_prob > 0.0 and rng.random() < jitter.dropout_prob:
                 continue
-            verts = plane.vertices()
             if jitter.vertex_noise_m > 0.0:
                 noise = rng.normal(0.0, jitter.vertex_noise_m, size=(len(verts), 2))
-                verts = tuple(
-                    (x + nx, z + nz) for (x, z), (nx, nz) in zip(verts, noise.tolist())
-                )
+                if kept[i]:
+                    verts = tuple(
+                        (x + nx, z + nz) for (x, z), (nx, nz) in zip(verts, noise.tolist())
+                    )
+            if not kept[i]:
+                continue  # its draws are made, but the frame is not built
             trackables.append(
                 TrackableSnapshot(
                     trackable_id=plane.plane_id,
@@ -472,23 +486,37 @@ def generate_trace(
                     tracking_state=TrackingState.TRACKING,
                 )
             )
-        frames.append(
-            FrameRecord(
+        if kept[i]:
+            eye, view = next(poses)
+            yield FrameRecord(
                 timestamp_ms=t,
-                view=views[i],
+                view=view,
                 projection=proj,
-                camera_position=eyes[i],
+                camera_position=eye,
                 screen_w=scene.screen_w,
                 screen_h=scene.screen_h,
                 trackables=tuple(trackables),
             )
-        )
+
+
+def generate_trace(
+    scene: SimScene,
+    jitter_seed: int = 0,
+    jitter: Jitter | None = None,
+) -> PlaybackTrace:
+    """Render every frame of the scene into a playback trace (render_frames).
+
+    Equal (scene, seed, jitter) inputs give byte-identical traces.
+    """
+    if jitter is None:
+        jitter = scene.default_jitter
+    frames = tuple(render_frames(scene, jitter_seed, jitter))
     meta = {
         "scene": scene_to_dict(scene),
         "jitter": asdict(jitter),
         "jitter_seed": jitter_seed,
     }
-    return PlaybackTrace(frames=tuple(frames), source_fps=scene.fps, metadata=meta)
+    return PlaybackTrace(frames=frames, source_fps=scene.fps, metadata=meta)
 
 
 def _cast(

@@ -16,11 +16,11 @@ from enum import Enum
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Iterator, NamedTuple, TextIO
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
-from .geometry import is_simple_polygon, simple_polygons
+from .geometry import simple_polygons
 
 TRACE_FORMAT = "tariplay-trace"
 TRACE_VERSION = 1
@@ -236,7 +236,7 @@ def _frame_from_dict(d: dict, where: str) -> FrameRecord:
     o = 0
     for _, tw, _, raw_verts in head.tracks:
         n2 = 2 * len(raw_verts)
-        if not is_simple_polygon(_vertices(arr, o, len(raw_verts))):
+        if not simple_polygons([arr[o:o + n2].reshape(-1, 2)])[0]:
             raise TraceValidationError(f"{tw}: polygon must be simple (no self-intersection)")
         problem = _unit_length_error(arr[o + n2:o + n2 + 3])
         if problem is not None:
@@ -348,21 +348,30 @@ def _frame_to_dict(f: FrameRecord) -> dict:
     }
 
 
-def _utf8_lines(fh: TextIO, name: str) -> Iterator[str]:
-    """The lines of a text file opened as UTF-8; other bytes are a TraceParseError."""
-    try:
-        yield from fh
-    except UnicodeDecodeError as exc:
-        raise TraceParseError(f"{name}: not UTF-8 text: {exc}") from None
+def _open_trace(path: Path) -> TextIO:
+    """A trace file opened as UTF-8 text; bytes that are not UTF-8 reach their line as escapes."""
+    return path.open("r", encoding="utf-8", errors="surrogateescape")
 
 
 def _trace_objects(fh: TextIO, name: str) -> Iterator[tuple[str, dict]]:
-    """(file:line, JSON object) for each non-blank line of an open trace file."""
-    for lineno, line in enumerate(_utf8_lines(fh, name), start=1):
+    """(file:line, JSON object) for each non-blank line of a trace file opened by _open_trace.
+
+    A line that held bytes that are not UTF-8 is a TraceParseError at that
+    line, so it comes after every fault on an earlier line.
+    """
+    for lineno, line in enumerate(fh, start=1):
+        where = f"{name}:{lineno}"
+        if not line.isascii():  # a flag of the str, so ASCII lines cost nothing here
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise TraceParseError(
+                    f"{where}: not UTF-8 text (byte {byte:#04x} at column {exc.start + 1})"
+                ) from None
         line = line.strip()
         if not line:
             continue
-        where = f"{name}:{lineno}"
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -396,7 +405,7 @@ def _header(objects: Iterator[tuple[str, dict]], name: str) -> tuple[float, dict
 def read_header(path: str | Path) -> tuple[float, dict]:
     """The recording fps and the meta object of a trace file, validated; no frame is read."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    with _open_trace(path) as fh:
         return _header(_trace_objects(fh, path.name), path.name)
 
 
@@ -431,7 +440,7 @@ def iter_frames(path: str | Path) -> Iterator[FrameRecord]:
     usual OSError family for I/O trouble.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    with _open_trace(path) as fh:
         objects = _trace_objects(fh, path.name)
         _header(objects, path.name)
         first = prev = None
@@ -485,22 +494,33 @@ def save_trace(trace: PlaybackTrace, path: str | Path) -> None:
             fh.write(json.dumps(_frame_to_dict(f)) + "\n")
 
 
+def deadline_walk(source_fps: float, target_fps: float) -> Callable[[int], bool]:
+    """The decimation rule: a predicate that, asked about each timestamp in order, says which to keep.
+
+    It keeps the first timestamp, then the first one at or after each
+    sampling deadline; deadlines are the multiples of 1000/target_fps ms.
+    Each deadline depends only on the last kept timestamp, so the kept
+    timestamps are kept again by a second walk.  When the target rate is
+    at or above the source rate every timestamp is kept.
+    """
+    if target_fps >= source_fps:
+        return lambda t: True
+    period = 1000.0 / target_fps
+    deadline = -math.inf
+
+    def keep(t: int) -> bool:
+        nonlocal deadline
+        if t < deadline:
+            return False
+        deadline = (math.floor(t / period) + 1.0) * period
+        return True
+
+    return keep
+
+
 def decimate(
     frames: Iterable[FrameRecord], source_fps: float, target_fps: float
 ) -> Iterator[FrameRecord]:
-    """Decimate frames to roughly target_fps without interpolating, as they arrive.
-
-    Walks the frames keeping the first frame, then the first one at or
-    after each sampling deadline; deadlines are the multiples of
-    1000/target_fps ms.  When the target rate is at or above the source
-    rate every frame is kept.
-    """
-    if target_fps >= source_fps:
-        yield from frames
-        return
-    period = 1000.0 / target_fps
-    deadline = -math.inf
-    for f in frames:
-        if f.timestamp_ms >= deadline:
-            yield f
-            deadline = (math.floor(f.timestamp_ms / period) + 1.0) * period
+    """Decimate frames to roughly target_fps without interpolating, as they arrive (deadline_walk)."""
+    keep = deadline_walk(source_fps, target_fps)
+    return (f for f in frames if keep(f.timestamp_ms))

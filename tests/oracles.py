@@ -2,9 +2,9 @@
 
 Most references here are written from scratch against the documented
 behavior, not by calling into playtrace, so a bug in the package cannot
-hide in its own test oracle.  The eager-analysis and per-line ingest
-references at the end reuse the package's kernels and differ only in the
-order of the work.
+hide in its own test oracle.  The scalar simplicity test and the
+eager-analysis and per-line ingest references reuse the package's kernels
+and differ only in the order of the work.
 """
 
 from __future__ import annotations
@@ -154,6 +154,33 @@ def mc_intersection_area(subject: list[Point], clip: list[Point],
                                      & convex_masks(clip, xs, ys)))
         remaining -= m
     return box_area * hits / n_samples
+
+
+# ------------------------------------------------------------ simplicity
+# The scalar simplicity test that geometry.simple_polygons copies
+# elementwise.  It calls the package's own _dist_sq and _segments_cross, so
+# the property tests pin the batched kernel to these helpers' verdicts.
+
+def is_simple_polygon(poly: list[Point]) -> bool:
+    """True when no two non-adjacent edges intersect and no vertex repeats."""
+    from playtrace.geometry import PARALLEL_EPS, _dist_sq, _segments_cross
+
+    n = len(poly)
+    if n < 3:
+        return False
+    for i in range(n):
+        for j in range(i + 1, n):
+            if _dist_sq(poly[i], poly[j]) <= PARALLEL_EPS:
+                return False
+    for i in range(n):
+        a1, a2 = poly[i], poly[(i + 1) % n]
+        for j in range(i + 1, n):
+            if j == i or (j + 1) % n == i or (i + 1) % n == j:
+                continue  # adjacent edges share a vertex by construction
+            b1, b2 = poly[j], poly[(j + 1) % n]
+            if _segments_cross(a1, a2, b1, b2):
+                return False
+    return True
 
 
 # -------------------------------------------------------------- life spans
@@ -622,10 +649,16 @@ def iter_frames_per_line(path):
     """Yield the frames of a trace file, validating one line at a time."""
     from pathlib import Path
 
-    from playtrace.trace import TraceValidationError, _frame_from_dict, _header, _trace_objects
+    from playtrace.trace import (
+        TraceValidationError,
+        _frame_from_dict,
+        _header,
+        _open_trace,
+        _trace_objects,
+    )
 
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    with _open_trace(path) as fh:
         objects = _trace_objects(fh, path.name)
         _header(objects, path.name)
         first = prev = None

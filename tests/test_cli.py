@@ -317,7 +317,9 @@ def test_non_utf8_errors_name_the_file(tmp_path, trace_path, capsys):
         ["analyze", str(bad), "--out", str(tmp_path / "x")],  # trace
     ):
         err = _assert_input_error(main(argv), capsys)
-        assert err.startswith("error: utf16.json: not UTF-8 text: "), argv
+        # a trace is decoded line by line, so its error names the line too
+        where = "utf16.json:1" if argv[0] == "analyze" else "utf16.json"
+        assert err.startswith(f"error: {where}: not UTF-8 text"), argv
     assert not out.exists()
 
 
@@ -710,3 +712,14 @@ def test_analyze_rejects_huge_integer_literal(tmp_path, trace_path, capsys, fiel
     trace_path.write_text("".join(lines))
     rc = main(["analyze", str(trace_path), "--out", str(tmp_path / "x")])
     assert _assert_input_error(rc, capsys).startswith(f"error: {message}")
+
+
+def test_analyze_rejects_a_huge_polygon_without_a_traceback(tmp_path, trace_path, capsys):
+    # Python's ** 2 overflows on these vertices; the polygon is not simple, and no exception escapes
+    header, frame = trace_path.read_text().splitlines()[:2]
+    frame = json.loads(frame)
+    frame["trackables"][0]["verts"] = [[-1e300, -1e300], [1e300, -1e300], [1e300, 1e300], [-1e300, 1e300]]
+    trace_path.write_text(header + "\n" + json.dumps(frame) + "\n")
+    rc = main(["analyze", str(trace_path), "--out", str(tmp_path / "x")])
+    err = _assert_input_error(rc, capsys)
+    assert err == "error: run.jsonl:2 trackable 'table': polygon must be simple (no self-intersection)\n"

@@ -17,7 +17,6 @@ from playtrace.geometry import (
     convex_subtract,
     inscribed_rects,
     is_convex,
-    is_simple_polygon,
     line_param_t,
     point_in_polygon,
     polygon_area,
@@ -115,22 +114,22 @@ def test_is_convex():
 
 
 def test_is_simple_polygon():
-    assert is_simple_polygon(SQUARE)
-    assert is_simple_polygon(STAR)
+    assert oracles.is_simple_polygon(SQUARE)
+    assert oracles.is_simple_polygon(STAR)
     bowtie = [(0, 0), (10, 10), (10, 0), (0, 10)]
-    assert not is_simple_polygon(bowtie)
-    assert not is_simple_polygon([(0, 0), (5, 5), (0, 0), (5, 0)])
+    assert not oracles.is_simple_polygon(bowtie)
+    assert not oracles.is_simple_polygon([(0, 0), (5, 5), (0, 0), (5, 0)])
 
 
 # ------------------------------------------------ batched simplicity test
 #
-# geometry.simple_polygons is is_simple_polygon for many polygons at once;
+# geometry.simple_polygons is oracles.is_simple_polygon for many polygons at once;
 # these check that every verdict is the scalar one.
 
 def _scalar_simple(poly):
     """is_simple_polygon, with the OverflowError of Python's ** 2 read as not simple."""
     try:
-        return is_simple_polygon(poly)
+        return oracles.is_simple_polygon(poly)
     except OverflowError:
         return False
 
@@ -190,7 +189,7 @@ def test_simple_polygons_fixed_shapes():
     assert simple_polygons(polys).tolist() == [True, False, False, False, True, True, True]
     assert simple_polygons([]).tolist() == []
     with pytest.raises(OverflowError):
-        is_simple_polygon([(x * 1e300, y * 1e300) for x, y in SQUARE])
+        oracles.is_simple_polygon([(x * 1e300, y * 1e300) for x, y in SQUARE])
     assert not simple_polygons([[(x * 1e300, y * 1e300) for x, y in SQUARE]])[0]
 
 

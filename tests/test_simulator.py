@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 
@@ -35,12 +36,13 @@ from playtrace.simulator import (
     load_scene,
     outcomes_to_dict,
     plane_detected,
+    render_frames,
     save_scene,
     scene_from_dict,
     scene_to_dict,
     validate_scene,
 )
-from playtrace.trace import save_trace
+from playtrace.trace import decimate, save_trace
 
 # straight-down camera at height 2 with a 60 degree vertical fov on a
 # 1080px-tall screen puts 540*sqrt(3)/2 pixels on one meter at the floor
@@ -464,6 +466,39 @@ def test_trace_bytes_pinned(tmp_path, name, seed):
     path = tmp_path / "trace.jsonl"
     save_trace(generate_trace(benchmark_scene(name), jitter_seed=seed), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _TRACE_DIGESTS[(name, seed)]
+
+
+def _frame_fields(frame):
+    """Everything a rendered frame holds, in comparable form."""
+    return (
+        frame.timestamp_ms,
+        frame.view.tobytes(),
+        frame.projection.tobytes(),
+        frame.camera_position.tobytes(),
+        (frame.screen_w, frame.screen_h),
+        [(t.trackable_id, t.local_vertices, t.pose.tobytes(), t.tracking_state)
+         for t in frame.trackables],
+    )
+
+
+@pytest.mark.parametrize("name", PACK)
+def test_render_frames_equal_the_decimated_full_render(name):
+    # noisy-trio draws dropout and vertex noise: every draw of a dropped frame is still made
+    scene = benchmark_scene(name)
+    for seed in (1, 2):
+        full = generate_trace(scene, seed)
+        want = [_frame_fields(f) for f in decimate(full.frames, scene.fps, 10.0)]
+        got = [_frame_fields(f) for f in render_frames(scene, seed, keep_fps=10.0)]
+        assert got == want
+        assert len(got) < len(full.frames)
+
+
+@pytest.mark.parametrize("fps", [10.0, 7.5])
+def test_render_frames_keep_every_frame_at_or_below_the_analysis_rate(fps):
+    scene = dataclasses.replace(benchmark_scene("noisy-trio"), fps=fps)
+    full = generate_trace(scene, 3)
+    got = [_frame_fields(f) for f in render_frames(scene, 3, keep_fps=10.0)]
+    assert got == [_frame_fields(f) for f in full.frames]
 
 
 def test_execute_schedule_empty():

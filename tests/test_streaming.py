@@ -1,4 +1,4 @@
-"""Streamed `analyze` against the eager reference, and its memory bound."""
+"""Streamed `analyze` and rendered runs against the eager reference, and their memory bounds."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import oracles
-from playtrace.cli import main
-from playtrace.pipeline import AnalysisParams
+from playtrace.cli import _generated_runs, main
+from playtrace.pipeline import AnalysisParams, run_boxes
 from playtrace.reporting import render_gantt, write_report
 from playtrace.scenes import benchmark_scene
 from playtrace.simulator import CameraKeyframe, ScenePlane, SimScene, generate_trace
@@ -62,6 +62,19 @@ def test_streamed_multi_run_regeneration_matches_eager_reference(tmp_path):
     _assert_same_outputs(tmp_path / "s", tmp_path / "e")
 
 
+@pytest.mark.parametrize("name", ["drift-trio", "noisy-trio"])
+def test_rendered_runs_equal_the_runs_of_full_traces(name):
+    # only the kept frames are rendered, but the runs are those of the full traces,
+    # and each lasts until the last rendered frame, past the last kept one
+    scene = benchmark_scene(name)
+    params = AnalysisParams()
+    runs = _generated_runs(scene, scene.default_jitter, 5, 2, params)
+    for r, run in enumerate(runs):
+        full = generate_trace(scene, 5 + r, scene.default_jitter)
+        assert run == run_boxes(full.frames, full.source_fps, params)
+        assert run.duration_ms == full.duration_ms > run.timestamps_ms[-1]
+
+
 def _static_scene(frames: int) -> SimScene:
     """One table under a still camera, recorded for the given number of 30 fps frames."""
     table = ScenePlane(
@@ -99,4 +112,27 @@ def test_analyze_memory_grows_with_boxes_not_frames(tmp_path):
     peak(n)  # first call: imports and caches
     growth = peak(2 * n) - peak(n)
     # holding a parsed frame costs about 5 KB; n more frames may cost a tenth of that
+    assert growth < n * 500, f"peak grew by {growth} B for {n} more frames"
+
+
+def test_rendered_runs_memory_grows_with_boxes_not_frames(tmp_path):
+    # analyze --runs 2 streams the file it is given, then renders two runs of its scene
+    n = 600
+    paths = {}
+    for frames in (n, 2 * n):
+        paths[frames] = tmp_path / f"{frames}.jsonl"
+        save_trace(generate_trace(_static_scene(frames)), paths[frames])
+
+    def peak(frames: int) -> int:
+        argv = ["analyze", str(paths[frames]), "--runs", "2", "--out", str(tmp_path / f"o{frames}")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(n)  # first call: imports and caches
+    growth = peak(2 * n) - peak(n)
+    # holding a rendered trace costs about 2 KB a frame; n more frames may cost a quarter of that
     assert growth < n * 500, f"peak grew by {growth} B for {n} more frames"

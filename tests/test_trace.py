@@ -273,6 +273,8 @@ def test_decimate_matches_the_deadline_walk(gaps, start, source_fps, target_fps)
     tr = _synthetic_trace(timestamps, source_fps)
     streamed = [f.timestamp_ms for f in decimate(iter(tr.frames), source_fps, target_fps)]
     assert streamed == oracles.decimate_reference(timestamps, source_fps, target_fps)
+    kept = list(decimate(tr.frames, source_fps, target_fps))
+    assert list(decimate(kept, source_fps, target_fps)) == kept
     run = run_boxes(tr.frames, source_fps, AnalysisParams(fps=target_fps))
     assert streamed == run.timestamps_ms
 
@@ -518,6 +520,36 @@ def test_faults_at_a_block_boundary(tmp_path, spots):
     assert kind is TraceValidationError
     assert message == f"t.jsonl:{spots[0] + 2} trackable 'plane-1' pose: all entries must be finite numbers"
     assert (seen, kind, message) == _outcome(oracles.iter_frames_per_line, p)
+
+
+def test_non_utf8_line_is_reported_at_its_line(tmp_path):
+    bad = json.dumps(_frame(66)).encode("utf-8").replace(b"plane-1", b"plane-\xff")
+    p = _write_lines(tmp_path, [_header(), _frame(0), _frame(33), bad, _frame(99)])
+    frames = iter_frames(p)
+    assert [next(frames).timestamp_ms, next(frames).timestamp_ms] == [0, 33]
+    with pytest.raises(TraceParseError) as exc:
+        next(frames)
+    assert str(exc.value) == f"t.jsonl:4: not UTF-8 text (byte 0xff at column {bad.index(0xFF) + 1})"
+
+
+def test_earlier_fault_is_reported_before_a_non_utf8_line(tmp_path):
+    lines = [_header(), _frame(0), _frame(33), _frame(66.5), b"\xff" + json.dumps(_frame(99)).encode()]
+    p = _write_lines(tmp_path, lines)
+    seen, kind, message = _outcome(iter_frames, p)
+    assert (seen, kind) == ([0, 33], TraceValidationError)
+    assert message.startswith("t.jsonl:4: t_ms must be an integer")
+    assert (seen, kind, message) == _outcome(oracles.iter_frames_per_line, p)
+
+
+@pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_line_ends_are_read(tmp_path, end):
+    p = tmp_path / "t.jsonl"
+    lines = [json.dumps(x).encode() for x in [_header(), _frame(0), _frame(33)]]
+    p.write_bytes(end.join(lines) + end)
+    assert [f.timestamp_ms for f in load_trace(p).frames] == [0, 33]
+    p.write_bytes(end.join([*lines[:2], b"\xff", lines[2]]) + end)
+    with pytest.raises(TraceParseError, match=r"^t\.jsonl:3: not UTF-8 text \(byte 0xff at column 1\)$"):
+        list(iter_frames(p))
 
 
 def _assert_same_array(a, b):

@@ -90,24 +90,6 @@ def rect_intersect(a: Rect | None, b: Rect | None) -> Rect | None:
     return Rect(x_min, y_min, x_max, y_max)
 
 
-def clip_to_screen(
-    clip: Sequence[float], screen_w: float, screen_h: float, v_local: Sequence[float]
-) -> Point | None:
-    """Perspective division and viewport transform of one clip-space vertex.
-
-    Returns None when clip-space w <= BEHIND_W_EPS (behind the camera) and
-    raises ArithmeticError, naming v_local, for non-finite pixels.
-    """
-    x_clip, y_clip, _, w = clip
-    if w <= BEHIND_W_EPS:
-        return None
-    x = (x_clip / w + 1.0) / 2.0 * screen_w
-    y = (1.0 - (y_clip / w + 1.0) / 2.0) * screen_h
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ArithmeticError(f"non-finite screen coordinates from vertex {v_local!r}")
-    return (x, y)
-
-
 def line_param_t(p1: Point, p2: Point, p3: Point, p4: Point) -> float | None:
     """Parameter t of the intersection of line p1->p2 with line p3->p4.
 
@@ -196,24 +178,6 @@ def _segments_cross(a1: Point, a2: Point, b1: Point, b2: Point) -> bool:
     return False
 
 
-def point_in_polygon(point: Point, poly: Polygon) -> bool:
-    """Even-odd containment test; boundary points within CONTAINMENT_EPS_PX count as inside."""
-    px, py = point
-    if len(poly) == 0:
-        return False
-    eps_sq = CONTAINMENT_EPS_PX * CONTAINMENT_EPS_PX
-    for a, b in _edges(poly):
-        if _point_segment_dist_sq(point, a, b) <= eps_sq:
-            return True
-    inside = False
-    for (ax, ay), (bx, by) in _edges(poly):
-        if (ay > py) != (by > py):
-            x_cross = ax + (py - ay) / (by - ay) * (bx - ax)
-            if x_cross > px:
-                inside = not inside
-    return inside
-
-
 def _edge_intersection(p1: Point, p2: Point, p3: Point, p4: Point) -> Point:
     t = line_param_t(p1, p2, p3, p4)
     if t is None:
@@ -267,11 +231,6 @@ def clip_by_loop(subject: Polygon, sign: float, edges: Sequence[tuple[Point, Poi
         if not out:
             return []
     return out
-
-
-def clip_polygon(subject: Polygon, clip: Polygon) -> list[Point]:
-    """clip_by_loop(subject, *clip_loop(clip)): raises ValueError when clip is not convex."""
-    return clip_by_loop(subject, *clip_loop(clip))
 
 
 def _clean_polygon(poly: Polygon) -> list[Point]:
@@ -415,13 +374,15 @@ def _boxes_apart(a: Polygon, b: Polygon) -> bool:
     )
 
 
-def subtract_occluders(subject: Polygon, occluders: Sequence[Polygon]) -> list[list[Point]]:
-    """Subject minus the union of occluders, as interior-disjoint convex pieces.
+def subtract_occluders(
+    pieces: list[list[Point]], occluders: Sequence[Polygon]
+) -> list[list[Point]]:
+    """A subject, given as its convex_pieces, minus the union of occluders.
 
-    Concave inputs are split into convex parts first, so every returned
-    piece is convex.  An empty result means the subject is fully covered.
+    The result is interior-disjoint convex pieces: concave occluders are
+    split into convex parts first.  An empty result means the subject is
+    fully covered.
     """
-    pieces = convex_pieces(subject)
     for occ in occluders:
         if len(occ) < 3 or all(_boxes_apart(occ, piece) for piece in pieces):
             continue  # convex_subtract would return every piece unchanged
@@ -470,11 +431,12 @@ def _squared(v: np.ndarray) -> np.ndarray:
 
 
 def _points_inside(e: _EdgeLoops, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """point_in_polygon of each point in row i of (px, py) against polygon i of e.
+    """Even-odd containment of each point in row i of (px, py) in polygon i of e.
 
-    Elementwise numpy with point_in_polygon's expressions in its order, so
-    every answer is the scalar function's: near an edge by
-    _point_segment_dist_sq, else the parity of the crossings to the right.
+    A point within CONTAINMENT_EPS_PX of an edge (_point_segment_dist_sq)
+    counts as inside, else the parity of the edge crossings to its right
+    decides.  The tests compare every answer with the scalar
+    oracles.point_in_polygon, whose expressions these copy in their order.
     """
     px = px[:, :, None]
     py = py[:, :, None]
@@ -560,6 +522,48 @@ def _simple_of_size(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     qy = np.where(short, ay, ay + t * dy)
     near = squared(px - qx, collinear) + squared(py - qy, collinear) <= PARALLEL_EPS
     return ~(repeated.any(axis=1) | crossed.any(axis=1) | (collinear & near).any(axis=1) | overflow)
+
+
+def convex_unchanged(x: np.ndarray, y: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Whether convex_pieces would return each polygon as it is, as a bool array.
+
+    The polygons are stored one after another: polygon i has the next
+    counts[i] vertices of (x, y).  convex_pieces returns a polygon as it is
+    when _clean_polygon drops nothing (every vertex is more than
+    PARALLEL_EPS by _dist_sq from the one before it, and every turn has
+    |_cross| above COLLINEAR_EPS), every turn has one sign (is_convex) and
+    the area is above AREA_EPS_PX2.  The expressions are elementwise copies
+    of the scalar ones in their order, and the area is summed vertex by
+    vertex, so every verdict is the scalar code's wherever no square
+    overflows.
+    """
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    poly_of = np.repeat(np.arange(len(counts)), counts)
+    some = counts > 0
+    nxt = np.arange(1, len(x) + 1)
+    nxt[ends[some] - 1] = starts[some]
+    prev = np.arange(-1, len(x) - 1)
+    prev[starts[some]] = ends[some] - 1
+    with np.errstate(all="ignore"):
+        dx = x - x[prev]
+        dy = y - y[prev]
+        turn = dx * (y[nxt] - y[prev]) - dy * (x[nxt] - x[prev])  # _cross(prev, vertex, next)
+        kept = (_squared(dx) + _squared(dy) > PARALLEL_EPS) & (np.abs(turn) > COLLINEAR_EPS)
+        left = np.bincount(poly_of, weights=turn > 0.0, minlength=len(counts))
+        # signed_area: x_i * y_(i+1) - x_(i+1) * y_i summed in vertex order from 0.0
+        column = np.arange(len(x)) - starts[poly_of]
+        terms = np.zeros((len(counts), int(column.max(initial=0)) + 1))
+        terms[poly_of, column] = x * y[nxt] - x[nxt] * y
+        area = np.zeros(len(counts))
+        for term in terms.T:
+            area = area + term
+        return (
+            (counts >= 3)
+            & (np.bincount(poly_of, weights=~kept, minlength=len(counts)) == 0)
+            & ((left == 0) | (left == counts))
+            & (np.abs(area / 2.0) > AREA_EPS_PX2)
+        )
 
 
 def inscribed_rects(

@@ -4,8 +4,8 @@ Chains the pieces together: resample a trace to the analysis rate, compute
 per-frame visible boxes, split them into life spans, keep the long ones as
 test opportunities, and intersect several runs of the same recording when
 more than one is available.  Frames pass through one loop (run_boxes) as
-they arrive, so a run costs memory for its boxes and for the pieces of one
-block of frames, not for its frames.
+they arrive, so a run costs memory for its boxes and for one block of kept
+frames, not for all its frames.
 """
 
 from __future__ import annotations
@@ -26,10 +26,12 @@ from .lifespan import (
 )
 from .metrics import VideoMetrics, compute_metrics
 from .trace import FrameRecord, TraceValidationError, decimate
-from .visibility import SurfacePieces, fit_boxes, frame_pieces, screen_clip_polygon
+from .visibility import block_pieces, fit_boxes, screen_clip_polygon
 
 DEFAULT_ANALYSIS_FPS = 10.0
-BOX_BLOCK_FRAMES = 256  # kept frames whose pieces share one box search (fit_boxes)
+# Kept frames analysed together (block_pieces, then fit_boxes).  The block holds
+# the frames themselves, a few KB each with the number arrays they keep alive.
+BOX_BLOCK_FRAMES = 128
 
 
 @dataclass(frozen=True)
@@ -63,12 +65,15 @@ def run_boxes(
 ) -> RunBoxes:
     """The one frame loop: decimate, then find the kept frames' boxes a block at a time.
 
-    frames may be a trace's tuple or a stream from iter_frames; no frame is
-    held after its pieces are found, and one fit_boxes call serves up to
-    BOX_BLOCK_FRAMES kept frames.  The boxes dict is keyed in order of
-    first appearance; each value has one slot per kept frame, None where
-    the trackable produced no usable box.  A run has one screen: a frame
-    whose screen differs from the first frame's is a ValueError.
+    frames may be a trace's tuple or a stream from iter_frames; up to
+    BOX_BLOCK_FRAMES kept frames are held, and each block goes through one
+    block_pieces and one fit_boxes call.  An error from the stream is
+    raised after the frames before it are analysed, so an error those
+    frames raise comes first, as it would one frame at a time.  The boxes
+    dict is keyed in order of first appearance; each value has one slot
+    per kept frame, None where the trackable produced no usable box.  A
+    run has one screen: a frame whose screen differs from the first
+    frame's is a ValueError.
     """
     first: FrameRecord | None = None
     last: FrameRecord | None = None
@@ -88,10 +93,11 @@ def run_boxes(
 
     boxes: dict[str, list[Rect | None]] = {}
     timestamps: list[int] = []
-    block: list[list[SurfacePieces]] = []
+    block: list[FrameRecord] = []
 
     def flush() -> None:
-        found = fit_boxes(block, first.screen_w, first.screen_h, params.min_visibility)
+        found = fit_boxes(block_pieces(block, screen_loop), first.screen_w, first.screen_h,
+                          params.min_visibility)
         for idx, frame_boxes in enumerate(found, len(timestamps) - len(block)):
             for vb in frame_boxes:
                 seq = boxes.get(vb.trackable_id)
@@ -101,10 +107,19 @@ def run_boxes(
                 seq.append(vb.box)
         block.clear()
 
-    for frame in decimate(full_trace(), source_fps, params.fps):
+    kept = decimate(full_trace(), source_fps, params.fps)
+    while True:
+        try:
+            frame = next(kept, None)
+        except Exception:
+            if block:
+                flush()
+            raise
+        if frame is None:
+            break
         if not timestamps:  # the first kept frame is the first frame
             screen_loop = clip_loop(screen_clip_polygon(frame.screen_w, frame.screen_h))
-        block.append(frame_pieces(frame, screen_loop))
+        block.append(frame)
         timestamps.append(frame.timestamp_ms)
         if len(block) == BOX_BLOCK_FRAMES:
             flush()

@@ -1,11 +1,12 @@
-"""Per-frame visibility analysis.
+"""Visibility analysis, a block of frames at a time.
 
-Turns the trackables of one frame into screen-space candidate boxes: project
-the surface polygon, clip it to the screen, carve out anything hidden behind
-nearer surfaces, then fit a conservative axis-aligned box into what is left.
-A box survives only when it covers at least ``min_visibility`` of the screen.
-The box fitting is split off (frame_pieces, then fit_boxes) so that one
-inscribed_rects call can serve the pieces of many frames.
+Turns the trackables of each frame into screen-space candidate boxes:
+project the surface polygon, clip it to the screen, carve out anything
+hidden behind nearer surfaces, then fit a conservative axis-aligned box into
+what is left.  A box survives only when it covers at least
+``min_visibility`` of the screen.  Both steps take a block of frames
+(block_pieces, then fit_boxes), so that numpy passes and one inscribed_rects
+call serve many frames.
 """
 
 from __future__ import annotations
@@ -17,16 +18,18 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (
+    BEHIND_W_EPS,
     ClipLoop,
     Point,
     Rect,
     clip_by_loop,
-    clip_to_screen,
+    convex_pieces,
+    convex_unchanged,
     inscribed_rects,
     rect_area,
     subtract_occluders,
 )
-from .trace import FrameRecord, TrackableSnapshot, TrackingState
+from .trace import FrameRecord, TrackableSnapshot, TrackingState, TraceValidationError
 
 # (trackable id, camera distance, visible convex pieces) of one surface in one frame
 SurfacePieces = tuple[str, float, list[list[Point]]]
@@ -42,16 +45,6 @@ class VisibleBox:
     camera_distance: float
 
 
-def facing_camera(trackable: TrackableSnapshot, camera_position: np.ndarray) -> bool:
-    """True when the surface normal points toward the camera.
-
-    The test is the sign of dot(normal, camera - center); an edge-on surface
-    (dot exactly zero) does not count as facing.
-    """
-    to_camera = np.asarray(camera_position, dtype=float) - trackable.center_world
-    return float(np.dot(trackable.normal_world, to_camera)) > 0.0
-
-
 def screen_clip_polygon(screen_w: float, screen_h: float) -> list[Point]:
     """The screen rectangle as a clip polygon (clockwise in screen coords)."""
     w = float(screen_w)
@@ -59,66 +52,172 @@ def screen_clip_polygon(screen_w: float, screen_h: float) -> list[Point]:
     return [(0.0, h), (w, h), (w, 0.0), (0.0, 0.0)]
 
 
-def project_trackable(t: TrackableSnapshot, frame: FrameRecord) -> list[Point] | None:
-    """Screen-space polygon of a trackable, or None if any vertex is behind the camera.
+def _stacked_matmul(mats: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """mats[k] @ x[k, j] for every k and j, in one stacked matmul per memory order.
 
-    All vertices go through one stacked matmul per matrix: numpy multiplies
-    each (4, 1) item with the same BLAS gemv as a 1-D vertex, so every pixel
-    is bit-equal to the per-vertex reference ``oracles.project_per_vertex``
-    in the tests.  A (4, n) matmul or einsum is not: it sums the products in
-    another order.  The first vertex that is behind the camera (None) or
-    lands on non-finite pixels (ArithmeticError) decides.
+    numpy hands BLAS a C-ordered matrix transposed and a column-major one
+    as it is, and the two kernels round differently.  So each matrix keeps
+    its own order, and every product is bit-equal to that matrix's own
+    matmul.  A matrix in neither order is taken in C order.
     """
-    v = np.array([(x, 0.0, z, 1.0) for x, z in t.local_vertices]).reshape(-1, 4, 1)
-    clip = (frame.projection @ (frame.view @ (t.pose @ v)))[:, :, 0].tolist()
-    pts: list[Point] = []
-    for c, (x, z) in zip(clip, t.local_vertices):
-        p = clip_to_screen(c, frame.screen_w, frame.screen_h, (x, 0.0, z, 1.0))
-        if p is None:
-            return None
-        pts.append(p)
-    return pts
+    col_major = np.array([m.flags.f_contiguous and not m.flags.c_contiguous for m in mats])
+    rows = np.array([m.T if f else m for m, f in zip(mats, col_major.tolist())], dtype=float)
+    rows = rows[:, None]
+    if not col_major.any():
+        return rows @ x
+    if col_major.all():
+        return rows.transpose(0, 1, 3, 2) @ x
+    out = np.empty(x.shape)
+    out[~col_major] = rows[~col_major] @ x[~col_major]
+    out[col_major] = rows[col_major].transpose(0, 1, 3, 2) @ x[col_major]
+    return out
 
 
-def frame_pieces(frame: FrameRecord, screen: ClipLoop) -> list[SurfacePieces]:
-    """The visible pieces of each candidate surface in a frame, near to far.
+def _project(
+    frames: Sequence[FrameRecord], tracks: Sequence[TrackableSnapshot], owner: Sequence[int],
+    track_of: np.ndarray, column: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Screen x and y of every vertex, and whether it is behind the camera (w <= BEHIND_W_EPS).
 
-    Surfaces that are PAUSED or STOPPED are ignored entirely.  Surfaces that
-    face away from the camera get no entry but still occlude: any TRACKING
-    projection nearer to the camera (by distance to the surface center) is
-    subtracted from the on-screen polygon.  Ties in distance keep the
-    frame's trackable order.  An entry with no pieces is fully occluded.
-    screen is the clip_loop of the frame's screen_clip_polygon, built once per run.
+    tracks[k] is a trackable of frames[owner[k]].  The vertices are those
+    of every track in turn: vertex i is vertex column[i] of track
+    track_of[i].  Each vertex (x, 0, z, 1) goes through its pose, view and
+    projection in stacked matmuls, then through the perspective divide and
+    the viewport.  The pixels of a vertex behind the camera mean nothing.
     """
-    cam = frame.camera_position
+    v = np.zeros((len(tracks), int(column.max(initial=0)) + 1, 4, 1))
+    v[track_of, column, 0, 0], v[track_of, column, 2, 0] = np.array(
+        [xz for t in tracks for xz in t.local_vertices], dtype=float).reshape(-1, 2).T
+    v[:, :, 3, 0] = 1.0
+    clip = _stacked_matmul([t.pose for t in tracks], v)
+    clip = _stacked_matmul([frames[i].view for i in owner], clip)
+    clip = _stacked_matmul([frames[i].projection for i in owner], clip)[track_of, column, :, 0]
+    frame_of = np.array(owner)[track_of]
+    screen_w = np.array([f.screen_w for f in frames], dtype=float)[frame_of]
+    screen_h = np.array([f.screen_h for f in frames], dtype=float)[frame_of]
+    w = clip[:, 3]
+    with np.errstate(all="ignore"):
+        x = (clip[:, 0] / w + 1.0) / 2.0 * screen_w
+        y = (1.0 - (clip[:, 1] / w + 1.0) / 2.0) * screen_h
+    return x, y, w <= BEHIND_W_EPS
 
-    candidates: list[tuple[float, TrackableSnapshot, list[Point]]] = []
-    for t in frame.trackables:
-        if t.tracking_state != TrackingState.TRACKING:
-            continue
-        poly = project_trackable(t, frame)
-        if poly is None:
-            continue
-        dist = float(np.linalg.norm(np.asarray(cam, dtype=float) - t.center_world))
-        candidates.append((dist, t, poly))
-    candidates.sort(key=lambda c: c[0])
 
-    found: list[SurfacePieces] = []
-    for i, (dist, t, poly) in enumerate(candidates):
-        if not facing_camera(t, cam):
-            continue
-        on_screen = clip_by_loop(poly, *screen)
-        if len(on_screen) < 3:
-            continue
-        occluders = [p for d, _, p in candidates[:i] if d < dist]
-        found.append((t.trackable_id, dist, subtract_occluders(on_screen, occluders)))
+def block_pieces(frames: Sequence[FrameRecord], screen: ClipLoop) -> list[list[SurfacePieces]]:
+    """The visible pieces of each candidate surface in each frame of a block, near to far.
+
+    Surfaces that are PAUSED or STOPPED are ignored entirely, and so is a
+    surface with a vertex behind the camera.  Surfaces that face away from
+    the camera (normal . (camera - center) <= 0) get no entry but still
+    occlude: any TRACKING projection nearer to the camera (by distance to
+    the surface center) is subtracted from the on-screen polygon.  Ties in
+    distance keep the frame's trackable order.  An entry with no pieces is
+    fully occluded.  screen is the clip_loop of the frames'
+    screen_clip_polygon.
+
+    The projection, distances, facing signs, and the tests that let a
+    polygon skip the screen clip (every vertex on screen) and convex_pieces
+    (convex_unchanged) are numpy passes over the whole block, each
+    bit-equal to the scalar computation for one trackable.  Of a polygon's
+    vertices, the first that is behind the camera or lands on non-finite
+    pixels decides: behind drops the surface, non-finite is a
+    TraceValidationError, raised after the frames before its own, as a
+    pass over one frame at a time would raise it.
+    """
+    tracks: list[TrackableSnapshot] = []
+    owner: list[int] = []   # frame index of each track
+    for i, f in enumerate(frames):
+        for t in f.trackables:
+            if t.tracking_state == TrackingState.TRACKING:
+                tracks.append(t)
+                owner.append(i)
+    found: list[list[SurfacePieces]] = [[] for _ in frames]
+    if not tracks:
+        return found
+
+    counts = np.array([len(t.local_vertices) for t in tracks])
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    track_of = np.repeat(np.arange(len(tracks)), counts)
+    column = np.arange(len(track_of)) - starts[track_of]
+    x, y, behind = _project(frames, tracks, owner, track_of, column)
+    bad = behind | ~(np.isfinite(x) & np.isfinite(y))
+    first_bad = np.full(len(tracks), len(track_of))
+    np.minimum.at(first_bad, track_of[bad], np.flatnonzero(bad))
+    visible = first_bad == len(track_of)
+    fault = np.flatnonzero(~np.append(behind, True)[first_bad])
+    fault_frame = owner[fault[0]] if fault.size else len(frames)
+
+    # distance to the camera and the facing sign, with the dot products of np.linalg.norm and np.dot
+    to_cam = (np.array([frames[i].camera_position for i in owner], dtype=float)
+              - np.array([t.center_world for t in tracks], dtype=float))
+    dist = np.sqrt((to_cam[:, None, :] @ to_cam[:, :, None])[:, 0, 0])
+    normals = np.array([t.normal_world for t in tracks], dtype=float)
+    facing = (normals[:, None, :] @ to_cam[:, :, None])[:, 0, 0] > 0.0
+
+    # on screen: sign * _cross(a, b, p) >= 0 for every screen edge a -> b, as in _clip_one_edge
+    sign, edges = screen
+    off = np.full(len(x), not sign)
+    with np.errstate(invalid="ignore"):
+        for (ax, ay), (bx, by) in edges:
+            off |= ~(sign * ((bx - ax) * (y - ay) - (by - ay) * (x - ax)) >= 0.0)
+    on_screen = np.bincount(track_of, weights=off, minlength=len(tracks)) == 0
+    unchanged = on_screen & convex_unchanged(x, y, counts)
+
+    # Bounding boxes.  An occluder whose box is more than 1 px from the box of the subject's
+    # polygon is apart from the box of each of its pieces too, so subtract_occluders would
+    # skip it or, past its own box test, return every piece unchanged (_boxes_apart).
+    some = starts[counts > 0]
+    box = np.full((len(tracks), 4), np.nan)
+    if some.size:
+        box[counts > 0] = np.stack([np.minimum.reduceat(x, some), np.maximum.reduceat(x, some),
+                                    np.minimum.reduceat(y, some), np.maximum.reduceat(y, some)], 1)
+
+    xy = list(zip(x.tolist(), y.tolist()))
+    polys = [xy[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+    dists, boxes = dist.tolist(), box.tolist()
+    facing_l, on_screen_l, unchanged_l = facing.tolist(), on_screen.tolist(), unchanged.tolist()
+    order = np.lexsort((dist, owner))  # a stable sort: ties keep the frame's trackable order
+    order = order[visible[order]]
+    frame_ends = np.searchsorted(np.array(owner)[order], np.arange(len(frames)), side="right")
+    begin = 0
+    for i, end in enumerate(frame_ends.tolist()):
+        if i == fault_frame:
+            k = int(fault[0])
+            j = int(first_bad[k] - starts[k])
+            raise TraceValidationError(
+                f"frame at {frames[i].timestamp_ms} ms: trackable '{tracks[k].trackable_id}' "
+                f"vertex {j} {tracks[k].local_vertices[j]!r} projects to non-finite screen "
+                "coordinates"
+            )
+        nearer: list[int] = []
+        for k in order[begin:end].tolist():
+            if facing_l[k]:
+                if unchanged_l[k]:
+                    pieces = [polys[k]]   # what convex_pieces would return
+                else:
+                    part = polys[k] if on_screen_l[k] else clip_by_loop(polys[k], *screen)
+                    pieces = convex_pieces(part) if len(part) >= 3 else None
+                if pieces is not None:
+                    d = dists[k]
+                    sx0, sx1, sy0, sy1 = boxes[k]
+                    occluders = [
+                        polys[j] for j in nearer
+                        if dists[j] < d and not (
+                            sx1 < boxes[j][0] - 1.0 or boxes[j][1] + 1.0 < sx0
+                            or sy1 < boxes[j][2] - 1.0 or boxes[j][3] + 1.0 < sy0
+                        )
+                    ]
+                    pieces = subtract_occluders(pieces, occluders)
+                    found[i].append((tracks[k].trackable_id, d, pieces))
+            nearer.append(k)
+        begin = end
     return found
 
 
 def fit_boxes(
     frames: Sequence[list[SurfacePieces]], screen_w: int, screen_h: int, min_visibility: float
 ) -> list[list[VisibleBox]]:
-    """Each frame's boxes from its frame_pieces, with one inscribed_rects over all their pieces.
+    """Each frame's boxes from its block_pieces, with one inscribed_rects over all their pieces.
 
     A surface keeps the largest rect of its pieces (the first of equal
     ones), and only when it covers at least min_visibility of the screen.

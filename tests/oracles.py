@@ -2,9 +2,10 @@
 
 Most references here are written from scratch against the documented
 behavior, not by calling into playtrace, so a bug in the package cannot
-hide in its own test oracle.  The scalar simplicity test and the
-eager-analysis and per-line ingest references reuse the package's kernels
-and differ only in the order of the work.
+hide in its own test oracle.  The scalar simplicity, containment, clipping
+and per-frame visibility references and the eager-analysis and per-line
+ingest references reuse the package's kernels and differ only in the order
+of the work.
 """
 
 from __future__ import annotations
@@ -76,6 +77,22 @@ def random_star(rng: random.Random, center: Point, r_lo: float, r_hi: float,
         r = rng.uniform(r_lo, r_hi)
         poly.append((cx + r * math.cos(ang), cy + r * math.sin(ang)))
     return poly
+
+
+def band_beside(poly, side, gap, depth):
+    """A rectangle beside poly's bounding box, gap px from it, across its whole span."""
+    xs = [p[0] for p in poly]
+    ys = [p[1] for p in poly]
+    x0, x1, y0, y1 = min(xs) - 5.0, max(xs) + 5.0, min(ys) - 5.0, max(ys) + 5.0
+    if side == "right":
+        x0, x1 = max(xs) + gap, max(xs) + gap + depth
+    elif side == "left":
+        x0, x1 = min(xs) - gap - depth, min(xs) - gap
+    elif side == "below":
+        y0, y1 = max(ys) + gap, max(ys) + gap + depth
+    else:
+        y0, y1 = min(ys) - gap - depth, min(ys) - gap
+    return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
 
 
 # ------------------------------------------------------------- containment
@@ -181,6 +198,38 @@ def is_simple_polygon(poly: list[Point]) -> bool:
             if _segments_cross(a1, a2, b1, b2):
                 return False
     return True
+
+
+# -------------------------------------------------- scalar containment, clip
+# The one-at-a-time forms of what the package does in numpy passes:
+# geometry._points_inside copies point_in_polygon elementwise, and
+# visibility.block_pieces clips by a clip_loop as clip_polygon does.
+
+def point_in_polygon(point: Point, poly: list[Point]) -> bool:
+    """Even-odd containment test; boundary points within CONTAINMENT_EPS_PX count as inside."""
+    from playtrace.geometry import CONTAINMENT_EPS_PX, _edges, _point_segment_dist_sq
+
+    px, py = point
+    if len(poly) == 0:
+        return False
+    eps_sq = CONTAINMENT_EPS_PX * CONTAINMENT_EPS_PX
+    for a, b in _edges(poly):
+        if _point_segment_dist_sq(point, a, b) <= eps_sq:
+            return True
+    inside = False
+    for (ax, ay), (bx, by) in _edges(poly):
+        if (ay > py) != (by > py):
+            x_cross = ax + (py - ay) / (by - ay) * (bx - ax)
+            if x_cross > px:
+                inside = not inside
+    return inside
+
+
+def clip_polygon(subject: list[Point], clip: list[Point]) -> list[Point]:
+    """clip_by_loop(subject, *clip_loop(clip)): raises ValueError when clip is not convex."""
+    from playtrace.geometry import clip_by_loop, clip_loop
+
+    return clip_by_loop(subject, *clip_loop(clip))
 
 
 # -------------------------------------------------------------- life spans
@@ -479,6 +528,87 @@ def replay_per_sample(scene, schedule):
     return results
 
 
+# --------------------------------------------------- per-frame visibility
+# visibility.block_pieces one trackable of one frame at a time, as it was
+# before the block's numpy passes: a stacked matmul per trackable, the divide
+# and viewport per vertex, the distance and the facing sign per trackable,
+# and the screen clip and convex_pieces for every polygon.
+
+def clip_to_screen(clip, screen_w, screen_h, v_local):
+    """Perspective division and viewport transform of one clip-space vertex.
+
+    Returns None when clip-space w <= BEHIND_W_EPS (behind the camera) and
+    raises ArithmeticError, naming v_local, for non-finite pixels.
+    """
+    from playtrace.geometry import BEHIND_W_EPS
+
+    x_clip, y_clip, _, w = clip
+    if w <= BEHIND_W_EPS:
+        return None
+    x = (x_clip / w + 1.0) / 2.0 * screen_w
+    y = (1.0 - (y_clip / w + 1.0) / 2.0) * screen_h
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ArithmeticError(f"non-finite screen coordinates from vertex {v_local!r}")
+    return (x, y)
+
+
+def facing_camera(trackable, camera_position) -> bool:
+    """True when the surface normal points toward the camera.
+
+    The test is the sign of dot(normal, camera - center); an edge-on surface
+    (dot exactly zero) does not count as facing.
+    """
+    to_camera = np.asarray(camera_position, dtype=float) - trackable.center_world
+    return float(np.dot(trackable.normal_world, to_camera)) > 0.0
+
+
+def project_trackable(t, frame):
+    """Screen-space polygon of a trackable, or None if any vertex is behind the camera.
+
+    All vertices go through one stacked matmul per matrix: numpy multiplies
+    each (4, 1) item with the same BLAS gemv as a 1-D vertex, so every pixel
+    is bit-equal to project_per_vertex.  The first vertex that is behind the
+    camera (None) or lands on non-finite pixels (ArithmeticError) decides.
+    """
+    v = np.array([(x, 0.0, z, 1.0) for x, z in t.local_vertices]).reshape(-1, 4, 1)
+    clip = (frame.projection @ (frame.view @ (t.pose @ v)))[:, :, 0].tolist()
+    pts = []
+    for c, (x, z) in zip(clip, t.local_vertices):
+        p = clip_to_screen(c, frame.screen_w, frame.screen_h, (x, 0.0, z, 1.0))
+        if p is None:
+            return None
+        pts.append(p)
+    return pts
+
+
+def frame_pieces(frame, screen):
+    """block_pieces of one frame, one trackable at a time (ArithmeticError for non-finite pixels)."""
+    from playtrace.geometry import clip_by_loop, convex_pieces, subtract_occluders
+    from playtrace.trace import TrackingState
+
+    cam = frame.camera_position
+    candidates = []
+    for t in frame.trackables:
+        if t.tracking_state != TrackingState.TRACKING:
+            continue
+        poly = project_trackable(t, frame)
+        if poly is None:
+            continue
+        dist = float(np.linalg.norm(np.asarray(cam, dtype=float) - t.center_world))
+        candidates.append((dist, t, poly))
+    candidates.sort(key=lambda c: c[0])
+    found = []
+    for i, (dist, t, poly) in enumerate(candidates):
+        if not facing_camera(t, cam):
+            continue
+        on_screen = clip_by_loop(poly, *screen)
+        if len(on_screen) < 3:
+            continue
+        occluders = [p for d, _, p in candidates[:i] if d < dist]
+        found.append((t.trackable_id, dist, subtract_occluders(convex_pieces(on_screen), occluders)))
+    return found
+
+
 # ------------------------------------------------------- per-vertex visibility
 #
 # Per-frame visibility as it was before its fast paths: each vertex projected
@@ -514,10 +644,10 @@ def inscribed_rect_pip(poly, screen_w, screen_h):
     if x_min >= x_max or y_min >= y_max:
         return None
     for passes in itertools.count():
-        in_tl = g.point_in_polygon((x_min, y_min), poly)
-        in_tr = g.point_in_polygon((x_max, y_min), poly)
-        in_bl = g.point_in_polygon((x_min, y_max), poly)
-        in_br = g.point_in_polygon((x_max, y_max), poly)
+        in_tl = point_in_polygon((x_min, y_min), poly)
+        in_tr = point_in_polygon((x_max, y_min), poly)
+        in_bl = point_in_polygon((x_min, y_max), poly)
+        in_br = point_in_polygon((x_max, y_max), poly)
         if in_tl and in_tr and in_bl and in_br:
             return g.Rect(x_min, y_min, x_max, y_max)
         dx, dy = x_max - x_min, y_max - y_min
@@ -550,7 +680,7 @@ def analyze_frame_per_vertex(frame, min_visibility):
     """frame_boxes over the three loops above, in the same near-to-far order."""
     from playtrace import geometry as g
     from playtrace.trace import TrackingState
-    from playtrace.visibility import VisibleBox, facing_camera, screen_clip_polygon
+    from playtrace.visibility import VisibleBox, screen_clip_polygon
 
     w, h = frame.screen_w, frame.screen_h
     candidates = []
@@ -566,7 +696,7 @@ def analyze_frame_per_vertex(frame, min_visibility):
     for i, (dist, t, poly) in enumerate(candidates):
         if not facing_camera(t, frame.camera_position):
             continue
-        on_screen = g.clip_polygon(poly, screen_clip_polygon(w, h))
+        on_screen = clip_polygon(poly, screen_clip_polygon(w, h))
         if len(on_screen) < 3:
             continue
         pieces = subtract_occluders_unskipped(on_screen, [p for d, _, p in candidates[:i] if d < dist])
@@ -602,13 +732,13 @@ def decimate_reference(timestamps, source_fps, target_fps):
 
 
 def frame_boxes(frame, min_visibility):
-    """The visible boxes of one frame on its own: frame_pieces, then a one-frame fit_boxes."""
+    """The visible boxes of one frame on its own: a one-frame block_pieces and fit_boxes."""
     from playtrace.geometry import clip_loop
-    from playtrace.visibility import fit_boxes, frame_pieces, screen_clip_polygon
+    from playtrace.visibility import block_pieces, fit_boxes, screen_clip_polygon
 
     w, h = frame.screen_w, frame.screen_h
-    pieces = frame_pieces(frame, clip_loop(screen_clip_polygon(w, h)))
-    return fit_boxes([pieces], w, h, min_visibility)[0]
+    pieces = block_pieces([frame], clip_loop(screen_clip_polygon(w, h)))
+    return fit_boxes(pieces, w, h, min_visibility)[0]
 
 
 def analyze_eager(traces, params):

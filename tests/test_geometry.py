@@ -11,14 +11,11 @@ from hypothesis import strategies as st
 from playtrace import geometry as g
 from playtrace.geometry import (
     Rect,
-    clip_polygon,
-    clip_to_screen,
     convex_pieces,
     convex_subtract,
     inscribed_rects,
     is_convex,
     line_param_t,
-    point_in_polygon,
     polygon_area,
     rect_area,
     rect_intersect,
@@ -29,6 +26,7 @@ from playtrace.geometry import (
 )
 
 import oracles
+from oracles import clip_polygon, clip_to_screen, point_in_polygon
 
 SQUARE = [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)]
 SQUARE_CW = list(reversed(SQUARE))
@@ -300,7 +298,7 @@ def test_convex_subtract_covered_returns_nothing():
 def test_subtract_occluders_two_bites():
     occ1 = [(0.0, 0.0), (3.0, 0.0), (3.0, 10.0), (0.0, 10.0)]
     occ2 = [(7.0, 0.0), (10.0, 0.0), (10.0, 10.0), (7.0, 10.0)]
-    pieces = subtract_occluders(SQUARE, [occ1, occ2])
+    pieces = subtract_occluders(convex_pieces(SQUARE), [occ1, occ2])
     assert sum(polygon_area(p) for p in pieces) == pytest.approx(40.0)
     for p in pieces:
         for q in p:
@@ -480,22 +478,6 @@ def test_quick_containment_fixed_shapes(poly):
                                 np.array([[200.0]]))[0, 0]
 
 
-def _band_beside(poly, side, gap, depth):
-    """A rectangle beside poly's bounding box, gap px from it, across its whole span."""
-    xs = [p[0] for p in poly]
-    ys = [p[1] for p in poly]
-    x0, x1, y0, y1 = min(xs) - 5.0, max(xs) + 5.0, min(ys) - 5.0, max(ys) + 5.0
-    if side == "right":
-        x0, x1 = max(xs) + gap, max(xs) + gap + depth
-    elif side == "left":
-        x0, x1 = min(xs) - gap - depth, min(xs) - gap
-    elif side == "below":
-        y0, y1 = max(ys) + gap, max(ys) + gap + depth
-    else:
-        y0, y1 = min(ys) - gap - depth, min(ys) - gap
-    return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10_000))
 def test_subtract_occluders_matches_unskipped(seed):
@@ -509,10 +491,49 @@ def test_subtract_occluders_matches_unskipped(seed):
         # from overlapping the subject's box to just past the 1 px skip margin
         gap = rng.choice([-3.0, -0.5, -1e-3, 0.0, 1e-3, 0.5, 0.999, 1.0, 1.001, 3.0])
         side = rng.choice(["right", "left", "below", "above"])
-        occluders.append(_band_beside(subject, side, gap, rng.uniform(1.0, 40.0)))
-    assert subtract_occluders(subject, occluders) == oracles.subtract_occluders_unskipped(
-        subject, occluders
+        occluders.append(oracles.band_beside(subject, side, gap, rng.uniform(1.0, 40.0)))
+    assert subtract_occluders(convex_pieces(subject), occluders) == (
+        oracles.subtract_occluders_unskipped(subject, occluders)
     )
+
+
+def _polygon_near_the_thresholds(rng):
+    """A polygon of 0 to 8 vertices, at any scale, that may repeat or nearly repeat a vertex,
+    hold a nearly collinear one, or have an area near AREA_EPS_PX2."""
+    kind = rng.choice(["convex", "star", "tiny", "repeated", "collinear", "short"])
+    if kind == "short":
+        return [(rng.uniform(0, 9), rng.uniform(0, 9)) for _ in range(rng.randrange(3))]
+    if kind == "tiny":
+        # turn = s * s and area = s * s / 2 straddle COLLINEAR_EPS and AREA_EPS_PX2
+        s = rng.uniform(3e-5, 6e-5)
+        x0, y0 = rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)
+        return [(x0, y0), (x0 + s, y0), (x0, y0 + s)]
+    center = (rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3))
+    radius = rng.choice([1e-4, 1e-3, 1.0, 500.0])
+    if kind == "star":
+        poly = oracles.random_star(rng, center, 0.4 * radius, radius, rng.randrange(3, 9))
+    else:
+        poly = oracles.random_convex(rng, center, radius, rng.randrange(3, 9))
+    k = rng.randrange(len(poly))
+    if kind == "repeated":
+        d = rng.choice([0.0, 1e-7, 1e-6, 2e-6, 1e-3])
+        poly.insert(k, (poly[k][0] + d, poly[k][1]))
+    elif kind == "collinear":
+        (ax, ay), (bx, by) = poly[k - 1], poly[k]
+        poly.insert(k, (ax + 0.5 * (bx - ax), ay + 0.5 * (by - ay) + rng.choice([0.0, 1e-12, 1e-9, 1e-6])))
+    if rng.random() < 0.5:
+        poly.reverse()
+    return [(float(x), float(y)) for x, y in poly]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10_000))
+def test_convex_unchanged_is_convex_pieces_returning_the_polygon(seed):
+    rng = random.Random(seed)
+    polys = [_polygon_near_the_thresholds(rng) for _ in range(6)]
+    xy = np.array([p for poly in polys for p in poly], dtype=float).reshape(-1, 2)
+    unchanged = g.convex_unchanged(xy[:, 0], xy[:, 1], np.array([len(p) for p in polys]))
+    assert unchanged.tolist() == [convex_pieces(poly) == [poly] for poly in polys]
 
 
 # --------------------------------------------------------------- projection

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from playtrace import geometry as g
@@ -17,15 +20,12 @@ from playtrace.trace import (
     TrackableSnapshot,
     TrackingState,
     decimate,
+    TraceValidationError,
     load_trace,
     save_trace,
 )
-from playtrace.visibility import (
-    facing_camera,
-    frame_pieces,
-    project_trackable,
-    screen_clip_polygon,
-)
+from playtrace.visibility import _project, block_pieces, fit_boxes, screen_clip_polygon
+from oracles import facing_camera, project_trackable
 
 W, H = 1920, 1080
 
@@ -179,24 +179,50 @@ def _rotation(rng):
     return q * np.sign(np.diag(r))
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
+def _in_order(m, order, rng):
+    """m as a C-ordered or column-major array; "mixed" picks one at random."""
+    if order == "mixed":
+        order = "CF"[int(rng.integers(2))]
+    return np.asarray(m, order=order)
+
+
+@pytest.mark.parametrize("order", ["C", "F", "mixed"])
 def test_project_trackable_bit_equal_to_per_vertex(order):
     # general rotations, where a (4, n) matmul or einsum rounds differently
     rng = np.random.default_rng(7)
     proj = perspective_matrix(60.0, W / H, 0.05, 100.0)
+    frames = []
     for _ in range(200):
         eye = rng.normal(size=3) * 2.0
         eye[1] = abs(eye[1]) + 2.0
         view = oracles.look_at_per_time(eye, rng.normal(size=3) * 0.2, np.array([0.0, 1.0, 0.0]))
-        pose = np.eye(4)
-        pose[:3, :3] = _rotation(rng) * 0.1
-        pose[:3, 3] = rng.normal(size=3) * 0.2
-        verts = tuple(map(tuple, rng.uniform(-1.0, 1.0, size=(int(rng.integers(3, 9)), 2)).tolist()))
-        t = TrackableSnapshot("t", np.asarray(pose, order=order), verts, np.zeros(3),
-                              np.array([0.0, 1.0, 0.0]), TrackingState.TRACKING)
-        f = FrameRecord(0, np.asarray(view, order=order), np.asarray(proj, order=order),
-                        eye, W, H, (t,))
-        assert project_trackable(t, f) == oracles.project_per_vertex(t, f)
+        tracks = []
+        for j in range(int(rng.integers(1, 4))):
+            pose = np.eye(4)
+            pose[:3, :3] = _rotation(rng) * 0.1
+            pose[:3, 3] = rng.normal(size=3) * 0.2
+            verts = tuple(map(tuple, rng.uniform(-1.0, 1.0, size=(int(rng.integers(3, 9)), 2)).tolist()))
+            tracks.append(TrackableSnapshot(f"t{j}", _in_order(pose, order, rng), verts, np.zeros(3),
+                                            np.array([0.0, 1.0, 0.0]), TrackingState.TRACKING))
+        frames.append(FrameRecord(0, _in_order(view, order, rng), _in_order(proj, order, rng),
+                                  eye, W, H, tuple(tracks)))
+    for f in frames:
+        for t in f.trackables:
+            assert project_trackable(t, f) == oracles.project_per_vertex(t, f)
+    # the block projection, over blocks that mix vertex counts and views
+    for b in range(0, len(frames), 25):
+        block = frames[b:b + 25]
+        tracks = [t for f in block for t in f.trackables]
+        owner = [i for i, f in enumerate(block) for _ in f.trackables]
+        counts = [len(t.local_vertices) for t in tracks]
+        track_of = np.repeat(np.arange(len(tracks)), counts)
+        column = np.concatenate([np.arange(n) for n in counts])
+        x, y, behind = _project(block, tracks, owner, track_of, column)
+        xy = list(zip(x.tolist(), y.tolist()))
+        ends = np.cumsum(counts).tolist()
+        for t, i, n, end in zip(tracks, owner, counts, ends):
+            assert not behind[end - n:end].any()
+            assert xy[end - n:end] == oracles.project_per_vertex(t, block[i])
 
 
 def test_project_trackable_first_bad_vertex_decides():
@@ -215,14 +241,19 @@ def test_project_trackable_first_bad_vertex_decides():
 @pytest.mark.parametrize("scene", [s.name for s in benchmark_scenes()])
 def test_analyze_frame_matches_per_vertex_pipeline(tmp_path, scene):
     sc = benchmark_scene(scene)
+    screen = g.clip_loop(screen_clip_polygon(sc.screen_w, sc.screen_h))
     for seed in (1, 2):
         trace = generate_trace(sc, jitter_seed=seed, jitter=sc.default_jitter)
         path = tmp_path / f"{seed}.jsonl"
         save_trace(trace, path)
         # rendered frames hold C-order matrices, loaded ones column-major views
         for tr in (trace, load_trace(path)):
-            for i, f in enumerate(decimate(tr.frames, tr.source_fps, 10.0)):
-                assert oracles.frame_boxes(f, 0.0) == oracles.analyze_frame_per_vertex(f, 0.0), i
+            frames = list(decimate(tr.frames, tr.source_fps, 10.0))
+            pieces = block_pieces(frames, screen)
+            boxes = fit_boxes(pieces, sc.screen_w, sc.screen_h, 0.0)
+            for i, f in enumerate(frames):
+                assert repr(pieces[i]) == repr(oracles.frame_pieces(f, screen)), i
+                assert boxes[i] == oracles.analyze_frame_per_vertex(f, 0.0), i
 
 
 @pytest.mark.parametrize("scene", [s.name for s in benchmark_scenes()])
@@ -231,8 +262,8 @@ def test_inscribed_rects_match_scalar_search_on_pack_pieces(scene):
     for seed in (1, 2):
         trace = generate_trace(sc, jitter_seed=seed, jitter=sc.default_jitter)
         screen = g.clip_loop(screen_clip_polygon(sc.screen_w, sc.screen_h))
-        pieces = [p for f in decimate(trace.frames, trace.source_fps, 10.0)
-                  for _, _, ps in frame_pieces(f, screen) for p in ps]
+        found = block_pieces(list(decimate(trace.frames, trace.source_fps, 10.0)), screen)
+        pieces = [p for frame in found for _, _, ps in frame for p in ps]
         rects, passes = g.inscribed_rects(pieces, sc.screen_w, sc.screen_h)
         assert rects == [oracles.inscribed_rect_pip(p, sc.screen_w, sc.screen_h) for p in pieces]
         assert max(passes, default=0) <= g.MAX_SHRINK_PASSES
@@ -250,3 +281,211 @@ def test_screen_clip_is_checked_once_per_run(monkeypatch):
     assert all(None not in boxes for boxes in run.boxes.values())
     assert len(run.timestamps_ms) == len(frames)
     assert checked.count(screen_clip_polygon(W, H)) == 1
+
+
+# ------------------------------------------ blocks against the per-frame path
+
+SCREEN = g.clip_loop(screen_clip_polygon(W, H))
+KINDS = ["flat", "tilted", "upright", "far", "nested", "twin"]
+
+
+def _euler(rng):
+    """A random rotation, Rz(a) Rx(b) Ry(c)."""
+    (ca, sa), (cb, sb), (cc, sc) = ((math.cos(v), math.sin(v))
+                                    for v in (rng.uniform(-math.pi, math.pi) for _ in range(3)))
+    rz = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, cb, -sb], [0.0, sb, cb]])
+    ry = np.array([[cc, 0.0, sc], [0.0, 1.0, 0.0], [-sc, 0.0, cc]])
+    return rz @ rx @ ry
+
+
+def _outline(rng, size):
+    """3 to 8 local (x, z) vertices: a convex polygon or a star, which may be concave."""
+    n = rng.randint(3, 8)
+    if rng.random() < 0.6:
+        angles = sorted(rng.uniform(0.0, 2.0 * math.pi) for _ in range(n))
+        return tuple((size * math.cos(a), size * 0.7 * math.sin(a)) for a in angles)
+    return tuple(oracles.random_star(rng, (0.0, 0.0), 0.4 * size, size, n))
+
+
+def _random_block(seed, order):
+    """A block of frames built to reach every branch of block_pieces.
+
+    Trackables are TRACKING, PAUSED or STOPPED with 3 to 8 vertices.  Their
+    planes may be tilted, straddle a screen edge, lie off screen, reach
+    above the camera (vertices behind it), face away or lie edge-on, share
+    the center of the one before (equal distances), or sit in a stack of
+    shrinking copies nearer and nearer the camera (nested occluders).
+    """
+    rng = random.Random(seed)
+    np_rng = np.random.default_rng(seed)
+    proj = perspective_matrix(60.0, W / H, 0.05, 100.0)
+    frames = []
+    for k in range(rng.randint(1, 6)):
+        eye = np.array([rng.uniform(-1.0, 1.0), rng.uniform(1.5, 3.0), rng.uniform(-1.0, 1.0)])
+        target = np.array([rng.uniform(-0.5, 0.5), 0.0, rng.uniform(-0.5, 0.5)])
+        view = oracles.look_at_per_time(eye, target, np.array([0.0, 0.0, -1.0]))
+        planes = []   # (rotation, center, outline)
+        for _ in range(rng.randint(0, 5)):
+            kind = rng.choice(KINDS)
+            rot = np.eye(3)
+            center = np.array([rng.uniform(-2.5, 2.5), rng.uniform(0.0, 0.8), rng.uniform(-2.0, 2.0)])
+            size = rng.uniform(0.1, 1.2)
+            if kind == "tilted":
+                rot = _euler(rng)
+            elif kind == "upright":
+                # local z runs up the world y axis, from the floor to above the camera
+                rot = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+                center = eye + np.array([rng.uniform(-0.5, 0.5), -eye[1], rng.uniform(-0.5, 0.5)])
+                planes.append((rot, center, ((-size, 0.0), (size, 0.0), (size, eye[1] + 1.0),
+                                             (-size, eye[1] + 1.0))))
+                continue
+            elif kind == "far":
+                center[0] = rng.choice([-30.0, 30.0])
+            elif kind == "twin" and planes:
+                center = planes[-1][1].copy()
+            elif kind == "nested":
+                # a star holds its scaled-down copies; each copy is lifted toward the camera,
+                # over the point it looks at
+                star = oracles.random_star(rng, (0.0, 0.0), 0.4 * size, size, rng.randint(3, 8))
+                for level in range(rng.randint(2, 3)):
+                    shrink = 0.5 ** level
+                    planes.append((rot, target + np.array([0.0, 0.15 * level, 0.0]),
+                                   tuple((shrink * x, shrink * z) for x, z in star)))
+                continue
+            planes.append((rot, center, _outline(rng, size)))
+        tracks = []
+        for j, (rot, center, verts) in enumerate(planes):
+            pose = np.eye(4)
+            pose[:3, :3] = rot
+            pose[:3, 3] = center
+            normal = rot[:, 1].copy()
+            facing = rng.random()
+            if facing < 0.15:
+                normal = -normal
+            elif facing < 0.25:
+                # to_camera has a zero z, so the dot product is exactly 0
+                center = np.array([center[0], center[1], eye[2]])
+                normal = np.array([0.0, 0.0, 1.0])
+            state = rng.choice([TrackingState.TRACKING] * 4
+                               + [TrackingState.PAUSED, TrackingState.STOPPED])
+            tracks.append(TrackableSnapshot(f"p{j}", _in_order(pose, order, np_rng), verts,
+                                            center, normal, state))
+        frames.append(FrameRecord(100 * k, _in_order(view, order, np_rng),
+                                  _in_order(proj, order, np_rng), eye, W, H, tuple(tracks)))
+    return frames
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["C", "F", "mixed"]))
+def test_block_pieces_match_the_per_frame_reference(seed, order):
+    frames = _random_block(seed, order)
+    found = block_pieces(frames, SCREEN)
+    assert len(found) == len(frames)
+    for f, pieces in zip(frames, found):
+        assert repr(pieces) == repr(oracles.frame_pieces(f, SCREEN)), f.timestamp_ms
+
+
+def test_random_blocks_reach_every_case():
+    seen = set()
+    for seed in range(40):
+        for f in _random_block(seed, "mixed"):
+            candidates = []
+            for t in f.trackables:
+                seen.add(t.tracking_state)
+                seen.add(len(t.local_vertices))
+                if t.tracking_state != TrackingState.TRACKING:
+                    continue
+                poly = project_trackable(t, f)
+                if poly is None:
+                    seen.add("behind")
+                    continue
+                dot = float(np.dot(t.normal_world, f.camera_position - t.center_world))
+                seen.add("back-facing" if dot < 0 else "edge-on" if dot == 0 else "facing")
+                xs, ys = [p[0] for p in poly], [p[1] for p in poly]
+                for name, vals, edge in (("left", xs, 0), ("right", xs, W), ("top", ys, 0),
+                                         ("bottom", ys, H)):
+                    if min(vals) < edge < max(vals):
+                        seen.add(name)
+                if len(oracles.clip_polygon(poly, screen_clip_polygon(W, H))) < 3:
+                    seen.add("off screen")
+                dist = float(np.linalg.norm(f.camera_position - t.center_world))
+                if any(d == dist for d, _ in candidates):
+                    seen.add("equal distance")
+                candidates.append((dist, poly))
+            for dist, poly in candidates:
+                xs, ys = [p[0] for p in poly], [p[1] for p in poly]
+                inside = [q for d, q in candidates if d < dist
+                          and min(xs) < min(p[0] for p in q) and max(p[0] for p in q) < max(xs)
+                          and min(ys) < min(p[1] for p in q) and max(p[1] for p in q) < max(ys)]
+                if len(inside) >= 2:
+                    seen.add("nested")
+    wanted = {*TrackingState, *range(3, 9), "behind", "back-facing", "edge-on", "facing", "left",
+              "right", "top", "bottom", "off screen", "equal distance", "nested"}
+    assert wanted <= seen, wanted - seen
+
+
+# Frames whose view and projection are the identity, with trackables whose pose takes local
+# (x, 0, z) to world (x, z, 0): a vertex lands where its local coordinates say in clip space,
+# so polygons can be placed to the pixel, on a screen edge or at a box test's margin.
+XZ_TO_XY = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                     [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+
+
+def _at_pixels(tid, poly_px, depth):
+    """A trackable whose vertices land on the pixels poly_px of a frame from _pixel_frame."""
+    local = tuple((2.0 * px / W - 1.0, 1.0 - 2.0 * py / H) for px, py in poly_px)
+    return TrackableSnapshot(tid, XZ_TO_XY, local, np.array([0.0, 0.0, -depth]),
+                             np.array([0.0, 0.0, 1.0]), TrackingState.TRACKING)
+
+
+def _pixel_frame(trackables, t_ms):
+    return FrameRecord(t_ms, np.eye(4), np.eye(4), np.zeros(3), W, H, tuple(trackables))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000))
+def test_block_pieces_match_the_per_frame_reference_at_the_margins(seed):
+    # subjects on a screen edge or corner, or with a side on one; occluders from overlapping
+    # the subject's box to just past the 1 px margin of the box test, nearer, level or farther
+    rng = random.Random(seed)
+    frames = []
+    for k in range(4):
+        center = (rng.choice([0.0, W, rng.uniform(0.0, W)]), rng.choice([0.0, H, rng.uniform(0.0, H)]))
+        if rng.random() < 0.3:
+            x0, y0 = rng.choice([0.0, rng.uniform(0.0, W - 300.0)]), rng.uniform(0.0, H - 300.0)
+            subject = [(x0, y0), (x0 + 300.0, y0), (x0 + 300.0, y0 + 200.0), (x0, y0 + 200.0)]
+        elif rng.random() < 0.5:
+            subject = oracles.random_star(rng, center, 80.0, 200.0, rng.randrange(3, 9))
+        else:
+            subject = oracles.random_convex(rng, center, 200.0, rng.randrange(3, 9))
+        tracks = [_at_pixels("subject", subject, 5.0)]
+        for j in range(rng.randrange(1, 4)):
+            gap = rng.choice([-3.0, -0.5, -1e-3, 0.0, 1e-3, 0.5, 0.999, 1.0, 1.001, 3.0])
+            band = oracles.band_beside(subject, rng.choice(["right", "left", "below", "above"]),
+                                       gap, rng.uniform(1.0, 40.0))
+            tracks.append(_at_pixels(f"band{j}", band, rng.choice([1.0, 2.0, 5.0, 7.0])))
+        frames.append(_pixel_frame(tracks, 100 * k))
+    found = block_pieces(frames, SCREEN)
+    for f, pieces in zip(frames, found):
+        assert repr(pieces) == repr(oracles.frame_pieces(f, SCREEN)), f.timestamp_ms
+
+
+def _huge_x(t):
+    """t with column 0 of its pose scaled by 1e306: local x lands on non-finite pixels."""
+    pose = t.pose.copy()
+    pose[:, 0] *= 1e306
+    return dataclasses.replace(t, pose=pose)
+
+
+def test_block_pieces_raise_at_the_first_non_finite_projection():
+    ok = _plane("ok", (0.0, 0.0, 0.0), 1.0, 1.0)
+    huge = _huge_x(dataclasses.replace(ok, trackable_id="huge"))
+    paused = dataclasses.replace(huge, tracking_state=TrackingState.PAUSED)
+    frames = [_frame([ok, paused]), _frame([ok, huge], t_ms=100), _frame([huge], t_ms=200)]
+    assert oracles.frame_pieces(frames[0], SCREEN)
+    with pytest.raises(ArithmeticError):
+        oracles.frame_pieces(frames[1], SCREEN)
+    with pytest.raises(TraceValidationError,
+                       match=r"^frame at 100 ms: trackable 'huge' vertex 0 \(-1\.0, -1\.0\) projects"):
+        block_pieces(frames, SCREEN)

@@ -4,7 +4,8 @@ Everything here works on plain ``(x, y)`` pixel tuples using the screen
 convention: origin at the top-left corner, y growing downward.  Polygons are
 vertex lists, rectangles are axis-aligned, and the empty rectangle is
 represented as ``None`` rather than a degenerate object.  All functions are
-stateless.
+stateless.  Two helpers serve other spaces too: dot_rows takes rows of 3D
+vectors, and replay runs odd_crossings in a plane's local coordinates.
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ PARALLEL_EPS = 1e-12        # |denominator| below this means parallel lines
 BEHIND_W_EPS = 1e-9         # clip-space w at or below this means behind the camera
 AREA_EPS_PX2 = 1e-9         # pieces smaller than this are discarded as slivers
 COLLINEAR_EPS = 1e-9        # |cross product| below this means collinear
+OCCLUDER_MARGIN_PX = 1.0    # an occluder whose box is farther than this from a piece's box is apart
+# Screen coordinates must lie within this bound: differences, squares and cross
+# products of such coordinates stay finite, so no scalar kernel here overflows
+# (Python's ** 2 raises OverflowError past the float range).
+MAX_SCREEN_COORD_PX = 1e150
 
 # Inscribed-rectangle search.
 SHRINK_STEP = 0.025         # per-pass inward step, as a fraction of the current extent
@@ -363,14 +369,14 @@ def convex_subtract(piece: Polygon, occluder: Polygon) -> list[list[Point]]:
 
 
 def _boxes_apart(a: Polygon, b: Polygon) -> bool:
-    """True when the bounding boxes of a and b, a's grown by 1 px, do not meet."""
+    """True when the bounding boxes of a and b, a's grown by OCCLUDER_MARGIN_PX, do not meet."""
     ax = [p[0] for p in a]
     ay = [p[1] for p in a]
     bx = [p[0] for p in b]
     by = [p[1] for p in b]
     return (
-        max(bx) < min(ax) - 1.0 or max(ax) + 1.0 < min(bx)
-        or max(by) < min(ay) - 1.0 or max(ay) + 1.0 < min(by)
+        max(bx) < min(ax) - OCCLUDER_MARGIN_PX or max(ax) + OCCLUDER_MARGIN_PX < min(bx)
+        or max(by) < min(ay) - OCCLUDER_MARGIN_PX or max(ay) + OCCLUDER_MARGIN_PX < min(by)
     )
 
 
@@ -396,7 +402,7 @@ def subtract_occluders(
     return pieces
 
 
-class _EdgeLoops(NamedTuple):
+class EdgeLoops(NamedTuple):
     """Edge a->b of each of many polygons, as (polygons, E) arrays.
 
     Shorter polygons are padded with their first vertex: the extra edges
@@ -413,7 +419,7 @@ class _EdgeLoops(NamedTuple):
     real: np.ndarray
 
     @classmethod
-    def of(cls, polys: Sequence[Polygon]) -> _EdgeLoops:
+    def of(cls, polys: Sequence[Polygon]) -> EdgeLoops:
         size = max(len(p) for p in polys)
         xy = np.array([[*p, *[p[0]] * (size - len(p))] for p in polys], dtype=float)
         ax, ay = xy[:, :, 0], xy[:, :, 1]
@@ -425,29 +431,46 @@ class _EdgeLoops(NamedTuple):
         return cls(ax, ay, by, dx, dy, np.where(len_sq <= PARALLEL_EPS, np.inf, len_sq), real)
 
 
+def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row pair of two (n, 3) arrays, summed as np.dot sums."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def _squared(v: np.ndarray) -> np.ndarray:
     """v ** 2 as Python computes it (libm pow), which can differ from v * v in the last bit."""
     return np.float_power(v, 2.0)
 
 
-def _points_inside(e: _EdgeLoops, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+def odd_crossings(e: EdgeLoops, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """The even-odd rule: whether an odd number of edges cross the ray from (px, py) to +x.
+
+    The edges lie along the last axis of e's arrays, and px and py
+    broadcast against them.  An edge counts when its ends straddle the
+    point's y and it crosses that y to the right of the point.  A point at
+    an infinite or NaN coordinate straddles no edge.
+    """
+    straddle = (e.ay > py) != (e.by > py)
+    # dy is nonzero wherever an edge straddles; elsewhere any divisor will do
+    x_cross = e.ax + (py - e.ay) / np.where(straddle, e.dy, 1.0) * e.dx
+    return np.count_nonzero(straddle & (x_cross > px), axis=-1) % 2 == 1
+
+
+def _points_inside(e: EdgeLoops, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """Even-odd containment of each point in row i of (px, py) in polygon i of e.
 
     A point within CONTAINMENT_EPS_PX of an edge (_point_segment_dist_sq)
     counts as inside, else the parity of the edge crossings to its right
-    decides.  The tests compare every answer with the scalar
-    oracles.point_in_polygon, whose expressions these copy in their order.
+    decides (odd_crossings).  The tests compare every answer with the
+    scalar oracles.point_in_polygon, whose expressions these copy in their
+    order.
     """
     px = px[:, :, None]
     py = py[:, :, None]
-    ax, ay, by, dx, dy, len_sq, real = (a[:, None, :] for a in e)
-    t = np.clip(((px - ax) * dx + (py - ay) * dy) / len_sq, 0.0, 1.0)
-    dist_sq = _squared(px - (ax + t * dx)) + _squared(py - (ay + t * dy))
-    near = ((dist_sq <= CONTAINMENT_EPS_PX * CONTAINMENT_EPS_PX) & real).any(axis=2)
-    straddle = (ay > py) != (by > py)
-    # dy is nonzero wherever an edge straddles; elsewhere any divisor will do
-    x_cross = ax + (py - ay) / np.where(straddle, dy, 1.0) * dx
-    return near | (np.count_nonzero(straddle & (x_cross > px), axis=2) % 2 == 1)
+    e = EdgeLoops(*(a[:, None, :] for a in e))
+    t = np.clip(((px - e.ax) * e.dx + (py - e.ay) * e.dy) / e.len_sq, 0.0, 1.0)
+    dist_sq = _squared(px - (e.ax + t * e.dx)) + _squared(py - (e.ay + t * e.dy))
+    near = ((dist_sq <= CONTAINMENT_EPS_PX * CONTAINMENT_EPS_PX) & e.real).any(axis=2)
+    return near | odd_crossings(e, px, py)
 
 
 # Python's max(lo, v) and min(hi, v) elementwise, down to the sign of a zero
@@ -587,7 +610,7 @@ def inscribed_rects(
         return rects, []
     passes = np.zeros(len(pieces), dtype=int)
     w, h = float(screen_w), float(screen_h)
-    loops = _EdgeLoops.of(pieces)
+    loops = EdgeLoops.of(pieces)
     x_min = _at_least(0.0, loops.ax.min(axis=1))
     y_min = _at_least(0.0, loops.ay.min(axis=1))
     x_max = _at_most(w, loops.ax.max(axis=1))
@@ -597,7 +620,7 @@ def inscribed_rects(
     n = 0
     while idx.size:
         x_min, y_min, x_max, y_max = x_min[keep], y_min[keep], x_max[keep], y_max[keep]
-        loops = _EdgeLoops(*(a[keep] for a in loops))
+        loops = EdgeLoops(*(a[keep] for a in loops))
         in_tl, in_tr, in_bl, in_br = _points_inside(
             loops,
             np.stack([x_min, x_max, x_min, x_max], axis=1),

@@ -25,7 +25,7 @@ from .lifespan import (
     opportunity_sort_key,
 )
 from .metrics import VideoMetrics, compute_metrics
-from .trace import FrameRecord, TraceValidationError, decimate
+from .trace import FrameRecord, TraceValidationError, blocks, decimate
 from .visibility import block_pieces, fit_boxes, screen_clip_polygon
 
 DEFAULT_ANALYSIS_FPS = 10.0
@@ -68,11 +68,11 @@ def run_boxes(
     frames may be a trace's tuple or a stream from iter_frames; up to
     BOX_BLOCK_FRAMES kept frames are held, and each block goes through one
     block_pieces and one fit_boxes call.  An error from the stream is
-    raised after the frames before it are analysed, so an error those
-    frames raise comes first, as it would one frame at a time.  The boxes
-    dict is keyed in order of first appearance; each value has one slot
-    per kept frame, None where the trackable produced no usable box.  A
-    run has one screen: a frame whose screen differs from the first
+    raised after the frames before it are analysed (blocks), so an error
+    those frames raise comes first, as it would one frame at a time.  The
+    boxes dict is keyed in order of first appearance; each value has one
+    slot per kept frame, None where the trackable produced no usable box.
+    A run has one screen: a frame whose screen differs from the first
     frame's is a ValueError.
     """
     first: FrameRecord | None = None
@@ -93,39 +93,22 @@ def run_boxes(
 
     boxes: dict[str, list[Rect | None]] = {}
     timestamps: list[int] = []
-    block: list[FrameRecord] = []
-
-    def flush() -> None:
+    for block in blocks(decimate(full_trace(), source_fps, params.fps), BOX_BLOCK_FRAMES):
+        if not timestamps:  # the first kept frame is the first frame
+            screen_loop = clip_loop(screen_clip_polygon(first.screen_w, first.screen_h))
         found = fit_boxes(block_pieces(block, screen_loop), first.screen_w, first.screen_h,
                           params.min_visibility)
-        for idx, frame_boxes in enumerate(found, len(timestamps) - len(block)):
+        for idx, frame_boxes in enumerate(found, len(timestamps)):
             for vb in frame_boxes:
                 seq = boxes.get(vb.trackable_id)
                 if seq is None:
                     seq = boxes[vb.trackable_id] = []
                 seq += [None] * (idx - len(seq))
                 seq.append(vb.box)
-        block.clear()
-
-    kept = decimate(full_trace(), source_fps, params.fps)
-    while True:
-        try:
-            frame = next(kept, None)
-        except Exception:
-            if block:
-                flush()
-            raise
-        if frame is None:
-            break
-        if not timestamps:  # the first kept frame is the first frame
-            screen_loop = clip_loop(screen_clip_polygon(frame.screen_w, frame.screen_h))
-        block.append(frame)
-        timestamps.append(frame.timestamp_ms)
-        if len(block) == BOX_BLOCK_FRAMES:
-            flush()
+        timestamps += [f.timestamp_ms for f in block]
+        del block, found  # this block's frames go before the next block is filled
     if first is None or last is None:
         raise TraceValidationError("cannot analyze an empty trace")
-    flush()
     for seq in boxes.values():
         seq += [None] * (len(timestamps) - len(seq))
     return RunBoxes(boxes, timestamps, (first.screen_w, first.screen_h), last.timestamp_ms)

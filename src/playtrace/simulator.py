@@ -18,7 +18,7 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from .geometry import PARALLEL_EPS
+from .geometry import PARALLEL_EPS, EdgeLoops, dot_rows, odd_crossings
 from .reporting import dump_json, load_json
 from .scheduler import EventSchedule, GestureEvent, GestureKind
 from .trace import (
@@ -342,11 +342,6 @@ def perspective_matrix(fov_y_deg: float, aspect: float, near: float, far: float)
     return m
 
 
-def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product of each row pair of two (n, 3) arrays, summed as np.dot sums."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross product of each row pair, with np.cross's arithmetic for 3-vectors."""
     (a0, a1, a2), (b0, b1, b2) = a.T, b.T
@@ -356,11 +351,11 @@ def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _look_at_rows(eye: np.ndarray, target: np.ndarray, up: np.ndarray) -> np.ndarray:
     """World -> camera matrices (n, 4, 4), one per row of eye, target and up."""
     f = target - eye
-    fn = np.sqrt(_dot_rows(f, f))
+    fn = np.sqrt(dot_rows(f, f))
     with np.errstate(divide="ignore", invalid="ignore"):
         f = f / fn[:, None]
         s = _cross_rows(f, up)
-        sn = np.sqrt(_dot_rows(s, s))
+        sn = np.sqrt(dot_rows(s, s))
         s = s / sn[:, None]
     bad = np.flatnonzero((fn < PARALLEL_EPS) | (sn < PARALLEL_EPS))
     if bad.size:
@@ -372,9 +367,9 @@ def _look_at_rows(eye: np.ndarray, target: np.ndarray, up: np.ndarray) -> np.nda
     m[:, 0, :3] = s
     m[:, 1, :3] = u
     m[:, 2, :3] = -f
-    m[:, 0, 3] = -_dot_rows(s, eye)
-    m[:, 1, 3] = -_dot_rows(u, eye)
-    m[:, 2, 3] = _dot_rows(f, eye)
+    m[:, 0, 3] = -dot_rows(s, eye)
+    m[:, 1, 3] = -dot_rows(u, eye)
+    m[:, 2, 3] = dot_rows(f, eye)
     m[:, 3, 3] = 1.0
     m.flags.writeable = False
     return m
@@ -549,7 +544,7 @@ def _cast(
     over_any = np.zeros(x_ndc.shape, dtype=bool)
     for i, plane in enumerate(scene.planes):
         denom = dirs @ plane.normal
-        to_plane = _dot_rows(np.broadcast_to(plane.normal, eyes.shape), plane.center - eyes)
+        to_plane = dot_rows(np.broadcast_to(plane.normal, eyes.shape), plane.center - eyes)
         with np.errstate(divide="ignore", invalid="ignore"):
             t_ray = to_plane[inverse][:, None] / denom
         valid = (np.abs(denom) > PARALLEL_EPS) & (t_ray > PARALLEL_EPS)
@@ -563,7 +558,9 @@ def _cast(
                 np.abs(b) <= plane.extent_v + _HIT_EPS_M
             )
         else:
-            inside = _points_in_polygon_mask(a, b, plane.local_vertices)
+            loops = EdgeLoops.of([plane.local_vertices])
+            with np.errstate(invalid="ignore"):  # a ray along the plane meets it at inf or NaN
+                inside = odd_crossings(loops, a[..., None], b[..., None])
         over_any |= valid & inside
         hit = valid & inside & plane_detected(plane, times)[:, None] & (t_ray < best_t)
         best_t[hit] = t_ray[hit]
@@ -577,21 +574,6 @@ def hit_test_batch(scene: SimScene, t_ms: float, points: np.ndarray) -> list[str
     best, _ = _cast(scene, np.array([float(t_ms)]), points)
     ids = [p.plane_id for p in scene.planes]
     return np.array(ids + [None], dtype=object)[best[0]].tolist()
-
-
-def _points_in_polygon_mask(
-    xs: np.ndarray, ys: np.ndarray, poly: Sequence[tuple[float, float]]
-) -> np.ndarray:
-    inside = np.zeros(xs.shape, dtype=bool)
-    n = len(poly)
-    for i in range(n):
-        ax, ay = poly[i]
-        bx, by = poly[(i + 1) % n]
-        crossing = (np.asarray(ay > ys)) != (np.asarray(by > ys))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_cross = ax + (ys - ay) / (by - ay) * (bx - ax)
-        inside ^= crossing & (x_cross > xs)
-    return inside
 
 
 def hit_test(scene: SimScene, t_ms: float, point: tuple[float, float]) -> str | None:

@@ -16,7 +16,7 @@ from enum import Enum
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, TextIO
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, NoReturn, TextIO, TypeVar
 
 import numpy as np
 
@@ -26,6 +26,7 @@ TRACE_FORMAT = "tariplay-trace"
 TRACE_VERSION = 1
 
 Mat4 = np.ndarray
+T = TypeVar("T")
 
 
 class TraceError(Exception):
@@ -184,33 +185,6 @@ def _frame_head(d: dict, where: str) -> _FrameHead:
     return _FrameHead(t_ms, screen, raw_trackables, tracks)
 
 
-def _frame_numbers(fields: list[tuple[Any, int, str, str | int]]) -> np.ndarray:
-    """Every numeric field of a frame, validated at once, as one read-only array.
-
-    fields holds (value, length, where, name) in the order errors are
-    reported; an int name is a vertex index.  Only when the whole-frame
-    check fails are the fields checked one by one, so that the error names
-    the first bad one.
-    """
-    flat: list = []
-    for value, count, _, _ in fields:
-        if not isinstance(value, list) or len(value) != count:
-            break
-        flat += value
-    else:
-        arr = _finite_floats(flat)
-        if arr is not None:
-            arr.flags.writeable = False
-            return arr
-    for value, count, where, name in fields:
-        what = f"{where} {name}" if isinstance(name, str) else f"{where} vertex {name}"
-        if not isinstance(value, list) or len(value) != count:
-            raise TraceValidationError(f"{what}: expected a list of {count} numbers")
-        if _finite_floats(value) is None:
-            raise TraceValidationError(f"{what}: all entries must be finite numbers")
-    raise AssertionError("a frame failed the numeric check but none of its fields did")
-
-
 def _vertices(arr: np.ndarray, o: int, n: int) -> tuple[tuple[float, float], ...]:
     """The n (x, z) vertices stored flat in arr from offset o."""
     xz = arr[o:o + 2 * n].tolist()
@@ -223,26 +197,31 @@ def _unit_length_error(normal: np.ndarray) -> str | None:
     return None if abs(norm_len - 1.0) <= UNIT_EPS else f"unit length, got |n|={norm_len:.8f}"
 
 
-def _frame_from_dict(d: dict, where: str) -> FrameRecord:
-    """One frame, checked field by field: each error names its field and comes in reading order."""
+def _frame_fault(where: str, d: dict) -> NoReturn:
+    """Raise the first fault of a frame line that _block_frames rejects on its own.
+
+    Structure comes first (_frame_head), then each numeric field in
+    number-array order, then each trackable's polygon and normal; each
+    error names its field.
+    """
     head = _frame_head(d, where)
-    # per trackable: vertices, normal (3), pose (16), center (3); then the camera
-    fields: list[tuple[Any, int, str, str | int]] = []
+    fields: list[tuple[Any, int, str]] = []   # (value, length, what) of each numeric field
     for td, (_, tw, _, raw_verts) in zip(head.raw_trackables, head.tracks):
-        fields += [(xz, 2, tw, i) for i, xz in enumerate(raw_verts)]
-        fields += [(td[key], count, tw, key) for key, count in _TRACKABLE_NUMBERS]
-    fields += [(d[key], count, where, key) for key, count in _CAMERA_NUMBERS]
-    arr = _frame_numbers(fields)
-    o = 0
-    for _, tw, _, raw_verts in head.tracks:
-        n2 = 2 * len(raw_verts)
-        if not simple_polygons([arr[o:o + n2].reshape(-1, 2)])[0]:
+        fields += [(xz, 2, f"{tw} vertex {i}") for i, xz in enumerate(raw_verts)]
+        fields += [(td[key], count, f"{tw} {key}") for key, count in _TRACKABLE_NUMBERS]
+    fields += [(d[key], count, f"{where} {key}") for key, count in _CAMERA_NUMBERS]
+    for value, count, what in fields:
+        if not isinstance(value, list) or len(value) != count:
+            raise TraceValidationError(f"{what}: expected a list of {count} numbers")
+        if _finite_floats(value) is None:
+            raise TraceValidationError(f"{what}: all entries must be finite numbers")
+    for td, (_, tw, _, raw_verts) in zip(head.raw_trackables, head.tracks):
+        if not simple_polygons([raw_verts])[0]:
             raise TraceValidationError(f"{tw}: polygon must be simple (no self-intersection)")
-        problem = _unit_length_error(arr[o + n2:o + n2 + 3])
+        problem = _unit_length_error(np.array(td["normal"], dtype=float))
         if problem is not None:
             raise TraceValidationError(f"{tw}: normal must be {problem}")
-        o += n2 + 22
-    return _frame_record(head, arr, 0)
+    raise AssertionError(f"{where}: a frame failed its checks but none of its fields did")
 
 
 def _frame_record(head: _FrameHead, arr: np.ndarray, o: int) -> FrameRecord:
@@ -274,10 +253,11 @@ def _frame_record(head: _FrameHead, arr: np.ndarray, o: int) -> FrameRecord:
 def _block_frames(block: list[tuple[str, dict]]) -> list[FrameRecord] | None:
     """The frames of a block of lines when every one passes its checks, else None.
 
-    The structural checks run per frame, as _frame_from_dict runs them;
-    the numbers, polygons and normals of the whole block are checked in one
-    numpy pass each.  A normal is passed here only when it is clearly of
-    unit length; one near the tolerance goes to _unit_length_error.
+    The structural checks run per frame (_frame_head); the numbers,
+    polygons and normals of the whole block are checked in one numpy pass
+    each.  A normal is passed here only when it is clearly of unit length;
+    one near the tolerance goes to _unit_length_error.  This is the one
+    place a line becomes a FrameRecord: a one-line block checks one line.
     """
     trackable_numbers = itemgetter(*(key for key, _ in _TRACKABLE_NUMBERS))
     trackable_counts = [count for _, count in _TRACKABLE_NUMBERS]
@@ -409,19 +389,30 @@ def read_header(path: str | Path) -> tuple[float, dict]:
         return _header(_trace_objects(fh, path.name), path.name)
 
 
-def _read_block(
-    objects: Iterator[tuple[str, dict]]
-) -> tuple[list[tuple[str, dict]], TraceParseError | None]:
-    """Up to INGEST_BLOCK_LINES objects, and the read error that ended the block early, if any."""
-    block: list[tuple[str, dict]] = []
-    try:
-        for item in objects:
-            block.append(item)
-            if len(block) == INGEST_BLOCK_LINES:
-                break
-    except TraceParseError as exc:
-        return block, exc
-    return block, None
+def blocks(items: Iterable[T], size: int) -> Iterator[list[T]]:
+    """items in lists of up to size, in order; no list is empty.
+
+    When items raises, the list filled so far is yielded first and the
+    error is raised when the next list is asked for, so the items read
+    before a stream error are handled first, and an error that handling
+    raises is the one that escapes.  A consumer that keeps no reference
+    to a list once it asks for the next holds one list at a time.
+    """
+    it = iter(items)
+    while True:
+        block: list[T] = []
+        try:
+            for item in it:
+                block.append(item)
+                if len(block) == size:
+                    break
+        except Exception:
+            if block:
+                yield block
+            raise
+        if not block:
+            return
+        yield block
 
 
 def iter_frames(path: str | Path) -> Iterator[FrameRecord]:
@@ -432,23 +423,23 @@ def iter_frames(path: str | Path) -> Iterator[FrameRecord]:
     strictly increasing timestamps), so an error names the line where the
     fault first shows.  Frames are read and checked in blocks of
     INGEST_BLOCK_LINES lines (see _block_frames); a block that fails any
-    check is checked again frame by frame through _frame_from_dict, so the
-    first fault in reading order is the one reported, and a read error
-    inside a block is raised after the frames before it.  Raises
-    TraceParseError for text that is not UTF-8, and for malformed JSON or
-    missing fields, TraceValidationError for contract violations, and the
-    usual OSError family for I/O trouble.
+    check is checked again as one-line blocks, and a line that fails on
+    its own raises its first fault (_frame_fault), so the first fault in
+    reading order is the one reported.  A read error inside a block is
+    raised after the frames before it (blocks).  Raises TraceParseError
+    for text that is not UTF-8, and for malformed JSON or missing fields,
+    TraceValidationError for contract violations, and the usual OSError
+    family for I/O trouble.
     """
     path = Path(path)
     with _open_trace(path) as fh:
         objects = _trace_objects(fh, path.name)
         _header(objects, path.name)
         first = prev = None
-        while True:
-            block, read_error = _read_block(objects)
+        for block in blocks(objects, INGEST_BLOCK_LINES):
             frames = _block_frames(block)
             if frames is None:
-                frames = (_frame_from_dict(obj, where) for where, obj in block)
+                frames = ((_block_frames([line]) or _frame_fault(*line))[0] for line in block)
             for (where, _), frame in zip(block, frames):
                 if first is None:
                     first = frame
@@ -464,10 +455,6 @@ def iter_frames(path: str | Path) -> Iterator[FrameRecord]:
                     )
                 yield frame
                 prev = frame
-            if read_error is not None:
-                raise read_error
-            if len(block) < INGEST_BLOCK_LINES:
-                break
             del block, frames  # this block's objects go before the next block is read
     if first is None:
         raise TraceValidationError(f"{path.name}: trace has no frames")

@@ -19,12 +19,15 @@ import numpy as np
 
 from .geometry import (
     BEHIND_W_EPS,
+    MAX_SCREEN_COORD_PX,
+    OCCLUDER_MARGIN_PX,
     ClipLoop,
     Point,
     Rect,
     clip_by_loop,
     convex_pieces,
     convex_unchanged,
+    dot_rows,
     inscribed_rects,
     rect_area,
     subtract_occluders,
@@ -118,10 +121,11 @@ def block_pieces(frames: Sequence[FrameRecord], screen: ClipLoop) -> list[list[S
     polygon skip the screen clip (every vertex on screen) and convex_pieces
     (convex_unchanged) are numpy passes over the whole block, each
     bit-equal to the scalar computation for one trackable.  Of a polygon's
-    vertices, the first that is behind the camera or lands on non-finite
-    pixels decides: behind drops the surface, non-finite is a
-    TraceValidationError, raised after the frames before its own, as a
-    pass over one frame at a time would raise it.
+    vertices, the first that is behind the camera or lands on pixels that
+    are not finite numbers within MAX_SCREEN_COORD_PX decides: behind drops
+    the surface, the other is a TraceValidationError, raised after the
+    frames before its own, as a pass over one frame at a time would raise
+    it.
     """
     tracks: list[TrackableSnapshot] = []
     owner: list[int] = []   # frame index of each track
@@ -140,7 +144,7 @@ def block_pieces(frames: Sequence[FrameRecord], screen: ClipLoop) -> list[list[S
     track_of = np.repeat(np.arange(len(tracks)), counts)
     column = np.arange(len(track_of)) - starts[track_of]
     x, y, behind = _project(frames, tracks, owner, track_of, column)
-    bad = behind | ~(np.isfinite(x) & np.isfinite(y))
+    bad = behind | ~((np.abs(x) <= MAX_SCREEN_COORD_PX) & (np.abs(y) <= MAX_SCREEN_COORD_PX))
     first_bad = np.full(len(tracks), len(track_of))
     np.minimum.at(first_bad, track_of[bad], np.flatnonzero(bad))
     visible = first_bad == len(track_of)
@@ -150,9 +154,8 @@ def block_pieces(frames: Sequence[FrameRecord], screen: ClipLoop) -> list[list[S
     # distance to the camera and the facing sign, with the dot products of np.linalg.norm and np.dot
     to_cam = (np.array([frames[i].camera_position for i in owner], dtype=float)
               - np.array([t.center_world for t in tracks], dtype=float))
-    dist = np.sqrt((to_cam[:, None, :] @ to_cam[:, :, None])[:, 0, 0])
-    normals = np.array([t.normal_world for t in tracks], dtype=float)
-    facing = (normals[:, None, :] @ to_cam[:, :, None])[:, 0, 0] > 0.0
+    dist = np.sqrt(dot_rows(to_cam, to_cam))
+    facing = dot_rows(np.array([t.normal_world for t in tracks], dtype=float), to_cam) > 0.0
 
     # on screen: sign * _cross(a, b, p) >= 0 for every screen edge a -> b, as in _clip_one_edge
     sign, edges = screen
@@ -163,9 +166,10 @@ def block_pieces(frames: Sequence[FrameRecord], screen: ClipLoop) -> list[list[S
     on_screen = np.bincount(track_of, weights=off, minlength=len(tracks)) == 0
     unchanged = on_screen & convex_unchanged(x, y, counts)
 
-    # Bounding boxes.  An occluder whose box is more than 1 px from the box of the subject's
-    # polygon is apart from the box of each of its pieces too, so subtract_occluders would
-    # skip it or, past its own box test, return every piece unchanged (_boxes_apart).
+    # Bounding boxes.  An occluder whose box is more than OCCLUDER_MARGIN_PX from the box of
+    # the subject's polygon is apart from the box of each of its pieces too, so
+    # subtract_occluders would skip it or, past its own box test, return every piece
+    # unchanged (_boxes_apart).
     some = starts[counts > 0]
     box = np.full((len(tracks), 4), np.nan)
     if some.size:
@@ -176,6 +180,7 @@ def block_pieces(frames: Sequence[FrameRecord], screen: ClipLoop) -> list[list[S
     polys = [xy[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
     dists, boxes = dist.tolist(), box.tolist()
     facing_l, on_screen_l, unchanged_l = facing.tolist(), on_screen.tolist(), unchanged.tolist()
+    m = OCCLUDER_MARGIN_PX
     order = np.lexsort((dist, owner))  # a stable sort: ties keep the frame's trackable order
     order = order[visible[order]]
     frame_ends = np.searchsorted(np.array(owner)[order], np.arange(len(frames)), side="right")
@@ -186,8 +191,8 @@ def block_pieces(frames: Sequence[FrameRecord], screen: ClipLoop) -> list[list[S
             j = int(first_bad[k] - starts[k])
             raise TraceValidationError(
                 f"frame at {frames[i].timestamp_ms} ms: trackable '{tracks[k].trackable_id}' "
-                f"vertex {j} {tracks[k].local_vertices[j]!r} projects to non-finite screen "
-                "coordinates"
+                f"vertex {j} {tracks[k].local_vertices[j]!r} projects to screen coordinates "
+                f"that are not finite numbers within ±{MAX_SCREEN_COORD_PX:g} px"
             )
         nearer: list[int] = []
         for k in order[begin:end].tolist():
@@ -203,8 +208,8 @@ def block_pieces(frames: Sequence[FrameRecord], screen: ClipLoop) -> list[list[S
                     occluders = [
                         polys[j] for j in nearer
                         if dists[j] < d and not (
-                            sx1 < boxes[j][0] - 1.0 or boxes[j][1] + 1.0 < sx0
-                            or sy1 < boxes[j][2] - 1.0 or boxes[j][3] + 1.0 < sy0
+                            sx1 < boxes[j][0] - m or boxes[j][1] + m < sx0
+                            or sy1 < boxes[j][2] - m or boxes[j][3] + m < sy0
                         )
                     ]
                     pieces = subtract_occluders(pieces, occluders)

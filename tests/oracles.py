@@ -202,8 +202,28 @@ def is_simple_polygon(poly: list[Point]) -> bool:
 
 # -------------------------------------------------- scalar containment, clip
 # The one-at-a-time forms of what the package does in numpy passes:
-# geometry._points_inside copies point_in_polygon elementwise, and
+# geometry._points_inside copies point_in_polygon elementwise,
+# geometry.odd_crossings is points_in_polygon_mask with every edge at once, and
 # visibility.block_pieces clips by a clip_loop as clip_polygon does.
+
+def points_in_polygon_mask(xs, ys, poly):
+    """The even-odd rule for arrays of points in one polygon, one edge at a time.
+
+    Replay's hit test ran this before it shared geometry.odd_crossings with
+    the inscribed-box search: each edge that straddles a point's y to the
+    right of the point flips it.
+    """
+    inside = np.zeros(xs.shape, dtype=bool)
+    n = len(poly)
+    for i in range(n):
+        ax, ay = poly[i]
+        bx, by = poly[(i + 1) % n]
+        crossing = (np.asarray(ay > ys)) != (np.asarray(by > ys))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_cross = ax + (ys - ay) / (by - ay) * (bx - ax)
+        inside ^= crossing & (x_cross > xs)
+    return inside
+
 
 def point_in_polygon(point: Point, poly: list[Point]) -> bool:
     """Even-odd containment test; boundary points within CONTAINMENT_EPS_PX count as inside."""
@@ -538,17 +558,18 @@ def clip_to_screen(clip, screen_w, screen_h, v_local):
     """Perspective division and viewport transform of one clip-space vertex.
 
     Returns None when clip-space w <= BEHIND_W_EPS (behind the camera) and
-    raises ArithmeticError, naming v_local, for non-finite pixels.
+    raises ArithmeticError, naming v_local, for pixels that are not finite
+    numbers within MAX_SCREEN_COORD_PX.
     """
-    from playtrace.geometry import BEHIND_W_EPS
+    from playtrace.geometry import BEHIND_W_EPS, MAX_SCREEN_COORD_PX
 
     x_clip, y_clip, _, w = clip
     if w <= BEHIND_W_EPS:
         return None
     x = (x_clip / w + 1.0) / 2.0 * screen_w
     y = (1.0 - (y_clip / w + 1.0) / 2.0) * screen_h
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ArithmeticError(f"non-finite screen coordinates from vertex {v_local!r}")
+    if not (abs(x) <= MAX_SCREEN_COORD_PX and abs(y) <= MAX_SCREEN_COORD_PX):
+        raise ArithmeticError(f"screen coordinates out of range from vertex {v_local!r}")
     return (x, y)
 
 
@@ -568,7 +589,7 @@ def project_trackable(t, frame):
     All vertices go through one stacked matmul per matrix: numpy multiplies
     each (4, 1) item with the same BLAS gemv as a 1-D vertex, so every pixel
     is bit-equal to project_per_vertex.  The first vertex that is behind the
-    camera (None) or lands on non-finite pixels (ArithmeticError) decides.
+    camera (None) or lands on pixels out of range (ArithmeticError) decides.
     """
     v = np.array([(x, 0.0, z, 1.0) for x, z in t.local_vertices]).reshape(-1, 4, 1)
     clip = (frame.projection @ (frame.view @ (t.pose @ v)))[:, :, 0].tolist()
@@ -582,7 +603,7 @@ def project_trackable(t, frame):
 
 
 def frame_pieces(frame, screen):
-    """block_pieces of one frame, one trackable at a time (ArithmeticError for non-finite pixels)."""
+    """block_pieces of one frame, one trackable at a time (ArithmeticError for pixels out of range)."""
     from playtrace.geometry import clip_by_loop, convex_pieces, subtract_occluders
     from playtrace.trace import TrackingState
 
@@ -771,9 +792,11 @@ def analyze_eager(traces, params):
 
 # ------------------------------------------------------------- trace ingest
 # iter_frames as it was before frames were validated in blocks: each line is
-# decoded and checked by the package's per-frame parser before the next line
-# is read.  The block reader falls back on the same parser, which holds the
-# one definition of each error message; only the order of the work differs.
+# decoded and checked before the next line is read, as a one-line block of
+# the package's block parser (_block_frames), and a line that fails goes to
+# _frame_fault, which holds the one definition of each error message.  The
+# block reader re-reads a failing block the same way; only the order of the
+# work differs.
 
 def iter_frames_per_line(path):
     """Yield the frames of a trace file, validating one line at a time."""
@@ -781,7 +804,8 @@ def iter_frames_per_line(path):
 
     from playtrace.trace import (
         TraceValidationError,
-        _frame_from_dict,
+        _block_frames,
+        _frame_fault,
         _header,
         _open_trace,
         _trace_objects,
@@ -793,7 +817,7 @@ def iter_frames_per_line(path):
         _header(objects, path.name)
         first = prev = None
         for where, obj in objects:
-            frame = _frame_from_dict(obj, where)
+            frame = (_block_frames([(where, obj)]) or _frame_fault(where, obj))[0]
             if first is None:
                 first = frame
             elif (frame.screen_w, frame.screen_h) != (first.screen_w, first.screen_h):

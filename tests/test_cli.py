@@ -728,7 +728,7 @@ def test_analyze_rejects_a_huge_polygon_without_a_traceback(tmp_path, trace_path
 def _with_huge_pose(line):
     """The frame line with column 0 of its first trackable's pose scaled by 1e306.
 
-    Every number stays finite, but local x lands on non-finite pixels.
+    Every number stays finite, but local x lands on infinite pixels.
     """
     frame = json.loads(line)
     pose = frame["trackables"][0]["pose"]
@@ -742,7 +742,26 @@ def test_analyze_rejects_a_non_finite_projection_without_a_traceback(tmp_path, t
     rc = main(["analyze", str(trace_path), "--out", str(tmp_path / "x")])
     err = _assert_input_error(rc, capsys)
     assert err == ("error: frame at 0 ms: trackable 'table' vertex 0 (-0.6, -0.5) projects to "
-                   "non-finite screen coordinates\n")
+                   "screen coordinates that are not finite numbers within ±1e+150 px\n")
+
+
+def test_analyze_rejects_a_huge_finite_projection_without_a_traceback(tmp_path, trace_path, capsys):
+    # a copy of the table as 'lid', 1 m nearer the camera, with column 0 of its pose scaled
+    # by 1e155: every number and every pixel is finite, but the pixels lie near 1e158, where
+    # Python's ** 2 of their differences overflows as the table's occluder is cut up
+    header, line = trace_path.read_text().splitlines()[:2]
+    frame = json.loads(line)
+    lid = json.loads(json.dumps(frame["trackables"][0]))
+    lid["id"] = "lid"
+    lid["pose"][:4] = [v * 1e155 for v in lid["pose"][:4]]
+    lid["pose"][13] += 1.0
+    lid["center"][1] += 1.0
+    frame["trackables"].append(lid)
+    trace_path.write_text(header + "\n" + json.dumps(frame) + "\n")
+    rc = main(["analyze", str(trace_path), "--out", str(tmp_path / "x")])
+    err = _assert_input_error(rc, capsys)
+    assert err == ("error: frame at 0 ms: trackable 'lid' vertex 0 (-0.6, -0.5) projects to "
+                   "screen coordinates that are not finite numbers within ±1e+150 px\n")
 
 
 def test_a_non_finite_projection_comes_before_a_later_read_error(tmp_path, trace_path, capsys):

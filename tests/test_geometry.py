@@ -408,7 +408,7 @@ def _assert_batch_matches_scalar(polys, rng):
     probes = [_probe_points(poly, rng) for poly in polys]
     k = max(len(p) for p in probes)
     pts = np.array([p + [p[0]] * (k - len(p)) for p in probes])
-    inside = g._points_inside(g._EdgeLoops.of(polys), pts[:, :, 0], pts[:, :, 1])
+    inside = g._points_inside(g.EdgeLoops.of(polys), pts[:, :, 0], pts[:, :, 1])
     for i, (poly, ps) in enumerate(zip(polys, probes)):
         for j, p in enumerate(ps):
             assert inside[i, j] == point_in_polygon(p, poly), (poly, p)
@@ -464,9 +464,33 @@ def test_padding_edges_stay_out_of_the_distance_test():
     p = (1150.3444979997576, 64.89852961267714)
     assert not point_in_polygon(p, tri)
     # batched with a square, the triangle gets a zero-length edge at its first vertex
-    inside = g._points_inside(g._EdgeLoops.of([tri, SQUARE]),
+    inside = g._points_inside(g.EdgeLoops.of([tri, SQUARE]),
                               np.array([[p[0]], [5.0]]), np.array([[p[1]], [5.0]]))
     assert inside[:, 0].tolist() == [False, True]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["convex", "star"]))
+def test_odd_crossings_is_the_edge_by_edge_even_odd_mask(seed, shape):
+    # replay's hit test on a plane with a polygon: points on vertices, on edges and near
+    # them, random ones, and the infinite and NaN coordinates of rays along the plane
+    rng = random.Random(seed)
+    center = (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+    radius = rng.choice([1e-3, 0.5, 3.0, 600.0])
+    if shape == "convex":
+        poly = oracles.random_convex(rng, center, radius, rng.randrange(3, 12))
+    else:
+        poly = oracles.random_star(rng, center, 0.3 * radius, radius, rng.randrange(5, 12))
+    if rng.random() < 0.5:
+        poly.reverse()
+    pts = _probe_points(poly, rng) + [(math.inf, 0.0), (0.0, -math.inf), (math.nan, center[1])]
+    rng.shuffle(pts)
+    pts += pts[:-len(pts) % 3]
+    xy = np.array(pts).reshape(3, -1, 2)
+    xs, ys = xy[..., 0], xy[..., 1]
+    with np.errstate(invalid="ignore"):
+        got = g.odd_crossings(g.EdgeLoops.of([tuple(poly)]), xs[..., None], ys[..., None])
+    assert got.tolist() == oracles.points_in_polygon_mask(xs, ys, poly).tolist()
 
 
 @pytest.mark.parametrize("poly", [SQUARE, SQUARE_CW, L_SHAPE, STAR, PENTAGRAM],
@@ -474,7 +498,7 @@ def test_padding_edges_stay_out_of_the_distance_test():
 def test_quick_containment_fixed_shapes(poly):
     _assert_batch_matches_scalar([poly, TRIANGLE, STAR], random.Random(5))
     # the pentagram's centre is wound twice: outside under the even-odd rule
-    assert not g._points_inside(g._EdgeLoops.of([PENTAGRAM]), np.array([[300.0]]),
+    assert not g._points_inside(g.EdgeLoops.of([PENTAGRAM]), np.array([[300.0]]),
                                 np.array([[200.0]]))[0, 0]
 
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from playtrace import trace as trace_module
 from playtrace.pipeline import AnalysisParams, run_boxes
 from playtrace.scenes import benchmark_scene
 from playtrace.simulator import generate_trace
@@ -19,6 +20,7 @@ from playtrace.trace import (
     TraceValidationError,
     TrackableSnapshot,
     TrackingState,
+    blocks,
     decimate,
     iter_frames,
     load_trace,
@@ -481,6 +483,11 @@ _SPOTS = [b * _B + k for b in range(3) for k in (0, _B // 2, _B - 1)]
 )
 @example(n_frames=3 * _B, faults=[("view-nan", 1), ("not-utf8", 3 * _B - 1)])
 @example(n_frames=2 * _B + 1, faults=[("normal-just-unit", _B - 1), ("blank-line", _B)])
+# traces that fill their last block exactly, clean or with a fault on their last line
+@example(n_frames=_B, faults=[])
+@example(n_frames=_B, faults=[("invalid-json", _B - 1)])
+@example(n_frames=2 * _B, faults=[])
+@example(n_frames=2 * _B, faults=[("normal-just-long", 2 * _B - 1)])
 def test_block_reader_matches_the_per_line_reader(tmp_path_factory, n_frames, faults):
     lines = [_header()] + [_frame(33 * i) for i in range(n_frames)]
     for name, spot in faults:
@@ -488,6 +495,57 @@ def test_block_reader_matches_the_per_line_reader(tmp_path_factory, n_frames, fa
         lines[k] = _FAULTS[name](_frame(33 * (k - 1)))
     p = _write_lines(tmp_path_factory.mktemp("ingest"), lines)
     assert _outcome(iter_frames, p) == _outcome(oracles.iter_frames_per_line, p)
+
+
+def _items_then_error(k):
+    yield from range(k)
+    raise OSError("the disk went away")
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_blocks_are_full_lists_in_order_and_never_empty(n):
+    got = list(blocks(iter(range(n)), 3))
+    assert [x for b in got for x in b] == list(range(n))
+    assert [len(b) for b in got] == [3] * (n // 3) + [n % 3] * (n % 3 > 0)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 6])
+def test_blocks_yield_the_items_before_a_stream_error_then_raise_it(k):
+    it = blocks(_items_then_error(k), 3)
+    for start in range(0, k, 3):
+        assert next(it) == list(range(start, min(start + 3, k)))
+    with pytest.raises(OSError, match="^the disk went away$"):
+        next(it)
+
+
+def test_an_error_raised_on_the_partial_list_is_the_one_that_escapes():
+    def consume():
+        for block in blocks(_items_then_error(4), 3):
+            if len(block) < 3:
+                raise ValueError(f"bad item {block[0]}")
+
+    with pytest.raises(ValueError, match="^bad item 3$") as exc:
+        consume()
+    assert exc.value.__context__ is None
+
+
+@pytest.mark.parametrize("t_ms, fault", [(33, None), (66.5, "t.jsonl:3: t_ms must be an integer")])
+def test_an_os_error_inside_a_block_comes_after_the_lines_before_it(tmp_path, monkeypatch, t_ms, fault):
+    p = _write_lines(tmp_path, [_header(), _frame(0), _frame(t_ms), _frame(99), _frame(132)])
+    read = trace_module._trace_objects
+
+    def failing(fh, name):  # the header and two frame lines, then the read fails
+        for i, item in enumerate(read(fh, name)):
+            if i == 3:
+                raise OSError("read failed")
+            yield item
+
+    monkeypatch.setattr(trace_module, "_trace_objects", failing)
+    seen, kind, message = _outcome(iter_frames, p)
+    if fault is None:
+        assert (seen, kind, message) == ([0, 33], OSError, "read failed")
+    else:
+        assert (seen, kind) == ([0], TraceValidationError) and message.startswith(fault)
 
 
 def test_bad_number_is_reported_before_a_later_read_error(tmp_path):

@@ -489,3 +489,24 @@ def test_block_pieces_raise_at_the_first_non_finite_projection():
     with pytest.raises(TraceValidationError,
                        match=r"^frame at 100 ms: trackable 'huge' vertex 0 \(-1\.0, -1\.0\) projects"):
         block_pieces(frames, SCREEN)
+
+
+@pytest.mark.parametrize("scale, raises", [(1e140, False), (1e155, True)])
+def test_block_pieces_bound_huge_but_finite_pixels(scale, raises):
+    # the lid sits 1 m above the table, between it and the camera; column 0 of its pose
+    # scaled by 1e155 puts its pixels near 1e158, every one finite, where Python's ** 2 of
+    # their differences overflows as the table's occluder is cut into convex pieces
+    lid = _plane("lid", (0.0, 1.0, 0.0), 0.5, 0.5)
+    pose = lid.pose.copy()
+    pose[:, 0] *= scale
+    frame = _frame([_plane("table", (0.0, 0.0, 0.0), 1.0, 1.0), dataclasses.replace(lid, pose=pose)])
+    if not raises:
+        found = block_pieces([frame], SCREEN)
+        assert repr(found[0]) == repr(oracles.frame_pieces(frame, SCREEN))
+        return
+    with pytest.raises(ArithmeticError):
+        oracles.frame_pieces(frame, SCREEN)
+    with pytest.raises(TraceValidationError) as exc:
+        block_pieces([frame], SCREEN)
+    assert str(exc.value) == ("frame at 0 ms: trackable 'lid' vertex 0 (-0.5, -0.5) projects to "
+                              "screen coordinates that are not finite numbers within ±1e+150 px")

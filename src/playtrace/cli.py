@@ -45,7 +45,7 @@ from .simulator import (
     scene_from_dict,
     save_scene,
 )
-from .trace import TraceError, iter_frames, read_header
+from .trace import TraceError, deadline_walk, iter_frames, read_header
 
 MAX_RUNS = 1_000  # runs one analyze or compare may take: each run is a whole trace
 
@@ -104,7 +104,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if len(args.traces) == 1 and args.runs > 1:
         path = args.traces[0]
         meta = read_header(path)[1]
-        for _ in iter_frames(path):  # the frames go unused, but a bad one rejects the trace
+        # the frames go unused, but a bad one rejects the trace: read and check every
+        # line, and build no frame but the last, which iter_frames always yields
+        for _ in iter_frames(path, keep=lambda t: False):
             pass
         if "scene" not in meta:
             raise ValueError(
@@ -116,7 +118,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         jitter = jitter_from_dict(meta.get("jitter", {}))
         runs = _generated_runs(scene, jitter, args.jitter_seed_base, args.runs, params)
     else:
-        runs = [run_boxes(iter_frames(p), read_header(p)[0], params) for p in args.traces]
+        runs = []
+        for p in args.traces:
+            fps = read_header(p)[0]
+            # frames are built only where run_boxes' own walk keeps them (and the last)
+            runs.append(run_boxes(iter_frames(p, deadline_walk(fps, params.fps)), fps, params))
     per_run, final, metrics = analyze_boxes(runs, params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

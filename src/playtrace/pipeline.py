@@ -65,7 +65,9 @@ def run_boxes(
 ) -> RunBoxes:
     """The one frame loop: decimate, then find the kept frames' boxes a block at a time.
 
-    frames may be a trace's tuple or a stream from iter_frames; up to
+    frames may be a trace's tuple or a stream from iter_frames, already
+    decimated by the same walk or not: the walk keeps every frame it kept
+    before, and drops a last frame it dropped before.  Up to
     BOX_BLOCK_FRAMES kept frames are held, and each block goes through one
     block_pieces and one fit_boxes call.  An error from the stream is
     raised after the frames before it are analysed (blocks), so an error

@@ -121,8 +121,8 @@ def _require(d: dict, key: str, where: str) -> Any:
     return d[key]
 
 
-def _trackable_fields(d: Any, where: str) -> tuple[str, str, TrackingState, list]:
-    """Structural checks of one trackable: (id, where, state, raw vertices)."""
+def _trackable_fields(d: Any, where: str) -> tuple[str, str, TrackingState, int]:
+    """Structural checks of one trackable: (id, where, state, vertex count)."""
     if not isinstance(d, dict):
         raise TraceParseError(f"{where}: trackable entry must be an object")
     tid = _require(d, "id", where)
@@ -138,7 +138,7 @@ def _trackable_fields(d: Any, where: str) -> tuple[str, str, TrackingState, list
         state = _TRACKING_STATES[d["state"]]
     except (KeyError, TypeError):
         raise TraceValidationError(f"{where}: unknown tracking state {d['state']!r}") from None
-    return tid, where, state, raw_verts
+    return tid, where, state, len(raw_verts)
 
 
 # The numeric fields of a frame and their lengths, in the order of its number
@@ -153,7 +153,7 @@ class _FrameHead(NamedTuple):
     t_ms: int
     screen: list[int]
     raw_trackables: list[dict]
-    tracks: list[tuple[str, str, TrackingState, list]]   # _trackable_fields of each
+    tracks: list[tuple[str, str, TrackingState, int]]    # _trackable_fields of each
 
 
 def _frame_head(d: dict, where: str) -> _FrameHead:
@@ -206,8 +206,8 @@ def _frame_fault(where: str, d: dict) -> NoReturn:
     """
     head = _frame_head(d, where)
     fields: list[tuple[Any, int, str]] = []   # (value, length, what) of each numeric field
-    for td, (_, tw, _, raw_verts) in zip(head.raw_trackables, head.tracks):
-        fields += [(xz, 2, f"{tw} vertex {i}") for i, xz in enumerate(raw_verts)]
+    for td, (_, tw, _, _) in zip(head.raw_trackables, head.tracks):
+        fields += [(xz, 2, f"{tw} vertex {i}") for i, xz in enumerate(td["verts"])]
         fields += [(td[key], count, f"{tw} {key}") for key, count in _TRACKABLE_NUMBERS]
     fields += [(d[key], count, f"{where} {key}") for key, count in _CAMERA_NUMBERS]
     for value, count, what in fields:
@@ -215,8 +215,8 @@ def _frame_fault(where: str, d: dict) -> NoReturn:
             raise TraceValidationError(f"{what}: expected a list of {count} numbers")
         if _finite_floats(value) is None:
             raise TraceValidationError(f"{what}: all entries must be finite numbers")
-    for td, (_, tw, _, raw_verts) in zip(head.raw_trackables, head.tracks):
-        if not simple_polygons([raw_verts])[0]:
+    for td, (_, tw, _, _) in zip(head.raw_trackables, head.tracks):
+        if not simple_polygons([td["verts"]])[0]:
             raise TraceValidationError(f"{tw}: polygon must be simple (no self-intersection)")
         problem = _unit_length_error(np.array(td["normal"], dtype=float))
         if problem is not None:
@@ -227,9 +227,9 @@ def _frame_fault(where: str, d: dict) -> NoReturn:
 def _frame_record(head: _FrameHead, arr: np.ndarray, o: int) -> FrameRecord:
     """The frame of a checked head whose numbers start at offset o of arr."""
     trackables = []
-    for tid, _, state, raw_verts in head.tracks:
-        verts = _vertices(arr, o, len(raw_verts))
-        o += 2 * len(raw_verts)
+    for tid, _, state, n in head.tracks:
+        verts = _vertices(arr, o, n)
+        o += 2 * n
         trackables.append(TrackableSnapshot(
             trackable_id=tid,
             pose=arr[o + 3:o + 19].reshape((4, 4), order="F"),
@@ -250,14 +250,19 @@ def _frame_record(head: _FrameHead, arr: np.ndarray, o: int) -> FrameRecord:
     )
 
 
-def _block_frames(block: list[tuple[str, dict]]) -> list[FrameRecord] | None:
-    """The frames of a block of lines when every one passes its checks, else None.
+def _block_frames(
+    block: list[tuple[str, dict]],
+) -> list[tuple[_FrameHead, np.ndarray, int]] | None:
+    """Each line's (head, numbers, offset) when every line of a block passes its checks, else None.
 
     The structural checks run per frame (_frame_head); the numbers,
     polygons and normals of the whole block are checked in one numpy pass
-    each.  A normal is passed here only when it is clearly of unit length;
-    one near the tolerance goes to _unit_length_error.  This is the one
-    place a line becomes a FrameRecord: a one-line block checks one line.
+    each, and the lines share the one read-only array, each line's numbers
+    from its offset on, the last line's up to the array's end.  A normal is
+    passed here only when it is clearly of unit length; one near the
+    tolerance goes to _unit_length_error.  This is the one parser of a
+    line: a one-line block checks one line, and _frame_record builds the
+    frame of a (head, numbers, offset).
     """
     trackable_numbers = itemgetter(*(key for key, _ in _TRACKABLE_NUMBERS))
     trackable_counts = [count for _, count in _TRACKABLE_NUMBERS]
@@ -272,11 +277,10 @@ def _block_frames(block: list[tuple[str, dict]]) -> list[FrameRecord] | None:
         for where, d in block:
             head = _frame_head(d, where)
             heads.append((head, o))
-            for td, (_, _, _, raw_verts) in zip(head.raw_trackables, head.tracks):
-                n = len(raw_verts)
+            for td, (_, _, _, n) in zip(head.raw_trackables, head.tracks):
                 polys.append((o, n))
                 o += 2 * n + 22
-                fields += raw_verts
+                fields += td["verts"]
                 fields += trackable_numbers(td)
                 counts += [2] * n
                 counts += trackable_counts
@@ -303,7 +307,7 @@ def _block_frames(block: list[tuple[str, dict]]) -> list[FrameRecord] | None:
         for k in np.flatnonzero(~(np.abs(length - 1.0) <= UNIT_EPS / 2)).tolist():
             if _unit_length_error(normals[k]) is not None:
                 return None
-    return [_frame_record(head, arr, o) for head, o in heads]
+    return [(head, arr, o) for head, o in heads]
 
 
 def _snapshot_to_dict(t: TrackableSnapshot) -> dict:
@@ -356,6 +360,8 @@ def _trace_objects(fh: TextIO, name: str) -> Iterator[tuple[str, dict]]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceParseError(f"{where}: invalid JSON: {exc.msg}") from None
+        except RecursionError:  # the decoder recurses once per level of nesting
+            raise TraceParseError(f"{where}: invalid JSON: nested too deeply") from None
         if not isinstance(obj, dict):
             raise TraceParseError(f"{where}: expected a JSON object")
         yield where, obj
@@ -415,7 +421,9 @@ def blocks(items: Iterable[T], size: int) -> Iterator[list[T]]:
         yield block
 
 
-def iter_frames(path: str | Path) -> Iterator[FrameRecord]:
+def iter_frames(
+    path: str | Path, keep: Callable[[int], bool] | None = None
+) -> Iterator[FrameRecord]:
     """Validate a JSONL trace file and yield its frames one at a time.
 
     The header is read and checked before the first frame.  Each frame is
@@ -430,34 +438,53 @@ def iter_frames(path: str | Path) -> Iterator[FrameRecord]:
     for text that is not UTF-8, and for malformed JSON or missing fields,
     TraceValidationError for contract violations, and the usual OSError
     family for I/O trouble.
+
+    keep, a decimation predicate such as deadline_walk's, is asked about
+    each checked frame's timestamp in order, and only the frames it accepts
+    are built and yielded; every line is still read and checked.  The
+    file's last frame is built and yielded last even when keep refuses it,
+    so the stream ends at the trace's last timestamp.  Without keep every
+    frame is yielded.
     """
     path = Path(path)
     with _open_trace(path) as fh:
         objects = _trace_objects(fh, path.name)
         _header(objects, path.name)
-        first = prev = None
+        first = prev = None  # the first frame's screen, the previous frame's t_ms
+        last = None          # (head, numbers) of the last frame read when keep refused it
         for block in blocks(objects, INGEST_BLOCK_LINES):
-            frames = _block_frames(block)
-            if frames is None:
-                frames = ((_block_frames([line]) or _frame_fault(*line))[0] for line in block)
-            for (where, _), frame in zip(block, frames):
+            checked = _block_frames(block)
+            if checked is None:
+                checked = chain.from_iterable(
+                    _block_frames([line]) or _frame_fault(*line) for line in block
+                )
+            for line, (head, arr, o) in zip(block, checked):
                 if first is None:
-                    first = frame
-                elif (frame.screen_w, frame.screen_h) != (first.screen_w, first.screen_h):
+                    first = head.screen
+                elif head.screen != first:
                     raise TraceValidationError(
-                        f"{where}: screen {frame.screen_w}x{frame.screen_h} differs from "
-                        f"the first frame's {first.screen_w}x{first.screen_h}"
+                        f"{line[0]}: screen {head.screen[0]}x{head.screen[1]} differs from "
+                        f"the first frame's {first[0]}x{first[1]}"
                     )
-                elif frame.timestamp_ms <= prev.timestamp_ms:
+                elif head.t_ms <= prev:
                     raise TraceValidationError(
                         f"{path.name}: timestamps must be strictly increasing "
-                        f"({prev.timestamp_ms} then {frame.timestamp_ms})"
+                        f"({prev} then {head.t_ms})"
                     )
-                yield frame
-                prev = frame
-            del block, frames  # this block's objects go before the next block is read
+                prev = head.t_ms
+                kept = keep is None or keep(head.t_ms)
+                if kept:
+                    yield _frame_record(head, arr, o)
+            # a block's last line has the last numbers of its array; they are copied
+            # out, and its head without its dicts, so no part of the block is held
+            last = None if kept else (head._replace(raw_trackables=[]), arr[o:].copy())
+            del block, checked, line, head, arr  # before the next block is read
     if first is None:
         raise TraceValidationError(f"{path.name}: trace has no frames")
+    if last is not None:
+        head, numbers = last
+        numbers.flags.writeable = False
+        yield _frame_record(head, numbers, 0)
 
 
 def load_trace(path: str | Path) -> PlaybackTrace:

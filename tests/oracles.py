@@ -796,7 +796,7 @@ def analyze_eager(traces, params):
 # the package's block parser (_block_frames), and a line that fails goes to
 # _frame_fault, which holds the one definition of each error message.  The
 # block reader re-reads a failing block the same way; only the order of the
-# work differs.
+# work differs.  Every line's frame is built (_frame_record).
 
 def iter_frames_per_line(path):
     """Yield the frames of a trace file, validating one line at a time."""
@@ -806,6 +806,7 @@ def iter_frames_per_line(path):
         TraceValidationError,
         _block_frames,
         _frame_fault,
+        _frame_record,
         _header,
         _open_trace,
         _trace_objects,
@@ -817,7 +818,7 @@ def iter_frames_per_line(path):
         _header(objects, path.name)
         first = prev = None
         for where, obj in objects:
-            frame = (_block_frames([(where, obj)]) or _frame_fault(where, obj))[0]
+            frame = _frame_record(*(_block_frames([(where, obj)]) or _frame_fault(where, obj))[0])
             if first is None:
                 first = frame
             elif (frame.screen_w, frame.screen_h) != (first.screen_w, first.screen_h):

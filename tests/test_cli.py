@@ -8,8 +8,10 @@ import signal
 import numpy as np
 import pytest
 
+from playtrace import trace as trace_module
 from playtrace.cli import MAX_RUNS, main, parse_mix
-from playtrace.reporting import load_report
+from playtrace.pipeline import AnalysisParams, analyze_boxes, run_boxes
+from playtrace.reporting import load_report, render_gantt
 from playtrace.scenes import benchmark_scene
 from playtrace.scheduler import GestureKind, load_schedule, save_schedule, schedule_random
 from playtrace.simulator import (
@@ -20,7 +22,13 @@ from playtrace.simulator import (
     generate_trace,
     save_scene,
 )
-from playtrace.trace import save_trace
+from playtrace.trace import (
+    TraceValidationError,
+    deadline_walk,
+    iter_frames,
+    load_trace,
+    save_trace,
+)
 
 
 def _scene(jitter=None):
@@ -225,6 +233,59 @@ def test_analyze_runs_still_rejects_a_bad_last_frame(tmp_path, trace_path, capsy
     err = _assert_input_error(rc, capsys)
     assert err.startswith(f"error: run.jsonl:{len(lines)} cam_pos: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("k", [1, 50, 179])
+def test_analyze_runs_rejects_a_bad_frame_as_load_trace_does(tmp_path, trace_path, capsys, k):
+    # every frame but the last is dropped unbuilt, and each is still checked
+    lines = trace_path.read_text().splitlines(keepends=True)
+    lines[k] = lines[k].replace('"view": [', '"view": [null, ', 1)
+    trace_path.write_text("".join(lines))
+    with pytest.raises(TraceValidationError) as exc:
+        load_trace(trace_path)
+    rc = main(["analyze", str(trace_path), "--runs", "2", "--out", str(tmp_path / "x")])
+    assert _assert_input_error(rc, capsys) == f"error: {exc.value}\n"
+    assert str(exc.value).startswith(f"run.jsonl:{k + 1} view: ")
+
+
+@pytest.mark.parametrize("runs", [1, 2])
+def test_analyze_builds_only_the_frames_it_keeps(tmp_path, trace_path, monkeypatch, runs):
+    # one run builds the frames the walk keeps, and the last, which it drops; with
+    # --runs 2 the trace's frames go unused and only the last is built
+    trace = load_trace(trace_path)
+    kept = run_boxes(trace.frames, trace.source_fps, AnalysisParams()).timestamps_ms
+    assert kept[-1] < trace.duration_ms
+    built = []
+    record = trace_module._frame_record
+
+    def counted(head, numbers, o):
+        built.append(head.t_ms)
+        return record(head, numbers, o)
+
+    monkeypatch.setattr(trace_module, "_frame_record", counted)
+    argv = ["analyze", str(trace_path), "--runs", str(runs), "--out", str(tmp_path / "x")]
+    assert main(argv) == 0
+    assert built == [*(kept if runs == 1 else []), trace.duration_ms]
+
+
+@pytest.mark.parametrize("n", [121, 122, 123])
+def test_analyze_ends_at_the_last_frame_whether_kept_or_dropped(tmp_path, n):
+    # 30 fps analysed at 10: the walk keeps frame 120 (4000 ms) and drops 121 and 122
+    full = generate_trace(_scene())
+    path = tmp_path / "run.jsonl"
+    save_trace(dataclasses.replace(full, frames=full.frames[:n]), path)
+    params = AnalysisParams()
+    loaded = run_boxes(load_trace(path).frames, full.source_fps, params)
+    streamed = run_boxes(iter_frames(path, deadline_walk(full.source_fps, params.fps)),
+                         full.source_fps, params)
+    assert streamed == loaded
+    assert streamed.duration_ms == full.frames[n - 1].timestamp_ms
+    assert (streamed.timestamps_ms[-1] < streamed.duration_ms) == (n > 121)
+    assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 0
+    final = analyze_boxes([loaded], params)[1]
+    assert final
+    assert (tmp_path / "out" / "gantt.svg").read_text(encoding="utf-8") == render_gantt(
+        final, loaded.duration_ms)
 
 
 def test_analyze_rejects_screen_change_mid_trace(tmp_path, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from playtrace.trace import (
     TrackableSnapshot,
     TrackingState,
     blocks,
+    deadline_walk,
     decimate,
     iter_frames,
     load_trace,
@@ -497,6 +499,81 @@ def test_block_reader_matches_the_per_line_reader(tmp_path_factory, n_frames, fa
     assert _outcome(iter_frames, p) == _outcome(oracles.iter_frames_per_line, p)
 
 
+# With keep, iter_frames builds only the frames the walk accepts, and the last
+# one; held to decimate over the per-line reader, which builds every frame.
+
+def _frame_key(f):
+    """Everything a frame holds, arrays by dtype, layout, bytes and flag, comparable with ==."""
+    def arr(a):
+        return a.dtype.str, a.shape, a.strides, a.tobytes(), a.flags.writeable
+
+    return (f.timestamp_ms, f.screen_w, f.screen_h, arr(f.view), arr(f.projection),
+            arr(f.camera_position),
+            tuple((t.trackable_id, t.tracking_state, t.local_vertices, arr(t.pose),
+                   arr(t.center_world), arr(t.normal_world)) for t in f.trackables))
+
+
+def _frames_outcome(frames):
+    """(frames yielded, exception type, message) of draining a frame stream."""
+    seen = []
+    try:
+        for frame in frames:
+            seen.append(_frame_key(frame))
+    except Exception as exc:  # the readers must agree on every exception, TraceError or not
+        return seen, type(exc), str(exc)
+    return seen, None, None
+
+
+def _decimated_per_line(path, source_fps, target_fps):
+    """decimate over the per-line reader, then the trace's last frame when decimate drops it."""
+    read = []   # the last frame read
+
+    def remember(frames):
+        for f in frames:
+            read[:] = [f]
+            yield f
+
+    kept = None
+    for kept in decimate(remember(oracles.iter_frames_per_line(path)), source_fps, target_fps):
+        yield kept
+    if read[0] is not kept:
+        yield read[0]
+
+
+# the start, middle and end of each block, three lines each: at 33 ms a frame
+# and 30 -> 10 fps, the walk keeps about one line in three
+_WALK_SPOTS = [b * _B + k for b in range(3)
+               for k in (0, 1, 2, _B // 2 - 1, _B // 2, _B // 2 + 1, _B - 3, _B - 2, _B - 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_frames=st.integers(2 * _B + 1, 3 * _B),
+    faults=st.lists(st.tuples(st.sampled_from(sorted(_FAULTS)), st.sampled_from(_WALK_SPOTS)),
+                    max_size=2),
+)
+# clean traces whose last frame the walk keeps, and drops
+@example(n_frames=3 * _B - 1, faults=[])
+@example(n_frames=3 * _B, faults=[])
+# a fault on a dropped line, first in its block, then mid-block and last in the trace
+@example(n_frames=2 * _B + 1, faults=[("view-nan", _B)])
+@example(n_frames=2 * _B + 1, faults=[("bowtie", _B // 2 + 1)])
+@example(n_frames=3 * _B, faults=[("normal-long", 3 * _B - 1)])
+# a fault on a kept line at the end of a block, and a timestamp fault on a dropped line
+@example(n_frames=3 * _B, faults=[("pose-null", 2 * _B - 2)])
+@example(n_frames=3 * _B, faults=[("t_ms-repeated", _B + 2)])
+def test_walked_reader_matches_decimate_over_the_per_line_reader(tmp_path_factory, n_frames, faults):
+    lines = [_header()] + [_frame(33 * i) for i in range(n_frames)]
+    for name, spot in faults:
+        k = 1 + min(spot, n_frames - 1)
+        lines[k] = _FAULTS[name](_frame(33 * (k - 1)))
+    p = _write_lines(tmp_path_factory.mktemp("walk"), lines)
+    got = _frames_outcome(iter_frames(p, deadline_walk(30.0, 10.0)))
+    assert got == _frames_outcome(_decimated_per_line(p, 30.0, 10.0))
+    if not faults:  # about one frame in three, and the trace's last
+        assert len(got[0]) <= n_frames // 3 + 2 and got[0][-1][0] == 33 * (n_frames - 1)
+
+
 def _items_then_error(k):
     yield from range(k)
     raise OSError("the disk went away")
@@ -590,6 +667,15 @@ def test_non_utf8_line_is_reported_at_its_line(tmp_path):
     assert str(exc.value) == f"t.jsonl:4: not UTF-8 text (byte 0xff at column {bad.index(0xFF) + 1})"
 
 
+def test_deeply_nested_json_is_reported_at_its_line(tmp_path):
+    # the JSON decoder recurses once per level, and gives up past the recursion limit
+    nested = "[" * 100_000 + "]" * 100_000
+    deep = json.dumps(_frame(66)).replace('"view": [', f'"view": {nested}, "x": [', 1)
+    p = _write_lines(tmp_path, [_header(), _frame(0), _frame(33), deep, _frame(99)])
+    seen, kind, message = _outcome(iter_frames, p)
+    assert (seen, kind, message) == ([0, 33], TraceParseError, "t.jsonl:4: invalid JSON: nested too deeply")
+
+
 def test_earlier_fault_is_reported_before_a_non_utf8_line(tmp_path):
     lines = [_header(), _frame(0), _frame(33), _frame(66.5), b"\xff" + json.dumps(_frame(99)).encode()]
     p = _write_lines(tmp_path, lines)
@@ -639,3 +725,48 @@ def test_block_reader_arrays_match_the_per_line_reader(tmp_path):
     resaved = tmp_path / "resaved.jsonl"
     save_trace(load_trace(path), resaved)
     assert resaved.read_bytes() == path.read_bytes()
+
+
+def _drain(path, keep=None):
+    """(peak, memory held when the last frame arrives, bytes of the array that frame's
+    numbers are views of) of reading a trace; memory counts from the start of the read."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for f in iter_frames(path, keep):
+            held = tracemalloc.get_traced_memory()[0] - base
+            owner = f.view.base.nbytes
+            del f
+        return tracemalloc.get_traced_memory()[1] - base, held, owner
+    finally:
+        tracemalloc.stop()
+
+
+def test_reading_holds_one_block_at_a_time(tmp_path):
+    # wide lines, so that a block's objects outweigh the rest
+    wide = [_trackable(id=f"plane-{j}") for j in range(12)]
+    line_numbers = 12 * (8 + 22) + 35
+    lines = [json.dumps(_frame(34 * i, trackables=wide)) for i in range(4 * _B)]
+    keep = deadline_walk(30.0, 10.0)
+    assert not [keep(34 * i) for i in range(4 * _B)][-1]  # the walk drops the last frame
+    (tmp_path / "one").mkdir()
+    (tmp_path / "four").mkdir()
+    one = _write_lines(tmp_path / "one", [_header(), *lines[:_B]])
+    four = _write_lines(tmp_path / "four", [_header(), *lines])
+    tracemalloc.start()
+    block = [json.loads(line) for line in lines[:_B]]
+    block_bytes = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    del block
+    _drain(one)  # first call: caches
+    one_peak = _drain(one)[0]
+    every_peak, _, owner = _drain(four)
+    assert owner == _B * line_numbers * 8  # a kept frame's numbers are its block's array
+    walked_peak, held, owner = _drain(four, deadline_walk(30.0, 10.0))
+    # reading a block while the one before it is held would add a block to the peak
+    assert max(every_peak, walked_peak) < one_peak + block_bytes / 2, (
+        f"peak {every_peak} B and {walked_peak} B for four blocks, {one_peak} B for one; "
+        f"a block's objects take {block_bytes} B")
+    # the dropped last frame holds a copy of its own numbers, and nothing of its block
+    assert owner == line_numbers * 8
+    assert held < block_bytes / 4, f"{held} B held with the last frame; a block is {block_bytes} B"

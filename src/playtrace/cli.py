@@ -36,7 +36,6 @@ from .simulator import (
     SceneError,
     SimScene,
     execute_schedule,
-    frame_times,
     gsr_summary,
     jitter_from_dict,
     load_scene,
@@ -45,7 +44,7 @@ from .simulator import (
     scene_from_dict,
     save_scene,
 )
-from .trace import TraceError, deadline_walk, iter_frames, read_header
+from .trace import DeadlineWalk, TraceError, deadline_walk, iter_frames, read_header
 
 MAX_RUNS = 1_000  # runs one analyze or compare may take: each run is a whole trace
 
@@ -76,21 +75,16 @@ def _check_runs(runs: int) -> None:
 
 
 def _generated_runs(
-    scene: SimScene, jitter: Jitter, seed_base: int, runs: int, params: AnalysisParams
+    scene: SimScene, jitter: Jitter, seed_base: int, walks: list[DeadlineWalk],
+    params: AnalysisParams,
 ) -> list[RunBoxes]:
     """The boxes of runs rendered with jitter seeds seed_base, seed_base + 1, ..., one at a time.
 
-    Only the frames the analysis keeps are rendered, and run_boxes keeps
-    them all again; each run still lasts until the last frame of the full
-    render, which sets the end of the Gantt chart.
+    Each run renders and analyses only the frames its walk keeps.
     """
-    end_ms = frame_times(scene)[-1]
     return [
-        dataclasses.replace(
-            run_boxes(render_frames(scene, seed_base + r, jitter, params.fps), scene.fps, params),
-            duration_ms=end_ms,
-        )
-        for r in range(runs)
+        run_boxes(render_frames(scene, seed_base + r, jitter, walk), params)
+        for r, walk in enumerate(walks)
     ]
 
 
@@ -104,8 +98,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if len(args.traces) == 1 and args.runs > 1:
         path = args.traces[0]
         meta = read_header(path)[1]
-        # the frames go unused, but a bad one rejects the trace: read and check every
-        # line, and build no frame but the last, which iter_frames always yields
+        # the frames go unused, but a bad one rejects the trace: read and check every line
         for _ in iter_frames(path, keep=lambda t: False):
             pass
         if "scene" not in meta:
@@ -116,13 +109,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         scene = scene_from_dict(meta["scene"])
         # the recorded jitter, which need not be the scene's default
         jitter = jitter_from_dict(meta.get("jitter", {}))
-        runs = _generated_runs(scene, jitter, args.jitter_seed_base, args.runs, params)
+        walks = [deadline_walk(scene.fps, params.fps) for _ in range(args.runs)]
+        runs = _generated_runs(scene, jitter, args.jitter_seed_base, walks, params)
     else:
-        runs = []
+        walks, runs = [], []
         for p in args.traces:
-            fps = read_header(p)[0]
-            # frames are built only where run_boxes' own walk keeps them (and the last)
-            runs.append(run_boxes(iter_frames(p, deadline_walk(fps, params.fps)), fps, params))
+            walks.append(deadline_walk(read_header(p)[0], params.fps))
+            runs.append(run_boxes(iter_frames(p, walks[-1]), params))
     per_run, final, metrics = analyze_boxes(runs, params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -130,7 +123,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     write_report(final, params_dict, out / "report.json", metrics=metrics)
     # the chart starts at 0 ms, or at the first frame when that is earlier
     start = min(0, min(r.timestamps_ms[0] for r in runs))
-    end = max(max(r.duration_ms for r in runs), start + 1)
+    end = max(max(w.last_ms for w in walks), start + 1)
     (out / "gantt.svg").write_text(render_gantt(final, end, start), encoding="utf-8")
     print(f"{len(final)} opportunities across {len(runs)} run(s) -> {out}")
     return 0
@@ -173,7 +166,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     pooled_guided = []
     pooled_random = []
     for seed in args.seeds:
-        runs = _generated_runs(scene, scene.default_jitter, seed * 100, args.runs, params)
+        walks = [deadline_walk(scene.fps, params.fps) for _ in range(args.runs)]
+        runs = _generated_runs(scene, scene.default_jitter, seed * 100, walks, params)
         _per_run, final, _metrics = analyze_boxes(runs, params)
         guided = schedule_guided(final, scene.duration_ms, seed)
         rand = schedule_random(

@@ -1,11 +1,11 @@
 """End-to-end analysis pipeline.
 
-Chains the pieces together: resample a trace to the analysis rate, compute
-per-frame visible boxes, split them into life spans, keep the long ones as
-test opportunities, and intersect several runs of the same recording when
-more than one is available.  Frames pass through one loop (run_boxes) as
-they arrive, so a run costs memory for its boxes and for one block of kept
-frames, not for all its frames.
+Chains the pieces together: compute per-frame visible boxes of the frames a
+producer kept at the analysis rate, split them into life spans, keep the
+long ones as test opportunities, and intersect several runs of the same
+recording when more than one is available.  Frames pass through one loop
+(run_boxes) as they arrive, so a run costs memory for its boxes and for one
+block of frames, not for all its frames.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .lifespan import (
     opportunity_sort_key,
 )
 from .metrics import VideoMetrics, compute_metrics
-from .trace import FrameRecord, TraceValidationError, blocks, decimate
+from .trace import FrameRecord, TraceValidationError, blocks
 from .visibility import block_pieces, fit_boxes, screen_clip_polygon
 
 DEFAULT_ANALYSIS_FPS = 10.0
@@ -54,34 +54,29 @@ class AnalysisParams:
 class RunBoxes:
     """What the analysis keeps of one run: its boxes, not its frames."""
 
-    boxes: dict[str, list[Rect | None]]  # per trackable, one slot per kept frame
-    timestamps_ms: list[int]             # of the kept frames
+    boxes: dict[str, list[Rect | None]]  # per trackable, one slot per frame analysed
+    timestamps_ms: list[int]             # of the frames analysed
     screen: tuple[int, int]
-    duration_ms: int                     # last timestamp of the full trace
 
 
-def run_boxes(
-    frames: Iterable[FrameRecord], source_fps: float, params: AnalysisParams = AnalysisParams()
-) -> RunBoxes:
-    """The one frame loop: decimate, then find the kept frames' boxes a block at a time.
+def run_boxes(frames: Iterable[FrameRecord], params: AnalysisParams = AnalysisParams()) -> RunBoxes:
+    """The one frame loop: find the boxes of every frame given, a block at a time.
 
-    frames may be a trace's tuple or a stream from iter_frames, already
-    decimated by the same walk or not: the walk keeps every frame it kept
-    before, and drops a last frame it dropped before.  Up to
-    BOX_BLOCK_FRAMES kept frames are held, and each block goes through one
+    frames may be a tuple or a stream, such as iter_frames or render_frames
+    already decimated by a deadline_walk; each one is analysed.  Up to
+    BOX_BLOCK_FRAMES frames are held, and each block goes through one
     block_pieces and one fit_boxes call.  An error from the stream is
     raised after the frames before it are analysed (blocks), so an error
     those frames raise comes first, as it would one frame at a time.  The
     boxes dict is keyed in order of first appearance; each value has one
-    slot per kept frame, None where the trackable produced no usable box.
-    A run has one screen: a frame whose screen differs from the first
+    slot per frame, None where the trackable produced no usable box.  A
+    run has one screen: a frame whose screen differs from the first
     frame's is a ValueError.
     """
     first: FrameRecord | None = None
-    last: FrameRecord | None = None
 
-    def full_trace() -> Iterator[FrameRecord]:
-        nonlocal first, last
+    def checked() -> Iterator[FrameRecord]:
+        nonlocal first
         for f in frames:
             if first is None:
                 first = f
@@ -90,13 +85,12 @@ def run_boxes(
                     f"frame at {f.timestamp_ms} ms: screen {f.screen_w}x{f.screen_h} differs "
                     f"from the first frame's {first.screen_w}x{first.screen_h}"
                 )
-            last = f
             yield f
 
     boxes: dict[str, list[Rect | None]] = {}
     timestamps: list[int] = []
-    for block in blocks(decimate(full_trace(), source_fps, params.fps), BOX_BLOCK_FRAMES):
-        if not timestamps:  # the first kept frame is the first frame
+    for block in blocks(checked(), BOX_BLOCK_FRAMES):
+        if not timestamps:
             screen_loop = clip_loop(screen_clip_polygon(first.screen_w, first.screen_h))
         found = fit_boxes(block_pieces(block, screen_loop), first.screen_w, first.screen_h,
                           params.min_visibility)
@@ -109,11 +103,11 @@ def run_boxes(
                 seq.append(vb.box)
         timestamps += [f.timestamp_ms for f in block]
         del block, found  # this block's frames go before the next block is filled
-    if first is None or last is None:
+    if first is None:
         raise TraceValidationError("cannot analyze an empty trace")
     for seq in boxes.values():
         seq += [None] * (len(timestamps) - len(seq))
-    return RunBoxes(boxes, timestamps, (first.screen_w, first.screen_h), last.timestamp_ms)
+    return RunBoxes(boxes, timestamps, (first.screen_w, first.screen_h))
 
 
 def analyze_boxes(

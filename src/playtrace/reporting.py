@@ -171,6 +171,8 @@ def load_json(path: str | Path) -> Any:
         raise ValueError(f"{path.name}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path.name}: invalid JSON: {exc.msg}") from None
+    except RecursionError:  # the decoder recurses once per level of nesting
+        raise ValueError(f"{path.name}: invalid JSON: nested too deeply") from None
 
 
 def write_report(
@@ -202,8 +204,12 @@ def load_report(path: str | Path) -> tuple[list[TestOpportunity], dict]:
                 raise ValueError(f"opportunity {i}: box coordinates must be finite, got {box}")
             if start_ms > end_ms:
                 raise ValueError(f"opportunity {i}: start_ms {start_ms} is after end_ms {end_ms}")
-            opps.append(TestOpportunity(str(od["id"]), Rect(*box), start_ms, end_ms, ()))
-        params = dict(d["params"])
+            if not isinstance(od["id"], str):
+                raise ValueError(f"opportunity {i}: id must be a string, got {od['id']!r}")
+            opps.append(TestOpportunity(od["id"], Rect(*box), start_ms, end_ms, ()))
+        params = d["params"]
+        if not isinstance(params, dict):
+            raise ValueError(f"params must be an object, got {params!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed report: {exc}") from None
     return opps, params

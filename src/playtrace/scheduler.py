@@ -298,13 +298,13 @@ def schedule_to_dict(schedule: EventSchedule) -> dict:
     }
 
 
-def _time(v: Any, what: str) -> int:
+def _integer(v: Any, what: str) -> int:
     if type(v) is not int or abs(v) > MAX_T_MS:
         raise ValueError(f"{what} must be a JSON integer of at most {MAX_T_MS} in size, got {v!r}")
     return v
 
 
-def _coordinate(v: Any, what: str) -> float:
+def _finite(v: Any, what: str) -> float:
     # compared exactly, so NaN and an integer too large for a float both fail
     if not (json_numbers([v]) and abs(v) <= sys.float_info.max):
         raise ValueError(f"{what} must be a finite JSON number, got {v!r}")
@@ -315,11 +315,11 @@ def _event_from_dict(ed: dict) -> GestureEvent:
     t = ed["t"]
     if not isinstance(t, list) or len(t) != 2:
         raise ValueError(f"t must be [t_start, t_end], got {t!r}")
-    t_start, t_end = _time(t[0], "t_start"), _time(t[1], "t_end")
+    t_start, t_end = _integer(t[0], "t_start"), _integer(t[1], "t_end")
     if t_start > t_end:
         raise ValueError(f"t_start {t_start} is after t_end {t_end}")
     tracks = tuple(
-        tuple((_time(pt, "track time"), _coordinate(x, "track x"), _coordinate(y, "track y"))
+        tuple((_integer(pt, "track time"), _finite(x, "track x"), _finite(y, "track y"))
               for pt, x, y in track)
         for track in ed["tracks"]
     )
@@ -335,15 +335,23 @@ def _event_from_dict(ed: dict) -> GestureEvent:
                 f"track times {track[0][0]}..{track[-1][0]} must lie in "
                 f"[t_start, t_end] = [{t_start}, {t_end}]"
             )
-    return GestureEvent(GestureKind(ed["kind"]), t_start, t_end, tracks, ed.get("target"))
+    target = ed.get("target")
+    if not (target is None or isinstance(target, str)):
+        raise ValueError(f"target must be a string or null, got {target!r}")
+    return GestureEvent(GestureKind(ed["kind"]), t_start, t_end, tracks, target)
 
 
 def schedule_from_dict(d: dict) -> EventSchedule:
     """A schedule from its JSON form, checked event by event as it enters."""
     where = ""
     try:
-        mix = {GestureKind(k): float(v) for k, v in d["mix"].items()}
-        generator, seed = str(d["generator"]), int(d["seed"])
+        mix, generator = d["mix"], d["generator"]
+        if not isinstance(mix, dict):
+            raise ValueError(f"mix must be an object, got {mix!r}")
+        if not isinstance(generator, str):
+            raise ValueError(f"generator must be a string, got {generator!r}")
+        mix = {GestureKind(k): _finite(v, f"mix weight {k}") for k, v in mix.items()}
+        seed = _integer(d["seed"], "seed")
         events = []
         for i, ed in enumerate(d["events"]):
             where = f"event {i}: "

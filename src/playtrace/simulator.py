@@ -14,7 +14,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,12 +22,13 @@ from .geometry import PARALLEL_EPS, EdgeLoops, dot_rows, odd_crossings
 from .reporting import dump_json, load_json
 from .scheduler import EventSchedule, GestureEvent, GestureKind
 from .trace import (
+    MAX_SCREEN_PX,
+    MAX_T_MS,
     UNIT_EPS,
     FrameRecord,
     PlaybackTrace,
     TrackableSnapshot,
     TrackingState,
-    deadline_walk,
     json_numbers,
 )
 
@@ -161,8 +162,8 @@ def _vec(values: Any, length: int, what: str) -> np.ndarray:
 
 
 def validate_scene(scene: SimScene) -> SimScene:
-    if scene.screen_w <= 0 or scene.screen_h <= 0:
-        raise SceneError("screen dimensions must be positive")
+    if not (0 < scene.screen_w <= MAX_SCREEN_PX and 0 < scene.screen_h <= MAX_SCREEN_PX):
+        raise SceneError(f"screen dimensions must be positive (at most {MAX_SCREEN_PX})")
     # comparisons with NaN are false, so NaN fails these checks
     if not 0.0 < scene.fps < math.inf or scene.duration_ms <= 0:
         raise SceneError("fps and duration must be positive, and fps finite")
@@ -209,8 +210,13 @@ def validate_scene(scene: SimScene) -> SimScene:
                 raise SceneError(f"plane '{p.plane_id}': {names} must be orthogonal")
         if p.extent_u <= 0 or p.extent_v <= 0:
             raise SceneError(f"plane '{p.plane_id}': extents must be positive")
+        # times are compared with float arrays, so they must fit a float exactly
+        if abs(p.detect_delay_ms) > MAX_T_MS:
+            raise SceneError(
+                f"plane '{p.plane_id}': detect_delay_ms must be at most 2**53 in magnitude"
+            )
         for s, e in p.lost_intervals:
-            if not (0 <= s < e):
+            if not (0 <= s < e <= MAX_T_MS):
                 raise SceneError(f"plane '{p.plane_id}': bad lost interval [{s}, {e}]")
     return scene
 
@@ -226,7 +232,9 @@ def jitter_from_dict(jd: Any) -> Jitter:
 
 
 def _plane_from_dict(pd: dict) -> ScenePlane:
-    pid = str(pd["id"])
+    pid = pd["id"]
+    if not isinstance(pid, str) or not pid:
+        raise SceneError(f"plane id must be a non-empty string, got {pid!r}")
     where = f"plane '{pid}'"
     extent_u, extent_v = _vec(pd["extents"], 2, f"{where} extents").tolist()
     return ScenePlane(
@@ -259,8 +267,11 @@ def scene_from_dict(d: dict) -> SimScene:
             )
             for i, kd in enumerate(d["camera_path"])
         )
+        name = d.get("name", "")
+        if not isinstance(name, str):
+            raise SceneError(f"name must be a string, got {name!r}")
         scene = SimScene(
-            name=str(d.get("name", "")),
+            name=name,
             screen_w=_integer(d["screen"][0], "screen"),
             screen_h=_integer(d["screen"][1], "screen"),
             fps=_number(d["fps"], "fps"),
@@ -427,16 +438,18 @@ def render_frames(
     scene: SimScene,
     jitter_seed: int = 0,
     jitter: Jitter | None = None,
-    keep_fps: float = math.inf,
+    keep: Callable[[int], bool] | None = None,
 ) -> Iterator[FrameRecord]:
-    """Render the scene's frames one at a time, building only those decimation keeps.
+    """Render the scene's frames one at a time, building only those keep accepts.
 
     Dropout makes a detected plane vanish from single frames at random;
     vertex noise perturbs the reported polygon corners in the plane's local
     frame.  Both draw from one generator seeded with jitter_seed.  Every
     frame of frame_times(scene) makes its draws in order, but only the
-    frames that decimate(..., scene.fps, keep_fps) would keep are built, so
-    the frames yielded equal those of the full render that decimation keeps.
+    frames whose timestamps keep (a decimation predicate such as
+    deadline_walk's, asked about every timestamp in order) accepts are
+    built, so the frames yielded equal those of the full render that keep
+    accepts.  Without keep every frame is built.
     """
     validate_scene(scene)
     if jitter is None:
@@ -445,8 +458,7 @@ def render_frames(
     aspect = scene.screen_w / scene.screen_h
     proj = perspective_matrix(scene.fov_y_deg, aspect, scene.near_m, scene.far_m)
     times = frame_times(scene)
-    keep = deadline_walk(scene.fps, keep_fps)
-    kept = [keep(t) for t in times]
+    kept = [keep is None or keep(t) for t in times]
     eyes, views = camera_poses(scene, [t for t, k in zip(times, kept) if k])
     planes = [
         (p, p.pose(), plane_detected(p, np.array(times)).tolist(), p.vertices())

@@ -441,17 +441,14 @@ def iter_frames(
 
     keep, a decimation predicate such as deadline_walk's, is asked about
     each checked frame's timestamp in order, and only the frames it accepts
-    are built and yielded; every line is still read and checked.  The
-    file's last frame is built and yielded last even when keep refuses it,
-    so the stream ends at the trace's last timestamp.  Without keep every
-    frame is yielded.
+    are built and yielded; every line is still read and checked.  Without
+    keep every frame is yielded.
     """
     path = Path(path)
     with _open_trace(path) as fh:
         objects = _trace_objects(fh, path.name)
         _header(objects, path.name)
         first = prev = None  # the first frame's screen, the previous frame's t_ms
-        last = None          # (head, numbers) of the last frame read when keep refused it
         for block in blocks(objects, INGEST_BLOCK_LINES):
             checked = _block_frames(block)
             if checked is None:
@@ -472,19 +469,11 @@ def iter_frames(
                         f"({prev} then {head.t_ms})"
                     )
                 prev = head.t_ms
-                kept = keep is None or keep(head.t_ms)
-                if kept:
+                if keep is None or keep(head.t_ms):
                     yield _frame_record(head, arr, o)
-            # a block's last line has the last numbers of its array; they are copied
-            # out, and its head without its dicts, so no part of the block is held
-            last = None if kept else (head._replace(raw_trackables=[]), arr[o:].copy())
             del block, checked, line, head, arr  # before the next block is read
     if first is None:
         raise TraceValidationError(f"{path.name}: trace has no frames")
-    if last is not None:
-        head, numbers = last
-        numbers.flags.writeable = False
-        yield _frame_record(head, numbers, 0)
 
 
 def load_trace(path: str | Path) -> PlaybackTrace:
@@ -508,33 +497,32 @@ def save_trace(trace: PlaybackTrace, path: str | Path) -> None:
             fh.write(json.dumps(_frame_to_dict(f)) + "\n")
 
 
-def deadline_walk(source_fps: float, target_fps: float) -> Callable[[int], bool]:
+class DeadlineWalk:
+    """The state of one deadline_walk: its next deadline and the last timestamp asked about."""
+
+    def __init__(self, period: float) -> None:
+        self.period = period            # 0 when every timestamp is kept
+        self.deadline = -math.inf
+        self.last_ms: int | None = None  # where the source ends once the walk has seen it all
+
+    def __call__(self, t: int) -> bool:
+        self.last_ms = t
+        if t < self.deadline:
+            return False
+        if self.period:
+            self.deadline = (math.floor(t / self.period) + 1.0) * self.period
+        return True
+
+
+def deadline_walk(source_fps: float, target_fps: float) -> DeadlineWalk:
     """The decimation rule: a predicate that, asked about each timestamp in order, says which to keep.
 
     It keeps the first timestamp, then the first one at or after each
     sampling deadline; deadlines are the multiples of 1000/target_fps ms.
     Each deadline depends only on the last kept timestamp, so the kept
     timestamps are kept again by a second walk.  When the target rate is
-    at or above the source rate every timestamp is kept.
+    at or above the source rate every timestamp is kept.  The walk's
+    last_ms is the last timestamp it was asked about: a producer asks
+    about every timestamp of its source, so it ends there.
     """
-    if target_fps >= source_fps:
-        return lambda t: True
-    period = 1000.0 / target_fps
-    deadline = -math.inf
-
-    def keep(t: int) -> bool:
-        nonlocal deadline
-        if t < deadline:
-            return False
-        deadline = (math.floor(t / period) + 1.0) * period
-        return True
-
-    return keep
-
-
-def decimate(
-    frames: Iterable[FrameRecord], source_fps: float, target_fps: float
-) -> Iterator[FrameRecord]:
-    """Decimate frames to roughly target_fps without interpolating, as they arrive (deadline_walk)."""
-    keep = deadline_walk(source_fps, target_fps)
-    return (f for f in frames if keep(f.timestamp_ms))
+    return DeadlineWalk(1000.0 / target_fps if target_fps < source_fps else 0.0)

@@ -752,6 +752,14 @@ def decimate_reference(timestamps, source_fps, target_fps):
     return kept
 
 
+def decimate(frames, source_fps, target_fps):
+    """The frames deadline_walk keeps, as they arrive: what a producer given the walk yields."""
+    from playtrace.trace import deadline_walk
+
+    keep = deadline_walk(source_fps, target_fps)
+    return (f for f in frames if keep(f.timestamp_ms))
+
+
 def frame_boxes(frame, min_visibility):
     """The visible boxes of one frame on its own: a one-frame block_pieces and fit_boxes."""
     from playtrace.geometry import clip_loop
@@ -766,7 +774,6 @@ def analyze_eager(traces, params):
     """(surviving opportunities, metrics, Gantt duration) of whole in-memory traces."""
     from playtrace.lifespan import filter_by_duration, intersect_runs, life_spans, opportunity_sort_key
     from playtrace.metrics import compute_metrics
-    from playtrace.trace import decimate
 
     screens = sorted({(f.screen_w, f.screen_h) for t in traces for f in t.frames})
     assert len(screens) == 1, screens

@@ -40,7 +40,9 @@ MULTI_FINGER = (GestureKind.PINCH, GestureKind.ROTATE)
 
 def _analyze(traces, params=AnalysisParams()):
     """(per-run opportunities, surviving opportunities, metrics) of in-memory traces."""
-    return analyze_boxes([run_boxes(t.frames, t.source_fps, params) for t in traces], params)
+    return analyze_boxes(
+        [run_boxes(oracles.decimate(t.frames, t.source_fps, params.fps), params) for t in traces],
+        params)
 
 
 def _report(n: int, ok: bool, detail: str) -> str:
@@ -258,7 +260,7 @@ def test_c5_stable_boxes_land_on_their_planes():
     misses = []
     for scene in benchmark_scenes():
         trace = generate_trace(scene, 0, Jitter())
-        run = run_boxes(trace.frames, trace.source_fps, params)
+        run = run_boxes(oracles.decimate(trace.frames, trace.source_fps, params.fps), params)
         times = run.timestamps_ms
         for opp in analyze_boxes([run], params)[1]:
             opportunities += 1

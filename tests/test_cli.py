@@ -8,6 +8,7 @@ import signal
 import numpy as np
 import pytest
 
+import oracles
 from playtrace import trace as trace_module
 from playtrace.cli import MAX_RUNS, main, parse_mix
 from playtrace.pipeline import AnalysisParams, analyze_boxes, run_boxes
@@ -250,10 +251,10 @@ def test_analyze_runs_rejects_a_bad_frame_as_load_trace_does(tmp_path, trace_pat
 
 @pytest.mark.parametrize("runs", [1, 2])
 def test_analyze_builds_only_the_frames_it_keeps(tmp_path, trace_path, monkeypatch, runs):
-    # one run builds the frames the walk keeps, and the last, which it drops; with
-    # --runs 2 the trace's frames go unused and only the last is built
+    # one run builds the frames the walk keeps, not the last, which it drops; with
+    # --runs 2 the trace's frames go unused and none is built
     trace = load_trace(trace_path)
-    kept = run_boxes(trace.frames, trace.source_fps, AnalysisParams()).timestamps_ms
+    kept = [f.timestamp_ms for f in oracles.decimate(trace.frames, trace.source_fps, 10.0)]
     assert kept[-1] < trace.duration_ms
     built = []
     record = trace_module._frame_record
@@ -265,7 +266,7 @@ def test_analyze_builds_only_the_frames_it_keeps(tmp_path, trace_path, monkeypat
     monkeypatch.setattr(trace_module, "_frame_record", counted)
     argv = ["analyze", str(trace_path), "--runs", str(runs), "--out", str(tmp_path / "x")]
     assert main(argv) == 0
-    assert built == [*(kept if runs == 1 else []), trace.duration_ms]
+    assert built == (kept if runs == 1 else [])
 
 
 @pytest.mark.parametrize("n", [121, 122, 123])
@@ -275,17 +276,17 @@ def test_analyze_ends_at_the_last_frame_whether_kept_or_dropped(tmp_path, n):
     path = tmp_path / "run.jsonl"
     save_trace(dataclasses.replace(full, frames=full.frames[:n]), path)
     params = AnalysisParams()
-    loaded = run_boxes(load_trace(path).frames, full.source_fps, params)
-    streamed = run_boxes(iter_frames(path, deadline_walk(full.source_fps, params.fps)),
-                         full.source_fps, params)
-    assert streamed == loaded
-    assert streamed.duration_ms == full.frames[n - 1].timestamp_ms
-    assert (streamed.timestamps_ms[-1] < streamed.duration_ms) == (n > 121)
+    loaded = run_boxes(oracles.decimate(load_trace(path).frames, full.source_fps, params.fps),
+                       params)
+    walk = deadline_walk(full.source_fps, params.fps)
+    assert run_boxes(iter_frames(path, walk), params) == loaded
+    assert walk.last_ms == full.frames[n - 1].timestamp_ms
+    assert (loaded.timestamps_ms[-1] < walk.last_ms) == (n > 121)
     assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 0
     final = analyze_boxes([loaded], params)[1]
     assert final
     assert (tmp_path / "out" / "gantt.svg").read_text(encoding="utf-8") == render_gantt(
-        final, loaded.duration_ms)
+        final, walk.last_ms)
 
 
 def test_analyze_rejects_screen_change_mid_trace(tmp_path, capsys):
@@ -384,6 +385,25 @@ def test_non_utf8_errors_name_the_file(tmp_path, trace_path, capsys):
     assert not out.exists()
 
 
+def test_deeply_nested_files_are_invalid_json(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    scene_path = tmp_path / "scene.json"
+    save_scene(_scene(), scene_path)
+    sched_path = tmp_path / "random.json"
+    save_schedule(schedule_random((1920, 1080), 6000, 0), sched_path)
+    out = tmp_path / "o.json"
+    for argv in (
+        ["simulate", str(deep), "--schedule", str(sched_path), "--out", str(out)],  # scene
+        ["simulate", str(scene_path), "--schedule", str(deep), "--out", str(out)],  # schedule
+        ["compare", str(deep)],  # scene
+        ["schedule", str(deep), "--out", str(out)],  # report
+    ):
+        err = _assert_input_error(main(argv), capsys)
+        assert err == "error: deep.json: invalid JSON: nested too deeply\n", argv
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("gap", ["0", "-5"])
 def test_schedule_rejects_non_positive_gap(tmp_path, trace_path, capsys, gap):
     out = tmp_path / "analysis"
@@ -476,10 +496,11 @@ def _shift_track_times(dt):
         (_shift_track_times(100_000),
          "track times 100000..100700 must lie in [t_start, t_end] = [0, 700]"),
         (_shift_track_times(-1), "track times -1..699 must lie in [t_start, t_end] = [0, 700]"),
+        (lambda ev: ev.update(target=[1, 2]), "target must be a string or null, got [1, 2]"),
     ],
     ids=["t-inverted", "t-str", "t-bool", "t-float", "track-time-huge", "x-huge", "x-nan",
          "x-inf", "no-tracks", "empty-track", "track-reversed", "track-shifted",
-         "track-early"],
+         "track-early", "target-list"],
 )
 def test_simulate_rejects_malformed_schedule(tmp_path, capsys, edit, message):
     scene_path = tmp_path / "scene.json"
@@ -493,6 +514,33 @@ def test_simulate_rejects_malformed_schedule(tmp_path, capsys, edit, message):
     rc = main(["simulate", str(scene_path), "--schedule", str(sched_path), "--out", str(out)])
     err = _assert_input_error(rc, capsys)
     assert err.startswith(f"error: malformed schedule: event 0: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("seed", "7", "seed must be a JSON integer of at most 9007199254740992 in size, got '7'"),
+        ("seed", 7.9, "seed must be a JSON integer of at most 9007199254740992 in size, got 7.9"),
+        ("seed", True, "seed must be a JSON integer of at most 9007199254740992 in size, got True"),
+        ("seed", 10**400, "seed must be a JSON integer of at most 9007199254740992 in size, got 1000"),
+        ("mix", {"TAP": "nan"}, "mix weight TAP must be a finite JSON number, got 'nan'"),
+        ("mix", [["TAP", 1.0]], "mix must be an object, got [['TAP', 1.0]]"),
+        ("generator", ["RANDOM"], "generator must be a string, got ['RANDOM']"),
+    ],
+    ids=["seed-str", "seed-float", "seed-bool", "seed-huge", "mix-nan", "mix-list", "generator-list"],
+)
+def test_simulate_rejects_malformed_schedule_fields(tmp_path, capsys, field, value, message):
+    scene_path = tmp_path / "scene.json"
+    save_scene(_scene(), scene_path)
+    sched_path = tmp_path / "random.json"
+    save_schedule(schedule_random((1920, 1080), 6000, 0), sched_path)
+    d = json.loads(sched_path.read_text())
+    d[field] = value
+    sched_path.write_text(json.dumps(d))
+    out = tmp_path / "o.json"
+    rc = main(["simulate", str(scene_path), "--schedule", str(sched_path), "--out", str(out)])
+    assert _assert_input_error(rc, capsys).startswith(f"error: malformed schedule: {message}")
     assert not out.exists()
 
 
@@ -658,6 +706,27 @@ def test_scene_numbers_must_be_json_numbers(tmp_path, capsys, command, path, val
 
 
 @pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("planes", 0, "id"), [1], "plane id must be a non-empty string, got [1]"),
+        (("planes", 0, "id"), "", "plane id must be a non-empty string, got ''"),
+        (("name",), {"a": 1}, "name must be a string, got {'a': 1}"),
+        (("screen", 1), 10**400, "screen dimensions must be positive (at most 2147483647)"),
+        (("planes", 0, "detect_delay_ms"), 10**400,
+         "plane 'table': detect_delay_ms must be at most 2**53 in magnitude"),
+        (("planes", 0, "lost_intervals"), [[0, 2**53 + 1]],
+         "plane 'table': bad lost interval [0, 9007199254740993]"),
+    ],
+    ids=["id-list", "id-empty", "name-object", "screen-huge", "delay-huge", "lost-huge"],
+)
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_scene_rejects_malformed_names_and_huge_integers(tmp_path, capsys, command, path, value,
+                                                         message):
+    rc = _run_edited_scene(tmp_path, command, path, value)
+    assert _assert_input_error(rc, capsys) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "value, message",
     [
         ([[1000, 2000, 3000]], "plane 'table' lost_intervals: expected [start, end] pairs of integers"),
@@ -732,9 +801,10 @@ def test_scene_frame_budget(tmp_path, capsys, fps, duration_ms):
         ({"box": [100, 100, 900]}, "opportunity 0: box must be a list of 4 numbers"),
         ({"box": [100, 100, 900, 700, 5]}, "opportunity 0: box must be a list of 4 numbers"),
         ({"box": [100, False, 900, 700]}, "opportunity 0: box must be a list of 4 numbers"),
+        ({"id": [1, 2]}, "opportunity 0: id must be a string, got [1, 2]"),
     ],
     ids=["box-nan", "box-inf", "window-inverted", "start-float", "end-str", "start-bool",
-         "box-str", "box-short", "box-long", "box-bool"],
+         "box-str", "box-short", "box-long", "box-bool", "id-list"],
 )
 def test_schedule_rejects_bad_report_entries(tmp_path, trace_path, capsys, edit, message):
     out = tmp_path / "analysis"
@@ -746,6 +816,17 @@ def test_schedule_rejects_bad_report_entries(tmp_path, trace_path, capsys, edit,
     rc = main(["schedule", str(out / "report.json"), "--out", str(sched_path)])
     assert _assert_input_error(rc, capsys).startswith(f"error: malformed report: {message}")
     assert not sched_path.exists()
+
+
+def test_schedule_rejects_report_params_that_are_not_an_object(tmp_path, trace_path, capsys):
+    out = tmp_path / "analysis"
+    assert main(["analyze", str(trace_path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    report["params"] = [["a", 1]]
+    (out / "report.json").write_text(json.dumps(report))
+    rc = main(["schedule", str(out / "report.json"), "--out", str(tmp_path / "guided.json")])
+    err = _assert_input_error(rc, capsys)
+    assert err == "error: malformed report: params must be an object, got [['a', 1]]\n"
 
 
 HUGE_INT = "1" + "0" * 400

@@ -1,11 +1,12 @@
-"""Mutation fuzz of trace files through `playtrace analyze`.
+"""Mutation fuzz of every input file through the CLI.
 
-Hypothesis takes a valid trace and mutates a few of its lines: a value at
-some path swapped for another type, null, NaN or an infinity, 1e308, an
-integer literal too large for a float, a deleted key or entry, an empty
-list, deep nesting, or `ff fe` bytes before a line.  Each example runs the
-CLI in-process: it must exit 0, 1 or 2 and let no exception escape.  At
---fps 1 most mutated lines fall on frames the analysis drops, which must be
+Hypothesis takes a valid trace and mutates a few of its lines, or a valid
+scene, schedule or report file and mutates it once: a value at some path
+swapped for another type, null, NaN or an infinity, 1e308, an integer
+literal too large for a float, a deleted key or entry, an empty list, deep
+nesting, or `ff fe` bytes before the text.  Each example runs the CLI
+in-process: it must exit 0, 1 or 2 and let no exception escape.  At --fps 1
+most mutated trace lines fall on frames the analysis drops, which must be
 checked all the same.
 """
 
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 from playtrace.cli import main
 from playtrace.scenes import benchmark_scene
-from playtrace.simulator import generate_trace
+from playtrace.simulator import generate_trace, save_scene
 from playtrace.trace import save_trace
 
 _ODD_VALUES = [
@@ -54,12 +55,12 @@ def _paths(value, path=()):
 
 
 @st.composite
-def _mutated_line(draw, line: str) -> bytes:
-    """One line of a trace, mutated once."""
+def _mutated(draw, text: str) -> bytes:
+    """One JSON text, a trace line or a whole file, mutated once."""
     kind = draw(st.sampled_from(["replace", "delete", "empty", "deep", "bom"]))
     if kind == "bom":
-        return b"\xff\xfe" + line.encode("utf-8")
-    obj = json.loads(line)
+        return b"\xff\xfe" + text.encode("utf-8")
+    obj = json.loads(text)
     path = draw(st.sampled_from(list(_paths(obj))[1:]))
     *parents, last = path
     owner = obj
@@ -78,7 +79,19 @@ def _mutated_line(draw, line: str) -> bytes:
 
 
 def _hang(signum, frame):
-    raise AssertionError("analyze did not finish within 5 s")
+    raise AssertionError("the command did not finish within 5 s")
+
+
+def _exit_code(argv) -> int:
+    """main(argv) with its output discarded, failing the example if it runs over 5 s."""
+    previous = signal.signal(signal.SIGALRM, _hang)
+    signal.alarm(5)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @settings(max_examples=100, deadline=None)
@@ -86,16 +99,42 @@ def _hang(signum, frame):
 def test_mutated_traces_exit_cleanly(tmp_path_factory, base_lines, data):
     lines = [line.encode("utf-8") for line in base_lines]
     for k in data.draw(st.lists(st.integers(0, len(lines) - 1), min_size=1, max_size=3, unique=True)):
-        lines[k] = data.draw(_mutated_line(base_lines[k]))
+        lines[k] = data.draw(_mutated(base_lines[k]))
     tmp = tmp_path_factory.mktemp("mutated")
     path = tmp / "run.jsonl"
     path.write_bytes(b"\n".join(lines) + b"\n")
-    previous = signal.signal(signal.SIGALRM, _hang)
-    signal.alarm(5)
-    try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            rc = main(["analyze", str(path), "--fps", "1", "--out", str(tmp / "out")])
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert rc in (0, 1, 2)
+    assert _exit_code(["analyze", str(path), "--fps", "1", "--out", str(tmp / "out")]) in (0, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def base_files(tmp_path_factory):
+    """A 3 s, three-plane scene with dropout and noise, its report and its guided schedule."""
+    tmp = tmp_path_factory.mktemp("files")
+    scene = dataclasses.replace(benchmark_scene("noisy-trio"), duration_ms=3000)
+    save_scene(scene, tmp / "scene.json")
+    save_trace(generate_trace(scene, 1), tmp / "run.jsonl")
+    assert main(["analyze", str(tmp / "run.jsonl"), "--out", str(tmp)]) == 0
+    assert main(["schedule", str(tmp / "report.json"), "--out", str(tmp / "schedule.json")]) == 0
+    return tmp
+
+
+# each file (kind.json) and the commands that read it, the other inputs being the valid ones
+_READERS = {
+    "scene": [["simulate", "{scene}", "--schedule", "{schedule}", "--out", "{out}"],
+              ["compare", "{scene}", "--runs", "1"]],
+    "schedule": [["simulate", "{scene}", "--schedule", "{schedule}", "--out", "{out}"]],
+    "report": [["schedule", "{report}", "--out", "{out}"]],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_scenes_schedules_and_reports_exit_cleanly(tmp_path_factory, base_files, data):
+    kind = data.draw(st.sampled_from(sorted(_READERS)))
+    tmp = tmp_path_factory.mktemp("mutated")
+    paths = {k: base_files / f"{k}.json" for k in _READERS}
+    paths[kind] = tmp / f"{kind}.json"
+    paths[kind].write_bytes(data.draw(_mutated((base_files / f"{kind}.json").read_text("utf-8"))))
+    for argv in _READERS[kind]:
+        argv = [arg.format(**paths, out=tmp / "out.json") for arg in argv]
+        assert _exit_code(argv) in (0, 1, 2), argv

@@ -5,9 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracles import decimate
 from playtrace.pipeline import AnalysisParams, analyze_boxes, run_boxes
 from playtrace.simulator import CameraKeyframe, Jitter, ScenePlane, SimScene, generate_trace
-from playtrace.trace import decimate
 
 
 def _scene(duration=6000, planes=None, jitter=None):
@@ -45,19 +45,19 @@ def _scene(duration=6000, planes=None, jitter=None):
 
 
 def _analyze(traces, params=AnalysisParams()):
-    return analyze_boxes([run_boxes(t.frames, t.source_fps, params) for t in traces], params)
+    return analyze_boxes(
+        [run_boxes(decimate(t.frames, t.source_fps, params.fps), params) for t in traces], params)
 
 
 def test_box_sequences_cover_every_frame():
     trace = generate_trace(_scene())
     sampled = list(decimate(trace.frames, trace.source_fps, 10.0))
-    run = run_boxes(trace.frames, trace.source_fps, AnalysisParams(fps=10.0))
+    run = run_boxes(sampled, AnalysisParams(fps=10.0))
     assert set(run.boxes) == {"table"}
     boxes = run.boxes["table"]
     assert len(boxes) == len(sampled)
     assert all(b is not None for b in boxes)
     assert run.timestamps_ms == [f.timestamp_ms for f in sampled]
-    assert run.duration_ms == trace.duration_ms
 
 
 def test_analyze_run_finds_full_span_opportunity():

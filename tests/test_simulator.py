@@ -42,7 +42,7 @@ from playtrace.simulator import (
     scene_to_dict,
     validate_scene,
 )
-from playtrace.trace import decimate, save_trace
+from playtrace.trace import deadline_walk, save_trace
 
 # straight-down camera at height 2 with a 60 degree vertical fov on a
 # 1080px-tall screen puts 540*sqrt(3)/2 pixels on one meter at the floor
@@ -439,7 +439,7 @@ def test_replay_matches_per_sample_oracle(name):
     scene = benchmark_scene(name)
     for seed in (1, 2):
         trace = generate_trace(scene, seed * 100, scene.default_jitter)
-        _per_run, final, _metrics = analyze_boxes([run_boxes(trace.frames, trace.source_fps)])
+        _per_run, final, _metrics = analyze_boxes([run_boxes(oracles.decimate(trace.frames, trace.source_fps, 10.0))])
         guided = schedule_guided(final, scene.duration_ms, seed)
         rand = schedule_random((scene.screen_w, scene.screen_h), scene.duration_ms, seed)
         for sched in (guided, rand):
@@ -487,8 +487,9 @@ def test_render_frames_equal_the_decimated_full_render(name):
     scene = benchmark_scene(name)
     for seed in (1, 2):
         full = generate_trace(scene, seed)
-        want = [_frame_fields(f) for f in decimate(full.frames, scene.fps, 10.0)]
-        got = [_frame_fields(f) for f in render_frames(scene, seed, keep_fps=10.0)]
+        want = [_frame_fields(f) for f in oracles.decimate(full.frames, scene.fps, 10.0)]
+        got = [_frame_fields(f)
+               for f in render_frames(scene, seed, keep=deadline_walk(scene.fps, 10.0))]
         assert got == want
         assert len(got) < len(full.frames)
 
@@ -497,7 +498,7 @@ def test_render_frames_equal_the_decimated_full_render(name):
 def test_render_frames_keep_every_frame_at_or_below_the_analysis_rate(fps):
     scene = dataclasses.replace(benchmark_scene("noisy-trio"), fps=fps)
     full = generate_trace(scene, 3)
-    got = [_frame_fields(f) for f in render_frames(scene, 3, keep_fps=10.0)]
+    got = [_frame_fields(f) for f in render_frames(scene, 3, keep=deadline_walk(fps, 10.0))]
     assert got == [_frame_fields(f) for f in full.frames]
 
 

@@ -13,8 +13,15 @@ from playtrace.cli import _generated_runs, main
 from playtrace.pipeline import AnalysisParams, run_boxes
 from playtrace.reporting import render_gantt, write_report
 from playtrace.scenes import benchmark_scene
-from playtrace.simulator import CameraKeyframe, ScenePlane, SimScene, generate_trace
-from playtrace.trace import load_trace, save_trace
+from playtrace.simulator import (
+    CameraKeyframe,
+    ScenePlane,
+    SimScene,
+    frame_times,
+    generate_trace,
+    render_frames,
+)
+from playtrace.trace import deadline_walk, iter_frames, load_trace, save_trace
 
 
 def _eager_outputs(traces, out, params=AnalysisParams()):
@@ -64,15 +71,38 @@ def test_streamed_multi_run_regeneration_matches_eager_reference(tmp_path):
 
 @pytest.mark.parametrize("name", ["drift-trio", "noisy-trio"])
 def test_rendered_runs_equal_the_runs_of_full_traces(name):
-    # only the kept frames are rendered, but the runs are those of the full traces,
-    # and each lasts until the last rendered frame, past the last kept one
+    # only the kept frames are rendered, but the runs are those of the decimated full
+    # traces, and each walk ends at the last rendered frame, past the last kept one
     scene = benchmark_scene(name)
     params = AnalysisParams()
-    runs = _generated_runs(scene, scene.default_jitter, 5, 2, params)
-    for r, run in enumerate(runs):
+    walks = [deadline_walk(scene.fps, params.fps) for _ in range(2)]
+    runs = _generated_runs(scene, scene.default_jitter, 5, walks, params)
+    for r, (run, walk) in enumerate(zip(runs, walks)):
         full = generate_trace(scene, 5 + r, scene.default_jitter)
-        assert run == run_boxes(full.frames, full.source_fps, params)
-        assert run.duration_ms == full.duration_ms > run.timestamps_ms[-1]
+        assert run == run_boxes(oracles.decimate(full.frames, full.source_fps, params.fps), params)
+        assert walk.last_ms == full.duration_ms > run.timestamps_ms[-1]
+
+
+@pytest.mark.parametrize("target_fps", [10.0, 30.0])
+def test_each_producer_asks_its_walk_about_every_timestamp_once_in_order(tmp_path, target_fps):
+    # 3 s at 30 fps: at 10 fps the walk keeps 2900 ms and drops the last frame, 2967 ms
+    scene = dataclasses.replace(benchmark_scene("noisy-trio"), duration_ms=3000)
+    times = frame_times(scene)
+    full = generate_trace(scene, 3)
+    path = tmp_path / "run.jsonl"
+    save_trace(full, path)
+    for produce in (lambda keep: iter_frames(path, keep),
+                    lambda keep: render_frames(scene, 3, keep=keep)):
+        walk = deadline_walk(scene.fps, target_fps)
+        asked = []
+        kept = [f.timestamp_ms for f in produce(lambda t: asked.append(t) or walk(t))]
+        assert asked == times
+        assert walk.last_ms == times[-1] == full.frames[-1].timestamp_ms
+        assert kept == oracles.decimate_reference(times, scene.fps, target_fps)
+    assert (kept[-1] < times[-1]) == (target_fps < scene.fps)
+    run = run_boxes(full.frames)  # undecimated: every frame is analysed
+    assert run.timestamps_ms == times
+    assert run.boxes and all(len(boxes) == len(times) for boxes in run.boxes.values())
 
 
 def _static_scene(frames: int) -> SimScene:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import decimate
 from playtrace import trace as trace_module
 from playtrace.pipeline import AnalysisParams, run_boxes
 from playtrace.scenes import benchmark_scene
@@ -23,7 +24,6 @@ from playtrace.trace import (
     TrackingState,
     blocks,
     deadline_walk,
-    decimate,
     iter_frames,
     load_trace,
     mat4_to_list,
@@ -279,16 +279,16 @@ def test_decimate_matches_the_deadline_walk(gaps, start, source_fps, target_fps)
     assert streamed == oracles.decimate_reference(timestamps, source_fps, target_fps)
     kept = list(decimate(tr.frames, source_fps, target_fps))
     assert list(decimate(kept, source_fps, target_fps)) == kept
-    run = run_boxes(tr.frames, source_fps, AnalysisParams(fps=target_fps))
+    run = run_boxes(kept, AnalysisParams(fps=target_fps))
     assert streamed == run.timestamps_ms
 
 
 def test_sample_frames_bad_fps():
     tr = _synthetic_trace([0], 30.0)
     with pytest.raises(ValueError):
-        run_boxes(tr.frames, tr.source_fps, AnalysisParams(fps=0.0))
+        run_boxes(tr.frames, AnalysisParams(fps=0.0))
     with pytest.raises(TraceValidationError):
-        run_boxes((), 30.0, AnalysisParams(fps=10.0))
+        run_boxes((), AnalysisParams(fps=10.0))
 
 
 # ---------------------------------------------------------- numeric fields
@@ -499,8 +499,8 @@ def test_block_reader_matches_the_per_line_reader(tmp_path_factory, n_frames, fa
     assert _outcome(iter_frames, p) == _outcome(oracles.iter_frames_per_line, p)
 
 
-# With keep, iter_frames builds only the frames the walk accepts, and the last
-# one; held to decimate over the per-line reader, which builds every frame.
+# With keep, iter_frames builds only the frames the walk accepts; held to
+# decimate over the per-line reader, which builds every frame.
 
 def _frame_key(f):
     """Everything a frame holds, arrays by dtype, layout, bytes and flag, comparable with ==."""
@@ -522,22 +522,6 @@ def _frames_outcome(frames):
     except Exception as exc:  # the readers must agree on every exception, TraceError or not
         return seen, type(exc), str(exc)
     return seen, None, None
-
-
-def _decimated_per_line(path, source_fps, target_fps):
-    """decimate over the per-line reader, then the trace's last frame when decimate drops it."""
-    read = []   # the last frame read
-
-    def remember(frames):
-        for f in frames:
-            read[:] = [f]
-            yield f
-
-    kept = None
-    for kept in decimate(remember(oracles.iter_frames_per_line(path)), source_fps, target_fps):
-        yield kept
-    if read[0] is not kept:
-        yield read[0]
 
 
 # the start, middle and end of each block, three lines each: at 33 ms a frame
@@ -569,9 +553,9 @@ def test_walked_reader_matches_decimate_over_the_per_line_reader(tmp_path_factor
         lines[k] = _FAULTS[name](_frame(33 * (k - 1)))
     p = _write_lines(tmp_path_factory.mktemp("walk"), lines)
     got = _frames_outcome(iter_frames(p, deadline_walk(30.0, 10.0)))
-    assert got == _frames_outcome(_decimated_per_line(p, 30.0, 10.0))
-    if not faults:  # about one frame in three, and the trace's last
-        assert len(got[0]) <= n_frames // 3 + 2 and got[0][-1][0] == 33 * (n_frames - 1)
+    assert got == _frames_outcome(decimate(oracles.iter_frames_per_line(p), 30.0, 10.0))
+    if not faults:  # about one frame in three
+        assert len(got[0]) <= n_frames // 3 + 1
 
 
 def _items_then_error(k):
@@ -728,16 +712,15 @@ def test_block_reader_arrays_match_the_per_line_reader(tmp_path):
 
 
 def _drain(path, keep=None):
-    """(peak, memory held when the last frame arrives, bytes of the array that frame's
-    numbers are views of) of reading a trace; memory counts from the start of the read."""
+    """(peak, bytes of the array the last frame's numbers are views of) of reading a
+    trace; memory counts from the start of the read."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         for f in iter_frames(path, keep):
-            held = tracemalloc.get_traced_memory()[0] - base
             owner = f.view.base.nbytes
             del f
-        return tracemalloc.get_traced_memory()[1] - base, held, owner
+        return tracemalloc.get_traced_memory()[1] - base, owner
     finally:
         tracemalloc.stop()
 
@@ -747,8 +730,6 @@ def test_reading_holds_one_block_at_a_time(tmp_path):
     wide = [_trackable(id=f"plane-{j}") for j in range(12)]
     line_numbers = 12 * (8 + 22) + 35
     lines = [json.dumps(_frame(34 * i, trackables=wide)) for i in range(4 * _B)]
-    keep = deadline_walk(30.0, 10.0)
-    assert not [keep(34 * i) for i in range(4 * _B)][-1]  # the walk drops the last frame
     (tmp_path / "one").mkdir()
     (tmp_path / "four").mkdir()
     one = _write_lines(tmp_path / "one", [_header(), *lines[:_B]])
@@ -760,13 +741,11 @@ def test_reading_holds_one_block_at_a_time(tmp_path):
     del block
     _drain(one)  # first call: caches
     one_peak = _drain(one)[0]
-    every_peak, _, owner = _drain(four)
-    assert owner == _B * line_numbers * 8  # a kept frame's numbers are its block's array
-    walked_peak, held, owner = _drain(four, deadline_walk(30.0, 10.0))
+    every_peak, owner = _drain(four)
+    walked_peak, walked_owner = _drain(four, deadline_walk(30.0, 10.0))
+    # a kept frame's numbers are its block's array
+    assert owner == walked_owner == _B * line_numbers * 8
     # reading a block while the one before it is held would add a block to the peak
     assert max(every_peak, walked_peak) < one_peak + block_bytes / 2, (
         f"peak {every_peak} B and {walked_peak} B for four blocks, {one_peak} B for one; "
         f"a block's objects take {block_bytes} B")
-    # the dropped last frame holds a copy of its own numbers, and nothing of its block
-    assert owner == line_numbers * 8
-    assert held < block_bytes / 4, f"{held} B held with the last frame; a block is {block_bytes} B"

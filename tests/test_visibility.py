@@ -19,13 +19,12 @@ from playtrace.trace import (
     FrameRecord,
     TrackableSnapshot,
     TrackingState,
-    decimate,
     TraceValidationError,
     load_trace,
     save_trace,
 )
 from playtrace.visibility import _project, block_pieces, fit_boxes, screen_clip_polygon
-from oracles import facing_camera, project_trackable
+from oracles import decimate, facing_camera, project_trackable
 
 W, H = 1920, 1080
 
@@ -276,7 +275,7 @@ def test_screen_clip_is_checked_once_per_run(monkeypatch):
     planes = [_plane("a", (-0.6, 0.0, 0.0), 0.3, 0.3), _plane("b", (0.6, 0.0, 0.0), 0.3, 0.3),
               _plane("c", (0.0, 0.5, 0.0), 0.2, 0.2)]
     frames = [_frame(planes, t_ms=100 * k) for k in range(5)]
-    run = run_boxes(frames, 10.0, AnalysisParams(fps=10.0, min_visibility=0.0))
+    run = run_boxes(frames, AnalysisParams(fps=10.0, min_visibility=0.0))
     assert set(run.boxes) == {"a", "b", "c"}
     assert all(None not in boxes for boxes in run.boxes.values())
     assert len(run.timestamps_ms) == len(frames)

@@ -7,7 +7,6 @@ from .pipeline import AnalysisParams, analyze_boxes, run_boxes
 from .scheduler import EventSchedule, GestureEvent, GestureKind, schedule_guided, schedule_random
 from .simulator import Jitter, SimScene, execute_schedule, generate_trace, hit_test, load_scene
 from .trace import PlaybackTrace, load_trace, save_trace
-from .visibility import VisibleBox
 
 __version__ = "0.1.0"
 
@@ -22,7 +21,6 @@ __all__ = [
     "SimScene",
     "TestOpportunity",
     "VideoMetrics",
-    "VisibleBox",
     "analyze_boxes",
     "compute_metrics",
     "execute_schedule",

@@ -591,21 +591,23 @@ def convex_unchanged(x: np.ndarray, y: np.ndarray, counts: np.ndarray) -> np.nda
 
 def inscribed_rects(
     pieces: Sequence[Polygon], screen_w: float, screen_h: float
-) -> tuple[list[Rect | None], list[int]]:
+) -> tuple[np.ndarray, list[int]]:
     """Largest-effort axis-aligned rectangles inside many polygons, searched in lockstep.
 
     Each rect starts as its polygon's bounding box clamped to the screen.
     One numpy pass tests the corners of every rect still shrinking and
     moves the sides whose corner pair is not fully inside by SHRINK_STEP of
     the rect's extent on that axis.  A search ends with its rect when all
-    four corners are inside, or with None once an extent is
+    four corners are inside, or with none once an extent is
     MIN_RECT_EXTENT_PX or less or after MAX_SHRINK_PASSES.  Not the maximal
-    inscribed rectangle, but a cheap and stable one.  Returns the rects and
-    each search's passes; raises ValueError for fewer than 3 vertices.
+    inscribed rectangle, but a cheap and stable one.  Returns the rects as
+    an (n, 4) float64 array of (x_min, y_min, x_max, y_max) rows, NaN where
+    a search found none, and each search's passes; raises ValueError for
+    fewer than 3 vertices.
     """
     if any(len(p) < 3 for p in pieces):
         raise ValueError("polygon needs at least 3 vertices")
-    rects: list[Rect | None] = [None] * len(pieces)
+    rects = np.full((len(pieces), 4), np.nan)
     if not pieces:
         return rects, []
     passes = np.zeros(len(pieces), dtype=int)
@@ -627,9 +629,7 @@ def inscribed_rects(
             np.stack([y_min, y_min, y_max, y_max], axis=1),
         ).T
         found = in_tl & in_tr & in_bl & in_br
-        boxes = np.stack([x_min, y_min, x_max, y_max], axis=1)[found]
-        for i, box in zip(idx[found].tolist(), boxes.tolist()):
-            rects[i] = Rect(*box)
+        rects[idx[found]] = np.stack([x_min, y_min, x_max, y_max], axis=1)[found]
         passes[idx] = n
         dx = x_max - x_min
         dy = y_max - y_min

@@ -2,23 +2,31 @@
 
 A life span is a maximal run of frames over which one trackable keeps a
 stable usable region: the running intersection of its per-frame boxes stays
-above the visibility threshold.  Spans that last long enough become test
-opportunities; opportunities from repeated runs of the same recording are
-intersected so that only regions stable across runs survive.
+above the visibility threshold.  A trackable's boxes come as one (frames, 4)
+float64 array of (x_min, y_min, x_max, y_max) rows, NaN where it has no box,
+and only the spans found in it become Rects.  Spans that last long enough
+become test opportunities; opportunities from repeated runs of the same
+recording are intersected so that only regions stable across runs survive.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .geometry import Rect, rect_area, rect_intersect
 
 DEFAULT_MIN_VISIBILITY = 0.10
 DEFAULT_MIN_LIFESPAN_S = 2.0
 
-Span = tuple[Rect, list[int]]
+# frames of the first window a span's running intersection grows over
+SPAN_WINDOW_FRAMES = 16
+
+Span = tuple[Rect, range]  # (stable box, member frames)
 
 
 @dataclass(frozen=True)
@@ -44,61 +52,65 @@ def opportunity_sort_key(o: TestOpportunity) -> tuple[int, str, int]:
 
 
 def life_spans(
-    boxes: Sequence[Rect | None],
+    boxes: np.ndarray,
     screen: tuple[int, int],
     min_visibility: float = DEFAULT_MIN_VISIBILITY,
 ) -> list[Span]:
-    """Split one trackable's per-frame box sequence into stable spans.
+    """Split one trackable's per-frame boxes into stable spans.
 
-    boxes[i] is the trackable's box in frame i, or None when it produced no
-    box there.  Boxes are clamped to the screen first.  A span opens at a
-    frame whose clamped box alone meets the visibility threshold, and grows
-    while the running intersection keeps meeting it.  When frame i would
-    drag the intersection below the threshold, the span closes at frame
-    i-1 and frame i immediately tries to open a fresh span.  The recorded
-    stable box is the intersection over the span's member frames only.
+    boxes is an (n, 4) array with one (x_min, y_min, x_max, y_max) row per
+    frame, NaN where the trackable produced no box there.  Boxes are clamped
+    to the screen first, and one that then misses the screen is no box.  A
+    span opens at a frame whose clamped box alone meets the visibility
+    threshold, and grows while the running intersection keeps meeting it.
+    When frame i would drag the intersection below the threshold, the span
+    closes at frame i-1 and frame i immediately tries to open a fresh span;
+    a frame with no usable box of its own closes the span and opens none.
+    The recorded stable box is the intersection over the span's member
+    frames only.  Returns (stable box, member frame range) pairs.
+
+    From each opener the running intersection is a cumulative max/min over
+    windows of SPAN_WINDOW_FRAMES frames and then twice as many each time,
+    so the work stays O(frames) however many spans a run splits into.  The
+    clamp and the stable box keep the first of equal values (the screen
+    edge, then the earliest member frame's), as Python's max and min do, so
+    -0.0 edges come out as in a scalar scan.
     """
-    w, h = screen
-    screen_px = float(w) * float(h)
-    full = Rect(0.0, 0.0, float(w), float(h))
+    w, h = float(screen[0]), float(screen[1])
+    screen_px = w * h
+    b = np.asarray(boxes, dtype=float).reshape(-1, 4)
+    full = np.array([0.0, 0.0, w, h])
+    c = np.where(np.concatenate([b[:, :2] > full[:2], b[:, 2:] < full[2:]], axis=1), b, full)
 
-    def clamped(b: Rect | None) -> Rect | None:
-        return rect_intersect(full, b) if b is not None else None
+    def meets(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        area = (hi[..., 0] - lo[..., 0]) * (hi[..., 1] - lo[..., 1])
+        return (lo <= hi).all(axis=-1) & (area / screen_px >= min_visibility)
 
-    def usable(r: Rect | None) -> bool:
-        return r is not None and rect_area(r) / screen_px >= min_visibility
-
+    usable = meets(c[:, :2], c[:, 2:]) & ~np.isnan(b).any(axis=1)
+    openers = np.flatnonzero(usable).tolist()
+    n = len(c)
     spans: list[Span] = []
-    stable: Rect | None = None
-    members: list[int] = []
-    i = 0
-    n = len(boxes)
-    while i < n:
-        b = clamped(boxes[i])
-        if stable is None:
-            if usable(b):
-                stable = b
-                members = [i]
-            i += 1
-            continue
-        if not usable(b):
-            spans.append((stable, members))
-            stable = None
-            members = []
-            i += 1
-            continue
-        cand = rect_intersect(stable, b)
-        if not usable(cand):
-            # close at the previous frame; frame i retries as a span opener
-            spans.append((stable, members))
-            stable = None
-            members = []
-            continue
-        stable = cand
-        members.append(i)
-        i += 1
-    if stable is not None:
-        spans.append((stable, members))
+    k = 0
+    while k < len(openers):
+        start = openers[k]
+        lo, hi = c[start, :2], c[start, 2:]
+        end, window = start + 1, SPAN_WINDOW_FRAMES
+        while end < n:
+            stop = min(end + window, n)
+            run_lo = np.maximum(lo, np.maximum.accumulate(c[end:stop, :2]))
+            run_hi = np.minimum(hi, np.minimum.accumulate(c[end:stop, 2:]))
+            closing = np.flatnonzero(~(usable[end:stop] & meets(run_lo, run_hi)))
+            if closing.size:
+                end += int(closing[0])
+                break
+            lo, hi = run_lo[-1], run_hi[-1]
+            end, window = stop, 2 * window
+        rows = c[start:end]
+        edges = np.concatenate([rows[:, :2].max(axis=0), rows[:, 2:].min(axis=0)])
+        box = rows[(rows == edges).argmax(axis=0), np.arange(4)]
+        spans.append((Rect(*box.tolist()), range(start, end)))
+        # the closing frame opens the next span when it is usable on its own
+        k = bisect.bisect_left(openers, end, k + 1)
     return spans
 
 

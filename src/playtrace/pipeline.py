@@ -5,7 +5,9 @@ producer kept at the analysis rate, split them into life spans, keep the
 long ones as test opportunities, and intersect several runs of the same
 recording when more than one is available.  Frames pass through one loop
 (run_boxes) as they arrive, so a run costs memory for its boxes and for one
-block of frames, not for all its frames.
+block of frames, not for all its frames.  A run's boxes are one float64
+array per trackable, a row per frame with NaN for "no box"; Rects are made
+only for the life spans found in them.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .geometry import Rect, clip_loop
+import numpy as np
+
+from .geometry import clip_loop
 from .lifespan import (
     DEFAULT_MIN_LIFESPAN_S,
     DEFAULT_MIN_VISIBILITY,
@@ -54,7 +58,9 @@ class AnalysisParams:
 class RunBoxes:
     """What the analysis keeps of one run: its boxes, not its frames."""
 
-    boxes: dict[str, list[Rect | None]]  # per trackable, one slot per frame analysed
+    # per trackable in order of first appearance, a (len(timestamps_ms), 4) float64
+    # array of (x_min, y_min, x_max, y_max) rows, NaN where it has no box
+    boxes: dict[str, np.ndarray]
     timestamps_ms: list[int]             # of the frames analysed
     screen: tuple[int, int]
 
@@ -69,9 +75,9 @@ def run_boxes(frames: Iterable[FrameRecord], params: AnalysisParams = AnalysisPa
     raised after the frames before it are analysed (blocks), so an error
     those frames raise comes first, as it would one frame at a time.  The
     boxes dict is keyed in order of first appearance; each value has one
-    slot per frame, None where the trackable produced no usable box.  A
-    run has one screen: a frame whose screen differs from the first
-    frame's is a ValueError.
+    row per frame, NaN where the trackable produced no usable box.  A run
+    has one screen: a frame whose screen differs from the first frame's is
+    a ValueError.
     """
     first: FrameRecord | None = None
 
@@ -87,26 +93,26 @@ def run_boxes(frames: Iterable[FrameRecord], params: AnalysisParams = AnalysisPa
                 )
             yield f
 
-    boxes: dict[str, list[Rect | None]] = {}
+    chunks: dict[str, list[np.ndarray]] = {}   # per trackable, its rows of each block
     timestamps: list[int] = []
     for block in blocks(checked(), BOX_BLOCK_FRAMES):
         if not timestamps:
             screen_loop = clip_loop(screen_clip_polygon(first.screen_w, first.screen_h))
-        found = fit_boxes(block_pieces(block, screen_loop), first.screen_w, first.screen_h,
-                          params.min_visibility)
-        for idx, frame_boxes in enumerate(found, len(timestamps)):
-            for vb in frame_boxes:
-                seq = boxes.get(vb.trackable_id)
-                if seq is None:
-                    seq = boxes[vb.trackable_id] = []
-                seq += [None] * (idx - len(seq))
-                seq.append(vb.box)
+        tids, frame_of, found = fit_boxes(block_pieces(block, screen_loop), first.screen_w,
+                                          first.screen_h, params.min_visibility)
+        for tid in tids:
+            if tid not in chunks:
+                chunks[tid] = [np.full((len(timestamps), 4), np.nan)]
+        rows = np.full((len(chunks), len(block), 4), np.nan)
+        column = {tid: k for k, tid in enumerate(chunks)}
+        rows[[column[tid] for tid in tids], frame_of] = found
+        for seq, part in zip(chunks.values(), rows):
+            seq.append(part)
         timestamps += [f.timestamp_ms for f in block]
-        del block, found  # this block's frames go before the next block is filled
+        del block  # this block's frames go before the next block is filled
     if first is None:
         raise TraceValidationError("cannot analyze an empty trace")
-    for seq in boxes.values():
-        seq += [None] * (len(timestamps) - len(seq))
+    boxes = {tid: np.concatenate(seq) for tid, seq in chunks.items()}
     return RunBoxes(boxes, timestamps, (first.screen_w, first.screen_h))
 
 

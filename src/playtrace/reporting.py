@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -173,6 +174,9 @@ def load_json(path: str | Path) -> Any:
         raise ValueError(f"{path.name}: invalid JSON: {exc.msg}") from None
     except RecursionError:  # the decoder recurses once per level of nesting
         raise ValueError(f"{path.name}: invalid JSON: nested too deeply") from None
+    except ValueError:  # int() refuses a literal longer than its digit limit
+        raise ValueError(f"{path.name}: invalid JSON: integer of more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def write_report(

@@ -362,6 +362,9 @@ def _trace_objects(fh: TextIO, name: str) -> Iterator[tuple[str, dict]]:
             raise TraceParseError(f"{where}: invalid JSON: {exc.msg}") from None
         except RecursionError:  # the decoder recurses once per level of nesting
             raise TraceParseError(f"{where}: invalid JSON: nested too deeply") from None
+        except ValueError:  # int() refuses a literal longer than its digit limit
+            raise TraceParseError(f"{where}: invalid JSON: integer of more than "
+                                  f"{sys.get_int_max_str_digits()} digits") from None
         if not isinstance(obj, dict):
             raise TraceParseError(f"{where}: expected a JSON object")
         yield where, obj

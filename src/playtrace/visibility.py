@@ -6,13 +6,14 @@ hidden behind nearer surfaces, then fit a conservative axis-aligned box into
 what is left.  A box survives only when it covers at least
 ``min_visibility`` of the screen.  Both steps take a block of frames
 (block_pieces, then fit_boxes), so that numpy passes and one inscribed_rects
-call serve many frames.
+call serve many frames.  Boxes stay float64 rows of (x_min, y_min, x_max,
+y_max): inscribed_rects leaves a NaN row where a piece holds no box, and
+fit_boxes returns the kept surfaces' rows as one array, with no object per
+box.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,29 +24,17 @@ from .geometry import (
     OCCLUDER_MARGIN_PX,
     ClipLoop,
     Point,
-    Rect,
     clip_by_loop,
     convex_pieces,
     convex_unchanged,
     dot_rows,
     inscribed_rects,
-    rect_area,
     subtract_occluders,
 )
 from .trace import FrameRecord, TrackableSnapshot, TrackingState, TraceValidationError
 
-# (trackable id, camera distance, visible convex pieces) of one surface in one frame
-SurfacePieces = tuple[str, float, list[list[Point]]]
-
-
-@dataclass(frozen=True)
-class VisibleBox:
-    """A usable screen region of one trackable in one frame."""
-
-    trackable_id: str
-    box: Rect
-    visibility_ratio: float
-    camera_distance: float
+# (trackable id, visible convex pieces) of one surface in one frame
+SurfacePieces = tuple[str, list[list[Point]]]
 
 
 def screen_clip_polygon(screen_w: float, screen_h: float) -> list[Point]:
@@ -213,7 +202,7 @@ def block_pieces(frames: Sequence[FrameRecord], screen: ClipLoop) -> list[list[S
                         )
                     ]
                     pieces = subtract_occluders(pieces, occluders)
-                    found[i].append((tracks[k].trackable_id, d, pieces))
+                    found[i].append((tracks[k].trackable_id, pieces))
             nearer.append(k)
         begin = end
     return found
@@ -221,28 +210,22 @@ def block_pieces(frames: Sequence[FrameRecord], screen: ClipLoop) -> list[list[S
 
 def fit_boxes(
     frames: Sequence[list[SurfacePieces]], screen_w: int, screen_h: int, min_visibility: float
-) -> list[list[VisibleBox]]:
-    """Each frame's boxes from its block_pieces, with one inscribed_rects over all their pieces.
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The boxes of a block's surfaces from its block_pieces, with one inscribed_rects call.
 
     A surface keeps the largest rect of its pieces (the first of equal
     ones), and only when it covers at least min_visibility of the screen.
+    Returns the trackable ids, frame indices and (k, 4) box rows of the
+    surfaces that keep one, in frame order and near to far within a frame.
     """
-    rects, _ = inscribed_rects([p for found in frames for _, _, ps in found for p in ps],
+    tids = [tid for found in frames for tid, _ in found]
+    frame_of = np.repeat(np.arange(len(frames)), [len(found) for found in frames])
+    surface = np.repeat(np.arange(len(tids)), [len(ps) for found in frames for _, ps in found])
+    rects, _ = inscribed_rects([p for found in frames for _, ps in found for p in ps],
                                screen_w, screen_h)
-    it = iter(rects)
-    screen_px = float(screen_w) * float(screen_h)
-    out: list[list[VisibleBox]] = []
-    for found in frames:
-        boxes: list[VisibleBox] = []
-        for tid, dist, pieces in found:
-            best: Rect | None = None
-            for r in itertools.islice(it, len(pieces)):
-                if r is not None and (best is None or rect_area(r) > rect_area(best)):
-                    best = r
-            if best is None:
-                continue
-            ratio = rect_area(best) / screen_px
-            if ratio >= min_visibility:
-                boxes.append(VisibleBox(tid, best, ratio, dist))
-        out.append(boxes)
-    return out
+    area = (rects[:, 2] - rects[:, 0]) * (rects[:, 3] - rects[:, 1])   # NaN for no rect
+    # largest first within each surface, NaN last; a stable sort keeps equal ones in order
+    order = np.lexsort((-area, surface))
+    best = order[np.diff(surface[order], prepend=-1) != 0]
+    kept = best[area[best] / (float(screen_w) * float(screen_h)) >= min_visibility]
+    return [tids[k] for k in surface[kept].tolist()], frame_of[surface[kept]], rects[kept]

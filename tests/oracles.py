@@ -3,9 +3,9 @@
 Most references here are written from scratch against the documented
 behavior, not by calling into playtrace, so a bug in the package cannot
 hide in its own test oracle.  The scalar simplicity, containment, clipping
-and per-frame visibility references and the eager-analysis and per-line
-ingest references reuse the package's kernels and differ only in the order
-of the work.
+and per-frame visibility references, the scalar life_spans and the
+eager-analysis and per-line ingest references reuse the package's kernels
+and differ only in the order of the work.
 """
 
 from __future__ import annotations
@@ -299,6 +299,89 @@ def life_spans_reference(boxes, screen, min_visibility):
         spans.append((cur, members))
         i = j
     return spans
+
+
+def life_spans(boxes, screen, min_visibility):
+    """life_spans as a scalar scan over Rect | None slots, one frame at a time.
+
+    The package's life_spans before boxes became arrays, with its own Rect
+    kernels; returns (Rect, member index list) pairs.
+    """
+    from playtrace.geometry import Rect, rect_area, rect_intersect
+
+    w, h = screen
+    screen_px = float(w) * float(h)
+    full = Rect(0.0, 0.0, float(w), float(h))
+
+    def clamped(b):
+        return rect_intersect(full, b) if b is not None else None
+
+    def usable(r):
+        return r is not None and rect_area(r) / screen_px >= min_visibility
+
+    spans = []
+    stable = None
+    members = []
+    i = 0
+    n = len(boxes)
+    while i < n:
+        b = clamped(boxes[i])
+        if stable is None:
+            if usable(b):
+                stable = b
+                members = [i]
+            i += 1
+            continue
+        if not usable(b):
+            spans.append((stable, members))
+            stable = None
+            members = []
+            i += 1
+            continue
+        cand = rect_intersect(stable, b)
+        if not usable(cand):
+            # close at the previous frame; frame i retries as a span opener
+            spans.append((stable, members))
+            stable = None
+            members = []
+            continue
+        stable = cand
+        members.append(i)
+        i += 1
+    if stable is not None:
+        spans.append((stable, members))
+    return spans
+
+
+def box_rows(boxes):
+    """Rect | None slots as the package's (n, 4) float64 box array, NaN rows for None."""
+    rows = np.full((len(boxes), 4), np.nan)
+    for i, b in enumerate(boxes):
+        if b is not None:
+            rows[i] = b.as_list()
+    return rows
+
+
+def rects_of(rows):
+    """An (n, 4) box array as Rect | None slots, None for NaN rows."""
+    from playtrace.geometry import Rect
+
+    return [None if np.isnan(r).any() else Rect(*r) for r in np.asarray(rows).tolist()]
+
+
+def same_bits(a, b):
+    """Floats equal bit for bit: -0.0 differs from 0.0, and NaN equals NaN."""
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def assert_same_run(got, want):
+    """Two RunBoxes equal, their box arrays bit for bit and in the same key order."""
+    assert list(got.boxes) == list(want.boxes)
+    for tid, rows in got.boxes.items():
+        assert rows.dtype == np.float64 and rows.shape == want.boxes[tid].shape, tid
+        assert same_bits(rows, want.boxes[tid]), tid
+    assert got.timestamps_ms == want.timestamps_ms
+    assert got.screen == want.screen
 
 
 # --------------------------------------------------------------- cross-run
@@ -626,7 +709,7 @@ def frame_pieces(frame, screen):
         if len(on_screen) < 3:
             continue
         occluders = [p for d, _, p in candidates[:i] if d < dist]
-        found.append((t.trackable_id, dist, subtract_occluders(convex_pieces(on_screen), occluders)))
+        found.append((t.trackable_id, subtract_occluders(convex_pieces(on_screen), occluders)))
     return found
 
 
@@ -701,7 +784,7 @@ def analyze_frame_per_vertex(frame, min_visibility):
     """frame_boxes over the three loops above, in the same near-to-far order."""
     from playtrace import geometry as g
     from playtrace.trace import TrackingState
-    from playtrace.visibility import VisibleBox, screen_clip_polygon
+    from playtrace.visibility import screen_clip_polygon
 
     w, h = frame.screen_w, frame.screen_h
     candidates = []
@@ -727,16 +810,15 @@ def analyze_frame_per_vertex(frame, min_visibility):
             if r is not None and (best is None or g.rect_area(r) > g.rect_area(best)):
                 best = r
         if best is not None and g.rect_area(best) / (float(w) * float(h)) >= min_visibility:
-            boxes.append(VisibleBox(t.trackable_id, best,
-                                    g.rect_area(best) / (float(w) * float(h)), dist))
+            boxes.append((t.trackable_id, best))
     return boxes
 
 
 # ------------------------------------------------------------ eager analysis
 # `analyze` as it was before frames were streamed: every trace loaded whole,
 # then decimated into a second list, then every kept frame analysed alone
-# into boxes laid out one slot per frame.  The per-frame and per-span kernels
-# are the package's own; only the order of the work differs.
+# into Rect | None slots, one per frame, split by the scalar life_spans above.
+# The per-frame kernels are the package's own; the boxes stay Rects.
 
 def decimate_reference(timestamps, source_fps, target_fps):
     """The timestamps decimate keeps, by its documented deadline walk."""
@@ -761,31 +843,36 @@ def decimate(frames, source_fps, target_fps):
 
 
 def frame_boxes(frame, min_visibility):
-    """The visible boxes of one frame on its own: a one-frame block_pieces and fit_boxes."""
-    from playtrace.geometry import clip_loop
+    """(trackable id, Rect) pairs of one frame on its own: a one-frame block_pieces and fit_boxes."""
+    from playtrace.geometry import Rect, clip_loop
     from playtrace.visibility import block_pieces, fit_boxes, screen_clip_polygon
 
     w, h = frame.screen_w, frame.screen_h
     pieces = block_pieces([frame], clip_loop(screen_clip_polygon(w, h)))
-    return fit_boxes(pieces, w, h, min_visibility)[0]
+    tids, _, rows = fit_boxes(pieces, w, h, min_visibility)
+    return [(tid, Rect(*row)) for tid, row in zip(tids, rows.tolist())]
+
+
+def eager_boxes(trace, params):
+    """(Rect | None slots per trackable, timestamps) of a whole trace, a kept frame at a time."""
+    sampled = list(decimate(trace.frames, trace.source_fps, params.fps))
+    sequences = {}
+    for idx, frame in enumerate(sampled):
+        for tid, box in frame_boxes(frame, min_visibility=params.min_visibility):
+            sequences.setdefault(tid, [None] * len(sampled))[idx] = box
+    return sequences, [f.timestamp_ms for f in sampled]
 
 
 def analyze_eager(traces, params):
     """(surviving opportunities, metrics, Gantt duration) of whole in-memory traces."""
-    from playtrace.lifespan import filter_by_duration, intersect_runs, life_spans, opportunity_sort_key
+    from playtrace.lifespan import filter_by_duration, intersect_runs, opportunity_sort_key
     from playtrace.metrics import compute_metrics
 
     screens = sorted({(f.screen_w, f.screen_h) for t in traces for f in t.frames})
     assert len(screens) == 1, screens
     per_run = []
     for trace in traces:
-        sampled = list(decimate(trace.frames, trace.source_fps, params.fps))
-        n = len(sampled)
-        sequences = {}
-        for idx, frame in enumerate(sampled):
-            for vb in frame_boxes(frame, min_visibility=params.min_visibility):
-                sequences.setdefault(vb.trackable_id, [None] * n)[idx] = vb.box
-        timestamps = [f.timestamp_ms for f in sampled]
+        sequences, timestamps = eager_boxes(trace, params)
         opps = []
         for tid, boxes in sequences.items():
             spans = life_spans(boxes, screens[0], params.min_visibility)

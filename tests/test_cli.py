@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 import signal
+import sys
 
 import numpy as np
 import pytest
@@ -279,7 +280,7 @@ def test_analyze_ends_at_the_last_frame_whether_kept_or_dropped(tmp_path, n):
     loaded = run_boxes(oracles.decimate(load_trace(path).frames, full.source_fps, params.fps),
                        params)
     walk = deadline_walk(full.source_fps, params.fps)
-    assert run_boxes(iter_frames(path, walk), params) == loaded
+    oracles.assert_same_run(run_boxes(iter_frames(path, walk), params), loaded)
     assert walk.last_ms == full.frames[n - 1].timestamp_ms
     assert (loaded.timestamps_ms[-1] < walk.last_ms) == (n > 121)
     assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 0
@@ -401,6 +402,37 @@ def test_deeply_nested_files_are_invalid_json(tmp_path, capsys):
     ):
         err = _assert_input_error(main(argv), capsys)
         assert err == "error: deep.json: invalid JSON: nested too deeply\n", argv
+    assert not out.exists()
+
+
+def test_integer_literals_past_the_digit_limit_are_invalid_json(tmp_path, trace_path, capsys):
+    # int() refuses more than sys.get_int_max_str_digits() digits (4300 by default)
+    digits = "9" * 5000
+    limit = sys.get_int_max_str_digits()
+    header, *frames = trace_path.read_text().splitlines()
+    frame = json.loads(frames[2])
+    frame["t_ms"] = 0
+    frames[2] = json.dumps(frame).replace('"t_ms": 0', f'"t_ms": {digits}')
+    trace_path.write_text("\n".join([header, *frames]) + "\n")
+    rc = main(["analyze", str(trace_path), "--out", str(tmp_path / "x")])
+    assert _assert_input_error(rc, capsys) == (
+        f"error: run.jsonl:4: invalid JSON: integer of more than {limit} digits\n")
+
+    long_int = tmp_path / "long.json"
+    long_int.write_text(f'{{"fps": {digits}}}')
+    scene_path = tmp_path / "scene.json"
+    save_scene(_scene(), scene_path)
+    sched_path = tmp_path / "random.json"
+    save_schedule(schedule_random((1920, 1080), 6000, 0), sched_path)
+    out = tmp_path / "o.json"
+    for argv in (
+        ["simulate", str(long_int), "--schedule", str(sched_path), "--out", str(out)],  # scene
+        ["simulate", str(scene_path), "--schedule", str(long_int), "--out", str(out)],  # schedule
+        ["compare", str(long_int)],  # scene
+        ["schedule", str(long_int), "--out", str(out)],  # report
+    ):
+        err = _assert_input_error(main(argv), capsys)
+        assert err == f"error: long.json: invalid JSON: integer of more than {limit} digits\n", argv
     assert not out.exists()
 
 

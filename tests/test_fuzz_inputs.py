@@ -27,9 +27,12 @@ from playtrace.scenes import benchmark_scene
 from playtrace.simulator import generate_trace, save_scene
 from playtrace.trace import save_trace
 
+# json.dumps cannot write an integer longer than int() converts, so this string stands
+# for one and is swapped for the digits after dumping
+_LONG_INT = "<integer of 4400 digits>"
 _ODD_VALUES = [
     None, True, False, 0, -1, 1.5, "x", "", [], {}, [[]], {"x": 1},
-    float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 10**400, -(10**400),
+    float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 10**400, -(10**400), _LONG_INT,
 ]
 _DEEP = "[" * 100_000 + "]" * 100_000  # deeper than the JSON decoder recurses
 
@@ -73,6 +76,7 @@ def _mutated(draw, text: str) -> bytes:
     else:  # an empty list, which "deep" then nests
         owner[last] = []
     text = json.dumps(obj)  # NaN and the infinities as their JavaScript literals
+    text = text.replace(json.dumps(_LONG_INT), "9" * 4400)
     if kind == "deep":
         text = text.replace("[]", _DEEP, 1)
     return text.encode("utf-8")

@@ -308,7 +308,7 @@ def test_subtract_occluders_two_bites():
 # ------------------------------------------------------------ inscribed box
 
 def _one_rect(poly, screen_w, screen_h):
-    (rect,), _ = inscribed_rects([poly], screen_w, screen_h)
+    (rect,) = oracles.rects_of(inscribed_rects([poly], screen_w, screen_h)[0])
     return rect
 
 
@@ -358,7 +358,7 @@ def test_inscribed_rect_random_stars():
 def test_shrink_pass_budget():
     poly = [(0.0, 0.0), (600.0, 0.0), (600.0, 400.0), (0.0, 400.0)]
     (rect,), (passes,) = inscribed_rects([poly], 640.0, 480.0)
-    assert rect is not None
+    assert not np.isnan(rect).any()
     assert passes == 0
     star = oracles.random_star(random.Random(3), (300.0, 240.0), 70.0, 200.0)
     (rect,), (passes,) = inscribed_rects([star], 640.0, 480.0)
@@ -366,7 +366,7 @@ def test_shrink_pass_budget():
     # a sliver across a huge screen never fits and shrinks 5 % a pass: the budget ends it
     sliver = [(0.0, 0.0), (1e12, 1e12), (1e12, 1e12 - 1.0)]
     (rect,), (passes,) = inscribed_rects([sliver], 1e12, 1e12)
-    assert rect is None and passes == g.MAX_SHRINK_PASSES
+    assert np.isnan(rect).all() and passes == g.MAX_SHRINK_PASSES
 
 
 def test_inscribed_rects_match_one_at_a_time():
@@ -375,11 +375,14 @@ def test_inscribed_rects_match_one_at_a_time():
                                  rng.uniform(1, 60), rng.uniform(60, 300), rng.randrange(5, 14))
              for _ in range(40)]
     polys += [SQUARE, L_SHAPE, [(700.0, 10.0), (720.0, 10.0), (720.0, 30.0)]]
-    rects, passes = inscribed_rects(polys, 640, 480)
+    rows, passes = inscribed_rects(polys, 640, 480)
+    assert rows.dtype == np.float64 and rows.shape == (len(polys), 4)
+    rects = oracles.rects_of(rows)
     assert rects == [oracles.inscribed_rect_pip(p, 640, 480) for p in polys]
     assert rects == [_one_rect(p, 640, 480) for p in polys]
     assert all(0 <= n <= g.MAX_SHRINK_PASSES for n in passes)
-    assert inscribed_rects([], 640, 480) == ([], [])
+    rows, passes = inscribed_rects([], 640, 480)
+    assert rows.shape == (0, 4) and passes == []
     with pytest.raises(ValueError):
         inscribed_rects([SQUARE, [(0.0, 0.0), (1.0, 1.0)]], 640, 480)
 

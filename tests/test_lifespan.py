@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import math
 import random
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -31,9 +34,14 @@ def _opp(tid, box, start, end, frames=()):
 
 # ------------------------------------------------------------------- spans
 
+def _spans(boxes, min_visibility=0.10):
+    """life_spans of Rect | None slots, with list members as the oracles give them."""
+    return [(box, list(members))
+            for box, members in life_spans(oracles.box_rows(boxes), SCREEN, min_visibility)]
+
 def test_single_stable_span():
     boxes = [_r(0, 0, 100, 50)] * 4
-    spans = life_spans(boxes, SCREEN, 0.10)
+    spans = _spans(boxes)
     assert len(spans) == 1
     box, members = spans[0]
     assert box == _r(0, 0, 100, 50)
@@ -43,35 +51,35 @@ def test_single_stable_span():
 def test_opening_requires_own_threshold():
     small = _r(0, 0, 40, 40)          # 1600 px^2 = 8%
     big = _r(0, 0, 100, 50)
-    spans = life_spans([small, big, big], SCREEN, 0.10)
+    spans = _spans([small, big, big])
     assert len(spans) == 1
     assert spans[0][1] == [1, 2]
 
 
 def test_none_closes_and_is_consumed():
     big = _r(0, 0, 100, 50)
-    spans = life_spans([big, None, big, big], SCREEN, 0.10)
+    spans = _spans([big, None, big, big])
     assert [m for _, m in spans] == [[0], [2, 3]]
 
 
 def test_violating_frame_reopens():
     left = _r(0, 0, 100, 50)
     right = _r(100, 0, 200, 50)       # disjoint from left, usable on its own
-    spans = life_spans([left, left, right, right], SCREEN, 0.10)
+    spans = _spans([left, left, right, right])
     assert [m for _, m in spans] == [[0, 1], [2, 3]]
     assert spans[1][0] == right
 
 
 def test_boxes_clamped_to_screen():
     hung_over = _r(-100, -50, 100, 50)
-    spans = life_spans([hung_over], SCREEN, 0.10)
+    spans = _spans([hung_over])
     assert spans[0][0] == _r(0, 0, 100, 50)
 
 
 def test_shrinking_drift_closes_when_intersection_dips():
     # walk right 30 px per frame; the running intersection erodes
     boxes = [_r(x, 0, x + 100, 40) for x in range(0, 151, 30)]
-    spans = life_spans(boxes, SCREEN, 0.10)
+    spans = _spans(boxes)
     # threshold 2000 px^2 = 50 px wide at height 40
     assert len(spans) >= 2
     for box, members in spans:
@@ -100,12 +108,97 @@ def test_life_spans_match_reference_scan(seed):
             w = max(5.0, w + rng.uniform(-12, 12))
             h = max(5.0, h + rng.uniform(-8, 8))
         boxes.append(_r(x, y, x + w, y + h))
-    got = life_spans(boxes, SCREEN, 0.10)
+    got = _spans(boxes)
     want = oracles.life_spans_reference(boxes, SCREEN, 0.10)
     assert len(got) == len(want)
     for (box, members), (ref_box, ref_members) in zip(got, want):
         assert members == ref_members
         assert (box.x_min, box.y_min, box.x_max, box.y_max) == ref_box
+
+
+def _assert_spans_match_the_scalar_scans(boxes, min_visibility):
+    got = life_spans(oracles.box_rows(boxes), SCREEN, min_visibility)
+    scalar = oracles.life_spans(boxes, SCREEN, min_visibility)
+    reference = oracles.life_spans_reference(boxes, SCREEN, min_visibility)
+    assert len(got) == len(scalar) == len(reference)
+    for (box, members), (s_box, s_members), (r_box, r_members) in zip(got, scalar, reference):
+        assert isinstance(members, range)
+        assert list(members) == s_members == r_members
+        assert oracles.same_bits(box.as_list(), s_box.as_list()), (box, s_box)
+        assert tuple(box.as_list()) == r_box
+    return got
+
+
+# edges on, off and at the screen's (200 x 100), with -0.0 and 0.0 both; areas on
+# this grid land exactly on the thresholds below (2000 px^2 is 10 % of the screen)
+_XS = [-50.0, -10.0, -0.0, 0.0, 10.0, 50.0, 100.0, 150.0, 200.0, 210.0, 250.0]
+_YS = [-30.0, -5.0, -0.0, 0.0, 10.0, 20.0, 50.0, 100.0, 105.0, 130.0]
+
+
+@st.composite
+def _slots(draw):
+    """Rect | None slots: gaps, repeats and jumps, edges touching and off the screen."""
+    boxes = []
+    for _ in range(draw(st.integers(0, 50))):
+        kind = draw(st.sampled_from(["none", "same", "new", "new"]))
+        if kind == "none":
+            boxes.append(None)
+        elif kind == "same" and boxes and boxes[-1] is not None:
+            boxes.append(boxes[-1])
+        else:
+            x0, x1 = sorted(draw(st.lists(st.sampled_from(_XS), min_size=2, max_size=2)))
+            y0, y1 = sorted(draw(st.lists(st.sampled_from(_YS), min_size=2, max_size=2)))
+            boxes.append(Rect(x0, y0, x1, y1))
+    return boxes
+
+
+@settings(max_examples=200, deadline=None)
+@given(_slots(), st.sampled_from([0.0, 0.02, 0.05, 0.10, 0.25, 1.0]))
+def test_array_life_spans_match_the_scalar_scans(boxes, min_visibility):
+    _assert_spans_match_the_scalar_scans(boxes, min_visibility)
+
+
+def test_array_life_spans_keep_the_scalar_signed_zeros():
+    # clamped, -0.0 edges become 0.0 at the screen's low sides and stay -0.0 where a box
+    # ends there; zero-extent boxes are usable at min_visibility 0 and touch their neighbours
+    boxes = [Rect(-50.0, -30.0, -0.0, -0.0), Rect(-0.0, -0.0, 0.0, 0.0),
+             Rect(-0.0, 0.0, 10.0, 20.0), None, Rect(0.0, -0.0, 10.0, 10.0),
+             Rect(10.0, 10.0, 20.0, 20.0)]
+    spans = _assert_spans_match_the_scalar_scans(boxes, 0.0)
+    assert [list(m) for _, m in spans] == [[0, 1, 2], [4, 5]]
+    assert [math.copysign(1.0, v) for v in spans[0][0].as_list()] == [1.0, 1.0, -1.0, -1.0]
+
+
+def test_array_life_spans_restart_on_the_closing_frame():
+    left, right = _r(0, 0, 100, 50), _r(100, 0, 200, 50)   # touching: area 0 together
+    exactly = _r(0, 0, 100, 20)                            # 2000 px^2: exactly 10 %
+    spans = _assert_spans_match_the_scalar_scans([left, right, right, exactly, left, None], 0.10)
+    assert [(box, list(m)) for box, m in spans] == [
+        (left, [0]), (right, [1, 2]), (exactly, [3, 4])]
+
+
+def test_array_life_spans_split_a_long_run_of_short_spans():
+    # more than 10,000 frames of one- and two-frame spans: every span restarts the scan
+    rng = random.Random(16)
+    sides = [_r(0, 0, 100, 50), _r(100, 0, 200, 50)]
+    boxes = []
+    while len(boxes) < 10_050:
+        if rng.random() < 0.1:
+            boxes.append(None)
+        sides.reverse()
+        boxes += [sides[0]] * rng.choice([1, 2])
+    spans = _assert_spans_match_the_scalar_scans(boxes, 0.10)
+    assert len(spans) > 5000
+    assert {len(m) for _, m in spans} == {1, 2}
+
+
+def test_life_spans_take_nan_rows_as_no_box():
+    rows = np.array([[0.0, 0.0, 100.0, 50.0], [np.nan] * 4, [0.0, np.nan, 100.0, 50.0],
+                     [0.0, 0.0, 100.0, 50.0]])
+    spans = life_spans(rows, SCREEN, 0.10)
+    assert [(box, list(m)) for box, m in spans] == [
+        (_r(0, 0, 100, 50), [0]), (_r(0, 0, 100, 50), [3])]
+    assert life_spans(np.empty((0, 4)), SCREEN, 0.10) == []
 
 
 # ----------------------------------------------------------------- duration

@@ -55,8 +55,8 @@ def test_box_sequences_cover_every_frame():
     run = run_boxes(sampled, AnalysisParams(fps=10.0))
     assert set(run.boxes) == {"table"}
     boxes = run.boxes["table"]
-    assert len(boxes) == len(sampled)
-    assert all(b is not None for b in boxes)
+    assert boxes.dtype == np.float64 and boxes.shape == (len(sampled), 4)
+    assert not np.isnan(boxes).any()
     assert run.timestamps_ms == [f.timestamp_ms for f in sampled]
 
 

@@ -12,7 +12,7 @@ import oracles
 from playtrace.cli import _generated_runs, main
 from playtrace.pipeline import AnalysisParams, run_boxes
 from playtrace.reporting import render_gantt, write_report
-from playtrace.scenes import benchmark_scene
+from playtrace.scenes import benchmark_scene, benchmark_scenes
 from playtrace.simulator import (
     CameraKeyframe,
     ScenePlane,
@@ -58,6 +58,28 @@ def test_streamed_analyze_matches_eager_reference(tmp_path, name, fps, seed):
         _assert_same_outputs(tmp_path / f"s{tag}", tmp_path / f"e{tag}")
 
 
+@pytest.mark.parametrize("name", [s.name for s in benchmark_scenes()])
+def test_analyze_matches_the_scalar_span_oracle_on_the_pack(tmp_path, name):
+    # the oracle keeps Rect | None slots and splits them with the scalar life_spans
+    scene = benchmark_scene(name)
+    path = tmp_path / "run.jsonl"
+    save_trace(generate_trace(scene, 4, scene.default_jitter), path)
+    assert main(["analyze", str(path), "--out", str(tmp_path / "s")]) == 0
+    trace = load_trace(path)
+    _eager_outputs([trace], tmp_path / "e")
+    _assert_same_outputs(tmp_path / "s", tmp_path / "e")
+
+    params = AnalysisParams()
+    run = run_boxes(iter_frames(path, deadline_walk(trace.source_fps, params.fps)), params)
+    sequences, timestamps = oracles.eager_boxes(trace, params)
+    assert run.timestamps_ms == timestamps
+    assert list(run.boxes) == list(sequences)
+    for tid, rows in run.boxes.items():
+        assert rows.dtype == np.float64 and rows.shape == (len(timestamps), 4), tid
+        assert np.isnan(rows).all(axis=1).tolist() == [b is None for b in sequences[tid]], tid
+        assert oracles.same_bits(rows, oracles.box_rows(sequences[tid])), tid
+
+
 def test_streamed_multi_run_regeneration_matches_eager_reference(tmp_path):
     scene = benchmark_scene("drift-trio")
     path = tmp_path / "one.jsonl"
@@ -79,7 +101,8 @@ def test_rendered_runs_equal_the_runs_of_full_traces(name):
     runs = _generated_runs(scene, scene.default_jitter, 5, walks, params)
     for r, (run, walk) in enumerate(zip(runs, walks)):
         full = generate_trace(scene, 5 + r, scene.default_jitter)
-        assert run == run_boxes(oracles.decimate(full.frames, full.source_fps, params.fps), params)
+        oracles.assert_same_run(
+            run, run_boxes(oracles.decimate(full.frames, full.source_fps, params.fps), params))
         assert walk.last_ms == full.duration_ms > run.timestamps_ms[-1]
 
 

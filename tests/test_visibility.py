@@ -101,16 +101,15 @@ def test_single_plane_box():
     f = _frame([_plane("table", (0, 0, 0), 1.0, 0.5)])
     boxes = oracles.frame_boxes(f, min_visibility=0.10)
     assert len(boxes) == 1
-    vb = boxes[0]
+    tid, box = boxes[0]
     px = _px_per_m(2.0)
-    assert vb.trackable_id == "table"
-    assert vb.camera_distance == pytest.approx(2.0)
-    assert vb.box.x_min == pytest.approx(960 - px, abs=1e-6)
-    assert vb.box.x_max == pytest.approx(960 + px, abs=1e-6)
-    assert vb.box.y_min == pytest.approx(540 - 0.5 * px, abs=1e-6)
-    assert vb.box.y_max == pytest.approx(540 + 0.5 * px, abs=1e-6)
+    assert tid == "table"
+    assert box.x_min == pytest.approx(960 - px, abs=1e-6)
+    assert box.x_max == pytest.approx(960 + px, abs=1e-6)
+    assert box.y_min == pytest.approx(540 - 0.5 * px, abs=1e-6)
+    assert box.y_max == pytest.approx(540 + 0.5 * px, abs=1e-6)
     expected_ratio = (2 * px) * px / (W * H)
-    assert vb.visibility_ratio == pytest.approx(expected_ratio, rel=1e-9)
+    assert g.rect_area(box) / (W * H) == pytest.approx(expected_ratio, rel=1e-9)
 
 
 def test_min_visibility_excludes():
@@ -132,15 +131,15 @@ def test_back_facing_yields_no_box_but_occludes():
     shade = _plane("shade", (0.0, 1.0, 0.0), 0.3, 0.3, normal=(0.0, -1.0, 0.0))
     floor = _plane("floor", (0.0, 0.0, 0.0), 1.0, 0.5)
     boxes = oracles.frame_boxes(_frame([floor, shade]), min_visibility=0.02)
-    ids = [b.trackable_id for b in boxes]
+    ids = [tid for tid, _ in boxes]
     assert "shade" not in ids
     assert ids == ["floor"]
     # the floor box must sit beside the shade's projected square
     hole_half = 0.3 * _px_per_m(1.0)
-    box = boxes[0].box
+    box = boxes[0][1]
     assert box.x_max <= 960 - hole_half + 1e-6 or box.x_min >= 960 + hole_half - 1e-6
     # without the shade the floor box spans the full projection
-    full = oracles.frame_boxes(_frame([floor]), min_visibility=0.02)[0].box
+    full = oracles.frame_boxes(_frame([floor]), min_visibility=0.02)[0][1]
     assert full.width > box.width
 
 
@@ -148,8 +147,8 @@ def test_paused_plane_does_not_occlude():
     shade = _plane("shade", (0.0, 1.0, 0.0), 0.3, 0.3, normal=(0.0, -1.0, 0.0),
                    state=TrackingState.PAUSED)
     floor = _plane("floor", (0.0, 0.0, 0.0), 1.0, 0.5)
-    with_paused = oracles.frame_boxes(_frame([floor, shade]), min_visibility=0.02)[0].box
-    alone = oracles.frame_boxes(_frame([floor]), min_visibility=0.02)[0].box
+    with_paused = oracles.frame_boxes(_frame([floor, shade]), min_visibility=0.02)[0][1]
+    alone = oracles.frame_boxes(_frame([floor]), min_visibility=0.02)[0][1]
     assert with_paused == alone
 
 
@@ -157,13 +156,12 @@ def test_nearer_plane_unaffected_by_farther():
     near = _plane("near", (0.0, 1.0, 0.0), 0.35, 0.35)
     far = _plane("far", (0.0, 0.0, 0.0), 1.0, 0.6)
     boxes = oracles.frame_boxes(_frame([far, near]), min_visibility=0.02)
-    by_id = {b.trackable_id: b for b in boxes}
+    by_id = dict(boxes)
     assert set(by_id) == {"near", "far"}
-    near_alone = oracles.frame_boxes(_frame([near]), min_visibility=0.02)[0].box
-    assert by_id["near"].box == near_alone
+    near_alone = oracles.frame_boxes(_frame([near]), min_visibility=0.02)[0][1]
+    assert by_id["near"] == near_alone
     # results come back ordered near to far
-    assert [b.trackable_id for b in boxes] == ["near", "far"]
-    assert by_id["near"].camera_distance < by_id["far"].camera_distance
+    assert [tid for tid, _ in boxes] == ["near", "far"]
 
 
 def test_offscreen_plane_clipped_away():
@@ -249,10 +247,13 @@ def test_analyze_frame_matches_per_vertex_pipeline(tmp_path, scene):
         for tr in (trace, load_trace(path)):
             frames = list(decimate(tr.frames, tr.source_fps, 10.0))
             pieces = block_pieces(frames, screen)
-            boxes = fit_boxes(pieces, sc.screen_w, sc.screen_h, 0.0)
+            tids, frame_of, rows = fit_boxes(pieces, sc.screen_w, sc.screen_h, 0.0)
+            assert frame_of.tolist() == sorted(frame_of.tolist())
+            boxes = list(zip(frame_of.tolist(), tids, oracles.rects_of(rows)))
+            assert boxes == [(i, tid, box) for i, f in enumerate(frames)
+                             for tid, box in oracles.analyze_frame_per_vertex(f, 0.0)]
             for i, f in enumerate(frames):
                 assert repr(pieces[i]) == repr(oracles.frame_pieces(f, screen)), i
-                assert boxes[i] == oracles.analyze_frame_per_vertex(f, 0.0), i
 
 
 @pytest.mark.parametrize("scene", [s.name for s in benchmark_scenes()])
@@ -262,9 +263,10 @@ def test_inscribed_rects_match_scalar_search_on_pack_pieces(scene):
         trace = generate_trace(sc, jitter_seed=seed, jitter=sc.default_jitter)
         screen = g.clip_loop(screen_clip_polygon(sc.screen_w, sc.screen_h))
         found = block_pieces(list(decimate(trace.frames, trace.source_fps, 10.0)), screen)
-        pieces = [p for frame in found for _, _, ps in frame for p in ps]
-        rects, passes = g.inscribed_rects(pieces, sc.screen_w, sc.screen_h)
-        assert rects == [oracles.inscribed_rect_pip(p, sc.screen_w, sc.screen_h) for p in pieces]
+        pieces = [p for frame in found for _, ps in frame for p in ps]
+        rows, passes = g.inscribed_rects(pieces, sc.screen_w, sc.screen_h)
+        assert oracles.rects_of(rows) == [
+            oracles.inscribed_rect_pip(p, sc.screen_w, sc.screen_h) for p in pieces]
         assert max(passes, default=0) <= g.MAX_SHRINK_PASSES
 
 
@@ -277,7 +279,7 @@ def test_screen_clip_is_checked_once_per_run(monkeypatch):
     frames = [_frame(planes, t_ms=100 * k) for k in range(5)]
     run = run_boxes(frames, AnalysisParams(fps=10.0, min_visibility=0.0))
     assert set(run.boxes) == {"a", "b", "c"}
-    assert all(None not in boxes for boxes in run.boxes.values())
+    assert not any(np.isnan(boxes).any() for boxes in run.boxes.values())
     assert len(run.timestamps_ms) == len(frames)
     assert checked.count(screen_clip_polygon(W, H)) == 1
 

@@ -19,9 +19,10 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+from .jsonin import dump_json
 from .lifespan import DEFAULT_MIN_LIFESPAN_S, DEFAULT_MIN_VISIBILITY
 from .pipeline import DEFAULT_ANALYSIS_FPS, AnalysisParams, RunBoxes, analyze_boxes, run_boxes
-from .reporting import dump_json, load_report, render_gantt, write_report
+from .reporting import load_report, render_gantt, write_report
 from .scenes import benchmark_scenes
 from .scheduler import (
     DEFAULT_MIN_GAP_MS,

@@ -6,17 +6,14 @@ files, which makes reports diffable and cacheable.
 
 from __future__ import annotations
 
-import json
-import math
-import sys
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .geometry import Rect
+from .jsonin import dump_json, integer, load_json, numbers
 from .lifespan import TestOpportunity, opportunity_sort_key
 from .metrics import VideoMetrics
-from .trace import json_numbers
 
 # lane colors, cycled by lane index
 PALETTE = (
@@ -157,28 +154,6 @@ def opportunities_to_dict(
     return out
 
 
-def dump_json(obj: Any, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def load_json(path: str | Path) -> Any:
-    """Read a JSON file; bad text or syntax is a ValueError that names the file."""
-    path = Path(path)
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path.name}: not UTF-8 text: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path.name}: invalid JSON: {exc.msg}") from None
-    except RecursionError:  # the decoder recurses once per level of nesting
-        raise ValueError(f"{path.name}: invalid JSON: nested too deeply") from None
-    except ValueError:  # int() refuses a literal longer than its digit limit
-        raise ValueError(f"{path.name}: invalid JSON: integer of more than "
-                         f"{sys.get_int_max_str_digits()} digits") from None
-
-
 def write_report(
     opportunities: Sequence[TestOpportunity],
     params: Mapping[str, Any],
@@ -197,15 +172,9 @@ def load_report(path: str | Path) -> tuple[list[TestOpportunity], dict]:
     opps = []
     try:
         for i, od in enumerate(d["opportunities"]):
-            box, start_ms, end_ms = od["box"], od["start_ms"], od["end_ms"]
-            if not isinstance(box, list) or len(box) != 4 or not json_numbers(box):
-                raise ValueError(f"opportunity {i}: box must be a list of 4 numbers, got {box!r}")
-            for name, v in (("start_ms", start_ms), ("end_ms", end_ms)):
-                if type(v) is not int:
-                    raise ValueError(f"opportunity {i}: {name} must be a JSON integer, got {v!r}")
-            box = [float(v) for v in box]
-            if not all(map(math.isfinite, box)):
-                raise ValueError(f"opportunity {i}: box coordinates must be finite, got {box}")
+            box = numbers(od["box"], 4, f"opportunity {i}: box").tolist()
+            start_ms = integer(od["start_ms"], f"opportunity {i}: start_ms")
+            end_ms = integer(od["end_ms"], f"opportunity {i}: end_ms")
             if start_ms > end_ms:
                 raise ValueError(f"opportunity {i}: start_ms {start_ms} is after end_ms {end_ms}")
             if not isinstance(od["id"], str):
@@ -214,6 +183,6 @@ def load_report(path: str | Path) -> tuple[list[TestOpportunity], dict]:
         params = d["params"]
         if not isinstance(params, dict):
             raise ValueError(f"params must be an object, got {params!r}")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed report: {exc}") from None
     return opps, params

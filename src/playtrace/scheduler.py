@@ -17,16 +17,14 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .geometry import Rect
 from .lifespan import TestOpportunity, opportunity_sort_key
-from .reporting import dump_json, load_json
-from .trace import MAX_T_MS, json_numbers
+from .jsonin import dump_json, finite, integer, load_json
 
 
 class GestureKind(str, Enum):
@@ -298,28 +296,15 @@ def schedule_to_dict(schedule: EventSchedule) -> dict:
     }
 
 
-def _integer(v: Any, what: str) -> int:
-    if type(v) is not int or abs(v) > MAX_T_MS:
-        raise ValueError(f"{what} must be a JSON integer of at most {MAX_T_MS} in size, got {v!r}")
-    return v
-
-
-def _finite(v: Any, what: str) -> float:
-    # compared exactly, so NaN and an integer too large for a float both fail
-    if not (json_numbers([v]) and abs(v) <= sys.float_info.max):
-        raise ValueError(f"{what} must be a finite JSON number, got {v!r}")
-    return float(v)
-
-
 def _event_from_dict(ed: dict) -> GestureEvent:
     t = ed["t"]
     if not isinstance(t, list) or len(t) != 2:
         raise ValueError(f"t must be [t_start, t_end], got {t!r}")
-    t_start, t_end = _integer(t[0], "t_start"), _integer(t[1], "t_end")
+    t_start, t_end = integer(t[0], "t_start"), integer(t[1], "t_end")
     if t_start > t_end:
         raise ValueError(f"t_start {t_start} is after t_end {t_end}")
     tracks = tuple(
-        tuple((_integer(pt, "track time"), _finite(x, "track x"), _finite(y, "track y"))
+        tuple((integer(pt, "track time"), finite(x, "track x"), finite(y, "track y"))
               for pt, x, y in track)
         for track in ed["tracks"]
     )
@@ -350,13 +335,13 @@ def schedule_from_dict(d: dict) -> EventSchedule:
             raise ValueError(f"mix must be an object, got {mix!r}")
         if not isinstance(generator, str):
             raise ValueError(f"generator must be a string, got {generator!r}")
-        mix = {GestureKind(k): _finite(v, f"mix weight {k}") for k, v in mix.items()}
-        seed = _integer(d["seed"], "seed")
+        mix = {GestureKind(k): finite(v, f"mix weight {k}") for k, v in mix.items()}
+        seed = integer(d["seed"], "seed")
         events = []
         for i, ed in enumerate(d["events"]):
             where = f"event {i}: "
             events.append(_event_from_dict(ed))
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ValueError(f"malformed schedule: {where}{exc}") from None
     return EventSchedule(generator, seed, mix, tuple(events))
 

@@ -19,18 +19,9 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from .geometry import PARALLEL_EPS, EdgeLoops, dot_rows, odd_crossings
-from .reporting import dump_json, load_json
+from .jsonin import MAX_INT, UNIT_EPS, dump_json, finite, integer, load_json, numbers, unit
 from .scheduler import EventSchedule, GestureEvent, GestureKind
-from .trace import (
-    MAX_SCREEN_PX,
-    MAX_T_MS,
-    UNIT_EPS,
-    FrameRecord,
-    PlaybackTrace,
-    TrackableSnapshot,
-    TrackingState,
-    json_numbers,
-)
+from .trace import MAX_SCREEN_PX, FrameRecord, PlaybackTrace, TrackableSnapshot, TrackingState
 
 _HIT_EPS_M = 1e-9         # slack when testing a hit point against surface bounds
 MIN_PATH_SAMPLES = 10     # gesture paths are checked at no fewer points than this
@@ -113,61 +104,28 @@ class SimScene:
     default_jitter: Jitter = field(default_factory=Jitter)
 
 
-def _unit(v: np.ndarray, what: str) -> np.ndarray:
-    n = float(np.linalg.norm(v))
-    if abs(n - 1.0) > UNIT_EPS:
-        raise SceneError(f"{what} must be unit length, |v|={n:.8f}")
-    return v
-
-
-def _finite(values: Any, what: str) -> None:
-    if not np.isfinite(np.asarray(values, dtype=float)).all():
-        raise SceneError(f"{what} must be finite numbers")
-
-
-def _number(value: Any, what: str) -> float:
-    """A JSON number (int or float, not bool) as a float; anything else names what."""
-    if json_numbers([value]):
-        try:
-            return float(value)
-        except OverflowError:
-            raise SceneError(f"{what} is too large for a float") from None
-    raise SceneError(f"{what} must be a JSON number, got {value!r}")
-
-
-def _integer(value: Any, what: str) -> int:
-    """A JSON integer (not bool or float); anything else names what."""
-    if type(value) is not int:
-        raise SceneError(f"{what} must be a JSON integer, got {value!r}")
-    return value
-
-
-def _intervals(values: Any, what: str) -> tuple[tuple[int, int], ...]:
-    """A JSON list of [start, end] integer pairs; anything else names what."""
-    if not isinstance(values, list):
-        raise SceneError(f"{what} must be a list of [start, end] pairs, got {values!r}")
-    for iv in values:
-        if not isinstance(iv, list) or len(iv) != 2:
-            raise SceneError(f"{what}: expected [start, end] pairs of integers, got {iv!r}")
-    return tuple((_integer(s, what), _integer(e, what)) for s, e in values)
-
-
-def _vec(values: Any, length: int, what: str) -> np.ndarray:
-    """A JSON list of exactly length numbers as a read-only float array."""
-    if not isinstance(values, list) or len(values) != length:
-        raise SceneError(f"{what}: expected {length} numbers")
-    v = np.array([_number(x, what) for x in values], dtype=float)
-    v.flags.writeable = False
-    return v
-
-
 def validate_scene(scene: SimScene) -> SimScene:
+    """scene, when its fields are consistent; a SceneError names the first fault.
+
+    scene_from_dict checks each field of a scene file as it enters; these
+    checks also hold for scenes built in code.
+    """
+    try:
+        _check_scene(scene)
+    except ValueError as exc:  # a jsonin checker's, or a SceneError
+        raise SceneError(str(exc)) from None
+    return scene
+
+
+def _check_scene(scene: SimScene) -> None:
     if not (0 < scene.screen_w <= MAX_SCREEN_PX and 0 < scene.screen_h <= MAX_SCREEN_PX):
         raise SceneError(f"screen dimensions must be positive (at most {MAX_SCREEN_PX})")
     # comparisons with NaN are false, so NaN fails these checks
     if not 0.0 < scene.fps < math.inf or scene.duration_ms <= 0:
         raise SceneError("fps and duration must be positive, and fps finite")
-    # compared as duration_ms > budget * 1000 / fps, which cannot overflow a float
+    if 1000.0 / scene.fps == math.inf:  # frame_times rounds k * 1000 / fps to an int
+        raise SceneError(f"fps {scene.fps} is too small: its frame period overflows a float")
+    # compared as duration_ms > budget * 1000 / fps, which is inf, not an error, for a tiny fps
     if scene.duration_ms > MAX_SCENE_FRAMES * 1000.0 / scene.fps:
         raise SceneError(
             f"fps {scene.fps} and duration_ms {scene.duration_ms} make more than "
@@ -177,6 +135,11 @@ def validate_scene(scene: SimScene) -> SimScene:
         raise SceneError("fov_y_deg must be in (0, 180)")
     if not (0.0 < scene.near_m < scene.far_m < math.inf):
         raise SceneError("need 0 < near < far < inf")
+    # perspective_matrix divides by the tangent of half the fov, which is 0 for a tiny fov
+    if math.tan(math.radians(scene.fov_y_deg) / 2.0) == 0.0 or not np.isfinite(perspective_matrix(
+            scene.fov_y_deg, scene.screen_w / scene.screen_h, scene.near_m, scene.far_m)).all():
+        raise SceneError(f"fov_y_deg {scene.fov_y_deg}, near_m {scene.near_m} and far_m "
+                         f"{scene.far_m} make a projection matrix past the float range")
     if not scene.camera_path:
         raise SceneError("camera path needs at least one keyframe")
     times = [k.t_ms for k in scene.camera_path]
@@ -186,21 +149,23 @@ def validate_scene(scene: SimScene) -> SimScene:
         raise SceneError("camera keyframe times must lie within the scene duration")
     for i, k in enumerate(scene.camera_path):
         for name, v in (("pos", k.position), ("look_at", k.look_at), ("up", k.up)):
-            _finite(v, f"camera_path[{i}] {name}")
+            for x in np.ravel(v).tolist():
+                finite(x, f"camera_path[{i}] {name}")
     seen: set[str] = set()
     for p in scene.planes:
         if p.plane_id in seen:
             raise SceneError(f"duplicate plane id '{p.plane_id}'")
         seen.add(p.plane_id)
+        where = f"plane '{p.plane_id}'"
         for name, v in (
             ("center", p.center), ("normal", p.normal), ("axis_u", p.axis_u),
             ("axis_v", p.axis_v), ("extents", (p.extent_u, p.extent_v)),
             ("verts", p.local_vertices or ()),
         ):
-            _finite(v, f"plane '{p.plane_id}' {name}")
-        _unit(p.normal, f"plane '{p.plane_id}' normal")
-        _unit(p.axis_u, f"plane '{p.plane_id}' axis_u")
-        _unit(p.axis_v, f"plane '{p.plane_id}' axis_v")
+            for x in np.ravel(v).tolist():
+                finite(x, f"{where} {name}")
+        for name in ("normal", "axis_u", "axis_v"):
+            unit(getattr(p, name), f"{where} {name}")
         for a, b, names in (
             (p.axis_u, p.normal, "axis_u/normal"),
             (p.axis_v, p.normal, "axis_v/normal"),
@@ -211,14 +176,10 @@ def validate_scene(scene: SimScene) -> SimScene:
         if p.extent_u <= 0 or p.extent_v <= 0:
             raise SceneError(f"plane '{p.plane_id}': extents must be positive")
         # times are compared with float arrays, so they must fit a float exactly
-        if abs(p.detect_delay_ms) > MAX_T_MS:
-            raise SceneError(
-                f"plane '{p.plane_id}': detect_delay_ms must be at most 2**53 in magnitude"
-            )
+        integer(p.detect_delay_ms, f"{where} detect_delay_ms")
         for s, e in p.lost_intervals:
-            if not (0 <= s < e <= MAX_T_MS):
+            if not (0 <= s < e <= MAX_INT):
                 raise SceneError(f"plane '{p.plane_id}': bad lost interval [{s}, {e}]")
-    return scene
 
 
 def jitter_from_dict(jd: Any) -> Jitter:
@@ -226,8 +187,8 @@ def jitter_from_dict(jd: Any) -> Jitter:
     if not isinstance(jd, dict):
         raise SceneError(f"jitter must be an object, got {type(jd).__name__}")
     return Jitter(
-        vertex_noise_m=_number(jd.get("vertex_noise_m", 0.0), "jitter vertex_noise_m"),
-        dropout_prob=_number(jd.get("dropout_prob", 0.0), "jitter dropout_prob"),
+        vertex_noise_m=finite(jd.get("vertex_noise_m", 0.0), "jitter vertex_noise_m"),
+        dropout_prob=finite(jd.get("dropout_prob", 0.0), "jitter dropout_prob"),
     )
 
 
@@ -236,19 +197,26 @@ def _plane_from_dict(pd: dict) -> ScenePlane:
     if not isinstance(pid, str) or not pid:
         raise SceneError(f"plane id must be a non-empty string, got {pid!r}")
     where = f"plane '{pid}'"
-    extent_u, extent_v = _vec(pd["extents"], 2, f"{where} extents").tolist()
+    extent_u, extent_v = numbers(pd["extents"], 2, f"{where} extents").tolist()
+    lost = pd.get("lost_intervals", [])
+    if not (isinstance(lost, list) and all(isinstance(iv, list) and len(iv) == 2 for iv in lost)):
+        raise ValueError(f"{where} lost_intervals must be a list of [start, end] pairs, "
+                         f"got {lost!r}")
     return ScenePlane(
         plane_id=pid,
-        center=_vec(pd["center"], 3, f"{where} center"),
-        normal=_vec(pd["normal"], 3, f"{where} normal"),
-        axis_u=_vec(pd["axis_u"], 3, f"{where} axis_u"),
-        axis_v=_vec(pd["axis_v"], 3, f"{where} axis_v"),
+        center=numbers(pd["center"], 3, f"{where} center"),
+        normal=numbers(pd["normal"], 3, f"{where} normal"),
+        axis_u=numbers(pd["axis_u"], 3, f"{where} axis_u"),
+        axis_v=numbers(pd["axis_v"], 3, f"{where} axis_v"),
         extent_u=extent_u,
         extent_v=extent_v,
-        detect_delay_ms=_integer(pd.get("detect_delay_ms", 0), f"{where} detect_delay_ms"),
-        lost_intervals=_intervals(pd.get("lost_intervals", []), f"{where} lost_intervals"),
+        detect_delay_ms=integer(pd.get("detect_delay_ms", 0), f"{where} detect_delay_ms"),
+        lost_intervals=tuple(
+            (integer(s, f"{where} lost_intervals"), integer(e, f"{where} lost_intervals"))
+            for s, e in lost
+        ),
         local_vertices=(
-            tuple(tuple(_vec(xz, 2, f"{where} verts").tolist()) for xz in pd["verts"])
+            tuple(tuple(numbers(xz, 2, f"{where} verts").tolist()) for xz in pd["verts"])
             if "verts" in pd
             else None
         ),
@@ -260,10 +228,10 @@ def scene_from_dict(d: dict) -> SimScene:
         planes = tuple(_plane_from_dict(pd) for pd in d["planes"])
         path = tuple(
             CameraKeyframe(
-                t_ms=_integer(kd["t_ms"], f"camera_path[{i}] t_ms"),
-                position=_vec(kd["pos"], 3, f"camera_path[{i}] pos"),
-                look_at=_vec(kd["look_at"], 3, f"camera_path[{i}] look_at"),
-                up=_vec(kd.get("up", [0.0, 1.0, 0.0]), 3, f"camera_path[{i}] up"),
+                t_ms=integer(kd["t_ms"], f"camera_path[{i}] t_ms"),
+                position=numbers(kd["pos"], 3, f"camera_path[{i}] pos"),
+                look_at=numbers(kd["look_at"], 3, f"camera_path[{i}] look_at"),
+                up=numbers(kd.get("up", [0.0, 1.0, 0.0]), 3, f"camera_path[{i}] up"),
             )
             for i, kd in enumerate(d["camera_path"])
         )
@@ -272,13 +240,13 @@ def scene_from_dict(d: dict) -> SimScene:
             raise SceneError(f"name must be a string, got {name!r}")
         scene = SimScene(
             name=name,
-            screen_w=_integer(d["screen"][0], "screen"),
-            screen_h=_integer(d["screen"][1], "screen"),
-            fps=_number(d["fps"], "fps"),
-            duration_ms=_integer(d["duration_ms"], "duration_ms"),
-            fov_y_deg=_number(d["intrinsics"]["fov_y_deg"], "fov_y_deg"),
-            near_m=_number(d["intrinsics"]["near_m"], "near_m"),
-            far_m=_number(d["intrinsics"]["far_m"], "far_m"),
+            screen_w=integer(d["screen"][0], "screen"),
+            screen_h=integer(d["screen"][1], "screen"),
+            fps=finite(d["fps"], "fps"),
+            duration_ms=integer(d["duration_ms"], "duration_ms"),
+            fov_y_deg=finite(d["intrinsics"]["fov_y_deg"], "fov_y_deg"),
+            near_m=finite(d["intrinsics"]["near_m"], "near_m"),
+            far_m=finite(d["intrinsics"]["far_m"], "far_m"),
             camera_path=path,
             planes=planes,
             default_jitter=jitter_from_dict(d.get("jitter", {})),
@@ -361,27 +329,37 @@ def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _look_at_rows(eye: np.ndarray, target: np.ndarray, up: np.ndarray) -> np.ndarray:
     """World -> camera matrices (n, 4, 4), one per row of eye, target and up."""
-    f = target - eye
-    fn = np.sqrt(dot_rows(f, f))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        f = target - eye
+        fn = np.sqrt(dot_rows(f, f))
         f = f / fn[:, None]
         s = _cross_rows(f, up)
         sn = np.sqrt(dot_rows(s, s))
         s = s / sn[:, None]
-    bad = np.flatnonzero((fn < PARALLEL_EPS) | (sn < PARALLEL_EPS))
+        u = _cross_rows(s, f)
+        m = np.zeros((len(eye), 4, 4))
+        m[:, 0, :3] = s
+        m[:, 1, :3] = u
+        m[:, 2, :3] = -f
+        m[:, 0, 3] = -dot_rows(s, eye)
+        m[:, 1, 3] = -dot_rows(u, eye)
+        m[:, 2, 3] = dot_rows(f, eye)
+        m[:, 3, 3] = 1.0
+    # comparisons with NaN are false, so a NaN length fails these checks
+    ok = (PARALLEL_EPS <= fn) & (fn < np.inf) & (PARALLEL_EPS <= sn) & (sn < np.inf)
+    bad = np.flatnonzero(~(ok & np.isfinite(m).all(axis=(1, 2))))
     if bad.size:
-        if fn[bad[0]] < PARALLEL_EPS:
+        k = bad[0]
+        if fn[k] < PARALLEL_EPS:
             raise SceneError("camera position and look-at target coincide")
-        raise SceneError("camera up vector is parallel to the view direction")
-    u = _cross_rows(s, f)
-    m = np.zeros((len(eye), 4, 4))
-    m[:, 0, :3] = s
-    m[:, 1, :3] = u
-    m[:, 2, :3] = -f
-    m[:, 0, 3] = -dot_rows(s, eye)
-    m[:, 1, 3] = -dot_rows(u, eye)
-    m[:, 2, 3] = dot_rows(f, eye)
-    m[:, 3, 3] = 1.0
+        if not fn[k] < np.inf:
+            raise SceneError("camera distance to the look-at target overflows a float")
+        if sn[k] < PARALLEL_EPS:
+            raise SceneError("camera up vector is parallel to the view direction")
+        if not sn[k] < np.inf:
+            raise SceneError("camera up vector is too long: its cross product overflows a float")
+        raise SceneError("camera position is too far from the origin: its view matrix "
+                         "overflows a float")
     m.flags.writeable = False
     return m
 
@@ -404,7 +382,8 @@ def camera_poses(
         # at an inner keyframe's own time this is the end of the segment before it
         hi = np.searchsorted(key_t, t[inner], side="left")
         f = (t[inner] - key_t[hi - 1]) / (key_t[hi] - key_t[hi - 1])
-        rows[inner] = keys[hi - 1] + (keys[hi] - keys[hi - 1]) * f[:, None, None]
+        with np.errstate(over="ignore"):  # past the float range: _look_at_rows rejects that camera
+            rows[inner] = keys[hi - 1] + (keys[hi] - keys[hi - 1]) * f[:, None, None]
     eyes = rows[:, 0].copy()
     eyes.flags.writeable = False
     return eyes, _look_at_rows(eyes, rows[:, 1], rows[:, 2])
@@ -544,39 +523,40 @@ def _cast(
     proj = perspective_matrix(scene.fov_y_deg, aspect, scene.near_m, scene.far_m)
     inv_t = np.linalg.inv(proj @ views)[inverse].transpose(0, 2, 1)
     eye = eyes[inverse][:, None, :]
-    x_ndc = 2.0 * points[..., 0] / scene.screen_w - 1.0
-    y_ndc = 1.0 - 2.0 * points[..., 1] / scene.screen_h
-    clip = np.stack([x_ndc, y_ndc, np.ones_like(x_ndc), np.ones_like(x_ndc)], axis=-1)
-    world = clip @ inv_t
-    world = world[..., :3] / world[..., 3:4]
-    dirs = world - eye
-    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    best_t = np.full(x_ndc.shape, np.inf)
-    best = np.full(x_ndc.shape, -1)
-    over_any = np.zeros(x_ndc.shape, dtype=bool)
-    for i, plane in enumerate(scene.planes):
-        denom = dirs @ plane.normal
-        to_plane = dot_rows(np.broadcast_to(plane.normal, eyes.shape), plane.center - eyes)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # A ray along a plane meets it at inf or NaN, and a touch far off screen can carry
+    # its ray past the float range; comparisons with NaN are false, so neither hits.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x_ndc = 2.0 * points[..., 0] / scene.screen_w - 1.0
+        y_ndc = 1.0 - 2.0 * points[..., 1] / scene.screen_h
+        clip = np.stack([x_ndc, y_ndc, np.ones_like(x_ndc), np.ones_like(x_ndc)], axis=-1)
+        world = clip @ inv_t
+        world = world[..., :3] / world[..., 3:4]
+        dirs = world - eye
+        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+        best_t = np.full(x_ndc.shape, np.inf)
+        best = np.full(x_ndc.shape, -1)
+        over_any = np.zeros(x_ndc.shape, dtype=bool)
+        for i, plane in enumerate(scene.planes):
+            denom = dirs @ plane.normal
+            to_plane = dot_rows(np.broadcast_to(plane.normal, eyes.shape), plane.center - eyes)
             t_ray = to_plane[inverse][:, None] / denom
-        valid = (np.abs(denom) > PARALLEL_EPS) & (t_ray > PARALLEL_EPS)
-        if not np.any(valid):
-            continue
-        rel = eye + dirs * t_ray[..., None] - plane.center
-        a = rel @ plane.axis_u
-        b = rel @ plane.axis_v
-        if plane.local_vertices is None:
-            inside = (np.abs(a) <= plane.extent_u + _HIT_EPS_M) & (
-                np.abs(b) <= plane.extent_v + _HIT_EPS_M
-            )
-        else:
-            loops = EdgeLoops.of([plane.local_vertices])
-            with np.errstate(invalid="ignore"):  # a ray along the plane meets it at inf or NaN
+            valid = (np.abs(denom) > PARALLEL_EPS) & (t_ray > PARALLEL_EPS)
+            if not np.any(valid):
+                continue
+            rel = eye + dirs * t_ray[..., None] - plane.center
+            a = rel @ plane.axis_u
+            b = rel @ plane.axis_v
+            if plane.local_vertices is None:
+                inside = (np.abs(a) <= plane.extent_u + _HIT_EPS_M) & (
+                    np.abs(b) <= plane.extent_v + _HIT_EPS_M
+                )
+            else:
+                loops = EdgeLoops.of([plane.local_vertices])
                 inside = odd_crossings(loops, a[..., None], b[..., None])
-        over_any |= valid & inside
-        hit = valid & inside & plane_detected(plane, times)[:, None] & (t_ray < best_t)
-        best_t[hit] = t_ray[hit]
-        best[hit] = i
+            over_any |= valid & inside
+            hit = valid & inside & plane_detected(plane, times)[:, None] & (t_ray < best_t)
+            best_t[hit] = t_ray[hit]
+            best[hit] = i
     return best, over_any
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -21,6 +20,9 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, NoReturn, Text
 import numpy as np
 
 from .geometry import simple_polygons
+from .jsonin import (
+    DECODE_ERRORS, UNIT_EPS, decode_error, finite, finite_floats, integer, numbers, unit,
+)
 
 TRACE_FORMAT = "tariplay-trace"
 TRACE_VERSION = 1
@@ -82,33 +84,10 @@ class PlaybackTrace:
 
 
 _TRACKING_STATES = {s.value: s for s in TrackingState}   # TrackingState(v), without the Enum call
-_NUMBER_TYPES = {float, int}
 MAX_SCREEN_PX = 2**31 - 1
-MAX_T_MS = 2**53     # larger integers do not survive the float arithmetic of sampling
-UNIT_EPS = 1e-6      # tolerance of unit-length and orthogonality checks on direction vectors
 # Frame lines iter_frames checks in one numpy pass.  Each block's frames share
 # one number array, so this bounds the lines read ahead of the consumer.
 INGEST_BLOCK_LINES = 64
-
-
-def json_numbers(values: list) -> bool:
-    """True when every entry is an int or a float; a C-speed type check that rejects bool."""
-    return set(map(type, values)) <= _NUMBER_TYPES
-
-
-def _finite_floats(values: list) -> np.ndarray | None:
-    """values as a float array, or None unless every entry is a finite int or float.
-
-    bool, str, None and nested lists fail json_numbers; an integer literal
-    too large for a float fails the conversion.  Ints convert as float(v) does.
-    """
-    if not json_numbers(values):
-        return None
-    try:
-        arr = np.array(values, dtype=float)
-    except OverflowError:
-        return None
-    return arr if np.isfinite(arr).all() else None
 
 
 def mat4_to_list(m: Mat4) -> list[float]:
@@ -158,19 +137,14 @@ class _FrameHead(NamedTuple):
 
 def _frame_head(d: dict, where: str) -> _FrameHead:
     """The structural checks of a frame: fields, types, t_ms, screen, ids and states."""
-    t_ms = _require(d, "t_ms", where)
-    if isinstance(t_ms, bool) or not isinstance(t_ms, int) or abs(t_ms) > MAX_T_MS:
-        raise TraceValidationError(f"{where}: t_ms must be an integer (at most 2**53 in magnitude)")
-    screen = _require(d, "screen", where)
-    if (
-        not isinstance(screen, list)
-        or len(screen) != 2
-        or any(isinstance(v, bool) or not isinstance(v, int) or not 0 < v <= MAX_SCREEN_PX
-               for v in screen)
-    ):
-        raise TraceValidationError(
-            f"{where}: screen must be two positive integers (at most {MAX_SCREEN_PX})"
-        )
+    try:
+        t_ms = integer(_require(d, "t_ms", where), "t_ms")
+        screen = _require(d, "screen", where)
+        if not (isinstance(screen, list) and len(screen) == 2
+                and all(0 < integer(v, "screen") <= MAX_SCREEN_PX for v in screen)):
+            raise ValueError(f"screen must be two positive integers (at most {MAX_SCREEN_PX})")
+    except ValueError as exc:
+        raise TraceValidationError(f"{where}: {exc}") from None
     raw_trackables = _require(d, "trackables", where)
     if not isinstance(raw_trackables, list):
         raise TraceParseError(f"{where}: trackables must be a list")
@@ -191,12 +165,6 @@ def _vertices(arr: np.ndarray, o: int, n: int) -> tuple[tuple[float, float], ...
     return tuple(zip(xz[0::2], xz[1::2]))
 
 
-def _unit_length_error(normal: np.ndarray) -> str | None:
-    """Why normal is not of unit length within UNIT_EPS, or None when it is."""
-    norm_len = math.sqrt(normal.dot(normal))  # np.linalg.norm's sum, without its overhead
-    return None if abs(norm_len - 1.0) <= UNIT_EPS else f"unit length, got |n|={norm_len:.8f}"
-
-
 def _frame_fault(where: str, d: dict) -> NoReturn:
     """Raise the first fault of a frame line that _block_frames rejects on its own.
 
@@ -210,17 +178,15 @@ def _frame_fault(where: str, d: dict) -> NoReturn:
         fields += [(xz, 2, f"{tw} vertex {i}") for i, xz in enumerate(td["verts"])]
         fields += [(td[key], count, f"{tw} {key}") for key, count in _TRACKABLE_NUMBERS]
     fields += [(d[key], count, f"{where} {key}") for key, count in _CAMERA_NUMBERS]
-    for value, count, what in fields:
-        if not isinstance(value, list) or len(value) != count:
-            raise TraceValidationError(f"{what}: expected a list of {count} numbers")
-        if _finite_floats(value) is None:
-            raise TraceValidationError(f"{what}: all entries must be finite numbers")
-    for td, (_, tw, _, _) in zip(head.raw_trackables, head.tracks):
-        if not simple_polygons([td["verts"]])[0]:
-            raise TraceValidationError(f"{tw}: polygon must be simple (no self-intersection)")
-        problem = _unit_length_error(np.array(td["normal"], dtype=float))
-        if problem is not None:
-            raise TraceValidationError(f"{tw}: normal must be {problem}")
+    try:
+        for value, count, what in fields:
+            numbers(value, count, what)
+        for td, (_, tw, _, _) in zip(head.raw_trackables, head.tracks):
+            if not simple_polygons([td["verts"]])[0]:
+                raise ValueError(f"{tw}: polygon must be simple (no self-intersection)")
+            unit(np.array(td["normal"], dtype=float), f"{tw}: normal")
+    except ValueError as exc:
+        raise TraceValidationError(str(exc)) from None
     raise AssertionError(f"{where}: a frame failed its checks but none of its fields did")
 
 
@@ -260,7 +226,7 @@ def _block_frames(
     each, and the lines share the one read-only array, each line's numbers
     from its offset on, the last line's up to the array's end.  A normal is
     passed here only when it is clearly of unit length; one near the
-    tolerance goes to _unit_length_error.  This is the one parser of a
+    tolerance goes to jsonin.unit.  This is the one parser of a
     line: a one-line block checks one line, and _frame_record builds the
     frame of a (head, numbers, offset).
     """
@@ -292,7 +258,7 @@ def _block_frames(
     if set(map(type, fields)) != {list} or list(map(len, fields)) != counts:
         return None
     flat = list(chain.from_iterable(fields))
-    arr = _finite_floats(flat)
+    arr = finite_floats(flat)
     if arr is None:
         return None
     arr.flags.writeable = False
@@ -304,9 +270,11 @@ def _block_frames(
         with np.errstate(over="ignore"):
             length = np.sqrt(normals[:, 0] * normals[:, 0] + normals[:, 1] * normals[:, 1]
                              + normals[:, 2] * normals[:, 2])
-        for k in np.flatnonzero(~(np.abs(length - 1.0) <= UNIT_EPS / 2)).tolist():
-            if _unit_length_error(normals[k]) is not None:
-                return None
+        try:
+            for k in np.flatnonzero(~(np.abs(length - 1.0) <= UNIT_EPS / 2)).tolist():
+                unit(normals[k], "normal")
+        except ValueError:
+            return None
     return [(head, arr, o) for head, o in heads]
 
 
@@ -358,13 +326,8 @@ def _trace_objects(fh: TextIO, name: str) -> Iterator[tuple[str, dict]]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceParseError(f"{where}: invalid JSON: {exc.msg}") from None
-        except RecursionError:  # the decoder recurses once per level of nesting
-            raise TraceParseError(f"{where}: invalid JSON: nested too deeply") from None
-        except ValueError:  # int() refuses a literal longer than its digit limit
-            raise TraceParseError(f"{where}: invalid JSON: integer of more than "
-                                  f"{sys.get_int_max_str_digits()} digits") from None
+        except DECODE_ERRORS as exc:
+            raise TraceParseError(decode_error(exc, where)) from None
         if not isinstance(obj, dict):
             raise TraceParseError(f"{where}: expected a JSON object")
         yield where, obj
@@ -382,13 +345,16 @@ def _header(objects: Iterator[tuple[str, dict]], name: str) -> tuple[float, dict
         )
     if obj.get("version") != TRACE_VERSION:
         raise TraceValidationError(f"{where}: unsupported version {obj.get('version')!r}")
-    fps = obj.get("fps")
-    if not (json_numbers([fps]) and 0 < fps <= sys.float_info.max):
-        raise TraceValidationError(f"{where}: fps must be a positive number")
+    try:
+        fps = finite(obj.get("fps"), "fps")
+        if not fps > 0:
+            raise ValueError(f"fps must be a positive number, got {fps}")
+    except ValueError as exc:
+        raise TraceValidationError(f"{where}: {exc}") from None
     meta = obj.get("meta", {})
     if not isinstance(meta, dict):
         raise TraceValidationError(f"{name}: header meta must be an object")
-    return float(fps), meta
+    return fps, meta
 
 
 def read_header(path: str | Path) -> tuple[float, dict]:

@@ -81,14 +81,15 @@ def _project(
     v[track_of, column, 0, 0], v[track_of, column, 2, 0] = np.array(
         [xz for t in tracks for xz in t.local_vertices], dtype=float).reshape(-1, 2).T
     v[:, :, 3, 0] = 1.0
-    clip = _stacked_matmul([t.pose for t in tracks], v)
-    clip = _stacked_matmul([frames[i].view for i in owner], clip)
-    clip = _stacked_matmul([frames[i].projection for i in owner], clip)[track_of, column, :, 0]
     frame_of = np.array(owner)[track_of]
     screen_w = np.array([f.screen_w for f in frames], dtype=float)[frame_of]
     screen_h = np.array([f.screen_h for f in frames], dtype=float)[frame_of]
-    w = clip[:, 3]
+    # finite numbers can overflow to pixels that are inf or NaN, which block_pieces rejects
     with np.errstate(all="ignore"):
+        clip = _stacked_matmul([t.pose for t in tracks], v)
+        clip = _stacked_matmul([frames[i].view for i in owner], clip)
+        clip = _stacked_matmul([frames[i].projection for i in owner], clip)[track_of, column, :, 0]
+        w = clip[:, 3]
         x = (clip[:, 0] / w + 1.0) / 2.0 * screen_w
         y = (1.0 - (clip[:, 1] / w + 1.0) / 2.0) * screen_h
     return x, y, w <= BEHIND_W_EPS
@@ -140,11 +141,13 @@ def block_pieces(frames: Sequence[FrameRecord], screen: ClipLoop) -> list[list[S
     fault = np.flatnonzero(~np.append(behind, True)[first_bad])
     fault_frame = owner[fault[0]] if fault.size else len(frames)
 
-    # distance to the camera and the facing sign, with the dot products of np.linalg.norm and np.dot
-    to_cam = (np.array([frames[i].camera_position for i in owner], dtype=float)
-              - np.array([t.center_world for t in tracks], dtype=float))
-    dist = np.sqrt(dot_rows(to_cam, to_cam))
-    facing = dot_rows(np.array([t.normal_world for t in tracks], dtype=float), to_cam) > 0.0
+    # distance to the camera and the facing sign, with the dot products of np.linalg.norm and
+    # np.dot; a center too far from the camera for a float is at distance inf, the farthest
+    with np.errstate(over="ignore", invalid="ignore"):
+        to_cam = (np.array([frames[i].camera_position for i in owner], dtype=float)
+                  - np.array([t.center_world for t in tracks], dtype=float))
+        dist = np.sqrt(dot_rows(to_cam, to_cam))
+        facing = dot_rows(np.array([t.normal_world for t in tracks], dtype=float), to_cam) > 0.0
 
     # on screen: sign * _cross(a, b, p) >= 0 for every screen edge a -> b, as in _clip_one_edge
     sign, edges = screen

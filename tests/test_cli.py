@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 import signal
 import sys
@@ -233,7 +234,8 @@ def test_analyze_runs_still_rejects_a_bad_last_frame(tmp_path, trace_path, capsy
     out = tmp_path / "x"
     rc = main(["analyze", str(trace_path), "--runs", "3", "--out", str(out)])
     err = _assert_input_error(rc, capsys)
-    assert err.startswith(f"error: run.jsonl:{len(lines)} cam_pos: ")
+    assert err.startswith(f"error: run.jsonl:{len(lines)} cam_pos must be a list of 3 finite numbers, "
+                          "got [True, ")
     assert not out.exists()
 
 
@@ -247,7 +249,8 @@ def test_analyze_runs_rejects_a_bad_frame_as_load_trace_does(tmp_path, trace_pat
         load_trace(trace_path)
     rc = main(["analyze", str(trace_path), "--runs", "2", "--out", str(tmp_path / "x")])
     assert _assert_input_error(rc, capsys) == f"error: {exc.value}\n"
-    assert str(exc.value).startswith(f"run.jsonl:{k + 1} view: ")
+    assert str(exc.value).startswith(f"run.jsonl:{k + 1} view must be a list of 16 finite numbers, "
+                                     "got [None, ")
 
 
 @pytest.mark.parametrize("runs", [1, 2])
@@ -353,7 +356,9 @@ def test_scene_jitter_out_of_range(tmp_path, capsys, command, field, value):
         "compare": ["--runs", "1"],
     }[command]
     rc = main([command, str(scene_path), *args])
-    assert _assert_input_error(rc, capsys).startswith(f"error: jitter {field} ")
+    # a value out of range is the jitter's fault; one that is not a finite number, the file's
+    prefix = "" if math.isfinite(value) else "malformed scene: "
+    assert _assert_input_error(rc, capsys).startswith(f"error: {prefix}jitter {field} must be ")
 
 
 def test_analyze_rejects_trace_jitter_out_of_range(tmp_path, capsys):
@@ -515,13 +520,14 @@ def _shift_track_times(dt):
     "edit, message",
     [
         (lambda ev: ev.update(t=[100, 50]), "t_start 100 is after t_end 50"),
-        (lambda ev: ev.update(t=["0", "50"]), "t_start must be a JSON integer"),
-        (lambda ev: ev.update(t=[True, 50]), "t_start must be a JSON integer"),
-        (lambda ev: ev.update(t=[0, 50.7]), "t_end must be a JSON integer"),
-        (lambda ev: ev["tracks"][0][0].__setitem__(0, 10**400), "track time must be a JSON integer"),
-        (_set_track_x(10**400), "track x must be a finite JSON number"),
-        (_set_track_x(float("nan")), "track x must be a finite JSON number, got nan"),
-        (_set_track_x(float("inf")), "track x must be a finite JSON number, got inf"),
+        (lambda ev: ev.update(t=["0", "50"]), "t_start must be an integer of at most 2**53"),
+        (lambda ev: ev.update(t=[True, 50]), "t_start must be an integer of at most 2**53"),
+        (lambda ev: ev.update(t=[0, 50.7]), "t_end must be an integer of at most 2**53"),
+        (lambda ev: ev["tracks"][0][0].__setitem__(0, 10**400),
+         "track time must be an integer of at most 2**53"),
+        (_set_track_x(10**400), "track x must be a finite number, got 1000"),
+        (_set_track_x(float("nan")), "track x must be a finite number, got nan"),
+        (_set_track_x(float("inf")), "track x must be a finite number, got inf"),
         (lambda ev: ev.update(tracks=[]), "tracks must be a non-empty list of non-empty tracks"),
         (lambda ev: ev.update(tracks=[[]]), "tracks must be a non-empty list of non-empty tracks"),
         (lambda ev: ev["tracks"][0].reverse(), "track times must not decrease (700 then 600)"),
@@ -552,11 +558,11 @@ def test_simulate_rejects_malformed_schedule(tmp_path, capsys, edit, message):
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("seed", "7", "seed must be a JSON integer of at most 9007199254740992 in size, got '7'"),
-        ("seed", 7.9, "seed must be a JSON integer of at most 9007199254740992 in size, got 7.9"),
-        ("seed", True, "seed must be a JSON integer of at most 9007199254740992 in size, got True"),
-        ("seed", 10**400, "seed must be a JSON integer of at most 9007199254740992 in size, got 1000"),
-        ("mix", {"TAP": "nan"}, "mix weight TAP must be a finite JSON number, got 'nan'"),
+        ("seed", "7", "seed must be an integer of at most 2**53 in magnitude, got '7'"),
+        ("seed", 7.9, "seed must be an integer of at most 2**53 in magnitude, got 7.9"),
+        ("seed", True, "seed must be an integer of at most 2**53 in magnitude, got True"),
+        ("seed", 10**400, "seed must be an integer of at most 2**53 in magnitude, got 1000"),
+        ("mix", {"TAP": "nan"}, "mix weight TAP must be a finite number, got 'nan'"),
         ("mix", [["TAP", 1.0]], "mix must be an object, got [['TAP', 1.0]]"),
         ("generator", ["RANDOM"], "generator must be a string, got ['RANDOM']"),
     ],
@@ -666,16 +672,24 @@ def test_scenes_writes_pack(tmp_path, capsys):
 @pytest.mark.parametrize(
     "path, value, message",
     [
-        (("camera_path", 0, "pos", 0), float("nan"), "camera_path[0] pos must be finite numbers"),
-        (("camera_path", 0, "look_at", 2), float("inf"), "camera_path[0] look_at must be finite numbers"),
-        (("camera_path", 0, "up", 1), float("nan"), "camera_path[0] up must be finite numbers"),
-        (("planes", 0, "center", 0), float("inf"), "plane 'table' center must be finite numbers"),
-        (("planes", 0, "normal", 1), float("nan"), "plane 'table' normal must be finite numbers"),
-        (("planes", 0, "axis_u", 0), float("nan"), "plane 'table' axis_u must be finite numbers"),
-        (("planes", 0, "axis_v", 2), float("-inf"), "plane 'table' axis_v must be finite numbers"),
-        (("planes", 0, "extents", 1), float("nan"), "plane 'table' extents must be finite numbers"),
-        (("fps",), float("nan"), "fps and duration must be positive, and fps finite"),
-        (("intrinsics", "far_m"), float("inf"), "need 0 < near < far < inf"),
+        (("camera_path", 0, "pos", 0), float("nan"),
+         "camera_path[0] pos must be a list of 3 finite numbers, got [nan, 2.0, 0.0]"),
+        (("camera_path", 0, "look_at", 2), float("inf"),
+         "camera_path[0] look_at must be a list of 3 finite numbers, got [0.0, 0.0, inf]"),
+        (("camera_path", 0, "up", 1), float("nan"),
+         "camera_path[0] up must be a list of 3 finite numbers, got [0.0, nan, -1.0]"),
+        (("planes", 0, "center", 0), float("inf"),
+         "plane 'table' center must be a list of 3 finite numbers, got [inf, 0.0, 0.0]"),
+        (("planes", 0, "normal", 1), float("nan"),
+         "plane 'table' normal must be a list of 3 finite numbers, got [0.0, nan, 0.0]"),
+        (("planes", 0, "axis_u", 0), float("nan"),
+         "plane 'table' axis_u must be a list of 3 finite numbers, got [nan, 0.0, 0.0]"),
+        (("planes", 0, "axis_v", 2), float("-inf"),
+         "plane 'table' axis_v must be a list of 3 finite numbers, got [0.0, 0.0, -inf]"),
+        (("planes", 0, "extents", 1), float("nan"),
+         "plane 'table' extents must be a list of 2 finite numbers, got [0.6, nan]"),
+        (("fps",), float("nan"), "fps must be a finite number, got nan"),
+        (("intrinsics", "far_m"), float("inf"), "far_m must be a finite number, got inf"),
     ],
     ids=["pos-nan", "look_at-inf", "up-nan", "center-inf", "normal-nan", "axis_u-nan",
          "axis_v-inf", "extent-nan", "fps-nan", "far-inf"],
@@ -683,7 +697,7 @@ def test_scenes_writes_pack(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_scene_non_finite_number(tmp_path, capsys, command, path, value, message):
     rc = _run_edited_scene(tmp_path, command, path, value)
-    assert _assert_input_error(rc, capsys) == f"error: {message}\n"
+    assert _assert_input_error(rc, capsys) == f"error: malformed scene: {message}\n"
 
 
 def _run_edited_scene(tmp_path, command, path, value):
@@ -709,23 +723,28 @@ def _run_edited_scene(tmp_path, command, path, value):
 @pytest.mark.parametrize(
     "path, value, message",
     [
-        (("planes", 0, "extents", 0), "0.6", "plane 'table' extents must be a JSON number, got "),
-        (("planes", 0, "center", 0), True, "plane 'table' center must be a JSON number, got "),
+        (("planes", 0, "extents", 0), "0.6",
+         "plane 'table' extents must be a list of 2 finite numbers, got ['0.6', 0.5]"),
+        (("planes", 0, "center", 0), True,
+         "plane 'table' center must be a list of 3 finite numbers, got [True, 0.0, 0.0]"),
         (("planes", 0, "verts"), [[-0.5, -0.5], ["0.5", -0.5], [0.5, 0.5]],
-         "plane 'table' verts must be a JSON number, got "),
-        (("camera_path", 0, "up", 2), None, "camera_path[0] up must be a JSON number, got "),
-        (("fps",), "30", "fps must be a JSON number, got "),
-        (("fps",), 10**400, "fps is too large for a float"),
-        (("intrinsics", "near_m"), False, "near_m must be a JSON number, got "),
-        (("jitter", "dropout_prob"), "0.1", "jitter dropout_prob must be a JSON number, got "),
-        (("screen", 0), "1920", "screen must be a JSON integer, got "),
-        (("screen", 1), 1080.7, "screen must be a JSON integer, got "),
-        (("duration_ms",), 6000.0, "duration_ms must be a JSON integer, got "),
-        (("camera_path", 0, "t_ms"), "0", "camera_path[0] t_ms must be a JSON integer, got "),
+         "plane 'table' verts must be a list of 2 finite numbers, got ['0.5', -0.5]"),
+        (("camera_path", 0, "up", 2), None,
+         "camera_path[0] up must be a list of 3 finite numbers, got [0.0, 0.0, None]"),
+        (("fps",), "30", "fps must be a finite number, got '30'"),
+        (("fps",), 10**400, f"fps must be a finite number, got {10**400}"),
+        (("intrinsics", "near_m"), False, "near_m must be a finite number, got False"),
+        (("jitter", "dropout_prob"), "0.1", "jitter dropout_prob must be a finite number, got '0.1'"),
+        (("screen", 0), "1920", "screen must be an integer of at most 2**53 in magnitude, got '1920'"),
+        (("screen", 1), 1080.7, "screen must be an integer of at most 2**53 in magnitude, got 1080.7"),
+        (("duration_ms",), 6000.0,
+         "duration_ms must be an integer of at most 2**53 in magnitude, got 6000.0"),
+        (("camera_path", 0, "t_ms"), "0",
+         "camera_path[0] t_ms must be an integer of at most 2**53 in magnitude, got '0'"),
         (("planes", 0, "detect_delay_ms"), True,
-         "plane 'table' detect_delay_ms must be a JSON integer, got "),
+         "plane 'table' detect_delay_ms must be an integer of at most 2**53 in magnitude, got True"),
         (("planes", 0, "lost_intervals"), [[1000, "2000"]],
-         "plane 'table' lost_intervals must be a JSON integer, got "),
+         "plane 'table' lost_intervals must be an integer of at most 2**53 in magnitude, got '2000'"),
     ],
     ids=["extent-str", "center-bool", "verts-str", "up-null", "fps-str", "fps-huge", "near-bool",
          "dropout-str", "screen-str", "screen-float", "duration-float", "t_ms-str", "delay-bool",
@@ -734,7 +753,7 @@ def _run_edited_scene(tmp_path, command, path, value):
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_scene_numbers_must_be_json_numbers(tmp_path, capsys, command, path, value, message):
     rc = _run_edited_scene(tmp_path, command, path, value)
-    assert _assert_input_error(rc, capsys).startswith(f"error: {message}")
+    assert _assert_input_error(rc, capsys) == f"error: malformed scene: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -743,15 +762,32 @@ def test_scene_numbers_must_be_json_numbers(tmp_path, capsys, command, path, val
         (("planes", 0, "id"), [1], "plane id must be a non-empty string, got [1]"),
         (("planes", 0, "id"), "", "plane id must be a non-empty string, got ''"),
         (("name",), {"a": 1}, "name must be a string, got {'a': 1}"),
-        (("screen", 1), 10**400, "screen dimensions must be positive (at most 2147483647)"),
+        (("screen", 1), 10**400,
+         f"malformed scene: screen must be an integer of at most 2**53 in magnitude, got {10**400}"),
         (("planes", 0, "detect_delay_ms"), 10**400,
-         "plane 'table': detect_delay_ms must be at most 2**53 in magnitude"),
+         "malformed scene: plane 'table' detect_delay_ms must be an integer of at most 2**53 "
+         f"in magnitude, got {10**400}"),
         (("planes", 0, "lost_intervals"), [[0, 2**53 + 1]],
-         "plane 'table': bad lost interval [0, 9007199254740993]"),
+         "malformed scene: plane 'table' lost_intervals must be an integer of at most 2**53 "
+         "in magnitude, got 9007199254740993"),
+        # finite numbers whose products overflow a float
+        (("planes", 0, "normal"), [1e200, 0.0, 0.0],
+         "plane 'table' normal must be unit length, got |n|=inf"),
+        (("camera_path", 0, "pos"), [1e308, 1e308, 0.0],
+         "camera distance to the look-at target overflows a float"),
+        (("camera_path", 0, "up"), [0.0, 0.0, 1e200],
+         "camera up vector is too long: its cross product overflows a float"),
+        (("fps",), 5e-324, "fps 5e-324 is too small: its frame period overflows a float"),
+        (("intrinsics", "fov_y_deg"), 5e-324,
+         "fov_y_deg 5e-324, near_m 0.01 and far_m 100.0 make a projection matrix past the float range"),
+        (("intrinsics", "far_m"), 1e308,
+         "fov_y_deg 60.0, near_m 0.01 and far_m 1e+308 make a projection matrix past the float range"),
     ],
-    ids=["id-list", "id-empty", "name-object", "screen-huge", "delay-huge", "lost-huge"],
+    ids=["id-list", "id-empty", "name-object", "screen-huge", "delay-huge", "lost-huge",
+         "normal-huge", "camera-distance-huge", "camera-up-huge", "fps-tiny", "fov-tiny", "far-huge"],
 )
 @pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.filterwarnings("error")  # an overflow warning escapes as an exception
 def test_scene_rejects_malformed_names_and_huge_integers(tmp_path, capsys, command, path, value,
                                                          message):
     rc = _run_edited_scene(tmp_path, command, path, value)
@@ -761,41 +797,44 @@ def test_scene_rejects_malformed_names_and_huge_integers(tmp_path, capsys, comma
 @pytest.mark.parametrize(
     "value, message",
     [
-        ([[1000, 2000, 3000]], "plane 'table' lost_intervals: expected [start, end] pairs of integers"),
-        ([5], "plane 'table' lost_intervals: expected [start, end] pairs of integers"),
+        ([[1000, 2000, 3000]], "plane 'table' lost_intervals must be a list of [start, end] pairs"),
+        ([5], "plane 'table' lost_intervals must be a list of [start, end] pairs"),
         (5, "plane 'table' lost_intervals must be a list of [start, end] pairs"),
     ],
     ids=["triple", "bare-int", "not-a-list"],
 )
 def test_scene_lost_intervals_must_be_pairs(tmp_path, capsys, value, message):
     rc = _run_edited_scene(tmp_path, "compare", ("planes", 0, "lost_intervals"), value)
-    assert _assert_input_error(rc, capsys).startswith(f"error: {message}, got ")
+    assert _assert_input_error(rc, capsys) == f"error: malformed scene: {message}, got {value!r}\n"
 
 
 @pytest.mark.parametrize(
     "path, value, message",
     [
-        (("camera_path", 0, "pos"), [0, 2.0], "camera_path[0] pos: expected 3 numbers"),
-        (("camera_path", 0, "look_at"), [0, 0, 0, 1], "camera_path[0] look_at: expected 3 numbers"),
-        (("camera_path", 0, "up"), 1.0, "camera_path[0] up: expected 3 numbers"),
-        (("planes", 0, "center"), [0, 0], "plane 'table' center: expected 3 numbers"),
-        (("planes", 0, "normal"), [], "plane 'table' normal: expected 3 numbers"),
-        (("planes", 0, "axis_u"), [1, 0], "plane 'table' axis_u: expected 3 numbers"),
-        (("planes", 0, "axis_v"), {"z": 1}, "plane 'table' axis_v: expected 3 numbers"),
-        (("planes", 0, "extents"), [0.6, 0.5, 0.1], "plane 'table' extents: expected 2 numbers"),
+        (("camera_path", 0, "pos"), [0, 2.0], "camera_path[0] pos must be a list of 3 finite numbers"),
+        (("camera_path", 0, "look_at"), [0, 0, 0, 1],
+         "camera_path[0] look_at must be a list of 3 finite numbers"),
+        (("camera_path", 0, "up"), 1.0, "camera_path[0] up must be a list of 3 finite numbers"),
+        (("planes", 0, "center"), [0, 0], "plane 'table' center must be a list of 3 finite numbers"),
+        (("planes", 0, "normal"), [], "plane 'table' normal must be a list of 3 finite numbers"),
+        (("planes", 0, "axis_u"), [1, 0], "plane 'table' axis_u must be a list of 3 finite numbers"),
+        (("planes", 0, "axis_v"), {"z": 1}, "plane 'table' axis_v must be a list of 3 finite numbers"),
+        (("planes", 0, "extents"), [0.6, 0.5, 0.1],
+         "plane 'table' extents must be a list of 2 finite numbers"),
         (("planes", 0, "verts"), [[-0.5, -0.5], [0.5], [0.5, 0.5]],
-         "plane 'table' verts: expected 2 numbers"),
+         "plane 'table' verts must be a list of 2 finite numbers"),
     ],
     ids=["pos", "look_at", "up", "center", "normal", "axis_u", "axis_v", "extents", "verts"],
 )
 def test_scene_vectors_must_have_their_length(tmp_path, capsys, path, value, message):
     rc = _run_edited_scene(tmp_path, "compare", path, value)
-    assert _assert_input_error(rc, capsys) == f"error: {message}\n"
+    bad = value[1] if path[-1] == "verts" else value
+    assert _assert_input_error(rc, capsys) == f"error: malformed scene: {message}, got {bad!r}\n"
 
 
 @pytest.mark.parametrize(
     "fps, duration_ms",
-    [(1e300, 6000), (30.0, 10**15), (1e300, 10**400)],
+    [(1e300, 6000), (30.0, 10**15), (1e300, 2**53)],
     ids=["huge-fps", "huge-duration", "both"],
 )
 def test_scene_frame_budget(tmp_path, capsys, fps, duration_ms):
@@ -823,16 +862,21 @@ def test_scene_frame_budget(tmp_path, capsys, fps, duration_ms):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        ({"box": [float("nan"), 100, 900, 700]}, "opportunity 0: box coordinates must be finite"),
-        ({"box": [100, 100, float("inf"), 700]}, "opportunity 0: box coordinates must be finite"),
+        ({"box": [float("nan"), 100, 900, 700]},
+         "opportunity 0: box must be a list of 4 finite numbers, got [nan, 100, 900, 700]"),
+        ({"box": [100, 100, float("inf"), 700]},
+         "opportunity 0: box must be a list of 4 finite numbers, got [100, 100, inf, 700]"),
         ({"start_ms": 5000, "end_ms": 4000}, "opportunity 0: start_ms 5000 is after end_ms 4000"),
-        ({"start_ms": 1500.9}, "opportunity 0: start_ms must be a JSON integer, got 1500.9"),
-        ({"end_ms": "4000"}, "opportunity 0: end_ms must be a JSON integer, got '4000'"),
-        ({"start_ms": True}, "opportunity 0: start_ms must be a JSON integer, got True"),
-        ({"box": ["100", 100, 900, 700]}, "opportunity 0: box must be a list of 4 numbers"),
-        ({"box": [100, 100, 900]}, "opportunity 0: box must be a list of 4 numbers"),
-        ({"box": [100, 100, 900, 700, 5]}, "opportunity 0: box must be a list of 4 numbers"),
-        ({"box": [100, False, 900, 700]}, "opportunity 0: box must be a list of 4 numbers"),
+        ({"start_ms": 1500.9},
+         "opportunity 0: start_ms must be an integer of at most 2**53 in magnitude, got 1500.9"),
+        ({"end_ms": "4000"},
+         "opportunity 0: end_ms must be an integer of at most 2**53 in magnitude, got '4000'"),
+        ({"start_ms": True},
+         "opportunity 0: start_ms must be an integer of at most 2**53 in magnitude, got True"),
+        ({"box": ["100", 100, 900, 700]}, "opportunity 0: box must be a list of 4 finite numbers"),
+        ({"box": [100, 100, 900]}, "opportunity 0: box must be a list of 4 finite numbers"),
+        ({"box": [100, 100, 900, 700, 5]}, "opportunity 0: box must be a list of 4 finite numbers"),
+        ({"box": [100, False, 900, 700]}, "opportunity 0: box must be a list of 4 finite numbers"),
         ({"id": [1, 2]}, "opportunity 0: id must be a string, got [1, 2]"),
     ],
     ids=["box-nan", "box-inf", "window-inverted", "start-float", "end-str", "start-bool",
@@ -867,12 +911,15 @@ HUGE_INT = "1" + "0" * 400
 @pytest.mark.parametrize(
     "field, message",
     [
-        ('"view": [', "run.jsonl:3 view: all entries must be finite numbers"),
-        ('"cam_pos": [', "run.jsonl:3 cam_pos: all entries must be finite numbers"),
-        ('"verts": [[', "run.jsonl:3 trackable 'table' vertex 0: all entries must be finite numbers"),
-        ('"screen": [', "run.jsonl:3: screen must be two positive integers"),
-        ('"t_ms": ', "run.jsonl:3: t_ms must be an integer"),
-        ('"fps": ', "run.jsonl:1: fps must be a positive number"),
+        ('"view": [', f"run.jsonl:3 view must be a list of 16 finite numbers, got [{HUGE_INT}, "),
+        ('"cam_pos": [', f"run.jsonl:3 cam_pos must be a list of 3 finite numbers, got [{HUGE_INT}, "),
+        ('"verts": [[', "run.jsonl:3 trackable 'table' vertex 0 must be a list of 2 finite numbers, "
+                        f"got [{HUGE_INT}, "),
+        ('"screen": [', f"run.jsonl:3: screen must be an integer of at most 2**53 in magnitude, "
+                        f"got {HUGE_INT}\n"),
+        ('"t_ms": ', f"run.jsonl:3: t_ms must be an integer of at most 2**53 in magnitude, "
+                     f"got {HUGE_INT}\n"),
+        ('"fps": ', f"run.jsonl:1: fps must be a finite number, got {HUGE_INT}\n"),
     ],
     ids=["view", "cam_pos", "vertex", "screen", "t_ms", "fps"],
 )
@@ -886,6 +933,17 @@ def test_analyze_rejects_huge_integer_literal(tmp_path, trace_path, capsys, fiel
     trace_path.write_text("".join(lines))
     rc = main(["analyze", str(trace_path), "--out", str(tmp_path / "x")])
     assert _assert_input_error(rc, capsys).startswith(f"error: {message}")
+
+
+@pytest.mark.filterwarnings("error")  # an overflow warning escapes as an exception
+def test_analyze_rejects_a_huge_normal_without_a_warning(tmp_path, trace_path, capsys):
+    header, frame = trace_path.read_text().splitlines()[:2]
+    frame = json.loads(frame)
+    frame["trackables"][0]["normal"] = [1e200, 0.0, 0.0]
+    trace_path.write_text(header + "\n" + json.dumps(frame) + "\n")
+    rc = main(["analyze", str(trace_path), "--out", str(tmp_path / "x")])
+    err = _assert_input_error(rc, capsys)
+    assert err == "error: run.jsonl:2 trackable 'table': normal must be unit length, got |n|=inf\n"
 
 
 def test_analyze_rejects_a_huge_polygon_without_a_traceback(tmp_path, trace_path, capsys):

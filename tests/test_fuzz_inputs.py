@@ -2,10 +2,12 @@
 
 Hypothesis takes a valid trace and mutates a few of its lines, or a valid
 scene, schedule or report file and mutates it once: a value at some path
-swapped for another type, null, NaN or an infinity, 1e308, an integer
+swapped for another type, null, NaN or an infinity, 1e308, 5e-324, an integer
 literal too large for a float, a deleted key or entry, an empty list, deep
 nesting, or `ff fe` bytes before the text.  Each example runs the CLI
-in-process: it must exit 0, 1 or 2 and let no exception escape.  At --fps 1
+in-process: it must exit 0, 1 or 2, let no exception escape, and write
+nothing to stderr but at most one line starting "error: ", so a warning
+(which the CLI would print there) fails it.  At --fps 1
 most mutated trace lines fall on frames the analysis drops, which must be
 checked all the same.
 """
@@ -17,6 +19,8 @@ import dataclasses
 import io
 import json
 import signal
+import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +36,7 @@ from playtrace.trace import save_trace
 _LONG_INT = "<integer of 4400 digits>"
 _ODD_VALUES = [
     None, True, False, 0, -1, 1.5, "x", "", [], {}, [[]], {"x": 1},
-    float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 10**400, -(10**400), _LONG_INT,
+    float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 5e-324, 10**400, -(10**400), _LONG_INT,
 ]
 _DEEP = "[" * 100_000 + "]" * 100_000  # deeper than the JSON decoder recurses
 
@@ -86,16 +90,32 @@ def _hang(signum, frame):
     raise AssertionError("the command did not finish within 5 s")
 
 
+def _to_stderr(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
 def _exit_code(argv) -> int:
-    """main(argv) with its output discarded, failing the example if it runs over 5 s."""
+    """main(argv) with stdout discarded, failing the example if it runs over 5 s.
+
+    Every warning goes to stderr, as it would from the command line, and
+    stderr must be empty or one "error: " line.
+    """
     previous = signal.signal(signal.SIGALRM, _hang)
     signal.alarm(5)
+    err = io.StringIO()
     try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            return main(argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = _to_stderr
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    text = err.getvalue()
+    assert text == "" or (text.startswith("error: ") and text.count("\n") == 1
+                          and text.endswith("\n")), text
+    return code
 
 
 @settings(max_examples=100, deadline=None)

@@ -67,3 +67,20 @@ def test_every_src_definition_is_used_in_src():
                    for name, inside in uses)
     }
     assert unused <= UNUSED_IN_SRC, sorted(unused - UNUSED_IN_SRC)
+
+
+def test_json_is_decoded_only_in_jsonin_and_the_trace_line_reader():
+    """One entry point for JSON input: jsonin, and the trace reader's one json.loads per line."""
+    decoders = []   # (module, top-level definition) of each json.load/json.loads
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                named = (
+                    isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"
+                )
+                imported = isinstance(node, ast.ImportFrom) and node.module == "json"
+                if named or imported:
+                    decoders.append((path.stem, getattr(top, "name", None)))
+    assert [d for d in decoders if d[0] != "jsonin"] == [("trace", "_trace_objects")]
+    assert ("jsonin", "load_json") in decoders

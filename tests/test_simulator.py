@@ -527,6 +527,31 @@ def test_camera_eye_on_target_rejected():
             execute_schedule(scene, _sched([_tap_event((960.0, 540.0), t=1000)]))
 
 
+_HUGE_EYE = np.array([1.5e308, 1.5e308, 0.0])
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        # keyframes whose own distances are finite interpolate past the float range
+        ((CameraKeyframe(0, np.array([1e308, 2.0, 0.0]), np.array([1e308, 0.0, 0.0]),
+                         np.array([0.0, 0.0, -1.0])),
+          CameraKeyframe(2000, np.array([-1e308, 2.0, 0.0]), np.array([-1e308, 0.0, 0.0]),
+                         np.array([0.0, 0.0, -1.0]))),
+         "camera distance to the look-at target overflows a float"),
+        # a finite view direction and right axis, but a translation s . eye past the range
+        ((CameraKeyframe(0, _HUGE_EYE, _HUGE_EYE + (0.0, 0.0, -1.0), np.array([-0.8, 0.6, 0.0])),),
+         "camera position is too far from the origin: its view matrix overflows a float"),
+    ],
+    ids=["interpolated", "translation"],
+)
+@pytest.mark.filterwarnings("error")  # an overflow warning escapes as an exception
+def test_camera_past_the_float_range_rejected(path, message):
+    with pytest.raises(SceneError) as exc:
+        generate_trace(_bad_camera_scene(path))
+    assert str(exc.value) == message
+
+
 def test_camera_up_parallel_to_view_rejected():
     down = (
         CameraKeyframe(

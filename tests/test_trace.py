@@ -135,7 +135,7 @@ def test_bad_format_and_version(tmp_path):
 @pytest.mark.parametrize("fps", [float("nan"), float("inf")], ids=["nan", "infinity"])
 def test_non_finite_fps_rejected(tmp_path, fps):
     p = _write(tmp_path, [_header(fps=fps), _frame()])
-    with pytest.raises(TraceValidationError, match="fps must be a positive number"):
+    with pytest.raises(TraceValidationError, match=f"^t\\.jsonl:1: fps must be a finite number, got {fps}$"):
         load_trace(p)
 
 
@@ -333,15 +333,14 @@ def _corrupt(field, bad, t_ms=33):
 @pytest.mark.parametrize("bad", [*_BAD_ENTRIES, "wrong-length"])
 @pytest.mark.parametrize("field", list(_NUMERIC_FIELDS))
 def test_bad_numeric_entry_names_field_and_line(tmp_path, field, bad):
-    p = _write(tmp_path, [_header(), _frame(0), _corrupt(field, bad)])
-    _, _, count, what = _NUMERIC_FIELDS[field]
-    problem = (
-        f"expected a list of {count} numbers" if bad == "wrong-length"
-        else "all entries must be finite numbers"
-    )
+    frame = _corrupt(field, bad)
+    p = _write(tmp_path, [_header(), _frame(0), frame])
+    owner_of, key, count, what = _NUMERIC_FIELDS[field]
     with pytest.raises(TraceValidationError) as exc:
         load_trace(p)
-    assert str(exc.value) == f"t.jsonl:3 {what}: {problem}"
+    assert str(exc.value) == (
+        f"t.jsonl:3 {what} must be a list of {count} finite numbers, got {owner_of(frame)[key]!r}"
+    )
 
 
 def test_integer_numbers_load_as_floats_and_save_as_floats(tmp_path):
@@ -614,7 +613,7 @@ def test_bad_number_is_reported_before_a_later_read_error(tmp_path):
     p = _write_lines(tmp_path, lines)
     with pytest.raises(TraceValidationError) as exc:
         list(iter_frames(p))
-    assert str(exc.value) == "t.jsonl:2 view: all entries must be finite numbers"
+    assert str(exc.value) == f"t.jsonl:2 view must be a list of 16 finite numbers, got {lines[1]['view']!r}"
     assert _outcome(iter_frames, p) == _outcome(oracles.iter_frames_per_line, p)
 
 
@@ -637,7 +636,10 @@ def test_faults_at_a_block_boundary(tmp_path, spots):
     seen, kind, message = _outcome(iter_frames, p)
     assert seen == [33 * i for i in range(spots[0])]
     assert kind is TraceValidationError
-    assert message == f"t.jsonl:{spots[0] + 2} trackable 'plane-1' pose: all entries must be finite numbers"
+    pose = lines[1 + spots[0]]["trackables"][0]["pose"]
+    assert message == (
+        f"t.jsonl:{spots[0] + 2} trackable 'plane-1' pose must be a list of 16 finite numbers, got {pose!r}"
+    )
     assert (seen, kind, message) == _outcome(oracles.iter_frames_per_line, p)
 
 

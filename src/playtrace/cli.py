@@ -269,17 +269,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the characters str.splitlines breaks at, each mapped to its escape: '\n' -> '\\n'
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand; a failure is one "error: " line on stderr, ids and paths escaped."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TraceError, SceneError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (TraceError, SceneError, ValueError, OSError) as exc:
+        print(f"error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
+        return 2 if isinstance(exc, OSError) else 1
 
 
 if __name__ == "__main__":

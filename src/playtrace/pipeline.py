@@ -18,7 +18,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .geometry import clip_loop
 from .lifespan import (
     DEFAULT_MIN_LIFESPAN_S,
     DEFAULT_MIN_VISIBILITY,
@@ -30,7 +29,7 @@ from .lifespan import (
 )
 from .metrics import VideoMetrics, compute_metrics
 from .trace import FrameRecord, TraceValidationError, blocks
-from .visibility import block_pieces, fit_boxes, screen_clip_polygon
+from .visibility import block_pieces, fit_boxes
 
 DEFAULT_ANALYSIS_FPS = 10.0
 # Kept frames analysed together (block_pieces, then fit_boxes).  The block holds
@@ -96,10 +95,8 @@ def run_boxes(frames: Iterable[FrameRecord], params: AnalysisParams = AnalysisPa
     chunks: dict[str, list[np.ndarray]] = {}   # per trackable, its rows of each block
     timestamps: list[int] = []
     for block in blocks(checked(), BOX_BLOCK_FRAMES):
-        if not timestamps:
-            screen_loop = clip_loop(screen_clip_polygon(first.screen_w, first.screen_h))
-        tids, frame_of, found = fit_boxes(block_pieces(block, screen_loop), first.screen_w,
-                                          first.screen_h, params.min_visibility)
+        tids, frame_of, found = fit_boxes(block_pieces(block, first.screen_w, first.screen_h),
+                                          first.screen_w, first.screen_h, params.min_visibility)
         for tid in tids:
             if tid not in chunks:
                 chunks[tid] = [np.full((len(timestamps), 4), np.nan)]

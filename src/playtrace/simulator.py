@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .geometry import PARALLEL_EPS, EdgeLoops, dot_rows, odd_crossings
+from .geometry import PARALLEL_EPS, EdgeLoops, dot_rows, odd_crossings, simple_polygons
 from .jsonin import MAX_INT, UNIT_EPS, dump_json, finite, integer, load_json, numbers, unit
 from .scheduler import EventSchedule, GestureEvent, GestureKind
 from .trace import MAX_SCREEN_PX, FrameRecord, PlaybackTrace, TrackableSnapshot, TrackingState
@@ -45,13 +45,15 @@ class ScenePlane:
     extent_v: float
     detect_delay_ms: int = 0
     lost_intervals: tuple[tuple[int, int], ...] = ()
-    local_vertices: tuple[tuple[float, float], ...] | None = None  # None = the full rectangle
+    local_vertices: np.ndarray | None = None  # (n, 2) rows of (x, z); None = the full rectangle
 
-    def vertices(self) -> tuple[tuple[float, float], ...]:
-        if self.local_vertices is not None:
-            return self.local_vertices
+    def vertices(self) -> np.ndarray:
+        """The polygon as read-only (n, 2) rows of (x, z): local_vertices or the full rectangle."""
         eu, ev = self.extent_u, self.extent_v
-        return ((-eu, -ev), (eu, -ev), (eu, ev), (-eu, ev))
+        verts = (np.array([(-eu, -ev), (eu, -ev), (eu, ev), (-eu, ev)])
+                 if self.local_vertices is None else self.local_vertices.view())
+        verts.flags.writeable = False
+        return verts
 
     def pose(self) -> np.ndarray:
         """Local (x, y, z) -> world, with y along the normal."""
@@ -160,10 +162,14 @@ def _check_scene(scene: SimScene) -> None:
         for name, v in (
             ("center", p.center), ("normal", p.normal), ("axis_u", p.axis_u),
             ("axis_v", p.axis_v), ("extents", (p.extent_u, p.extent_v)),
-            ("verts", p.local_vertices or ()),
+            ("verts", () if p.local_vertices is None else p.local_vertices),
         ):
             for x in np.ravel(v).tolist():
                 finite(x, f"{where} {name}")
+        if p.local_vertices is not None and not (  # the trace reader's polygon rule
+                len(p.local_vertices) >= 3 and simple_polygons([p.local_vertices])[0]):
+            raise SceneError(f"{where} verts must be a simple polygon of at least 3 vertices, "
+                             f"got {p.local_vertices.tolist()!r}")
         for name in ("normal", "axis_u", "axis_v"):
             unit(getattr(p, name), f"{where} {name}")
         for a, b, names in (
@@ -215,11 +221,8 @@ def _plane_from_dict(pd: dict) -> ScenePlane:
             (integer(s, f"{where} lost_intervals"), integer(e, f"{where} lost_intervals"))
             for s, e in lost
         ),
-        local_vertices=(
-            tuple(tuple(numbers(xz, 2, f"{where} verts").tolist()) for xz in pd["verts"])
-            if "verts" in pd
-            else None
-        ),
+        local_vertices=(np.array([numbers(xz, 2, f"{where} verts") for xz in pd["verts"]])
+                        .reshape(-1, 2) if "verts" in pd else None),
     )
 
 
@@ -288,7 +291,7 @@ def scene_to_dict(scene: SimScene) -> dict:
                 "extents": [p.extent_u, p.extent_v],
                 "detect_delay_ms": p.detect_delay_ms,
                 "lost_intervals": [[s, e] for s, e in p.lost_intervals],
-                **({"verts": [[x, z] for x, z in p.local_vertices]} if p.local_vertices else {}),
+                **({} if p.local_vertices is None else {"verts": p.local_vertices.tolist()}),
             }
             for p in scene.planes
         ],
@@ -457,9 +460,8 @@ def render_frames(
             if jitter.vertex_noise_m > 0.0:
                 noise = rng.normal(0.0, jitter.vertex_noise_m, size=(len(verts), 2))
                 if kept[i]:
-                    verts = tuple(
-                        (x + nx, z + nz) for (x, z), (nx, nz) in zip(verts, noise.tolist())
-                    )
+                    verts = verts + noise
+                    verts.flags.writeable = False
             if not kept[i]:
                 continue  # its draws are made, but the frame is not built
             trackables.append(

@@ -55,7 +55,7 @@ class TrackableSnapshot:
 
     trackable_id: str
     pose: Mat4                                  # local -> world
-    local_vertices: tuple[tuple[float, float], ...]  # (x, z) in the local plane
+    local_vertices: np.ndarray                  # (n, 2) rows of (x, z) in the local plane
     center_world: np.ndarray
     normal_world: np.ndarray
     tracking_state: TrackingState
@@ -159,12 +159,6 @@ def _frame_head(d: dict, where: str) -> _FrameHead:
     return _FrameHead(t_ms, screen, raw_trackables, tracks)
 
 
-def _vertices(arr: np.ndarray, o: int, n: int) -> tuple[tuple[float, float], ...]:
-    """The n (x, z) vertices stored flat in arr from offset o."""
-    xz = arr[o:o + 2 * n].tolist()
-    return tuple(zip(xz[0::2], xz[1::2]))
-
-
 def _frame_fault(where: str, d: dict) -> NoReturn:
     """Raise the first fault of a frame line that _block_frames rejects on its own.
 
@@ -194,12 +188,11 @@ def _frame_record(head: _FrameHead, arr: np.ndarray, o: int) -> FrameRecord:
     """The frame of a checked head whose numbers start at offset o of arr."""
     trackables = []
     for tid, _, state, n in head.tracks:
-        verts = _vertices(arr, o, n)
         o += 2 * n
         trackables.append(TrackableSnapshot(
             trackable_id=tid,
             pose=arr[o + 3:o + 19].reshape((4, 4), order="F"),
-            local_vertices=verts,
+            local_vertices=arr[o - 2 * n:o].reshape(n, 2),
             center_world=arr[o + 19:o + 22],
             normal_world=arr[o:o + 3],
             tracking_state=state,
@@ -282,7 +275,7 @@ def _snapshot_to_dict(t: TrackableSnapshot) -> dict:
     return {
         "id": t.trackable_id,
         "pose": mat4_to_list(t.pose),
-        "verts": [[x, z] for x, z in t.local_vertices],
+        "verts": t.local_vertices.tolist(),
         "center": [float(v) for v in t.center_world],
         "normal": [float(v) for v in t.normal_world],
         "state": t.tracking_state.value,

@@ -22,9 +22,9 @@ from .geometry import (
     BEHIND_W_EPS,
     MAX_SCREEN_COORD_PX,
     OCCLUDER_MARGIN_PX,
-    ClipLoop,
     Point,
     clip_by_loop,
+    clip_loop,
     convex_pieces,
     convex_unchanged,
     dot_rows,
@@ -67,7 +67,7 @@ def _stacked_matmul(mats: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
 
 def _project(
     frames: Sequence[FrameRecord], tracks: Sequence[TrackableSnapshot], owner: Sequence[int],
-    track_of: np.ndarray, column: np.ndarray
+    track_of: np.ndarray, column: np.ndarray, screen_w: int, screen_h: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Screen x and y of every vertex, and whether it is behind the camera (w <= BEHIND_W_EPS).
 
@@ -75,15 +75,13 @@ def _project(
     of every track in turn: vertex i is vertex column[i] of track
     track_of[i].  Each vertex (x, 0, z, 1) goes through its pose, view and
     projection in stacked matmuls, then through the perspective divide and
-    the viewport.  The pixels of a vertex behind the camera mean nothing.
+    the viewport of the screen_w x screen_h screen.  The pixels of a vertex
+    behind the camera mean nothing.
     """
     v = np.zeros((len(tracks), int(column.max(initial=0)) + 1, 4, 1))
-    v[track_of, column, 0, 0], v[track_of, column, 2, 0] = np.array(
-        [xz for t in tracks for xz in t.local_vertices], dtype=float).reshape(-1, 2).T
+    v[track_of, column, 0, 0], v[track_of, column, 2, 0] = np.concatenate(
+        [t.local_vertices for t in tracks]).T
     v[:, :, 3, 0] = 1.0
-    frame_of = np.array(owner)[track_of]
-    screen_w = np.array([f.screen_w for f in frames], dtype=float)[frame_of]
-    screen_h = np.array([f.screen_h for f in frames], dtype=float)[frame_of]
     # finite numbers can overflow to pixels that are inf or NaN, which block_pieces rejects
     with np.errstate(all="ignore"):
         clip = _stacked_matmul([t.pose for t in tracks], v)
@@ -95,7 +93,9 @@ def _project(
     return x, y, w <= BEHIND_W_EPS
 
 
-def block_pieces(frames: Sequence[FrameRecord], screen: ClipLoop) -> list[list[SurfacePieces]]:
+def block_pieces(
+    frames: Sequence[FrameRecord], screen_w: int, screen_h: int
+) -> list[list[SurfacePieces]]:
     """The visible pieces of each candidate surface in each frame of a block, near to far.
 
     Surfaces that are PAUSED or STOPPED are ignored entirely, and so is a
@@ -104,8 +104,8 @@ def block_pieces(frames: Sequence[FrameRecord], screen: ClipLoop) -> list[list[S
     occlude: any TRACKING projection nearer to the camera (by distance to
     the surface center) is subtracted from the on-screen polygon.  Ties in
     distance keep the frame's trackable order.  An entry with no pieces is
-    fully occluded.  screen is the clip_loop of the frames'
-    screen_clip_polygon.
+    fully occluded.  Every frame is taken to have the one screen_w x
+    screen_h screen, and every polygon is clipped to it.
 
     The projection, distances, facing signs, and the tests that let a
     polygon skip the screen clip (every vertex on screen) and convex_pieces
@@ -133,7 +133,7 @@ def block_pieces(frames: Sequence[FrameRecord], screen: ClipLoop) -> list[list[S
     starts = ends - counts
     track_of = np.repeat(np.arange(len(tracks)), counts)
     column = np.arange(len(track_of)) - starts[track_of]
-    x, y, behind = _project(frames, tracks, owner, track_of, column)
+    x, y, behind = _project(frames, tracks, owner, track_of, column, screen_w, screen_h)
     bad = behind | ~((np.abs(x) <= MAX_SCREEN_COORD_PX) & (np.abs(y) <= MAX_SCREEN_COORD_PX))
     first_bad = np.full(len(tracks), len(track_of))
     np.minimum.at(first_bad, track_of[bad], np.flatnonzero(bad))
@@ -150,7 +150,7 @@ def block_pieces(frames: Sequence[FrameRecord], screen: ClipLoop) -> list[list[S
         facing = dot_rows(np.array([t.normal_world for t in tracks], dtype=float), to_cam) > 0.0
 
     # on screen: sign * _cross(a, b, p) >= 0 for every screen edge a -> b, as in _clip_one_edge
-    sign, edges = screen
+    sign, edges = clip_loop(screen_clip_polygon(screen_w, screen_h))
     off = np.full(len(x), not sign)
     with np.errstate(invalid="ignore"):
         for (ax, ay), (bx, by) in edges:
@@ -183,8 +183,8 @@ def block_pieces(frames: Sequence[FrameRecord], screen: ClipLoop) -> list[list[S
             j = int(first_bad[k] - starts[k])
             raise TraceValidationError(
                 f"frame at {frames[i].timestamp_ms} ms: trackable '{tracks[k].trackable_id}' "
-                f"vertex {j} {tracks[k].local_vertices[j]!r} projects to screen coordinates "
-                f"that are not finite numbers within ±{MAX_SCREEN_COORD_PX:g} px"
+                f"vertex {j} {tuple(tracks[k].local_vertices[j].tolist())!r} projects to screen "
+                f"coordinates that are not finite numbers within ±{MAX_SCREEN_COORD_PX:g} px"
             )
         nearer: list[int] = []
         for k in order[begin:end].tolist():
@@ -192,7 +192,7 @@ def block_pieces(frames: Sequence[FrameRecord], screen: ClipLoop) -> list[list[S
                 if unchanged_l[k]:
                     pieces = [polys[k]]   # what convex_pieces would return
                 else:
-                    part = polys[k] if on_screen_l[k] else clip_by_loop(polys[k], *screen)
+                    part = polys[k] if on_screen_l[k] else clip_by_loop(polys[k], sign, edges)
                     pieces = convex_pieces(part) if len(part) >= 3 else None
                 if pieces is not None:
                     d = dists[k]

@@ -459,7 +459,7 @@ def nearest_plane(scene, t, point, tracked_only):
         if p.local_vertices is None:
             inside = abs(a) <= p.extent_u + 1e-9 and abs(b) <= p.extent_v + 1e-9
         else:
-            inside = contains(list(p.local_vertices), (a, b), eps=0.0)
+            inside = contains(p.local_vertices.tolist(), (a, b), eps=0.0)
         if inside:
             best, best_s = p.plane_id, s
     return best
@@ -674,10 +674,11 @@ def project_trackable(t, frame):
     is bit-equal to project_per_vertex.  The first vertex that is behind the
     camera (None) or lands on pixels out of range (ArithmeticError) decides.
     """
-    v = np.array([(x, 0.0, z, 1.0) for x, z in t.local_vertices]).reshape(-1, 4, 1)
+    xz = t.local_vertices.tolist()
+    v = np.array([(x, 0.0, z, 1.0) for x, z in xz]).reshape(-1, 4, 1)
     clip = (frame.projection @ (frame.view @ (t.pose @ v)))[:, :, 0].tolist()
     pts = []
-    for c, (x, z) in zip(clip, t.local_vertices):
+    for c, (x, z) in zip(clip, xz):
         p = clip_to_screen(c, frame.screen_w, frame.screen_h, (x, 0.0, z, 1.0))
         if p is None:
             return None
@@ -725,7 +726,7 @@ def frame_pieces(frame, screen):
 def project_per_vertex(t, frame):
     """Screen polygon of a trackable, one vertex at a time; None if one is behind."""
     pts = []
-    for x, z in t.local_vertices:
+    for x, z in t.local_vertices.tolist():
         clip = frame.projection @ (frame.view @ (t.pose @ np.array([x, 0.0, z, 1.0])))
         w = float(clip[3])
         if w <= 1e-9:
@@ -844,11 +845,11 @@ def decimate(frames, source_fps, target_fps):
 
 def frame_boxes(frame, min_visibility):
     """(trackable id, Rect) pairs of one frame on its own: a one-frame block_pieces and fit_boxes."""
-    from playtrace.geometry import Rect, clip_loop
-    from playtrace.visibility import block_pieces, fit_boxes, screen_clip_polygon
+    from playtrace.geometry import Rect
+    from playtrace.visibility import block_pieces, fit_boxes
 
     w, h = frame.screen_w, frame.screen_h
-    pieces = block_pieces([frame], clip_loop(screen_clip_polygon(w, h)))
+    pieces = block_pieces([frame], w, h)
     tids, _, rows = fit_boxes(pieces, w, h, min_visibility)
     return [(tid, Rect(*row)) for tid, row in zip(tids, rows.tolist())]
 

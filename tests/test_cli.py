@@ -782,9 +782,19 @@ def test_scene_numbers_must_be_json_numbers(tmp_path, capsys, command, path, val
          "fov_y_deg 5e-324, near_m 0.01 and far_m 100.0 make a projection matrix past the float range"),
         (("intrinsics", "far_m"), 1e308,
          "fov_y_deg 60.0, near_m 0.01 and far_m 1e+308 make a projection matrix past the float range"),
+        # the trace reader's polygon rule
+        (("planes", 0, "verts"), [],
+         "plane 'table' verts must be a simple polygon of at least 3 vertices, got []"),
+        (("planes", 0, "verts"), [[-0.5, -0.5], [0.5, 0.5]],
+         "plane 'table' verts must be a simple polygon of at least 3 vertices, "
+         "got [[-0.5, -0.5], [0.5, 0.5]]"),
+        (("planes", 0, "verts"), [[-0.5, -0.5], [0.5, 0.5], [0.5, -0.5], [-0.5, 0.5]],
+         "plane 'table' verts must be a simple polygon of at least 3 vertices, "
+         "got [[-0.5, -0.5], [0.5, 0.5], [0.5, -0.5], [-0.5, 0.5]]"),
     ],
     ids=["id-list", "id-empty", "name-object", "screen-huge", "delay-huge", "lost-huge",
-         "normal-huge", "camera-distance-huge", "camera-up-huge", "fps-tiny", "fov-tiny", "far-huge"],
+         "normal-huge", "camera-distance-huge", "camera-up-huge", "fps-tiny", "fov-tiny", "far-huge",
+         "verts-empty", "verts-two", "verts-bowtie"],
 )
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 @pytest.mark.filterwarnings("error")  # an overflow warning escapes as an exception
@@ -955,6 +965,34 @@ def test_analyze_rejects_a_huge_polygon_without_a_traceback(tmp_path, trace_path
     rc = main(["analyze", str(trace_path), "--out", str(tmp_path / "x")])
     err = _assert_input_error(rc, capsys)
     assert err == "error: run.jsonl:2 trackable 'table': polygon must be simple (no self-intersection)\n"
+
+
+@pytest.mark.parametrize("where", ["trackable-id", "plane-id", "file-name"])
+def test_a_line_break_in_an_id_or_file_name_stays_on_the_one_error_line(tmp_path, trace_path,
+                                                                         capsys, where):
+    if where == "plane-id":
+        scene_path = tmp_path / "scene.json"
+        save_scene(_scene(), scene_path)
+        d = json.loads(scene_path.read_text())
+        d["planes"][0].update(id="a\nb", extents=[0.6, "0.5"])
+        scene_path.write_text(json.dumps(d))
+        rc = main(["compare", str(scene_path), "--runs", "1"])
+        want = ("malformed scene: plane 'a\\nb' extents must be a list of 2 finite numbers, "
+                "got [0.6, '0.5']")
+    else:
+        header, line = trace_path.read_text().splitlines()[:2]
+        frame = json.loads(line)
+        frame["trackables"][0]["normal"] = [0.0, 2.0, 0.0]
+        tid, name = ("pad\nx", "run.jsonl") if where == "trackable-id" else ("table", "nl\nx.jsonl")
+        frame["trackables"][0]["id"] = tid
+        path = tmp_path / name
+        path.write_text(header + "\n" + json.dumps(frame) + "\n")
+        rc = main(["analyze", str(path), "--out", str(tmp_path / "x")])
+        want = (f"{name}:2 trackable '{tid}': normal must be unit length, got |n|=2.00000000"
+                .replace("\n", "\\n"))
+    err = _assert_input_error(rc, capsys)
+    assert err == f"error: {want}\n"
+    assert len(err.splitlines()) == 1
 
 
 def _with_huge_pose(line):

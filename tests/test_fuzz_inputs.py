@@ -22,6 +22,7 @@ import signal
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -132,9 +133,16 @@ def test_mutated_traces_exit_cleanly(tmp_path_factory, base_lines, data):
 
 @pytest.fixture(scope="module")
 def base_files(tmp_path_factory):
-    """A 3 s, three-plane scene with dropout and noise, its report and its guided schedule."""
+    """A 3 s, three-plane scene with dropout and noise, its report and its guided schedule.
+
+    The third plane is a pentagon inside its rectangle, so mutations reach a
+    plane's verts too.
+    """
     tmp = tmp_path_factory.mktemp("files")
-    scene = dataclasses.replace(benchmark_scene("noisy-trio"), duration_ms=3000)
+    scene = benchmark_scene("noisy-trio")
+    pentagon = dataclasses.replace(scene.planes[2], local_vertices=np.array(
+        [(-0.6, -0.5), (0.6, -0.5), (0.7, 0.2), (0.0, 0.55), (-0.7, 0.2)]))
+    scene = dataclasses.replace(scene, duration_ms=3000, planes=(*scene.planes[:2], pentagon))
     save_scene(scene, tmp / "scene.json")
     save_trace(generate_trace(scene, 1), tmp / "run.jsonl")
     assert main(["analyze", str(tmp / "run.jsonl"), "--out", str(tmp)]) == 0

@@ -42,7 +42,7 @@ from playtrace.simulator import (
     scene_to_dict,
     validate_scene,
 )
-from playtrace.trace import deadline_walk, save_trace
+from playtrace.trace import deadline_walk, iter_frames, save_trace
 
 # straight-down camera at height 2 with a 60 degree vertical fov on a
 # 1080px-tall screen puts 540*sqrt(3)/2 pixels on one meter at the floor
@@ -210,7 +210,8 @@ def test_generate_trace_clean_scene():
     assert len(trace.frames) == 20
     for f in trace.frames:
         assert [t.trackable_id for t in f.trackables] == ["p"]
-        assert f.trackables[0].local_vertices == ((-0.5, -0.4), (0.5, -0.4), (0.5, 0.4), (-0.5, 0.4))
+        assert f.trackables[0].local_vertices.tolist() == [
+            [-0.5, -0.4], [0.5, -0.4], [0.5, 0.4], [-0.5, 0.4]]
     assert trace.metadata["scene"]["name"] == "test"
     assert trace.metadata["jitter"] == {"vertex_noise_m": 0.0, "dropout_prob": 0.0}
 
@@ -240,12 +241,12 @@ def test_dropout_rate_is_plausible():
 def test_vertex_noise_perturbs_but_keeps_pose():
     scene = _scene([_plane()], duration=1000, fps=10.0)
     trace = generate_trace(scene, jitter_seed=1, jitter=Jitter(vertex_noise_m=0.01))
-    clean = ((-0.5, -0.4), (0.5, -0.4), (0.5, 0.4), (-0.5, 0.4))
+    clean = np.array([(-0.5, -0.4), (0.5, -0.4), (0.5, 0.4), (-0.5, 0.4)])
     for f in trace.frames:
         t = f.trackables[0]
-        assert t.local_vertices != clean
-        for (x, z), (cx, cz) in zip(t.local_vertices, clean):
-            assert abs(x - cx) < 0.1 and abs(z - cz) < 0.1
+        assert t.local_vertices.shape == clean.shape
+        assert not np.array_equal(t.local_vertices, clean)
+        assert (np.abs(t.local_vertices - clean) < 0.1).all()
         assert np.allclose(t.pose, _plane().pose())
 
 
@@ -284,7 +285,7 @@ def test_hit_test_detection_gate():
 
 def test_hit_test_polygon_plane():
     # right triangle occupying the u>=0, v>=0 quadrant corner
-    tri = _plane(local_vertices=((0.0, 0.0), (0.4, 0.0), (0.0, 0.3)))
+    tri = _plane(local_vertices=np.array([(0.0, 0.0), (0.4, 0.0), (0.0, 0.3)]))
     scene = _scene([tri])
     assert hit_test(scene, 0, _screen(0.05, 0.05)) == "p"
     assert hit_test(scene, 0, _screen(0.3, 0.25)) is None
@@ -476,7 +477,8 @@ def _frame_fields(frame):
         frame.projection.tobytes(),
         frame.camera_position.tobytes(),
         (frame.screen_w, frame.screen_h),
-        [(t.trackable_id, t.local_vertices, t.pose.tobytes(), t.tracking_state)
+        [(t.trackable_id, t.local_vertices.shape, t.local_vertices.tobytes(), t.pose.tobytes(),
+          t.tracking_state)
          for t in frame.trackables],
     )
 
@@ -500,6 +502,44 @@ def test_render_frames_keep_every_frame_at_or_below_the_analysis_rate(fps):
     full = generate_trace(scene, 3)
     got = [_frame_fields(f) for f in render_frames(scene, 3, keep=deadline_walk(fps, 10.0))]
     assert got == [_frame_fields(f) for f in full.frames]
+
+
+def _assert_vertex_form(verts):
+    """verts is what a snapshot holds: read-only float64 (n, 2) rows of (x, z), n >= 3."""
+    assert type(verts) is np.ndarray and verts.dtype == np.float64
+    assert verts.ndim == 2 and verts.shape[1] == 2 and len(verts) >= 3
+    assert not verts.flags.writeable
+
+
+def test_both_producers_yield_read_only_vertex_arrays(tmp_path):
+    # noisy-trio draws vertex noise; a polygon plane joins its rectangles
+    tri = _plane("tri", center=(0.0, 0.0, 1.0), local_vertices=np.array(
+        [(0.0, 0.0), (0.4, 0.0), (0.0, 0.3)]))
+    noisy = benchmark_scene("noisy-trio")
+    noisy = dataclasses.replace(noisy, duration_ms=3000, planes=(*noisy.planes, tri))
+    path = tmp_path / "noisy.jsonl"
+    save_trace(generate_trace(noisy, 1), path)
+    read = list(iter_frames(path))
+    rendered = list(render_frames(noisy, 1))
+    assert sum(len(f.trackables) for f in read) == sum(len(f.trackables) for f in rendered) > 0
+    for f in read:
+        numbers = f.view.base   # the frame's number array, which its matrices view
+        for t in f.trackables:
+            _assert_vertex_form(t.local_vertices)
+            assert t.pose.base is numbers and t.local_vertices.base is numbers
+            assert np.shares_memory(t.local_vertices, numbers)
+    for f in rendered:
+        for t in f.trackables:
+            _assert_vertex_form(t.local_vertices)
+    # without noise, every frame holds its plane's one array
+    clean = dataclasses.replace(noisy, default_jitter=Jitter())
+    by_plane = {}
+    for f in render_frames(clean, 1):
+        for t in f.trackables:
+            _assert_vertex_form(t.local_vertices)
+            assert by_plane.setdefault(t.trackable_id, t.local_vertices) is t.local_vertices
+    assert sorted(by_plane) == sorted(p.plane_id for p in clean.planes)
+    assert np.shares_memory(by_plane["tri"], tri.local_vertices)
 
 
 def test_execute_schedule_empty():

@@ -82,7 +82,8 @@ def test_load_minimal_trace(tmp_path):
     assert (f.screen_w, f.screen_h) == (1920, 1080)
     assert f.trackables[0].trackable_id == "plane-1"
     assert f.trackables[0].tracking_state is TrackingState.TRACKING
-    assert f.trackables[0].local_vertices == ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
+    assert f.trackables[0].local_vertices.tolist() == [
+        [-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
 
 
 def test_round_trip(tmp_path):
@@ -97,7 +98,7 @@ def test_round_trip(tmp_path):
         assert a.timestamp_ms == b.timestamp_ms
         assert np.array_equal(a.view, b.view)
         assert np.array_equal(a.projection, b.projection)
-        assert a.trackables[0].local_vertices == b.trackables[0].local_vertices
+        assert np.array_equal(a.trackables[0].local_vertices, b.trackables[0].local_vertices)
 
 
 def test_mat4_column_major(tmp_path):
@@ -362,8 +363,8 @@ def test_integer_numbers_load_as_floats_and_save_as_floats(tmp_path):
     assert '"verts": [[1, 0], [0, 1], [-1, 0]]' in ints.read_text()
     tr = load_trace(ints)
     t = tr.frames[0].trackables[0]
-    assert t.local_vertices == ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0))
-    assert all(type(v) is float for xz in t.local_vertices for v in xz)
+    assert t.local_vertices.dtype == np.float64
+    assert t.local_vertices.tolist() == [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]
     assert tr.frames[0].view.dtype == np.float64
     saved = tmp_path / "saved.jsonl"
     save_trace(tr, saved)
@@ -508,7 +509,7 @@ def _frame_key(f):
 
     return (f.timestamp_ms, f.screen_w, f.screen_h, arr(f.view), arr(f.projection),
             arr(f.camera_position),
-            tuple((t.trackable_id, t.tracking_state, t.local_vertices, arr(t.pose),
+            tuple((t.trackable_id, t.tracking_state, arr(t.local_vertices), arr(t.pose),
                    arr(t.center_world), arr(t.normal_world)) for t in f.trackables))
 
 
@@ -704,9 +705,7 @@ def test_block_reader_arrays_match_the_per_line_reader(tmp_path):
         assert len(a.trackables) == len(b.trackables)
         for ta, tb in zip(a.trackables, b.trackables):
             assert (ta.trackable_id, ta.tracking_state) == (tb.trackable_id, tb.tracking_state)
-            assert ta.local_vertices == tb.local_vertices
-            assert all(type(v) is float for xz in ta.local_vertices for v in xz)
-            for name in ("pose", "center_world", "normal_world"):
+            for name in ("local_vertices", "pose", "center_world", "normal_world"):
                 _assert_same_array(getattr(ta, name), getattr(tb, name))
     resaved = tmp_path / "resaved.jsonl"
     save_trace(load_trace(path), resaved)

@@ -44,15 +44,22 @@ def _frame(planes, cam=(0.0, 2.0, 0.0), t_ms=0):
     )
 
 
+def _xz(rows):
+    """(x, z) rows as a snapshot holds them: a read-only (n, 2) float64 array."""
+    verts = np.array(rows, dtype=float).reshape(-1, 2)
+    verts.flags.writeable = False
+    return verts
+
+
 def _plane(pid, center, half_u, half_v, normal=(0.0, 1.0, 0.0),
            state=TrackingState.TRACKING):
     pose = np.eye(4)
     pose[:3, 3] = center
-    verts = ((-half_u, -half_v), (half_u, -half_v), (half_u, half_v), (-half_u, half_v))
     return TrackableSnapshot(
         trackable_id=pid,
         pose=pose,
-        local_vertices=verts,
+        local_vertices=_xz([(-half_u, -half_v), (half_u, -half_v), (half_u, half_v),
+                            (-half_u, half_v)]),
         center_world=np.array(center, dtype=float),
         normal_world=np.array(normal, dtype=float),
         tracking_state=state,
@@ -198,7 +205,7 @@ def test_project_trackable_bit_equal_to_per_vertex(order):
             pose = np.eye(4)
             pose[:3, :3] = _rotation(rng) * 0.1
             pose[:3, 3] = rng.normal(size=3) * 0.2
-            verts = tuple(map(tuple, rng.uniform(-1.0, 1.0, size=(int(rng.integers(3, 9)), 2)).tolist()))
+            verts = _xz(rng.uniform(-1.0, 1.0, size=(int(rng.integers(3, 9)), 2)))
             tracks.append(TrackableSnapshot(f"t{j}", _in_order(pose, order, rng), verts, np.zeros(3),
                                             np.array([0.0, 1.0, 0.0]), TrackingState.TRACKING))
         frames.append(FrameRecord(0, _in_order(view, order, rng), _in_order(proj, order, rng),
@@ -214,7 +221,7 @@ def test_project_trackable_bit_equal_to_per_vertex(order):
         counts = [len(t.local_vertices) for t in tracks]
         track_of = np.repeat(np.arange(len(tracks)), counts)
         column = np.concatenate([np.arange(n) for n in counts])
-        x, y, behind = _project(block, tracks, owner, track_of, column)
+        x, y, behind = _project(block, tracks, owner, track_of, column, W, H)
         xy = list(zip(x.tolist(), y.tolist()))
         ends = np.cumsum(counts).tolist()
         for t, i, n, end in zip(tracks, owner, counts, ends):
@@ -225,12 +232,12 @@ def test_project_trackable_bit_equal_to_per_vertex(order):
 def test_project_trackable_first_bad_vertex_decides():
     # local z runs along world y, so local (0, 5) sits above the camera
     pose = np.array([[1.0, 0, 0, 0], [0, 0, 1.0, 0], [0, 1.0, 0, 0], [0, 0, 0, 1.0]])
-    t = TrackableSnapshot("t", pose, (), np.zeros(3), np.array([0.0, 1.0, 0.0]),
+    t = TrackableSnapshot("t", pose, _xz([]), np.zeros(3), np.array([0.0, 1.0, 0.0]),
                           TrackingState.TRACKING)
     f = _frame([t])
-    behind_then_huge = dataclasses.replace(t, local_vertices=((0.0, 0.0), (0.0, 5.0), (1e308, 0.0)))
+    behind_then_huge = dataclasses.replace(t, local_vertices=_xz([(0, 0), (0, 5.0), (1e308, 0)]))
     assert project_trackable(behind_then_huge, f) is None
-    huge_then_behind = dataclasses.replace(t, local_vertices=((0.0, 0.0), (1e308, 0.0), (0.0, 5.0)))
+    huge_then_behind = dataclasses.replace(t, local_vertices=_xz([(0, 0), (1e308, 0), (0, 5.0)]))
     with pytest.raises(ArithmeticError, match=r"vertex \(1e\+308, 0\.0, 0\.0, 1\.0\)"):
         project_trackable(huge_then_behind, f)
 
@@ -238,7 +245,7 @@ def test_project_trackable_first_bad_vertex_decides():
 @pytest.mark.parametrize("scene", [s.name for s in benchmark_scenes()])
 def test_analyze_frame_matches_per_vertex_pipeline(tmp_path, scene):
     sc = benchmark_scene(scene)
-    screen = g.clip_loop(screen_clip_polygon(sc.screen_w, sc.screen_h))
+    screen = g.clip_loop(screen_clip_polygon(sc.screen_w, sc.screen_h))   # for frame_pieces
     for seed in (1, 2):
         trace = generate_trace(sc, jitter_seed=seed, jitter=sc.default_jitter)
         path = tmp_path / f"{seed}.jsonl"
@@ -246,7 +253,7 @@ def test_analyze_frame_matches_per_vertex_pipeline(tmp_path, scene):
         # rendered frames hold C-order matrices, loaded ones column-major views
         for tr in (trace, load_trace(path)):
             frames = list(decimate(tr.frames, tr.source_fps, 10.0))
-            pieces = block_pieces(frames, screen)
+            pieces = block_pieces(frames, sc.screen_w, sc.screen_h)
             tids, frame_of, rows = fit_boxes(pieces, sc.screen_w, sc.screen_h, 0.0)
             assert frame_of.tolist() == sorted(frame_of.tolist())
             boxes = list(zip(frame_of.tolist(), tids, oracles.rects_of(rows)))
@@ -261,8 +268,8 @@ def test_inscribed_rects_match_scalar_search_on_pack_pieces(scene):
     sc = benchmark_scene(scene)
     for seed in (1, 2):
         trace = generate_trace(sc, jitter_seed=seed, jitter=sc.default_jitter)
-        screen = g.clip_loop(screen_clip_polygon(sc.screen_w, sc.screen_h))
-        found = block_pieces(list(decimate(trace.frames, trace.source_fps, 10.0)), screen)
+        found = block_pieces(list(decimate(trace.frames, trace.source_fps, 10.0)),
+                             sc.screen_w, sc.screen_h)
         pieces = [p for frame in found for _, ps in frame for p in ps]
         rows, passes = g.inscribed_rects(pieces, sc.screen_w, sc.screen_h)
         assert oracles.rects_of(rows) == [
@@ -286,7 +293,7 @@ def test_screen_clip_is_checked_once_per_run(monkeypatch):
 
 # ------------------------------------------ blocks against the per-frame path
 
-SCREEN = g.clip_loop(screen_clip_polygon(W, H))
+SCREEN = g.clip_loop(screen_clip_polygon(W, H))   # the clip loop of the per-frame oracle
 KINDS = ["flat", "tilted", "upright", "far", "nested", "twin"]
 
 
@@ -305,8 +312,8 @@ def _outline(rng, size):
     n = rng.randint(3, 8)
     if rng.random() < 0.6:
         angles = sorted(rng.uniform(0.0, 2.0 * math.pi) for _ in range(n))
-        return tuple((size * math.cos(a), size * 0.7 * math.sin(a)) for a in angles)
-    return tuple(oracles.random_star(rng, (0.0, 0.0), 0.4 * size, size, n))
+        return _xz([(size * math.cos(a), size * 0.7 * math.sin(a)) for a in angles])
+    return _xz(oracles.random_star(rng, (0.0, 0.0), 0.4 * size, size, n))
 
 
 def _random_block(seed, order):
@@ -338,8 +345,8 @@ def _random_block(seed, order):
                 # local z runs up the world y axis, from the floor to above the camera
                 rot = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
                 center = eye + np.array([rng.uniform(-0.5, 0.5), -eye[1], rng.uniform(-0.5, 0.5)])
-                planes.append((rot, center, ((-size, 0.0), (size, 0.0), (size, eye[1] + 1.0),
-                                             (-size, eye[1] + 1.0))))
+                planes.append((rot, center, _xz([(-size, 0.0), (size, 0.0), (size, eye[1] + 1.0),
+                                                 (-size, eye[1] + 1.0)])))
                 continue
             elif kind == "far":
                 center[0] = rng.choice([-30.0, 30.0])
@@ -352,7 +359,7 @@ def _random_block(seed, order):
                 for level in range(rng.randint(2, 3)):
                     shrink = 0.5 ** level
                     planes.append((rot, target + np.array([0.0, 0.15 * level, 0.0]),
-                                   tuple((shrink * x, shrink * z) for x, z in star)))
+                                   _xz([(shrink * x, shrink * z) for x, z in star])))
                 continue
             planes.append((rot, center, _outline(rng, size)))
         tracks = []
@@ -381,7 +388,7 @@ def _random_block(seed, order):
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["C", "F", "mixed"]))
 def test_block_pieces_match_the_per_frame_reference(seed, order):
     frames = _random_block(seed, order)
-    found = block_pieces(frames, SCREEN)
+    found = block_pieces(frames, W, H)
     assert len(found) == len(frames)
     for f, pieces in zip(frames, found):
         assert repr(pieces) == repr(oracles.frame_pieces(f, SCREEN)), f.timestamp_ms
@@ -435,7 +442,7 @@ XZ_TO_XY = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
 
 def _at_pixels(tid, poly_px, depth):
     """A trackable whose vertices land on the pixels poly_px of a frame from _pixel_frame."""
-    local = tuple((2.0 * px / W - 1.0, 1.0 - 2.0 * py / H) for px, py in poly_px)
+    local = _xz([(2.0 * px / W - 1.0, 1.0 - 2.0 * py / H) for px, py in poly_px])
     return TrackableSnapshot(tid, XZ_TO_XY, local, np.array([0.0, 0.0, -depth]),
                              np.array([0.0, 0.0, 1.0]), TrackingState.TRACKING)
 
@@ -467,7 +474,7 @@ def test_block_pieces_match_the_per_frame_reference_at_the_margins(seed):
                                        gap, rng.uniform(1.0, 40.0))
             tracks.append(_at_pixels(f"band{j}", band, rng.choice([1.0, 2.0, 5.0, 7.0])))
         frames.append(_pixel_frame(tracks, 100 * k))
-    found = block_pieces(frames, SCREEN)
+    found = block_pieces(frames, W, H)
     for f, pieces in zip(frames, found):
         assert repr(pieces) == repr(oracles.frame_pieces(f, SCREEN)), f.timestamp_ms
 
@@ -489,7 +496,7 @@ def test_block_pieces_raise_at_the_first_non_finite_projection():
         oracles.frame_pieces(frames[1], SCREEN)
     with pytest.raises(TraceValidationError,
                        match=r"^frame at 100 ms: trackable 'huge' vertex 0 \(-1\.0, -1\.0\) projects"):
-        block_pieces(frames, SCREEN)
+        block_pieces(frames, W, H)
 
 
 @pytest.mark.parametrize("scale, raises", [(1e140, False), (1e155, True)])
@@ -502,12 +509,12 @@ def test_block_pieces_bound_huge_but_finite_pixels(scale, raises):
     pose[:, 0] *= scale
     frame = _frame([_plane("table", (0.0, 0.0, 0.0), 1.0, 1.0), dataclasses.replace(lid, pose=pose)])
     if not raises:
-        found = block_pieces([frame], SCREEN)
+        found = block_pieces([frame], W, H)
         assert repr(found[0]) == repr(oracles.frame_pieces(frame, SCREEN))
         return
     with pytest.raises(ArithmeticError):
         oracles.frame_pieces(frame, SCREEN)
     with pytest.raises(TraceValidationError) as exc:
-        block_pieces([frame], SCREEN)
+        block_pieces([frame], W, H)
     assert str(exc.value) == ("frame at 0 ms: trackable 'lid' vertex 0 (-0.5, -0.5) projects to "
                               "screen coordinates that are not finite numbers within ±1e+150 px")

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .jsonin import dump_json
+from .jsonin import dump_json, integer
 from .lifespan import DEFAULT_MIN_LIFESPAN_S, DEFAULT_MIN_VISIBILITY
 from .pipeline import DEFAULT_ANALYSIS_FPS, AnalysisParams, RunBoxes, analyze_boxes, run_boxes
 from .reporting import load_report, render_gantt, write_report
@@ -75,22 +75,28 @@ def _check_runs(runs: int) -> None:
         raise ValueError(f"--runs must be between 1 and {MAX_RUNS}, the budget of runs, got {runs}")
 
 
+def _check_jitter_seeds(flag: str, seeds: Sequence[int]) -> None:
+    """Jitter seeds go to numpy's generator, which takes no negative seed."""
+    if min(seeds) < 0:
+        raise ValueError(f"{flag} must be non-negative, got {min(seeds)}")
+
+
 def _generated_runs(
-    scene: SimScene, jitter: Jitter, seed_base: int, walks: list[DeadlineWalk],
-    params: AnalysisParams,
+    scene: SimScene, jitter: Jitter, seed_base: int, walks: list[DeadlineWalk]
 ) -> list[RunBoxes]:
     """The boxes of runs rendered with jitter seeds seed_base, seed_base + 1, ..., one at a time.
 
     Each run renders and analyses only the frames its walk keeps.
     """
     return [
-        run_boxes(render_frames(scene, seed_base + r, jitter, walk), params)
+        run_boxes(render_frames(scene, seed_base + r, jitter, walk))
         for r, walk in enumerate(walks)
     ]
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     _check_runs(args.runs)
+    _check_jitter_seeds("--jitter-seed-base", [args.jitter_seed_base])
     params = AnalysisParams(
         fps=args.fps,
         min_visibility=args.min_visibility,
@@ -111,12 +117,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         # the recorded jitter, which need not be the scene's default
         jitter = jitter_from_dict(meta.get("jitter", {}))
         walks = [deadline_walk(scene.fps, params.fps) for _ in range(args.runs)]
-        runs = _generated_runs(scene, jitter, args.jitter_seed_base, walks, params)
+        runs = _generated_runs(scene, jitter, args.jitter_seed_base, walks)
     else:
         walks, runs = [], []
         for p in args.traces:
             walks.append(deadline_walk(read_header(p)[0], params.fps))
-            runs.append(run_boxes(iter_frames(p, walks[-1]), params))
+            runs.append(run_boxes(iter_frames(p, walks[-1])))
     per_run, final, metrics = analyze_boxes(runs, params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -131,6 +137,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
+    integer(args.seed, "--seed")  # the rule load_schedule holds a saved seed to
     opps, _params = load_report(args.report)
     duration = args.duration_ms
     if duration is None:
@@ -161,6 +168,7 @@ def _fmt_rate(v: float | None) -> str:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     _check_runs(args.runs)
+    _check_jitter_seeds("--seeds", args.seeds)   # run r of seed s has jitter seed 100 * s + r
     scene = load_scene(args.scene)
     params = AnalysisParams()
     per_seed = []
@@ -168,7 +176,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     pooled_random = []
     for seed in args.seeds:
         walks = [deadline_walk(scene.fps, params.fps) for _ in range(args.runs)]
-        runs = _generated_runs(scene, scene.default_jitter, seed * 100, walks, params)
+        runs = _generated_runs(scene, scene.default_jitter, seed * 100, walks)
         _per_run, final, _metrics = analyze_boxes(runs, params)
         guided = schedule_guided(final, scene.duration_ms, seed)
         rand = schedule_random(

@@ -60,14 +60,6 @@ class Rect:
     def height(self) -> float:
         return self.y_max - self.y_min
 
-    def corners(self) -> list[Point]:
-        return [
-            (self.x_min, self.y_min),
-            (self.x_max, self.y_min),
-            (self.x_max, self.y_max),
-            (self.x_min, self.y_max),
-        ]
-
     def as_list(self) -> list[float]:
         return [self.x_min, self.y_min, self.x_max, self.y_max]
 

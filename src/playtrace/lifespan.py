@@ -39,7 +39,6 @@ class TestOpportunity:
     stable_box: Rect
     start_ms: int
     end_ms: int
-    frame_indices: tuple[int, ...]
 
     @property
     def duration_ms(self) -> int:
@@ -134,15 +133,7 @@ def filter_by_duration(
         start = timestamps_ms[members[0]]
         end = timestamps_ms[members[-1]]
         if end - start >= min_ms:
-            out.append(
-                TestOpportunity(
-                    trackable_id=trackable_id,
-                    stable_box=stable_box,
-                    start_ms=int(start),
-                    end_ms=int(end),
-                    frame_indices=tuple(members),
-                )
-            )
+            out.append(TestOpportunity(trackable_id, stable_box, int(start), int(end)))
     return out
 
 
@@ -154,7 +145,8 @@ def cross_run_matches(
     Groups grow one run at a time and are dropped once their common window
     is empty, so the work follows the overlapping groups, not the product of
     the per-run counts.  They come out in itertools.product order over each
-    run's opportunities sorted by (start, end).
+    run's opportunities in opportunity_sort_key order, which for one
+    trackable is by (start, end).
     """
     if not runs:
         return []
@@ -164,9 +156,7 @@ def cross_run_matches(
         # partial groups with their common [start, end] window
         partial = [((), -math.inf, math.inf)]
         for run in runs:
-            candidates = sorted(
-                (o for o in run if o.trackable_id == tid), key=lambda o: (o.start_ms, o.end_ms)
-            )
+            candidates = sorted((o for o in run if o.trackable_id == tid), key=opportunity_sort_key)
             grown = []
             for combo, start, end in partial:
                 for o in candidates:
@@ -196,11 +186,10 @@ def intersect_runs(
 ) -> list[TestOpportunity]:
     """Opportunities that survive across every run.
 
-    Each surviving opportunity intersects the time windows, the stable
-    boxes and the frame index sets of one opportunity per run (same
-    trackable), and is kept only when the result still meets both the
-    visibility and the duration thresholds.  With a single run the input
-    is returned as-is (sorted).
+    Each surviving opportunity intersects the time windows and the stable
+    boxes of one opportunity per run (same trackable), and is kept only
+    when the result still meets both the visibility and the duration
+    thresholds.  With a single run the input is returned as-is (sorted).
     """
     if not runs:
         raise ValueError("need at least one run")
@@ -218,17 +207,6 @@ def intersect_runs(
         end = min(o.end_ms for o in combo)
         if end - start < min_ms:
             continue
-        frames = set(combo[0].frame_indices)
-        for o in combo[1:]:
-            frames &= set(o.frame_indices)
-        out.append(
-            TestOpportunity(
-                trackable_id=combo[0].trackable_id,
-                stable_box=box,
-                start_ms=start,
-                end_ms=end,
-                frame_indices=tuple(sorted(frames)),
-            )
-        )
+        out.append(TestOpportunity(combo[0].trackable_id, box, start, end))
     out.sort(key=opportunity_sort_key)
     return out

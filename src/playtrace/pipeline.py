@@ -7,7 +7,9 @@ recording when more than one is available.  Frames pass through one loop
 (run_boxes) as they arrive, so a run costs memory for its boxes and for one
 block of frames, not for all its frames.  A run's boxes are one float64
 array per trackable, a row per frame with NaN for "no box"; Rects are made
-only for the life spans found in them.
+only for the life spans found in them.  The boxes depend on the frames
+alone: AnalysisParams reaches the producer's walk (fps) and analyze_boxes
+(the visibility and duration thresholds), not run_boxes.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class RunBoxes:
     screen: tuple[int, int]
 
 
-def run_boxes(frames: Iterable[FrameRecord], params: AnalysisParams = AnalysisParams()) -> RunBoxes:
+def run_boxes(frames: Iterable[FrameRecord]) -> RunBoxes:
     """The one frame loop: find the boxes of every frame given, a block at a time.
 
     frames may be a tuple or a stream, such as iter_frames or render_frames
@@ -74,7 +76,7 @@ def run_boxes(frames: Iterable[FrameRecord], params: AnalysisParams = AnalysisPa
     raised after the frames before it are analysed (blocks), so an error
     those frames raise comes first, as it would one frame at a time.  The
     boxes dict is keyed in order of first appearance; each value has one
-    row per frame, NaN where the trackable produced no usable box.  A run
+    row per frame, NaN where the trackable produced no box.  A run
     has one screen: a frame whose screen differs from the first frame's is
     a ValueError.
     """
@@ -96,7 +98,7 @@ def run_boxes(frames: Iterable[FrameRecord], params: AnalysisParams = AnalysisPa
     timestamps: list[int] = []
     for block in blocks(checked(), BOX_BLOCK_FRAMES):
         tids, frame_of, found = fit_boxes(block_pieces(block, first.screen_w, first.screen_h),
-                                          first.screen_w, first.screen_h, params.min_visibility)
+                                          first.screen_w, first.screen_h)
         for tid in tids:
             if tid not in chunks:
                 chunks[tid] = [np.full((len(timestamps), 4), np.nan)]

@@ -6,6 +6,7 @@ files, which makes reports diffable and cacheable.
 
 from __future__ import annotations
 
+import re
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -127,8 +128,14 @@ def render_gantt(opportunities: Sequence[TestOpportunity], end_ms: int, start_ms
     return "\n".join(parts) + "\n"
 
 
+# the characters XML 1.0 forbids: controls other than tab and line ends, surrogates, U+FFFE, U+FFFF
+_XML_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def _escape(s: str) -> str:
-    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
+    """s as XML text: markup characters as entities, forbidden ones as their Python escapes."""
+    s = s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
+    return _XML_FORBIDDEN.sub(lambda m: repr(m[0])[1:-1], s)
 
 
 def opportunities_to_dict(
@@ -164,10 +171,7 @@ def write_report(
 
 
 def load_report(path: str | Path) -> tuple[list[TestOpportunity], dict]:
-    """Read back a report written by write_report.
-
-    Frame index sets are not stored in reports, so they come back empty.
-    """
+    """Read back the opportunities and params of a report written by write_report."""
     d = load_json(path)
     opps = []
     try:
@@ -179,7 +183,7 @@ def load_report(path: str | Path) -> tuple[list[TestOpportunity], dict]:
                 raise ValueError(f"opportunity {i}: start_ms {start_ms} is after end_ms {end_ms}")
             if not isinstance(od["id"], str):
                 raise ValueError(f"opportunity {i}: id must be a string, got {od['id']!r}")
-            opps.append(TestOpportunity(od["id"], Rect(*box), start_ms, end_ms, ()))
+            opps.append(TestOpportunity(od["id"], Rect(*box), start_ms, end_ms))
         params = d["params"]
         if not isinstance(params, dict):
             raise ValueError(f"params must be an object, got {params!r}")

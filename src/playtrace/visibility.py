@@ -3,13 +3,13 @@
 Turns the trackables of each frame into screen-space candidate boxes:
 project the surface polygon, clip it to the screen, carve out anything
 hidden behind nearer surfaces, then fit a conservative axis-aligned box into
-what is left.  A box survives only when it covers at least
-``min_visibility`` of the screen.  Both steps take a block of frames
-(block_pieces, then fit_boxes), so that numpy passes and one inscribed_rects
-call serve many frames.  Boxes stay float64 rows of (x_min, y_min, x_max,
-y_max): inscribed_rects leaves a NaN row where a piece holds no box, and
-fit_boxes returns the kept surfaces' rows as one array, with no object per
-box.
+what is left.  No threshold applies here: every surface keeps its best box,
+and the life spans alone judge whether it is large enough.  Both steps take
+a block of frames (block_pieces, then fit_boxes), so that numpy passes and
+one inscribed_rects call serve many frames.  Boxes stay float64 rows of
+(x_min, y_min, x_max, y_max): inscribed_rects leaves a NaN row where a piece
+holds no box, and fit_boxes returns one row per surface as one array, with
+no object per box.
 """
 
 from __future__ import annotations
@@ -212,14 +212,14 @@ def block_pieces(
 
 
 def fit_boxes(
-    frames: Sequence[list[SurfacePieces]], screen_w: int, screen_h: int, min_visibility: float
+    frames: Sequence[list[SurfacePieces]], screen_w: int, screen_h: int
 ) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The boxes of a block's surfaces from its block_pieces, with one inscribed_rects call.
 
     A surface keeps the largest rect of its pieces (the first of equal
-    ones), and only when it covers at least min_visibility of the screen.
-    Returns the trackable ids, frame indices and (k, 4) box rows of the
-    surfaces that keep one, in frame order and near to far within a frame.
+    ones), or a NaN row when none of its pieces holds one.  Returns the
+    trackable ids, frame indices and (k, 4) box rows of every surface, in
+    frame order and near to far within a frame.
     """
     tids = [tid for found in frames for tid, _ in found]
     frame_of = np.repeat(np.arange(len(frames)), [len(found) for found in frames])
@@ -230,5 +230,6 @@ def fit_boxes(
     # largest first within each surface, NaN last; a stable sort keeps equal ones in order
     order = np.lexsort((-area, surface))
     best = order[np.diff(surface[order], prepend=-1) != 0]
-    kept = best[area[best] / (float(screen_w) * float(screen_h)) >= min_visibility]
-    return [tids[k] for k in surface[kept].tolist()], frame_of[surface[kept]], rects[kept]
+    boxes = np.full((len(tids), 4), np.nan)   # a fully occluded surface has no pieces
+    boxes[surface[best]] = rects[best]
+    return tids, frame_of, boxes

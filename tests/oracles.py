@@ -781,7 +781,7 @@ def subtract_occluders_unskipped(subject, occluders):
     return pieces
 
 
-def analyze_frame_per_vertex(frame, min_visibility):
+def analyze_frame_per_vertex(frame):
     """frame_boxes over the three loops above, in the same near-to-far order."""
     from playtrace import geometry as g
     from playtrace.trace import TrackingState
@@ -810,8 +810,7 @@ def analyze_frame_per_vertex(frame, min_visibility):
             r = inscribed_rect_pip(piece, w, h)
             if r is not None and (best is None or g.rect_area(r) > g.rect_area(best)):
                 best = r
-        if best is not None and g.rect_area(best) / (float(w) * float(h)) >= min_visibility:
-            boxes.append((t.trackable_id, best))
+        boxes.append((t.trackable_id, best))
     return boxes
 
 
@@ -843,23 +842,25 @@ def decimate(frames, source_fps, target_fps):
     return (f for f in frames if keep(f.timestamp_ms))
 
 
-def frame_boxes(frame, min_visibility):
-    """(trackable id, Rect) pairs of one frame on its own: a one-frame block_pieces and fit_boxes."""
-    from playtrace.geometry import Rect
+def frame_boxes(frame):
+    """(trackable id, Rect | None) of each surface of one frame on its own: a one-frame
+    block_pieces and fit_boxes, None where the surface holds no box."""
     from playtrace.visibility import block_pieces, fit_boxes
 
     w, h = frame.screen_w, frame.screen_h
-    pieces = block_pieces([frame], w, h)
-    tids, _, rows = fit_boxes(pieces, w, h, min_visibility)
-    return [(tid, Rect(*row)) for tid, row in zip(tids, rows.tolist())]
+    tids, _, rows = fit_boxes(block_pieces([frame], w, h), w, h)
+    return list(zip(tids, rects_of(rows)))
 
 
-def eager_boxes(trace, params):
-    """(Rect | None slots per trackable, timestamps) of a whole trace, a kept frame at a time."""
-    sampled = list(decimate(trace.frames, trace.source_fps, params.fps))
+def eager_boxes(trace, fps):
+    """(Rect | None slots per trackable, timestamps) of a whole trace, a kept frame at a time.
+
+    A trackable gets its slots at the first frame that lists it, with or without a box.
+    """
+    sampled = list(decimate(trace.frames, trace.source_fps, fps))
     sequences = {}
     for idx, frame in enumerate(sampled):
-        for tid, box in frame_boxes(frame, min_visibility=params.min_visibility):
+        for tid, box in frame_boxes(frame):
             sequences.setdefault(tid, [None] * len(sampled))[idx] = box
     return sequences, [f.timestamp_ms for f in sampled]
 
@@ -873,7 +874,7 @@ def analyze_eager(traces, params):
     assert len(screens) == 1, screens
     per_run = []
     for trace in traces:
-        sequences, timestamps = eager_boxes(trace, params)
+        sequences, timestamps = eager_boxes(trace, params.fps)
         opps = []
         for tid, boxes in sequences.items():
             spans = life_spans(boxes, screens[0], params.min_visibility)

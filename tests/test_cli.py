@@ -6,6 +6,7 @@ import math
 import re
 import signal
 import sys
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -217,6 +218,51 @@ def test_runs_outside_the_budget_are_rejected_first(tmp_path, capsys, command, r
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, knobs, message",
+    [
+        ("schedule", ["--seed", "9007199254740993"],
+         "--seed must be an integer of at most 2**53 in magnitude, got 9007199254740993"),
+        ("schedule", ["--seed", "-9007199254740993"],
+         "--seed must be an integer of at most 2**53 in magnitude, got -9007199254740993"),
+        ("compare", ["--seeds", "1", "-1"], "--seeds must be non-negative, got -1"),
+        ("analyze", ["--runs", "2", "--jitter-seed-base", "-3"],
+         "--jitter-seed-base must be non-negative, got -3"),
+    ],
+)
+def test_seed_knobs_are_rejected_before_anything_is_written(tmp_path, trace_path, capsys,
+                                                            command, knobs, message):
+    if command == "schedule":
+        assert main(["analyze", str(trace_path), "--out", str(tmp_path / "a")]) == 0
+        source = tmp_path / "a" / "report.json"
+    elif command == "compare":
+        source = tmp_path / "scene.json"
+        save_scene(_scene(), source)
+    else:
+        source = trace_path
+    out = tmp_path / "out"
+    rc = main([command, str(source), *knobs, "--out", str(out)])
+    assert _assert_input_error(rc, capsys) == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_ids_with_characters_xml_forbids_give_a_well_formed_chart(tmp_path, trace_path):
+    tid = "ta\x01ble\ud800"
+    header, *frames = trace_path.read_text(encoding="utf-8").splitlines()
+    lines = [header]
+    for line in frames:
+        frame = json.loads(line)
+        frame["trackables"][0]["id"] = tid
+        lines.append(json.dumps(frame))
+    trace_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["analyze", str(trace_path), "--out", str(out)]) == 0
+    assert [o.trackable_id for o in load_report(out / "report.json")[0]] == [tid]
+    root = ET.parse(out / "gantt.svg").getroot()
+    assert [el.get("data-id") for el in root.iter("{http://www.w3.org/2000/svg}rect")
+            if el.get("class") == "block"] == ["ta\\x01ble\\ud800"]
+
+
 def test_analyze_rejects_trace_jitter_that_is_not_an_object(tmp_path, capsys):
     trace = generate_trace(_scene())
     trace = dataclasses.replace(trace, metadata={**trace.metadata, "jitter": None})
@@ -280,10 +326,9 @@ def test_analyze_ends_at_the_last_frame_whether_kept_or_dropped(tmp_path, n):
     path = tmp_path / "run.jsonl"
     save_trace(dataclasses.replace(full, frames=full.frames[:n]), path)
     params = AnalysisParams()
-    loaded = run_boxes(oracles.decimate(load_trace(path).frames, full.source_fps, params.fps),
-                       params)
+    loaded = run_boxes(oracles.decimate(load_trace(path).frames, full.source_fps, params.fps))
     walk = deadline_walk(full.source_fps, params.fps)
-    oracles.assert_same_run(run_boxes(iter_frames(path, walk), params), loaded)
+    oracles.assert_same_run(run_boxes(iter_frames(path, walk)), loaded)
     assert walk.last_ms == full.frames[n - 1].timestamp_ms
     assert (loaded.timestamps_ms[-1] < walk.last_ms) == (n > 121)
     assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 0

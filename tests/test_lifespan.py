@@ -28,8 +28,8 @@ def _r(x0, y0, x1, y1):
     return Rect(float(x0), float(y0), float(x1), float(y1))
 
 
-def _opp(tid, box, start, end, frames=()):
-    return TestOpportunity(tid, box, start, end, tuple(frames))
+def _opp(tid, box, start, end):
+    return TestOpportunity(tid, box, start, end)
 
 
 # ------------------------------------------------------------------- spans
@@ -158,6 +158,23 @@ def test_array_life_spans_match_the_scalar_scans(boxes, min_visibility):
     _assert_spans_match_the_scalar_scans(boxes, min_visibility)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_slots(), st.sampled_from([0.0, 0.02, 0.05, 0.10, 0.25, 1.0]))
+def test_a_row_below_the_threshold_acts_as_no_box(boxes, min_visibility):
+    # the box pass keeps boxes of any size: life_spans alone applies min_visibility
+    rows = oracles.box_rows(boxes)
+    w, h = SCREEN
+    x0, y0 = np.maximum(rows[:, 0], 0.0), np.maximum(rows[:, 1], 0.0)
+    x1, y1 = np.minimum(rows[:, 2], w), np.minimum(rows[:, 3], h)
+    meets = (x0 <= x1) & (y0 <= y1) & ((x1 - x0) * (y1 - y0) / (w * h) >= min_visibility)
+    blanked = np.where(meets[:, None], rows, np.nan)
+    got = life_spans(rows, SCREEN, min_visibility)
+    want = life_spans(blanked, SCREEN, min_visibility)
+    assert [m for _, m in got] == [m for _, m in want]
+    for (box, _), (want_box, _) in zip(got, want):
+        assert oracles.same_bits(box.as_list(), want_box.as_list())
+
+
 def test_array_life_spans_keep_the_scalar_signed_zeros():
     # clamped, -0.0 edges become 0.0 at the screen's low sides and stay -0.0 where a box
     # ends there; zero-extent boxes are usable at min_visibility 0 and touch their neighbours
@@ -211,7 +228,6 @@ def test_filter_by_duration_inclusive():
     o = kept[0]
     assert (o.start_ms, o.end_ms) == (0, 2000)
     assert o.duration_ms == 2000
-    assert o.frame_indices == (0, 1, 2)
     assert filter_by_duration("t", spans, ts, min_lifespan_s=2.001) == []
 
 
@@ -270,7 +286,7 @@ def test_cross_run_join_scales_with_matches_not_runs():
     windows = [(0, 2000), (3000, 5000), (6000, 8000), (9000, 11000)]
     runs = [
         [
-            _opp("t", _r(r, 0, 100 + r, 50), start, end, frames=range(10 * w, 10 * w + 21))
+            _opp("t", _r(r, 0, 100 + r, 50), start, end)
             for w, (start, end) in enumerate(windows)
         ]
         for r in range(16)
@@ -282,9 +298,8 @@ def test_cross_run_join_scales_with_matches_not_runs():
 
     out = intersect_runs(runs, SCREEN, 0.10, 2.0)
     assert [(o.start_ms, o.end_ms) for o in out] == windows
-    for w, o in enumerate(out):
+    for o in out:
         assert o.stable_box == _r(15, 0, 100, 50)
-        assert o.frame_indices == tuple(range(10 * w, 10 * w + 21))
 
     m = compute_metrics(runs, SCREEN)
     assert m.opportunity_count == 4
@@ -304,23 +319,21 @@ def test_intersect_runs_single_run_sorted():
 
 
 def test_intersect_runs_identical():
-    o = _opp("t", _r(0, 0, 100, 50), 0, 6000, frames=(0, 1, 2))
+    o = _opp("t", _r(0, 0, 100, 50), 0, 6000)
     out = intersect_runs([[o], [o]], SCREEN, 0.10, 2.0)
     assert len(out) == 1
     assert out[0].stable_box == o.stable_box
     assert (out[0].start_ms, out[0].end_ms) == (0, 6000)
-    assert out[0].frame_indices == (0, 1, 2)
 
 
 def test_intersect_runs_shrinks_and_filters():
-    a = _opp("t", _r(0, 0, 100, 50), 0, 6000, frames=(0, 1, 2, 3))
-    shifted = _opp("t", _r(60, 0, 160, 50), 1000, 7000, frames=(1, 2, 3, 4))
+    a = _opp("t", _r(0, 0, 100, 50), 0, 6000)
+    shifted = _opp("t", _r(60, 0, 160, 50), 1000, 7000)
     out = intersect_runs([[a], [shifted]], SCREEN, 0.10, 2.0)
     # overlap is 40 x 50 = 2000 px^2, exactly the 10% threshold (inclusive)
     assert len(out) == 1
     assert out[0].stable_box == _r(60, 0, 100, 50)
     assert (out[0].start_ms, out[0].end_ms) == (1000, 6000)
-    assert out[0].frame_indices == (1, 2, 3)
 
     barely = _opp("t", _r(61, 0, 161, 50), 1000, 7000)
     assert intersect_runs([[a], [barely]], SCREEN, 0.10, 2.0) == []

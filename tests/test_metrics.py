@@ -14,7 +14,7 @@ from playtrace.reporting import opportunities_to_dict
 
 
 def _opp(tid, box, start, end):
-    return TestOpportunity(tid, box, start, end, ())
+    return TestOpportunity(tid, box, start, end)
 
 
 def test_interval_iou_values():

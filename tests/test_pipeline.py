@@ -46,13 +46,13 @@ def _scene(duration=6000, planes=None, jitter=None):
 
 def _analyze(traces, params=AnalysisParams()):
     return analyze_boxes(
-        [run_boxes(decimate(t.frames, t.source_fps, params.fps), params) for t in traces], params)
+        [run_boxes(decimate(t.frames, t.source_fps, params.fps)) for t in traces], params)
 
 
 def test_box_sequences_cover_every_frame():
     trace = generate_trace(_scene())
     sampled = list(decimate(trace.frames, trace.source_fps, 10.0))
-    run = run_boxes(sampled, AnalysisParams(fps=10.0))
+    run = run_boxes(sampled)
     assert set(run.boxes) == {"table"}
     boxes = run.boxes["table"]
     assert boxes.dtype == np.float64 and boxes.shape == (len(sampled), 4)

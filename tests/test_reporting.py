@@ -4,9 +4,13 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import oracles
 from playtrace.geometry import Rect
-from playtrace.lifespan import TestOpportunity
+from playtrace.lifespan import TestOpportunity, opportunity_sort_key
 from playtrace.metrics import compute_metrics
+from playtrace.pipeline import analyze_boxes, run_boxes
+from playtrace.scenes import benchmark_scene
+from playtrace.simulator import generate_trace
 from playtrace.reporting import (
     CHART_WIDTH_PX,
     load_report,
@@ -19,7 +23,7 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 def _opp(tid, start, end, box=None):
-    return TestOpportunity(tid, box or Rect(100, 100, 400, 300), start, end, ())
+    return TestOpportunity(tid, box or Rect(100, 100, 400, 300), start, end)
 
 
 def _blocks(svg_text):
@@ -69,6 +73,17 @@ def test_gantt_escapes_ids():
     assert "a&lt;b&amp;c" in svg
 
 
+@pytest.mark.parametrize("tid, shown", [("a\x01b", "a\\x01b"), ("c\ud800", "c\\ud800"),
+                                        ("\x00\x1f\ufffe\uffff", "\\x00\\x1f\\ufffe\\uffff")])
+def test_gantt_escapes_characters_xml_forbids(tid, shown):
+    # written as backslash escapes, as the CLI writes line breaks in its error line
+    svg = render_gantt([_opp(tid, 0, 1000)], 1000)
+    svg.encode("utf-8")
+    (block,) = _blocks(svg)
+    assert block.get("data-id") == shown
+    assert f">{shown}</text>" in svg
+
+
 def test_gantt_empty_and_bad_duration():
     svg = render_gantt([], 5000)
     assert _blocks(svg) == []
@@ -116,6 +131,17 @@ def test_report_round_trip(tmp_path):
     # writing is byte deterministic
     write_report(opps, params, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def test_load_report_returns_the_opportunities_written(tmp_path):
+    scene = benchmark_scene("drift-trio")
+    runs = [run_boxes(oracles.decimate(t.frames, t.source_fps, 10.0))
+            for t in (generate_trace(scene, seed, scene.default_jitter) for seed in (1, 2))]
+    per_run, final, _metrics = analyze_boxes(runs)
+    for got in (per_run[0], final):
+        assert got
+        write_report(got, {}, tmp_path / "report.json")
+        assert load_report(tmp_path / "report.json")[0] == sorted(got, key=opportunity_sort_key)
 
 
 def test_load_report_malformed(tmp_path):

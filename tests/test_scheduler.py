@@ -27,7 +27,7 @@ SCREEN = (1920, 1080)
 def _opp(tid="t", box=None, start=0, end=20000):
     if box is None:
         box = Rect(400.0, 300.0, 1400.0, 800.0)
-    return TestOpportunity(tid, box, start, end, ())
+    return TestOpportunity(tid, box, start, end)
 
 
 def _inset(box):

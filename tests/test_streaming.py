@@ -70,8 +70,8 @@ def test_analyze_matches_the_scalar_span_oracle_on_the_pack(tmp_path, name):
     _assert_same_outputs(tmp_path / "s", tmp_path / "e")
 
     params = AnalysisParams()
-    run = run_boxes(iter_frames(path, deadline_walk(trace.source_fps, params.fps)), params)
-    sequences, timestamps = oracles.eager_boxes(trace, params)
+    run = run_boxes(iter_frames(path, deadline_walk(trace.source_fps, params.fps)))
+    sequences, timestamps = oracles.eager_boxes(trace, params.fps)
     assert run.timestamps_ms == timestamps
     assert list(run.boxes) == list(sequences)
     for tid, rows in run.boxes.items():
@@ -98,11 +98,11 @@ def test_rendered_runs_equal_the_runs_of_full_traces(name):
     scene = benchmark_scene(name)
     params = AnalysisParams()
     walks = [deadline_walk(scene.fps, params.fps) for _ in range(2)]
-    runs = _generated_runs(scene, scene.default_jitter, 5, walks, params)
+    runs = _generated_runs(scene, scene.default_jitter, 5, walks)
     for r, (run, walk) in enumerate(zip(runs, walks)):
         full = generate_trace(scene, 5 + r, scene.default_jitter)
         oracles.assert_same_run(
-            run, run_boxes(oracles.decimate(full.frames, full.source_fps, params.fps), params))
+            run, run_boxes(oracles.decimate(full.frames, full.source_fps, params.fps)))
         assert walk.last_ms == full.duration_ms > run.timestamps_ms[-1]
 
 

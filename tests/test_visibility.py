@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import oracles
 from playtrace import geometry as g
-from playtrace.lifespan import DEFAULT_MIN_VISIBILITY
-from playtrace.pipeline import AnalysisParams, run_boxes
+from playtrace.lifespan import life_spans
+from playtrace.pipeline import run_boxes
 from playtrace.scenes import benchmark_scene, benchmark_scenes
 from playtrace.simulator import generate_trace, perspective_matrix
 from playtrace.trace import (
@@ -101,12 +101,12 @@ def test_project_trackable_behind_camera():
     above = _plane("t", (0.0, 3.0, 0.0), 0.5, 0.5)
     f = _frame([above])
     assert project_trackable(above, f) is None
-    assert oracles.frame_boxes(f, DEFAULT_MIN_VISIBILITY) == []
+    assert oracles.frame_boxes(f) == []
 
 
 def test_single_plane_box():
     f = _frame([_plane("table", (0, 0, 0), 1.0, 0.5)])
-    boxes = oracles.frame_boxes(f, min_visibility=0.10)
+    boxes = oracles.frame_boxes(f)
     assert len(boxes) == 1
     tid, box = boxes[0]
     px = _px_per_m(2.0)
@@ -120,9 +120,12 @@ def test_single_plane_box():
 
 
 def test_min_visibility_excludes():
+    # the box covers about 14 % of the screen; the life spans alone apply the threshold
     f = _frame([_plane("table", (0, 0, 0), 1.0, 0.5)])
-    assert oracles.frame_boxes(f, min_visibility=0.10)
-    assert oracles.frame_boxes(f, min_visibility=0.30) == []
+    ((_, box),) = oracles.frame_boxes(f)
+    rows = oracles.box_rows([box])
+    assert [members for _, members in life_spans(rows, (W, H), 0.10)] == [range(0, 1)]
+    assert life_spans(rows, (W, H), 0.30) == []
 
 
 def test_paused_and_stopped_ignored():
@@ -130,14 +133,14 @@ def test_paused_and_stopped_ignored():
         _plane("p", (0, 0, 0), 1.0, 1.0, state=TrackingState.PAUSED),
         _plane("s", (0, 0, 0), 1.0, 1.0, state=TrackingState.STOPPED),
     ])
-    assert oracles.frame_boxes(f, min_visibility=0.01) == []
+    assert oracles.frame_boxes(f) == []
 
 
 def test_back_facing_yields_no_box_but_occludes():
     # "shade" hangs at y=1 facing up, i.e. away from the camera above it
     shade = _plane("shade", (0.0, 1.0, 0.0), 0.3, 0.3, normal=(0.0, -1.0, 0.0))
     floor = _plane("floor", (0.0, 0.0, 0.0), 1.0, 0.5)
-    boxes = oracles.frame_boxes(_frame([floor, shade]), min_visibility=0.02)
+    boxes = oracles.frame_boxes(_frame([floor, shade]))
     ids = [tid for tid, _ in boxes]
     assert "shade" not in ids
     assert ids == ["floor"]
@@ -146,7 +149,7 @@ def test_back_facing_yields_no_box_but_occludes():
     box = boxes[0][1]
     assert box.x_max <= 960 - hole_half + 1e-6 or box.x_min >= 960 + hole_half - 1e-6
     # without the shade the floor box spans the full projection
-    full = oracles.frame_boxes(_frame([floor]), min_visibility=0.02)[0][1]
+    full = oracles.frame_boxes(_frame([floor]))[0][1]
     assert full.width > box.width
 
 
@@ -154,18 +157,18 @@ def test_paused_plane_does_not_occlude():
     shade = _plane("shade", (0.0, 1.0, 0.0), 0.3, 0.3, normal=(0.0, -1.0, 0.0),
                    state=TrackingState.PAUSED)
     floor = _plane("floor", (0.0, 0.0, 0.0), 1.0, 0.5)
-    with_paused = oracles.frame_boxes(_frame([floor, shade]), min_visibility=0.02)[0][1]
-    alone = oracles.frame_boxes(_frame([floor]), min_visibility=0.02)[0][1]
+    with_paused = oracles.frame_boxes(_frame([floor, shade]))[0][1]
+    alone = oracles.frame_boxes(_frame([floor]))[0][1]
     assert with_paused == alone
 
 
 def test_nearer_plane_unaffected_by_farther():
     near = _plane("near", (0.0, 1.0, 0.0), 0.35, 0.35)
     far = _plane("far", (0.0, 0.0, 0.0), 1.0, 0.6)
-    boxes = oracles.frame_boxes(_frame([far, near]), min_visibility=0.02)
+    boxes = oracles.frame_boxes(_frame([far, near]))
     by_id = dict(boxes)
     assert set(by_id) == {"near", "far"}
-    near_alone = oracles.frame_boxes(_frame([near]), min_visibility=0.02)[0][1]
+    near_alone = oracles.frame_boxes(_frame([near]))[0][1]
     assert by_id["near"] == near_alone
     # results come back ordered near to far
     assert [tid for tid, _ in boxes] == ["near", "far"]
@@ -173,7 +176,7 @@ def test_nearer_plane_unaffected_by_farther():
 
 def test_offscreen_plane_clipped_away():
     f = _frame([_plane("gone", (50.0, 0.0, 0.0), 0.5, 0.5)])
-    assert oracles.frame_boxes(f, min_visibility=0.001) == []
+    assert oracles.frame_boxes(f) == []
 
 
 # ------------------------------------------------ against the per-vertex path
@@ -254,11 +257,11 @@ def test_analyze_frame_matches_per_vertex_pipeline(tmp_path, scene):
         for tr in (trace, load_trace(path)):
             frames = list(decimate(tr.frames, tr.source_fps, 10.0))
             pieces = block_pieces(frames, sc.screen_w, sc.screen_h)
-            tids, frame_of, rows = fit_boxes(pieces, sc.screen_w, sc.screen_h, 0.0)
+            tids, frame_of, rows = fit_boxes(pieces, sc.screen_w, sc.screen_h)
             assert frame_of.tolist() == sorted(frame_of.tolist())
             boxes = list(zip(frame_of.tolist(), tids, oracles.rects_of(rows)))
             assert boxes == [(i, tid, box) for i, f in enumerate(frames)
-                             for tid, box in oracles.analyze_frame_per_vertex(f, 0.0)]
+                             for tid, box in oracles.analyze_frame_per_vertex(f)]
             for i, f in enumerate(frames):
                 assert repr(pieces[i]) == repr(oracles.frame_pieces(f, screen)), i
 
@@ -284,7 +287,7 @@ def test_screen_clip_is_checked_once_per_run(monkeypatch):
     planes = [_plane("a", (-0.6, 0.0, 0.0), 0.3, 0.3), _plane("b", (0.6, 0.0, 0.0), 0.3, 0.3),
               _plane("c", (0.0, 0.5, 0.0), 0.2, 0.2)]
     frames = [_frame(planes, t_ms=100 * k) for k in range(5)]
-    run = run_boxes(frames, AnalysisParams(fps=10.0, min_visibility=0.0))
+    run = run_boxes(frames)
     assert set(run.boxes) == {"a", "b", "c"}
     assert not any(np.isnan(boxes).any() for boxes in run.boxes.values())
     assert len(run.timestamps_ms) == len(frames)

@@ -21,7 +21,9 @@ from typing import Sequence
 
 from .jsonin import dump_json, integer
 from .lifespan import DEFAULT_MIN_LIFESPAN_S, DEFAULT_MIN_VISIBILITY
-from .pipeline import DEFAULT_ANALYSIS_FPS, AnalysisParams, RunBoxes, analyze_boxes, run_boxes
+from .pipeline import (
+    DEFAULT_ANALYSIS_FPS, AnalysisParams, RunBoxes, analyze_boxes, frame_blocks, run_boxes,
+)
 from .reporting import load_report, render_gantt, write_report
 from .scenes import benchmark_scenes
 from .scheduler import (
@@ -45,7 +47,7 @@ from .simulator import (
     scene_from_dict,
     save_scene,
 )
-from .trace import DeadlineWalk, TraceError, deadline_walk, iter_frames, read_header
+from .trace import DeadlineWalk, TraceError, deadline_walk, iter_blocks, read_header
 
 MAX_RUNS = 1_000  # runs one analyze or compare may take: each run is a whole trace
 
@@ -89,7 +91,7 @@ def _generated_runs(
     Each run renders and analyses only the frames its walk keeps.
     """
     return [
-        run_boxes(render_frames(scene, seed_base + r, jitter, walk))
+        run_boxes(frame_blocks(render_frames(scene, seed_base + r, jitter, walk)))
         for r, walk in enumerate(walks)
     ]
 
@@ -106,7 +108,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         path = args.traces[0]
         meta = read_header(path)[1]
         # the frames go unused, but a bad one rejects the trace: read and check every line
-        for _ in iter_frames(path, keep=lambda t: False):
+        for _ in iter_blocks(path, keep=lambda t: False):
             pass
         if "scene" not in meta:
             raise ValueError(
@@ -122,7 +124,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         walks, runs = [], []
         for p in args.traces:
             walks.append(deadline_walk(read_header(p)[0], params.fps))
-            runs.append(run_boxes(iter_frames(p, walks[-1])))
+            runs.append(run_boxes(iter_blocks(p, walks[-1])))
     per_run, final, metrics = analyze_boxes(runs, params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -475,25 +475,30 @@ def _at_most(hi: float, v: np.ndarray) -> np.ndarray:
 
 
 def simple_polygons(polys: Sequence[Polygon]) -> np.ndarray:
+    """Whether each polygon is simple, as a bool array (simple_polygon_rows)."""
+    xy = np.array([v for p in polys for v in p], dtype=float).reshape(-1, 2)
+    return simple_polygon_rows(xy, np.array([len(p) for p in polys], dtype=int))
+
+
+def simple_polygon_rows(xy: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Whether each polygon is simple, as a bool array, in one numpy pass per vertex count.
 
-    A polygon is simple when no vertex repeats (_dist_sq within
-    PARALLEL_EPS) and no two non-adjacent edges cross or overlap
-    (_segments_cross).  The tests compare every verdict with a scalar loop
-    over those two helpers, and the expressions here are elementwise copies
-    of theirs in their order.  A polygon on which the scalar loop raises
-    OverflowError (Python's ** 2 of a finite value past the float range)
-    is not simple here.
+    The polygons are stored one after another: polygon i has the next
+    counts[i] rows of xy.  A polygon is simple when no vertex repeats
+    (_dist_sq within PARALLEL_EPS) and no two non-adjacent edges cross or
+    overlap (_segments_cross).  The tests compare every verdict with a
+    scalar loop over those two helpers, and the expressions here are
+    elementwise copies of theirs in their order.  A polygon on which the
+    scalar loop raises OverflowError (Python's ** 2 of a finite value past
+    the float range) is not simple here, nor is one of fewer than 3 vertices.
     """
-    simple = np.zeros(len(polys), dtype=bool)
-    by_size: dict[int, list[int]] = {}
-    for i, p in enumerate(polys):
-        by_size.setdefault(len(p), []).append(i)
+    simple = np.zeros(len(counts), dtype=bool)
+    first = np.cumsum(counts) - counts
     with np.errstate(all="ignore"):
-        for n, idx in by_size.items():
-            if n >= 3:
-                xy = np.array([polys[i] for i in idx], dtype=float).reshape(len(idx), n, 2)
-                simple[idx] = _simple_of_size(xy[:, :, 0], xy[:, :, 1])
+        for n in set(counts[counts >= 3].tolist()):   # np.unique would import numpy.ma
+            idx = np.flatnonzero(counts == n)
+            poly = xy[first[idx, None] + np.arange(n)]
+            simple[idx] = _simple_of_size(poly[:, :, 0], poly[:, :, 1])
     return simple
 
 

@@ -54,7 +54,7 @@ def dump_json(obj: Any, path: str | Path) -> None:
 
 def json_numbers(values: list) -> bool:
     """True when every entry is an int or a float; a C-speed type check that rejects bool."""
-    return set(map(type, values)) <= _NUMBER_TYPES
+    return _NUMBER_TYPES.issuperset(map(type, values))
 
 
 def finite_floats(values: list) -> np.ndarray | None:

@@ -30,12 +30,13 @@ from .lifespan import (
     opportunity_sort_key,
 )
 from .metrics import VideoMetrics, compute_metrics
-from .trace import FrameRecord, TraceValidationError, blocks
+from .trace import FrameBlock, FrameRecord, TraceValidationError, blocks, frames_block, join_blocks
 from .visibility import block_pieces, fit_boxes
 
 DEFAULT_ANALYSIS_FPS = 10.0
-# Kept frames analysed together (block_pieces, then fit_boxes).  The block holds
-# the frames themselves, a few KB each with the number arrays they keep alive.
+# Frames analysed together (block_pieces, then fit_boxes): run_boxes joins the
+# blocks it is given until they hold this many, and frame_blocks cuts frames
+# made in memory into blocks of this many.
 BOX_BLOCK_FRAMES = 128
 
 
@@ -66,19 +67,13 @@ class RunBoxes:
     screen: tuple[int, int]
 
 
-def run_boxes(frames: Iterable[FrameRecord]) -> RunBoxes:
-    """The one frame loop: find the boxes of every frame given, a block at a time.
+def frame_blocks(frames: Iterable[FrameRecord]) -> Iterator[FrameBlock]:
+    """Frames made in memory (render_frames, or by hand) in blocks of up to BOX_BLOCK_FRAMES.
 
-    frames may be a tuple or a stream, such as iter_frames or render_frames
-    already decimated by a deadline_walk; each one is analysed.  Up to
-    BOX_BLOCK_FRAMES frames are held, and each block goes through one
-    block_pieces and one fit_boxes call.  An error from the stream is
-    raised after the frames before it are analysed (blocks), so an error
-    those frames raise comes first, as it would one frame at a time.  The
-    boxes dict is keyed in order of first appearance; each value has one
-    row per frame, NaN where the trackable produced no box.  A run
-    has one screen: a frame whose screen differs from the first frame's is
-    a ValueError.
+    frames may be a tuple or a stream; each block is frames_block of its
+    frames.  A run has one screen: a frame whose screen differs from the
+    first frame's is a ValueError, raised after the block of the frames
+    before it (blocks).
     """
     first: FrameRecord | None = None
 
@@ -94,25 +89,43 @@ def run_boxes(frames: Iterable[FrameRecord]) -> RunBoxes:
                 )
             yield f
 
+    return map(frames_block, blocks(checked(), BOX_BLOCK_FRAMES))
+
+
+def run_boxes(frames: Iterable[FrameBlock]) -> RunBoxes:
+    """The one frame loop: find the boxes of every frame given, a block at a time.
+
+    frames is a stream of blocks of one run, such as iter_blocks or
+    frame_blocks of render_frames, already decimated by a deadline_walk;
+    each frame is analysed.  The blocks are joined until they hold
+    BOX_BLOCK_FRAMES frames (blocks), and each joined block goes through
+    one block_pieces and one fit_boxes call.  An error from the stream is
+    raised after the blocks before it are analysed, so an error those
+    frames raise comes first, as it would one frame at a time.  The boxes
+    dict is keyed in order of first appearance; each value has one row per
+    frame, NaN where the trackable produced no box.  Every frame has the
+    first frame's screen; both producers check it.
+    """
+    screen: tuple[int, int] | None = None
     chunks: dict[str, list[np.ndarray]] = {}   # per trackable, its rows of each block
     timestamps: list[int] = []
-    for block in blocks(checked(), BOX_BLOCK_FRAMES):
-        tids, frame_of, found = fit_boxes(block_pieces(block, first.screen_w, first.screen_h),
-                                          first.screen_w, first.screen_h)
+    for block in map(join_blocks, blocks(frames, BOX_BLOCK_FRAMES, lambda b: len(b.t_ms))):
+        screen = screen or block.screens[0]
+        tids, frame_of, found = fit_boxes(block_pieces(block, *screen), *screen)
         for tid in tids:
             if tid not in chunks:
                 chunks[tid] = [np.full((len(timestamps), 4), np.nan)]
-        rows = np.full((len(chunks), len(block), 4), np.nan)
+        rows = np.full((len(chunks), len(block.t_ms), 4), np.nan)
         column = {tid: k for k, tid in enumerate(chunks)}
         rows[[column[tid] for tid in tids], frame_of] = found
         for seq, part in zip(chunks.values(), rows):
             seq.append(part)
-        timestamps += [f.timestamp_ms for f in block]
-        del block  # this block's frames go before the next block is filled
-    if first is None:
+        timestamps += block.t_ms
+        del block  # this block's frames go before the next block is read
+    if screen is None:
         raise TraceValidationError("cannot analyze an empty trace")
     boxes = {tid: np.concatenate(seq) for tid, seq in chunks.items()}
-    return RunBoxes(boxes, timestamps, (first.screen_w, first.screen_h))
+    return RunBoxes(boxes, timestamps, screen)
 
 
 def analyze_boxes(

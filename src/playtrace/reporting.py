@@ -130,12 +130,16 @@ def render_gantt(opportunities: Sequence[TestOpportunity], end_ms: int, start_ms
 
 # the characters XML 1.0 forbids: controls other than tab and line ends, surrogates, U+FFFE, U+FFFF
 _XML_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+# markup characters, and the tab and line ends a parser would turn into spaces or line feeds,
+# as references; a backslash doubled, so that no id reads as another's Python escape
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+                           "\t": "&#9;", "\n": "&#10;", "\r": "&#13;", "\\": "\\\\"})
 
 
 def _escape(s: str) -> str:
-    """s as XML text: markup characters as entities, forbidden ones as their Python escapes."""
-    s = s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
-    return _XML_FORBIDDEN.sub(lambda m: repr(m[0])[1:-1], s)
+    """s as XML text or attribute value, one per s: a parser reads s back, forbidden
+    characters as their Python escapes and each backslash doubled."""
+    return _XML_FORBIDDEN.sub(lambda m: repr(m[0])[1:-1], s.translate(_XML_TEXT))
 
 
 def opportunities_to_dict(

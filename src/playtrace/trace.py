@@ -12,16 +12,18 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress
+from operator import itemgetter, lt
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, NoReturn, TextIO, TypeVar
+from typing import (
+    Any, Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence, TextIO, TypeVar,
+)
 
 import numpy as np
 
-from .geometry import simple_polygons
+from .geometry import simple_polygon_rows, simple_polygons
 from .jsonin import (
-    DECODE_ERRORS, UNIT_EPS, decode_error, finite, finite_floats, integer, numbers, unit,
+    DECODE_ERRORS, MAX_INT, UNIT_EPS, decode_error, finite, finite_floats, integer, numbers, unit,
 )
 
 TRACE_FORMAT = "tariplay-trace"
@@ -85,9 +87,139 @@ class PlaybackTrace:
 
 _TRACKING_STATES = {s.value: s for s in TrackingState}   # TrackingState(v), without the Enum call
 MAX_SCREEN_PX = 2**31 - 1
-# Frame lines iter_frames checks in one numpy pass.  Each block's frames share
-# one number array, so this bounds the lines read ahead of the consumer.
+# Frame lines iter_blocks checks in one pass.  A block's frames share its
+# column arrays, so this bounds the lines read ahead of the consumer.
 INGEST_BLOCK_LINES = 64
+
+
+class FrameBlock(NamedTuple):
+    """Frames as columns: a row per frame, per trackable and per vertex.
+
+    The trackables of frame i are the next n_trackables[i] rows of the
+    trackable columns, in the frame's order, and the vertices of trackable
+    k are the next n_verts[k] rows of verts.  A matrix is a row of its 16
+    numbers in its memory order: column-major where its flag (view_f,
+    proj_f, pose_f) is set, else C order.  Every array is read-only.
+    """
+
+    t_ms: list[int]
+    screens: list[tuple[int, int]]
+    view: np.ndarray            # (F, 16)
+    view_f: np.ndarray          # (F,) bool
+    proj: np.ndarray            # (F, 16)
+    proj_f: np.ndarray          # (F,) bool
+    cam_pos: np.ndarray         # (F, 3)
+    n_trackables: np.ndarray    # (F,)
+    ids: list[str]              # (K)
+    states: list[TrackingState]
+    pose: np.ndarray            # (K, 16), local -> world
+    pose_f: np.ndarray          # (K,) bool
+    center: np.ndarray          # (K, 3)
+    normal: np.ndarray          # (K, 3)
+    n_verts: np.ndarray         # (K,)
+    verts: np.ndarray           # (V, 2) rows of (x, z) in each trackable's local plane
+
+
+# the rows of each FrameBlock column: 0 frames, 1 trackables, 2 vertices
+_ROW_KINDS = (0,) * 8 + (1,) * 7 + (2,)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _take(block: FrameBlock, kept: list[bool]) -> FrameBlock:
+    """The frames of block where kept is true, with their trackables and vertices."""
+    if all(kept):
+        return block
+    rows = [np.array(kept, dtype=bool)]   # the rows kept of each kind in _ROW_KINDS
+    rows.append(np.repeat(rows[0], block.n_trackables))
+    rows.append(np.repeat(rows[1], block.n_verts))
+    return FrameBlock(*(
+        list(compress(col, rows[kind].tolist())) if type(col) is list else _frozen(col[rows[kind]])
+        for col, kind in zip(block, _ROW_KINDS)
+    ))
+
+
+def join_blocks(parts: Sequence[FrameBlock]) -> FrameBlock:
+    """The frames of parts, in order, as one block."""
+    if len(parts) == 1:
+        return parts[0]
+    return FrameBlock(*(
+        list(chain.from_iterable(cols)) if type(cols[0]) is list else _frozen(np.concatenate(cols))
+        for cols in zip(*parts)
+    ))
+
+
+def _matrix_rows(mats: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 16) rows of each matrix's numbers in its memory order, and whether each is column-major.
+
+    A matrix in neither order is taken in C order.
+    """
+    col_major = np.array([m.flags.f_contiguous and not m.flags.c_contiguous for m in mats],
+                         dtype=bool)
+    rows = np.array([m.T if f else m for m, f in zip(mats, col_major.tolist())], dtype=float)
+    return _frozen(rows.reshape(-1, 16)), _frozen(col_major)
+
+
+def frames_block(frames: Sequence[FrameRecord]) -> FrameBlock:
+    """Frames made in memory (render_frames, or by hand) as one block, each matrix in its order."""
+    tracks = [t for f in frames for t in f.trackables]
+    view, view_f = _matrix_rows([f.view for f in frames])
+    proj, proj_f = _matrix_rows([f.projection for f in frames])
+    pose, pose_f = _matrix_rows([t.pose for t in tracks])
+
+    def rows(vectors: list, n: int) -> np.ndarray:
+        return _frozen(np.array(vectors, dtype=float).reshape(-1, n))
+
+    return FrameBlock(
+        t_ms=[f.timestamp_ms for f in frames],
+        screens=[(f.screen_w, f.screen_h) for f in frames],
+        view=view, view_f=view_f, proj=proj, proj_f=proj_f,
+        cam_pos=rows([f.camera_position for f in frames], 3),
+        n_trackables=_frozen(np.array([len(f.trackables) for f in frames], dtype=int)),
+        ids=[t.trackable_id for t in tracks],
+        states=[t.tracking_state for t in tracks],
+        pose=pose, pose_f=pose_f,
+        center=rows([t.center_world for t in tracks], 3),
+        normal=rows([t.normal_world for t in tracks], 3),
+        n_verts=_frozen(np.array([len(t.local_vertices) for t in tracks], dtype=int)),
+        verts=_frozen(np.concatenate([np.zeros((0, 2)), *(t.local_vertices for t in tracks)])),
+    )
+
+
+def block_records(block: FrameBlock) -> Iterator[FrameRecord]:
+    """The FrameRecord of each frame of a block; its arrays are views of the block's columns."""
+    def matrix(rows: np.ndarray, col_major: list[bool], i: int) -> Mat4:
+        return rows[i].reshape((4, 4), order="F" if col_major[i] else "C")
+
+    view_f, proj_f, pose_f = block.view_f.tolist(), block.proj_f.tolist(), block.pose_f.tolist()
+    vert_ends = np.cumsum(block.n_verts).tolist()
+    vert_starts = [0, *vert_ends[:-1]]
+    k = 0
+    for i, n in enumerate(block.n_trackables.tolist()):
+        trackables = tuple(
+            TrackableSnapshot(
+                trackable_id=block.ids[j],
+                pose=matrix(block.pose, pose_f, j),
+                local_vertices=block.verts[vert_starts[j]:vert_ends[j]],
+                center_world=block.center[j],
+                normal_world=block.normal[j],
+                tracking_state=block.states[j],
+            )
+            for j in range(k, k + n)
+        )
+        k += n
+        yield FrameRecord(
+            timestamp_ms=block.t_ms[i],
+            view=matrix(block.view, view_f, i),
+            projection=matrix(block.proj, proj_f, i),
+            camera_position=block.cam_pos[i],
+            screen_w=block.screens[i][0],
+            screen_h=block.screens[i][1],
+            trackables=trackables,
+        )
 
 
 def mat4_to_list(m: Mat4) -> list[float]:
@@ -100,8 +232,8 @@ def _require(d: dict, key: str, where: str) -> Any:
     return d[key]
 
 
-def _trackable_fields(d: Any, where: str) -> tuple[str, str, TrackingState, int]:
-    """Structural checks of one trackable: (id, where, state, vertex count)."""
+def _trackable_where(d: Any, where: str) -> str:
+    """The structural checks of one trackable; returns where its errors are, by its id."""
     if not isinstance(d, dict):
         raise TraceParseError(f"{where}: trackable entry must be an object")
     tid = _require(d, "id", where)
@@ -113,32 +245,26 @@ def _trackable_fields(d: Any, where: str) -> tuple[str, str, TrackingState, int]
         raise TraceValidationError(f"{where}: polygon needs at least 3 vertices")
     for key in ("normal", "state", "pose", "center"):
         _require(d, key, where)
-    try:
-        state = _TRACKING_STATES[d["state"]]
-    except (KeyError, TypeError):
-        raise TraceValidationError(f"{where}: unknown tracking state {d['state']!r}") from None
-    return tid, where, state, len(raw_verts)
+    if not isinstance(d["state"], str) or d["state"] not in _TRACKING_STATES:
+        raise TraceValidationError(f"{where}: unknown tracking state {d['state']!r}")
+    return where
 
 
-# The numeric fields of a frame and their lengths, in the order of its number
-# array: each trackable's vertices (2 each) then these, then the camera's.
+# The numeric fields of a frame and their lengths, in the order _frame_fault
+# checks them: each trackable's vertices (2 each) then these, then the camera's.
 _TRACKABLE_NUMBERS = (("normal", 3), ("pose", 16), ("center", 3))
 _CAMERA_NUMBERS = (("view", 16), ("proj", 16), ("cam_pos", 3))
 
 
-class _FrameHead(NamedTuple):
-    """A frame that passed the structural checks, before its numbers are."""
+def _frame_fault(where: str, d: dict) -> NoReturn:
+    """Raise the first fault of a frame line that _block_frames rejects on its own.
 
-    t_ms: int
-    screen: list[int]
-    raw_trackables: list[dict]
-    tracks: list[tuple[str, str, TrackingState, int]]    # _trackable_fields of each
-
-
-def _frame_head(d: dict, where: str) -> _FrameHead:
-    """The structural checks of a frame: fields, types, t_ms, screen, ids and states."""
+    Structure comes first: fields, types, t_ms, screen, ids and states.
+    Then each numeric field in the order above, then each trackable's
+    polygon and normal.  Each error names its line and field.
+    """
     try:
-        t_ms = integer(_require(d, "t_ms", where), "t_ms")
+        integer(_require(d, "t_ms", where), "t_ms")
         screen = _require(d, "screen", where)
         if not (isinstance(screen, list) and len(screen) == 2
                 and all(0 < integer(v, "screen") <= MAX_SCREEN_PX for v in screen)):
@@ -148,34 +274,23 @@ def _frame_head(d: dict, where: str) -> _FrameHead:
     raw_trackables = _require(d, "trackables", where)
     if not isinstance(raw_trackables, list):
         raise TraceParseError(f"{where}: trackables must be a list")
-    tracks = [_trackable_fields(td, where) for td in raw_trackables]
+    tracks = [(td, _trackable_where(td, where)) for td in raw_trackables]
     seen: set[str] = set()
-    for tid, _, _, _ in tracks:
-        if tid in seen:
-            raise TraceValidationError(f"{where}: duplicate trackable id '{tid}'")
-        seen.add(tid)
+    for td, _ in tracks:
+        if td["id"] in seen:
+            raise TraceValidationError(f"{where}: duplicate trackable id '{td['id']}'")
+        seen.add(td["id"])
     for key, _ in _CAMERA_NUMBERS:
         _require(d, key, where)
-    return _FrameHead(t_ms, screen, raw_trackables, tracks)
-
-
-def _frame_fault(where: str, d: dict) -> NoReturn:
-    """Raise the first fault of a frame line that _block_frames rejects on its own.
-
-    Structure comes first (_frame_head), then each numeric field in
-    number-array order, then each trackable's polygon and normal; each
-    error names its field.
-    """
-    head = _frame_head(d, where)
     fields: list[tuple[Any, int, str]] = []   # (value, length, what) of each numeric field
-    for td, (_, tw, _, _) in zip(head.raw_trackables, head.tracks):
+    for td, tw in tracks:
         fields += [(xz, 2, f"{tw} vertex {i}") for i, xz in enumerate(td["verts"])]
         fields += [(td[key], count, f"{tw} {key}") for key, count in _TRACKABLE_NUMBERS]
     fields += [(d[key], count, f"{where} {key}") for key, count in _CAMERA_NUMBERS]
     try:
         for value, count, what in fields:
             numbers(value, count, what)
-        for td, (_, tw, _, _) in zip(head.raw_trackables, head.tracks):
+        for td, tw in tracks:
             if not simple_polygons([td["verts"]])[0]:
                 raise ValueError(f"{tw}: polygon must be simple (no self-intersection)")
             unit(np.array(td["normal"], dtype=float), f"{tw}: normal")
@@ -184,91 +299,89 @@ def _frame_fault(where: str, d: dict) -> NoReturn:
     raise AssertionError(f"{where}: a frame failed its checks but none of its fields did")
 
 
-def _frame_record(head: _FrameHead, arr: np.ndarray, o: int) -> FrameRecord:
-    """The frame of a checked head whose numbers start at offset o of arr."""
-    trackables = []
-    for tid, _, state, n in head.tracks:
-        o += 2 * n
-        trackables.append(TrackableSnapshot(
-            trackable_id=tid,
-            pose=arr[o + 3:o + 19].reshape((4, 4), order="F"),
-            local_vertices=arr[o - 2 * n:o].reshape(n, 2),
-            center_world=arr[o + 19:o + 22],
-            normal_world=arr[o:o + 3],
-            tracking_state=state,
-        ))
-        o += 22
-    return FrameRecord(
-        timestamp_ms=head.t_ms,
-        view=arr[o:o + 16].reshape((4, 4), order="F"),
-        projection=arr[o + 16:o + 32].reshape((4, 4), order="F"),
-        camera_position=arr[o + 32:o + 35],
-        screen_w=head.screen[0],
-        screen_h=head.screen[1],
-        trackables=tuple(trackables),
-    )
+_FRAME_FIELDS = itemgetter("t_ms", "screen", "trackables", "view", "proj", "cam_pos")
+_TRACKABLE_FIELDS = itemgetter("id", "state", "verts", "pose", "center", "normal")
 
 
-def _block_frames(
-    block: list[tuple[str, dict]],
-) -> list[tuple[_FrameHead, np.ndarray, int]] | None:
-    """Each line's (head, numbers, offset) when every line of a block passes its checks, else None.
+def _only(kind: type, values: Iterable) -> bool:
+    """Whether every value is exactly of type kind: a bool is no int, as in jsonin.json_numbers."""
+    return {kind}.issuperset(map(type, values))
 
-    The structural checks run per frame (_frame_head); the numbers,
-    polygons and normals of the whole block are checked in one numpy pass
-    each, and the lines share the one read-only array, each line's numbers
-    from its offset on, the last line's up to the array's end.  A normal is
-    passed here only when it is clearly of unit length; one near the
-    tolerance goes to jsonin.unit.  This is the one parser of a
-    line: a one-line block checks one line, and _frame_record builds the
-    frame of a (head, numbers, offset).
+
+def _number_rows(values: Sequence, n: int) -> np.ndarray | None:
+    """values as read-only (len(values), n) float rows, when each is a list of n finite numbers."""
+    if not (_only(list, values) and {n}.issuperset(map(len, values))):
+        return None
+    arr = finite_floats(list(chain.from_iterable(values)))
+    return None if arr is None else _frozen(arr).reshape(-1, n)
+
+
+def _block_frames(lines: list[tuple[str, dict]]) -> FrameBlock | None:
+    """The frames of a block of lines as columns when every line passes its checks, else None.
+
+    Each check is a pass over one field of the whole block: the keys, the
+    types of t_ms, screens, ids, states and vertex lists, duplicate ids by
+    set size, one float conversion per row length (2, 3 and 16), then one
+    numpy pass each for polygons (which fails one of fewer than 3
+    vertices) and normals.  A normal is passed here only when it is clearly
+    of unit length; one near the tolerance goes to jsonin.unit.  The passes
+    say yes or no and name no line: a block they reject is read again a
+    line at a time, and _frame_fault words the first fault of a line.  This
+    is the one parser of a line: a one-line block checks one line.
     """
-    trackable_numbers = itemgetter(*(key for key, _ in _TRACKABLE_NUMBERS))
-    trackable_counts = [count for _, count in _TRACKABLE_NUMBERS]
-    camera_numbers = itemgetter(*(key for key, _ in _CAMERA_NUMBERS))
-    camera_counts = [count for _, count in _CAMERA_NUMBERS]
-    heads: list[tuple[_FrameHead, int]] = []   # each head and the offset of its numbers
-    polys: list[tuple[int, int]] = []           # (offset, vertex count) of every polygon
-    fields: list = []                           # the numeric fields, in number-array order
-    counts: list[int] = []                      # and the length each must have
-    o = 0
     try:
-        for where, d in block:
-            head = _frame_head(d, where)
-            heads.append((head, o))
-            for td, (_, _, _, n) in zip(head.raw_trackables, head.tracks):
-                polys.append((o, n))
-                o += 2 * n + 22
-                fields += td["verts"]
-                fields += trackable_numbers(td)
-                counts += [2] * n
-                counts += trackable_counts
-            fields += camera_numbers(d)
-            counts += camera_counts
-            o += 35
-    except TraceError:
+        t_ms, screens, per_frame, view, proj, cam_pos = zip(*(_FRAME_FIELDS(d) for _, d in lines))
+    except KeyError:
         return None
-    if set(map(type, fields)) != {list} or list(map(len, fields)) != counts:
+    if not (_only(int, t_ms) and -MAX_INT <= min(t_ms) and max(t_ms) <= MAX_INT
+            and _only(list, screens) and {2}.issuperset(map(len, screens))
+            and _only(list, per_frame)):
         return None
-    flat = list(chain.from_iterable(fields))
-    arr = finite_floats(flat)
-    if arr is None:
+    sizes = list(chain.from_iterable(screens))
+    raw = list(chain.from_iterable(per_frame))
+    if not (_only(int, sizes) and 0 < min(sizes) and max(sizes) <= MAX_SCREEN_PX
+            and _only(dict, raw)):
         return None
-    arr.flags.writeable = False
-    if polys:
-        if not simple_polygons([arr[o:o + 2 * n].reshape(n, 2) for o, n in polys]).all():
-            return None
-        at = np.array([o + 2 * n for o, n in polys])[:, None] + np.arange(3)
-        normals = arr[at]
-        with np.errstate(over="ignore"):
-            length = np.sqrt(normals[:, 0] * normals[:, 0] + normals[:, 1] * normals[:, 1]
-                             + normals[:, 2] * normals[:, 2])
-        try:
-            for k in np.flatnonzero(~(np.abs(length - 1.0) <= UNIT_EPS / 2)).tolist():
-                unit(normals[k], "normal")
-        except ValueError:
-            return None
-    return [(head, arr, o) for head, o in heads]
+    try:
+        columns = tuple(zip(*map(_TRACKABLE_FIELDS, raw))) or ((),) * 6
+        ids, states, polys, pose, center, normal = columns
+    except KeyError:
+        return None
+    if not (_only(str, ids) and all(ids) and _only(str, states) and _only(list, polys)):
+        return None
+    n_trackables = np.array(list(map(len, per_frame)), dtype=int)
+    frame_of = np.repeat(np.arange(len(lines)), n_trackables).tolist()
+    if len(set(zip(frame_of, ids))) < len(ids) or not _TRACKING_STATES.keys() >= set(states):
+        return None
+    n_verts = np.array(list(map(len, polys)), dtype=int)
+    # one conversion per row length; each column is a slice of its rows
+    f, k = len(lines), len(ids)
+    mats = _number_rows(view + proj + pose, 16)
+    vecs = _number_rows(cam_pos + center + normal, 3)
+    verts = _number_rows(list(chain.from_iterable(polys)), 2)
+    if mats is None or vecs is None or verts is None:
+        return None
+    view, proj, pose = mats[:f], mats[f:2 * f], mats[2 * f:]
+    cam_pos, center, normal = vecs[:f], vecs[f:f + k], vecs[f + k:]
+    if not simple_polygon_rows(verts, n_verts).all():
+        return None
+    with np.errstate(over="ignore"):
+        length = np.sqrt(normal[:, 0] * normal[:, 0] + normal[:, 1] * normal[:, 1]
+                         + normal[:, 2] * normal[:, 2])
+    try:
+        for i in np.flatnonzero(~(np.abs(length - 1.0) <= UNIT_EPS / 2)).tolist():
+            unit(normal[i], "normal")
+    except ValueError:
+        return None
+    frames_f, trackables_f = _frozen(np.ones(f, bool)), _frozen(np.ones(k, bool))
+    return FrameBlock(
+        t_ms=list(t_ms), screens=list(map(tuple, screens)),
+        view=view, view_f=frames_f, proj=proj, proj_f=frames_f, cam_pos=cam_pos,
+        n_trackables=_frozen(n_trackables), ids=list(ids),
+        states=list(map(_TRACKING_STATES.__getitem__, states)),
+        pose=pose, pose_f=trackables_f, center=center, normal=normal,
+        n_verts=_frozen(n_verts), verts=verts,
+    )
 
 
 def _snapshot_to_dict(t: TrackableSnapshot) -> dict:
@@ -357,8 +470,10 @@ def read_header(path: str | Path) -> tuple[float, dict]:
         return _header(_trace_objects(fh, path.name), path.name)
 
 
-def blocks(items: Iterable[T], size: int) -> Iterator[list[T]]:
-    """items in lists of up to size, in order; no list is empty.
+def blocks(
+    items: Iterable[T], size: int, weight: Callable[[T], int] = lambda item: 1
+) -> Iterator[list[T]]:
+    """items in lists whose weights sum to size or just past it, in order; no list is empty.
 
     When items raises, the list filled so far is yielded first and the
     error is raised when the next list is asked for, so the items read
@@ -369,10 +484,12 @@ def blocks(items: Iterable[T], size: int) -> Iterator[list[T]]:
     it = iter(items)
     while True:
         block: list[T] = []
+        total = 0
         try:
             for item in it:
                 block.append(item)
-                if len(block) == size:
+                total += weight(item)
+                if total >= size:
                     break
         except Exception:
             if block:
@@ -383,10 +500,16 @@ def blocks(items: Iterable[T], size: int) -> Iterator[list[T]]:
         yield block
 
 
-def iter_frames(
+def _follows(block: FrameBlock, screen: tuple[int, int], prev: float) -> bool:
+    """Whether every frame of block has screen and a t_ms above prev and the one before it."""
+    t = block.t_ms
+    return set(block.screens) == {screen} and prev < t[0] and all(map(lt, t, t[1:]))
+
+
+def iter_blocks(
     path: str | Path, keep: Callable[[int], bool] | None = None
-) -> Iterator[FrameRecord]:
-    """Validate a JSONL trace file and yield its frames one at a time.
+) -> Iterator[FrameBlock]:
+    """Validate a JSONL trace file and yield its frames as FrameBlocks, a block of lines at a time.
 
     The header is read and checked before the first frame.  Each frame is
     checked on its own line and against the ones before it (one screen size,
@@ -395,51 +518,62 @@ def iter_frames(
     INGEST_BLOCK_LINES lines (see _block_frames); a block that fails any
     check is checked again as one-line blocks, and a line that fails on
     its own raises its first fault (_frame_fault), so the first fault in
-    reading order is the one reported.  A read error inside a block is
-    raised after the frames before it (blocks).  Raises TraceParseError
-    for text that is not UTF-8, and for malformed JSON or missing fields,
-    TraceValidationError for contract violations, and the usual OSError
-    family for I/O trouble.
+    reading order is the one reported, after the frames before it.  A read
+    error inside a block is raised after the frames before it (blocks).
+    Raises TraceParseError for text that is not UTF-8, and for malformed
+    JSON or missing fields, TraceValidationError for contract violations,
+    and the usual OSError family for I/O trouble.
 
     keep, a decimation predicate such as deadline_walk's, is asked about
     each checked frame's timestamp in order, and only the frames it accepts
-    are built and yielded; every line is still read and checked.  Without
-    keep every frame is yielded.
+    are yielded; every line is still read and checked.  Without keep every
+    frame is yielded.  No block is empty.
     """
     path = Path(path)
     with _open_trace(path) as fh:
         objects = _trace_objects(fh, path.name)
         _header(objects, path.name)
-        first = prev = None  # the first frame's screen, the previous frame's t_ms
-        for block in blocks(objects, INGEST_BLOCK_LINES):
-            checked = _block_frames(block)
-            if checked is None:
-                checked = chain.from_iterable(
-                    _block_frames([line]) or _frame_fault(*line) for line in block
-                )
-            for line, (head, arr, o) in zip(block, checked):
-                if first is None:
-                    first = head.screen
-                elif head.screen != first:
-                    raise TraceValidationError(
-                        f"{line[0]}: screen {head.screen[0]}x{head.screen[1]} differs from "
-                        f"the first frame's {first[0]}x{first[1]}"
-                    )
-                elif head.t_ms <= prev:
+        screen, prev = None, -math.inf   # the first frame's screen, the previous frame's t_ms
+        for lines in blocks(objects, INGEST_BLOCK_LINES):
+            block = _block_frames(lines)
+            if block is not None and _follows(block, screen or block.screens[0], prev):
+                checked: Iterable[tuple[str, FrameBlock]] = [("", block)]
+            else:  # line by line, so that the first fault in reading order is raised
+                checked = ((where, _block_frames([(where, d)]) or _frame_fault(where, d))
+                           for where, d in lines)
+            for where, part in checked:
+                screen = screen or part.screens[0]
+                if not _follows(part, screen, prev):   # a one-line block
+                    w, h = part.screens[0]
+                    if (w, h) != screen:
+                        raise TraceValidationError(
+                            f"{where}: screen {w}x{h} differs from "
+                            f"the first frame's {screen[0]}x{screen[1]}"
+                        )
                     raise TraceValidationError(
                         f"{path.name}: timestamps must be strictly increasing "
-                        f"({prev} then {head.t_ms})"
+                        f"({prev} then {part.t_ms[0]})"
                     )
-                prev = head.t_ms
-                if keep is None or keep(head.t_ms):
-                    yield _frame_record(head, arr, o)
-            del block, checked, line, head, arr  # before the next block is read
-    if first is None:
+                prev = part.t_ms[-1]
+                if keep is not None:
+                    part = _take(part, list(map(keep, part.t_ms)))
+                if part.t_ms:
+                    yield part
+            del lines, block, checked, part  # before the next block is read
+    if screen is None:
         raise TraceValidationError(f"{path.name}: trace has no frames")
 
 
+def iter_frames(
+    path: str | Path, keep: Callable[[int], bool] | None = None
+) -> Iterator[FrameRecord]:
+    """The frames of iter_blocks(path, keep), one FrameRecord at a time."""
+    for block in iter_blocks(path, keep):
+        yield from block_records(block)
+
+
 def load_trace(path: str | Path) -> PlaybackTrace:
-    """Load and validate a whole JSONL trace file; iter_frames lists what it rejects."""
+    """Load and validate a whole JSONL trace file; iter_blocks lists what it rejects."""
     fps, meta = read_header(path)
     return PlaybackTrace(frames=tuple(iter_frames(path)), source_fps=fps, metadata=meta)
 

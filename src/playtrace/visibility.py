@@ -31,7 +31,7 @@ from .geometry import (
     inscribed_rects,
     subtract_occluders,
 )
-from .trace import FrameRecord, TrackableSnapshot, TrackingState, TraceValidationError
+from .trace import FrameBlock, TrackingState, TraceValidationError
 
 # (trackable id, visible convex pieces) of one surface in one frame
 SurfacePieces = tuple[str, list[list[Point]]]
@@ -44,58 +44,54 @@ def screen_clip_polygon(screen_w: float, screen_h: float) -> list[Point]:
     return [(0.0, h), (w, h), (w, 0.0), (0.0, 0.0)]
 
 
-def _stacked_matmul(mats: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """mats[k] @ x[k, j] for every k and j, in one stacked matmul per memory order.
+def _stacked_matmul(rows: np.ndarray, col_major: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m[k] @ x[k, j] for every k and j, in one stacked matmul per memory order.
 
-    numpy hands BLAS a C-ordered matrix transposed and a column-major one
-    as it is, and the two kernels round differently.  So each matrix keeps
-    its own order, and every product is bit-equal to that matrix's own
-    matmul.  A matrix in neither order is taken in C order.
+    rows[k] holds the 16 numbers of the matrix m[k] in its memory order,
+    column-major where col_major[k] is set (FrameBlock).  numpy hands BLAS
+    a C-ordered matrix transposed and a column-major one as it is, and the
+    two kernels round differently.  So each matrix keeps its own order, and
+    every product is bit-equal to that matrix's own matmul.
     """
-    col_major = np.array([m.flags.f_contiguous and not m.flags.c_contiguous for m in mats])
-    rows = np.array([m.T if f else m for m, f in zip(mats, col_major.tolist())], dtype=float)
-    rows = rows[:, None]
+    stored = rows.reshape(-1, 1, 4, 4)   # m[k] in C order, its transpose where column-major
     if not col_major.any():
-        return rows @ x
+        return stored @ x
     if col_major.all():
-        return rows.transpose(0, 1, 3, 2) @ x
+        return stored.transpose(0, 1, 3, 2) @ x
     out = np.empty(x.shape)
-    out[~col_major] = rows[~col_major] @ x[~col_major]
-    out[col_major] = rows[col_major].transpose(0, 1, 3, 2) @ x[col_major]
+    out[~col_major] = stored[~col_major] @ x[~col_major]
+    out[col_major] = stored[col_major].transpose(0, 1, 3, 2) @ x[col_major]
     return out
 
 
 def _project(
-    frames: Sequence[FrameRecord], tracks: Sequence[TrackableSnapshot], owner: Sequence[int],
+    block: FrameBlock, rows: np.ndarray, owner: np.ndarray, verts: np.ndarray,
     track_of: np.ndarray, column: np.ndarray, screen_w: int, screen_h: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Screen x and y of every vertex, and whether it is behind the camera (w <= BEHIND_W_EPS).
 
-    tracks[k] is a trackable of frames[owner[k]].  The vertices are those
-    of every track in turn: vertex i is vertex column[i] of track
-    track_of[i].  Each vertex (x, 0, z, 1) goes through its pose, view and
-    projection in stacked matmuls, then through the perspective divide and
-    the viewport of the screen_w x screen_h screen.  The pixels of a vertex
-    behind the camera mean nothing.
+    rows are trackable rows of block, and owner the frame of each.  verts
+    are the vertices of every row in turn: verts[i] is vertex column[i] of
+    row track_of[i].  Each vertex (x, 0, z, 1) goes through its pose, view
+    and projection in stacked matmuls, then through the perspective divide
+    and the viewport of the screen_w x screen_h screen.  The pixels of a
+    vertex behind the camera mean nothing.
     """
-    v = np.zeros((len(tracks), int(column.max(initial=0)) + 1, 4, 1))
-    v[track_of, column, 0, 0], v[track_of, column, 2, 0] = np.concatenate(
-        [t.local_vertices for t in tracks]).T
+    v = np.zeros((len(rows), int(column.max(initial=0)) + 1, 4, 1))
+    v[track_of, column, 0, 0], v[track_of, column, 2, 0] = verts.T
     v[:, :, 3, 0] = 1.0
     # finite numbers can overflow to pixels that are inf or NaN, which block_pieces rejects
     with np.errstate(all="ignore"):
-        clip = _stacked_matmul([t.pose for t in tracks], v)
-        clip = _stacked_matmul([frames[i].view for i in owner], clip)
-        clip = _stacked_matmul([frames[i].projection for i in owner], clip)[track_of, column, :, 0]
+        clip = _stacked_matmul(block.pose[rows], block.pose_f[rows], v)
+        clip = _stacked_matmul(block.view[owner], block.view_f[owner], clip)
+        clip = _stacked_matmul(block.proj[owner], block.proj_f[owner], clip)[track_of, column, :, 0]
         w = clip[:, 3]
         x = (clip[:, 0] / w + 1.0) / 2.0 * screen_w
         y = (1.0 - (clip[:, 1] / w + 1.0) / 2.0) * screen_h
     return x, y, w <= BEHIND_W_EPS
 
 
-def block_pieces(
-    frames: Sequence[FrameRecord], screen_w: int, screen_h: int
-) -> list[list[SurfacePieces]]:
+def block_pieces(block: FrameBlock, screen_w: int, screen_h: int) -> list[list[SurfacePieces]]:
     """The visible pieces of each candidate surface in each frame of a block, near to far.
 
     Surfaces that are PAUSED or STOPPED are ignored entirely, and so is a
@@ -109,7 +105,7 @@ def block_pieces(
 
     The projection, distances, facing signs, and the tests that let a
     polygon skip the screen clip (every vertex on screen) and convex_pieces
-    (convex_unchanged) are numpy passes over the whole block, each
+    (convex_unchanged) are numpy passes over the block's columns, each
     bit-equal to the scalar computation for one trackable.  Of a polygon's
     vertices, the first that is behind the camera or lands on pixels that
     are not finite numbers within MAX_SCREEN_COORD_PX decides: behind drops
@@ -117,37 +113,35 @@ def block_pieces(
     frames before its own, as a pass over one frame at a time would raise
     it.
     """
-    tracks: list[TrackableSnapshot] = []
-    owner: list[int] = []   # frame index of each track
-    for i, f in enumerate(frames):
-        for t in f.trackables:
-            if t.tracking_state == TrackingState.TRACKING:
-                tracks.append(t)
-                owner.append(i)
-    found: list[list[SurfacePieces]] = [[] for _ in frames]
-    if not tracks:
+    n_frames = len(block.t_ms)
+    found: list[list[SurfacePieces]] = [[] for _ in range(n_frames)]
+    rows = np.flatnonzero([s == TrackingState.TRACKING for s in block.states])
+    if not rows.size:
         return found
+    owner = np.repeat(np.arange(n_frames), block.n_trackables)[rows]   # frame of each row
+    tids = [block.ids[k] for k in rows.tolist()]
 
-    counts = np.array([len(t.local_vertices) for t in tracks])
+    counts = block.n_verts[rows]
     ends = np.cumsum(counts)
     starts = ends - counts
-    track_of = np.repeat(np.arange(len(tracks)), counts)
+    track_of = np.repeat(np.arange(len(rows)), counts)
     column = np.arange(len(track_of)) - starts[track_of]
-    x, y, behind = _project(frames, tracks, owner, track_of, column, screen_w, screen_h)
+    first_vertex = np.cumsum(block.n_verts) - block.n_verts
+    verts = block.verts[first_vertex[rows][track_of] + column]
+    x, y, behind = _project(block, rows, owner, verts, track_of, column, screen_w, screen_h)
     bad = behind | ~((np.abs(x) <= MAX_SCREEN_COORD_PX) & (np.abs(y) <= MAX_SCREEN_COORD_PX))
-    first_bad = np.full(len(tracks), len(track_of))
+    first_bad = np.full(len(rows), len(track_of))
     np.minimum.at(first_bad, track_of[bad], np.flatnonzero(bad))
     visible = first_bad == len(track_of)
     fault = np.flatnonzero(~np.append(behind, True)[first_bad])
-    fault_frame = owner[fault[0]] if fault.size else len(frames)
+    fault_frame = int(owner[fault[0]]) if fault.size else n_frames
 
     # distance to the camera and the facing sign, with the dot products of np.linalg.norm and
     # np.dot; a center too far from the camera for a float is at distance inf, the farthest
     with np.errstate(over="ignore", invalid="ignore"):
-        to_cam = (np.array([frames[i].camera_position for i in owner], dtype=float)
-                  - np.array([t.center_world for t in tracks], dtype=float))
+        to_cam = block.cam_pos[owner] - block.center[rows]
         dist = np.sqrt(dot_rows(to_cam, to_cam))
-        facing = dot_rows(np.array([t.normal_world for t in tracks], dtype=float), to_cam) > 0.0
+        facing = dot_rows(block.normal[rows], to_cam) > 0.0
 
     # on screen: sign * _cross(a, b, p) >= 0 for every screen edge a -> b, as in _clip_one_edge
     sign, edges = clip_loop(screen_clip_polygon(screen_w, screen_h))
@@ -155,7 +149,7 @@ def block_pieces(
     with np.errstate(invalid="ignore"):
         for (ax, ay), (bx, by) in edges:
             off |= ~(sign * ((bx - ax) * (y - ay) - (by - ay) * (x - ax)) >= 0.0)
-    on_screen = np.bincount(track_of, weights=off, minlength=len(tracks)) == 0
+    on_screen = np.bincount(track_of, weights=off, minlength=len(rows)) == 0
     unchanged = on_screen & convex_unchanged(x, y, counts)
 
     # Bounding boxes.  An occluder whose box is more than OCCLUDER_MARGIN_PX from the box of
@@ -163,7 +157,7 @@ def block_pieces(
     # subtract_occluders would skip it or, past its own box test, return every piece
     # unchanged (_boxes_apart).
     some = starts[counts > 0]
-    box = np.full((len(tracks), 4), np.nan)
+    box = np.full((len(rows), 4), np.nan)
     if some.size:
         box[counts > 0] = np.stack([np.minimum.reduceat(x, some), np.maximum.reduceat(x, some),
                                     np.minimum.reduceat(y, some), np.maximum.reduceat(y, some)], 1)
@@ -175,15 +169,15 @@ def block_pieces(
     m = OCCLUDER_MARGIN_PX
     order = np.lexsort((dist, owner))  # a stable sort: ties keep the frame's trackable order
     order = order[visible[order]]
-    frame_ends = np.searchsorted(np.array(owner)[order], np.arange(len(frames)), side="right")
+    frame_ends = np.searchsorted(owner[order], np.arange(n_frames), side="right")
     begin = 0
     for i, end in enumerate(frame_ends.tolist()):
         if i == fault_frame:
             k = int(fault[0])
             j = int(first_bad[k] - starts[k])
             raise TraceValidationError(
-                f"frame at {frames[i].timestamp_ms} ms: trackable '{tracks[k].trackable_id}' "
-                f"vertex {j} {tuple(tracks[k].local_vertices[j].tolist())!r} projects to screen "
+                f"frame at {block.t_ms[i]} ms: trackable '{tids[k]}' "
+                f"vertex {j} {tuple(verts[starts[k] + j].tolist())!r} projects to screen "
                 f"coordinates that are not finite numbers within ±{MAX_SCREEN_COORD_PX:g} px"
             )
         nearer: list[int] = []
@@ -205,7 +199,7 @@ def block_pieces(
                         )
                     ]
                     pieces = subtract_occluders(pieces, occluders)
-                    found[i].append((tracks[k].trackable_id, pieces))
+                    found[i].append((tids[k], pieces))
             nearer.append(k)
         begin = end
     return found

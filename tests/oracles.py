@@ -845,10 +845,11 @@ def decimate(frames, source_fps, target_fps):
 def frame_boxes(frame):
     """(trackable id, Rect | None) of each surface of one frame on its own: a one-frame
     block_pieces and fit_boxes, None where the surface holds no box."""
+    from playtrace.trace import frames_block
     from playtrace.visibility import block_pieces, fit_boxes
 
     w, h = frame.screen_w, frame.screen_h
-    tids, _, rows = fit_boxes(block_pieces([frame], w, h), w, h)
+    tids, _, rows = fit_boxes(block_pieces(frames_block([frame]), w, h), w, h)
     return list(zip(tids, rects_of(rows)))
 
 
@@ -892,7 +893,7 @@ def analyze_eager(traces, params):
 # the package's block parser (_block_frames), and a line that fails goes to
 # _frame_fault, which holds the one definition of each error message.  The
 # block reader re-reads a failing block the same way; only the order of the
-# work differs.  Every line's frame is built (_frame_record).
+# work differs.  Every line's frame is built (block_records).
 
 def iter_frames_per_line(path):
     """Yield the frames of a trace file, validating one line at a time."""
@@ -902,8 +903,8 @@ def iter_frames_per_line(path):
         TraceValidationError,
         _block_frames,
         _frame_fault,
-        _frame_record,
         _header,
+        block_records,
         _open_trace,
         _trace_objects,
     )
@@ -914,7 +915,7 @@ def iter_frames_per_line(path):
         _header(objects, path.name)
         first = prev = None
         for where, obj in objects:
-            frame = _frame_record(*(_block_frames([(where, obj)]) or _frame_fault(where, obj))[0])
+            frame, = block_records(_block_frames([(where, obj)]) or _frame_fault(where, obj))
             if first is None:
                 first = frame
             elif (frame.screen_w, frame.screen_h) != (first.screen_w, first.screen_h):

@@ -22,7 +22,7 @@ from playtrace import geometry as g
 from playtrace.cli import main as cli_main
 from playtrace.geometry import polygon_area
 from playtrace.lifespan import life_spans
-from playtrace.pipeline import AnalysisParams, analyze_boxes, run_boxes
+from playtrace.pipeline import AnalysisParams, analyze_boxes, frame_blocks, run_boxes
 from playtrace.scenes import benchmark_scene, benchmark_scenes
 from playtrace.scheduler import GestureKind, schedule_guided, schedule_random
 from playtrace.simulator import (
@@ -41,7 +41,7 @@ MULTI_FINGER = (GestureKind.PINCH, GestureKind.ROTATE)
 
 def _runs(traces, fps=AnalysisParams().fps):
     """The RunBoxes of in-memory traces, each decimated to fps."""
-    return [run_boxes(oracles.decimate(t.frames, t.source_fps, fps)) for t in traces]
+    return [run_boxes(frame_blocks(oracles.decimate(t.frames, t.source_fps, fps))) for t in traces]
 
 
 def _analyze(traces, params=AnalysisParams()):

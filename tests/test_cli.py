@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import oracles
+from playtrace import cli as cli_module
 from playtrace import trace as trace_module
 from playtrace.cli import MAX_RUNS, main, parse_mix
-from playtrace.pipeline import AnalysisParams, analyze_boxes, run_boxes
+from playtrace.pipeline import AnalysisParams, analyze_boxes, frame_blocks, run_boxes
 from playtrace.reporting import load_report, render_gantt
 from playtrace.scenes import benchmark_scene
 from playtrace.scheduler import GestureKind, load_schedule, save_schedule, schedule_random
@@ -29,6 +30,7 @@ from playtrace.simulator import (
 from playtrace.trace import (
     TraceValidationError,
     deadline_walk,
+    iter_blocks,
     iter_frames,
     load_trace,
     save_trace,
@@ -246,8 +248,8 @@ def test_seed_knobs_are_rejected_before_anything_is_written(tmp_path, trace_path
     assert not out.exists()
 
 
-def test_ids_with_characters_xml_forbids_give_a_well_formed_chart(tmp_path, trace_path):
-    tid = "ta\x01ble\ud800"
+def _chart_of_id(tmp_path, trace_path, tid):
+    """The root of gantt.svg of analyze on trace_path with its trackable renamed tid."""
     header, *frames = trace_path.read_text(encoding="utf-8").splitlines()
     lines = [header]
     for line in frames:
@@ -258,9 +260,25 @@ def test_ids_with_characters_xml_forbids_give_a_well_formed_chart(tmp_path, trac
     out = tmp_path / "out"
     assert main(["analyze", str(trace_path), "--out", str(out)]) == 0
     assert [o.trackable_id for o in load_report(out / "report.json")[0]] == [tid]
-    root = ET.parse(out / "gantt.svg").getroot()
-    assert [el.get("data-id") for el in root.iter("{http://www.w3.org/2000/svg}rect")
-            if el.get("class") == "block"] == ["ta\\x01ble\\ud800"]
+    return ET.parse(out / "gantt.svg").getroot()
+
+
+def _chart_ids(root):
+    """The data-id of each block and the text of each lane label of a chart."""
+    return ([el.get("data-id") for el in root.iter("{http://www.w3.org/2000/svg}rect")
+             if el.get("class") == "block"],
+            [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")
+             if el.get("text-anchor") == "end"])
+
+
+def test_ids_with_characters_xml_forbids_give_a_well_formed_chart(tmp_path, trace_path):
+    root = _chart_of_id(tmp_path, trace_path, "ta\x01ble\ud800")
+    assert _chart_ids(root)[0] == ["ta\\x01ble\\ud800"]
+
+
+@pytest.mark.parametrize("tid", ["ta\tble", "ta\nble", "ta\rble", "ta\r\nble"])
+def test_ids_with_tabs_and_line_ends_come_back_from_the_chart(tmp_path, trace_path, tid):
+    assert _chart_ids(_chart_of_id(tmp_path, trace_path, tid)) == ([tid], [tid])
 
 
 def test_analyze_rejects_trace_jitter_that_is_not_an_object(tmp_path, capsys):
@@ -301,22 +319,28 @@ def test_analyze_runs_rejects_a_bad_frame_as_load_trace_does(tmp_path, trace_pat
 
 @pytest.mark.parametrize("runs", [1, 2])
 def test_analyze_builds_only_the_frames_it_keeps(tmp_path, trace_path, monkeypatch, runs):
-    # one run builds the frames the walk keeps, not the last, which it drops; with
-    # --runs 2 the trace's frames go unused and none is built
+    # analyze reads the trace as column blocks and builds no FrameRecord from it; one run
+    # holds the rows of the frames the walk keeps, not the last, which it drops, and with
+    # --runs 2 the trace's frames go unused and no row is held
     trace = load_trace(trace_path)
     kept = [f.timestamp_ms for f in oracles.decimate(trace.frames, trace.source_fps, 10.0)]
     assert kept[-1] < trace.duration_ms
-    built = []
-    record = trace_module._frame_record
+    built, held = [], []
+    record = trace_module.FrameRecord
+    monkeypatch.setattr(trace_module, "FrameRecord", lambda **kw: built.append(kw) or record(**kw))
+    read = cli_module.iter_blocks
 
-    def counted(head, numbers, o):
-        built.append(head.t_ms)
-        return record(head, numbers, o)
+    def counted(path, keep=None):
+        for block in read(path, keep):
+            held.extend(block.t_ms)
+            yield block
 
-    monkeypatch.setattr(trace_module, "_frame_record", counted)
+    monkeypatch.setattr(cli_module, "iter_blocks", counted)
     argv = ["analyze", str(trace_path), "--runs", str(runs), "--out", str(tmp_path / "x")]
     assert main(argv) == 0
-    assert built == (kept if runs == 1 else [])
+    assert built == []
+    assert held == (kept if runs == 1 else [])
+    assert len(list(iter_frames(trace_path))) == len(built) > 0   # the patch counts records
 
 
 @pytest.mark.parametrize("n", [121, 122, 123])
@@ -326,9 +350,10 @@ def test_analyze_ends_at_the_last_frame_whether_kept_or_dropped(tmp_path, n):
     path = tmp_path / "run.jsonl"
     save_trace(dataclasses.replace(full, frames=full.frames[:n]), path)
     params = AnalysisParams()
-    loaded = run_boxes(oracles.decimate(load_trace(path).frames, full.source_fps, params.fps))
+    loaded = run_boxes(frame_blocks(
+        oracles.decimate(load_trace(path).frames, full.source_fps, params.fps)))
     walk = deadline_walk(full.source_fps, params.fps)
-    oracles.assert_same_run(run_boxes(iter_frames(path, walk)), loaded)
+    oracles.assert_same_run(run_boxes(iter_blocks(path, walk)), loaded)
     assert walk.last_ms == full.frames[n - 1].timestamp_ms
     assert (loaded.timestamps_ms[-1] < walk.last_ms) == (n > 121)
     assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import decimate
-from playtrace.pipeline import AnalysisParams, analyze_boxes, run_boxes
+from playtrace.pipeline import AnalysisParams, analyze_boxes, frame_blocks, run_boxes
 from playtrace.simulator import CameraKeyframe, Jitter, ScenePlane, SimScene, generate_trace
 
 
@@ -46,13 +46,14 @@ def _scene(duration=6000, planes=None, jitter=None):
 
 def _analyze(traces, params=AnalysisParams()):
     return analyze_boxes(
-        [run_boxes(decimate(t.frames, t.source_fps, params.fps)) for t in traces], params)
+        [run_boxes(frame_blocks(decimate(t.frames, t.source_fps, params.fps))) for t in traces],
+        params)
 
 
 def test_box_sequences_cover_every_frame():
     trace = generate_trace(_scene())
     sampled = list(decimate(trace.frames, trace.source_fps, 10.0))
-    run = run_boxes(sampled)
+    run = run_boxes(frame_blocks(sampled))
     assert set(run.boxes) == {"table"}
     boxes = run.boxes["table"]
     assert boxes.dtype == np.float64 and boxes.shape == (len(sampled), 4)

@@ -8,7 +8,7 @@ import oracles
 from playtrace.geometry import Rect
 from playtrace.lifespan import TestOpportunity, opportunity_sort_key
 from playtrace.metrics import compute_metrics
-from playtrace.pipeline import analyze_boxes, run_boxes
+from playtrace.pipeline import analyze_boxes, frame_blocks, run_boxes
 from playtrace.scenes import benchmark_scene
 from playtrace.simulator import generate_trace
 from playtrace.reporting import (
@@ -74,14 +74,38 @@ def test_gantt_escapes_ids():
 
 
 @pytest.mark.parametrize("tid, shown", [("a\x01b", "a\\x01b"), ("c\ud800", "c\\ud800"),
-                                        ("\x00\x1f\ufffe\uffff", "\\x00\\x1f\\ufffe\\uffff")])
+                                        ("\x00\x1f\ufffe\uffff", "\\x00\\x1f\\ufffe\\uffff"),
+                                        ("a\\x01b", "a\\\\x01b")])
 def test_gantt_escapes_characters_xml_forbids(tid, shown):
-    # written as backslash escapes, as the CLI writes line breaks in its error line
+    # written as backslash escapes, as the CLI writes line breaks in its error line, and a
+    # backslash doubled
     svg = render_gantt([_opp(tid, 0, 1000)], 1000)
     svg.encode("utf-8")
     (block,) = _blocks(svg)
     assert block.get("data-id") == shown
     assert f">{shown}</text>" in svg
+
+
+def test_gantt_gives_distinct_ids_distinct_text():
+    # a forbidden character and the text of its escape
+    ids = ["a\x01", "a\\x01", "a\\\x01", "a\\\\x01", "a\\", "a\\\\"]
+    svg = render_gantt([_opp(tid, 0, 1000 * (k + 1)) for k, tid in enumerate(ids)], 10_000)
+    shown = [b.get("data-id") for b in _blocks(svg)]
+    labels = [t.text for t in ET.fromstring(svg).iter(f"{SVG_NS}text")
+              if t.get("text-anchor") == "end"]
+    assert len(set(shown)) == len(set(labels)) == len(ids)
+    assert sorted(shown) == sorted(labels)
+
+
+def test_gantt_ids_with_tabs_and_line_ends_parse_back_unchanged(tmp_path):
+    # an XML parser turns these into spaces in an attribute and CR into LF in text
+    ids = ["a\tb", "c\nd", "e\rf", "g\r\nh", "\t\r\n", " i "]
+    svg = render_gantt([_opp(tid, 0, 1000 * (k + 1)) for k, tid in enumerate(ids)], 10_000)
+    (tmp_path / "gantt.svg").write_text(svg, encoding="utf-8")
+    root = ET.parse(tmp_path / "gantt.svg").getroot()
+    blocks = [el.get("data-id") for el in root.iter(f"{SVG_NS}rect") if el.get("class") == "block"]
+    labels = [t.text for t in root.iter(f"{SVG_NS}text") if t.get("text-anchor") == "end"]
+    assert sorted(blocks) == sorted(labels) == sorted(ids)
 
 
 def test_gantt_empty_and_bad_duration():
@@ -135,7 +159,7 @@ def test_report_round_trip(tmp_path):
 
 def test_load_report_returns_the_opportunities_written(tmp_path):
     scene = benchmark_scene("drift-trio")
-    runs = [run_boxes(oracles.decimate(t.frames, t.source_fps, 10.0))
+    runs = [run_boxes(frame_blocks(oracles.decimate(t.frames, t.source_fps, 10.0)))
             for t in (generate_trace(scene, seed, scene.default_jitter) for seed in (1, 2))]
     per_run, final, _metrics = analyze_boxes(runs)
     for got in (per_run[0], final):

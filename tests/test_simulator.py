@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from playtrace.pipeline import analyze_boxes, run_boxes
+from playtrace.pipeline import analyze_boxes, frame_blocks, run_boxes
 from playtrace.scenes import benchmark_scene, benchmark_scenes
 from playtrace.scheduler import (
     DEFAULT_MIX,
@@ -42,7 +42,14 @@ from playtrace.simulator import (
     scene_to_dict,
     validate_scene,
 )
-from playtrace.trace import deadline_walk, iter_frames, save_trace
+from playtrace.trace import (
+    block_records,
+    deadline_walk,
+    frames_block,
+    iter_blocks,
+    iter_frames,
+    save_trace,
+)
 
 # straight-down camera at height 2 with a 60 degree vertical fov on a
 # 1080px-tall screen puts 540*sqrt(3)/2 pixels on one meter at the floor
@@ -440,7 +447,8 @@ def test_replay_matches_per_sample_oracle(name):
     scene = benchmark_scene(name)
     for seed in (1, 2):
         trace = generate_trace(scene, seed * 100, scene.default_jitter)
-        _per_run, final, _metrics = analyze_boxes([run_boxes(oracles.decimate(trace.frames, trace.source_fps, 10.0))])
+        kept = oracles.decimate(trace.frames, trace.source_fps, 10.0)
+        _per_run, final, _metrics = analyze_boxes([run_boxes(frame_blocks(kept))])
         guided = schedule_guided(final, scene.duration_ms, seed)
         rand = schedule_random((scene.screen_w, scene.screen_h), scene.duration_ms, seed)
         for sched in (guided, rand):
@@ -523,14 +531,22 @@ def test_both_producers_yield_read_only_vertex_arrays(tmp_path):
     rendered = list(render_frames(noisy, 1))
     assert sum(len(f.trackables) for f in read) == sum(len(f.trackables) for f in rendered) > 0
     for f in read:
-        numbers = f.view.base   # the frame's number array, which its matrices view
         for t in f.trackables:
             _assert_vertex_form(t.local_vertices)
-            assert t.pose.base is numbers and t.local_vertices.base is numbers
-            assert np.shares_memory(t.local_vertices, numbers)
     for f in rendered:
         for t in f.trackables:
             _assert_vertex_form(t.local_vertices)
+    # the blocks of both producers are read-only columns, and a read frame's arrays view them
+    blocks = list(iter_blocks(path))
+    for block in [*blocks, frames_block(rendered)]:
+        _assert_vertex_form(block.verts)
+        assert not any(col.flags.writeable for col in block if isinstance(col, np.ndarray))
+    for block in blocks:
+        for f in block_records(block):
+            assert np.shares_memory(f.view, block.view)
+            for t in f.trackables:
+                assert np.shares_memory(t.local_vertices, block.verts)
+                assert np.shares_memory(t.pose, block.pose)
     # without noise, every frame holds its plane's one array
     clean = dataclasses.replace(noisy, default_jitter=Jitter())
     by_plane = {}

@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 from playtrace.cli import _generated_runs, main
-from playtrace.pipeline import AnalysisParams, run_boxes
+from playtrace.pipeline import AnalysisParams, frame_blocks, run_boxes
 from playtrace.reporting import render_gantt, write_report
 from playtrace.scenes import benchmark_scene, benchmark_scenes
 from playtrace.simulator import (
@@ -21,7 +21,7 @@ from playtrace.simulator import (
     generate_trace,
     render_frames,
 )
-from playtrace.trace import deadline_walk, iter_frames, load_trace, save_trace
+from playtrace.trace import deadline_walk, iter_blocks, iter_frames, load_trace, save_trace
 
 
 def _eager_outputs(traces, out, params=AnalysisParams()):
@@ -70,7 +70,7 @@ def test_analyze_matches_the_scalar_span_oracle_on_the_pack(tmp_path, name):
     _assert_same_outputs(tmp_path / "s", tmp_path / "e")
 
     params = AnalysisParams()
-    run = run_boxes(iter_frames(path, deadline_walk(trace.source_fps, params.fps)))
+    run = run_boxes(iter_blocks(path, deadline_walk(trace.source_fps, params.fps)))
     sequences, timestamps = oracles.eager_boxes(trace, params.fps)
     assert run.timestamps_ms == timestamps
     assert list(run.boxes) == list(sequences)
@@ -102,7 +102,8 @@ def test_rendered_runs_equal_the_runs_of_full_traces(name):
     for r, (run, walk) in enumerate(zip(runs, walks)):
         full = generate_trace(scene, 5 + r, scene.default_jitter)
         oracles.assert_same_run(
-            run, run_boxes(oracles.decimate(full.frames, full.source_fps, params.fps)))
+            run, run_boxes(frame_blocks(
+                oracles.decimate(full.frames, full.source_fps, params.fps))))
         assert walk.last_ms == full.duration_ms > run.timestamps_ms[-1]
 
 
@@ -123,7 +124,7 @@ def test_each_producer_asks_its_walk_about_every_timestamp_once_in_order(tmp_pat
         assert walk.last_ms == times[-1] == full.frames[-1].timestamp_ms
         assert kept == oracles.decimate_reference(times, scene.fps, target_fps)
     assert (kept[-1] < times[-1]) == (target_fps < scene.fps)
-    run = run_boxes(full.frames)  # undecimated: every frame is analysed
+    run = run_boxes(frame_blocks(full.frames))  # undecimated: every frame is analysed
     assert run.timestamps_ms == times
     assert run.boxes and all(len(boxes) == len(times) for boxes in run.boxes.values())
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -11,19 +12,22 @@ from hypothesis import strategies as st
 import oracles
 from oracles import decimate
 from playtrace import trace as trace_module
-from playtrace.pipeline import AnalysisParams, run_boxes
+from playtrace.pipeline import AnalysisParams, frame_blocks, run_boxes
 from playtrace.scenes import benchmark_scene
 from playtrace.simulator import generate_trace
 from playtrace.trace import (
     INGEST_BLOCK_LINES,
     FrameRecord,
     PlaybackTrace,
+    TraceError,
     TraceParseError,
     TraceValidationError,
     TrackableSnapshot,
     TrackingState,
+    block_records,
     blocks,
     deadline_walk,
+    iter_blocks,
     iter_frames,
     load_trace,
     mat4_to_list,
@@ -280,7 +284,7 @@ def test_decimate_matches_the_deadline_walk(gaps, start, source_fps, target_fps)
     assert streamed == oracles.decimate_reference(timestamps, source_fps, target_fps)
     kept = list(decimate(tr.frames, source_fps, target_fps))
     assert list(decimate(kept, source_fps, target_fps)) == kept
-    run = run_boxes(kept)
+    run = run_boxes(frame_blocks(kept))
     assert streamed == run.timestamps_ms
 
 
@@ -557,6 +561,92 @@ def test_walked_reader_matches_decimate_over_the_per_line_reader(tmp_path_factor
         assert len(got[0]) <= n_frames // 3 + 1
 
 
+# The block check against one-line blocks: a block is accepted exactly when
+# each of its lines is accepted on its own, its columns are theirs stacked,
+# and a line is rejected on its own exactly when _frame_fault finds its
+# fault, so that _frame_fault's AssertionError is never raised.  Faulted
+# lines replace a generated line with a faulted default frame; other lines
+# vary their trackables, states, vertex counts and numbers (ints among
+# them, which convert as float does).
+
+# the faults of a frame object, and a screen one pixel past MAX_SCREEN_PX
+_LINE_FAULTS = {name: fault for name, fault in _FAULTS.items()
+                if isinstance(fault(_frame(0)), dict)}
+_LINE_FAULTS["screen-huge"] = _edit(lambda f: f.update(screen=[2**31, 1080]))
+_NUMBER = st.one_of(st.integers(-9, 9), st.floats(-1e6, 1e6, allow_nan=False))
+_UNIT_NORMALS = [[0.0, 1.0, 0.0], [0.6, 0.8, 0], [0, 0, -1], [0.0, 1.0 + 4e-7, 0.0]]
+
+
+@st.composite
+def _generated_frame(draw, t_ms):
+    trackables = []
+    for j in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(3, 6))
+        radius, turn = draw(st.floats(0.1, 10.0)), draw(st.floats(0.0, 1.0))
+        trackables.append(_trackable(
+            id=f"p{j}",
+            verts=[[radius * np.cos(2 * np.pi * (k + turn) / n),
+                    radius * np.sin(2 * np.pi * (k + turn) / n)] for k in range(n)],
+            pose=draw(st.lists(_NUMBER, min_size=16, max_size=16)),
+            center=draw(st.lists(_NUMBER, min_size=3, max_size=3)),
+            normal=draw(st.sampled_from(_UNIT_NORMALS)),
+            state=draw(st.sampled_from([s.value for s in TrackingState])),
+        ))
+    return _frame(t_ms, trackables, view=draw(st.lists(_NUMBER, min_size=16, max_size=16)),
+                  cam_pos=draw(st.lists(_NUMBER, min_size=3, max_size=3)))
+
+
+@st.composite
+def _block_lines(draw):
+    n = draw(st.integers(1, 6))
+    faults = dict(draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.sampled_from(sorted(_LINE_FAULTS))), max_size=2)))
+    frames = [_LINE_FAULTS[faults[i]](_frame(33 * i)) if i in faults
+              else draw(_generated_frame(33 * i)) for i in range(n)]
+    # as the reader sees them: decoded from their JSON text
+    return [(f"t.jsonl:{i + 2}", json.loads(json.dumps(f))) for i, f in enumerate(frames)]
+
+
+def _column_key(col):
+    if isinstance(col, list):
+        return col
+    return col.dtype.str, col.shape, col.tobytes(), col.flags.writeable
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=_block_lines())
+@example(lines=[("t.jsonl:2", _frame(0, [])), ("t.jsonl:3", _frame(33))])
+def test_a_block_is_accepted_exactly_when_each_line_is(lines):
+    block = trace_module._block_frames(lines)
+    singles = [trace_module._block_frames([line]) for line in lines]
+    assert (block is None) == (None in singles)
+    for line, single in zip(lines, singles):
+        # _frame_fault words a fault of each line the check rejects, and finds none in the others
+        with pytest.raises(TraceError if single is None else AssertionError):
+            trace_module._frame_fault(*line)
+    if block is not None:
+        stacked = [list(chain.from_iterable(cols)) if isinstance(cols[0], list)
+                   else np.concatenate(cols) for cols in zip(*singles)]
+        for got, want in zip(block, stacked):
+            if isinstance(want, np.ndarray):
+                want.flags.writeable = False
+            assert _column_key(got) == _column_key(want)
+
+
+def test_every_line_fault_is_rejected_in_a_block_and_worded_on_its_own():
+    good = [(f"t.jsonl:{i}", json.loads(json.dumps(_frame(33 * i)))) for i in (2, 4)]
+    # faults that show only against other lines, and normals within the tolerance
+    valid_alone = {"t_ms-backward", "t_ms-repeated", "screen-changed",
+                   "normal-at-tolerance", "normal-just-unit"}
+    for name, fault in _LINE_FAULTS.items():
+        line = ("t.jsonl:3", json.loads(json.dumps(fault(_frame(99)))))
+        alone = trace_module._block_frames([line])
+        assert (alone is None) == (name not in valid_alone), name
+        assert (trace_module._block_frames([good[0], line, good[1]]) is None) == (alone is None)
+        with pytest.raises(TraceError if alone is None else AssertionError):
+            trace_module._frame_fault(*line)
+
+
 def _items_then_error(k):
     yield from range(k)
     raise OSError("the disk went away")
@@ -567,6 +657,11 @@ def test_blocks_are_full_lists_in_order_and_never_empty(n):
     got = list(blocks(iter(range(n)), 3))
     assert [x for b in got for x in b] == list(range(n))
     assert [len(b) for b in got] == [3] * (n // 3) + [n % 3] * (n % 3 > 0)
+
+
+def test_blocks_close_a_list_once_its_weights_reach_the_size():
+    got = list(blocks([2, 1, 3, 1, 1, 5, 2], 4, weight=lambda item: item))
+    assert got == [[2, 1, 3], [1, 1, 5], [2]]
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 6])
@@ -712,15 +807,19 @@ def test_block_reader_arrays_match_the_per_line_reader(tmp_path):
 
 
 def _drain(path, keep=None):
-    """(peak, bytes of the array the last frame's numbers are views of) of reading a
-    trace; memory counts from the start of the read."""
+    """(peak, most float64 bytes one block holds) of reading a trace as blocks and their
+    frames; memory counts from the start of the read."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        for f in iter_frames(path, keep):
-            owner = f.view.base.nbytes
-            del f
-        return tracemalloc.get_traced_memory()[1] - base, owner
+        held = 0
+        for block in iter_blocks(path, keep):
+            held = max(held, sum(col.nbytes for col in block
+                                 if isinstance(col, np.ndarray) and col.dtype == np.float64))
+            for f in block_records(block):
+                del f
+            del block
+        return tracemalloc.get_traced_memory()[1] - base, held
     finally:
         tracemalloc.stop()
 
@@ -743,8 +842,8 @@ def test_reading_holds_one_block_at_a_time(tmp_path):
     one_peak = _drain(one)[0]
     every_peak, owner = _drain(four)
     walked_peak, walked_owner = _drain(four, deadline_walk(30.0, 10.0))
-    # a kept frame's numbers are its block's array
-    assert owner == walked_owner == _B * line_numbers * 8
+    # a block's float columns hold the numbers of its lines; a walked block, of its kept lines
+    assert owner == _B * line_numbers * 8 > walked_owner > 0
     # reading a block while the one before it is held would add a block to the peak
     assert max(every_peak, walked_peak) < one_peak + block_bytes / 2, (
         f"peak {every_peak} B and {walked_peak} B for four blocks, {one_peak} B for one; "

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from playtrace import geometry as g
 from playtrace.lifespan import life_spans
-from playtrace.pipeline import run_boxes
+from playtrace.pipeline import frame_blocks, run_boxes
 from playtrace.scenes import benchmark_scene, benchmark_scenes
 from playtrace.simulator import generate_trace, perspective_matrix
 from playtrace.trace import (
@@ -20,6 +20,7 @@ from playtrace.trace import (
     TrackableSnapshot,
     TrackingState,
     TraceValidationError,
+    frames_block,
     load_trace,
     save_trace,
 )
@@ -224,7 +225,9 @@ def test_project_trackable_bit_equal_to_per_vertex(order):
         counts = [len(t.local_vertices) for t in tracks]
         track_of = np.repeat(np.arange(len(tracks)), counts)
         column = np.concatenate([np.arange(n) for n in counts])
-        x, y, behind = _project(block, tracks, owner, track_of, column, W, H)
+        columns = frames_block(block)
+        x, y, behind = _project(columns, np.arange(len(tracks)), np.array(owner), columns.verts,
+                                track_of, column, W, H)
         xy = list(zip(x.tolist(), y.tolist()))
         ends = np.cumsum(counts).tolist()
         for t, i, n, end in zip(tracks, owner, counts, ends):
@@ -256,7 +259,7 @@ def test_analyze_frame_matches_per_vertex_pipeline(tmp_path, scene):
         # rendered frames hold C-order matrices, loaded ones column-major views
         for tr in (trace, load_trace(path)):
             frames = list(decimate(tr.frames, tr.source_fps, 10.0))
-            pieces = block_pieces(frames, sc.screen_w, sc.screen_h)
+            pieces = block_pieces(frames_block(frames), sc.screen_w, sc.screen_h)
             tids, frame_of, rows = fit_boxes(pieces, sc.screen_w, sc.screen_h)
             assert frame_of.tolist() == sorted(frame_of.tolist())
             boxes = list(zip(frame_of.tolist(), tids, oracles.rects_of(rows)))
@@ -271,7 +274,7 @@ def test_inscribed_rects_match_scalar_search_on_pack_pieces(scene):
     sc = benchmark_scene(scene)
     for seed in (1, 2):
         trace = generate_trace(sc, jitter_seed=seed, jitter=sc.default_jitter)
-        found = block_pieces(list(decimate(trace.frames, trace.source_fps, 10.0)),
+        found = block_pieces(frames_block(list(decimate(trace.frames, trace.source_fps, 10.0))),
                              sc.screen_w, sc.screen_h)
         pieces = [p for frame in found for _, ps in frame for p in ps]
         rows, passes = g.inscribed_rects(pieces, sc.screen_w, sc.screen_h)
@@ -287,7 +290,7 @@ def test_screen_clip_is_checked_once_per_run(monkeypatch):
     planes = [_plane("a", (-0.6, 0.0, 0.0), 0.3, 0.3), _plane("b", (0.6, 0.0, 0.0), 0.3, 0.3),
               _plane("c", (0.0, 0.5, 0.0), 0.2, 0.2)]
     frames = [_frame(planes, t_ms=100 * k) for k in range(5)]
-    run = run_boxes(frames)
+    run = run_boxes(frame_blocks(frames))
     assert set(run.boxes) == {"a", "b", "c"}
     assert not any(np.isnan(boxes).any() for boxes in run.boxes.values())
     assert len(run.timestamps_ms) == len(frames)
@@ -391,7 +394,7 @@ def _random_block(seed, order):
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["C", "F", "mixed"]))
 def test_block_pieces_match_the_per_frame_reference(seed, order):
     frames = _random_block(seed, order)
-    found = block_pieces(frames, W, H)
+    found = block_pieces(frames_block(frames), W, H)
     assert len(found) == len(frames)
     for f, pieces in zip(frames, found):
         assert repr(pieces) == repr(oracles.frame_pieces(f, SCREEN)), f.timestamp_ms
@@ -477,7 +480,7 @@ def test_block_pieces_match_the_per_frame_reference_at_the_margins(seed):
                                        gap, rng.uniform(1.0, 40.0))
             tracks.append(_at_pixels(f"band{j}", band, rng.choice([1.0, 2.0, 5.0, 7.0])))
         frames.append(_pixel_frame(tracks, 100 * k))
-    found = block_pieces(frames, W, H)
+    found = block_pieces(frames_block(frames), W, H)
     for f, pieces in zip(frames, found):
         assert repr(pieces) == repr(oracles.frame_pieces(f, SCREEN)), f.timestamp_ms
 
@@ -499,7 +502,7 @@ def test_block_pieces_raise_at_the_first_non_finite_projection():
         oracles.frame_pieces(frames[1], SCREEN)
     with pytest.raises(TraceValidationError,
                        match=r"^frame at 100 ms: trackable 'huge' vertex 0 \(-1\.0, -1\.0\) projects"):
-        block_pieces(frames, W, H)
+        block_pieces(frames_block(frames), W, H)
 
 
 @pytest.mark.parametrize("scale, raises", [(1e140, False), (1e155, True)])
@@ -512,12 +515,12 @@ def test_block_pieces_bound_huge_but_finite_pixels(scale, raises):
     pose[:, 0] *= scale
     frame = _frame([_plane("table", (0.0, 0.0, 0.0), 1.0, 1.0), dataclasses.replace(lid, pose=pose)])
     if not raises:
-        found = block_pieces([frame], W, H)
+        found = block_pieces(frames_block([frame]), W, H)
         assert repr(found[0]) == repr(oracles.frame_pieces(frame, SCREEN))
         return
     with pytest.raises(ArithmeticError):
         oracles.frame_pieces(frame, SCREEN)
     with pytest.raises(TraceValidationError) as exc:
-        block_pieces([frame], W, H)
+        block_pieces(frames_block([frame]), W, H)
     assert str(exc.value) == ("frame at 0 ms: trackable 'lid' vertex 0 (-0.5, -0.5) projects to "
                               "screen coordinates that are not finite numbers within ±1e+150 px")

@@ -22,7 +22,7 @@ from typing import Sequence
 from .jsonin import dump_json, integer
 from .lifespan import DEFAULT_MIN_LIFESPAN_S, DEFAULT_MIN_VISIBILITY
 from .pipeline import (
-    DEFAULT_ANALYSIS_FPS, AnalysisParams, RunBoxes, analyze_boxes, frame_blocks, run_boxes,
+    DEFAULT_ANALYSIS_FPS, AnalysisParams, RunBoxes, analyze_boxes, run_boxes,
 )
 from .reporting import load_report, render_gantt, write_report
 from .scenes import benchmark_scenes
@@ -91,20 +91,23 @@ def _generated_runs(
     Each run renders and analyses only the frames its walk keeps.
     """
     return [
-        run_boxes(frame_blocks(render_frames(scene, seed_base + r, jitter, walk)))
+        run_boxes(render_frames(scene, seed_base + r, jitter, walk))
         for r, walk in enumerate(walks)
     ]
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     _check_runs(args.runs)
+    if args.runs > 1 and len(args.traces) > 1:
+        raise ValueError(f"--runs {args.runs} regenerates the runs of one trace, "
+                         f"got {len(args.traces)} traces")
     _check_jitter_seeds("--jitter-seed-base", [args.jitter_seed_base])
     params = AnalysisParams(
         fps=args.fps,
         min_visibility=args.min_visibility,
         min_lifespan_s=args.min_lifespan,
     )
-    if len(args.traces) == 1 and args.runs > 1:
+    if args.runs > 1:
         path = args.traces[0]
         meta = read_header(path)[1]
         # the frames go unused, but a bad one rejects the trace: read and check every line

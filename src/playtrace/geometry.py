@@ -10,6 +10,7 @@ vectors, and replay runs odd_crossings in a plane's local coordinates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
@@ -502,9 +503,26 @@ def simple_polygon_rows(xy: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return simple
 
 
+@functools.lru_cache(maxsize=64)   # bounded: a trace may hold polygons of any size
+def _pair_indices(n: int) -> tuple[np.ndarray, ...]:
+    """The read-only index arrays of _simple_of_size for polygons of n vertices.
+
+    (i, j) of every vertex pair i < j, then (p, s1, s2) of every test of a
+    point p against a segment s1 -> s2 that _simple_of_size makes.
+    """
+    pairs = [(a, b) for a in range(n) for b in range(a + 2, n) if (b + 1) % n != a]
+    e, f = np.array(pairs, dtype=int).reshape(-1, 2).T
+    e1, f1 = (e + 1) % n, (f + 1) % n
+    out = (*np.triu_indices(n, 1), np.concatenate([e, e1, f, f1]),
+           np.concatenate([f, f, e, e]), np.concatenate([f1, f1, e1, e1]))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 def _simple_of_size(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """simple_polygons of polygons of one size n >= 3, given as (polygons, n) coordinates."""
-    n = x.shape[1]
+    i, j, p, s1, s2 = _pair_indices(x.shape[1])
     overflow = np.zeros(len(x), dtype=bool)
 
     def squared(v: np.ndarray, evaluated: np.ndarray | bool = True) -> np.ndarray:
@@ -515,17 +533,10 @@ def _simple_of_size(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return sq
 
     # a repeated vertex: _dist_sq of every pair
-    i, j = np.triu_indices(n, 1)
     repeated = squared(x[:, i] - x[:, j]) + squared(y[:, i] - y[:, j]) <= PARALLEL_EPS
 
-    # _segments_cross of every pair of non-adjacent edges (i, i + 1) and (j, j + 1), as its
-    # four tests of a point p against a segment s1 -> s2: p = i, i + 1, j, j + 1 in turn
-    pairs = [(i, j) for i in range(n) for j in range(i + 2, n) if (j + 1) % n != i]
-    i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
-    i1, j1 = (i + 1) % n, (j + 1) % n
-    p = np.concatenate([i, i1, j, j1])
-    s1 = np.concatenate([j, j, i, i])
-    s2 = np.concatenate([j1, j1, i1, i1])
+    # _segments_cross of every pair of non-adjacent edges (e, e + 1) and (f, f + 1), as its
+    # four tests of a point p against a segment s1 -> s2: p = e, e + 1, f, f + 1 in turn
     px, py, ax, ay = x[:, p], y[:, p], x[:, s1], y[:, s1]
     dx = x[:, s2] - ax
     dy = y[:, s2] - ay

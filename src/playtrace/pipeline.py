@@ -3,20 +3,23 @@
 Chains the pieces together: compute per-frame visible boxes of the frames a
 producer kept at the analysis rate, split them into life spans, keep the
 long ones as test opportunities, and intersect several runs of the same
-recording when more than one is available.  Frames pass through one loop
-(run_boxes) as they arrive, so a run costs memory for its boxes and for one
-block of frames, not for all its frames.  A run's boxes are one float64
-array per trackable, a row per frame with NaN for "no box"; Rects are made
-only for the life spans found in them.  The boxes depend on the frames
-alone: AnalysisParams reaches the producer's walk (fps) and analyze_boxes
-(the visibility and duration thresholds), not run_boxes.
+recording when more than one is available.  Both producers, the trace
+reader (iter_blocks) and the renderer (render_frames), yield the frames
+they keep as column blocks (FrameBlock).  The blocks pass through one loop
+(run_boxes) as they arrive, which checks that a run has one screen, so a
+run costs memory for its boxes and for one block of frames, not for all
+its frames.  A run's boxes are one float64 array per trackable, a row per
+frame with NaN for "no box"; Rects are made only for the life spans found
+in them.  The boxes depend on the frames alone: AnalysisParams reaches the
+producer's walk (fps) and analyze_boxes (the visibility and duration
+thresholds), not run_boxes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,13 +33,13 @@ from .lifespan import (
     opportunity_sort_key,
 )
 from .metrics import VideoMetrics, compute_metrics
-from .trace import FrameBlock, FrameRecord, TraceValidationError, blocks, frames_block, join_blocks
+from .trace import FrameBlock, TraceValidationError, blocks, join_blocks
 from .visibility import block_pieces, fit_boxes
 
 DEFAULT_ANALYSIS_FPS = 10.0
 # Frames analysed together (block_pieces, then fit_boxes): run_boxes joins the
-# blocks it is given until they hold this many, and frame_blocks cuts frames
-# made in memory into blocks of this many.
+# blocks it is given until they hold this many, and render_frames yields
+# blocks of this many, which run_boxes takes as they are.
 BOX_BLOCK_FRAMES = 128
 
 
@@ -67,36 +70,11 @@ class RunBoxes:
     screen: tuple[int, int]
 
 
-def frame_blocks(frames: Iterable[FrameRecord]) -> Iterator[FrameBlock]:
-    """Frames made in memory (render_frames, or by hand) in blocks of up to BOX_BLOCK_FRAMES.
-
-    frames may be a tuple or a stream; each block is frames_block of its
-    frames.  A run has one screen: a frame whose screen differs from the
-    first frame's is a ValueError, raised after the block of the frames
-    before it (blocks).
-    """
-    first: FrameRecord | None = None
-
-    def checked() -> Iterator[FrameRecord]:
-        nonlocal first
-        for f in frames:
-            if first is None:
-                first = f
-            elif (f.screen_w, f.screen_h) != (first.screen_w, first.screen_h):
-                raise ValueError(
-                    f"frame at {f.timestamp_ms} ms: screen {f.screen_w}x{f.screen_h} differs "
-                    f"from the first frame's {first.screen_w}x{first.screen_h}"
-                )
-            yield f
-
-    return map(frames_block, blocks(checked(), BOX_BLOCK_FRAMES))
-
-
 def run_boxes(frames: Iterable[FrameBlock]) -> RunBoxes:
     """The one frame loop: find the boxes of every frame given, a block at a time.
 
-    frames is a stream of blocks of one run, such as iter_blocks or
-    frame_blocks of render_frames, already decimated by a deadline_walk;
+    frames is a stream of blocks of one run, as both producers yield them
+    (iter_blocks, render_frames), already decimated by a deadline_walk;
     each frame is analysed.  The blocks are joined until they hold
     BOX_BLOCK_FRAMES frames (blocks), and each joined block goes through
     one block_pieces and one fit_boxes call.  An error from the stream is
@@ -104,13 +82,18 @@ def run_boxes(frames: Iterable[FrameBlock]) -> RunBoxes:
     frames raise comes first, as it would one frame at a time.  The boxes
     dict is keyed in order of first appearance; each value has one row per
     frame, NaN where the trackable produced no box.  Every frame has the
-    first frame's screen; both producers check it.
+    first frame's screen: a joined block that holds another screen is a
+    ValueError, raised before that block is analysed.
     """
     screen: tuple[int, int] | None = None
     chunks: dict[str, list[np.ndarray]] = {}   # per trackable, its rows of each block
     timestamps: list[int] = []
     for block in map(join_blocks, blocks(frames, BOX_BLOCK_FRAMES, lambda b: len(b.t_ms))):
         screen = screen or block.screens[0]
+        if set(block.screens) != {screen}:
+            t, (w, h) = next((t, s) for t, s in zip(block.t_ms, block.screens) if s != screen)
+            raise ValueError(f"frame at {t} ms: screen {w}x{h} differs "
+                             f"from the first frame's {screen[0]}x{screen[1]}")
         tids, frame_of, found = fit_boxes(block_pieces(block, *screen), *screen)
         for tid in tids:
             if tid not in chunks:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
@@ -21,7 +22,10 @@ import numpy as np
 from .geometry import PARALLEL_EPS, EdgeLoops, dot_rows, odd_crossings, simple_polygons
 from .jsonin import MAX_INT, UNIT_EPS, dump_json, finite, integer, load_json, numbers, unit
 from .scheduler import EventSchedule, GestureEvent, GestureKind
-from .trace import MAX_SCREEN_PX, FrameRecord, PlaybackTrace, TrackableSnapshot, TrackingState
+from .pipeline import BOX_BLOCK_FRAMES
+from .trace import (
+    MAX_SCREEN_PX, FrameBlock, PlaybackTrace, TrackingState, block_records, blocks,
+)
 
 _HIT_EPS_M = 1e-9         # slack when testing a hit point against surface bounds
 MIN_PATH_SAMPLES = 10     # gesture paths are checked at no fewer points than this
@@ -48,12 +52,10 @@ class ScenePlane:
     local_vertices: np.ndarray | None = None  # (n, 2) rows of (x, z); None = the full rectangle
 
     def vertices(self) -> np.ndarray:
-        """The polygon as read-only (n, 2) rows of (x, z): local_vertices or the full rectangle."""
+        """The polygon as (n, 2) rows of (x, z): local_vertices or the full rectangle."""
         eu, ev = self.extent_u, self.extent_v
-        verts = (np.array([(-eu, -ev), (eu, -ev), (eu, ev), (-eu, ev)])
-                 if self.local_vertices is None else self.local_vertices.view())
-        verts.flags.writeable = False
-        return verts
+        return (np.array([(-eu, -ev), (eu, -ev), (eu, ev), (-eu, ev)])
+                if self.local_vertices is None else self.local_vertices)
 
     def pose(self) -> np.ndarray:
         """Local (x, y, z) -> world, with y along the normal."""
@@ -62,7 +64,6 @@ class ScenePlane:
         m[:3, 1] = self.normal
         m[:3, 2] = self.axis_v
         m[:3, 3] = self.center
-        m.flags.writeable = False
         return m
 
 
@@ -421,8 +422,8 @@ def render_frames(
     jitter_seed: int = 0,
     jitter: Jitter | None = None,
     keep: Callable[[int], bool] | None = None,
-) -> Iterator[FrameRecord]:
-    """Render the scene's frames one at a time, building only those keep accepts.
+) -> Iterator[FrameBlock]:
+    """Render the scene's frames as FrameBlocks, building only the frames keep accepts.
 
     Dropout makes a detected plane vanish from single frames at random;
     vertex noise perturbs the reported polygon corners in the plane's local
@@ -431,60 +432,66 @@ def render_frames(
     frames whose timestamps keep (a decimation predicate such as
     deadline_walk's, asked about every timestamp in order) accepts are
     built, so the frames yielded equal those of the full render that keep
-    accepts.  Without keep every frame is built.
+    accepts.  Without keep every frame is built.  Each block holds
+    BOX_BLOCK_FRAMES frames, the last one fewer; every matrix is in C order,
+    and a block's projection is one row, broadcast.
     """
     validate_scene(scene)
     if jitter is None:
         jitter = scene.default_jitter
     rng = np.random.default_rng(jitter_seed)
     aspect = scene.screen_w / scene.screen_h
-    proj = perspective_matrix(scene.fov_y_deg, aspect, scene.near_m, scene.far_m)
+    proj = perspective_matrix(scene.fov_y_deg, aspect, scene.near_m, scene.far_m).reshape(1, 16)
     times = frame_times(scene)
     kept = [keep is None or keep(t) for t in times]
-    eyes, views = camera_poses(scene, [t for t, k in zip(times, kept) if k])
-    planes = [
-        (p, p.pose(), plane_detected(p, np.array(times)).tolist(), p.vertices())
-        for p in scene.planes
-    ]
+    kept_times = [t for t, k in zip(times, kept) if k]
+    eyes, views = camera_poses(scene, kept_times)
+    planes = scene.planes
+    detected = [plane_detected(p, np.array(times)).tolist() for p in planes]
+    # a row per plane: each block takes the rows of the planes its frames show
+    poses = np.array([p.pose() for p in planes]).reshape(-1, 16)
+    centers = np.array([p.center for p in planes], dtype=float).reshape(-1, 3)
+    normals = np.array([p.normal for p in planes], dtype=float).reshape(-1, 3)
+    shapes = [p.vertices() for p in planes]
     draws = jitter.dropout_prob > 0.0 or jitter.vertex_noise_m > 0.0
-    poses = zip(eyes, views)
-    for i, t in enumerate(times):
-        if not (kept[i] or draws):
-            continue  # a frame that is neither built nor draws jitter
-        trackables: list[TrackableSnapshot] = []
-        for plane, pose, detected, verts in planes:
-            if not detected[i]:
-                continue
-            if jitter.dropout_prob > 0.0 and rng.random() < jitter.dropout_prob:
-                continue
-            if jitter.vertex_noise_m > 0.0:
-                noise = rng.normal(0.0, jitter.vertex_noise_m, size=(len(verts), 2))
-                if kept[i]:
-                    verts = verts + noise
-                    verts.flags.writeable = False
-            if not kept[i]:
-                continue  # its draws are made, but the frame is not built
-            trackables.append(
-                TrackableSnapshot(
-                    trackable_id=plane.plane_id,
-                    pose=pose,
-                    local_vertices=verts,
-                    center_world=plane.center,
-                    normal_world=plane.normal,
-                    tracking_state=TrackingState.TRACKING,
-                )
-            )
-        if kept[i]:
-            eye, view = next(poses)
-            yield FrameRecord(
-                timestamp_ms=t,
-                view=view,
-                projection=proj,
-                camera_position=eye,
-                screen_w=scene.screen_w,
-                screen_h=scene.screen_h,
-                trackables=tuple(trackables),
-            )
+
+    def shown() -> Iterator[list[tuple[int, np.ndarray]]]:
+        """(plane index, polygon) of each trackable of each kept frame; every frame draws."""
+        for i in range(len(times)):
+            if not (kept[i] or draws):
+                continue  # a frame that is neither built nor draws jitter
+            tracks = []
+            for k, verts in enumerate(shapes):
+                if not detected[k][i] or (
+                        jitter.dropout_prob > 0.0 and rng.random() < jitter.dropout_prob):
+                    continue
+                if jitter.vertex_noise_m > 0.0:
+                    verts = verts + rng.normal(0.0, jitter.vertex_noise_m, size=(len(verts), 2))
+                tracks.append((k, verts))
+            if kept[i]:  # else its draws are made, but the frame is not built
+                yield tracks
+
+    start = 0
+    for part in blocks(shown(), BOX_BLOCK_FRAMES):
+        end, tracks = start + len(part), list(chain.from_iterable(part))
+        rows = np.array([k for k, _ in tracks], dtype=int)
+        block = FrameBlock(
+            t_ms=kept_times[start:end], screens=[(scene.screen_w, scene.screen_h)] * len(part),
+            view=views[start:end].reshape(-1, 16), view_f=np.zeros(len(part), dtype=bool),
+            proj=np.broadcast_to(proj, (len(part), 16)), proj_f=np.zeros(len(part), dtype=bool),
+            cam_pos=eyes[start:end], n_trackables=np.array(list(map(len, part)), dtype=int),
+            ids=[planes[k].plane_id for k in rows.tolist()],
+            states=[TrackingState.TRACKING] * len(rows),
+            pose=poses[rows], pose_f=np.zeros(len(rows), dtype=bool),
+            center=centers[rows], normal=normals[rows],
+            n_verts=np.array([len(v) for _, v in tracks], dtype=int),
+            verts=np.concatenate([np.zeros((0, 2)), *(v for _, v in tracks)]),
+        )
+        for col in block:
+            if type(col) is np.ndarray:
+                col.flags.writeable = False
+        yield block
+        start = end
 
 
 def generate_trace(
@@ -498,7 +505,8 @@ def generate_trace(
     """
     if jitter is None:
         jitter = scene.default_jitter
-    frames = tuple(render_frames(scene, jitter_seed, jitter))
+    rendered = render_frames(scene, jitter_seed, jitter)
+    frames = tuple(chain.from_iterable(map(block_records, rendered)))
     meta = {
         "scene": scene_to_dict(scene),
         "jitter": asdict(jitter),

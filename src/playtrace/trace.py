@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from operator import itemgetter, lt
 from pathlib import Path
 from typing import (
@@ -152,74 +152,30 @@ def join_blocks(parts: Sequence[FrameBlock]) -> FrameBlock:
     ))
 
 
-def _matrix_rows(mats: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(N, 16) rows of each matrix's numbers in its memory order, and whether each is column-major.
-
-    A matrix in neither order is taken in C order.
-    """
-    col_major = np.array([m.flags.f_contiguous and not m.flags.c_contiguous for m in mats],
-                         dtype=bool)
-    rows = np.array([m.T if f else m for m, f in zip(mats, col_major.tolist())], dtype=float)
-    return _frozen(rows.reshape(-1, 16)), _frozen(col_major)
-
-
-def frames_block(frames: Sequence[FrameRecord]) -> FrameBlock:
-    """Frames made in memory (render_frames, or by hand) as one block, each matrix in its order."""
-    tracks = [t for f in frames for t in f.trackables]
-    view, view_f = _matrix_rows([f.view for f in frames])
-    proj, proj_f = _matrix_rows([f.projection for f in frames])
-    pose, pose_f = _matrix_rows([t.pose for t in tracks])
-
-    def rows(vectors: list, n: int) -> np.ndarray:
-        return _frozen(np.array(vectors, dtype=float).reshape(-1, n))
-
-    return FrameBlock(
-        t_ms=[f.timestamp_ms for f in frames],
-        screens=[(f.screen_w, f.screen_h) for f in frames],
-        view=view, view_f=view_f, proj=proj, proj_f=proj_f,
-        cam_pos=rows([f.camera_position for f in frames], 3),
-        n_trackables=_frozen(np.array([len(f.trackables) for f in frames], dtype=int)),
-        ids=[t.trackable_id for t in tracks],
-        states=[t.tracking_state for t in tracks],
-        pose=pose, pose_f=pose_f,
-        center=rows([t.center_world for t in tracks], 3),
-        normal=rows([t.normal_world for t in tracks], 3),
-        n_verts=_frozen(np.array([len(t.local_vertices) for t in tracks], dtype=int)),
-        verts=_frozen(np.concatenate([np.zeros((0, 2)), *(t.local_vertices for t in tracks)])),
-    )
-
-
 def block_records(block: FrameBlock) -> Iterator[FrameRecord]:
-    """The FrameRecord of each frame of a block; its arrays are views of the block's columns."""
-    def matrix(rows: np.ndarray, col_major: list[bool], i: int) -> Mat4:
-        return rows[i].reshape((4, 4), order="F" if col_major[i] else "C")
+    """The FrameRecord of each frame of a block; its arrays are views of the block's columns.
 
-    view_f, proj_f, pose_f = block.view_f.tolist(), block.proj_f.tolist(), block.pose_f.tolist()
-    vert_ends = np.cumsum(block.n_verts).tolist()
-    vert_starts = [0, *vert_ends[:-1]]
-    k = 0
-    for i, n in enumerate(block.n_trackables.tolist()):
-        trackables = tuple(
-            TrackableSnapshot(
-                trackable_id=block.ids[j],
-                pose=matrix(block.pose, pose_f, j),
-                local_vertices=block.verts[vert_starts[j]:vert_ends[j]],
-                center_world=block.center[j],
-                normal_world=block.normal[j],
-                tracking_state=block.states[j],
-            )
-            for j in range(k, k + n)
-        )
-        k += n
-        yield FrameRecord(
-            timestamp_ms=block.t_ms[i],
-            view=matrix(block.view, view_f, i),
-            projection=matrix(block.proj, proj_f, i),
-            camera_position=block.cam_pos[i],
-            screen_w=block.screens[i][0],
-            screen_h=block.screens[i][1],
-            trackables=trackables,
-        )
+    The views of each column are made once per block: a matrix is its row
+    as (4, 4) in C order, or the transpose of that where it is column-major.
+    """
+    def matrices(rows: np.ndarray, col_major: np.ndarray) -> list[Mat4]:
+        stored = rows.reshape(-1, 4, 4)
+        return [t if f else m
+                for m, t, f in zip(stored, stored.transpose(0, 2, 1), col_major.tolist())]
+
+    ends = np.cumsum(block.n_verts).tolist()
+    tracks = iter([
+        TrackableSnapshot(trackable_id=tid, pose=pose, local_vertices=block.verts[start:end],
+                          center_world=center, normal_world=normal, tracking_state=state)
+        for tid, pose, start, end, center, normal, state in zip(
+            block.ids, matrices(block.pose, block.pose_f), [0, *ends], ends,
+            block.center, block.normal, block.states)
+    ])
+    for t, (w, h), view, proj, cam, n in zip(
+            block.t_ms, block.screens, matrices(block.view, block.view_f),
+            matrices(block.proj, block.proj_f), block.cam_pos, block.n_trackables.tolist()):
+        yield FrameRecord(timestamp_ms=t, view=view, projection=proj, camera_position=cam,
+                          screen_w=w, screen_h=h, trackables=tuple(islice(tracks, n)))
 
 
 def mat4_to_list(m: Mat4) -> list[float]:

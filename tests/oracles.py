@@ -814,6 +814,63 @@ def analyze_frame_per_vertex(frame):
     return boxes
 
 
+# ------------------------------------------------------ in-memory blocks
+# FrameRecords gathered into column blocks, as the renderer yielded them
+# before it built its blocks directly: the reference for its blocks, and
+# the way frames built by hand reach the box pass.
+
+def _matrix_rows(mats):
+    """(N, 16) rows of each matrix's numbers in its memory order, and whether each is column-major.
+
+    A matrix in neither order is taken in C order.
+    """
+    col_major = np.array([m.flags.f_contiguous and not m.flags.c_contiguous for m in mats],
+                         dtype=bool)
+    rows = np.array([m.T if f else m for m, f in zip(mats, col_major.tolist())], dtype=float)
+    return _frozen(rows.reshape(-1, 16)), _frozen(col_major)
+
+
+def _frozen(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+def frames_block(frames):
+    """FrameRecords made in memory as one FrameBlock, each matrix in its own memory order."""
+    from playtrace.trace import FrameBlock
+
+    tracks = [t for f in frames for t in f.trackables]
+    view, view_f = _matrix_rows([f.view for f in frames])
+    proj, proj_f = _matrix_rows([f.projection for f in frames])
+    pose, pose_f = _matrix_rows([t.pose for t in tracks])
+
+    def rows(vectors, n):
+        return _frozen(np.array(vectors, dtype=float).reshape(-1, n))
+
+    return FrameBlock(
+        t_ms=[f.timestamp_ms for f in frames],
+        screens=[(f.screen_w, f.screen_h) for f in frames],
+        view=view, view_f=view_f, proj=proj, proj_f=proj_f,
+        cam_pos=rows([f.camera_position for f in frames], 3),
+        n_trackables=_frozen(np.array([len(f.trackables) for f in frames], dtype=int)),
+        ids=[t.trackable_id for t in tracks],
+        states=[t.tracking_state for t in tracks],
+        pose=pose, pose_f=pose_f,
+        center=rows([t.center_world for t in tracks], 3),
+        normal=rows([t.normal_world for t in tracks], 3),
+        n_verts=_frozen(np.array([len(t.local_vertices) for t in tracks], dtype=int)),
+        verts=_frozen(np.concatenate([np.zeros((0, 2)), *(t.local_vertices for t in tracks)])),
+    )
+
+
+def frame_blocks(frames):
+    """FrameRecords (a tuple or a stream) as a stream of frames_block of BOX_BLOCK_FRAMES each."""
+    from playtrace.pipeline import BOX_BLOCK_FRAMES
+    from playtrace.trace import blocks
+
+    return map(frames_block, blocks(frames, BOX_BLOCK_FRAMES))
+
+
 # ------------------------------------------------------------ eager analysis
 # `analyze` as it was before frames were streamed: every trace loaded whole,
 # then decimated into a second list, then every kept frame analysed alone
@@ -845,7 +902,6 @@ def decimate(frames, source_fps, target_fps):
 def frame_boxes(frame):
     """(trackable id, Rect | None) of each surface of one frame on its own: a one-frame
     block_pieces and fit_boxes, None where the surface holds no box."""
-    from playtrace.trace import frames_block
     from playtrace.visibility import block_pieces, fit_boxes
 
     w, h = frame.screen_w, frame.screen_h

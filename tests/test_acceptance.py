@@ -17,12 +17,12 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import clip_polygon
+from oracles import clip_polygon, frame_blocks
 from playtrace import geometry as g
 from playtrace.cli import main as cli_main
 from playtrace.geometry import polygon_area
 from playtrace.lifespan import life_spans
-from playtrace.pipeline import AnalysisParams, analyze_boxes, frame_blocks, run_boxes
+from playtrace.pipeline import AnalysisParams, analyze_boxes, run_boxes
 from playtrace.scenes import benchmark_scene, benchmark_scenes
 from playtrace.scheduler import GestureKind, schedule_guided, schedule_random
 from playtrace.simulator import (

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import frame_blocks
 from playtrace import cli as cli_module
 from playtrace import trace as trace_module
 from playtrace.cli import MAX_RUNS, main, parse_mix
-from playtrace.pipeline import AnalysisParams, analyze_boxes, frame_blocks, run_boxes
+from playtrace.pipeline import AnalysisParams, analyze_boxes, run_boxes
 from playtrace.reporting import load_report, render_gantt
 from playtrace.scenes import benchmark_scene
 from playtrace.scheduler import GestureKind, load_schedule, save_schedule, schedule_random
@@ -220,6 +221,18 @@ def test_runs_outside_the_budget_are_rejected_first(tmp_path, capsys, command, r
     assert not out.exists()
 
 
+@pytest.mark.parametrize("runs", [2, 5])
+def test_analyze_runs_with_several_traces_is_rejected_first(tmp_path, capsys, runs):
+    # --runs regenerates the runs of one trace; with two traces it would be ignored.
+    # The inputs do not exist, so reading one first would exit 2
+    missing = [str(tmp_path / f"missing{k}.jsonl") for k in range(2)]
+    out = tmp_path / "out"
+    rc = main(["analyze", *missing, "--runs", str(runs), "--out", str(out)])
+    err = _assert_input_error(rc, capsys)
+    assert err == f"error: --runs {runs} regenerates the runs of one trace, got 2 traces\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, knobs, message",
     [
@@ -321,13 +334,16 @@ def test_analyze_runs_rejects_a_bad_frame_as_load_trace_does(tmp_path, trace_pat
 def test_analyze_builds_only_the_frames_it_keeps(tmp_path, trace_path, monkeypatch, runs):
     # analyze reads the trace as column blocks and builds no FrameRecord from it; one run
     # holds the rows of the frames the walk keeps, not the last, which it drops, and with
-    # --runs 2 the trace's frames go unused and no row is held
+    # --runs 2 the trace's frames go unused and no row is held; the rendered runs of
+    # --runs 2 and of compare are blocks too, and build no record either
     trace = load_trace(trace_path)
     kept = [f.timestamp_ms for f in oracles.decimate(trace.frames, trace.source_fps, 10.0)]
     assert kept[-1] < trace.duration_ms
     built, held = [], []
-    record = trace_module.FrameRecord
-    monkeypatch.setattr(trace_module, "FrameRecord", lambda **kw: built.append(kw) or record(**kw))
+    for name in ("FrameRecord", "TrackableSnapshot"):
+        made = getattr(trace_module, name)
+        monkeypatch.setattr(trace_module, name,
+                            lambda made=made, **kw: built.append(kw) or made(**kw))
     read = cli_module.iter_blocks
 
     def counted(path, keep=None):
@@ -338,9 +354,16 @@ def test_analyze_builds_only_the_frames_it_keeps(tmp_path, trace_path, monkeypat
     monkeypatch.setattr(cli_module, "iter_blocks", counted)
     argv = ["analyze", str(trace_path), "--runs", str(runs), "--out", str(tmp_path / "x")]
     assert main(argv) == 0
-    assert built == []
     assert held == (kept if runs == 1 else [])
-    assert len(list(iter_frames(trace_path))) == len(built) > 0   # the patch counts records
+    save_scene(_scene(), tmp_path / "scene.json")
+    assert main(["compare", str(tmp_path / "scene.json"), "--runs", str(runs)]) == 0
+    assert built == []
+    # the patch counts the records and snapshots of both producers
+    frames = list(iter_frames(trace_path))
+    counted = len(frames) + sum(len(f.trackables) for f in frames)
+    assert len(built) == counted > len(frames)
+    generate_trace(_scene())   # the trace_path fixture's render
+    assert len(built) == 2 * counted
 
 
 @pytest.mark.parametrize("n", [121, 122, 123])

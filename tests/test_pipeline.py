@@ -5,8 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import decimate
-from playtrace.pipeline import AnalysisParams, analyze_boxes, frame_blocks, run_boxes
+from oracles import decimate, frame_blocks, frames_block
+from playtrace.pipeline import AnalysisParams, analyze_boxes, run_boxes
 from playtrace.simulator import CameraKeyframe, Jitter, ScenePlane, SimScene, generate_trace
 
 
@@ -134,3 +134,6 @@ def test_analyze_runs_rejects_mixed_screens():
     message = f"frame at {at} ms: screen 960x540 differs from the first frame's 1920x1080"
     with pytest.raises(ValueError, match=message):
         _analyze([mixed])
+    # run_boxes checks the screen of the blocks it is given, however they were made
+    with pytest.raises(ValueError, match=message):
+        run_boxes([frames_block(big.frames[:90]), frames_block(small.frames[90:93])])

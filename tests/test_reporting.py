@@ -5,10 +5,11 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import oracles
+from oracles import frame_blocks
 from playtrace.geometry import Rect
 from playtrace.lifespan import TestOpportunity, opportunity_sort_key
 from playtrace.metrics import compute_metrics
-from playtrace.pipeline import analyze_boxes, frame_blocks, run_boxes
+from playtrace.pipeline import analyze_boxes, run_boxes
 from playtrace.scenes import benchmark_scene
 from playtrace.simulator import generate_trace
 from playtrace.reporting import (

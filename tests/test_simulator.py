@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import oracles
-from playtrace.pipeline import analyze_boxes, frame_blocks, run_boxes
+from oracles import frame_blocks, frames_block
+from playtrace.pipeline import BOX_BLOCK_FRAMES, analyze_boxes, run_boxes
 from playtrace.scenes import benchmark_scene, benchmark_scenes
 from playtrace.scheduler import (
     DEFAULT_MIX,
@@ -43,11 +44,10 @@ from playtrace.simulator import (
     validate_scene,
 )
 from playtrace.trace import (
+    FrameBlock,
     block_records,
     deadline_walk,
-    frames_block,
     iter_blocks,
-    iter_frames,
     save_trace,
 )
 
@@ -477,18 +477,18 @@ def test_trace_bytes_pinned(tmp_path, name, seed):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _TRACE_DIGESTS[(name, seed)]
 
 
-def _frame_fields(frame):
-    """Everything a rendered frame holds, in comparable form."""
-    return (
-        frame.timestamp_ms,
-        frame.view.tobytes(),
-        frame.projection.tobytes(),
-        frame.camera_position.tobytes(),
-        (frame.screen_w, frame.screen_h),
-        [(t.trackable_id, t.local_vertices.shape, t.local_vertices.tobytes(), t.pose.tobytes(),
-          t.tracking_state)
-         for t in frame.trackables],
-    )
+def _assert_same_blocks(got, want):
+    """Equal FrameBlocks, bit for bit, column for column and flag for flag."""
+    got, want = list(got), list(want)
+    assert len(got) == len(want) > 0
+    for a, b in zip(got, want):
+        for name, x, y in zip(FrameBlock._fields, a, b):
+            if type(y) is list:
+                assert type(x) is list and x == y, name
+            else:
+                assert x.dtype == y.dtype and x.shape == y.shape, name
+                assert x.tobytes() == y.tobytes(), name
+                assert not x.flags.writeable, name
 
 
 @pytest.mark.parametrize("name", PACK)
@@ -497,19 +497,31 @@ def test_render_frames_equal_the_decimated_full_render(name):
     scene = benchmark_scene(name)
     for seed in (1, 2):
         full = generate_trace(scene, seed)
-        want = [_frame_fields(f) for f in oracles.decimate(full.frames, scene.fps, 10.0)]
-        got = [_frame_fields(f)
-               for f in render_frames(scene, seed, keep=deadline_walk(scene.fps, 10.0))]
-        assert got == want
-        assert len(got) < len(full.frames)
+        got = list(render_frames(scene, seed, keep=deadline_walk(scene.fps, 10.0)))
+        assert all(len(b.t_ms) == BOX_BLOCK_FRAMES for b in got[:-1])
+        assert not any(b.view_f.any() or b.proj_f.any() or b.pose_f.any() for b in got)
+        _assert_same_blocks(got, frame_blocks(oracles.decimate(full.frames, scene.fps, 10.0)))
+        assert sum(len(b.t_ms) for b in got) < len(full.frames)
 
 
 @pytest.mark.parametrize("fps", [10.0, 7.5])
 def test_render_frames_keep_every_frame_at_or_below_the_analysis_rate(fps):
     scene = dataclasses.replace(benchmark_scene("noisy-trio"), fps=fps)
     full = generate_trace(scene, 3)
-    got = [_frame_fields(f) for f in render_frames(scene, 3, keep=deadline_walk(fps, 10.0))]
-    assert got == [_frame_fields(f) for f in full.frames]
+    got = render_frames(scene, 3, keep=deadline_walk(fps, 10.0))
+    _assert_same_blocks(got, frame_blocks(full.frames))
+
+
+def test_block_records_round_trip_the_blocks_of_both_producers(tmp_path):
+    # the reader's blocks hold column-major matrices, walked ones taken rows;
+    # the renderer's hold C-order ones and a broadcast projection
+    scene = benchmark_scene("noisy-trio")
+    path = tmp_path / "noisy.jsonl"
+    save_trace(generate_trace(scene, 1), path)
+    for produced in (iter_blocks(path), iter_blocks(path, deadline_walk(scene.fps, 10.0)),
+                     render_frames(scene, 1), render_frames(scene, 2, keep=lambda t: t % 3 > 0)):
+        produced = list(produced)
+        _assert_same_blocks([frames_block(list(block_records(b))) for b in produced], produced)
 
 
 def _assert_vertex_form(verts):
@@ -525,37 +537,25 @@ def test_both_producers_yield_read_only_vertex_arrays(tmp_path):
         [(0.0, 0.0), (0.4, 0.0), (0.0, 0.3)]))
     noisy = benchmark_scene("noisy-trio")
     noisy = dataclasses.replace(noisy, duration_ms=3000, planes=(*noisy.planes, tri))
+    clean = dataclasses.replace(noisy, default_jitter=Jitter())
     path = tmp_path / "noisy.jsonl"
     save_trace(generate_trace(noisy, 1), path)
-    read = list(iter_frames(path))
-    rendered = list(render_frames(noisy, 1))
-    assert sum(len(f.trackables) for f in read) == sum(len(f.trackables) for f in rendered) > 0
-    for f in read:
-        for t in f.trackables:
-            _assert_vertex_form(t.local_vertices)
-    for f in rendered:
-        for t in f.trackables:
-            _assert_vertex_form(t.local_vertices)
-    # the blocks of both producers are read-only columns, and a read frame's arrays view them
-    blocks = list(iter_blocks(path))
-    for block in [*blocks, frames_block(rendered)]:
-        _assert_vertex_form(block.verts)
-        assert not any(col.flags.writeable for col in block if isinstance(col, np.ndarray))
-    for block in blocks:
-        for f in block_records(block):
-            assert np.shares_memory(f.view, block.view)
-            for t in f.trackables:
-                assert np.shares_memory(t.local_vertices, block.verts)
-                assert np.shares_memory(t.pose, block.pose)
-    # without noise, every frame holds its plane's one array
-    clean = dataclasses.replace(noisy, default_jitter=Jitter())
-    by_plane = {}
-    for f in render_frames(clean, 1):
-        for t in f.trackables:
-            _assert_vertex_form(t.local_vertices)
-            assert by_plane.setdefault(t.trackable_id, t.local_vertices) is t.local_vertices
-    assert sorted(by_plane) == sorted(p.plane_id for p in clean.planes)
-    assert np.shares_memory(by_plane["tri"], tri.local_vertices)
+    produced = {"read": list(iter_blocks(path)), "rendered": list(render_frames(noisy, 1)),
+                "clean": list(render_frames(clean, 1))}
+    trackables = {kind: sum(len(b.ids) for b in blocks) for kind, blocks in produced.items()}
+    assert trackables["read"] == trackables["rendered"] > 0
+    # the blocks of both producers are read-only columns, and each frame's arrays view them
+    for blocks in produced.values():
+        for block in blocks:
+            _assert_vertex_form(block.verts)
+            assert not any(col.flags.writeable for col in block if isinstance(col, np.ndarray))
+            for f in block_records(block):
+                assert np.shares_memory(f.view, block.view)
+                assert np.shares_memory(f.projection, block.proj)
+                for t in f.trackables:
+                    _assert_vertex_form(t.local_vertices)
+                    assert np.shares_memory(t.local_vertices, block.verts)
+                    assert np.shares_memory(t.pose, block.pose)
 
 
 def test_execute_schedule_empty():

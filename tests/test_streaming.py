@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import frame_blocks
 from playtrace.cli import _generated_runs, main
-from playtrace.pipeline import AnalysisParams, frame_blocks, run_boxes
+from playtrace.pipeline import AnalysisParams, run_boxes
 from playtrace.reporting import render_gantt, write_report
 from playtrace.scenes import benchmark_scene, benchmark_scenes
 from playtrace.simulator import (
@@ -21,7 +22,7 @@ from playtrace.simulator import (
     generate_trace,
     render_frames,
 )
-from playtrace.trace import deadline_walk, iter_blocks, iter_frames, load_trace, save_trace
+from playtrace.trace import deadline_walk, iter_blocks, load_trace, save_trace
 
 
 def _eager_outputs(traces, out, params=AnalysisParams()):
@@ -115,11 +116,11 @@ def test_each_producer_asks_its_walk_about_every_timestamp_once_in_order(tmp_pat
     full = generate_trace(scene, 3)
     path = tmp_path / "run.jsonl"
     save_trace(full, path)
-    for produce in (lambda keep: iter_frames(path, keep),
+    for produce in (lambda keep: iter_blocks(path, keep),
                     lambda keep: render_frames(scene, 3, keep=keep)):
         walk = deadline_walk(scene.fps, target_fps)
         asked = []
-        kept = [f.timestamp_ms for f in produce(lambda t: asked.append(t) or walk(t))]
+        kept = [t for b in produce(lambda t: asked.append(t) or walk(t)) for t in b.t_ms]
         assert asked == times
         assert walk.last_ms == times[-1] == full.frames[-1].timestamp_ms
         assert kept == oracles.decimate_reference(times, scene.fps, target_fps)

@@ -10,9 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import decimate
+from oracles import decimate, frame_blocks
 from playtrace import trace as trace_module
-from playtrace.pipeline import AnalysisParams, frame_blocks, run_boxes
+from playtrace.pipeline import AnalysisParams, run_boxes
 from playtrace.scenes import benchmark_scene
 from playtrace.simulator import generate_trace
 from playtrace.trace import (

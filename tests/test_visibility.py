@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from playtrace import geometry as g
 from playtrace.lifespan import life_spans
-from playtrace.pipeline import frame_blocks, run_boxes
+from playtrace.pipeline import run_boxes
 from playtrace.scenes import benchmark_scene, benchmark_scenes
 from playtrace.simulator import generate_trace, perspective_matrix
 from playtrace.trace import (
@@ -20,12 +20,11 @@ from playtrace.trace import (
     TrackableSnapshot,
     TrackingState,
     TraceValidationError,
-    frames_block,
     load_trace,
     save_trace,
 )
 from playtrace.visibility import _project, block_pieces, fit_boxes, screen_clip_polygon
-from oracles import decimate, facing_camera, project_trackable
+from oracles import decimate, facing_camera, frame_blocks, frames_block, project_trackable
 
 W, H = 1920, 1080
 

@@ -5,7 +5,7 @@ from .lifespan import TestOpportunity, filter_by_duration, intersect_runs, life_
 from .metrics import VideoMetrics, compute_metrics
 from .pipeline import AnalysisParams, analyze_boxes, run_boxes
 from .scheduler import EventSchedule, GestureEvent, GestureKind, schedule_guided, schedule_random
-from .simulator import Jitter, SimScene, execute_schedule, generate_trace, hit_test, load_scene
+from .simulator import Jitter, SimScene, execute_schedule, generate_trace, load_scene
 from .trace import PlaybackTrace, load_trace, save_trace
 
 __version__ = "0.1.0"
@@ -26,7 +26,6 @@ __all__ = [
     "execute_schedule",
     "filter_by_duration",
     "generate_trace",
-    "hit_test",
     "intersect_runs",
     "life_spans",
     "load_scene",

@@ -79,7 +79,12 @@ class EventSchedule:
 
 
 def _validate_mix(mix: Mapping[GestureKind, float]) -> dict[GestureKind, float]:
-    clean = {k: float(v) for k, v in mix.items() if v > 0}
+    """The positive weights of mix; a weight that is not a finite number >= 0 is a ValueError."""
+    weights = {k: finite(v, f"mix weight {k.value}") for k, v in mix.items()}
+    for k, v in weights.items():
+        if v < 0:
+            raise ValueError(f"mix weight {k.value} must be >= 0, got {v}")
+    clean = {k: v for k, v in weights.items() if v > 0}
     if not clean:
         raise ValueError("gesture mix has no positive weights")
     total = sum(clean.values())

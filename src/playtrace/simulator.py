@@ -476,14 +476,12 @@ def render_frames(
         end, tracks = start + len(part), list(chain.from_iterable(part))
         rows = np.array([k for k, _ in tracks], dtype=int)
         block = FrameBlock(
-            t_ms=kept_times[start:end], screens=[(scene.screen_w, scene.screen_h)] * len(part),
-            view=views[start:end].reshape(-1, 16), view_f=np.zeros(len(part), dtype=bool),
-            proj=np.broadcast_to(proj, (len(part), 16)), proj_f=np.zeros(len(part), dtype=bool),
+            screen=(scene.screen_w, scene.screen_h), col_major=False, t_ms=kept_times[start:end],
+            view=views[start:end].reshape(-1, 16), proj=np.broadcast_to(proj, (len(part), 16)),
             cam_pos=eyes[start:end], n_trackables=np.array(list(map(len, part)), dtype=int),
             ids=[planes[k].plane_id for k in rows.tolist()],
             states=[TrackingState.TRACKING] * len(rows),
-            pose=poses[rows], pose_f=np.zeros(len(rows), dtype=bool),
-            center=centers[rows], normal=normals[rows],
+            pose=poses[rows], center=centers[rows], normal=normals[rows],
             n_verts=np.array([len(v) for _, v in tracks], dtype=int),
             verts=np.concatenate([np.zeros((0, 2)), *(v for _, v in tracks)]),
         )
@@ -568,19 +566,6 @@ def _cast(
             best_t[hit] = t_ray[hit]
             best[hit] = i
     return best, over_any
-
-
-def hit_test_batch(scene: SimScene, t_ms: float, points: np.ndarray) -> list[str | None]:
-    """Nearest tracked surface under each screen point at time t, or None for sky."""
-    points = np.asarray(points, dtype=float).reshape(1, -1, 2)
-    best, _ = _cast(scene, np.array([float(t_ms)]), points)
-    ids = [p.plane_id for p in scene.planes]
-    return np.array(ids + [None], dtype=object)[best[0]].tolist()
-
-
-def hit_test(scene: SimScene, t_ms: float, point: tuple[float, float]) -> str | None:
-    """Nearest tracked surface under one screen point, or None."""
-    return hit_test_batch(scene, t_ms, np.array([point]))[0]
 
 
 class OutcomeReason(str, Enum):

@@ -98,30 +98,30 @@ class FrameBlock(NamedTuple):
     The trackables of frame i are the next n_trackables[i] rows of the
     trackable columns, in the frame's order, and the vertices of trackable
     k are the next n_verts[k] rows of verts.  A matrix is a row of its 16
-    numbers in its memory order: column-major where its flag (view_f,
-    proj_f, pose_f) is set, else C order.  Every array is read-only.
+    numbers: column-major where col_major is set (the reader's blocks),
+    else in C order (the renderer's).  Every frame of a block has its one
+    screen.  Every array is read-only.
     """
 
+    screen: tuple[int, int]     # (width, height) in pixels
+    col_major: bool
     t_ms: list[int]
-    screens: list[tuple[int, int]]
     view: np.ndarray            # (F, 16)
-    view_f: np.ndarray          # (F,) bool
     proj: np.ndarray            # (F, 16)
-    proj_f: np.ndarray          # (F,) bool
     cam_pos: np.ndarray         # (F, 3)
     n_trackables: np.ndarray    # (F,)
     ids: list[str]              # (K)
     states: list[TrackingState]
     pose: np.ndarray            # (K, 16), local -> world
-    pose_f: np.ndarray          # (K,) bool
     center: np.ndarray          # (K, 3)
     normal: np.ndarray          # (K, 3)
     n_verts: np.ndarray         # (K,)
     verts: np.ndarray           # (V, 2) rows of (x, z) in each trackable's local plane
 
 
-# the rows of each FrameBlock column: 0 frames, 1 trackables, 2 vertices
-_ROW_KINDS = (0,) * 8 + (1,) * 7 + (2,)
+# the rows of each FrameBlock column after screen and col_major: 0 frames, 1 trackables,
+# 2 vertices
+_ROW_KINDS = (0,) * 5 + (1,) * 6 + (2,)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -136,44 +136,43 @@ def _take(block: FrameBlock, kept: list[bool]) -> FrameBlock:
     rows = [np.array(kept, dtype=bool)]   # the rows kept of each kind in _ROW_KINDS
     rows.append(np.repeat(rows[0], block.n_trackables))
     rows.append(np.repeat(rows[1], block.n_verts))
-    return FrameBlock(*(
+    return FrameBlock(block.screen, block.col_major, *(
         list(compress(col, rows[kind].tolist())) if type(col) is list else _frozen(col[rows[kind]])
-        for col, kind in zip(block, _ROW_KINDS)
+        for col, kind in zip(block[2:], _ROW_KINDS)
     ))
 
 
 def join_blocks(parts: Sequence[FrameBlock]) -> FrameBlock:
-    """The frames of parts, in order, as one block."""
+    """The frames of parts, in order, as one block; they share the first part's screen and order."""
     if len(parts) == 1:
         return parts[0]
-    return FrameBlock(*(
+    return FrameBlock(parts[0].screen, parts[0].col_major, *(
         list(chain.from_iterable(cols)) if type(cols[0]) is list else _frozen(np.concatenate(cols))
-        for cols in zip(*parts)
+        for cols in list(zip(*parts))[2:]
     ))
 
 
 def block_records(block: FrameBlock) -> Iterator[FrameRecord]:
     """The FrameRecord of each frame of a block; its arrays are views of the block's columns.
 
-    The views of each column are made once per block: a matrix is its row
-    as (4, 4) in C order, or the transpose of that where it is column-major.
+    A matrix is its row as (4, 4) in C order, or the transpose of that in
+    a column-major block: one view per row.
     """
-    def matrices(rows: np.ndarray, col_major: np.ndarray) -> list[Mat4]:
+    def matrices(rows: np.ndarray) -> list[Mat4]:
         stored = rows.reshape(-1, 4, 4)
-        return [t if f else m
-                for m, t, f in zip(stored, stored.transpose(0, 2, 1), col_major.tolist())]
+        return list(stored.transpose(0, 2, 1) if block.col_major else stored)
 
     ends = np.cumsum(block.n_verts).tolist()
     tracks = iter([
         TrackableSnapshot(trackable_id=tid, pose=pose, local_vertices=block.verts[start:end],
                           center_world=center, normal_world=normal, tracking_state=state)
         for tid, pose, start, end, center, normal, state in zip(
-            block.ids, matrices(block.pose, block.pose_f), [0, *ends], ends,
+            block.ids, matrices(block.pose), [0, *ends], ends,
             block.center, block.normal, block.states)
     ])
-    for t, (w, h), view, proj, cam, n in zip(
-            block.t_ms, block.screens, matrices(block.view, block.view_f),
-            matrices(block.proj, block.proj_f), block.cam_pos, block.n_trackables.tolist()):
+    w, h = block.screen
+    for t, view, proj, cam, n in zip(block.t_ms, matrices(block.view), matrices(block.proj),
+                                     block.cam_pos, block.n_trackables.tolist()):
         yield FrameRecord(timestamp_ms=t, view=view, projection=proj, camera_position=cam,
                           screen_w=w, screen_h=h, trackables=tuple(islice(tracks, n)))
 
@@ -275,28 +274,29 @@ def _number_rows(values: Sequence, n: int) -> np.ndarray | None:
 def _block_frames(lines: list[tuple[str, dict]]) -> FrameBlock | None:
     """The frames of a block of lines as columns when every line passes its checks, else None.
 
-    Each check is a pass over one field of the whole block: the keys, the
-    types of t_ms, screens, ids, states and vertex lists, duplicate ids by
-    set size, one float conversion per row length (2, 3 and 16), then one
-    numpy pass each for polygons (which fails one of fewer than 3
-    vertices) and normals.  A normal is passed here only when it is clearly
-    of unit length; one near the tolerance goes to jsonin.unit.  The passes
-    say yes or no and name no line: a block they reject is read again a
-    line at a time, and _frame_fault words the first fault of a line.  This
-    is the one parser of a line: a one-line block checks one line.
+    Each check is a pass over one field of the whole block: the keys, one
+    screen for every line, the types of t_ms, screens, ids, states and
+    vertex lists, duplicate ids by set size, one float conversion per row
+    length (2, 3 and 16), then one numpy pass each for polygons (which
+    fails one of fewer than 3 vertices) and normals.  A normal is passed
+    here only when it is clearly of unit length; one near the tolerance
+    goes to jsonin.unit.  The passes say yes or no and name no line: a
+    block they reject is read again a line at a time, and _frame_fault
+    words the first fault of a line.  This is the one parser of a line: a
+    one-line block checks one line.
     """
     try:
         t_ms, screens, per_frame, view, proj, cam_pos = zip(*(_FRAME_FIELDS(d) for _, d in lines))
     except KeyError:
         return None
     if not (_only(int, t_ms) and -MAX_INT <= min(t_ms) and max(t_ms) <= MAX_INT
-            and _only(list, screens) and {2}.issuperset(map(len, screens))
+            and _only(list, screens) and screens.count(screens[0]) == len(screens)
             and _only(list, per_frame)):
         return None
-    sizes = list(chain.from_iterable(screens))
+    screen = screens[0]   # every line's; == takes 1.0 for 1, so each line's types are checked
     raw = list(chain.from_iterable(per_frame))
-    if not (_only(int, sizes) and 0 < min(sizes) and max(sizes) <= MAX_SCREEN_PX
-            and _only(dict, raw)):
+    if not (len(screen) == 2 and _only(int, chain.from_iterable(screens))
+            and 0 < min(screen) and max(screen) <= MAX_SCREEN_PX and _only(dict, raw)):
         return None
     try:
         columns = tuple(zip(*map(_TRACKABLE_FIELDS, raw))) or ((),) * 6
@@ -329,13 +329,12 @@ def _block_frames(lines: list[tuple[str, dict]]) -> FrameBlock | None:
             unit(normal[i], "normal")
     except ValueError:
         return None
-    frames_f, trackables_f = _frozen(np.ones(f, bool)), _frozen(np.ones(k, bool))
     return FrameBlock(
-        t_ms=list(t_ms), screens=list(map(tuple, screens)),
-        view=view, view_f=frames_f, proj=proj, proj_f=frames_f, cam_pos=cam_pos,
+        screen=tuple(screen), col_major=True, t_ms=list(t_ms),
+        view=view, proj=proj, cam_pos=cam_pos,
         n_trackables=_frozen(n_trackables), ids=list(ids),
         states=list(map(_TRACKING_STATES.__getitem__, states)),
-        pose=pose, pose_f=trackables_f, center=center, normal=normal,
+        pose=pose, center=center, normal=normal,
         n_verts=_frozen(n_verts), verts=verts,
     )
 
@@ -457,9 +456,9 @@ def blocks(
 
 
 def _follows(block: FrameBlock, screen: tuple[int, int], prev: float) -> bool:
-    """Whether every frame of block has screen and a t_ms above prev and the one before it."""
+    """Whether block has screen and every frame a t_ms above prev and the one before it."""
     t = block.t_ms
-    return set(block.screens) == {screen} and prev < t[0] and all(map(lt, t, t[1:]))
+    return block.screen == screen and prev < t[0] and all(map(lt, t, t[1:]))
 
 
 def iter_blocks(
@@ -492,15 +491,15 @@ def iter_blocks(
         screen, prev = None, -math.inf   # the first frame's screen, the previous frame's t_ms
         for lines in blocks(objects, INGEST_BLOCK_LINES):
             block = _block_frames(lines)
-            if block is not None and _follows(block, screen or block.screens[0], prev):
+            if block is not None and _follows(block, screen or block.screen, prev):
                 checked: Iterable[tuple[str, FrameBlock]] = [("", block)]
             else:  # line by line, so that the first fault in reading order is raised
                 checked = ((where, _block_frames([(where, d)]) or _frame_fault(where, d))
                            for where, d in lines)
             for where, part in checked:
-                screen = screen or part.screens[0]
+                screen = screen or part.screen
                 if not _follows(part, screen, prev):   # a one-line block
-                    w, h = part.screens[0]
+                    w, h = part.screen
                     if (w, h) != screen:
                         raise TraceValidationError(
                             f"{where}: screen {w}x{h} differs from "

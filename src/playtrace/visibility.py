@@ -44,29 +44,22 @@ def screen_clip_polygon(screen_w: float, screen_h: float) -> list[Point]:
     return [(0.0, h), (w, h), (w, 0.0), (0.0, 0.0)]
 
 
-def _stacked_matmul(rows: np.ndarray, col_major: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m[k] @ x[k, j] for every k and j, in one stacked matmul per memory order.
+def _stacked_matmul(rows: np.ndarray, col_major: bool, x: np.ndarray) -> np.ndarray:
+    """m[k] @ x[k, j] for every k and j, in one stacked matmul.
 
-    rows[k] holds the 16 numbers of the matrix m[k] in its memory order,
-    column-major where col_major[k] is set (FrameBlock).  numpy hands BLAS
-    a C-ordered matrix transposed and a column-major one as it is, and the
-    two kernels round differently.  So each matrix keeps its own order, and
+    rows[k] holds the 16 numbers of the matrix m[k], column-major when
+    col_major is set, else in C order (FrameBlock).  numpy hands BLAS a
+    C-ordered matrix transposed and a column-major one as it is, and the
+    two kernels round differently.  So the matrices keep their order, and
     every product is bit-equal to that matrix's own matmul.
     """
-    stored = rows.reshape(-1, 1, 4, 4)   # m[k] in C order, its transpose where column-major
-    if not col_major.any():
-        return stored @ x
-    if col_major.all():
-        return stored.transpose(0, 1, 3, 2) @ x
-    out = np.empty(x.shape)
-    out[~col_major] = stored[~col_major] @ x[~col_major]
-    out[col_major] = stored[col_major].transpose(0, 1, 3, 2) @ x[col_major]
-    return out
+    stored = rows.reshape(-1, 1, 4, 4)   # m[k] in C order, its transpose when column-major
+    return (stored.transpose(0, 1, 3, 2) if col_major else stored) @ x
 
 
 def _project(
     block: FrameBlock, rows: np.ndarray, owner: np.ndarray, verts: np.ndarray,
-    track_of: np.ndarray, column: np.ndarray, screen_w: int, screen_h: int
+    track_of: np.ndarray, column: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Screen x and y of every vertex, and whether it is behind the camera (w <= BEHIND_W_EPS).
 
@@ -74,24 +67,25 @@ def _project(
     are the vertices of every row in turn: verts[i] is vertex column[i] of
     row track_of[i].  Each vertex (x, 0, z, 1) goes through its pose, view
     and projection in stacked matmuls, then through the perspective divide
-    and the viewport of the screen_w x screen_h screen.  The pixels of a
-    vertex behind the camera mean nothing.
+    and the viewport of the block's screen.  The pixels of a vertex behind
+    the camera mean nothing.
     """
     v = np.zeros((len(rows), int(column.max(initial=0)) + 1, 4, 1))
     v[track_of, column, 0, 0], v[track_of, column, 2, 0] = verts.T
     v[:, :, 3, 0] = 1.0
     # finite numbers can overflow to pixels that are inf or NaN, which block_pieces rejects
     with np.errstate(all="ignore"):
-        clip = _stacked_matmul(block.pose[rows], block.pose_f[rows], v)
-        clip = _stacked_matmul(block.view[owner], block.view_f[owner], clip)
-        clip = _stacked_matmul(block.proj[owner], block.proj_f[owner], clip)[track_of, column, :, 0]
+        clip = _stacked_matmul(block.pose[rows], block.col_major, v)
+        clip = _stacked_matmul(block.view[owner], block.col_major, clip)
+        clip = _stacked_matmul(block.proj[owner], block.col_major, clip)[track_of, column, :, 0]
+        screen_w, screen_h = block.screen
         w = clip[:, 3]
         x = (clip[:, 0] / w + 1.0) / 2.0 * screen_w
         y = (1.0 - (clip[:, 1] / w + 1.0) / 2.0) * screen_h
     return x, y, w <= BEHIND_W_EPS
 
 
-def block_pieces(block: FrameBlock, screen_w: int, screen_h: int) -> list[list[SurfacePieces]]:
+def block_pieces(block: FrameBlock) -> list[list[SurfacePieces]]:
     """The visible pieces of each candidate surface in each frame of a block, near to far.
 
     Surfaces that are PAUSED or STOPPED are ignored entirely, and so is a
@@ -100,8 +94,7 @@ def block_pieces(block: FrameBlock, screen_w: int, screen_h: int) -> list[list[S
     occlude: any TRACKING projection nearer to the camera (by distance to
     the surface center) is subtracted from the on-screen polygon.  Ties in
     distance keep the frame's trackable order.  An entry with no pieces is
-    fully occluded.  Every frame is taken to have the one screen_w x
-    screen_h screen, and every polygon is clipped to it.
+    fully occluded.  Every polygon is clipped to the block's screen.
 
     The projection, distances, facing signs, and the tests that let a
     polygon skip the screen clip (every vertex on screen) and convex_pieces
@@ -128,7 +121,7 @@ def block_pieces(block: FrameBlock, screen_w: int, screen_h: int) -> list[list[S
     column = np.arange(len(track_of)) - starts[track_of]
     first_vertex = np.cumsum(block.n_verts) - block.n_verts
     verts = block.verts[first_vertex[rows][track_of] + column]
-    x, y, behind = _project(block, rows, owner, verts, track_of, column, screen_w, screen_h)
+    x, y, behind = _project(block, rows, owner, verts, track_of, column)
     bad = behind | ~((np.abs(x) <= MAX_SCREEN_COORD_PX) & (np.abs(y) <= MAX_SCREEN_COORD_PX))
     first_bad = np.full(len(rows), len(track_of))
     np.minimum.at(first_bad, track_of[bad], np.flatnonzero(bad))
@@ -144,7 +137,7 @@ def block_pieces(block: FrameBlock, screen_w: int, screen_h: int) -> list[list[S
         facing = dot_rows(block.normal[rows], to_cam) > 0.0
 
     # on screen: sign * _cross(a, b, p) >= 0 for every screen edge a -> b, as in _clip_one_edge
-    sign, edges = clip_loop(screen_clip_polygon(screen_w, screen_h))
+    sign, edges = clip_loop(screen_clip_polygon(*block.screen))
     off = np.full(len(x), not sign)
     with np.errstate(invalid="ignore"):
         for (ax, ay), (bx, by) in edges:

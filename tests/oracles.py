@@ -465,6 +465,16 @@ def nearest_plane(scene, t, point, tracked_only):
     return best
 
 
+def hit_ids(scene, t_ms, points):
+    """The id of the nearest tracked surface under each screen point at t_ms, None for sky,
+    from one simulator._cast of all the points."""
+    from playtrace.simulator import _cast
+
+    points = np.asarray(points, dtype=float).reshape(1, -1, 2)
+    best, _ = _cast(scene, np.array([float(t_ms)]), points)
+    return [scene.planes[k].plane_id if k >= 0 else None for k in best[0].tolist()]
+
+
 def replay_reason_two_pass(scene, event):
     """Outcome reason of one gesture, found with two casts.
 
@@ -819,15 +829,14 @@ def analyze_frame_per_vertex(frame):
 # before it built its blocks directly: the reference for its blocks, and
 # the way frames built by hand reach the box pass.
 
-def _matrix_rows(mats):
-    """(N, 16) rows of each matrix's numbers in its memory order, and whether each is column-major.
+def _block_key(frame):
+    """(screen, the set of its matrices' orders, True for column-major) of a frame.
 
     A matrix in neither order is taken in C order.
     """
-    col_major = np.array([m.flags.f_contiguous and not m.flags.c_contiguous for m in mats],
-                         dtype=bool)
-    rows = np.array([m.T if f else m for m, f in zip(mats, col_major.tolist())], dtype=float)
-    return _frozen(rows.reshape(-1, 16)), _frozen(col_major)
+    mats = [frame.view, frame.projection, *(t.pose for t in frame.trackables)]
+    return (frame.screen_w, frame.screen_h), frozenset(
+        m.flags.f_contiguous and not m.flags.c_contiguous for m in mats)
 
 
 def _frozen(arr):
@@ -836,26 +845,28 @@ def _frozen(arr):
 
 
 def frames_block(frames):
-    """FrameRecords made in memory as one FrameBlock, each matrix in its own memory order."""
+    """FrameRecords made in memory, all of one screen and one matrix order, as one FrameBlock."""
     from playtrace.trace import FrameBlock
 
+    (screen, (col_major,)), = set(map(_block_key, frames))   # else a ValueError
     tracks = [t for f in frames for t in f.trackables]
-    view, view_f = _matrix_rows([f.view for f in frames])
-    proj, proj_f = _matrix_rows([f.projection for f in frames])
-    pose, pose_f = _matrix_rows([t.pose for t in tracks])
+
+    def matrices(mats):
+        return _frozen(np.array([m.T if col_major else m for m in mats],
+                                dtype=float).reshape(-1, 16))
 
     def rows(vectors, n):
         return _frozen(np.array(vectors, dtype=float).reshape(-1, n))
 
     return FrameBlock(
+        screen=screen, col_major=col_major,
         t_ms=[f.timestamp_ms for f in frames],
-        screens=[(f.screen_w, f.screen_h) for f in frames],
-        view=view, view_f=view_f, proj=proj, proj_f=proj_f,
+        view=matrices([f.view for f in frames]), proj=matrices([f.projection for f in frames]),
         cam_pos=rows([f.camera_position for f in frames], 3),
         n_trackables=_frozen(np.array([len(f.trackables) for f in frames], dtype=int)),
         ids=[t.trackable_id for t in tracks],
         states=[t.tracking_state for t in tracks],
-        pose=pose, pose_f=pose_f,
+        pose=matrices([t.pose for t in tracks]),
         center=rows([t.center_world for t in tracks], 3),
         normal=rows([t.normal_world for t in tracks], 3),
         n_verts=_frozen(np.array([len(t.local_vertices) for t in tracks], dtype=int)),
@@ -864,11 +875,13 @@ def frames_block(frames):
 
 
 def frame_blocks(frames):
-    """FrameRecords (a tuple or a stream) as a stream of frames_block of BOX_BLOCK_FRAMES each."""
+    """FrameRecords (a tuple or a stream) as a stream of frames_block, cut every
+    BOX_BLOCK_FRAMES frames and wherever the screen or the matrix order changes."""
     from playtrace.pipeline import BOX_BLOCK_FRAMES
     from playtrace.trace import blocks
 
-    return map(frames_block, blocks(frames, BOX_BLOCK_FRAMES))
+    for _, run in itertools.groupby(frames, _block_key):
+        yield from map(frames_block, blocks(run, BOX_BLOCK_FRAMES))
 
 
 # ------------------------------------------------------------ eager analysis
@@ -904,8 +917,7 @@ def frame_boxes(frame):
     block_pieces and fit_boxes, None where the surface holds no box."""
     from playtrace.visibility import block_pieces, fit_boxes
 
-    w, h = frame.screen_w, frame.screen_h
-    tids, _, rows = fit_boxes(block_pieces(frames_block([frame]), w, h), w, h)
+    tids, _, rows = fit_boxes(block_pieces(frames_block([frame])), frame.screen_w, frame.screen_h)
     return list(zip(tids, rects_of(rows)))
 
 

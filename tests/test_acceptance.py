@@ -29,7 +29,6 @@ from playtrace.simulator import (
     Jitter,
     execute_schedule,
     generate_trace,
-    hit_test_batch,
     save_scene,
 )
 from playtrace.trace import save_trace
@@ -272,7 +271,7 @@ def test_c5_stable_boxes_land_on_their_planes():
             pts = _grid_points(opp.stable_box)
             # the frames of the opportunity's window: for one run, its span's members
             for t in times[(opp.start_ms <= times) & (times <= opp.end_ms)].tolist():
-                ids = hit_test_batch(scene, float(t), pts)
+                ids = oracles.hit_ids(scene, float(t), pts)
                 points_checked += len(ids)
                 wrong = len(ids) - ids.count(opp.trackable_id)
                 if wrong:
@@ -300,7 +299,7 @@ def _screen_coverage(scene) -> float:
     pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
     fracs = []
     for t in range(0, scene.duration_ms, 1000):
-        ids = hit_test_batch(scene, float(t), pts)
+        ids = oracles.hit_ids(scene, float(t), pts)
         fracs.append(sum(1 for i in ids if i is not None) / len(ids))
     return float(np.mean(fracs))
 

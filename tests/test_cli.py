@@ -581,6 +581,25 @@ def test_schedule_respects_mix(tmp_path, trace_path):
     assert {e.kind for e in sched.events} == {GestureKind.TAP}
 
 
+@pytest.mark.parametrize(
+    "mix, message",
+    [
+        ("TAP=nan,DRAG=1", "mix weight TAP must be a finite number, got nan"),
+        ("TAP=1,DRAG=inf", "mix weight DRAG must be a finite number, got inf"),
+        ("TAP=-1,DRAG=1", "mix weight TAP must be >= 0, got -1.0"),
+    ],
+    ids=["nan", "inf", "negative"],
+)
+def test_schedule_rejects_bad_mix_weights(tmp_path, trace_path, capsys, mix, message):
+    out = tmp_path / "analysis"
+    assert main(["analyze", str(trace_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    sched_path = tmp_path / "s.json"
+    rc = main(["schedule", str(out / "report.json"), "--mix", mix, "--out", str(sched_path)])
+    assert _assert_input_error(rc, capsys) == f"error: {message}\n"
+    assert not sched_path.exists()
+
+
 def test_simulate_runs_schedule(tmp_path, trace_path):
     scene_path = tmp_path / "scene.json"
     save_scene(_scene(), scene_path)

@@ -4,7 +4,8 @@ Hypothesis takes a valid trace and mutates a few of its lines, or a valid
 scene, schedule or report file and mutates it once: a value at some path
 swapped for another type, null, NaN or an infinity, 1e308, 5e-324, an integer
 literal too large for a float, a deleted key or entry, an empty list, deep
-nesting, or `ff fe` bytes before the text.  Each example runs the CLI
+nesting, or `ff fe` bytes before the text.  One deterministic probe takes
+each path of one frame line in turn instead.  Each example runs the CLI
 in-process: it must exit 0, 1 or 2, let no exception escape, and write
 nothing to stderr but at most one line starting "error: ", so a warning
 (which the CLI would print there) fails it.  At --fps 1
@@ -27,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from playtrace import cli
 from playtrace.cli import main
 from playtrace.scenes import benchmark_scene
 from playtrace.simulator import generate_trace, save_scene
@@ -40,6 +42,7 @@ _ODD_VALUES = [
     float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 5e-324, 10**400, -(10**400), _LONG_INT,
 ]
 _DEEP = "[" * 100_000 + "]" * 100_000  # deeper than the JSON decoder recurses
+_DELETE = object()  # in place of a value: delete the key or entry
 
 
 @pytest.fixture(scope="module")
@@ -62,26 +65,35 @@ def _paths(value, path=()):
             yield from _paths(v, (*path, i))
 
 
+def _set(text: str, path: tuple, value) -> str:
+    """The JSON text with the value at path set to value, or deleted for _DELETE."""
+    obj = json.loads(text)
+    *parents, last = path
+    owner = obj
+    for key in parents:
+        owner = owner[key]
+    if value is _DELETE:
+        del owner[last]
+    else:
+        owner[last] = value
+    text = json.dumps(obj)  # NaN and the infinities as their JavaScript literals
+    return text.replace(json.dumps(_LONG_INT), "9" * 4400)
+
+
 @st.composite
 def _mutated(draw, text: str) -> bytes:
     """One JSON text, a trace line or a whole file, mutated once."""
     kind = draw(st.sampled_from(["replace", "delete", "empty", "deep", "bom"]))
     if kind == "bom":
         return b"\xff\xfe" + text.encode("utf-8")
-    obj = json.loads(text)
-    path = draw(st.sampled_from(list(_paths(obj))[1:]))
-    *parents, last = path
-    owner = obj
-    for key in parents:
-        owner = owner[key]
+    path = draw(st.sampled_from(list(_paths(json.loads(text)))[1:]))
     if kind == "delete":
-        del owner[last]
+        value = _DELETE
     elif kind == "replace":
-        owner[last] = draw(st.sampled_from(_ODD_VALUES))
+        value = draw(st.sampled_from(_ODD_VALUES))
     else:  # an empty list, which "deep" then nests
-        owner[last] = []
-    text = json.dumps(obj)  # NaN and the infinities as their JavaScript literals
-    text = text.replace(json.dumps(_LONG_INT), "9" * 4400)
+        value = []
+    text = _set(text, path, value)
     if kind == "deep":
         text = text.replace("[]", _DEEP, 1)
     return text.encode("utf-8")
@@ -129,6 +141,26 @@ def test_mutated_traces_exit_cleanly(tmp_path_factory, base_lines, data):
     path = tmp / "run.jsonl"
     path.write_bytes(b"\n".join(lines) + b"\n")
     assert _exit_code(["analyze", str(path), "--fps", "1", "--out", str(tmp / "out")]) in (0, 1, 2)
+
+
+def test_every_path_of_a_frame_line_exits_cleanly(tmp_path, monkeypatch, base_lines):
+    # each path of a frame line with a trackable set to each odd value ([] among them) and
+    # deleted, as the middle frame of three, all analysed: the block pass rejects the block,
+    # and the one-line re-read words the first fault
+    parser = cli.build_parser()   # one parser for the 1,848 commands: building it is half the time
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    header, before, line, after = base_lines[0], *base_lines[30:33]
+    assert json.loads(line)["trackables"]
+    path = tmp_path / "run.jsonl"
+    argv = ["analyze", str(path), "--fps", "30", "--out", str(tmp_path / "out")]
+    codes = []
+    for at in list(_paths(json.loads(line)))[1:]:
+        for value in [*_ODD_VALUES, _DELETE]:
+            path.write_text("\n".join([header, before, _set(line, at, value), after]) + "\n")
+            codes.append((at[0], _exit_code(argv)))
+    assert len(codes) == 84 * 22 and {code for _, code in codes} <= {0, 1}
+    # a line whose screen is not two positive integers is rejected, in the block and alone
+    assert {code for field, code in codes if field == "screen"} == {1}
 
 
 @pytest.fixture(scope="module")

@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from oracles import decimate, frame_blocks, frames_block
+from playtrace import pipeline
 from playtrace.pipeline import AnalysisParams, analyze_boxes, run_boxes
-from playtrace.simulator import CameraKeyframe, Jitter, ScenePlane, SimScene, generate_trace
+from playtrace.simulator import (
+    CameraKeyframe, Jitter, ScenePlane, SimScene, generate_trace, render_frames,
+)
+from playtrace.trace import iter_blocks, save_trace
 
 
 def _scene(duration=6000, planes=None, jitter=None):
@@ -137,3 +141,20 @@ def test_analyze_runs_rejects_mixed_screens():
     # run_boxes checks the screen of the blocks it is given, however they were made
     with pytest.raises(ValueError, match=message):
         run_boxes([frames_block(big.frames[:90]), frames_block(small.frames[90:93])])
+
+
+def test_run_boxes_rejects_blocks_of_two_matrix_orders(tmp_path, monkeypatch):
+    # the reader's blocks are column-major and the renderer's in C order: joined, one
+    # producer's numbers would be read transposed
+    scene = _scene(duration=1000)
+    path = tmp_path / "run.jsonl"
+    save_trace(generate_trace(scene), path)
+    read, rendered = list(iter_blocks(path)), list(render_frames(scene))
+    analysed = []
+    monkeypatch.setattr(pipeline, "block_pieces", lambda block: analysed.append(block) or [])
+    for given in (read + rendered, rendered + read):
+        at = given[-1].t_ms[0]
+        message = f"^frame at {at} ms: matrix order differs from the first frame's$"
+        with pytest.raises(ValueError, match=message):
+            run_boxes(given)
+    assert not analysed

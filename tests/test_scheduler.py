@@ -145,6 +145,20 @@ def test_mix_validation():
     assert {e.kind for e in only_taps.events} == {GestureKind.TAP}
 
 
+@pytest.mark.parametrize("weight, message", [
+    (float("nan"), "mix weight TAP must be a finite number, got nan"),
+    (-0.5, "mix weight TAP must be >= 0, got -0.5"),
+], ids=["nan", "negative"])
+def test_mix_rejects_weights_that_are_not_finite_or_negative(weight, message):
+    with pytest.raises(ValueError) as exc:
+        schedule_random(SCREEN, 1000, 0, mix={GestureKind.TAP: weight, GestureKind.DRAG: 1.0})
+    assert str(exc.value) == message
+    # a zero weight is dropped
+    drags = schedule_random(SCREEN, 5000, 0, mix={GestureKind.TAP: 0.0, GestureKind.DRAG: 1.0})
+    assert drags.mix == {GestureKind.DRAG: 1.0}
+    assert {e.kind for e in drags.events} == {GestureKind.DRAG}
+
+
 def test_kind_frequencies_follow_mix():
     sched = schedule_random(SCREEN, 300_000, seed=13)
     counts = {k: 0 for k in GestureKind}

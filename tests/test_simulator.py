@@ -33,7 +33,6 @@ from playtrace.simulator import (
     frame_times,
     generate_trace,
     gsr_summary,
-    hit_test,
     load_scene,
     outcomes_to_dict,
     plane_detected,
@@ -45,9 +44,11 @@ from playtrace.simulator import (
 )
 from playtrace.trace import (
     FrameBlock,
+    _take,
     block_records,
     deadline_walk,
     iter_blocks,
+    join_blocks,
     save_trace,
 )
 
@@ -259,43 +260,43 @@ def test_vertex_noise_perturbs_but_keeps_pose():
 
 def test_hit_test_center_and_corners():
     scene = _scene([_plane(eu=0.5, ev=0.4)])
-    assert hit_test(scene, 0, (960.0, 540.0)) == "p"
-    assert hit_test(scene, 0, _screen(0.49, 0.39)) == "p"
-    assert hit_test(scene, 0, _screen(-0.49, -0.39)) == "p"
-    assert hit_test(scene, 0, _screen(0.52, 0.0)) is None
-    assert hit_test(scene, 0, _screen(0.0, 0.43)) is None
+    assert oracles.hit_ids(scene, 0, [(960.0, 540.0)]) == ["p"]
+    assert oracles.hit_ids(scene, 0, [_screen(0.49, 0.39)]) == ["p"]
+    assert oracles.hit_ids(scene, 0, [_screen(-0.49, -0.39)]) == ["p"]
+    assert oracles.hit_ids(scene, 0, [_screen(0.52, 0.0)]) == [None]
+    assert oracles.hit_ids(scene, 0, [_screen(0.0, 0.43)]) == [None]
 
 
 def test_hit_test_prefers_nearest():
     below = _plane("floor", center=(0.0, 0.0, 0.0), eu=1.0, ev=1.0)
     above = _plane("shelf", center=(0.0, 0.5, 0.0), eu=0.2, ev=0.2)
     scene = _scene([below, above])
-    assert hit_test(scene, 0, (960.0, 540.0)) == "shelf"
+    assert oracles.hit_ids(scene, 0, [(960.0, 540.0)]) == ["shelf"]
     # past the shelf edge only the floor is under the ray
-    assert hit_test(scene, 0, _screen(0.6, 0.0)) == "floor"
+    assert oracles.hit_ids(scene, 0, [_screen(0.6, 0.0)]) == ["floor"]
     # on a tie between two planes at one depth the earlier plane wins
     left = _plane("left", center=(-0.2, 0.0, 0.0))
     right = _plane("right", center=(0.2, 0.0, 0.0))
-    assert hit_test(_scene([left, right]), 0, (960.0, 540.0)) == "left"
-    assert hit_test(_scene([right, left]), 0, (960.0, 540.0)) == "right"
+    assert oracles.hit_ids(_scene([left, right]), 0, [(960.0, 540.0)]) == ["left"]
+    assert oracles.hit_ids(_scene([right, left]), 0, [(960.0, 540.0)]) == ["right"]
 
 
 def test_hit_test_detection_gate():
     scene = _scene([_plane(detect_delay_ms=5000)])
-    assert hit_test(scene, 1000, (960.0, 540.0)) is None
+    assert oracles.hit_ids(scene, 1000, [(960.0, 540.0)]) == [None]
     # one pass also tells 'there but not tracked' from 'nothing there'
     best, over_any = _cast(scene, np.array([1000.0]), np.array([[[960.0, 540.0], [0.0, 0.0]]]))
     assert best.tolist() == [[-1, -1]]
     assert over_any.tolist() == [[True, False]]
-    assert hit_test(scene, 6000, (960.0, 540.0)) == "p"
+    assert oracles.hit_ids(scene, 6000, [(960.0, 540.0)]) == ["p"]
 
 
 def test_hit_test_polygon_plane():
     # right triangle occupying the u>=0, v>=0 quadrant corner
     tri = _plane(local_vertices=np.array([(0.0, 0.0), (0.4, 0.0), (0.0, 0.3)]))
     scene = _scene([tri])
-    assert hit_test(scene, 0, _screen(0.05, 0.05)) == "p"
-    assert hit_test(scene, 0, _screen(0.3, 0.25)) is None
+    assert oracles.hit_ids(scene, 0, [_screen(0.05, 0.05)]) == ["p"]
+    assert oracles.hit_ids(scene, 0, [_screen(0.3, 0.25)]) == [None]
 
 
 def _sched(events):
@@ -478,13 +479,13 @@ def test_trace_bytes_pinned(tmp_path, name, seed):
 
 
 def _assert_same_blocks(got, want):
-    """Equal FrameBlocks, bit for bit, column for column and flag for flag."""
+    """Equal FrameBlocks, bit for bit and column for column, with one screen and order."""
     got, want = list(got), list(want)
     assert len(got) == len(want) > 0
     for a, b in zip(got, want):
         for name, x, y in zip(FrameBlock._fields, a, b):
-            if type(y) is list:
-                assert type(x) is list and x == y, name
+            if type(y) is not np.ndarray:
+                assert type(x) is type(y) and x == y, name
             else:
                 assert x.dtype == y.dtype and x.shape == y.shape, name
                 assert x.tobytes() == y.tobytes(), name
@@ -499,7 +500,7 @@ def test_render_frames_equal_the_decimated_full_render(name):
         full = generate_trace(scene, seed)
         got = list(render_frames(scene, seed, keep=deadline_walk(scene.fps, 10.0)))
         assert all(len(b.t_ms) == BOX_BLOCK_FRAMES for b in got[:-1])
-        assert not any(b.view_f.any() or b.proj_f.any() or b.pose_f.any() for b in got)
+        assert not any(b.col_major for b in got)
         _assert_same_blocks(got, frame_blocks(oracles.decimate(full.frames, scene.fps, 10.0)))
         assert sum(len(b.t_ms) for b in got) < len(full.frames)
 
@@ -522,6 +523,26 @@ def test_block_records_round_trip_the_blocks_of_both_producers(tmp_path):
                      render_frames(scene, 1), render_frames(scene, 2, keep=lambda t: t % 3 > 0)):
         produced = list(produced)
         _assert_same_blocks([frames_block(list(block_records(b))) for b in produced], produced)
+
+
+def test_reader_blocks_are_column_major_and_rendered_ones_are_not(tmp_path):
+    # on a screen of its own, so that no default stands in for it
+    scene = dataclasses.replace(_scene([_plane()], duration=3000), screen_w=960, screen_h=540)
+    path = tmp_path / "run.jsonl"
+    save_trace(generate_trace(scene, 1), path)
+    read = list(iter_blocks(path))
+    rendered = list(render_frames(scene, 1))
+    assert len(read) == 2 and len(rendered) == 1
+    for blocks, col_major in ((read, True), (rendered, False)):
+        assert {(b.screen, b.col_major) for b in blocks} == {((960, 540), col_major)}
+        # joined and walked blocks keep both
+        joined = join_blocks([*blocks, *blocks])
+        assert (joined.screen, joined.col_major) == ((960, 540), col_major)
+        taken = _take(joined, [k % 3 == 0 for k in range(len(joined.t_ms))])
+        assert (taken.screen, taken.col_major) == ((960, 540), col_major)
+        assert taken.t_ms == joined.t_ms[::3]
+    walked = list(iter_blocks(path, deadline_walk(scene.fps, 10.0)))
+    assert {(b.screen, b.col_major) for b in walked} == {((960, 540), True)}
 
 
 def _assert_vertex_form(verts):

@@ -186,14 +186,7 @@ def _rotation(rng):
     return q * np.sign(np.diag(r))
 
 
-def _in_order(m, order, rng):
-    """m as a C-ordered or column-major array; "mixed" picks one at random."""
-    if order == "mixed":
-        order = "CF"[int(rng.integers(2))]
-    return np.asarray(m, order=order)
-
-
-@pytest.mark.parametrize("order", ["C", "F", "mixed"])
+@pytest.mark.parametrize("order", ["C", "F"])
 def test_project_trackable_bit_equal_to_per_vertex(order):
     # general rotations, where a (4, n) matmul or einsum rounds differently
     rng = np.random.default_rng(7)
@@ -209,9 +202,10 @@ def test_project_trackable_bit_equal_to_per_vertex(order):
             pose[:3, :3] = _rotation(rng) * 0.1
             pose[:3, 3] = rng.normal(size=3) * 0.2
             verts = _xz(rng.uniform(-1.0, 1.0, size=(int(rng.integers(3, 9)), 2)))
-            tracks.append(TrackableSnapshot(f"t{j}", _in_order(pose, order, rng), verts, np.zeros(3),
-                                            np.array([0.0, 1.0, 0.0]), TrackingState.TRACKING))
-        frames.append(FrameRecord(0, _in_order(view, order, rng), _in_order(proj, order, rng),
+            tracks.append(TrackableSnapshot(f"t{j}", np.asarray(pose, order=order), verts,
+                                            np.zeros(3), np.array([0.0, 1.0, 0.0]),
+                                            TrackingState.TRACKING))
+        frames.append(FrameRecord(0, np.asarray(view, order=order), np.asarray(proj, order=order),
                                   eye, W, H, tuple(tracks)))
     for f in frames:
         for t in f.trackables:
@@ -226,7 +220,7 @@ def test_project_trackable_bit_equal_to_per_vertex(order):
         column = np.concatenate([np.arange(n) for n in counts])
         columns = frames_block(block)
         x, y, behind = _project(columns, np.arange(len(tracks)), np.array(owner), columns.verts,
-                                track_of, column, W, H)
+                                track_of, column)
         xy = list(zip(x.tolist(), y.tolist()))
         ends = np.cumsum(counts).tolist()
         for t, i, n, end in zip(tracks, owner, counts, ends):
@@ -258,7 +252,7 @@ def test_analyze_frame_matches_per_vertex_pipeline(tmp_path, scene):
         # rendered frames hold C-order matrices, loaded ones column-major views
         for tr in (trace, load_trace(path)):
             frames = list(decimate(tr.frames, tr.source_fps, 10.0))
-            pieces = block_pieces(frames_block(frames), sc.screen_w, sc.screen_h)
+            pieces = block_pieces(frames_block(frames))
             tids, frame_of, rows = fit_boxes(pieces, sc.screen_w, sc.screen_h)
             assert frame_of.tolist() == sorted(frame_of.tolist())
             boxes = list(zip(frame_of.tolist(), tids, oracles.rects_of(rows)))
@@ -273,8 +267,7 @@ def test_inscribed_rects_match_scalar_search_on_pack_pieces(scene):
     sc = benchmark_scene(scene)
     for seed in (1, 2):
         trace = generate_trace(sc, jitter_seed=seed, jitter=sc.default_jitter)
-        found = block_pieces(frames_block(list(decimate(trace.frames, trace.source_fps, 10.0))),
-                             sc.screen_w, sc.screen_h)
+        found = block_pieces(frames_block(list(decimate(trace.frames, trace.source_fps, 10.0))))
         pieces = [p for frame in found for _, ps in frame for p in ps]
         rows, passes = g.inscribed_rects(pieces, sc.screen_w, sc.screen_h)
         assert oracles.rects_of(rows) == [
@@ -331,7 +324,6 @@ def _random_block(seed, order):
     shrinking copies nearer and nearer the camera (nested occluders).
     """
     rng = random.Random(seed)
-    np_rng = np.random.default_rng(seed)
     proj = perspective_matrix(60.0, W / H, 0.05, 100.0)
     frames = []
     for k in range(rng.randint(1, 6)):
@@ -382,18 +374,18 @@ def _random_block(seed, order):
                 normal = np.array([0.0, 0.0, 1.0])
             state = rng.choice([TrackingState.TRACKING] * 4
                                + [TrackingState.PAUSED, TrackingState.STOPPED])
-            tracks.append(TrackableSnapshot(f"p{j}", _in_order(pose, order, np_rng), verts,
+            tracks.append(TrackableSnapshot(f"p{j}", np.asarray(pose, order=order), verts,
                                             center, normal, state))
-        frames.append(FrameRecord(100 * k, _in_order(view, order, np_rng),
-                                  _in_order(proj, order, np_rng), eye, W, H, tuple(tracks)))
+        frames.append(FrameRecord(100 * k, np.asarray(view, order=order),
+                                  np.asarray(proj, order=order), eye, W, H, tuple(tracks)))
     return frames
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(["C", "F", "mixed"]))
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["C", "F"]))
 def test_block_pieces_match_the_per_frame_reference(seed, order):
     frames = _random_block(seed, order)
-    found = block_pieces(frames_block(frames), W, H)
+    found = block_pieces(frames_block(frames))
     assert len(found) == len(frames)
     for f, pieces in zip(frames, found):
         assert repr(pieces) == repr(oracles.frame_pieces(f, SCREEN)), f.timestamp_ms
@@ -402,7 +394,7 @@ def test_block_pieces_match_the_per_frame_reference(seed, order):
 def test_random_blocks_reach_every_case():
     seen = set()
     for seed in range(40):
-        for f in _random_block(seed, "mixed"):
+        for f in _random_block(seed, "C"):
             candidates = []
             for t in f.trackables:
                 seen.add(t.tracking_state)
@@ -479,7 +471,7 @@ def test_block_pieces_match_the_per_frame_reference_at_the_margins(seed):
                                        gap, rng.uniform(1.0, 40.0))
             tracks.append(_at_pixels(f"band{j}", band, rng.choice([1.0, 2.0, 5.0, 7.0])))
         frames.append(_pixel_frame(tracks, 100 * k))
-    found = block_pieces(frames_block(frames), W, H)
+    found = block_pieces(frames_block(frames))
     for f, pieces in zip(frames, found):
         assert repr(pieces) == repr(oracles.frame_pieces(f, SCREEN)), f.timestamp_ms
 
@@ -501,7 +493,7 @@ def test_block_pieces_raise_at_the_first_non_finite_projection():
         oracles.frame_pieces(frames[1], SCREEN)
     with pytest.raises(TraceValidationError,
                        match=r"^frame at 100 ms: trackable 'huge' vertex 0 \(-1\.0, -1\.0\) projects"):
-        block_pieces(frames_block(frames), W, H)
+        block_pieces(frames_block(frames))
 
 
 @pytest.mark.parametrize("scale, raises", [(1e140, False), (1e155, True)])
@@ -514,12 +506,12 @@ def test_block_pieces_bound_huge_but_finite_pixels(scale, raises):
     pose[:, 0] *= scale
     frame = _frame([_plane("table", (0.0, 0.0, 0.0), 1.0, 1.0), dataclasses.replace(lid, pose=pose)])
     if not raises:
-        found = block_pieces(frames_block([frame]), W, H)
+        found = block_pieces(frames_block([frame]))
         assert repr(found[0]) == repr(oracles.frame_pieces(frame, SCREEN))
         return
     with pytest.raises(ArithmeticError):
         oracles.frame_pieces(frame, SCREEN)
     with pytest.raises(TraceValidationError) as exc:
-        block_pieces(frames_block([frame]), W, H)
+        block_pieces(frames_block([frame]))
     assert str(exc.value) == ("frame at 0 ms: trackable 'lid' vertex 0 (-0.5, -0.5) projects to "
                               "screen coordinates that are not finite numbers within ±1e+150 px")

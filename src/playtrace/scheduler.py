@@ -340,7 +340,7 @@ def schedule_from_dict(d: dict) -> EventSchedule:
             raise ValueError(f"mix must be an object, got {mix!r}")
         if not isinstance(generator, str):
             raise ValueError(f"generator must be a string, got {generator!r}")
-        mix = {GestureKind(k): finite(v, f"mix weight {k}") for k, v in mix.items()}
+        mix = _validate_mix({GestureKind(k): v for k, v in mix.items()})
         seed = integer(d["seed"], "seed")
         events = []
         for i, ed in enumerate(d["events"]):

@@ -177,10 +177,6 @@ def block_records(block: FrameBlock) -> Iterator[FrameRecord]:
                           screen_w=w, screen_h=h, trackables=tuple(islice(tracks, n)))
 
 
-def mat4_to_list(m: Mat4) -> list[float]:
-    return [float(v) for v in np.asarray(m, dtype=float).flatten(order="F")]
-
-
 def _require(d: dict, key: str, where: str) -> Any:
     if key not in d:
         raise TraceParseError(f"{where}: missing field '{key}'")
@@ -339,28 +335,6 @@ def _block_frames(lines: list[tuple[str, dict]]) -> FrameBlock | None:
     )
 
 
-def _snapshot_to_dict(t: TrackableSnapshot) -> dict:
-    return {
-        "id": t.trackable_id,
-        "pose": mat4_to_list(t.pose),
-        "verts": t.local_vertices.tolist(),
-        "center": [float(v) for v in t.center_world],
-        "normal": [float(v) for v in t.normal_world],
-        "state": t.tracking_state.value,
-    }
-
-
-def _frame_to_dict(f: FrameRecord) -> dict:
-    return {
-        "t_ms": f.timestamp_ms,
-        "view": mat4_to_list(f.view),
-        "proj": mat4_to_list(f.projection),
-        "cam_pos": [float(v) for v in f.camera_position],
-        "screen": [f.screen_w, f.screen_h],
-        "trackables": [_snapshot_to_dict(t) for t in f.trackables],
-    }
-
-
 def _open_trace(path: Path) -> TextIO:
     """A trace file opened as UTF-8 text; bytes that are not UTF-8 reach their line as escapes."""
     return path.open("r", encoding="utf-8", errors="surrogateescape")
@@ -394,6 +368,14 @@ def _trace_objects(fh: TextIO, name: str) -> Iterator[tuple[str, dict]]:
         yield where, obj
 
 
+def _fps(value: Any) -> float:
+    """value as a float, when it is a header fps the reader accepts: a finite positive number."""
+    fps = finite(value, "fps")
+    if not fps > 0:
+        raise ValueError(f"fps must be a positive number, got {fps}")
+    return fps
+
+
 def _header(objects: Iterator[tuple[str, dict]], name: str) -> tuple[float, dict]:
     """The validated (fps, meta) of the header line, the first object of the file."""
     first = next(objects, None)
@@ -407,9 +389,7 @@ def _header(objects: Iterator[tuple[str, dict]], name: str) -> tuple[float, dict
     if obj.get("version") != TRACE_VERSION:
         raise TraceValidationError(f"{where}: unsupported version {obj.get('version')!r}")
     try:
-        fps = finite(obj.get("fps"), "fps")
-        if not fps > 0:
-            raise ValueError(f"fps must be a positive number, got {fps}")
+        fps = _fps(obj.get("fps"))
     except ValueError as exc:
         raise TraceValidationError(f"{where}: {exc}") from None
     meta = obj.get("meta", {})
@@ -533,19 +513,130 @@ def load_trace(path: str | Path) -> PlaybackTrace:
     return PlaybackTrace(frames=tuple(iter_frames(path)), source_fps=fps, metadata=meta)
 
 
+def _stacked(values: Sequence, shape: tuple[int, ...]) -> np.ndarray | None:
+    """values as one float array of shape (len(values), *shape), or None unless each
+    value is an array of that shape of finite numbers."""
+    if not values:
+        return np.empty((0, *shape))
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return arr if arr.shape[1:] == shape and np.isfinite(arr).all() else None
+
+
+def _polygons(polys: Sequence) -> np.ndarray | None:
+    """The vertices of polys as one float (V, 2) array, or None unless each polygon is an
+    (n, 2) array of finite numbers."""
+    try:
+        verts = np.concatenate([np.empty((0, 2)), *polys]).astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return verts if np.isfinite(verts).all() else None
+
+
+def _write_fault(frames: Sequence[FrameRecord]) -> NoReturn:
+    """Raise the first value of frames that _frame_lines rejects, in the order of a frame line.
+
+    t_ms and the screen must be ints, and the numeric fields finite numbers
+    of the shapes the reader takes; each error names the frame's t_ms and
+    the field.
+    """
+    matrix, vector = "a 4x4 matrix", "a 3-vector"
+    for f in frames:
+        where = f"frame at {f.timestamp_ms} ms"
+        if type(f.timestamp_ms) is not int:
+            raise ValueError(f"{where}: t_ms must be an integer")
+        if not _only(int, (f.screen_w, f.screen_h)):
+            raise ValueError(f"{where}: screen must be two integers")
+        fields = [("view", matrix, _stacked([f.view], (4, 4))),
+                  ("proj", matrix, _stacked([f.projection], (4, 4))),
+                  ("cam_pos", vector, _stacked([f.camera_position], (3,)))]
+        for t in f.trackables:
+            tw = f"trackable '{t.trackable_id}'"
+            fields += [(f"{tw} pose", matrix, _stacked([t.pose], (4, 4))),
+                       (f"{tw} verts", "an (n, 2) array", _polygons([t.local_vertices])),
+                       (f"{tw} center", vector, _stacked([t.center_world], (3,))),
+                       (f"{tw} normal", vector, _stacked([t.normal_world], (3,)))]
+        for what, noun, arr in fields:
+            if arr is None:
+                raise ValueError(f"{where} {what} must be {noun} of finite numbers")
+    raise AssertionError("a block of frames failed its checks but none of its frames did")
+
+
+def _row_texts(rows: np.ndarray) -> list[str]:
+    """The JSON text of each row of a C-contiguous float (m, k) array of finite numbers.
+
+    A dict keyed by the rows' bytes gives each distinct row its text once
+    (-0.0 and 0.0 differ in bytes as in text).  repr of a list of finite
+    floats is the text json.dumps writes for it.
+    """
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+    distinct = dict.fromkeys(keys)
+    values = np.frombuffer(b"".join(distinct), dtype=float).reshape(-1, rows.shape[1]).tolist()
+    cache = dict(zip(distinct, map(repr, values)))
+    return list(map(cache.__getitem__, keys))
+
+
+def _frame_lines(frames: Sequence[FrameRecord]) -> str:
+    """The frame lines of frames: each the text json.dumps writes for its frame object.
+
+    Each column is gathered once, matrices transposed to column-major, and
+    each distinct matrix or vector row is formatted once (_row_texts);
+    each polygon is one repr.  A block with a value the reader would not
+    accept raises _write_fault's ValueError.
+    """
+    tracks = [t for f in frames for t in f.trackables]
+    t_ms = [f.timestamp_ms for f in frames]
+    screens = [(f.screen_w, f.screen_h) for f in frames]
+    mats = _stacked([f.view for f in frames] + [f.projection for f in frames]
+                    + [t.pose for t in tracks], (4, 4))
+    vecs = _stacked([f.camera_position for f in frames] + [t.center_world for t in tracks]
+                    + [t.normal_world for t in tracks], (3,))
+    if (mats is None or vecs is None or _polygons([t.local_vertices for t in tracks]) is None
+            or not (_only(int, t_ms) and _only(int, chain.from_iterable(screens)))):
+        _write_fault(frames)
+    n, k = len(frames), len(tracks)
+    mat = _row_texts(mats.transpose(0, 2, 1).reshape(-1, 16))
+    vec = _row_texts(vecs)
+    ids = {tid: json.dumps(tid) for tid in dict.fromkeys(t.trackable_id for t in tracks)}
+    # a TrackingState value is plain capitals, so quoting it is its JSON text
+    track_texts = iter([
+        f'{{"id": {ids[t.trackable_id]}, "pose": {pose}, "verts": {t.local_vertices.tolist()!r}, '
+        f'"center": {center}, "normal": {normal}, "state": "{t.tracking_state.value}"}}'
+        for t, pose, center, normal in zip(tracks, mat[2 * n:], vec[n:n + k], vec[n + k:])
+    ])
+    return "".join(
+        f'{{"t_ms": {t}, "view": {view}, "proj": {proj}, "cam_pos": {cam}, "screen": [{w}, {h}], '
+        f'"trackables": [{", ".join(islice(track_texts, len(f.trackables)))}]}}\n'
+        for f, t, (w, h), view, proj, cam in zip(
+            frames, t_ms, screens, mat[:n], mat[n:2 * n], vec[:n])
+    )
+
+
 def save_trace(trace: PlaybackTrace, path: str | Path) -> None:
-    """Write a trace back to JSONL; load_trace(save_trace(t)) round-trips."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        header = {
-            "format": TRACE_FORMAT,
-            "version": TRACE_VERSION,
-            "fps": trace.source_fps,
-            "meta": trace.metadata,
-        }
-        fh.write(json.dumps(header) + "\n")
-        for f in trace.frames:
-            fh.write(json.dumps(_frame_to_dict(f)) + "\n")
+    """Write a trace as JSONL; load_trace(save_trace(t)) round-trips.
+
+    Frames are written a block of INGEST_BLOCK_LINES at a time, and within
+    a block each distinct matrix or vector row is formatted once; the bytes
+    are those of json.dumps of each frame object.  A value the reader
+    would not accept is a ValueError naming the field (and the frame's
+    t_ms): a header fps that is not a finite positive number, a t_ms or
+    screen size that is not an int, a number that is not finite, a matrix
+    that is not 4x4, a vector that is not a 3-vector or a polygon that is
+    not (n, 2).  The whole text is built before the file is opened, so a
+    rejected trace leaves any file at path as it was.
+    """
+    _fps(trace.source_fps)
+    header = {
+        "format": TRACE_FORMAT,
+        "version": TRACE_VERSION,
+        "fps": trace.source_fps,
+        "meta": trace.metadata,
+    }
+    text = [json.dumps(header) + "\n", *map(_frame_lines, blocks(trace.frames, INGEST_BLOCK_LINES))]
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.writelines(text)
 
 
 class DeadlineWalk:

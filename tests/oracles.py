@@ -11,6 +11,7 @@ and differ only in the order of the work.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 
@@ -1000,3 +1001,45 @@ def iter_frames_per_line(path):
             prev = frame
     if first is None:
         raise TraceValidationError(f"{path.name}: trace has no frames")
+
+
+# ------------------------------------------------------------- trace writing
+# save_trace as it was before traces were written a block at a time: one
+# json.dumps per frame object, each number converted on its own.
+
+def mat4_to_list(m):
+    """The 16 numbers of a 4x4 matrix in column-major order, as Python floats."""
+    return [float(v) for v in np.asarray(m, dtype=float).flatten(order="F")]
+
+
+def _snapshot_to_dict(t):
+    return {
+        "id": t.trackable_id,
+        "pose": mat4_to_list(t.pose),
+        "verts": t.local_vertices.tolist(),
+        "center": [float(v) for v in t.center_world],
+        "normal": [float(v) for v in t.normal_world],
+        "state": t.tracking_state.value,
+    }
+
+
+def frame_to_dict(f):
+    """The JSON object of one frame line."""
+    return {
+        "t_ms": f.timestamp_ms,
+        "view": mat4_to_list(f.view),
+        "proj": mat4_to_list(f.projection),
+        "cam_pos": [float(v) for v in f.camera_position],
+        "screen": [f.screen_w, f.screen_h],
+        "trackables": [_snapshot_to_dict(t) for t in f.trackables],
+    }
+
+
+def trace_text_per_frame(trace):
+    """The text of a trace file: its header line, then one json.dumps line per frame."""
+    from playtrace.trace import TRACE_FORMAT, TRACE_VERSION
+
+    header = {"format": TRACE_FORMAT, "version": TRACE_VERSION,
+              "fps": trace.source_fps, "meta": trace.metadata}
+    return "".join(json.dumps(x) + "\n"
+                   for x in [header, *map(frame_to_dict, trace.frames)])

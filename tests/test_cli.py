@@ -676,9 +676,13 @@ def test_simulate_rejects_malformed_schedule(tmp_path, capsys, edit, message):
         ("seed", 10**400, "seed must be an integer of at most 2**53 in magnitude, got 1000"),
         ("mix", {"TAP": "nan"}, "mix weight TAP must be a finite number, got 'nan'"),
         ("mix", [["TAP", 1.0]], "mix must be an object, got [['TAP', 1.0]]"),
+        ("mix", {"TAP": -1.0, "DRAG": 5.0}, "mix weight TAP must be >= 0, got -1.0"),
+        ("mix", {"TAP": 0.0}, "gesture mix has no positive weights"),
+        ("mix", {"TAP": 0.25, "DRAG": 0.25}, "gesture mix must sum to 1, got 0.5"),
         ("generator", ["RANDOM"], "generator must be a string, got ['RANDOM']"),
     ],
-    ids=["seed-str", "seed-float", "seed-bool", "seed-huge", "mix-nan", "mix-list", "generator-list"],
+    ids=["seed-str", "seed-float", "seed-bool", "seed-huge", "mix-nan", "mix-list", "mix-negative",
+         "mix-no-positive", "mix-sum", "generator-list"],
 )
 def test_simulate_rejects_malformed_schedule_fields(tmp_path, capsys, field, value, message):
     scene_path = tmp_path / "scene.json"
@@ -690,7 +694,8 @@ def test_simulate_rejects_malformed_schedule_fields(tmp_path, capsys, field, val
     sched_path.write_text(json.dumps(d))
     out = tmp_path / "o.json"
     rc = main(["simulate", str(scene_path), "--schedule", str(sched_path), "--out", str(out)])
-    assert _assert_input_error(rc, capsys).startswith(f"error: malformed schedule: {message}")
+    err = _assert_input_error(rc, capsys)
+    assert err.startswith(f"error: malformed schedule: {message}") and err.count("\n") == 1
     assert not out.exists()
 
 

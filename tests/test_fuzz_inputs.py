@@ -4,8 +4,9 @@ Hypothesis takes a valid trace and mutates a few of its lines, or a valid
 scene, schedule or report file and mutates it once: a value at some path
 swapped for another type, null, NaN or an infinity, 1e308, 5e-324, an integer
 literal too large for a float, a deleted key or entry, an empty list, deep
-nesting, or `ff fe` bytes before the text.  One deterministic probe takes
-each path of one frame line in turn instead.  Each example runs the CLI
+nesting, or `ff fe` bytes before the text.  Two deterministic probes take
+each path of one frame line, and each path of a schedule into the ends of
+its lists, in turn instead.  Each example runs the CLI
 in-process: it must exit 0, 1 or 2, let no exception escape, and write
 nothing to stderr but at most one line starting "error: ", so a warning
 (which the CLI would print there) fails it.  At --fps 1
@@ -54,15 +55,22 @@ def base_lines(tmp_path_factory):
     return path.read_text(encoding="utf-8").splitlines()
 
 
-def _paths(value, path=()):
-    """Every path of keys and indices into a JSON value, the value's own first."""
+def _paths(value, path=(), ends_only=False):
+    """Every path of keys and indices into a JSON value, the value's own first.
+
+    With ends_only, a path enters each list at its first and last index only.
+    """
     yield path
     if isinstance(value, dict):
-        for key, v in value.items():
-            yield from _paths(v, (*path, key))
+        entries = list(value.items())
     elif isinstance(value, list):
-        for i, v in enumerate(value):
-            yield from _paths(v, (*path, i))
+        entries = list(enumerate(value))
+        if ends_only:
+            entries = entries[:1] + entries[1:][-1:]
+    else:
+        return
+    for key, v in entries:
+        yield from _paths(v, (*path, key), ends_only)
 
 
 def _set(text: str, path: tuple, value) -> str:
@@ -202,3 +210,22 @@ def test_mutated_scenes_schedules_and_reports_exit_cleanly(tmp_path_factory, bas
     for argv in _READERS[kind]:
         argv = [arg.format(**paths, out=tmp / "out.json") for arg in argv]
         assert _exit_code(argv) in (0, 1, 2), argv
+
+
+def test_every_end_path_of_a_schedule_exits_cleanly(tmp_path, monkeypatch, base_files):
+    # each path of the guided schedule, entering each list at its ends, set to each odd
+    # value ([] among them) and deleted, replayed by simulate
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    text = (base_files / "schedule.json").read_text("utf-8")
+    path = tmp_path / "schedule.json"
+    argv = ["simulate", str(base_files / "scene.json"), "--schedule", str(path),
+            "--out", str(tmp_path / "out.json")]
+    codes = []
+    for at in list(_paths(json.loads(text), ends_only=True))[1:]:
+        for value in [*_ODD_VALUES, _DELETE]:
+            path.write_text(_set(text, at, value))
+            codes.append((at[0], _exit_code(argv)))
+    assert len(codes) == 36 * 22 and {code for _, code in codes} <= {0, 1}
+    # a mix must be weights >= 0 that sum to 1, so no odd value of it or in it is replayed
+    assert {code for field, code in codes if field == "mix"} == {1}

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import random
 import tracemalloc
 from itertools import chain
 
@@ -30,7 +32,6 @@ from playtrace.trace import (
     iter_blocks,
     iter_frames,
     load_trace,
-    mat4_to_list,
     read_header,
     save_trace,
 )
@@ -111,7 +112,7 @@ def test_mat4_column_major(tmp_path):
     # column-major: the first four values are the first column
     assert m[0, 0] == 0.0 and m[1, 0] == 1.0 and m[3, 0] == 3.0
     assert m[0, 1] == 4.0
-    assert mat4_to_list(m) == vals
+    assert oracles.mat4_to_list(m) == vals
     assert not m.flags.writeable
 
 
@@ -378,6 +379,147 @@ def test_integer_numbers_load_as_floats_and_save_as_floats(tmp_path):
     )
     assert '"verts": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]' in saved.read_text()
     assert saved.read_bytes() == floats.read_bytes()
+
+
+# ------------------------------------------------------------ trace writing
+#
+# save_trace writes a block of frames at a time; oracles.trace_text_per_frame
+# writes one json.dumps line per frame.  The bytes must be the same.
+
+_WRITTEN_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-5, 1.0, -2.0, 30.0]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+_ODD_IDS = st.text(st.sampled_from('a"\\\x00\n\x1f\x7fé☃\U0001f600') | st.characters(), min_size=1,
+                   max_size=5)
+
+
+def _zero_signs(rows):
+    """rows and two more: the first row starting with 0.0 and with -0.0, equal but for the bits."""
+    return [[zero, *rows[0][1:]] for zero in (0.0, -0.0)] + rows
+
+
+@st.composite
+def _hand_made_frames(draw, n_frames):
+    """n_frames frames drawn from a few rows each, so rows repeat within and across blocks.
+
+    A matrix is a C-order array or the transposed view load_trace returns;
+    a frame holds up to four trackables, or none.
+    """
+    mats = _zero_signs(draw(st.lists(st.lists(_WRITTEN_FLOATS, min_size=16, max_size=16),
+                                     min_size=1, max_size=3)))
+    vecs = _zero_signs(draw(st.lists(st.lists(_WRITTEN_FLOATS, min_size=3, max_size=3),
+                                     min_size=1, max_size=3)))
+    polys = draw(st.lists(st.lists(st.tuples(_WRITTEN_FLOATS, _WRITTEN_FLOATS), min_size=3,
+                                   max_size=7), min_size=1, max_size=4))
+    ids = draw(st.lists(_ODD_IDS, min_size=1, max_size=4, unique=True))
+    start = draw(st.integers(-2**53, 2**53 - 200 * n_frames))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def matrix():
+        rows = np.array(rng.choice(mats)).reshape(1, 4, 4)
+        return (rows.transpose(0, 2, 1) if rng.random() < 0.5 else rows)[0]
+
+    frames = []
+    for i in range(n_frames):
+        tracks = tuple(
+            TrackableSnapshot(tid, matrix(), np.array(rng.choice(polys)), np.array(rng.choice(vecs)),
+                              np.array(rng.choice(vecs)), rng.choice(list(TrackingState)))
+            for tid in rng.sample(ids, rng.randint(0, len(ids)))
+        )
+        frame = FrameRecord(start + 200 * i, matrix(), matrix(), np.array(rng.choice(vecs)),
+                            1920, 1080, tracks)
+        if i == _B:  # the first frame of the second block repeats the last of the first
+            before = frames[-1]
+            frame = dataclasses.replace(frame, view=before.view, projection=before.projection,
+                                        camera_position=before.camera_position)
+        frames.append(frame)
+    return PlaybackTrace(tuple(frames), 30.0, {"note": ids[0]})
+
+
+@pytest.mark.parametrize("n_frames", [1, 63, 64, 65, 129])
+def test_save_trace_writes_the_bytes_of_the_per_frame_writer(tmp_path_factory, n_frames):
+    @settings(max_examples=12, deadline=None)
+    @given(trace=_hand_made_frames(n_frames))
+    def check(trace):
+        path = tmp_path_factory.mktemp("saved") / "t.jsonl"
+        save_trace(trace, path)
+        assert path.read_bytes() == oracles.trace_text_per_frame(trace).encode("utf-8")
+
+    check()
+
+
+def _valid_trace(tmp_path):
+    return load_trace(_write(tmp_path, [_header(), _frame(0), _frame(33)]))
+
+
+def _edit_second_frame(**changes):
+    return lambda tr: dataclasses.replace(tr, frames=(
+        tr.frames[0], dataclasses.replace(tr.frames[1], **changes)))
+
+
+def _edit_second_trackable(**changes):
+    def edit(tr):
+        frame = tr.frames[1]
+        track = dataclasses.replace(frame.trackables[0], **changes)
+        return _edit_second_frame(trackables=(track,))(tr)
+    return edit
+
+
+def _with(value, at, arr):
+    """A writable copy of arr with value at index at."""
+    arr = np.array(arr)
+    arr[at] = value
+    return arr
+
+
+_NAN, _INF = float("nan"), float("inf")
+_IDENTITY = np.eye(4)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda tr: dataclasses.replace(tr, source_fps=_NAN), "fps must be a finite number, got nan"),
+    (lambda tr: dataclasses.replace(tr, source_fps=_INF), "fps must be a finite number, got inf"),
+    (lambda tr: dataclasses.replace(tr, source_fps=0.0), "fps must be a positive number, got 0.0"),
+    (_edit_second_frame(timestamp_ms=33.0), "frame at 33.0 ms: t_ms must be an integer"),
+    (_edit_second_frame(timestamp_ms=True), "frame at True ms: t_ms must be an integer"),
+    (_edit_second_frame(screen_w=1920.0), "frame at 33 ms: screen must be two integers"),
+    (_edit_second_frame(view=_with(_NAN, (3, 0), _IDENTITY)),
+     "frame at 33 ms view must be a 4x4 matrix of finite numbers"),
+    (_edit_second_frame(projection=_with(-_INF, (0, 0), _IDENTITY)),
+     "frame at 33 ms proj must be a 4x4 matrix of finite numbers"),
+    (_edit_second_frame(view=np.eye(3)), "frame at 33 ms view must be a 4x4 matrix of finite numbers"),
+    (_edit_second_frame(projection=np.ones(16)),
+     "frame at 33 ms proj must be a 4x4 matrix of finite numbers"),
+    (_edit_second_frame(camera_position=np.array([0.0, _INF, 0.0])),
+     "frame at 33 ms cam_pos must be a 3-vector of finite numbers"),
+    (_edit_second_frame(camera_position=np.zeros(4)),
+     "frame at 33 ms cam_pos must be a 3-vector of finite numbers"),
+    (_edit_second_trackable(pose=_with(_INF, (1, 3), _IDENTITY)),
+     "frame at 33 ms trackable 'plane-1' pose must be a 4x4 matrix of finite numbers"),
+    (_edit_second_trackable(pose=np.eye(4)[:3]),
+     "frame at 33 ms trackable 'plane-1' pose must be a 4x4 matrix of finite numbers"),
+    (_edit_second_trackable(local_vertices=np.array([[0.0, 0.0], [1.0, _NAN], [0.0, 1.0]])),
+     "frame at 33 ms trackable 'plane-1' verts must be an (n, 2) array of finite numbers"),
+    (_edit_second_trackable(local_vertices=np.zeros((3, 3))),
+     "frame at 33 ms trackable 'plane-1' verts must be an (n, 2) array of finite numbers"),
+    (_edit_second_trackable(local_vertices=np.zeros(6)),
+     "frame at 33 ms trackable 'plane-1' verts must be an (n, 2) array of finite numbers"),
+    (_edit_second_trackable(center_world=np.array([_NAN, 0.0, 0.0])),
+     "frame at 33 ms trackable 'plane-1' center must be a 3-vector of finite numbers"),
+    (_edit_second_trackable(normal_world=np.array([0.0, 1.0, -_INF])),
+     "frame at 33 ms trackable 'plane-1' normal must be a 3-vector of finite numbers"),
+    (_edit_second_trackable(normal_world=np.array([0.0, 1.0])),
+     "frame at 33 ms trackable 'plane-1' normal must be a 3-vector of finite numbers"),
+], ids=["fps-nan", "fps-inf", "fps-zero", "t-float", "t-bool", "screen-float", "view-nan",
+        "proj-inf", "view-3x3", "proj-flat", "cam-inf", "cam-4", "pose-inf", "pose-3x4",
+        "verts-nan", "verts-3d", "verts-flat", "center-nan", "normal-inf", "normal-2"])
+def test_save_trace_rejects_what_the_reader_would(tmp_path, edit, message):
+    trace = edit(_valid_trace(tmp_path))
+    path = tmp_path / "out.jsonl"
+    path.write_bytes(b"an earlier file\n")
+    with pytest.raises(ValueError) as exc:
+        save_trace(trace, path)
+    assert str(exc.value) == message
+    assert path.read_bytes() == b"an earlier file\n"
 
 
 # ------------------------------------------------------ block-validated ingest

@@ -24,7 +24,7 @@ from .jsonin import MAX_INT, UNIT_EPS, dump_json, finite, integer, load_json, nu
 from .scheduler import EventSchedule, GestureEvent, GestureKind
 from .pipeline import BOX_BLOCK_FRAMES
 from .trace import (
-    MAX_SCREEN_PX, FrameBlock, PlaybackTrace, TrackingState, block_records, blocks,
+    MAX_SCREEN_PX, FrameBlock, PlaybackTrace, TraceFrames, TrackingState, blocks,
 )
 
 _HIT_EPS_M = 1e-9         # slack when testing a hit point against surface bounds
@@ -497,14 +497,13 @@ def generate_trace(
     jitter_seed: int = 0,
     jitter: Jitter | None = None,
 ) -> PlaybackTrace:
-    """Render every frame of the scene into a playback trace (render_frames).
+    """Render every frame of the scene into a playback trace held as render_frames' blocks.
 
     Equal (scene, seed, jitter) inputs give byte-identical traces.
     """
     if jitter is None:
         jitter = scene.default_jitter
-    rendered = render_frames(scene, jitter_seed, jitter)
-    frames = tuple(chain.from_iterable(map(block_records, rendered)))
+    frames = TraceFrames(render_frames(scene, jitter_seed, jitter))
     meta = {
         "scene": scene_to_dict(scene),
         "jitter": asdict(jitter),

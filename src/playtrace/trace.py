@@ -74,17 +74,6 @@ class FrameRecord:
     trackables: tuple[TrackableSnapshot, ...]
 
 
-@dataclass(frozen=True)
-class PlaybackTrace:
-    frames: tuple[FrameRecord, ...]
-    source_fps: float
-    metadata: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def duration_ms(self) -> int:
-        return self.frames[-1].timestamp_ms if self.frames else 0
-
-
 _TRACKING_STATES = {s.value: s for s in TrackingState}   # TrackingState(v), without the Enum call
 MAX_SCREEN_PX = 2**31 - 1
 # Frame lines iter_blocks checks in one pass.  A block's frames share its
@@ -175,6 +164,54 @@ def block_records(block: FrameBlock) -> Iterator[FrameRecord]:
                                      block.cam_pos, block.n_trackables.tolist()):
         yield FrameRecord(timestamp_ms=t, view=view, projection=proj, camera_position=cam,
                           screen_w=w, screen_h=h, trackables=tuple(islice(tracks, n)))
+
+
+class TraceFrames(Sequence[FrameRecord]):
+    """The frames of a trace held as the FrameBlocks its producer made.
+
+    Read as a sequence it is the FrameRecords of its blocks (block_records),
+    made once, when first read; len and the last timestamp read the blocks.
+    """
+
+    __slots__ = ("blocks", "_records")
+
+    def __init__(self, blocks: Iterable[FrameBlock]) -> None:
+        self.blocks = tuple(blocks)
+        self._records: tuple[FrameRecord, ...] | None = None
+
+    @property
+    def records(self) -> tuple[FrameRecord, ...]:
+        if self._records is None:
+            self._records = tuple(chain.from_iterable(map(block_records, self.blocks)))
+        return self._records
+
+    def __len__(self) -> int:
+        return sum(len(block.t_ms) for block in self.blocks)
+
+    def __getitem__(self, index):
+        return self.records[index]
+
+    def __iter__(self) -> Iterator[FrameRecord]:
+        return iter(self.records)
+
+
+@dataclass(frozen=True)
+class PlaybackTrace:
+    """A recording: its frames, the rate it was recorded at and its header's meta.
+
+    frames is a sequence of FrameRecords: the TraceFrames of a producer
+    (generate_trace, load_trace), or records made or edited by hand.
+    """
+
+    frames: Sequence[FrameRecord]
+    source_fps: float
+    metadata: dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def duration_ms(self) -> int:
+        if isinstance(self.frames, TraceFrames):
+            return self.frames.blocks[-1].t_ms[-1] if self.frames.blocks else 0
+        return self.frames[-1].timestamp_ms if self.frames else 0
 
 
 def _require(d: dict, key: str, where: str) -> Any:
@@ -376,6 +413,14 @@ def _fps(value: Any) -> float:
     return fps
 
 
+def _finite_meta(meta: Any) -> None:
+    """Raise a ValueError when a header meta holds a NaN or an infinity, which JSON cannot hold."""
+    try:
+        json.dumps(meta, allow_nan=False)
+    except ValueError:
+        raise ValueError("header meta must hold finite numbers only") from None
+
+
 def _header(objects: Iterator[tuple[str, dict]], name: str) -> tuple[float, dict]:
     """The validated (fps, meta) of the header line, the first object of the file."""
     first = next(objects, None)
@@ -395,6 +440,10 @@ def _header(objects: Iterator[tuple[str, dict]], name: str) -> tuple[float, dict
     meta = obj.get("meta", {})
     if not isinstance(meta, dict):
         raise TraceValidationError(f"{name}: header meta must be an object")
+    try:
+        _finite_meta(meta)
+    except ValueError as exc:
+        raise TraceValidationError(f"{where}: {exc}") from None
     return fps, meta
 
 
@@ -499,18 +548,11 @@ def iter_blocks(
         raise TraceValidationError(f"{path.name}: trace has no frames")
 
 
-def iter_frames(
-    path: str | Path, keep: Callable[[int], bool] | None = None
-) -> Iterator[FrameRecord]:
-    """The frames of iter_blocks(path, keep), one FrameRecord at a time."""
-    for block in iter_blocks(path, keep):
-        yield from block_records(block)
-
-
 def load_trace(path: str | Path) -> PlaybackTrace:
-    """Load and validate a whole JSONL trace file; iter_blocks lists what it rejects."""
+    """Load and validate a whole JSONL trace file, held as its blocks (iter_blocks, which lists
+    what it rejects)."""
     fps, meta = read_header(path)
-    return PlaybackTrace(frames=tuple(iter_frames(path)), source_fps=fps, metadata=meta)
+    return PlaybackTrace(frames=TraceFrames(iter_blocks(path)), source_fps=fps, metadata=meta)
 
 
 def _stacked(values: Sequence, shape: tuple[int, ...]) -> np.ndarray | None:
@@ -535,32 +577,90 @@ def _polygons(polys: Sequence) -> np.ndarray | None:
     return verts if np.isfinite(verts).all() else None
 
 
-def _write_fault(frames: Sequence[FrameRecord]) -> NoReturn:
-    """Raise the first value of frames that _frame_lines rejects, in the order of a frame line.
+def _records_block(frames: Sequence[FrameRecord]) -> FrameBlock | None:
+    """frames as one C-order block, or None unless every matrix, vector and polygon is an
+    array of its shape of finite numbers and every frame has the first one's screen of two ints."""
+    tracks = [t for f in frames for t in f.trackables]
+    screens = [(f.screen_w, f.screen_h) for f in frames]
+    mats = _stacked([f.view for f in frames] + [f.projection for f in frames]
+                    + [t.pose for t in tracks], (4, 4))
+    vecs = _stacked([f.camera_position for f in frames] + [t.center_world for t in tracks]
+                    + [t.normal_world for t in tracks], (3,))
+    verts = _polygons([t.local_vertices for t in tracks])
+    if (mats is None or vecs is None or verts is None or screens.count(screens[0]) < len(screens)
+            or not _only(int, chain.from_iterable(screens))):
+        return None
+    n, k = len(frames), len(tracks)
+    mats = mats.reshape(-1, 16)
+    return FrameBlock(
+        screen=screens[0], col_major=False, t_ms=[f.timestamp_ms for f in frames],
+        view=mats[:n], proj=mats[n:2 * n], cam_pos=vecs[:n],
+        n_trackables=np.array([len(f.trackables) for f in frames], dtype=int),
+        ids=[t.trackable_id for t in tracks], states=[t.tracking_state for t in tracks],
+        pose=mats[2 * n:], center=vecs[n:n + k], normal=vecs[n + k:],
+        n_verts=np.array([len(t.local_vertices) for t in tracks], dtype=int), verts=verts,
+    )
 
-    t_ms and the screen must be ints, and the numeric fields finite numbers
-    of the shapes the reader takes; each error names the frame's t_ms and
-    the field.
+
+def _writable(block: FrameBlock, screen: tuple[int, int], prev: float) -> bool:
+    """Whether the reader takes block after frames of screen that end at t_ms prev.
+
+    Its t_ms are ints within 2**53 in magnitude that rise from above prev,
+    its screen is screen, two ints in (0, MAX_SCREEN_PX], and its numbers
+    are finite.
+    """
+    t = block.t_ms
+    return (_only(int, t) and _only(int, block.screen) and _follows(block, screen, prev)
+            and -MAX_INT <= t[0] and t[-1] <= MAX_INT
+            and 0 < min(block.screen) and max(block.screen) <= MAX_SCREEN_PX
+            and all(np.isfinite(col).all() for col in (block.view, block.proj, block.cam_pos,
+                                                       block.pose, block.center, block.normal,
+                                                       block.verts)))
+
+
+def _write_fault(frames: Iterable[FrameRecord], screen: tuple[int, int] | None, prev: float
+                 ) -> NoReturn:
+    """Raise the first value of frames that the reader would not take after frames of screen
+    that end at t_ms prev (screen is None before the first frame), in the order of a frame line.
+
+    t_ms must be an int of at most 2**53 in magnitude, the screen two ints
+    in (0, MAX_SCREEN_PX], and the numeric fields finite numbers of the
+    shapes the reader takes; then, as the reader checks them, the screen
+    must be the first frame's and t_ms above the frame before it.  Each
+    error names the frame's t_ms and the field.
     """
     matrix, vector = "a 4x4 matrix", "a 3-vector"
     for f in frames:
-        where = f"frame at {f.timestamp_ms} ms"
-        if type(f.timestamp_ms) is not int:
+        t, size = f.timestamp_ms, (f.screen_w, f.screen_h)
+        where = f"frame at {t} ms"
+        if type(t) is not int:
             raise ValueError(f"{where}: t_ms must be an integer")
-        if not _only(int, (f.screen_w, f.screen_h)):
+        if abs(t) > MAX_INT:
+            raise ValueError(f"{where}: t_ms must be at most 2**53 in magnitude")
+        if not _only(int, size):
             raise ValueError(f"{where}: screen must be two integers")
+        if not (0 < min(size) and max(size) <= MAX_SCREEN_PX):
+            raise ValueError(
+                f"{where}: screen must be two positive integers (at most {MAX_SCREEN_PX})")
         fields = [("view", matrix, _stacked([f.view], (4, 4))),
                   ("proj", matrix, _stacked([f.projection], (4, 4))),
                   ("cam_pos", vector, _stacked([f.camera_position], (3,)))]
-        for t in f.trackables:
-            tw = f"trackable '{t.trackable_id}'"
-            fields += [(f"{tw} pose", matrix, _stacked([t.pose], (4, 4))),
-                       (f"{tw} verts", "an (n, 2) array", _polygons([t.local_vertices])),
-                       (f"{tw} center", vector, _stacked([t.center_world], (3,))),
-                       (f"{tw} normal", vector, _stacked([t.normal_world], (3,)))]
+        for track in f.trackables:
+            tw = f"trackable '{track.trackable_id}'"
+            fields += [(f"{tw} pose", matrix, _stacked([track.pose], (4, 4))),
+                       (f"{tw} verts", "an (n, 2) array", _polygons([track.local_vertices])),
+                       (f"{tw} center", vector, _stacked([track.center_world], (3,))),
+                       (f"{tw} normal", vector, _stacked([track.normal_world], (3,)))]
         for what, noun, arr in fields:
             if arr is None:
                 raise ValueError(f"{where} {what} must be {noun} of finite numbers")
+        screen = screen or size
+        if size != screen:
+            raise ValueError(f"{where}: screen {size[0]}x{size[1]} differs from "
+                             f"the first frame's {screen[0]}x{screen[1]}")
+        if not prev < t:
+            raise ValueError(f"{where}: timestamps must be strictly increasing ({prev} then {t})")
+        prev = t
     raise AssertionError("a block of frames failed its checks but none of its frames did")
 
 
@@ -578,63 +678,84 @@ def _row_texts(rows: np.ndarray) -> list[str]:
     return list(map(cache.__getitem__, keys))
 
 
-def _frame_lines(frames: Sequence[FrameRecord]) -> str:
-    """The frame lines of frames: each the text json.dumps writes for its frame object.
+def _block_lines(block: FrameBlock) -> str:
+    """The frame lines of a block _writable passed, each the text json.dumps writes for its frame.
 
-    Each column is gathered once, matrices transposed to column-major, and
-    each distinct matrix or vector row is formatted once (_row_texts);
-    each polygon is one repr.  A block with a value the reader would not
-    accept raises _write_fault's ValueError.
+    The matrix rows of a C-order block are transposed to column-major.
+    Each distinct matrix or vector row is formatted once (_row_texts),
+    each polygon is the repr of its rows of one verts.tolist(), and the
+    screen is formatted once.
     """
-    tracks = [t for f in frames for t in f.trackables]
-    t_ms = [f.timestamp_ms for f in frames]
-    screens = [(f.screen_w, f.screen_h) for f in frames]
-    mats = _stacked([f.view for f in frames] + [f.projection for f in frames]
-                    + [t.pose for t in tracks], (4, 4))
-    vecs = _stacked([f.camera_position for f in frames] + [t.center_world for t in tracks]
-                    + [t.normal_world for t in tracks], (3,))
-    if (mats is None or vecs is None or _polygons([t.local_vertices for t in tracks]) is None
-            or not (_only(int, t_ms) and _only(int, chain.from_iterable(screens)))):
-        _write_fault(frames)
-    n, k = len(frames), len(tracks)
-    mat = _row_texts(mats.transpose(0, 2, 1).reshape(-1, 16))
-    vec = _row_texts(vecs)
-    ids = {tid: json.dumps(tid) for tid in dict.fromkeys(t.trackable_id for t in tracks)}
-    # a TrackingState value is plain capitals, so quoting it is its JSON text
+    n, k = len(block.t_ms), len(block.ids)
+    mats = np.concatenate([block.view, block.proj, block.pose])
+    if not block.col_major:
+        mats = mats.reshape(-1, 4, 4).transpose(0, 2, 1).reshape(-1, 16)
+    mat = _row_texts(mats)
+    vec = _row_texts(np.concatenate([block.cam_pos, block.center, block.normal]))
+    ids = {tid: json.dumps(tid) for tid in dict.fromkeys(block.ids)}
+    verts = block.verts.tolist()
+    ends = np.cumsum(block.n_verts).tolist()
+    # a TrackingState value is plain capitals, so quoting it is its JSON text; _value_
+    # is the attribute behind .value, read without the Enum property's call
     track_texts = iter([
-        f'{{"id": {ids[t.trackable_id]}, "pose": {pose}, "verts": {t.local_vertices.tolist()!r}, '
-        f'"center": {center}, "normal": {normal}, "state": "{t.tracking_state.value}"}}'
-        for t, pose, center, normal in zip(tracks, mat[2 * n:], vec[n:n + k], vec[n + k:])
+        f'{{"id": {ids[tid]}, "pose": {pose}, "verts": {verts[start:end]!r}, '
+        f'"center": {center}, "normal": {normal}, "state": "{state._value_}"}}'
+        for tid, pose, start, end, center, normal, state in zip(
+            block.ids, mat[2 * n:], [0, *ends], ends, vec[n:n + k], vec[n + k:], block.states)
     ])
+    screen = "[{}, {}]".format(*block.screen)
     return "".join(
-        f'{{"t_ms": {t}, "view": {view}, "proj": {proj}, "cam_pos": {cam}, "screen": [{w}, {h}], '
-        f'"trackables": [{", ".join(islice(track_texts, len(f.trackables)))}]}}\n'
-        for f, t, (w, h), view, proj, cam in zip(
-            frames, t_ms, screens, mat[:n], mat[n:2 * n], vec[:n])
+        f'{{"t_ms": {t}, "view": {view}, "proj": {proj}, "cam_pos": {cam}, "screen": {screen}, '
+        f'"trackables": [{", ".join(islice(track_texts, m))}]}}\n'
+        for t, view, proj, cam, m in zip(
+            block.t_ms, mat[:n], mat[n:2 * n], vec[:n], block.n_trackables.tolist())
     )
+
+
+def _frame_texts(frames: Sequence[FrameRecord]) -> Iterator[str]:
+    """The frame lines of frames, a block at a time, each block checked whole (_writable).
+
+    A TraceFrames is written as its blocks; other records are stacked into
+    one block per INGEST_BLOCK_LINES frames (_records_block).  Records that
+    are no one block, and a block that fails, go to _write_fault, which
+    raises the first value the reader would not take.
+    """
+    parts = (frames.blocks if isinstance(frames, TraceFrames)
+             else (_records_block(part) or part for part in blocks(frames, INGEST_BLOCK_LINES)))
+    screen, prev = None, -math.inf   # the first frame's screen, the previous frame's t_ms
+    for part in parts:
+        if not (isinstance(part, FrameBlock) and _writable(part, screen or part.screen, prev)):
+            _write_fault(part if isinstance(part, list) else block_records(part), screen, prev)
+        screen, prev = screen or part.screen, part.t_ms[-1]
+        yield _block_lines(part)
 
 
 def save_trace(trace: PlaybackTrace, path: str | Path) -> None:
     """Write a trace as JSONL; load_trace(save_trace(t)) round-trips.
 
-    Frames are written a block of INGEST_BLOCK_LINES at a time, and within
-    a block each distinct matrix or vector row is formatted once; the bytes
-    are those of json.dumps of each frame object.  A value the reader
-    would not accept is a ValueError naming the field (and the frame's
-    t_ms): a header fps that is not a finite positive number, a t_ms or
-    screen size that is not an int, a number that is not finite, a matrix
-    that is not 4x4, a vector that is not a 3-vector or a polygon that is
-    not (n, 2).  The whole text is built before the file is opened, so a
-    rejected trace leaves any file at path as it was.
+    Frames are written a block at a time (_frame_texts), and within a block
+    each distinct matrix or vector row is formatted once; the bytes are
+    those of json.dumps of each frame object.  A value the reader would not
+    accept is a ValueError naming the field (and the frame's t_ms): a
+    header fps that is not a finite positive number, a NaN or an infinity
+    in meta, no frames, a t_ms that is not an int of at most 2**53 in
+    magnitude or not above the frame before, a screen that is not two ints
+    in (0, MAX_SCREEN_PX] or not the first frame's, a number that is not
+    finite, a matrix that is not 4x4, a vector that is not a 3-vector or a
+    polygon that is not (n, 2).  The whole text is built before the file
+    is opened, so a rejected trace leaves any file at path as it was.
     """
     _fps(trace.source_fps)
+    _finite_meta(trace.metadata)
+    if not trace.frames:
+        raise ValueError("trace has no frames")
     header = {
         "format": TRACE_FORMAT,
         "version": TRACE_VERSION,
         "fps": trace.source_fps,
         "meta": trace.metadata,
     }
-    text = [json.dumps(header) + "\n", *map(_frame_lines, blocks(trace.frames, INGEST_BLOCK_LINES))]
+    text = [json.dumps(header) + "\n", *_frame_texts(trace.frames)]
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.writelines(text)
 

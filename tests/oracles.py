@@ -845,11 +845,18 @@ def _frozen(arr):
     return arr
 
 
-def frames_block(frames):
-    """FrameRecords made in memory, all of one screen and one matrix order, as one FrameBlock."""
+def frames_block(frames, col_major=None):
+    """FrameRecords made in memory, all of one screen and one matrix order, as one FrameBlock.
+
+    Given col_major, the matrices are stored in that order whatever their
+    own, and the block has the first frame's screen.
+    """
     from playtrace.trace import FrameBlock
 
-    (screen, (col_major,)), = set(map(_block_key, frames))   # else a ValueError
+    if col_major is None:
+        (screen, (col_major,)), = set(map(_block_key, frames))   # else a ValueError
+    else:
+        screen = (frames[0].screen_w, frames[0].screen_h)
     tracks = [t for f in frames for t in f.trackables]
 
     def matrices(mats):
@@ -957,6 +964,16 @@ def analyze_eager(traces, params):
 
 
 # ------------------------------------------------------------- trace ingest
+
+def iter_frames(path, keep=None):
+    """The frames of iter_blocks(path, keep), one FrameRecord at a time: the records view
+    of the block reader."""
+    from playtrace.trace import block_records, iter_blocks
+
+    for block in iter_blocks(path, keep):
+        yield from block_records(block)
+
+
 # iter_frames as it was before frames were validated in blocks: each line is
 # decoded and checked before the next line is read, as a one-line block of
 # the package's block parser (_block_frames), and a line that fails goes to
@@ -1043,3 +1060,20 @@ def trace_text_per_frame(trace):
               "fps": trace.source_fps, "meta": trace.metadata}
     return "".join(json.dumps(x) + "\n"
                    for x in [header, *map(frame_to_dict, trace.frames)])
+
+
+
+def frames_as_blocks(frames, size, col_major):
+    """frames as FrameBlocks of size frames each in one matrix order, as a producer makes them.
+
+    A projection the same in bits in every frame of a block is one
+    broadcast row, as the renderer's is.  Each block has its first
+    frame's screen.
+    """
+    out = []
+    for start in range(0, len(frames), size):
+        block = frames_block(frames[start:start + size], col_major)
+        if len({row.tobytes() for row in block.proj}) == 1:
+            block = block._replace(proj=np.broadcast_to(block.proj[:1], block.proj.shape))
+        out.append(block)
+    return out

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import frame_blocks
+from oracles import frame_blocks, iter_frames
 from playtrace import cli as cli_module
 from playtrace import trace as trace_module
 from playtrace.cli import MAX_RUNS, main, parse_mix
@@ -32,7 +32,6 @@ from playtrace.trace import (
     TraceValidationError,
     deadline_walk,
     iter_blocks,
-    iter_frames,
     load_trace,
     save_trace,
 )
@@ -358,11 +357,14 @@ def test_analyze_builds_only_the_frames_it_keeps(tmp_path, trace_path, monkeypat
     save_scene(_scene(), tmp_path / "scene.json")
     assert main(["compare", str(tmp_path / "scene.json"), "--runs", str(runs)]) == 0
     assert built == []
-    # the patch counts the records and snapshots of both producers
+    # the patch counts the records and snapshots of both producers; a generated trace
+    # holds its blocks and makes its records once, when they are first read
     frames = list(iter_frames(trace_path))
     counted = len(frames) + sum(len(f.trackables) for f in frames)
     assert len(built) == counted > len(frames)
-    generate_trace(_scene())   # the trace_path fixture's render
+    rendered = generate_trace(_scene())   # the trace_path fixture's render
+    assert len(rendered.frames) == len(frames) and len(built) == counted
+    assert rendered.frames[0] is rendered.frames[0]
     assert len(built) == 2 * counted
 
 
@@ -390,7 +392,9 @@ def test_analyze_rejects_screen_change_mid_trace(tmp_path, capsys):
     trace = generate_trace(_scene())
     small = [dataclasses.replace(f, screen_w=960, screen_h=540) for f in trace.frames[90:]]
     path = tmp_path / "resized.jsonl"
-    save_trace(dataclasses.replace(trace, frames=trace.frames[:90] + tuple(small)), path)
+    # save_trace refuses such a trace, so the per-frame oracle writes it
+    resized = dataclasses.replace(trace, frames=trace.frames[:90] + tuple(small))
+    path.write_text(oracles.trace_text_per_frame(resized), encoding="utf-8")
     rc = main(["analyze", str(path), "--out", str(tmp_path / "x")])
     assert "resized.jsonl:92: screen 960x540" in _assert_input_error(rc, capsys)
 

@@ -9,8 +9,9 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import iter_frames
 from playtrace.jsonin import MAX_INT, finite, integer, load_json, numbers, unit
-from playtrace.trace import TraceParseError, iter_frames
+from playtrace.trace import TraceParseError
 
 # an overflow inside a checker must not reach stderr as a warning
 pytestmark = pytest.mark.filterwarnings("error")

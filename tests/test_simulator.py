@@ -9,6 +9,8 @@ import pytest
 
 import oracles
 from oracles import frame_blocks, frames_block
+from playtrace import simulator as simulator_module
+from playtrace import trace as trace_module
 from playtrace.pipeline import BOX_BLOCK_FRAMES, analyze_boxes, run_boxes
 from playtrace.scenes import benchmark_scene, benchmark_scenes
 from playtrace.scheduler import (
@@ -476,6 +478,25 @@ def test_trace_bytes_pinned(tmp_path, name, seed):
     path = tmp_path / "trace.jsonl"
     save_trace(generate_trace(benchmark_scene(name), jitter_seed=seed), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _TRACE_DIGESTS[(name, seed)]
+
+
+def test_a_generated_trace_is_saved_without_records(tmp_path, monkeypatch):
+    # generate_trace holds render_frames' blocks and save_trace writes them as they are
+    def no_records(block):
+        raise AssertionError("a FrameRecord was made")
+
+    for module in (trace_module, simulator_module):   # the simulator imports none today
+        monkeypatch.setattr(module, "block_records", no_records, raising=False)
+    scene = benchmark_scene("noisy-trio")
+    trace = generate_trace(scene, jitter_seed=1)
+    path = tmp_path / "trace.jsonl"
+    save_trace(trace, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _TRACE_DIGESTS[("noisy-trio", 1)]
+    times = frame_times(scene)
+    assert (trace.duration_ms, len(trace.frames)) == (times[-1], len(times))
+    assert trace.frames is trace.frames
+    monkeypatch.undo()
+    assert trace.frames[0] is trace.frames[0]
 
 
 def _assert_same_blocks(got, want):

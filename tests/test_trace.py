@@ -12,9 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import decimate, frame_blocks
+from oracles import decimate, frame_blocks, iter_frames
 from playtrace import trace as trace_module
-from playtrace.pipeline import AnalysisParams, run_boxes
+from playtrace.pipeline import BOX_BLOCK_FRAMES, AnalysisParams, run_boxes
 from playtrace.scenes import benchmark_scene
 from playtrace.simulator import generate_trace
 from playtrace.trace import (
@@ -24,13 +24,13 @@ from playtrace.trace import (
     TraceError,
     TraceParseError,
     TraceValidationError,
+    TraceFrames,
     TrackableSnapshot,
     TrackingState,
     block_records,
     blocks,
     deadline_walk,
     iter_blocks,
-    iter_frames,
     load_trace,
     read_header,
     save_trace,
@@ -437,12 +437,18 @@ def _hand_made_frames(draw, n_frames):
 
 @pytest.mark.parametrize("n_frames", [1, 63, 64, 65, 129])
 def test_save_trace_writes_the_bytes_of_the_per_frame_writer(tmp_path_factory, n_frames):
+    # the records, and the same frames as the renderer's C-order blocks and as the
+    # column-major blocks load_trace holds
     @settings(max_examples=12, deadline=None)
     @given(trace=_hand_made_frames(n_frames))
     def check(trace):
-        path = tmp_path_factory.mktemp("saved") / "t.jsonl"
-        save_trace(trace, path)
-        assert path.read_bytes() == oracles.trace_text_per_frame(trace).encode("utf-8")
+        text = oracles.trace_text_per_frame(trace).encode("utf-8")
+        for frames in (trace.frames,
+                       TraceFrames(oracles.frames_as_blocks(trace.frames, BOX_BLOCK_FRAMES, False)),
+                       TraceFrames(oracles.frames_as_blocks(trace.frames, _B, True))):
+            path = tmp_path_factory.mktemp("saved") / "t.jsonl"
+            save_trace(dataclasses.replace(trace, frames=frames), path)
+            assert path.read_bytes() == text
 
     check()
 
@@ -475,43 +481,84 @@ _NAN, _INF = float("nan"), float("inf")
 _IDENTITY = np.eye(4)
 
 
-@pytest.mark.parametrize("edit, message", [
-    (lambda tr: dataclasses.replace(tr, source_fps=_NAN), "fps must be a finite number, got nan"),
-    (lambda tr: dataclasses.replace(tr, source_fps=_INF), "fps must be a finite number, got inf"),
-    (lambda tr: dataclasses.replace(tr, source_fps=0.0), "fps must be a positive number, got 0.0"),
-    (_edit_second_frame(timestamp_ms=33.0), "frame at 33.0 ms: t_ms must be an integer"),
-    (_edit_second_frame(timestamp_ms=True), "frame at True ms: t_ms must be an integer"),
-    (_edit_second_frame(screen_w=1920.0), "frame at 33 ms: screen must be two integers"),
-    (_edit_second_frame(view=_with(_NAN, (3, 0), _IDENTITY)),
-     "frame at 33 ms view must be a 4x4 matrix of finite numbers"),
-    (_edit_second_frame(projection=_with(-_INF, (0, 0), _IDENTITY)),
-     "frame at 33 ms proj must be a 4x4 matrix of finite numbers"),
-    (_edit_second_frame(view=np.eye(3)), "frame at 33 ms view must be a 4x4 matrix of finite numbers"),
-    (_edit_second_frame(projection=np.ones(16)),
-     "frame at 33 ms proj must be a 4x4 matrix of finite numbers"),
-    (_edit_second_frame(camera_position=np.array([0.0, _INF, 0.0])),
-     "frame at 33 ms cam_pos must be a 3-vector of finite numbers"),
-    (_edit_second_frame(camera_position=np.zeros(4)),
-     "frame at 33 ms cam_pos must be a 3-vector of finite numbers"),
-    (_edit_second_trackable(pose=_with(_INF, (1, 3), _IDENTITY)),
-     "frame at 33 ms trackable 'plane-1' pose must be a 4x4 matrix of finite numbers"),
-    (_edit_second_trackable(pose=np.eye(4)[:3]),
-     "frame at 33 ms trackable 'plane-1' pose must be a 4x4 matrix of finite numbers"),
-    (_edit_second_trackable(local_vertices=np.array([[0.0, 0.0], [1.0, _NAN], [0.0, 1.0]])),
-     "frame at 33 ms trackable 'plane-1' verts must be an (n, 2) array of finite numbers"),
-    (_edit_second_trackable(local_vertices=np.zeros((3, 3))),
-     "frame at 33 ms trackable 'plane-1' verts must be an (n, 2) array of finite numbers"),
-    (_edit_second_trackable(local_vertices=np.zeros(6)),
-     "frame at 33 ms trackable 'plane-1' verts must be an (n, 2) array of finite numbers"),
-    (_edit_second_trackable(center_world=np.array([_NAN, 0.0, 0.0])),
-     "frame at 33 ms trackable 'plane-1' center must be a 3-vector of finite numbers"),
-    (_edit_second_trackable(normal_world=np.array([0.0, 1.0, -_INF])),
-     "frame at 33 ms trackable 'plane-1' normal must be a 3-vector of finite numbers"),
-    (_edit_second_trackable(normal_world=np.array([0.0, 1.0])),
-     "frame at 33 ms trackable 'plane-1' normal must be a 3-vector of finite numbers"),
-], ids=["fps-nan", "fps-inf", "fps-zero", "t-float", "t-bool", "screen-float", "view-nan",
-        "proj-inf", "view-3x3", "proj-flat", "cam-inf", "cam-4", "pose-inf", "pose-3x4",
-        "verts-nan", "verts-3d", "verts-flat", "center-nan", "normal-inf", "normal-2"])
+_MATRIX, _VECTOR = "a 4x4 matrix of finite numbers", "a 3-vector of finite numbers"
+_POLYGON = "an (n, 2) array of finite numbers"
+_SCREEN_RANGE = "screen must be two positive integers (at most 2147483647)"
+_META = "header meta must hold finite numbers only"
+
+
+def _with_fps(fps):
+    return lambda tr: dataclasses.replace(tr, source_fps=fps)
+
+
+def _with_meta(meta):
+    return lambda tr: dataclasses.replace(tr, metadata=meta)
+
+
+# what save_trace rejects: an edit of _valid_trace and the message
+_REJECTED = {
+    "fps-nan": (_with_fps(_NAN), "fps must be a finite number, got nan"),
+    "fps-inf": (_with_fps(_INF), "fps must be a finite number, got inf"),
+    "fps-zero": (_with_fps(0.0), "fps must be a positive number, got 0.0"),
+    "t-float": (_edit_second_frame(timestamp_ms=33.0), "frame at 33.0 ms: t_ms must be an integer"),
+    "t-bool": (_edit_second_frame(timestamp_ms=True), "frame at True ms: t_ms must be an integer"),
+    "screen-float": (_edit_second_frame(screen_w=1920.0),
+                     "frame at 33 ms: screen must be two integers"),
+    "view-nan": (_edit_second_frame(view=_with(_NAN, (3, 0), _IDENTITY)),
+                 f"frame at 33 ms view must be {_MATRIX}"),
+    "proj-inf": (_edit_second_frame(projection=_with(-_INF, (0, 0), _IDENTITY)),
+                 f"frame at 33 ms proj must be {_MATRIX}"),
+    "view-3x3": (_edit_second_frame(view=np.eye(3)), f"frame at 33 ms view must be {_MATRIX}"),
+    "proj-flat": (_edit_second_frame(projection=np.ones(16)),
+                  f"frame at 33 ms proj must be {_MATRIX}"),
+    "cam-inf": (_edit_second_frame(camera_position=np.array([0.0, _INF, 0.0])),
+                f"frame at 33 ms cam_pos must be {_VECTOR}"),
+    "cam-4": (_edit_second_frame(camera_position=np.zeros(4)),
+              f"frame at 33 ms cam_pos must be {_VECTOR}"),
+    "pose-inf": (_edit_second_trackable(pose=_with(_INF, (1, 3), _IDENTITY)),
+                 f"frame at 33 ms trackable 'plane-1' pose must be {_MATRIX}"),
+    "pose-3x4": (_edit_second_trackable(pose=np.eye(4)[:3]),
+                 f"frame at 33 ms trackable 'plane-1' pose must be {_MATRIX}"),
+    "verts-nan": (_edit_second_trackable(
+        local_vertices=np.array([[0.0, 0.0], [1.0, _NAN], [0.0, 1.0]])),
+        f"frame at 33 ms trackable 'plane-1' verts must be {_POLYGON}"),
+    "verts-3d": (_edit_second_trackable(local_vertices=np.zeros((3, 3))),
+                 f"frame at 33 ms trackable 'plane-1' verts must be {_POLYGON}"),
+    "verts-flat": (_edit_second_trackable(local_vertices=np.zeros(6)),
+                   f"frame at 33 ms trackable 'plane-1' verts must be {_POLYGON}"),
+    "center-nan": (_edit_second_trackable(center_world=np.array([_NAN, 0.0, 0.0])),
+                   f"frame at 33 ms trackable 'plane-1' center must be {_VECTOR}"),
+    "normal-inf": (_edit_second_trackable(normal_world=np.array([0.0, 1.0, -_INF])),
+                   f"frame at 33 ms trackable 'plane-1' normal must be {_VECTOR}"),
+    "normal-2": (_edit_second_trackable(normal_world=np.array([0.0, 1.0])),
+                 f"frame at 33 ms trackable 'plane-1' normal must be {_VECTOR}"),
+    "t-repeated": (_edit_second_frame(timestamp_ms=0),
+                   "frame at 0 ms: timestamps must be strictly increasing (0 then 0)"),
+    "t-swapped": (lambda tr: dataclasses.replace(tr, frames=tr.frames[::-1]),
+                  "frame at 0 ms: timestamps must be strictly increasing (33 then 0)"),
+    "t-huge": (_edit_second_frame(timestamp_ms=2**53 + 1),
+               "frame at 9007199254740993 ms: t_ms must be at most 2**53 in magnitude"),
+    "t-huge-negative": (lambda tr: dataclasses.replace(tr, frames=(
+        dataclasses.replace(tr.frames[0], timestamp_ms=-2**60), tr.frames[1])),
+        "frame at -1152921504606846976 ms: t_ms must be at most 2**53 in magnitude"),
+    "screen-zero": (_edit_second_frame(screen_w=0), f"frame at 33 ms: {_SCREEN_RANGE}"),
+    "screen-huge": (_edit_second_frame(screen_h=2**31), f"frame at 33 ms: {_SCREEN_RANGE}"),
+    "screen-zero-throughout": (lambda tr: dataclasses.replace(tr, frames=tuple(
+        dataclasses.replace(f, screen_w=0) for f in tr.frames)), f"frame at 0 ms: {_SCREEN_RANGE}"),
+    "screen-changes": (_edit_second_frame(screen_w=10),
+                       "frame at 33 ms: screen 10x1080 differs from the first frame's 1920x1080"),
+    "no-frames": (lambda tr: dataclasses.replace(tr, frames=()), "trace has no frames"),
+    "meta-nan": (_with_meta({"x": [1.0, {"y": _NAN}]}), _META),
+    "meta-inf": (_with_meta({"x": _INF}), _META),
+    "meta-negative-inf": (_with_meta({"x": -_INF}), _META),
+}
+# the rows whose trace is no FrameBlock: a header fault, no frames, or a wrong shape
+_NOT_BLOCKS = {"fps-nan", "fps-inf", "fps-zero", "view-3x3", "proj-flat", "cam-4", "pose-3x4",
+               "verts-3d", "verts-flat", "normal-2", "no-frames", "meta-nan", "meta-inf",
+               "meta-negative-inf"}
+
+
+@pytest.mark.parametrize("edit, message", list(_REJECTED.values()), ids=list(_REJECTED))
 def test_save_trace_rejects_what_the_reader_would(tmp_path, edit, message):
     trace = edit(_valid_trace(tmp_path))
     path = tmp_path / "out.jsonl"
@@ -520,6 +567,73 @@ def test_save_trace_rejects_what_the_reader_would(tmp_path, edit, message):
         save_trace(trace, path)
     assert str(exc.value) == message
     assert path.read_bytes() == b"an earlier file\n"
+
+
+@pytest.mark.parametrize("name", [name for name in _REJECTED if name not in _NOT_BLOCKS])
+@pytest.mark.parametrize("col_major", [False, True], ids=["c-order", "column-major"])
+def test_save_trace_rejects_a_block_as_it_rejects_its_frames(tmp_path, name, col_major):
+    # a trace held as one-frame blocks, the renderer's or the reader's; a block that
+    # fails is read as its records, so the message is the one its frame gives
+    edit, message = _REJECTED[name]
+    trace = edit(_valid_trace(tmp_path))
+    trace = dataclasses.replace(
+        trace, frames=TraceFrames(oracles.frames_as_blocks(trace.frames, 1, col_major)))
+    path = tmp_path / "out.jsonl"
+    path.write_bytes(b"an earlier file\n")
+    with pytest.raises(ValueError) as exc:
+        save_trace(trace, path)
+    assert str(exc.value) == message
+    assert path.read_bytes() == b"an earlier file\n"
+
+
+def test_save_trace_takes_t_ms_and_screens_at_the_reader_s_bounds(tmp_path):
+    trace = _valid_trace(tmp_path)
+    edges = [dataclasses.replace(trace.frames[0], timestamp_ms=-2**53),
+             dataclasses.replace(trace.frames[1], timestamp_ms=2**53)]
+    edges = tuple(dataclasses.replace(f, screen_w=2**31 - 1, screen_h=1) for f in edges)
+    for frames in (edges, TraceFrames(oracles.frames_as_blocks(edges, 1, True))):
+        path = tmp_path / "edges.jsonl"
+        save_trace(dataclasses.replace(trace, frames=frames), path)
+        assert [f.timestamp_ms for f in load_trace(path).frames] == [-2**53, 2**53]
+
+
+@pytest.mark.parametrize("bad", [_NAN, _INF, -_INF], ids=["nan", "infinity", "negative-infinity"])
+def test_header_meta_must_hold_finite_numbers(tmp_path, bad):
+    p = _write(tmp_path, [_header(meta={"x": [1, {"y": bad}]}), _frame()])
+    for read in (read_header, load_trace):
+        with pytest.raises(TraceValidationError,
+                           match=r"^t\.jsonl:1: header meta must hold finite numbers only$"):
+            read(p)
+
+
+def test_a_loaded_trace_holds_its_blocks_and_makes_its_records_once(tmp_path, monkeypatch):
+    p = _write(tmp_path, [_header(), *(_frame(33 * i) for i in range(_B + 1))])
+    trace = load_trace(p)
+    assert [len(b.t_ms) for b in trace.frames.blocks] == [_B, 1]
+    made = []
+    monkeypatch.setattr(trace_module, "block_records",
+                        lambda block: made.append(block) or block_records(block))
+    assert (len(trace.frames), trace.duration_ms, made) == (_B + 1, 33 * _B, [])
+    assert trace.frames is trace.frames and trace.frames[0] is trace.frames[0]
+    assert [f.timestamp_ms for f in trace.frames[-2:]] == [33 * (_B - 1), 33 * _B]
+    assert list(map(id, made)) == list(map(id, trace.frames.blocks))   # each block once
+
+
+def test_save_trace_writes_edited_records_as_the_per_frame_writer(tmp_path):
+    # as the benchmark's many-runs inputs are made: a generated trace, trackables
+    # dropped from its records with dataclasses.replace, and a trace of those records
+    trace = generate_trace(benchmark_scene("noisy-trio"), 4)
+    frames = tuple(
+        dataclasses.replace(f, trackables=tuple(
+            t for j, t in enumerate(f.trackables) if (i // 3 + j) % 4))
+        for i, f in enumerate(trace.frames)
+    )
+    edited = PlaybackTrace(frames=frames, source_fps=trace.source_fps, metadata=trace.metadata)
+    assert 0 < sum(len(f.trackables) for f in frames) < sum(
+        len(f.trackables) for f in trace.frames)
+    path = tmp_path / "run.jsonl"
+    save_trace(edited, path)
+    assert path.read_bytes() == oracles.trace_text_per_frame(edited).encode("utf-8")
 
 
 # ------------------------------------------------------ block-validated ingest

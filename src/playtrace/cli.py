@@ -39,6 +39,7 @@ from .simulator import (
     SceneError,
     SimScene,
     execute_schedule,
+    frame_times,
     gsr_summary,
     jitter_from_dict,
     load_scene,
@@ -47,7 +48,7 @@ from .simulator import (
     scene_from_dict,
     save_scene,
 )
-from .trace import DeadlineWalk, TraceError, deadline_walk, iter_blocks, read_header
+from .trace import TraceError, deadline_walk, iter_blocks, read_header
 
 MAX_RUNS = 1_000  # runs one analyze or compare may take: each run is a whole trace
 
@@ -83,17 +84,37 @@ def _check_jitter_seeds(flag: str, seeds: Sequence[int]) -> None:
         raise ValueError(f"{flag} must be non-negative, got {min(seeds)}")
 
 
-def _generated_runs(
-    scene: SimScene, jitter: Jitter, seed_base: int, walks: list[DeadlineWalk]
-) -> list[RunBoxes]:
-    """The boxes of runs rendered with jitter seeds seed_base, seed_base + 1, ..., one at a time.
+def _check_seed_spacing(seeds: Sequence[int], runs: int) -> None:
+    """Run r of compare seed s renders with jitter seed 100 * s + r: no two seeds may share one."""
+    ordered = sorted(seeds)
+    for s, t in zip(ordered, ordered[1:]):
+        if 100 * s + runs > 100 * t:
+            raise ValueError(f"--seeds {s} and {t} share jitter seeds with --runs {runs} "
+                             "(run r of seed s uses jitter seed 100 * s + r)")
 
-    Each run renders and analyses only the frames its walk keeps.
+
+def _generated_runs(
+    scene: SimScene, jitter: Jitter, seeds: range, fps: float,
+    rendered: dict[int | None, RunBoxes],
+) -> list[RunBoxes]:
+    """The boxes of the runs rendered with the given jitter seeds, each distinct run rendered once.
+
+    A run's frames depend on its jitter seed only when the jitter draws
+    (Jitter.draws), so a render is keyed by its seed when it draws and by
+    None when it does not: the runs of a jitter that draws nothing share one
+    RunBoxes.  A command passes one rendered dict to each of its calls; it
+    holds the renders of the last call, and those this call does not need
+    are dropped first.  Each render analyses only the frames its walk, at
+    fps, keeps.
     """
-    return [
-        run_boxes(render_frames(scene, seed_base + r, jitter, walk))
-        for r, walk in enumerate(walks)
-    ]
+    keys = [seed if jitter.draws else None for seed in seeds]
+    for key in rendered.keys() - set(keys):
+        del rendered[key]
+    for seed, key in zip(seeds, keys):
+        if key not in rendered:
+            rendered[key] = run_boxes(
+                render_frames(scene, seed, jitter, deadline_walk(scene.fps, fps)))
+    return [rendered[key] for key in keys]
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -121,13 +142,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         scene = scene_from_dict(meta["scene"])
         # the recorded jitter, which need not be the scene's default
         jitter = jitter_from_dict(meta.get("jitter", {}))
-        walks = [deadline_walk(scene.fps, params.fps) for _ in range(args.runs)]
-        runs = _generated_runs(scene, jitter, args.jitter_seed_base, walks)
+        base = args.jitter_seed_base
+        runs = _generated_runs(scene, jitter, range(base, base + args.runs), params.fps, {})
+        ends = [frame_times(scene)[-1]]  # where every render's walk ends
     else:
-        walks, runs = [], []
+        runs, ends = [], []
         for p in args.traces:
-            walks.append(deadline_walk(read_header(p)[0], params.fps))
-            runs.append(run_boxes(iter_blocks(p, walks[-1])))
+            walk = deadline_walk(read_header(p)[0], params.fps)
+            runs.append(run_boxes(iter_blocks(p, walk)))
+            ends.append(walk.last_ms)
     per_run, final, metrics = analyze_boxes(runs, params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -135,7 +158,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     write_report(final, params_dict, out / "report.json", metrics=metrics)
     # the chart starts at 0 ms, or at the first frame when that is earlier
     start = min(0, min(r.timestamps_ms[0] for r in runs))
-    end = max(max(w.last_ms for w in walks), start + 1)
+    end = max(max(ends), start + 1)
     (out / "gantt.svg").write_text(render_gantt(final, end, start), encoding="utf-8")
     print(f"{len(final)} opportunities across {len(runs)} run(s) -> {out}")
     return 0
@@ -173,15 +196,17 @@ def _fmt_rate(v: float | None) -> str:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     _check_runs(args.runs)
-    _check_jitter_seeds("--seeds", args.seeds)   # run r of seed s has jitter seed 100 * s + r
+    _check_jitter_seeds("--seeds", args.seeds)
+    _check_seed_spacing(args.seeds, args.runs)
     scene = load_scene(args.scene)
     params = AnalysisParams()
     per_seed = []
     pooled_guided = []
     pooled_random = []
+    rendered: dict[int | None, RunBoxes] = {}
     for seed in args.seeds:
-        walks = [deadline_walk(scene.fps, params.fps) for _ in range(args.runs)]
-        runs = _generated_runs(scene, scene.default_jitter, seed * 100, walks)
+        seeds = range(100 * seed, 100 * seed + args.runs)
+        runs = _generated_runs(scene, scene.default_jitter, seeds, params.fps, rendered)
         _per_run, final, _metrics = analyze_boxes(runs, params)
         guided = schedule_guided(final, scene.duration_ms, seed)
         rand = schedule_random(

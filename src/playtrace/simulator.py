@@ -91,6 +91,14 @@ class Jitter:
         if not 0.0 <= self.dropout_prob <= 1.0:
             raise SceneError(f"jitter dropout_prob must be in [0, 1], got {self.dropout_prob}")
 
+    @property
+    def draws(self) -> bool:
+        """Whether rendering draws from the jitter generator.
+
+        A jitter that draws nothing renders the same frames for every seed.
+        """
+        return self.vertex_noise_m > 0.0 or self.dropout_prob > 0.0
+
 
 @dataclass(frozen=True)
 class SimScene:
@@ -453,12 +461,11 @@ def render_frames(
     centers = np.array([p.center for p in planes], dtype=float).reshape(-1, 3)
     normals = np.array([p.normal for p in planes], dtype=float).reshape(-1, 3)
     shapes = [p.vertices() for p in planes]
-    draws = jitter.dropout_prob > 0.0 or jitter.vertex_noise_m > 0.0
 
     def shown() -> Iterator[list[tuple[int, np.ndarray]]]:
         """(plane index, polygon) of each trackable of each kept frame; every frame draws."""
         for i in range(len(times)):
-            if not (kept[i] or draws):
+            if not (kept[i] or jitter.draws):
                 continue  # a frame that is neither built nor draws jitter
             tracks = []
             for k, verts in enumerate(shapes):

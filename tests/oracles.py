@@ -920,6 +920,19 @@ def decimate(frames, source_fps, target_fps):
     return (f for f in frames if keep(f.timestamp_ms))
 
 
+def generated_runs_reference(scene, jitter, seed_base, runs, fps):
+    """The RunBoxes of runs rendered with jitter seeds seed_base, seed_base + 1, ...: one
+    render and one run_boxes per run, whether or not the jitter draws."""
+    from playtrace.pipeline import run_boxes
+    from playtrace.simulator import render_frames
+    from playtrace.trace import deadline_walk
+
+    return [
+        run_boxes(render_frames(scene, seed_base + r, jitter, deadline_walk(scene.fps, fps)))
+        for r in range(runs)
+    ]
+
+
 def frame_boxes(frame):
     """(trackable id, Rect | None) of each surface of one frame on its own: a one-frame
     block_pieces and fit_boxes, None where the surface holds no box."""

@@ -18,7 +18,7 @@ from playtrace import trace as trace_module
 from playtrace.cli import MAX_RUNS, main, parse_mix
 from playtrace.pipeline import AnalysisParams, analyze_boxes, run_boxes
 from playtrace.reporting import load_report, render_gantt
-from playtrace.scenes import benchmark_scene
+from playtrace.scenes import benchmark_scene, benchmark_scenes
 from playtrace.scheduler import GestureKind, load_schedule, save_schedule, schedule_random
 from playtrace.simulator import (
     CameraKeyframe,
@@ -242,6 +242,10 @@ def test_analyze_runs_with_several_traces_is_rejected_first(tmp_path, capsys, ru
         ("compare", ["--seeds", "1", "-1"], "--seeds must be non-negative, got -1"),
         ("analyze", ["--runs", "2", "--jitter-seed-base", "-3"],
          "--jitter-seed-base must be non-negative, got -3"),
+        ("compare", ["--seeds", "3", "3"], "--seeds 3 and 3 share jitter seeds with --runs 3 "
+         "(run r of seed s uses jitter seed 100 * s + r)"),
+        ("compare", ["--seeds", "1", "2", "--runs", "101"], "--seeds 1 and 2 share jitter "
+         "seeds with --runs 101 (run r of seed s uses jitter seed 100 * s + r)"),
     ],
 )
 def test_seed_knobs_are_rejected_before_anything_is_written(tmp_path, trace_path, capsys,
@@ -258,6 +262,47 @@ def test_seed_knobs_are_rejected_before_anything_is_written(tmp_path, trace_path
     rc = main([command, str(source), *knobs, "--out", str(out)])
     assert _assert_input_error(rc, capsys) == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_compare_seeds_are_checked_before_the_scene_is_read(tmp_path, capsys):
+    # seed 1's runs use jitter seeds 100-199 and seed 2's 200-299: none is shared
+    scene = tmp_path / "scene.json"
+    save_scene(_scene(), scene)
+    assert main(["compare", str(scene), "--seeds", "1", "2", "--runs", "100"]) == 0
+    capsys.readouterr()
+    # a scene that is not there would exit 2
+    rc = main(["compare", str(tmp_path / "missing.json"), "--seeds", "2", "1", "--runs", "101"])
+    assert _assert_input_error(rc, capsys).startswith("error: --seeds 1 and 2 share jitter seeds")
+
+
+def test_each_command_renders_each_distinct_run_once(tmp_path, monkeypatch):
+    # a scene whose jitter draws nothing is one render per command, whatever the seeds
+    # and runs; a jittered one renders each of its runs once
+    seeds = []
+    render = cli_module.render_frames
+    monkeypatch.setattr(cli_module, "render_frames",
+                        lambda scene, seed, *rest: seeds.append(seed) or render(scene, seed, *rest))
+    jittered = [s.name for s in benchmark_scenes() if s.default_jitter.draws]
+    assert jittered == ["static-small", "drift-trio", "noisy-trio"]
+    for scene in benchmark_scenes():
+        path = tmp_path / f"{scene.name}.json"
+        save_scene(scene, path)
+        seeds.clear()
+        assert main(["compare", str(path), "--seeds", "1", "2", "--runs", "3"]) == 0
+        want = [100, 101, 102, 200, 201, 202] if scene.name in jittered else [100]
+        assert seeds == want, scene.name
+    # no render outlives its command
+    for name, want in (("pan-long", [5]), ("noisy-trio", [5, 6, 7])):
+        trace = tmp_path / f"{name}.jsonl"
+        save_trace(generate_trace(benchmark_scene(name), 1), trace)
+        argv = ["analyze", str(trace), "--runs", "3", "--jitter-seed-base", "5"]
+        for k in range(2):
+            seeds.clear()
+            assert main([*argv, "--out", str(tmp_path / f"{name}-{k}")]) == 0
+            assert seeds == want, name
+    seeds.clear()
+    assert main(["compare", str(tmp_path / "pan-long.json"), "--seeds", "4", "5"]) == 0
+    assert seeds == [400]
 
 
 def _chart_of_id(tmp_path, trace_path, tid):

@@ -534,6 +534,24 @@ def test_render_frames_keep_every_frame_at_or_below_the_analysis_rate(fps):
     _assert_same_blocks(got, frame_blocks(full.frames))
 
 
+@pytest.mark.parametrize(
+    "jitter", [Jitter(), Jitter(vertex_noise_m=0.004), Jitter(dropout_prob=0.2)],
+    ids=["none", "noise-only", "dropout-only"],
+)
+def test_the_seed_changes_the_frames_only_when_the_jitter_draws(jitter):
+    # Jitter.draws: a jitter that draws nothing leaves the generator unused, so two
+    # seeds render bit-identical blocks, whole or walked
+    scene = _scene([_plane()], duration=3000, jitter=jitter)
+    assert jitter.draws == (jitter != Jitter())
+    for keep in (lambda: None, lambda: deadline_walk(scene.fps, 10.0)):
+        one, two = (list(render_frames(scene, seed, keep=keep())) for seed in (1, 2))
+        columns = [[[c.tobytes() if type(c) is np.ndarray else c for c in b] for b in blocks]
+                   for blocks in (one, two)]
+        assert (columns[0] == columns[1]) == (not jitter.draws)
+        if not jitter.draws:
+            _assert_same_blocks(one, two)
+
+
 def test_block_records_round_trip_the_blocks_of_both_producers(tmp_path):
     # the reader's blocks hold column-major matrices, walked ones taken rows;
     # the renderer's hold C-order ones and a broadcast projection

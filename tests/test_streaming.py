@@ -16,6 +16,7 @@ from playtrace.reporting import render_gantt, write_report
 from playtrace.scenes import benchmark_scene, benchmark_scenes
 from playtrace.simulator import (
     CameraKeyframe,
+    Jitter,
     ScenePlane,
     SimScene,
     frame_times,
@@ -82,30 +83,58 @@ def test_analyze_matches_the_scalar_span_oracle_on_the_pack(tmp_path, name):
 
 
 def test_streamed_multi_run_regeneration_matches_eager_reference(tmp_path):
-    scene = benchmark_scene("drift-trio")
-    path = tmp_path / "one.jsonl"
-    save_trace(generate_trace(scene, 7), path)
-    argv = ["analyze", str(path), "--runs", "3", "--jitter-seed-base", "5"]
-    assert main([*argv, "--out", str(tmp_path / "s")]) == 0
-    traces = [generate_trace(scene, 5 + r, scene.default_jitter) for r in range(3)]
-    _eager_outputs(traces, tmp_path / "e")
-    _assert_same_outputs(tmp_path / "s", tmp_path / "e")
+    # static-duo's jitter draws nothing, so its three runs are one shared render; the
+    # chart still ends at the last frame of the recording
+    for name in ("drift-trio", "static-duo"):
+        scene = benchmark_scene(name)
+        path = tmp_path / f"{name}.jsonl"
+        save_trace(generate_trace(scene, 7), path)
+        argv = ["analyze", str(path), "--runs", "3", "--jitter-seed-base", "5"]
+        assert main([*argv, "--out", str(tmp_path / f"s-{name}")]) == 0
+        traces = [generate_trace(scene, 5 + r, scene.default_jitter) for r in range(3)]
+        _eager_outputs(traces, tmp_path / f"e-{name}")
+        _assert_same_outputs(tmp_path / f"s-{name}", tmp_path / f"e-{name}")
 
 
-@pytest.mark.parametrize("name", ["drift-trio", "noisy-trio"])
+@pytest.mark.parametrize("name", ["drift-trio", "noisy-trio", "pan-long"])
 def test_rendered_runs_equal_the_runs_of_full_traces(name):
     # only the kept frames are rendered, but the runs are those of the decimated full
-    # traces, and each walk ends at the last rendered frame, past the last kept one
+    # traces, and every render ends at the scene's last frame, past the last kept one;
+    # pan-long's jitter draws nothing, so its runs are one render
     scene = benchmark_scene(name)
     params = AnalysisParams()
-    walks = [deadline_walk(scene.fps, params.fps) for _ in range(2)]
-    runs = _generated_runs(scene, scene.default_jitter, 5, walks)
-    for r, (run, walk) in enumerate(zip(runs, walks)):
+    runs = _generated_runs(scene, scene.default_jitter, range(5, 7), params.fps, {})
+    assert (runs[0] is runs[1]) == (not scene.default_jitter.draws)
+    for r, run in enumerate(runs):
         full = generate_trace(scene, 5 + r, scene.default_jitter)
         oracles.assert_same_run(
             run, run_boxes(frame_blocks(
                 oracles.decimate(full.frames, full.source_fps, params.fps))))
-        assert walk.last_ms == full.duration_ms > run.timestamps_ms[-1]
+        assert frame_times(scene)[-1] == full.duration_ms > run.timestamps_ms[-1]
+
+
+@pytest.mark.parametrize(
+    "name, jitter",
+    [("pan-long", None), ("pan-long", Jitter(vertex_noise_m=0.004)),
+     ("pan-long", Jitter(dropout_prob=0.05)), ("noisy-trio", None)],
+    ids=["jitter-free", "noise-only", "dropout-only", "noisy-trio"],
+)
+def test_shared_runs_equal_the_per_run_renders(name, jitter):
+    # the runs of compare --seeds 1 2 --runs 3, made as compare makes them: one dict of
+    # renders for both seeds, which holds the renders of one seed at a time
+    scene = benchmark_scene(name)
+    jitter = jitter or scene.default_jitter
+    fps = AnalysisParams().fps
+    rendered, firsts = {}, []
+    for seed in (1, 2):
+        runs = _generated_runs(scene, jitter, range(100 * seed, 100 * seed + 3), fps, rendered)
+        want = oracles.generated_runs_reference(scene, jitter, 100 * seed, 3, fps)
+        assert len(runs) == len(want) == 3
+        for got, ref in zip(runs, want):
+            oracles.assert_same_run(got, ref)
+        assert len(rendered) == len({id(run) for run in runs}) == (3 if jitter.draws else 1)
+        firsts.append(runs[0])
+    assert (firsts[0] is firsts[1]) == (not jitter.draws)
 
 
 @pytest.mark.parametrize("target_fps", [10.0, 30.0])

@@ -66,7 +66,7 @@ def finite_floats(values: list) -> np.ndarray | None:
     if not json_numbers(values):
         return None
     try:
-        arr = np.array(values, dtype=float)
+        arr = np.fromiter(values, float, len(values))
     except OverflowError:
         return None
     return arr if np.isfinite(arr).all() else None

@@ -8,6 +8,7 @@ is JSON Lines with a header line followed by one frame object per line.  All
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass, field
@@ -296,27 +297,47 @@ def _only(kind: type, values: Iterable) -> bool:
     return {kind}.issuperset(map(type, values))
 
 
-def _number_rows(values: Sequence, n: int) -> np.ndarray | None:
-    """values as read-only (len(values), n) float rows, when each is a list of n finite numbers."""
-    if not (_only(list, values) and {n}.issuperset(map(len, values))):
+def _valid_ids(ids: Sequence, n_trackables: np.ndarray) -> bool:
+    """Whether every trackable id is a non-empty str and no frame holds one twice.
+
+    Frame i holds the next n_trackables[i] ids.  The rule of the reader
+    and the writer alike.
+    """
+    if not (_only(str, ids) and all(ids)):
+        return False
+    frame_of = np.repeat(np.arange(len(n_trackables)), n_trackables).tolist()
+    return len(set(zip(frame_of, ids))) == len(ids)
+
+
+def _number_rows(rows: Sequence, n: int) -> np.ndarray | None:
+    """rows as read-only (len(rows), n) float rows, when each is a list of n finite numbers.
+
+    The rows are joined into one list a row at a time, which measured
+    faster than two passes over a chain of the rows; its numbers get one
+    type pass and one conversion (jsonin.finite_floats).
+    """
+    if not (_only(list, rows) and {n}.issuperset(map(len, rows))):
         return None
-    arr = finite_floats(list(chain.from_iterable(values)))
+    joined: list = []
+    for row in rows:
+        joined += row
+    arr = finite_floats(joined)
     return None if arr is None else _frozen(arr).reshape(-1, n)
 
 
-def _block_frames(lines: list[tuple[str, dict]]) -> FrameBlock | None:
+def _block_frames(lines: list[tuple[int | str, dict]]) -> FrameBlock | None:
     """The frames of a block of lines as columns when every line passes its checks, else None.
 
     Each check is a pass over one field of the whole block: the keys, one
-    screen for every line, the types of t_ms, screens, ids, states and
-    vertex lists, duplicate ids by set size, one float conversion per row
-    length (2, 3 and 16), then one numpy pass each for polygons (which
-    fails one of fewer than 3 vertices) and normals.  A normal is passed
-    here only when it is clearly of unit length; one near the tolerance
-    goes to jsonin.unit.  The passes say yes or no and name no line: a
-    block they reject is read again a line at a time, and _frame_fault
-    words the first fault of a line.  This is the one parser of a line: a
-    one-line block checks one line.
+    screen for every line, the types of t_ms, screens, states and vertex
+    lists, the ids (_valid_ids), one type pass and one conversion of the
+    numbers of each row length (2, 3 and 16; _number_rows), then one numpy
+    pass each for polygons (which fails one of fewer than 3 vertices) and
+    normals.  A normal is passed here only when it is clearly of unit
+    length; one near the tolerance goes to jsonin.unit.  The passes say yes
+    or no and name no line: a block they reject is read again a line at a
+    time, and _frame_fault words the first fault of a line.  This is the
+    one parser of a line: a one-line block checks one line.
     """
     try:
         t_ms, screens, per_frame, view, proj, cam_pos = zip(*(_FRAME_FIELDS(d) for _, d in lines))
@@ -336,11 +357,10 @@ def _block_frames(lines: list[tuple[str, dict]]) -> FrameBlock | None:
         ids, states, polys, pose, center, normal = columns
     except KeyError:
         return None
-    if not (_only(str, ids) and all(ids) and _only(str, states) and _only(list, polys)):
+    if not (_only(str, states) and _only(list, polys)):
         return None
     n_trackables = np.array(list(map(len, per_frame)), dtype=int)
-    frame_of = np.repeat(np.arange(len(lines)), n_trackables).tolist()
-    if len(set(zip(frame_of, ids))) < len(ids) or not _TRACKING_STATES.keys() >= set(states):
+    if not (_valid_ids(ids, n_trackables) and _TRACKING_STATES.keys() >= set(states)):
         return None
     n_verts = np.array(list(map(len, polys)), dtype=int)
     # one conversion per row length; each column is a slice of its rows
@@ -377,32 +397,42 @@ def _open_trace(path: Path) -> TextIO:
     return path.open("r", encoding="utf-8", errors="surrogateescape")
 
 
-def _trace_objects(fh: TextIO, name: str) -> Iterator[tuple[str, dict]]:
-    """(file:line, JSON object) for each non-blank line of a trace file opened by _open_trace.
+def _trace_objects(fh: TextIO, name: str) -> Iterator[tuple[int, dict]]:
+    """(line number, JSON object) for each non-blank line of a trace file opened by _open_trace.
 
-    A line that held bytes that are not UTF-8 is a TraceParseError at that
-    line, so it comes after every fault on an earlier line.
+    Each stripped line is decoded by one raw_decode, the scanner behind
+    json.loads without its wrappers, and must be taken whole.  A line it
+    does not take is decoded again by json.loads, whose error words the
+    fault (jsonin.decode_error), so a line's "file:line" text is made only
+    when it fails.  A line that held bytes that are not UTF-8 is a
+    TraceParseError at that line, so it comes after every fault on an
+    earlier line.
     """
+    decode = json.JSONDecoder().raw_decode
     for lineno, line in enumerate(fh, start=1):
-        where = f"{name}:{lineno}"
         if not line.isascii():  # a flag of the str, so ASCII lines cost nothing here
             try:
                 line.encode("utf-8")
             except UnicodeEncodeError as exc:
                 byte = ord(line[exc.start]) - 0xDC00
                 raise TraceParseError(
-                    f"{where}: not UTF-8 text (byte {byte:#04x} at column {exc.start + 1})"
+                    f"{name}:{lineno}: not UTF-8 text (byte {byte:#04x} at column {exc.start + 1})"
                 ) from None
         line = line.strip()
         if not line:
             continue
         try:
-            obj = json.loads(line)
-        except DECODE_ERRORS as exc:
-            raise TraceParseError(decode_error(exc, where)) from None
+            obj, end = decode(line)
+        except DECODE_ERRORS:
+            end = -1
+        if end != len(line):
+            try:
+                obj = json.loads(line)
+            except DECODE_ERRORS as exc:
+                raise TraceParseError(decode_error(exc, f"{name}:{lineno}")) from None
         if not isinstance(obj, dict):
-            raise TraceParseError(f"{where}: expected a JSON object")
-        yield where, obj
+            raise TraceParseError(f"{name}:{lineno}: expected a JSON object")
+        yield lineno, obj
 
 
 def _fps(value: Any) -> float:
@@ -421,12 +451,13 @@ def _finite_meta(meta: Any) -> None:
         raise ValueError("header meta must hold finite numbers only") from None
 
 
-def _header(objects: Iterator[tuple[str, dict]], name: str) -> tuple[float, dict]:
+def _header(objects: Iterator[tuple[int, dict]], name: str) -> tuple[float, dict]:
     """The validated (fps, meta) of the header line, the first object of the file."""
     first = next(objects, None)
     if first is None:
         raise TraceParseError(f"{name}: empty file, expected a header line")
-    where, obj = first
+    lineno, obj = first
+    where = f"{name}:{lineno}"
     if obj.get("format") != TRACE_FORMAT:
         raise TraceValidationError(
             f"{where}: header format must be '{TRACE_FORMAT}', got {obj.get('format')!r}"
@@ -490,6 +521,37 @@ def _follows(block: FrameBlock, screen: tuple[int, int], prev: float) -> bool:
     return block.screen == screen and prev < t[0] and all(map(lt, t, t[1:]))
 
 
+def _read_block(
+    line_blocks: Iterator[list[tuple[int, dict]]], screen: tuple[int, int] | None, prev: float
+) -> tuple[FrameBlock | None, list[tuple[int, dict]]] | None:
+    """The next lines of line_blocks, checked whole, or None after the last lines.
+
+    (block, []) when _block_frames takes the lines and they follow frames
+    of screen (None before the first frame) that end at t_ms prev;
+    (None, lines) when they are to be checked a line at a time.  The
+    cyclic collector is paused while the lines are read and checked, and
+    the lines of a block taken whole are dropped before it resumes: their
+    decoded objects hold no cycle, and thousands of them alive at once
+    would set off collections over the whole heap.  Its earlier state is
+    back when this returns or raises.  The pause is process-wide: another
+    thread that allocates meanwhile does so with the collector off.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        lines = next(line_blocks, None)
+        if lines is None:
+            return None
+        block = _block_frames(lines)
+        if block is None or not _follows(block, screen or block.screen, prev):
+            return None, lines
+        lines.clear()   # frees the decoded lines now: blocks() holds the list until its next
+        return block, lines
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def iter_blocks(
     path: str | Path, keep: Callable[[int], bool] | None = None
 ) -> Iterator[FrameBlock]:
@@ -499,9 +561,12 @@ def iter_blocks(
     checked on its own line and against the ones before it (one screen size,
     strictly increasing timestamps), so an error names the line where the
     fault first shows.  Frames are read and checked in blocks of
-    INGEST_BLOCK_LINES lines (see _block_frames); a block that fails any
-    check is checked again as one-line blocks, and a line that fails on
-    its own raises its first fault (_frame_fault), so the first fault in
+    INGEST_BLOCK_LINES lines (see _block_frames), each with the cyclic
+    collector paused (_read_block), which is back in the caller's state
+    before the block is yielded, when the read raises and when the caller
+    stops early.  A block that fails any check is checked again as one-line
+    blocks, with the collector in the caller's state, and a line that fails
+    on its own raises its first fault (_frame_fault), so the first fault in
     reading order is the one reported, after the frames before it.  A read
     error inside a block is raised after the frames before it (blocks).
     Raises TraceParseError for text that is not UTF-8, and for malformed
@@ -517,14 +582,15 @@ def iter_blocks(
     with _open_trace(path) as fh:
         objects = _trace_objects(fh, path.name)
         _header(objects, path.name)
+        line_blocks = blocks(objects, INGEST_BLOCK_LINES)
         screen, prev = None, -math.inf   # the first frame's screen, the previous frame's t_ms
-        for lines in blocks(objects, INGEST_BLOCK_LINES):
-            block = _block_frames(lines)
-            if block is not None and _follows(block, screen or block.screen, prev):
+        while read := _read_block(line_blocks, screen, prev):
+            block, lines = read
+            if block is not None:
                 checked: Iterable[tuple[str, FrameBlock]] = [("", block)]
             else:  # line by line, so that the first fault in reading order is raised
                 checked = ((where, _block_frames([(where, d)]) or _frame_fault(where, d))
-                           for where, d in lines)
+                           for where, d in ((f"{path.name}:{n}", d) for n, d in lines))
             for where, part in checked:
                 screen = screen or part.screen
                 if not _follows(part, screen, prev):   # a one-line block
@@ -543,7 +609,7 @@ def iter_blocks(
                     part = _take(part, list(map(keep, part.t_ms)))
                 if part.t_ms:
                     yield part
-            del lines, block, checked, part  # before the next block is read
+            del read, lines, block, checked, part  # before the next block is read
     if screen is None:
         raise TraceValidationError(f"{path.name}: trace has no frames")
 
@@ -606,13 +672,15 @@ def _writable(block: FrameBlock, screen: tuple[int, int], prev: float) -> bool:
     """Whether the reader takes block after frames of screen that end at t_ms prev.
 
     Its t_ms are ints within 2**53 in magnitude that rise from above prev,
-    its screen is screen, two ints in (0, MAX_SCREEN_PX], and its numbers
-    are finite.
+    its screen is screen, two ints in (0, MAX_SCREEN_PX], its trackable ids
+    are non-empty strings, none twice in a frame, and its numbers are
+    finite.
     """
     t = block.t_ms
     return (_only(int, t) and _only(int, block.screen) and _follows(block, screen, prev)
             and -MAX_INT <= t[0] and t[-1] <= MAX_INT
             and 0 < min(block.screen) and max(block.screen) <= MAX_SCREEN_PX
+            and _valid_ids(block.ids, block.n_trackables)
             and all(np.isfinite(col).all() for col in (block.view, block.proj, block.cam_pos,
                                                        block.pose, block.center, block.normal,
                                                        block.verts)))
@@ -624,10 +692,11 @@ def _write_fault(frames: Iterable[FrameRecord], screen: tuple[int, int] | None, 
     that end at t_ms prev (screen is None before the first frame), in the order of a frame line.
 
     t_ms must be an int of at most 2**53 in magnitude, the screen two ints
-    in (0, MAX_SCREEN_PX], and the numeric fields finite numbers of the
-    shapes the reader takes; then, as the reader checks them, the screen
-    must be the first frame's and t_ms above the frame before it.  Each
-    error names the frame's t_ms and the field.
+    in (0, MAX_SCREEN_PX], each trackable id a non-empty string and none
+    twice in the frame, and the numeric fields finite numbers of the shapes
+    the reader takes; then, as the reader checks them, the screen must be
+    the first frame's and t_ms above the frame before it.  Each error names
+    the frame's t_ms and the field (and the trackable).
     """
     matrix, vector = "a 4x4 matrix", "a 3-vector"
     for f in frames:
@@ -642,6 +711,15 @@ def _write_fault(frames: Iterable[FrameRecord], screen: tuple[int, int] | None, 
         if not (0 < min(size) and max(size) <= MAX_SCREEN_PX):
             raise ValueError(
                 f"{where}: screen must be two positive integers (at most {MAX_SCREEN_PX})")
+        ids = [track.trackable_id for track in f.trackables]
+        for i, tid in enumerate(ids):
+            if not (type(tid) is str and tid):
+                raise ValueError(f"{where} trackable {i}: id must be a non-empty string, got {tid!r}")
+        seen: set[str] = set()
+        for tid in ids:
+            if tid in seen:
+                raise ValueError(f"{where}: duplicate trackable id '{tid}'")
+            seen.add(tid)
         fields = [("view", matrix, _stacked([f.view], (4, 4))),
                   ("proj", matrix, _stacked([f.projection], (4, 4))),
                   ("cam_pos", vector, _stacked([f.camera_position], (3,)))]

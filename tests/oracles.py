@@ -1013,7 +1013,8 @@ def iter_frames_per_line(path):
         objects = _trace_objects(fh, path.name)
         _header(objects, path.name)
         first = prev = None
-        for where, obj in objects:
+        for lineno, obj in objects:
+            where = f"{path.name}:{lineno}"
             frame, = block_records(_block_frames([(where, obj)]) or _frame_fault(where, obj))
             if first is None:
                 first = frame

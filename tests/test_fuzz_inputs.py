@@ -4,9 +4,9 @@ Hypothesis takes a valid trace and mutates a few of its lines, or a valid
 scene, schedule or report file and mutates it once: a value at some path
 swapped for another type, null, NaN or an infinity, 1e308, 5e-324, an integer
 literal too large for a float, a deleted key or entry, an empty list, deep
-nesting, or `ff fe` bytes before the text.  Two deterministic probes take
-each path of one frame line, and each path of a schedule into the ends of
-its lists, in turn instead.  Each example runs the CLI
+nesting, or `ff fe` bytes before the text.  Four deterministic probes take
+each path of one frame line, and each path of a schedule, a scene and a
+report into the ends of its lists, in turn instead.  Each example runs the CLI
 in-process: it must exit 0, 1 or 2, let no exception escape, and write
 nothing to stderr but at most one line starting "error: ", so a warning
 (which the CLI would print there) fails it.  At --fps 1
@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from playtrace import cli
 from playtrace.cli import main
 from playtrace.scenes import benchmark_scene
-from playtrace.simulator import generate_trace, save_scene
+from playtrace.simulator import SceneError, generate_trace, load_scene, save_scene
 from playtrace.trace import save_trace
 
 # json.dumps cannot write an integer longer than int() converts, so this string stands
@@ -212,6 +212,22 @@ def test_mutated_scenes_schedules_and_reports_exit_cleanly(tmp_path_factory, bas
         assert _exit_code(argv) in (0, 1, 2), argv
 
 
+def _probe_end_paths(text: str, path, commands) -> dict[tuple, int]:
+    """The exit code of the first of commands(path) for each path of the JSON text into the
+    ends of its lists, set to each odd value ([] among them) and deleted, by (path, index of
+    the value in _ODD_VALUES, or len(_ODD_VALUES) for the deletion); each command after the
+    first runs too, and must exit 0, 1 or 2."""
+    codes = {}
+    for at in list(_paths(json.loads(text), ends_only=True))[1:]:
+        for k, value in enumerate([*_ODD_VALUES, _DELETE]):
+            path.write_text(_set(text, at, value))
+            first, *more = commands(path)
+            codes[at, k] = _exit_code(first)
+            for argv in more:
+                assert _exit_code(argv) in (0, 1, 2), (at, value, argv)
+    return codes
+
+
 def test_every_end_path_of_a_schedule_exits_cleanly(tmp_path, monkeypatch, base_files):
     # each path of the guided schedule, entering each list at its ends, set to each odd
     # value ([] among them) and deleted, replayed by simulate
@@ -221,11 +237,55 @@ def test_every_end_path_of_a_schedule_exits_cleanly(tmp_path, monkeypatch, base_
     path = tmp_path / "schedule.json"
     argv = ["simulate", str(base_files / "scene.json"), "--schedule", str(path),
             "--out", str(tmp_path / "out.json")]
-    codes = []
-    for at in list(_paths(json.loads(text), ends_only=True))[1:]:
-        for value in [*_ODD_VALUES, _DELETE]:
-            path.write_text(_set(text, at, value))
-            codes.append((at[0], _exit_code(argv)))
-    assert len(codes) == 36 * 22 and {code for _, code in codes} <= {0, 1}
+    codes = _probe_end_paths(text, path, lambda path: [argv])
+    assert len(codes) == 36 * 22 and set(codes.values()) <= {0, 1}
     # a mix must be weights >= 0 that sum to 1, so no odd value of it or in it is replayed
-    assert {code for field, code in codes if field == "mix"} == {1}
+    assert {code for (at, _), code in codes.items() if at[0] == "mix"} == {1}
+
+
+def _loads(path) -> bool:
+    """Whether the scene file at path loads."""
+    try:
+        load_scene(path)
+    except (SceneError, ValueError):
+        return False
+    return True
+
+
+def test_every_end_path_of_a_scene_exits_cleanly(tmp_path, monkeypatch, base_files):
+    # replayed by simulate; a scene that loads is also rendered and analysed by compare,
+    # which takes about four times as long
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+
+    def commands(path):
+        yield ["simulate", str(path), "--schedule", str(base_files / "schedule.json"),
+               "--out", str(tmp_path / "out.json")]
+        if _loads(path):
+            yield ["compare", str(path), "--runs", "1"]
+
+    codes = _probe_end_paths((base_files / "scene.json").read_text("utf-8"),
+                             tmp_path / "scene.json", commands)
+    assert len(codes) == 71 * 22 and set(codes.values()) <= {0, 1}
+    # 1e308 in a normal or a camera vector, and an empty polygon, are rejected
+    huge = _ODD_VALUES.index(1e308)
+    vectors = {at for at, k in codes if k == huge and len(at) == 4
+               and at[2] in ("normal", "pos", "look_at", "up")}
+    assert len(vectors) == 10 and {codes[at, huge] for at in vectors} == {1}
+    assert codes[("planes", 2, "verts"), _ODD_VALUES.index([])] == 1
+
+
+def test_every_end_path_of_a_report_exits_cleanly(tmp_path, monkeypatch, base_files):
+    # read back by schedule
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    codes = _probe_end_paths(
+        (base_files / "report.json").read_text("utf-8"), tmp_path / "report.json",
+        lambda path: [["schedule", str(path), "--out", str(tmp_path / "schedule.json")]])
+    assert len(codes) == 18 * 22 and set(codes.values()) <= {0, 1}
+    # no value but a finite number is taken for a number of an opportunity
+    numbers = [at for at, k in codes if k == 0 and at[:1] == ("opportunities",)
+               and (at[-1] in ("start_ms", "end_ms") or at[-2:-1] == ("box",))]
+    not_numbers = [k for k, v in enumerate(_ODD_VALUES)
+                   if not (type(v) in (int, float) and abs(v) <= 1e308)]
+    assert len(numbers) == 4 and {codes[at, k] for at in numbers for k in not_numbers} == {1}

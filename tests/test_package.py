@@ -12,6 +12,10 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "playtrace").glo
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
 # module-level definitions that src/ itself need not use: public API for bench/ and the tests
 UNUSED_IN_SRC = {"scenes.benchmark_scene"}
+# the names through which JSON text can be decoded, besides json.load and json.loads
+_DECODER_NAMES = {"JSONDecoder", "raw_decode", "scan_once", "make_scanner", "py_make_scanner",
+                  "c_make_scanner"}
+_JSON_MODULES = {"json", "json.decoder", "json.scanner", "_json"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -70,17 +74,33 @@ def test_every_src_definition_is_used_in_src():
 
 
 def test_json_is_decoded_only_in_jsonin_and_the_trace_line_reader():
-    """One entry point for JSON input: jsonin, and the trace reader's one json.loads per line."""
-    decoders = []   # (module, top-level definition) of each json.load/json.loads
+    """One entry point for JSON input: jsonin, and the trace reader's line decoder.
+
+    A decoder is json.load or json.loads, the JSONDecoder class, or its
+    raw_decode or scan_once, by any name, or an import from a json module.
+    """
+    decoders = []   # (module, top-level definition, what) of each decoder used
     for path in SOURCES:
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             for node in ast.walk(top):
-                named = (
-                    isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
-                    and isinstance(node.value, ast.Name) and node.value.id == "json"
-                )
-                imported = isinstance(node, ast.ImportFrom) and node.module == "json"
-                if named or imported:
-                    decoders.append((path.stem, getattr(top, "name", None)))
-    assert [d for d in decoders if d[0] != "jsonin"] == [("trace", "_trace_objects")]
-    assert ("jsonin", "load_json") in decoders
+                if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                        and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                    what = f"json.{node.attr}"
+                elif isinstance(node, ast.Attribute) and node.attr in _DECODER_NAMES:
+                    what = node.attr
+                elif isinstance(node, ast.Name) and node.id in _DECODER_NAMES:
+                    what = node.id
+                elif isinstance(node, ast.ImportFrom) and node.module in _JSON_MODULES:
+                    what = f"from {node.module}"
+                elif isinstance(node, ast.Import) and _JSON_MODULES.intersection(
+                        alias.name for alias in node.names) - {"json"}:
+                    what = "import"
+                else:
+                    continue
+                decoders.append((path.stem, getattr(top, "name", None), what))
+    assert sorted(d for d in decoders if d[0] != "jsonin") == [
+        ("trace", "_trace_objects", "JSONDecoder"),
+        ("trace", "_trace_objects", "json.loads"),
+        ("trace", "_trace_objects", "raw_decode"),
+    ]
+    assert ("jsonin", "load_json", "json.loads") in decoders

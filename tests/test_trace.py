@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import random
 import tracemalloc
@@ -532,6 +533,12 @@ _REJECTED = {
                    f"frame at 33 ms trackable 'plane-1' normal must be {_VECTOR}"),
     "normal-2": (_edit_second_trackable(normal_world=np.array([0.0, 1.0])),
                  f"frame at 33 ms trackable 'plane-1' normal must be {_VECTOR}"),
+    "id-empty": (_edit_second_trackable(trackable_id=""),
+                 "frame at 33 ms trackable 0: id must be a non-empty string, got ''"),
+    "id-not-str": (_edit_second_trackable(trackable_id=7),
+                   "frame at 33 ms trackable 0: id must be a non-empty string, got 7"),
+    "id-twice": (lambda tr: _edit_second_frame(trackables=tr.frames[1].trackables * 2)(tr),
+                 "frame at 33 ms: duplicate trackable id 'plane-1'"),
     "t-repeated": (_edit_second_frame(timestamp_ms=0),
                    "frame at 0 ms: timestamps must be strictly increasing (0 then 0)"),
     "t-swapped": (lambda tr: dataclasses.replace(tr, frames=tr.frames[::-1]),
@@ -996,6 +1003,78 @@ def test_faults_at_a_block_boundary(tmp_path, spots):
         f"t.jsonl:{spots[0] + 2} trackable 'plane-1' pose must be a list of 16 finite numbers, got {pose!r}"
     )
     assert (seen, kind, message) == _outcome(oracles.iter_frames_per_line, p)
+
+
+# iter_blocks pauses the cyclic collector while it reads and checks a block,
+# and gives it back as it found it before the consumer sees the block.
+
+def _collector_states(tmp_path, monkeypatch, lines, stop_after=None):
+    """(the collector's state in each _block_frames call, at each block the consumer gets,
+    after the read) of reading lines as a trace, and what the read raised."""
+    checked = trace_module._block_frames
+
+    def recorded(block_lines):
+        during.append(gc.isenabled())
+        return checked(block_lines)
+
+    monkeypatch.setattr(trace_module, "_block_frames", recorded)
+    during, consumer, raised = [], [], None
+    reader = iter_blocks(_write_lines(tmp_path, lines))
+    try:
+        for block in reader:
+            consumer.append(gc.isenabled())
+            if len(consumer) == stop_after:
+                reader.close()
+                break
+    except TraceError as exc:
+        raised = exc
+    return during, consumer, gc.isenabled(), raised
+
+
+@pytest.fixture
+def collector_on():
+    was = gc.isenabled()
+    gc.enable()
+    yield
+    if not was:
+        gc.disable()
+
+
+def test_the_collector_is_paused_for_each_block_and_on_for_the_consumer(
+        tmp_path, monkeypatch, collector_on):
+    lines = [_header()] + [_frame(33 * i) for i in range(3 * _B + 5)]
+    during, consumer, after, raised = _collector_states(tmp_path, monkeypatch, lines)
+    assert during == [False] * 4 and consumer == [True] * 4 and after and raised is None
+
+
+def test_a_collector_the_caller_switched_off_stays_off(tmp_path, monkeypatch, collector_on):
+    lines = [_header()] + [_frame(33 * i) for i in range(3 * _B + 5)]
+    gc.disable()
+    during, consumer, after, raised = _collector_states(tmp_path, monkeypatch, lines)
+    assert during == [False] * 4 and consumer == [False] * 4 and not after and raised is None
+
+
+def test_the_collector_is_back_when_the_consumer_stops_after_one_block(
+        tmp_path, monkeypatch, collector_on):
+    lines = [_header()] + [_frame(33 * i) for i in range(3 * _B + 5)]
+    during, consumer, after, raised = _collector_states(tmp_path, monkeypatch, lines, 1)
+    assert during == [False] and consumer == [True] and after and raised is None
+
+
+# a fault on file line 70, the fifth line of the second block: a read fault raises after
+# the block's first four lines, read paused; a block the check rejects is read again one
+# line at a time, with the collector on, and its first four lines are yielded one by one
+@pytest.mark.parametrize("bad, checks, blocks_seen", [
+    ("{not json", [False, False], 2),
+    (_corrupt("pose", "null", 33 * 68), [False, False] + [True] * 5, 5),
+], ids=["read", "check"])
+def test_the_collector_is_back_when_a_fault_on_line_70_raises(
+        tmp_path, monkeypatch, collector_on, bad, checks, blocks_seen):
+    lines = [_header()] + [_frame(33 * i) for i in range(3 * _B + 5)]
+    lines[69] = bad
+    during, consumer, after, raised = _collector_states(tmp_path, monkeypatch, lines)
+    assert during == checks and consumer == [True] * blocks_seen and after
+    assert str(raised).split()[0].rstrip(":") == "t.jsonl:70"
 
 
 def test_non_utf8_line_is_reported_at_its_line(tmp_path):

@@ -36,7 +36,6 @@ from .scheduler import (
 )
 from .simulator import (
     Jitter,
-    SceneError,
     SimScene,
     execute_schedule,
     frame_times,
@@ -48,7 +47,7 @@ from .simulator import (
     scene_from_dict,
     save_scene,
 )
-from .trace import TraceError, deadline_walk, iter_blocks, read_header
+from .trace import deadline_walk, iter_blocks, read_header
 
 MAX_RUNS = 1_000  # runs one analyze or compare may take: each run is a whole trace
 
@@ -317,7 +316,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TraceError, SceneError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:   # a TraceError and a SceneError are ValueErrors
         print(f"error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
         return 2 if isinstance(exc, OSError) else 1
 

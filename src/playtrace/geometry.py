@@ -545,6 +545,8 @@ def _simple_of_size(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     crossed = (d1 != d2) & (d3 != d4)
     # collinear overlap: _point_segment_dist_sq(p, s1, s2), which runs where abs(d) <= COLLINEAR_EPS
     collinear = np.abs(d) <= COLLINEAR_EPS
+    if not collinear.any():   # as usual: no test runs, so none overflows or finds an overlap
+        return ~(repeated.any(axis=1) | crossed.any(axis=1) | overflow)
     len_sq = dx * dx + dy * dy
     short = len_sq <= PARALLEL_EPS
     t = ((px - ax) * dx + (py - ay) * dy) / np.where(short, 1.0, len_sq)

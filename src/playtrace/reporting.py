@@ -11,7 +11,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .geometry import Rect
+from .geometry import MAX_SCREEN_COORD_PX, Rect
 from .jsonin import dump_json, integer, load_json, numbers
 from .lifespan import TestOpportunity, opportunity_sort_key
 from .metrics import VideoMetrics
@@ -175,18 +175,27 @@ def write_report(
 
 
 def load_report(path: str | Path) -> tuple[list[TestOpportunity], dict]:
-    """Read back the opportunities and params of a report written by write_report."""
+    """Read back the opportunities and params of a report written by write_report.
+
+    The opportunities are a list; each has a non-empty string id and a box
+    whose corners lie within MAX_SCREEN_COORD_PX, the box stage's bound.
+    """
     d = load_json(path)
     opps = []
     try:
+        if not isinstance(d["opportunities"], list):
+            raise ValueError(f"opportunities must be a list, got {d['opportunities']!r}")
         for i, od in enumerate(d["opportunities"]):
             box = numbers(od["box"], 4, f"opportunity {i}: box").tolist()
+            if not max(map(abs, box)) <= MAX_SCREEN_COORD_PX:
+                raise ValueError(f"opportunity {i}: box corners must lie within "
+                                 f"±{MAX_SCREEN_COORD_PX:g} px, got {box}")
             start_ms = integer(od["start_ms"], f"opportunity {i}: start_ms")
             end_ms = integer(od["end_ms"], f"opportunity {i}: end_ms")
             if start_ms > end_ms:
                 raise ValueError(f"opportunity {i}: start_ms {start_ms} is after end_ms {end_ms}")
-            if not isinstance(od["id"], str):
-                raise ValueError(f"opportunity {i}: id must be a string, got {od['id']!r}")
+            if not (isinstance(od["id"], str) and od["id"]):
+                raise ValueError(f"opportunity {i}: id must be a non-empty string, got {od['id']!r}")
             opps.append(TestOpportunity(od["id"], Rect(*box), start_ms, end_ms))
         params = d["params"]
         if not isinstance(params, dict):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import gc
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import chain, compress, islice
 from operator import itemgetter, lt
@@ -34,8 +34,8 @@ Mat4 = np.ndarray
 T = TypeVar("T")
 
 
-class TraceError(Exception):
-    """Base class for trace loading problems."""
+class TraceError(ValueError):
+    """Base class for the faults of a trace the reader or the writer rejects."""
 
 
 class TraceParseError(TraceError):
@@ -226,7 +226,7 @@ def _trackable_where(d: Any, where: str) -> str:
     if not isinstance(d, dict):
         raise TraceParseError(f"{where}: trackable entry must be an object")
     tid = _require(d, "id", where)
-    if not isinstance(tid, str) or not tid:
+    if type(tid) is not str or not tid:   # a str subclass is no JSON string, as in _valid_ids
         raise TraceValidationError(f"{where}: trackable id must be a non-empty string")
     where = f"{where} trackable '{tid}'"
     raw_verts = _require(d, "verts", where)
@@ -325,55 +325,28 @@ def _number_rows(rows: Sequence, n: int) -> np.ndarray | None:
     return None if arr is None else _frozen(arr).reshape(-1, n)
 
 
-def _block_frames(lines: list[tuple[int | str, dict]]) -> FrameBlock | None:
-    """The frames of a block of lines as columns when every line passes its checks, else None.
+def check_block(block: FrameBlock) -> bool:
+    """Whether each frame of block, on its own, keeps the trace contract.
 
-    Each check is a pass over one field of the whole block: the keys, one
-    screen for every line, the types of t_ms, screens, states and vertex
-    lists, the ids (_valid_ids), one type pass and one conversion of the
-    numbers of each row length (2, 3 and 16; _number_rows), then one numpy
-    pass each for polygons (which fails one of fewer than 3 vertices) and
-    normals.  A normal is passed here only when it is clearly of unit
-    length; one near the tolerance goes to jsonin.unit.  The passes say yes
-    or no and name no line: a block they reject is read again a line at a
-    time, and _frame_fault words the first fault of a line.  This is the
-    one parser of a line: a one-line block checks one line.
+    Its t_ms are ints within 2**53 in magnitude, its screen is two ints in
+    (0, MAX_SCREEN_PX], its ids pass _valid_ids, its states are
+    TrackingStates, its numbers are finite, its polygons simple (which
+    fails one of fewer than 3 vertices) and its normals of unit length.  A
+    normal is passed here only when it is clearly of unit length; one near
+    the tolerance goes to jsonin.unit.  Whether the frames follow each
+    other is _follows'.  The reader (_block_frames) and the writer
+    (_frame_texts) call it on each block.
     """
-    try:
-        t_ms, screens, per_frame, view, proj, cam_pos = zip(*(_FRAME_FIELDS(d) for _, d in lines))
-    except KeyError:
-        return None
-    if not (_only(int, t_ms) and -MAX_INT <= min(t_ms) and max(t_ms) <= MAX_INT
-            and _only(list, screens) and screens.count(screens[0]) == len(screens)
-            and _only(list, per_frame)):
-        return None
-    screen = screens[0]   # every line's; == takes 1.0 for 1, so each line's types are checked
-    raw = list(chain.from_iterable(per_frame))
-    if not (len(screen) == 2 and _only(int, chain.from_iterable(screens))
-            and 0 < min(screen) and max(screen) <= MAX_SCREEN_PX and _only(dict, raw)):
-        return None
-    try:
-        columns = tuple(zip(*map(_TRACKABLE_FIELDS, raw))) or ((),) * 6
-        ids, states, polys, pose, center, normal = columns
-    except KeyError:
-        return None
-    if not (_only(str, states) and _only(list, polys)):
-        return None
-    n_trackables = np.array(list(map(len, per_frame)), dtype=int)
-    if not (_valid_ids(ids, n_trackables) and _TRACKING_STATES.keys() >= set(states)):
-        return None
-    n_verts = np.array(list(map(len, polys)), dtype=int)
-    # one conversion per row length; each column is a slice of its rows
-    f, k = len(lines), len(ids)
-    mats = _number_rows(view + proj + pose, 16)
-    vecs = _number_rows(cam_pos + center + normal, 3)
-    verts = _number_rows(list(chain.from_iterable(polys)), 2)
-    if mats is None or vecs is None or verts is None:
-        return None
-    view, proj, pose = mats[:f], mats[f:2 * f], mats[2 * f:]
-    cam_pos, center, normal = vecs[:f], vecs[f:f + k], vecs[f + k:]
-    if not simple_polygon_rows(verts, n_verts).all():
-        return None
+    t, screen, normal = block.t_ms, block.screen, block.normal
+    if not (_only(int, t) and -MAX_INT <= min(t) and max(t) <= MAX_INT
+            and len(screen) == 2 and _only(int, screen)
+            and 0 < min(screen) and max(screen) <= MAX_SCREEN_PX
+            and _valid_ids(block.ids, block.n_trackables) and _only(TrackingState, block.states)
+            and all(np.isfinite(col).all() for col in (block.view, block.proj, block.cam_pos,
+                                                       block.pose, block.center, normal,
+                                                       block.verts))
+            and simple_polygon_rows(block.verts, block.n_verts).all()):
+        return False
     with np.errstate(over="ignore"):
         length = np.sqrt(normal[:, 0] * normal[:, 0] + normal[:, 1] * normal[:, 1]
                          + normal[:, 2] * normal[:, 2])
@@ -381,15 +354,56 @@ def _block_frames(lines: list[tuple[int | str, dict]]) -> FrameBlock | None:
         for i in np.flatnonzero(~(np.abs(length - 1.0) <= UNIT_EPS / 2)).tolist():
             unit(normal[i], "normal")
     except ValueError:
+        return False
+    return True
+
+
+def _block_frames(lines: list[tuple[int | str, dict]]) -> FrameBlock | None:
+    """The frames of a block of lines as columns when every line passes its checks, else None.
+
+    Each check is a pass over one field of the whole block: the keys, one
+    screen of ints for every line, the types of screens, states and vertex
+    lists, then one type pass and one conversion of the numbers of each
+    row length (2, 3 and 16; _number_rows).  The block they make must pass
+    check_block.  The passes say yes or no and name no line: a block they
+    reject is read again a line at a time, and _frame_fault words the
+    first fault of a line.  This is the one parser of a line: a one-line
+    block checks one line.
+    """
+    try:
+        t_ms, screens, per_frame, view, proj, cam_pos = zip(*(_FRAME_FIELDS(d) for _, d in lines))
+    except KeyError:
         return None
-    return FrameBlock(
-        screen=tuple(screen), col_major=True, t_ms=list(t_ms),
-        view=view, proj=proj, cam_pos=cam_pos,
-        n_trackables=_frozen(n_trackables), ids=list(ids),
+    # == takes 1.0 for 1, so each line's types are checked
+    if not (_only(list, screens) and screens.count(screens[0]) == len(screens)
+            and _only(int, chain.from_iterable(screens)) and _only(list, per_frame)):
+        return None
+    raw = list(chain.from_iterable(per_frame))
+    if not _only(dict, raw):
+        return None
+    try:
+        columns = tuple(zip(*map(_TRACKABLE_FIELDS, raw))) or ((),) * 6
+        ids, states, polys, pose, center, normal = columns
+    except KeyError:
+        return None
+    if not (_only(str, states) and _TRACKING_STATES.keys() >= set(states) and _only(list, polys)):
+        return None
+    # one conversion per row length; each column is a slice of its rows
+    f, k = len(lines), len(ids)
+    mats = _number_rows(view + proj + pose, 16)
+    vecs = _number_rows(cam_pos + center + normal, 3)
+    verts = _number_rows(list(chain.from_iterable(polys)), 2)
+    if mats is None or vecs is None or verts is None:
+        return None
+    block = FrameBlock(
+        screen=tuple(screens[0]), col_major=True, t_ms=list(t_ms),
+        view=mats[:f], proj=mats[f:2 * f], cam_pos=vecs[:f],
+        n_trackables=_frozen(np.array(list(map(len, per_frame)), dtype=int)), ids=list(ids),
         states=list(map(_TRACKING_STATES.__getitem__, states)),
-        pose=pose, center=center, normal=normal,
-        n_verts=_frozen(n_verts), verts=verts,
+        pose=mats[2 * f:], center=vecs[f:f + k], normal=vecs[f + k:],
+        n_verts=_frozen(np.array(list(map(len, polys)), dtype=int)), verts=verts,
     )
+    return block if check_block(block) else None
 
 
 def _open_trace(path: Path) -> TextIO:
@@ -521,6 +535,26 @@ def _follows(block: FrameBlock, screen: tuple[int, int], prev: float) -> bool:
     return block.screen == screen and prev < t[0] and all(map(lt, t, t[1:]))
 
 
+def _after(block: FrameBlock, screen: tuple[int, int] | None, prev: float, where: str,
+           where_t: str) -> tuple[tuple[int, int], int]:
+    """The first frame's screen and the last t_ms once block follows frames of screen (None
+    before the first frame) that end at t_ms prev.
+
+    A block that does not follow them is a one-frame block, and a
+    TraceValidationError: a screen change at where, else a t_ms not above
+    prev at where_t.  The rule of the reader and the writer alike.
+    """
+    screen = screen or block.screen
+    if not _follows(block, screen, prev):
+        (w, h), t = block.screen, block.t_ms[0]
+        if (w, h) != screen:
+            raise TraceValidationError(
+                f"{where}: screen {w}x{h} differs from the first frame's {screen[0]}x{screen[1]}")
+        raise TraceValidationError(
+            f"{where_t}: timestamps must be strictly increasing ({prev} then {t})")
+    return screen, block.t_ms[-1]
+
+
 def _read_block(
     line_blocks: Iterator[list[tuple[int, dict]]], screen: tuple[int, int] | None, prev: float
 ) -> tuple[FrameBlock | None, list[tuple[int, dict]]] | None:
@@ -592,19 +626,7 @@ def iter_blocks(
                 checked = ((where, _block_frames([(where, d)]) or _frame_fault(where, d))
                            for where, d in ((f"{path.name}:{n}", d) for n, d in lines))
             for where, part in checked:
-                screen = screen or part.screen
-                if not _follows(part, screen, prev):   # a one-line block
-                    w, h = part.screen
-                    if (w, h) != screen:
-                        raise TraceValidationError(
-                            f"{where}: screen {w}x{h} differs from "
-                            f"the first frame's {screen[0]}x{screen[1]}"
-                        )
-                    raise TraceValidationError(
-                        f"{path.name}: timestamps must be strictly increasing "
-                        f"({prev} then {part.t_ms[0]})"
-                    )
-                prev = part.t_ms[-1]
+                screen, prev = _after(part, screen, prev, where, path.name)
                 if keep is not None:
                     part = _take(part, list(map(keep, part.t_ms)))
                 if part.t_ms:
@@ -623,38 +645,38 @@ def load_trace(path: str | Path) -> PlaybackTrace:
 
 def _stacked(values: Sequence, shape: tuple[int, ...]) -> np.ndarray | None:
     """values as one float array of shape (len(values), *shape), or None unless each
-    value is an array of that shape of finite numbers."""
-    if not values:
-        return np.empty((0, *shape))
+    value is an array of numbers of that shape; values is not empty."""
     try:
         arr = np.array(values, dtype=float)
     except (TypeError, ValueError, OverflowError):
         return None
-    return arr if arr.shape[1:] == shape and np.isfinite(arr).all() else None
+    return arr if arr.shape[1:] == shape else None
 
 
 def _polygons(polys: Sequence) -> np.ndarray | None:
     """The vertices of polys as one float (V, 2) array, or None unless each polygon is an
-    (n, 2) array of finite numbers."""
+    (n, 2) array of numbers."""
     try:
-        verts = np.concatenate([np.empty((0, 2)), *polys]).astype(float, copy=False)
+        return np.concatenate([np.empty((0, 2)), *polys]).astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
         return None
-    return verts if np.isfinite(verts).all() else None
 
 
 def _records_block(frames: Sequence[FrameRecord]) -> FrameBlock | None:
     """frames as one C-order block, or None unless every matrix, vector and polygon is an
-    array of its shape of finite numbers and every frame has the first one's screen of two ints."""
+    array of numbers of its shape, every state a TrackingState and every frame's screen the
+    first one's, of the same types; the values are check_block's to judge."""
     tracks = [t for f in frames for t in f.trackables]
     screens = [(f.screen_w, f.screen_h) for f in frames]
+    kinds = [(type(w), type(h)) for w, h in screens]
+    states = [t.tracking_state for t in tracks]
     mats = _stacked([f.view for f in frames] + [f.projection for f in frames]
                     + [t.pose for t in tracks], (4, 4))
     vecs = _stacked([f.camera_position for f in frames] + [t.center_world for t in tracks]
                     + [t.normal_world for t in tracks], (3,))
     verts = _polygons([t.local_vertices for t in tracks])
-    if (mats is None or vecs is None or verts is None or screens.count(screens[0]) < len(screens)
-            or not _only(int, chain.from_iterable(screens))):
+    if (mats is None or vecs is None or verts is None or not _only(TrackingState, states)
+            or screens.count(screens[0]) < len(screens) or kinds.count(kinds[0]) < len(kinds)):
         return None
     n, k = len(frames), len(tracks)
     mats = mats.reshape(-1, 16)
@@ -662,84 +684,41 @@ def _records_block(frames: Sequence[FrameRecord]) -> FrameBlock | None:
         screen=screens[0], col_major=False, t_ms=[f.timestamp_ms for f in frames],
         view=mats[:n], proj=mats[n:2 * n], cam_pos=vecs[:n],
         n_trackables=np.array([len(f.trackables) for f in frames], dtype=int),
-        ids=[t.trackable_id for t in tracks], states=[t.tracking_state for t in tracks],
+        ids=[t.trackable_id for t in tracks], states=states,
         pose=mats[2 * n:], center=vecs[n:n + k], normal=vecs[n + k:],
         n_verts=np.array([len(t.local_vertices) for t in tracks], dtype=int), verts=verts,
     )
 
 
-def _writable(block: FrameBlock, screen: tuple[int, int], prev: float) -> bool:
-    """Whether the reader takes block after frames of screen that end at t_ms prev.
-
-    Its t_ms are ints within 2**53 in magnitude that rise from above prev,
-    its screen is screen, two ints in (0, MAX_SCREEN_PX], its trackable ids
-    are non-empty strings, none twice in a frame, and its numbers are
-    finite.
-    """
-    t = block.t_ms
-    return (_only(int, t) and _only(int, block.screen) and _follows(block, screen, prev)
-            and -MAX_INT <= t[0] and t[-1] <= MAX_INT
-            and 0 < min(block.screen) and max(block.screen) <= MAX_SCREEN_PX
-            and _valid_ids(block.ids, block.n_trackables)
-            and all(np.isfinite(col).all() for col in (block.view, block.proj, block.cam_pos,
-                                                       block.pose, block.center, block.normal,
-                                                       block.verts)))
+def _record_fault(f: FrameRecord, where: str) -> NoReturn:
+    """Raise the one message of a record that is no one-frame block (_records_block), at the
+    first of its trackables that is none alone, or at the frame when its camera's fields are."""
+    for track in f.trackables if _records_block([replace(f, trackables=())]) else ():
+        if _records_block([replace(f, trackables=(track,))]) is None:
+            where = f"{where} trackable {track.trackable_id!r}"
+            break
+    raise ValueError(f"{where}: matrices must be 4x4, vectors 3 long and polygons (n, 2) "
+                     "arrays of numbers, and states TrackingStates")
 
 
-def _write_fault(frames: Iterable[FrameRecord], screen: tuple[int, int] | None, prev: float
-                 ) -> NoReturn:
-    """Raise the first value of frames that the reader would not take after frames of screen
-    that end at t_ms prev (screen is None before the first frame), in the order of a frame line.
+def _col_major(block: FrameBlock) -> np.ndarray:
+    """The view, proj and pose rows of block, one after another, in column-major order."""
+    mats = np.concatenate([block.view, block.proj, block.pose])
+    return mats if block.col_major else mats.reshape(-1, 4, 4).transpose(0, 2, 1).reshape(-1, 16)
 
-    t_ms must be an int of at most 2**53 in magnitude, the screen two ints
-    in (0, MAX_SCREEN_PX], each trackable id a non-empty string and none
-    twice in the frame, and the numeric fields finite numbers of the shapes
-    the reader takes; then, as the reader checks them, the screen must be
-    the first frame's and t_ms above the frame before it.  Each error names
-    the frame's t_ms and the field (and the trackable).
-    """
-    matrix, vector = "a 4x4 matrix", "a 3-vector"
-    for f in frames:
-        t, size = f.timestamp_ms, (f.screen_w, f.screen_h)
-        where = f"frame at {t} ms"
-        if type(t) is not int:
-            raise ValueError(f"{where}: t_ms must be an integer")
-        if abs(t) > MAX_INT:
-            raise ValueError(f"{where}: t_ms must be at most 2**53 in magnitude")
-        if not _only(int, size):
-            raise ValueError(f"{where}: screen must be two integers")
-        if not (0 < min(size) and max(size) <= MAX_SCREEN_PX):
-            raise ValueError(
-                f"{where}: screen must be two positive integers (at most {MAX_SCREEN_PX})")
-        ids = [track.trackable_id for track in f.trackables]
-        for i, tid in enumerate(ids):
-            if not (type(tid) is str and tid):
-                raise ValueError(f"{where} trackable {i}: id must be a non-empty string, got {tid!r}")
-        seen: set[str] = set()
-        for tid in ids:
-            if tid in seen:
-                raise ValueError(f"{where}: duplicate trackable id '{tid}'")
-            seen.add(tid)
-        fields = [("view", matrix, _stacked([f.view], (4, 4))),
-                  ("proj", matrix, _stacked([f.projection], (4, 4))),
-                  ("cam_pos", vector, _stacked([f.camera_position], (3,)))]
-        for track in f.trackables:
-            tw = f"trackable '{track.trackable_id}'"
-            fields += [(f"{tw} pose", matrix, _stacked([track.pose], (4, 4))),
-                       (f"{tw} verts", "an (n, 2) array", _polygons([track.local_vertices])),
-                       (f"{tw} center", vector, _stacked([track.center_world], (3,))),
-                       (f"{tw} normal", vector, _stacked([track.normal_world], (3,)))]
-        for what, noun, arr in fields:
-            if arr is None:
-                raise ValueError(f"{where} {what} must be {noun} of finite numbers")
-        screen = screen or size
-        if size != screen:
-            raise ValueError(f"{where}: screen {size[0]}x{size[1]} differs from "
-                             f"the first frame's {screen[0]}x{screen[1]}")
-        if not prev < t:
-            raise ValueError(f"{where}: timestamps must be strictly increasing ({prev} then {t})")
-        prev = t
-    raise AssertionError("a block of frames failed its checks but none of its frames did")
+
+def _frame_object(block: FrameBlock) -> dict:
+    """The JSON object of the line of a one-frame block, as the reader decodes it."""
+    mats = _col_major(block).tolist()
+    vecs = np.concatenate([block.cam_pos, block.center, block.normal]).tolist()
+    verts, ends, k = block.verts.tolist(), np.cumsum(block.n_verts).tolist(), len(block.ids)
+    return {"t_ms": block.t_ms[0], "screen": list(block.screen), "view": mats[0],
+            "proj": mats[1], "cam_pos": vecs[0], "trackables": [
+                {"id": tid, "state": state.value, "verts": verts[start:end], "pose": pose,
+                 "center": center, "normal": normal}
+                for tid, state, start, end, pose, center, normal in zip(
+                    block.ids, block.states, [0, *ends], ends, mats[2:], vecs[1:k + 1],
+                    vecs[k + 1:])]}
 
 
 def _row_texts(rows: np.ndarray) -> list[str]:
@@ -757,7 +736,7 @@ def _row_texts(rows: np.ndarray) -> list[str]:
 
 
 def _block_lines(block: FrameBlock) -> str:
-    """The frame lines of a block _writable passed, each the text json.dumps writes for its frame.
+    """The frame lines of a block check_block passed, each the text json.dumps writes for its frame.
 
     The matrix rows of a C-order block are transposed to column-major.
     Each distinct matrix or vector row is formatted once (_row_texts),
@@ -765,10 +744,7 @@ def _block_lines(block: FrameBlock) -> str:
     screen is formatted once.
     """
     n, k = len(block.t_ms), len(block.ids)
-    mats = np.concatenate([block.view, block.proj, block.pose])
-    if not block.col_major:
-        mats = mats.reshape(-1, 4, 4).transpose(0, 2, 1).reshape(-1, 16)
-    mat = _row_texts(mats)
+    mat = _row_texts(_col_major(block))
     vec = _row_texts(np.concatenate([block.cam_pos, block.center, block.normal]))
     ids = {tid: json.dumps(tid) for tid in dict.fromkeys(block.ids)}
     verts = block.verts.tolist()
@@ -791,36 +767,48 @@ def _block_lines(block: FrameBlock) -> str:
 
 
 def _frame_texts(frames: Sequence[FrameRecord]) -> Iterator[str]:
-    """The frame lines of frames, a block at a time, each block checked whole (_writable).
+    """The frame lines of frames, a block at a time, each block checked whole as the reader
+    checks its blocks: check_block, and _follows the frames before it.
 
     A TraceFrames is written as its blocks; other records are stacked into
     one block per INGEST_BLOCK_LINES frames (_records_block).  Records that
-    are no one block, and a block that fails, go to _write_fault, which
-    raises the first value the reader would not take.
+    are no one block, and a block that fails, are checked again a frame at
+    a time, as one-frame blocks, so that the first fault is raised at
+    "frame at <t> ms": a record that is no block by _record_fault, a value
+    by the reader's _frame_fault on the frame's JSON object, and a frame
+    that does not follow the one before by the reader's _after.
     """
     parts = (frames.blocks if isinstance(frames, TraceFrames)
              else (_records_block(part) or part for part in blocks(frames, INGEST_BLOCK_LINES)))
     screen, prev = None, -math.inf   # the first frame's screen, the previous frame's t_ms
     for part in parts:
-        if not (isinstance(part, FrameBlock) and _writable(part, screen or part.screen, prev)):
-            _write_fault(part if isinstance(part, list) else block_records(part), screen, prev)
+        if not (isinstance(part, FrameBlock) and check_block(part)
+                and _follows(part, screen or part.screen, prev)):
+            for f in part if isinstance(part, list) else block_records(part):
+                where = f"frame at {f.timestamp_ms} ms"
+                one = _records_block([f]) or _record_fault(f, where)
+                if not check_block(one):
+                    _frame_fault(where, _frame_object(one))
+                screen, prev = _after(one, screen, prev, where, where)
+            raise AssertionError("a block of frames failed its checks but none of its frames did")
         screen, prev = screen or part.screen, part.t_ms[-1]
         yield _block_lines(part)
 
 
 def save_trace(trace: PlaybackTrace, path: str | Path) -> None:
-    """Write a trace as JSONL; load_trace(save_trace(t)) round-trips.
+    """Write a trace as JSONL that load_trace reads back as the same frames.
 
     Frames are written a block at a time (_frame_texts), and within a block
     each distinct matrix or vector row is formatted once; the bytes are
-    those of json.dumps of each frame object.  A value the reader would not
-    accept is a ValueError naming the field (and the frame's t_ms): a
+    those of json.dumps of each frame object.  The writer applies the
+    reader's contract (check_block, and each frame after the one before)
+    and raises the reader's errors, worded by its _frame_fault and _after,
+    at "frame at <t> ms" where the reader names a file line.  A record
+    whose matrix, vector or polygon is no array of numbers of its shape,
+    or whose state is no TrackingState, has one message of its own.  A
     header fps that is not a finite positive number, a NaN or an infinity
-    in meta, no frames, a t_ms that is not an int of at most 2**53 in
-    magnitude or not above the frame before, a screen that is not two ints
-    in (0, MAX_SCREEN_PX] or not the first frame's, a number that is not
-    finite, a matrix that is not 4x4, a vector that is not a 3-vector or a
-    polygon that is not (n, 2).  The whole text is built before the file
+    in meta, and a trace of no frames are rejected too.  Each fault is a
+    ValueError, as TraceError is.  The whole text is built before the file
     is opened, so a rejected trace leaves any file at path as it was.
     """
     _fps(trace.source_fps)

@@ -1053,10 +1053,13 @@ def test_scene_frame_budget(tmp_path, capsys, fps, duration_ms):
         ({"box": [100, 100, 900]}, "opportunity 0: box must be a list of 4 finite numbers"),
         ({"box": [100, 100, 900, 700, 5]}, "opportunity 0: box must be a list of 4 finite numbers"),
         ({"box": [100, False, 900, 700]}, "opportunity 0: box must be a list of 4 finite numbers"),
-        ({"id": [1, 2]}, "opportunity 0: id must be a string, got [1, 2]"),
+        ({"box": [100, -1e308, 900, 700]},
+         "opportunity 0: box corners must lie within ±1e+150 px, got [100.0, -1e+308, 900.0, 700.0]"),
+        ({"id": [1, 2]}, "opportunity 0: id must be a non-empty string, got [1, 2]"),
+        ({"id": ""}, "opportunity 0: id must be a non-empty string, got ''"),
     ],
     ids=["box-nan", "box-inf", "window-inverted", "start-float", "end-str", "start-bool",
-         "box-str", "box-short", "box-long", "box-bool", "id-list"],
+         "box-str", "box-short", "box-long", "box-bool", "box-far", "id-list", "id-empty"],
 )
 def test_schedule_rejects_bad_report_entries(tmp_path, trace_path, capsys, edit, message):
     out = tmp_path / "analysis"

@@ -289,3 +289,11 @@ def test_every_end_path_of_a_report_exits_cleanly(tmp_path, monkeypatch, base_fi
     not_numbers = [k for k, v in enumerate(_ODD_VALUES)
                    if not (type(v) in (int, float) and abs(v) <= 1e308)]
     assert len(numbers) == 4 and {codes[at, k] for at in numbers for k in not_numbers} == {1}
+    # opportunities that are no list, an empty id and a box corner far off the screen
+    odd = _ODD_VALUES.index
+    assert codes[("opportunities",), odd("")] == codes[("opportunities",), odd({})] == 1
+    ids = [at for at, k in codes if k == 0 and at[:1] == ("opportunities",) and at[-1] == "id"]
+    corners = [at for at in numbers if at[-2:-1] == ("box",)]
+    assert (len(ids), len(corners)) == (1, 2)   # the report holds one opportunity
+    assert {codes[at, odd("")] for at in ids} == {1}
+    assert {codes[at, odd(v)] for at in corners for v in (1e308, -1e308)} == {1}

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import decimate, frame_blocks, iter_frames
 from playtrace import trace as trace_module
+from playtrace.geometry import simple_polygons
 from playtrace.pipeline import BOX_BLOCK_FRAMES, AnalysisParams, run_boxes
 from playtrace.scenes import benchmark_scene
 from playtrace.simulator import generate_trace
@@ -398,19 +399,29 @@ def _zero_signs(rows):
     return [[zero, *rows[0][1:]] for zero in (0.0, -0.0)] + rows
 
 
+# a simple polygon of odd floats, and unit normals, two of them signed zeros apart
+_ODD_TRIANGLE = [(-0.0, 0.0), (1.0, 5e-324), (1e16, 30.0)]
+_NORMALS = [[0.0, 1.0, 0.0], [-0.0, 1.0, 0.0], [0.6, 0.8, -0.0], [0.0, 0.0, -1.0],
+            [0.0, 1.0 + 4e-7, 0.0]]
+
+
 @st.composite
 def _hand_made_frames(draw, n_frames):
-    """n_frames frames drawn from a few rows each, so rows repeat within and across blocks.
+    """n_frames frames the reader takes, drawn from a few rows each, so rows repeat within and
+    across blocks.
 
     A matrix is a C-order array or the transposed view load_trace returns;
-    a frame holds up to four trackables, or none.
+    a frame holds up to four trackables, or none.  A polygon is a drawn one
+    that is simple, or _ODD_TRIANGLE; a normal is one of _NORMALS, which
+    are among the vectors.
     """
     mats = _zero_signs(draw(st.lists(st.lists(_WRITTEN_FLOATS, min_size=16, max_size=16),
                                      min_size=1, max_size=3)))
     vecs = _zero_signs(draw(st.lists(st.lists(_WRITTEN_FLOATS, min_size=3, max_size=3),
-                                     min_size=1, max_size=3)))
+                                     min_size=1, max_size=3))) + _NORMALS
     polys = draw(st.lists(st.lists(st.tuples(_WRITTEN_FLOATS, _WRITTEN_FLOATS), min_size=3,
                                    max_size=7), min_size=1, max_size=4))
+    polys = [p for p in polys if simple_polygons([p])[0]] + [_ODD_TRIANGLE]
     ids = draw(st.lists(_ODD_IDS, min_size=1, max_size=4, unique=True))
     start = draw(st.integers(-2**53, 2**53 - 200 * n_frames))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
@@ -423,7 +434,7 @@ def _hand_made_frames(draw, n_frames):
     for i in range(n_frames):
         tracks = tuple(
             TrackableSnapshot(tid, matrix(), np.array(rng.choice(polys)), np.array(rng.choice(vecs)),
-                              np.array(rng.choice(vecs)), rng.choice(list(TrackingState)))
+                              np.array(rng.choice(_NORMALS)), rng.choice(list(TrackingState)))
             for tid in rng.sample(ids, rng.randint(0, len(ids)))
         )
         frame = FrameRecord(start + 200 * i, matrix(), matrix(), np.array(rng.choice(vecs)),
@@ -454,6 +465,55 @@ def test_save_trace_writes_the_bytes_of_the_per_frame_writer(tmp_path_factory, n
     check()
 
 
+def _replaced(frames, i, **changes):
+    return (*frames[:i], dataclasses.replace(frames[i], **changes), *frames[i + 1:])
+
+
+def _replaced_trackable(frames, i, **changes):
+    tracks = frames[i].trackables
+    return _replaced(frames, i, trackables=(*(dataclasses.replace(t, **changes)
+                                              for t in tracks[:1]), *tracks[1:]))
+
+
+# edits of frame i of a hand-made trace (of its first trackable, when it holds one) that
+# each break the contract, unless the trace is too short for them to show
+_FAULTING_EDITS = [
+    lambda fr, i: _replaced(fr, i, timestamp_ms=fr[i - 1].timestamp_ms),
+    lambda fr, i: _replaced(fr, i, timestamp_ms=float(fr[i].timestamp_ms)),
+    lambda fr, i: _replaced(fr, i, screen_w=0),
+    lambda fr, i: _replaced(fr, i, screen_h=720),
+    lambda fr, i: _replaced(fr, i, view=_with(_NAN, (1, 2), fr[i].view)),
+    lambda fr, i: _replaced(fr, i, camera_position=np.array([0.0, _INF, 0.0])),
+    lambda fr, i: _replaced(fr, i, trackables=fr[i].trackables + fr[i].trackables[:1]),
+    lambda fr, i: _replaced_trackable(fr, i, normal_world=fr[i].trackables[0].normal_world * 2),
+    lambda fr, i: _replaced_trackable(fr, i, local_vertices=np.array(
+        [[-1.0, -1.0], [1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]])),
+    lambda fr, i: _replaced_trackable(fr, i, local_vertices=np.array([[0.0, 0.0], [1.0, 0.0]])),
+    lambda fr, i: _replaced_trackable(fr, i, trackable_id=""),
+    lambda fr, i: _replaced_trackable(fr, i, tracking_state="TRACKING"),
+    lambda fr, i: _replaced_trackable(fr, i, pose=np.eye(4)[:3]),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(trace=st.integers(1, 2 * INGEST_BLOCK_LINES + 1).flatmap(_hand_made_frames),
+       edit=st.none() | st.sampled_from(_FAULTING_EDITS), at=st.floats(0.0, 1.0, exclude_max=True))
+def test_save_trace_raises_or_writes_what_load_trace_reads_back(tmp_path_factory, trace, edit,
+                                                                 at):
+    if edit is not None:
+        trace = dataclasses.replace(
+            trace, frames=edit(tuple(trace.frames), int(at * len(trace.frames))))
+    path = tmp_path_factory.mktemp("saved") / "t.jsonl"
+    path.write_bytes(b"an earlier file\n")
+    try:
+        save_trace(trace, path)
+    except ValueError:
+        assert path.read_bytes() == b"an earlier file\n"
+        return
+    # the same frames, down to the sign of a zero
+    assert oracles.trace_text_per_frame(load_trace(path)) == oracles.trace_text_per_frame(trace)
+
+
 def _valid_trace(tmp_path):
     return load_trace(_write(tmp_path, [_header(), _frame(0), _frame(33)]))
 
@@ -482,10 +542,25 @@ _NAN, _INF = float("nan"), float("inf")
 _IDENTITY = np.eye(4)
 
 
-_MATRIX, _VECTOR = "a 4x4 matrix of finite numbers", "a 3-vector of finite numbers"
-_POLYGON = "an (n, 2) array of finite numbers"
+# the messages of the second frame, at 33 ms, and of its trackable
+_AT_FRAME, _AT_PLANE = "frame at 33 ms", "frame at 33 ms trackable 'plane-1'"
+_SHAPES = ("matrices must be 4x4, vectors 3 long and polygons (n, 2) arrays of numbers, "
+           "and states TrackingStates")
 _SCREEN_RANGE = "screen must be two positive integers (at most 2147483647)"
 _META = "header meta must hold finite numbers only"
+_NAN_VIEW, _INF_PROJ = _with(_NAN, (3, 0), _IDENTITY), _with(-_INF, (0, 0), _IDENTITY)
+_INF_POSE = _with(_INF, (1, 3), _IDENTITY)
+
+
+def _not_finite(what, value):
+    """The reader's message for a field of numbers that are not all finite; a matrix is
+    read column-major."""
+    values = np.asarray(value, dtype=float).flatten(order="F").tolist()
+    return f"{what} must be a list of {len(values)} finite numbers, got {values!r}"
+
+
+def _t_ms(t):
+    return f"frame at {t} ms: t_ms must be an integer of at most 2**53 in magnitude, got {t!r}"
 
 
 def _with_fps(fps):
@@ -501,59 +576,63 @@ _REJECTED = {
     "fps-nan": (_with_fps(_NAN), "fps must be a finite number, got nan"),
     "fps-inf": (_with_fps(_INF), "fps must be a finite number, got inf"),
     "fps-zero": (_with_fps(0.0), "fps must be a positive number, got 0.0"),
-    "t-float": (_edit_second_frame(timestamp_ms=33.0), "frame at 33.0 ms: t_ms must be an integer"),
-    "t-bool": (_edit_second_frame(timestamp_ms=True), "frame at True ms: t_ms must be an integer"),
-    "screen-float": (_edit_second_frame(screen_w=1920.0),
-                     "frame at 33 ms: screen must be two integers"),
-    "view-nan": (_edit_second_frame(view=_with(_NAN, (3, 0), _IDENTITY)),
-                 f"frame at 33 ms view must be {_MATRIX}"),
-    "proj-inf": (_edit_second_frame(projection=_with(-_INF, (0, 0), _IDENTITY)),
-                 f"frame at 33 ms proj must be {_MATRIX}"),
-    "view-3x3": (_edit_second_frame(view=np.eye(3)), f"frame at 33 ms view must be {_MATRIX}"),
-    "proj-flat": (_edit_second_frame(projection=np.ones(16)),
-                  f"frame at 33 ms proj must be {_MATRIX}"),
+    "t-float": (_edit_second_frame(timestamp_ms=33.0), _t_ms(33.0)),
+    "t-bool": (_edit_second_frame(timestamp_ms=True), _t_ms(True)),
+    "screen-float": (_edit_second_frame(screen_w=1920.0), f"{_AT_FRAME}: screen must be an "
+                     "integer of at most 2**53 in magnitude, got 1920.0"),
+    "view-nan": (_edit_second_frame(view=_NAN_VIEW), _not_finite(f"{_AT_FRAME} view", _NAN_VIEW)),
+    "proj-inf": (_edit_second_frame(projection=_INF_PROJ),
+                 _not_finite(f"{_AT_FRAME} proj", _INF_PROJ)),
+    "view-3x3": (_edit_second_frame(view=np.eye(3)), f"{_AT_FRAME}: {_SHAPES}"),
+    "proj-flat": (_edit_second_frame(projection=np.ones(16)), f"{_AT_FRAME}: {_SHAPES}"),
     "cam-inf": (_edit_second_frame(camera_position=np.array([0.0, _INF, 0.0])),
-                f"frame at 33 ms cam_pos must be {_VECTOR}"),
-    "cam-4": (_edit_second_frame(camera_position=np.zeros(4)),
-              f"frame at 33 ms cam_pos must be {_VECTOR}"),
-    "pose-inf": (_edit_second_trackable(pose=_with(_INF, (1, 3), _IDENTITY)),
-                 f"frame at 33 ms trackable 'plane-1' pose must be {_MATRIX}"),
-    "pose-3x4": (_edit_second_trackable(pose=np.eye(4)[:3]),
-                 f"frame at 33 ms trackable 'plane-1' pose must be {_MATRIX}"),
+                _not_finite(f"{_AT_FRAME} cam_pos", [0.0, _INF, 0.0])),
+    "cam-4": (_edit_second_frame(camera_position=np.zeros(4)), f"{_AT_FRAME}: {_SHAPES}"),
+    "pose-inf": (_edit_second_trackable(pose=_INF_POSE),
+                 _not_finite(f"{_AT_PLANE} pose", _INF_POSE)),
+    "pose-3x4": (_edit_second_trackable(pose=np.eye(4)[:3]), f"{_AT_PLANE}: {_SHAPES}"),
     "verts-nan": (_edit_second_trackable(
         local_vertices=np.array([[0.0, 0.0], [1.0, _NAN], [0.0, 1.0]])),
-        f"frame at 33 ms trackable 'plane-1' verts must be {_POLYGON}"),
+        _not_finite(f"{_AT_PLANE} vertex 1", [1.0, _NAN])),
     "verts-3d": (_edit_second_trackable(local_vertices=np.zeros((3, 3))),
-                 f"frame at 33 ms trackable 'plane-1' verts must be {_POLYGON}"),
-    "verts-flat": (_edit_second_trackable(local_vertices=np.zeros(6)),
-                   f"frame at 33 ms trackable 'plane-1' verts must be {_POLYGON}"),
+                 f"{_AT_PLANE}: {_SHAPES}"),
+    "verts-flat": (_edit_second_trackable(local_vertices=np.zeros(6)), f"{_AT_PLANE}: {_SHAPES}"),
+    "verts-2": (_edit_second_trackable(local_vertices=np.array([[0.0, 0.0], [1.0, 0.0]])),
+                f"{_AT_PLANE}: polygon needs at least 3 vertices"),
+    "verts-bow-tie": (_edit_second_trackable(
+        local_vertices=np.array([[-1.0, -1.0], [1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]])),
+        f"{_AT_PLANE}: polygon must be simple (no self-intersection)"),
     "center-nan": (_edit_second_trackable(center_world=np.array([_NAN, 0.0, 0.0])),
-                   f"frame at 33 ms trackable 'plane-1' center must be {_VECTOR}"),
+                   _not_finite(f"{_AT_PLANE} center", [_NAN, 0.0, 0.0])),
     "normal-inf": (_edit_second_trackable(normal_world=np.array([0.0, 1.0, -_INF])),
-                   f"frame at 33 ms trackable 'plane-1' normal must be {_VECTOR}"),
+                   _not_finite(f"{_AT_PLANE} normal", [0.0, 1.0, -_INF])),
     "normal-2": (_edit_second_trackable(normal_world=np.array([0.0, 1.0])),
-                 f"frame at 33 ms trackable 'plane-1' normal must be {_VECTOR}"),
+                 f"{_AT_PLANE}: {_SHAPES}"),
+    "normal-length-2": (_edit_second_trackable(normal_world=np.array([0.0, 2.0, 0.0])),
+                        f"{_AT_PLANE}: normal must be unit length, got |n|=2.00000000"),
+    "state-str": (_edit_second_trackable(tracking_state="TRACKING"), f"{_AT_PLANE}: {_SHAPES}"),
+    "state-bogus": (_edit_second_trackable(tracking_state="BOGUS"), f"{_AT_PLANE}: {_SHAPES}"),
     "id-empty": (_edit_second_trackable(trackable_id=""),
-                 "frame at 33 ms trackable 0: id must be a non-empty string, got ''"),
+                 f"{_AT_FRAME}: trackable id must be a non-empty string"),
     "id-not-str": (_edit_second_trackable(trackable_id=7),
-                   "frame at 33 ms trackable 0: id must be a non-empty string, got 7"),
+                   f"{_AT_FRAME}: trackable id must be a non-empty string"),
+    "id-str-subclass": (_edit_second_trackable(trackable_id=np.str_("plane-1")),
+                        f"{_AT_FRAME}: trackable id must be a non-empty string"),
     "id-twice": (lambda tr: _edit_second_frame(trackables=tr.frames[1].trackables * 2)(tr),
-                 "frame at 33 ms: duplicate trackable id 'plane-1'"),
+                 f"{_AT_FRAME}: duplicate trackable id 'plane-1'"),
     "t-repeated": (_edit_second_frame(timestamp_ms=0),
                    "frame at 0 ms: timestamps must be strictly increasing (0 then 0)"),
     "t-swapped": (lambda tr: dataclasses.replace(tr, frames=tr.frames[::-1]),
                   "frame at 0 ms: timestamps must be strictly increasing (33 then 0)"),
-    "t-huge": (_edit_second_frame(timestamp_ms=2**53 + 1),
-               "frame at 9007199254740993 ms: t_ms must be at most 2**53 in magnitude"),
+    "t-huge": (_edit_second_frame(timestamp_ms=2**53 + 1), _t_ms(2**53 + 1)),
     "t-huge-negative": (lambda tr: dataclasses.replace(tr, frames=(
-        dataclasses.replace(tr.frames[0], timestamp_ms=-2**60), tr.frames[1])),
-        "frame at -1152921504606846976 ms: t_ms must be at most 2**53 in magnitude"),
-    "screen-zero": (_edit_second_frame(screen_w=0), f"frame at 33 ms: {_SCREEN_RANGE}"),
-    "screen-huge": (_edit_second_frame(screen_h=2**31), f"frame at 33 ms: {_SCREEN_RANGE}"),
+        dataclasses.replace(tr.frames[0], timestamp_ms=-2**60), tr.frames[1])), _t_ms(-2**60)),
+    "screen-zero": (_edit_second_frame(screen_w=0), f"{_AT_FRAME}: {_SCREEN_RANGE}"),
+    "screen-huge": (_edit_second_frame(screen_h=2**31), f"{_AT_FRAME}: {_SCREEN_RANGE}"),
     "screen-zero-throughout": (lambda tr: dataclasses.replace(tr, frames=tuple(
         dataclasses.replace(f, screen_w=0) for f in tr.frames)), f"frame at 0 ms: {_SCREEN_RANGE}"),
     "screen-changes": (_edit_second_frame(screen_w=10),
-                       "frame at 33 ms: screen 10x1080 differs from the first frame's 1920x1080"),
+                       f"{_AT_FRAME}: screen 10x1080 differs from the first frame's 1920x1080"),
     "no-frames": (lambda tr: dataclasses.replace(tr, frames=()), "trace has no frames"),
     "meta-nan": (_with_meta({"x": [1.0, {"y": _NAN}]}), _META),
     "meta-inf": (_with_meta({"x": _INF}), _META),

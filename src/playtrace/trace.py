@@ -258,6 +258,8 @@ def _frame_fault(where: str, d: dict) -> NoReturn:
         if not (isinstance(screen, list) and len(screen) == 2
                 and all(0 < integer(v, "screen") <= MAX_SCREEN_PX for v in screen)):
             raise ValueError(f"screen must be two positive integers (at most {MAX_SCREEN_PX})")
+    except TraceError:   # a missing field, already worded with its line
+        raise
     except ValueError as exc:
         raise TraceValidationError(f"{where}: {exc}") from None
     raw_trackables = _require(d, "trackables", where)
@@ -815,12 +817,8 @@ def save_trace(trace: PlaybackTrace, path: str | Path) -> None:
     _finite_meta(trace.metadata)
     if not trace.frames:
         raise ValueError("trace has no frames")
-    header = {
-        "format": TRACE_FORMAT,
-        "version": TRACE_VERSION,
-        "fps": trace.source_fps,
-        "meta": trace.metadata,
-    }
+    header = {"format": TRACE_FORMAT, "version": TRACE_VERSION, "fps": trace.source_fps,
+              "meta": trace.metadata}
     text = [json.dumps(header) + "\n", *_frame_texts(trace.frames)]
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.writelines(text)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import math
 import random
 import tracemalloc
 from itertools import chain
@@ -16,6 +17,7 @@ import oracles
 from oracles import decimate, frame_blocks, iter_frames
 from playtrace import trace as trace_module
 from playtrace.geometry import simple_polygons
+from playtrace.jsonin import unit
 from playtrace.pipeline import BOX_BLOCK_FRAMES, AnalysisParams, run_boxes
 from playtrace.scenes import benchmark_scene
 from playtrace.simulator import generate_trace
@@ -159,6 +161,15 @@ def test_missing_field(tmp_path):
     del f["view"]
     with pytest.raises(TraceParseError, match="view"):
         load_trace(_write(tmp_path, [_header(), f]))
+
+
+@pytest.mark.parametrize("key", ["t_ms", "screen"])
+def test_missing_time_or_screen_is_a_parse_error_named_once(tmp_path, key):
+    broken = _frame(66)
+    del broken[key]
+    for read in (load_trace, lambda p: list(iter_frames(p))):
+        with pytest.raises(TraceParseError, match=rf"^t\.jsonl:4: missing field '{key}'$"):
+            read(_write(tmp_path, [_header(), _frame(0), _frame(33), broken]))
 
 
 def test_timestamps_strictly_increasing(tmp_path):
@@ -405,6 +416,25 @@ _NORMALS = [[0.0, 1.0, 0.0], [-0.0, 1.0, 0.0], [0.6, 0.8, -0.0], [0.0, 0.0, -1.0
             [0.0, 1.0 + 4e-7, 0.0]]
 
 
+def _unit_rows(rows):
+    """Each nonzero row divided by its length, where the quotient passes the reader's unit test."""
+    normals = []
+    for row in rows:
+        if length := math.hypot(*row):
+            try:
+                normals.append(unit(np.array([v / length for v in row]), "normal").tolist())
+            except ValueError:
+                pass
+    return normals
+
+
+def _scaled_shapes(shapes):
+    """For each (n, sx, sz), the regular n-gon on the unit circle scaled by sx along x and sz
+    along z: convex, so simple unless its floats collapse or overflow."""
+    return [[(sx * math.cos(2 * math.pi * k / n), sz * math.sin(2 * math.pi * k / n))
+             for k in range(n)] for n, sx, sz in shapes]
+
+
 @st.composite
 def _hand_made_frames(draw, n_frames):
     """n_frames frames the reader takes, drawn from a few rows each, so rows repeat within and
@@ -412,15 +442,20 @@ def _hand_made_frames(draw, n_frames):
 
     A matrix is a C-order array or the transposed view load_trace returns;
     a frame holds up to four trackables, or none.  A polygon is a drawn one
-    that is simple, or _ODD_TRIANGLE; a normal is one of _NORMALS, which
-    are among the vectors.
+    or a regular polygon scaled by drawn factors, when it is simple, or
+    _ODD_TRIANGLE; a normal is one of _NORMALS or a drawn vector divided by
+    its length.  The normals are among the vectors.
     """
     mats = _zero_signs(draw(st.lists(st.lists(_WRITTEN_FLOATS, min_size=16, max_size=16),
                                      min_size=1, max_size=3)))
     vecs = _zero_signs(draw(st.lists(st.lists(_WRITTEN_FLOATS, min_size=3, max_size=3),
-                                     min_size=1, max_size=3))) + _NORMALS
+                                     min_size=1, max_size=3)))
+    normals = _NORMALS + _unit_rows(vecs)
+    vecs += normals
     polys = draw(st.lists(st.lists(st.tuples(_WRITTEN_FLOATS, _WRITTEN_FLOATS), min_size=3,
                                    max_size=7), min_size=1, max_size=4))
+    polys += _scaled_shapes(draw(st.lists(st.tuples(st.integers(3, 7), _WRITTEN_FLOATS,
+                                                    _WRITTEN_FLOATS), min_size=1, max_size=4)))
     polys = [p for p in polys if simple_polygons([p])[0]] + [_ODD_TRIANGLE]
     ids = draw(st.lists(_ODD_IDS, min_size=1, max_size=4, unique=True))
     start = draw(st.integers(-2**53, 2**53 - 200 * n_frames))
@@ -434,7 +469,7 @@ def _hand_made_frames(draw, n_frames):
     for i in range(n_frames):
         tracks = tuple(
             TrackableSnapshot(tid, matrix(), np.array(rng.choice(polys)), np.array(rng.choice(vecs)),
-                              np.array(rng.choice(_NORMALS)), rng.choice(list(TrackingState)))
+                              np.array(rng.choice(normals)), rng.choice(list(TrackingState)))
             for tid in rng.sample(ids, rng.randint(0, len(ids)))
         )
         frame = FrameRecord(start + 200 * i, matrix(), matrix(), np.array(rng.choice(vecs)),
@@ -485,7 +520,7 @@ _FAULTING_EDITS = [
     lambda fr, i: _replaced(fr, i, view=_with(_NAN, (1, 2), fr[i].view)),
     lambda fr, i: _replaced(fr, i, camera_position=np.array([0.0, _INF, 0.0])),
     lambda fr, i: _replaced(fr, i, trackables=fr[i].trackables + fr[i].trackables[:1]),
-    lambda fr, i: _replaced_trackable(fr, i, normal_world=fr[i].trackables[0].normal_world * 2),
+    lambda fr, i: _replaced_trackable(fr, i, normal_world=np.array([0.0, 2.0, 0.0])),
     lambda fr, i: _replaced_trackable(fr, i, local_vertices=np.array(
         [[-1.0, -1.0], [1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]])),
     lambda fr, i: _replaced_trackable(fr, i, local_vertices=np.array([[0.0, 0.0], [1.0, 0.0]])),

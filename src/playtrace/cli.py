@@ -53,7 +53,7 @@ MAX_RUNS = 1_000  # runs one analyze or compare may take: each run is a whole tr
 
 
 def parse_mix(text: str) -> dict[GestureKind, float]:
-    """Parse "TAP=0.55,DRAG=0.25,PINCH=0.1,ROTATE=0.1" into a mix dict."""
+    """Parse "TAP=0.55,DRAG=0.25,PINCH=0.1,ROTATE=0.1" into a mix dict; each kind once."""
     mix: dict[GestureKind, float] = {}
     for part in text.split(","):
         part = part.strip()
@@ -66,6 +66,8 @@ def parse_mix(text: str) -> dict[GestureKind, float]:
             kind = GestureKind(name.strip().upper())
         except ValueError:
             raise ValueError(f"unknown gesture kind {name.strip()!r}") from None
+        if kind in mix:
+            raise ValueError(f"gesture kind {kind.value} given twice in the mix")
         mix[kind] = float(raw)
     if not mix:
         raise ValueError("empty gesture mix")
@@ -169,6 +171,8 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     duration = args.duration_ms
     if duration is None:
         duration = max((o.end_ms for o in opps), default=0)
+    elif duration < 0:
+        raise ValueError(f"--duration-ms must be >= 0, got {duration}")
     mix = parse_mix(args.mix) if args.mix else None
     sched = schedule_guided(
         opps, duration, args.seed, mix=mix, min_gap_ms=args.min_gap_ms

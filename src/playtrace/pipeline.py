@@ -1,19 +1,19 @@
 """End-to-end analysis pipeline.
 
-Chains the pieces together: compute per-frame visible boxes of the frames a
-producer kept at the analysis rate, split them into life spans, keep the
+Chains the pieces together: compute per-frame visible boxes of the frames
+a producer kept at the analysis rate, split them into life spans, keep the
 long ones as test opportunities, and intersect several runs of the same
 recording when more than one is available.  Both producers, the trace
 reader (iter_blocks) and the renderer (render_frames), yield the frames
-they keep as column blocks (FrameBlock), each with one screen and one
-matrix order.  The blocks pass through one loop (run_boxes) as they
-arrive, which checks that a run has one screen and one order, so a run
-costs memory for its boxes and for one block of frames, not for all its
-frames.  A run's boxes are one float64 array per trackable, a row per
-frame with NaN for "no box"; Rects are made only for the life spans found
-in them.  The boxes depend on the frames alone: AnalysisParams reaches the
-producer's walk (fps) and analyze_boxes (the visibility and duration
-thresholds), not run_boxes.
+they keep as column blocks (FrameBlock), each with one screen; the strides
+of its matrices keep the producer's order.  The blocks pass through one
+loop (run_boxes) as they arrive, which checks that a run has one screen,
+so a run costs memory for its boxes and for one block of frames, not for
+all its frames.  A run's boxes are one float64 array per trackable, a row
+per frame with NaN for "no box"; Rects are made only for the life spans
+found in them.  The boxes depend on the frames alone: AnalysisParams
+reaches the producer's walk (fps) and analyze_boxes (the visibility and
+duration thresholds), not run_boxes.
 """
 
 from __future__ import annotations
@@ -83,24 +83,19 @@ def run_boxes(frames: Iterable[FrameBlock]) -> RunBoxes:
     frames raise comes first, as it would one frame at a time.  The boxes
     dict is keyed in order of first appearance; each value has one row per
     frame, NaN where the trackable produced no box.  Every block has the
-    first block's screen and matrix order: a block that differs is a
-    ValueError naming its first frame, raised before the joined block that
-    holds it is analysed.
+    first block's screen: a block that differs is a ValueError naming its
+    first frame, raised before the joined block that holds it is analysed.
     """
-    first: tuple[tuple[int, int], bool] | None = None   # the first block's screen and order
+    screen: tuple[int, int] | None = None   # the first block's
     chunks: dict[str, list[np.ndarray]] = {}   # per trackable, its rows of each block
     timestamps: list[int] = []
     for parts in blocks(frames, BOX_BLOCK_FRAMES, lambda b: len(b.t_ms)):
-        first = first or (parts[0].screen, parts[0].col_major)
-        screen, col_major = first
+        screen = screen or parts[0].screen
         for b in parts:
             if b.screen != screen:
                 w, h = b.screen
                 raise ValueError(f"frame at {b.t_ms[0]} ms: screen {w}x{h} differs "
                                  f"from the first frame's {screen[0]}x{screen[1]}")
-            if b.col_major != col_major:
-                raise ValueError(f"frame at {b.t_ms[0]} ms: matrix order differs "
-                                 "from the first frame's")
         block = join_blocks(parts)
         tids, frame_of, found = fit_boxes(block_pieces(block), *screen)
         for tid in tids:
@@ -113,7 +108,7 @@ def run_boxes(frames: Iterable[FrameBlock]) -> RunBoxes:
             seq.append(part)
         timestamps += block.t_ms
         del parts, b, block  # this block's frames go before the next block is read
-    if first is None:
+    if screen is None:
         raise TraceValidationError("cannot analyze an empty trace")
     boxes = {tid: np.concatenate(seq) for tid, seq in chunks.items()}
     return RunBoxes(boxes, timestamps, screen)

@@ -442,14 +442,14 @@ def render_frames(
     built, so the frames yielded equal those of the full render that keep
     accepts.  Without keep every frame is built.  Each block holds
     BOX_BLOCK_FRAMES frames, the last one fewer; every matrix is in C order,
-    and a block's projection is one row, broadcast.
+    and a block's projection is one matrix, broadcast.
     """
     validate_scene(scene)
     if jitter is None:
         jitter = scene.default_jitter
     rng = np.random.default_rng(jitter_seed)
     aspect = scene.screen_w / scene.screen_h
-    proj = perspective_matrix(scene.fov_y_deg, aspect, scene.near_m, scene.far_m).reshape(1, 16)
+    proj = perspective_matrix(scene.fov_y_deg, aspect, scene.near_m, scene.far_m).reshape(1, 4, 4)
     times = frame_times(scene)
     kept = [keep is None or keep(t) for t in times]
     kept_times = [t for t, k in zip(times, kept) if k]
@@ -457,7 +457,7 @@ def render_frames(
     planes = scene.planes
     detected = [plane_detected(p, np.array(times)).tolist() for p in planes]
     # a row per plane: each block takes the rows of the planes its frames show
-    poses = np.array([p.pose() for p in planes]).reshape(-1, 16)
+    poses = np.array([p.pose() for p in planes]).reshape(-1, 4, 4)
     centers = np.array([p.center for p in planes], dtype=float).reshape(-1, 3)
     normals = np.array([p.normal for p in planes], dtype=float).reshape(-1, 3)
     shapes = [p.vertices() for p in planes]
@@ -483,8 +483,8 @@ def render_frames(
         end, tracks = start + len(part), list(chain.from_iterable(part))
         rows = np.array([k for k, _ in tracks], dtype=int)
         block = FrameBlock(
-            screen=(scene.screen_w, scene.screen_h), col_major=False, t_ms=kept_times[start:end],
-            view=views[start:end].reshape(-1, 16), proj=np.broadcast_to(proj, (len(part), 16)),
+            screen=(scene.screen_w, scene.screen_h), t_ms=kept_times[start:end],
+            view=views[start:end], proj=np.broadcast_to(proj, (len(part), 4, 4)),
             cam_pos=eyes[start:end], n_trackables=np.array(list(map(len, part)), dtype=int),
             ids=[planes[k].plane_id for k in rows.tolist()],
             states=[TrackingState.TRACKING] * len(rows),

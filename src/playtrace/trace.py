@@ -87,29 +87,30 @@ class FrameBlock(NamedTuple):
 
     The trackables of frame i are the next n_trackables[i] rows of the
     trackable columns, in the frame's order, and the vertices of trackable
-    k are the next n_verts[k] rows of verts.  A matrix is a row of its 16
-    numbers: column-major where col_major is set (the reader's blocks),
-    else in C order (the renderer's).  Every frame of a block has its one
-    screen.  Every array is read-only.
+    k are the next n_verts[k] rows of verts.  A matrix is a (4, 4) array
+    whose strides keep its producer's order: the reader's are transposed
+    views of the column-major rows it read, the renderer's are in C order.
+    numpy hands BLAS each as it is stored, and the two kernels round
+    differently, so each producer's products keep their own bits.  Every
+    frame of a block has its one screen.  Every array is read-only.
     """
 
     screen: tuple[int, int]     # (width, height) in pixels
-    col_major: bool
     t_ms: list[int]
-    view: np.ndarray            # (F, 16)
-    proj: np.ndarray            # (F, 16)
+    view: np.ndarray            # (F, 4, 4)
+    proj: np.ndarray            # (F, 4, 4)
     cam_pos: np.ndarray         # (F, 3)
     n_trackables: np.ndarray    # (F,)
     ids: list[str]              # (K)
     states: list[TrackingState]
-    pose: np.ndarray            # (K, 16), local -> world
+    pose: np.ndarray            # (K, 4, 4), local -> world
     center: np.ndarray          # (K, 3)
     normal: np.ndarray          # (K, 3)
     n_verts: np.ndarray         # (K,)
     verts: np.ndarray           # (V, 2) rows of (x, z) in each trackable's local plane
 
 
-# the rows of each FrameBlock column after screen and col_major: 0 frames, 1 trackables,
+# the rows of each FrameBlock column after screen: 0 frames, 1 trackables,
 # 2 vertices
 _ROW_KINDS = (0,) * 5 + (1,) * 6 + (2,)
 
@@ -126,43 +127,39 @@ def _take(block: FrameBlock, kept: list[bool]) -> FrameBlock:
     rows = [np.array(kept, dtype=bool)]   # the rows kept of each kind in _ROW_KINDS
     rows.append(np.repeat(rows[0], block.n_trackables))
     rows.append(np.repeat(rows[1], block.n_verts))
-    return FrameBlock(block.screen, block.col_major, *(
+    return FrameBlock(block.screen, *(
         list(compress(col, rows[kind].tolist())) if type(col) is list else _frozen(col[rows[kind]])
-        for col, kind in zip(block[2:], _ROW_KINDS)
+        for col, kind in zip(block[1:], _ROW_KINDS)
     ))
 
 
 def join_blocks(parts: Sequence[FrameBlock]) -> FrameBlock:
-    """The frames of parts, in order, as one block; they share the first part's screen and order."""
+    """The frames of parts, in order, as one block with the first part's screen.
+
+    np.concatenate keeps the matrices' layout when every part has one
+    producer's, and writes C order when they differ.
+    """
     if len(parts) == 1:
         return parts[0]
-    return FrameBlock(parts[0].screen, parts[0].col_major, *(
+    return FrameBlock(parts[0].screen, *(
         list(chain.from_iterable(cols)) if type(cols[0]) is list else _frozen(np.concatenate(cols))
-        for cols in list(zip(*parts))[2:]
+        for cols in list(zip(*parts))[1:]
     ))
 
 
 def block_records(block: FrameBlock) -> Iterator[FrameRecord]:
-    """The FrameRecord of each frame of a block; its arrays are views of the block's columns.
-
-    A matrix is its row as (4, 4) in C order, or the transpose of that in
-    a column-major block: one view per row.
-    """
-    def matrices(rows: np.ndarray) -> list[Mat4]:
-        stored = rows.reshape(-1, 4, 4)
-        return list(stored.transpose(0, 2, 1) if block.col_major else stored)
-
+    """The FrameRecord of each frame of a block; its arrays are views of the block's columns."""
     ends = np.cumsum(block.n_verts).tolist()
     tracks = iter([
         TrackableSnapshot(trackable_id=tid, pose=pose, local_vertices=block.verts[start:end],
                           center_world=center, normal_world=normal, tracking_state=state)
         for tid, pose, start, end, center, normal, state in zip(
-            block.ids, matrices(block.pose), [0, *ends], ends,
+            block.ids, block.pose, [0, *ends], ends,
             block.center, block.normal, block.states)
     ])
     w, h = block.screen
-    for t, view, proj, cam, n in zip(block.t_ms, matrices(block.view), matrices(block.proj),
-                                     block.cam_pos, block.n_trackables.tolist()):
+    for t, view, proj, cam, n in zip(block.t_ms, block.view, block.proj, block.cam_pos,
+                                     block.n_trackables.tolist()):
         yield FrameRecord(timestamp_ms=t, view=view, projection=proj, camera_position=cam,
                           screen_w=w, screen_h=h, trackables=tuple(islice(tracks, n)))
 
@@ -397,8 +394,9 @@ def _block_frames(lines: list[tuple[int | str, dict]]) -> FrameBlock | None:
     verts = _number_rows(list(chain.from_iterable(polys)), 2)
     if mats is None or vecs is None or verts is None:
         return None
+    mats = mats.reshape(-1, 4, 4).transpose(0, 2, 1)   # column-major rows: no copy
     block = FrameBlock(
-        screen=tuple(screens[0]), col_major=True, t_ms=list(t_ms),
+        screen=tuple(screens[0]), t_ms=list(t_ms),
         view=mats[:f], proj=mats[f:2 * f], cam_pos=vecs[:f],
         n_trackables=_frozen(np.array(list(map(len, per_frame)), dtype=int)), ids=list(ids),
         states=list(map(_TRACKING_STATES.__getitem__, states)),
@@ -665,9 +663,10 @@ def _polygons(polys: Sequence) -> np.ndarray | None:
 
 
 def _records_block(frames: Sequence[FrameRecord]) -> FrameBlock | None:
-    """frames as one C-order block, or None unless every matrix, vector and polygon is an
-    array of numbers of its shape, every state a TrackingState and every frame's screen the
-    first one's, of the same types; the values are check_block's to judge."""
+    """frames as one block of C-order matrices, or None unless every matrix, vector and
+    polygon is an array of numbers of its shape, every state a TrackingState and every
+    frame's screen the first one's, of the same types; the values are check_block's to
+    judge."""
     tracks = [t for f in frames for t in f.trackables]
     screens = [(f.screen_w, f.screen_h) for f in frames]
     kinds = [(type(w), type(h)) for w, h in screens]
@@ -681,9 +680,8 @@ def _records_block(frames: Sequence[FrameRecord]) -> FrameBlock | None:
             or screens.count(screens[0]) < len(screens) or kinds.count(kinds[0]) < len(kinds)):
         return None
     n, k = len(frames), len(tracks)
-    mats = mats.reshape(-1, 16)
     return FrameBlock(
-        screen=screens[0], col_major=False, t_ms=[f.timestamp_ms for f in frames],
+        screen=screens[0], t_ms=[f.timestamp_ms for f in frames],
         view=mats[:n], proj=mats[n:2 * n], cam_pos=vecs[:n],
         n_trackables=np.array([len(f.trackables) for f in frames], dtype=int),
         ids=[t.trackable_id for t in tracks], states=states,
@@ -703,15 +701,15 @@ def _record_fault(f: FrameRecord, where: str) -> NoReturn:
                      "arrays of numbers, and states TrackingStates")
 
 
-def _col_major(block: FrameBlock) -> np.ndarray:
-    """The view, proj and pose rows of block, one after another, in column-major order."""
-    mats = np.concatenate([block.view, block.proj, block.pose])
-    return mats if block.col_major else mats.reshape(-1, 4, 4).transpose(0, 2, 1).reshape(-1, 16)
+def _matrix_rows(block: FrameBlock) -> np.ndarray:
+    """The view, proj and pose matrices of block, one after another, as C-contiguous rows of
+    their 16 numbers in column-major order; a copy only of matrices in C order."""
+    return np.concatenate([block.view, block.proj, block.pose]).transpose(0, 2, 1).reshape(-1, 16)
 
 
 def _frame_object(block: FrameBlock) -> dict:
     """The JSON object of the line of a one-frame block, as the reader decodes it."""
-    mats = _col_major(block).tolist()
+    mats = _matrix_rows(block).tolist()
     vecs = np.concatenate([block.cam_pos, block.center, block.normal]).tolist()
     verts, ends, k = block.verts.tolist(), np.cumsum(block.n_verts).tolist(), len(block.ids)
     return {"t_ms": block.t_ms[0], "screen": list(block.screen), "view": mats[0],
@@ -740,13 +738,13 @@ def _row_texts(rows: np.ndarray) -> list[str]:
 def _block_lines(block: FrameBlock) -> str:
     """The frame lines of a block check_block passed, each the text json.dumps writes for its frame.
 
-    The matrix rows of a C-order block are transposed to column-major.
+    The matrices are written column-major (_matrix_rows).
     Each distinct matrix or vector row is formatted once (_row_texts),
     each polygon is the repr of its rows of one verts.tolist(), and the
     screen is formatted once.
     """
     n, k = len(block.t_ms), len(block.ids)
-    mat = _row_texts(_col_major(block))
+    mat = _row_texts(_matrix_rows(block))
     vec = _row_texts(np.concatenate([block.cam_pos, block.center, block.normal]))
     ids = {tid: json.dumps(tid) for tid in dict.fromkeys(block.ids)}
     verts = block.verts.tolist()

@@ -44,19 +44,6 @@ def screen_clip_polygon(screen_w: float, screen_h: float) -> list[Point]:
     return [(0.0, h), (w, h), (w, 0.0), (0.0, 0.0)]
 
 
-def _stacked_matmul(rows: np.ndarray, col_major: bool, x: np.ndarray) -> np.ndarray:
-    """m[k] @ x[k, j] for every k and j, in one stacked matmul.
-
-    rows[k] holds the 16 numbers of the matrix m[k], column-major when
-    col_major is set, else in C order (FrameBlock).  numpy hands BLAS a
-    C-ordered matrix transposed and a column-major one as it is, and the
-    two kernels round differently.  So the matrices keep their order, and
-    every product is bit-equal to that matrix's own matmul.
-    """
-    stored = rows.reshape(-1, 1, 4, 4)   # m[k] in C order, its transpose when column-major
-    return (stored.transpose(0, 1, 3, 2) if col_major else stored) @ x
-
-
 def _project(
     block: FrameBlock, rows: np.ndarray, owner: np.ndarray, verts: np.ndarray,
     track_of: np.ndarray, column: np.ndarray
@@ -67,17 +54,19 @@ def _project(
     are the vertices of every row in turn: verts[i] is vertex column[i] of
     row track_of[i].  Each vertex (x, 0, z, 1) goes through its pose, view
     and projection in stacked matmuls, then through the perspective divide
-    and the viewport of the block's screen.  The pixels of a vertex behind
-    the camera mean nothing.
+    and the viewport of the block's screen.  Fancy indexing keeps the
+    matrices' layout (FrameBlock), so every product is bit-equal to that
+    matrix's own matmul.  The pixels of a vertex behind the camera mean
+    nothing.
     """
     v = np.zeros((len(rows), int(column.max(initial=0)) + 1, 4, 1))
     v[track_of, column, 0, 0], v[track_of, column, 2, 0] = verts.T
     v[:, :, 3, 0] = 1.0
     # finite numbers can overflow to pixels that are inf or NaN, which block_pieces rejects
     with np.errstate(all="ignore"):
-        clip = _stacked_matmul(block.pose[rows], block.col_major, v)
-        clip = _stacked_matmul(block.view[owner], block.col_major, clip)
-        clip = _stacked_matmul(block.proj[owner], block.col_major, clip)[track_of, column, :, 0]
+        clip = block.pose[rows][:, None] @ v
+        clip = block.view[owner][:, None] @ clip
+        clip = (block.proj[owner][:, None] @ clip)[track_of, column, :, 0]
         screen_w, screen_h = block.screen
         w = clip[:, 3]
         x = (clip[:, 0] / w + 1.0) / 2.0 * screen_w

@@ -845,11 +845,22 @@ def _frozen(arr):
     return arr
 
 
+def column_major(block):
+    """Whether the matrices of block are stored column-major, each the transposed view of a
+    row of its 16 numbers as the reader holds them, rather than in C order as the renderer's
+    are.  The strides of view, proj and pose say it, and must agree; those of an empty
+    array mean nothing."""
+    (order,) = {mats.strides[1] < mats.strides[2]
+                for mats in (block.view, block.proj, block.pose) if mats.size}
+    return order
+
+
 def frames_block(frames, col_major=None):
     """FrameRecords made in memory, all of one screen and one matrix order, as one FrameBlock.
 
-    Given col_major, the matrices are stored in that order whatever their
-    own, and the block has the first frame's screen.
+    Given col_major, the (n, 4, 4) matrices are stored in that order (as
+    column_major reads it) whatever their own, and the block has the first
+    frame's screen.
     """
     from playtrace.trace import FrameBlock
 
@@ -860,15 +871,15 @@ def frames_block(frames, col_major=None):
     tracks = [t for f in frames for t in f.trackables]
 
     def matrices(mats):
-        return _frozen(np.array([m.T if col_major else m for m in mats],
-                                dtype=float).reshape(-1, 16))
+        stored = _frozen(np.array([m.T if col_major else m for m in mats],
+                                  dtype=float).reshape(-1, 4, 4))
+        return stored.transpose(0, 2, 1) if col_major else stored
 
     def rows(vectors, n):
         return _frozen(np.array(vectors, dtype=float).reshape(-1, n))
 
     return FrameBlock(
-        screen=screen, col_major=col_major,
-        t_ms=[f.timestamp_ms for f in frames],
+        screen=screen, t_ms=[f.timestamp_ms for f in frames],
         view=matrices([f.view for f in frames]), proj=matrices([f.projection for f in frames]),
         cam_pos=rows([f.camera_position for f in frames], 3),
         n_trackables=_frozen(np.array([len(f.trackables) for f in frames], dtype=int)),

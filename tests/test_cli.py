@@ -124,6 +124,10 @@ def test_parse_mix():
         parse_mix("TAP")
     with pytest.raises(ValueError, match="empty"):
         parse_mix(",")
+    # a kind given twice would overwrite its first weight
+    for text in ("TAP=0.5,DRAG=0.5,TAP=0.5", "TAP=0.5,DRAG=0.5,tap=0.5"):
+        with pytest.raises(ValueError, match="^gesture kind TAP given twice in the mix$"):
+            parse_mix(text)
 
 
 def test_analyze_writes_report_and_chart(tmp_path, trace_path, capsys):
@@ -592,6 +596,20 @@ def test_schedule_rejects_non_positive_gap(tmp_path, trace_path, capsys, gap):
         ["schedule", str(out / "report.json"), "--min-gap-ms", gap, "--out", str(sched_path)]
     )
     assert _assert_input_error(rc, capsys).startswith("error: min_gap_ms ")
+    assert not sched_path.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--duration-ms", "-5"], "--duration-ms must be >= 0, got -5"),
+    (["--mix", "TAP=0.5,DRAG=0.5,TAP=0.5"], "gesture kind TAP given twice in the mix"),
+    (["--mix", "TAP=0.5,DRAG=0.5,tap=0.5"], "gesture kind TAP given twice in the mix"),
+], ids=["negative-duration", "kind-twice", "kind-twice-lower"])
+def test_schedule_rejects_bad_knobs(tmp_path, trace_path, capsys, argv, message):
+    out = tmp_path / "analysis"
+    assert main(["analyze", str(trace_path), "--out", str(out)]) == 0
+    sched_path = tmp_path / "guided.json"
+    rc = main(["schedule", str(out / "report.json"), *argv, "--out", str(sched_path)])
+    assert _assert_input_error(rc, capsys) == f"error: {message}\n"
     assert not sched_path.exists()
 
 

@@ -20,9 +20,11 @@ import contextlib
 import dataclasses
 import io
 import json
+import re
 import signal
 import sys
 import warnings
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from hypothesis import strategies as st
 
 from playtrace import cli
 from playtrace.cli import main
+from playtrace.reporting import _escape
 from playtrace.scenes import benchmark_scene
 from playtrace.simulator import SceneError, generate_trace, load_scene, save_scene
 from playtrace.trace import save_trace
@@ -151,22 +154,40 @@ def test_mutated_traces_exit_cleanly(tmp_path_factory, base_lines, data):
     assert _exit_code(["analyze", str(path), "--fps", "1", "--out", str(tmp / "out")]) in (0, 1, 2)
 
 
+def _assert_chart_ids(out) -> int:
+    """The blocks of out/gantt.svg, parsed, carry the ids of out/report.json's opportunities
+    one-to-one, each as the attribute text _escape writes; returns how many there are."""
+    ids = [o["id"] for o in json.loads((out / "report.json").read_text())["opportunities"]]
+    svg = (out / "gantt.svg").read_text(encoding="utf-8")
+    parsed = [rect.get("data-id") for rect in ET.fromstring(svg).iterfind(".//{*}rect")
+              if rect.get("class") == "block"]
+    assert re.findall(r'<rect class="block" data-id="([^"]*)"', svg) == list(map(_escape, ids))
+    pairs = set(zip(ids, parsed))
+    assert len(parsed) == len(ids) and len(pairs) == len(set(ids)) == len(set(parsed))
+    return len(ids)
+
+
 def test_every_path_of_a_frame_line_exits_cleanly(tmp_path, monkeypatch, base_lines):
     # each path of a frame line with a trackable set to each odd value ([] among them) and
     # deleted, as the middle frame of three, all analysed: the block pass rejects the block,
-    # and the one-line re-read words the first fault
+    # and the one-line re-read words the first fault.  With no least life span every
+    # analysis that exits 0 charts its opportunities, and the chart's ids are the report's.
     parser = cli.build_parser()   # one parser for the 1,848 commands: building it is half the time
     monkeypatch.setattr(cli, "build_parser", lambda: parser)
     header, before, line, after = base_lines[0], *base_lines[30:33]
     assert json.loads(line)["trackables"]
-    path = tmp_path / "run.jsonl"
-    argv = ["analyze", str(path), "--fps", "30", "--out", str(tmp_path / "out")]
-    codes = []
+    path, out = tmp_path / "run.jsonl", tmp_path / "out"
+    argv = ["analyze", str(path), "--fps", "30", "--min-lifespan", "0", "--out", str(out)]
+    codes, charted = [], 0
     for at in list(_paths(json.loads(line)))[1:]:
         for value in [*_ODD_VALUES, _DELETE]:
             path.write_text("\n".join([header, before, _set(line, at, value), after]) + "\n")
             codes.append((at[0], _exit_code(argv)))
+            if codes[-1][1] == 0:
+                charted += _assert_chart_ids(out)
+                (out / "gantt.svg").unlink()
     assert len(codes) == 84 * 22 and {code for _, code in codes} <= {0, 1}
+    assert charted > 0
     # a line whose screen is not two positive integers is rejected, in the block and alone
     assert {code for field, code in codes if field == "screen"} == {1}
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from oracles import decimate, frame_blocks, frames_block
-from playtrace import pipeline
 from playtrace.pipeline import AnalysisParams, analyze_boxes, run_boxes
 from playtrace.simulator import (
     CameraKeyframe, Jitter, ScenePlane, SimScene, generate_trace, render_frames,
@@ -143,18 +142,25 @@ def test_analyze_runs_rejects_mixed_screens():
         run_boxes([frames_block(big.frames[:90]), frames_block(small.frames[90:93])])
 
 
-def test_run_boxes_rejects_blocks_of_two_matrix_orders(tmp_path, monkeypatch):
-    # the reader's blocks are column-major and the renderer's in C order: joined, one
-    # producer's numbers would be read transposed
+def test_run_boxes_analyses_a_stream_of_both_producers_blocks(tmp_path):
+    # the reader's matrices are column-major views and the renderer's in C order; joined,
+    # both are read as they are stored, and a block of another screen is still rejected
     scene = _scene(duration=1000)
     path = tmp_path / "run.jsonl"
     save_trace(generate_trace(scene), path)
     read, rendered = list(iter_blocks(path)), list(render_frames(scene))
-    analysed = []
-    monkeypatch.setattr(pipeline, "block_pieces", lambda block: analysed.append(block) or [])
-    for given in (read + rendered, rendered + read):
-        at = given[-1].t_ms[0]
-        message = f"^frame at {at} ms: matrix order differs from the first frame's$"
+    small = list(render_frames(dataclasses.replace(scene, screen_w=960, screen_h=540)))
+    for first, second in ((read, rendered), (rendered, read)):
+        alone = [run_boxes(first), run_boxes(second)]
+        mixed = run_boxes(first + second)
+        assert mixed.screen == (1920, 1080)
+        assert mixed.timestamps_ms == alone[0].timestamps_ms + alone[1].timestamps_ms
+        assert list(mixed.boxes) == list(alone[0].boxes) == list(alone[1].boxes)
+        for tid, boxes in mixed.boxes.items():
+            want = np.concatenate([run.boxes[tid] for run in alone])
+            assert np.isfinite(want).any()
+            np.testing.assert_allclose(boxes, want, rtol=1e-12, atol=1e-9)
+        message = (f"^frame at {small[0].t_ms[0]} ms: screen 960x540 differs "
+                   "from the first frame's 1920x1080$")
         with pytest.raises(ValueError, match=message):
-            run_boxes(given)
-    assert not analysed
+            run_boxes(first + second + small)

@@ -509,6 +509,7 @@ def _assert_same_blocks(got, want):
                 assert type(x) is type(y) and x == y, name
             else:
                 assert x.dtype == y.dtype and x.shape == y.shape, name
+                assert not x.size or x.strides[1:] == y.strides[1:], name   # a matrix's order
                 assert x.tobytes() == y.tobytes(), name
                 assert not x.flags.writeable, name
 
@@ -521,7 +522,7 @@ def test_render_frames_equal_the_decimated_full_render(name):
         full = generate_trace(scene, seed)
         got = list(render_frames(scene, seed, keep=deadline_walk(scene.fps, 10.0)))
         assert all(len(b.t_ms) == BOX_BLOCK_FRAMES for b in got[:-1])
-        assert not any(b.col_major for b in got)
+        assert not any(map(oracles.column_major, got))
         _assert_same_blocks(got, frame_blocks(oracles.decimate(full.frames, scene.fps, 10.0)))
         assert sum(len(b.t_ms) for b in got) < len(full.frames)
 
@@ -573,15 +574,17 @@ def test_reader_blocks_are_column_major_and_rendered_ones_are_not(tmp_path):
     rendered = list(render_frames(scene, 1))
     assert len(read) == 2 and len(rendered) == 1
     for blocks, col_major in ((read, True), (rendered, False)):
-        assert {(b.screen, b.col_major) for b in blocks} == {((960, 540), col_major)}
+        assert {(b.screen, oracles.column_major(b)) for b in blocks} == {((960, 540), col_major)}
         # joined and walked blocks keep both
         joined = join_blocks([*blocks, *blocks])
-        assert (joined.screen, joined.col_major) == ((960, 540), col_major)
+        assert (joined.screen, oracles.column_major(joined)) == ((960, 540), col_major)
         taken = _take(joined, [k % 3 == 0 for k in range(len(joined.t_ms))])
-        assert (taken.screen, taken.col_major) == ((960, 540), col_major)
+        assert (taken.screen, oracles.column_major(taken)) == ((960, 540), col_major)
         assert taken.t_ms == joined.t_ms[::3]
     walked = list(iter_blocks(path, deadline_walk(scene.fps, 10.0)))
-    assert {(b.screen, b.col_major) for b in walked} == {((960, 540), True)}
+    assert {(b.screen, oracles.column_major(b)) for b in walked} == {((960, 540), True)}
+    # blocks of both producers join in C order
+    assert not oracles.column_major(join_blocks([*read, *rendered]))
 
 
 def _assert_vertex_form(verts):

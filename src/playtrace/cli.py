@@ -94,28 +94,17 @@ def _check_seed_spacing(seeds: Sequence[int], runs: int) -> None:
                              "(run r of seed s uses jitter seed 100 * s + r)")
 
 
-def _generated_runs(
-    scene: SimScene, jitter: Jitter, seeds: range, fps: float,
-    rendered: dict[int | None, RunBoxes],
-) -> list[RunBoxes]:
-    """The boxes of the runs rendered with the given jitter seeds, each distinct run rendered once.
+def _generated_runs(scene: SimScene, jitter: Jitter, seeds: range, fps: float) -> list[RunBoxes]:
+    """The boxes of the runs rendered with the given jitter seeds, one RunBoxes per seed.
 
     A run's frames depend on its jitter seed only when the jitter draws
-    (Jitter.draws), so a render is keyed by its seed when it draws and by
-    None when it does not: the runs of a jitter that draws nothing share one
-    RunBoxes.  A command passes one rendered dict to each of its calls; it
-    holds the renders of the last call, and those this call does not need
-    are dropped first.  Each render analyses only the frames its walk, at
-    fps, keeps.
+    (Jitter.draws), so every seed is rendered when it draws, and only the
+    first when it does not: then every seed's run is that one RunBoxes.
+    Each render analyses only the frames its walk, at fps, keeps.
     """
-    keys = [seed if jitter.draws else None for seed in seeds]
-    for key in rendered.keys() - set(keys):
-        del rendered[key]
-    for seed, key in zip(seeds, keys):
-        if key not in rendered:
-            rendered[key] = run_boxes(
-                render_frames(scene, seed, jitter, deadline_walk(scene.fps, fps)))
-    return [rendered[key] for key in keys]
+    drawn = [run_boxes(render_frames(scene, seed, jitter, deadline_walk(scene.fps, fps)))
+             for seed in (seeds if jitter.draws else seeds[:1])]
+    return drawn if jitter.draws else drawn * len(seeds)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -144,7 +133,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         # the recorded jitter, which need not be the scene's default
         jitter = jitter_from_dict(meta.get("jitter", {}))
         base = args.jitter_seed_base
-        runs = _generated_runs(scene, jitter, range(base, base + args.runs), params.fps, {})
+        runs = _generated_runs(scene, jitter, range(base, base + args.runs), params.fps)
         ends = [frame_times(scene)[-1]]  # where every render's walk ends
     else:
         runs, ends = [], []
@@ -206,10 +195,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     per_seed = []
     pooled_guided = []
     pooled_random = []
-    rendered: dict[int | None, RunBoxes] = {}
+    runs: list[RunBoxes] = []
     for seed in args.seeds:
-        seeds = range(100 * seed, 100 * seed + args.runs)
-        runs = _generated_runs(scene, scene.default_jitter, seeds, params.fps, rendered)
+        if not runs or scene.default_jitter.draws:   # else each seed's runs are the first's
+            seeds = range(100 * seed, 100 * seed + args.runs)
+            runs = _generated_runs(scene, scene.default_jitter, seeds, params.fps)
         _per_run, final, _metrics = analyze_boxes(runs, params)
         guided = schedule_guided(final, scene.duration_ms, seed)
         rand = schedule_random(

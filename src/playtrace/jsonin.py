@@ -79,6 +79,13 @@ def integer(value: Any, what: str) -> int:
     return value
 
 
+def non_empty_string(value: Any, what: str) -> str:
+    """value, when it is a str (not a subclass) of at least one character."""
+    if not (type(value) is str and value):
+        raise ValueError(f"{what} must be a non-empty string, got {value!r}")
+    return value
+
+
 def finite(value: Any, what: str) -> float:
     """value as a float, when it is a finite JSON number (an int or a float, not a bool)."""
     # compared exactly, so NaN and an integer too large for a float both fail

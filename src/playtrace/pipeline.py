@@ -7,13 +7,13 @@ recording when more than one is available.  Both producers, the trace
 reader (iter_blocks) and the renderer (render_frames), yield the frames
 they keep as column blocks (FrameBlock), each with one screen; the strides
 of its matrices keep the producer's order.  The blocks pass through one
-loop (run_boxes) as they arrive, which checks that a run has one screen,
-so a run costs memory for its boxes and for one block of frames, not for
-all its frames.  A run's boxes are one float64 array per trackable, a row
-per frame with NaN for "no box"; Rects are made only for the life spans
-found in them.  The boxes depend on the frames alone: AnalysisParams
-reaches the producer's walk (fps) and analyze_boxes (the visibility and
-duration thresholds), not run_boxes.
+loop (run_boxes) as they arrive, which holds them to the reader's run rule
+(one screen, strictly increasing t_ms), so a run costs memory for its boxes
+and for one block of frames, not for all its frames.  A run's boxes are one
+float64 array per trackable, a row per frame with NaN for "no box"; Rects
+are made only for the life spans found in them.  The boxes depend on the
+frames alone: AnalysisParams reaches the producer's walk (fps) and
+analyze_boxes (the visibility and duration thresholds), not run_boxes.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .lifespan import (
     opportunity_sort_key,
 )
 from .metrics import VideoMetrics, compute_metrics
-from .trace import FrameBlock, TraceValidationError, blocks, join_blocks
+from .trace import FrameBlock, TraceValidationError, _after, blocks, join_blocks
 from .visibility import block_pieces, fit_boxes
 
 DEFAULT_ANALYSIS_FPS = 10.0
@@ -82,20 +82,18 @@ def run_boxes(frames: Iterable[FrameBlock]) -> RunBoxes:
     raised after the blocks before it are analysed, so an error those
     frames raise comes first, as it would one frame at a time.  The boxes
     dict is keyed in order of first appearance; each value has one row per
-    frame, NaN where the trackable produced no box.  Every block has the
-    first block's screen: a block that differs is a ValueError naming its
-    first frame, raised before the joined block that holds it is analysed.
+    frame, NaN where the trackable produced no box.  Each block is held to
+    the reader's run rule (_after): the first block's screen and strictly
+    increasing t_ms.  A block that breaks it is a TraceValidationError at
+    "frame at <t> ms", raised before the joined block that holds it is
+    analysed.
     """
-    screen: tuple[int, int] | None = None   # the first block's
+    screen, prev = None, -math.inf   # the first block's screen, the previous frame's t_ms
     chunks: dict[str, list[np.ndarray]] = {}   # per trackable, its rows of each block
     timestamps: list[int] = []
     for parts in blocks(frames, BOX_BLOCK_FRAMES, lambda b: len(b.t_ms)):
-        screen = screen or parts[0].screen
         for b in parts:
-            if b.screen != screen:
-                w, h = b.screen
-                raise ValueError(f"frame at {b.t_ms[0]} ms: screen {w}x{h} differs "
-                                 f"from the first frame's {screen[0]}x{screen[1]}")
+            screen, prev = _after(b, screen, prev)
         block = join_blocks(parts)
         tids, frame_of, found = fit_boxes(block_pieces(block), *screen)
         for tid in tids:

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .geometry import MAX_SCREEN_COORD_PX, Rect
-from .jsonin import dump_json, integer, load_json, numbers
+from .jsonin import dump_json, integer, load_json, non_empty_string, numbers
 from .lifespan import TestOpportunity, opportunity_sort_key
 from .metrics import VideoMetrics
 
@@ -194,9 +194,8 @@ def load_report(path: str | Path) -> tuple[list[TestOpportunity], dict]:
             end_ms = integer(od["end_ms"], f"opportunity {i}: end_ms")
             if start_ms > end_ms:
                 raise ValueError(f"opportunity {i}: start_ms {start_ms} is after end_ms {end_ms}")
-            if not (isinstance(od["id"], str) and od["id"]):
-                raise ValueError(f"opportunity {i}: id must be a non-empty string, got {od['id']!r}")
-            opps.append(TestOpportunity(od["id"], Rect(*box), start_ms, end_ms))
+            tid = non_empty_string(od["id"], f"opportunity {i}: id")
+            opps.append(TestOpportunity(tid, Rect(*box), start_ms, end_ms))
         params = d["params"]
         if not isinstance(params, dict):
             raise ValueError(f"params must be an object, got {params!r}")

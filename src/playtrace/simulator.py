@@ -20,7 +20,9 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from .geometry import PARALLEL_EPS, EdgeLoops, dot_rows, odd_crossings, simple_polygons
-from .jsonin import MAX_INT, UNIT_EPS, dump_json, finite, integer, load_json, numbers, unit
+from .jsonin import (
+    UNIT_EPS, dump_json, finite, integer, load_json, non_empty_string, numbers, unit,
+)
 from .scheduler import EventSchedule, GestureEvent, GestureKind
 from .pipeline import BOX_BLOCK_FRAMES
 from .trace import (
@@ -129,6 +131,11 @@ def validate_scene(scene: SimScene) -> SimScene:
 
 
 def _check_scene(scene: SimScene) -> None:
+    if not isinstance(scene.name, str):
+        raise SceneError(f"name must be a string, got {scene.name!r}")
+    integer(scene.screen_w, "screen")
+    integer(scene.screen_h, "screen")
+    integer(scene.duration_ms, "duration_ms")
     if not (0 < scene.screen_w <= MAX_SCREEN_PX and 0 < scene.screen_h <= MAX_SCREEN_PX):
         raise SceneError(f"screen dimensions must be positive (at most {MAX_SCREEN_PX})")
     # comparisons with NaN are false, so NaN fails these checks
@@ -153,7 +160,7 @@ def _check_scene(scene: SimScene) -> None:
                          f"{scene.far_m} make a projection matrix past the float range")
     if not scene.camera_path:
         raise SceneError("camera path needs at least one keyframe")
-    times = [k.t_ms for k in scene.camera_path]
+    times = [integer(k.t_ms, f"camera_path[{i}] t_ms") for i, k in enumerate(scene.camera_path)]
     if times != sorted(times) or len(set(times)) != len(times):
         raise SceneError("camera keyframes must have strictly increasing times")
     if times[0] < 0 or times[-1] > scene.duration_ms:
@@ -164,6 +171,7 @@ def _check_scene(scene: SimScene) -> None:
                 finite(x, f"camera_path[{i}] {name}")
     seen: set[str] = set()
     for p in scene.planes:
+        non_empty_string(p.plane_id, "plane id")
         if p.plane_id in seen:
             raise SceneError(f"duplicate plane id '{p.plane_id}'")
         seen.add(p.plane_id)
@@ -192,8 +200,9 @@ def _check_scene(scene: SimScene) -> None:
             raise SceneError(f"plane '{p.plane_id}': extents must be positive")
         # times are compared with float arrays, so they must fit a float exactly
         integer(p.detect_delay_ms, f"{where} detect_delay_ms")
-        for s, e in p.lost_intervals:
-            if not (0 <= s < e <= MAX_INT):
+        for interval in p.lost_intervals:
+            s, e = (integer(t, f"{where} lost_intervals") for t in interval)
+            if not 0 <= s < e:
                 raise SceneError(f"plane '{p.plane_id}': bad lost interval [{s}, {e}]")
 
 
@@ -208,9 +217,10 @@ def jitter_from_dict(jd: Any) -> Jitter:
 
 
 def _plane_from_dict(pd: dict) -> ScenePlane:
-    pid = pd["id"]
-    if not isinstance(pid, str) or not pid:
-        raise SceneError(f"plane id must be a non-empty string, got {pid!r}")
+    try:
+        pid = non_empty_string(pd["id"], "plane id")
+    except ValueError as exc:  # a SceneError, which scene_from_dict passes on unprefixed
+        raise SceneError(str(exc)) from None
     where = f"plane '{pid}'"
     extent_u, extent_v = numbers(pd["extents"], 2, f"{where} extents").tolist()
     lost = pd.get("lost_intervals", [])
@@ -247,11 +257,8 @@ def scene_from_dict(d: dict) -> SimScene:
             )
             for i, kd in enumerate(d["camera_path"])
         )
-        name = d.get("name", "")
-        if not isinstance(name, str):
-            raise SceneError(f"name must be a string, got {name!r}")
         scene = SimScene(
-            name=name,
+            name=d.get("name", ""),
             screen_w=integer(d["screen"][0], "screen"),
             screen_h=integer(d["screen"][1], "screen"),
             fps=finite(d["fps"], "fps"),
@@ -333,22 +340,16 @@ def perspective_matrix(fov_y_deg: float, aspect: float, near: float, far: float)
     return m
 
 
-def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of each row pair, with np.cross's arithmetic for 3-vectors."""
-    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
-
-
 def _look_at_rows(eye: np.ndarray, target: np.ndarray, up: np.ndarray) -> np.ndarray:
     """World -> camera matrices (n, 4, 4), one per row of eye, target and up."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         f = target - eye
         fn = np.sqrt(dot_rows(f, f))
         f = f / fn[:, None]
-        s = _cross_rows(f, up)
+        s = np.cross(f, up)
         sn = np.sqrt(dot_rows(s, s))
         s = s / sn[:, None]
-        u = _cross_rows(s, f)
+        u = np.cross(s, f)
         m = np.zeros((len(eye), 4, 4))
         m[:, 0, :3] = s
         m[:, 1, :3] = u

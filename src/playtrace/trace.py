@@ -458,11 +458,14 @@ def _fps(value: Any) -> float:
 
 
 def _finite_meta(meta: Any) -> None:
-    """Raise a ValueError when a header meta holds a NaN or an infinity, which JSON cannot hold."""
+    """Raise a ValueError when a header meta holds a NaN, an infinity or another value, such
+    as a numpy integer, a set or bytes, that JSON cannot hold."""
     try:
         json.dumps(meta, allow_nan=False)
     except ValueError:
         raise ValueError("header meta must hold finite numbers only") from None
+    except TypeError as exc:
+        raise ValueError(f"header meta must hold JSON values only: {exc}") from None
 
 
 def _header(objects: Iterator[tuple[int, dict]], name: str) -> tuple[float, dict]:
@@ -535,23 +538,25 @@ def _follows(block: FrameBlock, screen: tuple[int, int], prev: float) -> bool:
     return block.screen == screen and prev < t[0] and all(map(lt, t, t[1:]))
 
 
-def _after(block: FrameBlock, screen: tuple[int, int] | None, prev: float, where: str,
-           where_t: str) -> tuple[tuple[int, int], int]:
+def _after(block: FrameBlock, screen: tuple[int, int] | None, prev: float,
+           where: str | None = None, where_t: str | None = None) -> tuple[tuple[int, int], int]:
     """The first frame's screen and the last t_ms once block follows frames of screen (None
     before the first frame) that end at t_ms prev.
 
-    A block that does not follow them is a one-frame block, and a
-    TraceValidationError: a screen change at where, else a t_ms not above
-    prev at where_t.  The rule of the reader and the writer alike.
+    A block that does not follow them is a TraceValidationError: a screen
+    change at where, else the first t_ms not above the one before it at
+    where_t; each is "frame at <t> ms" of the frame at fault unless given.
+    The rule of the reader, the writer and run_boxes alike.
     """
     screen = screen or block.screen
     if not _follows(block, screen, prev):
-        (w, h), t = block.screen, block.t_ms[0]
+        (w, h), t = block.screen, block.t_ms
         if (w, h) != screen:
-            raise TraceValidationError(
-                f"{where}: screen {w}x{h} differs from the first frame's {screen[0]}x{screen[1]}")
-        raise TraceValidationError(
-            f"{where_t}: timestamps must be strictly increasing ({prev} then {t})")
+            raise TraceValidationError(f"{where or f'frame at {t[0]} ms'}: screen {w}x{h} "
+                                       f"differs from the first frame's {screen[0]}x{screen[1]}")
+        prev, t = next((a, b) for a, b in zip([prev, *t], t) if not a < b)
+        raise TraceValidationError(f"{where_t or f'frame at {t} ms'}: "
+                                   f"timestamps must be strictly increasing ({prev} then {t})")
     return screen, block.t_ms[-1]
 
 
@@ -789,7 +794,7 @@ def _frame_texts(frames: Sequence[FrameRecord]) -> Iterator[str]:
                 one = _records_block([f]) or _record_fault(f, where)
                 if not check_block(one):
                     _frame_fault(where, _frame_object(one))
-                screen, prev = _after(one, screen, prev, where, where)
+                screen, prev = _after(one, screen, prev)
             raise AssertionError("a block of frames failed its checks but none of its frames did")
         screen, prev = screen or part.screen, part.t_ms[-1]
         yield _block_lines(part)
@@ -806,8 +811,9 @@ def save_trace(trace: PlaybackTrace, path: str | Path) -> None:
     at "frame at <t> ms" where the reader names a file line.  A record
     whose matrix, vector or polygon is no array of numbers of its shape,
     or whose state is no TrackingState, has one message of its own.  A
-    header fps that is not a finite positive number, a NaN or an infinity
-    in meta, and a trace of no frames are rejected too.  Each fault is a
+    header fps that is not a finite positive number, a meta value JSON
+    cannot hold (a NaN, an infinity, a numpy number, a set, bytes...) and
+    a trace of no frames are rejected too.  Each fault is a
     ValueError, as TraceError is.  The whole text is built before the file
     is opened, so a rejected trace leaves any file at path as it was.
     """

@@ -91,9 +91,10 @@ def block_pieces(block: FrameBlock) -> list[list[SurfacePieces]]:
     bit-equal to the scalar computation for one trackable.  Of a polygon's
     vertices, the first that is behind the camera or lands on pixels that
     are not finite numbers within MAX_SCREEN_COORD_PX decides: behind drops
-    the surface, the other is a TraceValidationError, raised after the
-    frames before its own, as a pass over one frame at a time would raise
-    it.
+    the surface, the other is a TraceValidationError.  The block's first
+    such fault is raised before any frame is carved: nothing after it can
+    raise on the finite, bounded pixels left, so it is the fault a pass
+    over one frame at a time would raise.
     """
     n_frames = len(block.t_ms)
     found: list[list[SurfacePieces]] = [[] for _ in range(n_frames)]
@@ -116,7 +117,14 @@ def block_pieces(block: FrameBlock) -> list[list[SurfacePieces]]:
     np.minimum.at(first_bad, track_of[bad], np.flatnonzero(bad))
     visible = first_bad == len(track_of)
     fault = np.flatnonzero(~np.append(behind, True)[first_bad])
-    fault_frame = int(owner[fault[0]]) if fault.size else n_frames
+    if fault.size:
+        k = int(fault[0])
+        j = int(first_bad[k] - starts[k])
+        raise TraceValidationError(
+            f"frame at {block.t_ms[owner[k]]} ms: trackable '{tids[k]}' "
+            f"vertex {j} {tuple(verts[starts[k] + j].tolist())!r} projects to screen "
+            f"coordinates that are not finite numbers within ±{MAX_SCREEN_COORD_PX:g} px"
+        )
 
     # distance to the camera and the facing sign, with the dot products of np.linalg.norm and
     # np.dot; a center too far from the camera for a float is at distance inf, the farthest
@@ -155,14 +163,6 @@ def block_pieces(block: FrameBlock) -> list[list[SurfacePieces]]:
     frame_ends = np.searchsorted(owner[order], np.arange(n_frames), side="right")
     begin = 0
     for i, end in enumerate(frame_ends.tolist()):
-        if i == fault_frame:
-            k = int(fault[0])
-            j = int(first_bad[k] - starts[k])
-            raise TraceValidationError(
-                f"frame at {block.t_ms[i]} ms: trackable '{tids[k]}' "
-                f"vertex {j} {tuple(verts[starts[k] + j].tolist())!r} projects to screen "
-                f"coordinates that are not finite numbers within ±{MAX_SCREEN_COORD_PX:g} px"
-            )
         nearer: list[int] = []
         for k in order[begin:end].tolist():
             if facing_l[k]:

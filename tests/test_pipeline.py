@@ -10,7 +10,7 @@ from playtrace.pipeline import AnalysisParams, analyze_boxes, run_boxes
 from playtrace.simulator import (
     CameraKeyframe, Jitter, ScenePlane, SimScene, generate_trace, render_frames,
 )
-from playtrace.trace import iter_blocks, save_trace
+from playtrace.trace import TraceValidationError, iter_blocks, save_trace
 
 
 def _scene(duration=6000, planes=None, jitter=None):
@@ -151,6 +151,8 @@ def test_run_boxes_analyses_a_stream_of_both_producers_blocks(tmp_path):
     read, rendered = list(iter_blocks(path)), list(render_frames(scene))
     small = list(render_frames(dataclasses.replace(scene, screen_w=960, screen_h=540)))
     for first, second in ((read, rendered), (rendered, read)):
+        shift = first[-1].t_ms[-1] + 1   # the second producer's frames come after the first's
+        second = [b._replace(t_ms=[t + shift for t in b.t_ms]) for b in second]
         alone = [run_boxes(first), run_boxes(second)]
         mixed = run_boxes(first + second)
         assert mixed.screen == (1920, 1080)
@@ -164,3 +166,17 @@ def test_run_boxes_analyses_a_stream_of_both_producers_blocks(tmp_path):
                    "from the first frame's 1920x1080$")
         with pytest.raises(ValueError, match=message):
             run_boxes(first + second + small)
+
+
+def test_run_boxes_rejects_timestamps_that_repeat_or_go_back():
+    # the reader's run rule, at the first frame whose t_ms is not above the one before
+    (block,) = render_frames(_scene(duration=1000))
+    t = block.t_ms
+    repeated = block._replace(t_ms=t[:5] + t[4:-1])
+    back = block._replace(t_ms=t[:7] + [t[5]] + t[8:])
+    for stream, prev, at in (([block, block], t[-1], t[0]), ([repeated], t[4], t[4]),
+                             ([back], t[6], t[5])):
+        message = (f"^frame at {at} ms: timestamps must be strictly increasing "
+                   f"\\({prev} then {at}\\)$")
+        with pytest.raises(TraceValidationError, match=message):
+            run_boxes(stream)

@@ -118,6 +118,14 @@ def test_validate_scene_rejects_bad_input():
         ("near_m", math.nan),
         ("far_m", math.inf),
         ("camera_path", ()),
+        ("screen_w", 1920.5),
+        ("screen_w", True),
+        ("duration_ms", 6000.0),
+        ("name", 5),
+        ("planes", (_plane(5),)),
+        ("planes", (_plane(""),)),
+        ("camera_path", (dataclasses.replace(good.camera_path[0], t_ms=0.5),)),
+        ("planes", (_plane(lost_intervals=((100, 200.5),)),)),
     ]:
         with pytest.raises(SceneError):
             validate_scene(dataclasses.replace(good, **{field: value}))

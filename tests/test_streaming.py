@@ -103,7 +103,7 @@ def test_rendered_runs_equal_the_runs_of_full_traces(name):
     # pan-long's jitter draws nothing, so its runs are one render
     scene = benchmark_scene(name)
     params = AnalysisParams()
-    runs = _generated_runs(scene, scene.default_jitter, range(5, 7), params.fps, {})
+    runs = _generated_runs(scene, scene.default_jitter, range(5, 7), params.fps)
     assert (runs[0] is runs[1]) == (not scene.default_jitter.draws)
     for r, run in enumerate(runs):
         full = generate_trace(scene, 5 + r, scene.default_jitter)
@@ -120,21 +120,18 @@ def test_rendered_runs_equal_the_runs_of_full_traces(name):
     ids=["jitter-free", "noise-only", "dropout-only", "noisy-trio"],
 )
 def test_shared_runs_equal_the_per_run_renders(name, jitter):
-    # the runs of compare --seeds 1 2 --runs 3, made as compare makes them: one dict of
-    # renders for both seeds, which holds the renders of one seed at a time
+    # the runs of compare --seeds 1 2 --runs 3: a jitter that draws nothing renders one
+    # run per seed and shares it, a jitter that draws renders each of the three
     scene = benchmark_scene(name)
     jitter = jitter or scene.default_jitter
     fps = AnalysisParams().fps
-    rendered, firsts = {}, []
     for seed in (1, 2):
-        runs = _generated_runs(scene, jitter, range(100 * seed, 100 * seed + 3), fps, rendered)
+        runs = _generated_runs(scene, jitter, range(100 * seed, 100 * seed + 3), fps)
         want = oracles.generated_runs_reference(scene, jitter, 100 * seed, 3, fps)
         assert len(runs) == len(want) == 3
         for got, ref in zip(runs, want):
             oracles.assert_same_run(got, ref)
-        assert len(rendered) == len({id(run) for run in runs}) == (3 if jitter.draws else 1)
-        firsts.append(runs[0])
-    assert (firsts[0] is firsts[1]) == (not jitter.draws)
+        assert len({id(run) for run in runs}) == (3 if jitter.draws else 1)
 
 
 @pytest.mark.parametrize("target_fps", [10.0, 30.0])

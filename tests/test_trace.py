@@ -672,11 +672,13 @@ _REJECTED = {
     "meta-nan": (_with_meta({"x": [1.0, {"y": _NAN}]}), _META),
     "meta-inf": (_with_meta({"x": _INF}), _META),
     "meta-negative-inf": (_with_meta({"x": -_INF}), _META),
+    "meta-int64": (_with_meta({"x": np.int64(3)}), "header meta must hold JSON values only: "
+                   "Object of type int64 is not JSON serializable"),
 }
 # the rows whose trace is no FrameBlock: a header fault, no frames, or a wrong shape
 _NOT_BLOCKS = {"fps-nan", "fps-inf", "fps-zero", "view-3x3", "proj-flat", "cam-4", "pose-3x4",
                "verts-3d", "verts-flat", "normal-2", "no-frames", "meta-nan", "meta-inf",
-               "meta-negative-inf"}
+               "meta-negative-inf", "meta-int64"}
 
 
 @pytest.mark.parametrize("edit, message", list(_REJECTED.values()), ids=list(_REJECTED))

@@ -27,7 +27,7 @@ PARALLEL_EPS = 1e-12        # |denominator| below this means parallel lines
 BEHIND_W_EPS = 1e-9         # clip-space w at or below this means behind the camera
 AREA_EPS_PX2 = 1e-9         # pieces smaller than this are discarded as slivers
 COLLINEAR_EPS = 1e-9        # |cross product| below this means collinear
-OCCLUDER_MARGIN_PX = 1.0    # an occluder whose box is farther than this from a piece's box is apart
+OCCLUDER_MARGIN_PX = 1.0    # an occluder farther than this from the subject's box misses it
 # Screen coordinates must lie within this bound: differences, squares and cross
 # products of such coordinates stay finite, so no scalar kernel here overflows
 # (Python's ** 2 raises OverflowError past the float range).
@@ -361,18 +361,6 @@ def convex_subtract(piece: Polygon, occluder: Polygon) -> list[list[Point]]:
     return parts
 
 
-def _boxes_apart(a: Polygon, b: Polygon) -> bool:
-    """True when the bounding boxes of a and b, a's grown by OCCLUDER_MARGIN_PX, do not meet."""
-    ax = [p[0] for p in a]
-    ay = [p[1] for p in a]
-    bx = [p[0] for p in b]
-    by = [p[1] for p in b]
-    return (
-        max(bx) < min(ax) - OCCLUDER_MARGIN_PX or max(ax) + OCCLUDER_MARGIN_PX < min(bx)
-        or max(by) < min(ay) - OCCLUDER_MARGIN_PX or max(ay) + OCCLUDER_MARGIN_PX < min(by)
-    )
-
-
 def subtract_occluders(
     pieces: list[list[Point]], occluders: Sequence[Polygon]
 ) -> list[list[Point]]:
@@ -380,11 +368,9 @@ def subtract_occluders(
 
     The result is interior-disjoint convex pieces: concave occluders are
     split into convex parts first.  An empty result means the subject is
-    fully covered.
+    fully covered.  A piece that an occluder misses stays whole (convex_subtract).
     """
     for occ in occluders:
-        if len(occ) < 3 or all(_boxes_apart(occ, piece) for piece in pieces):
-            continue  # convex_subtract would return every piece unchanged
         for occ_part in convex_pieces(occ):
             nxt: list[list[Point]] = []
             for piece in pieces:

@@ -38,6 +38,14 @@ class SceneError(ValueError):
     """The scene description is inconsistent."""
 
 
+def _hold_float(obj: Any, name: str, what: str) -> None:
+    """Hold a frozen dataclass's field as a float when it is a finite number, else SceneError."""
+    try:  # so a scene file's 30 is written back as 30.0
+        object.__setattr__(obj, name, finite(getattr(obj, name), what))
+    except ValueError as exc:
+        raise SceneError(str(exc)) from None
+
+
 @dataclass(frozen=True)
 class ScenePlane:
     """One flat surface: center, unit normal and two unit in-plane axes."""
@@ -85,8 +93,9 @@ class Jitter:
     dropout_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        # comparisons with NaN are false, so NaN fails both checks
-        if not 0.0 <= self.vertex_noise_m < math.inf:
+        for name in ("vertex_noise_m", "dropout_prob"):
+            _hold_float(self, name, f"jitter {name}")
+        if self.vertex_noise_m < 0.0:
             raise SceneError(
                 f"jitter vertex_noise_m must be a finite number >= 0, got {self.vertex_noise_m}"
             )
@@ -104,6 +113,8 @@ class Jitter:
 
 @dataclass(frozen=True)
 class SimScene:
+    """A scene; it checks itself when made, and a SceneError names its first fault."""
+
     name: str
     screen_w: int
     screen_h: int
@@ -116,18 +127,11 @@ class SimScene:
     planes: tuple[ScenePlane, ...]
     default_jitter: Jitter = field(default_factory=Jitter)
 
-
-def validate_scene(scene: SimScene) -> SimScene:
-    """scene, when its fields are consistent; a SceneError names the first fault.
-
-    scene_from_dict checks each field of a scene file as it enters; these
-    checks also hold for scenes built in code.
-    """
-    try:
-        _check_scene(scene)
-    except ValueError as exc:  # a jsonin checker's, or a SceneError
-        raise SceneError(str(exc)) from None
-    return scene
+    def __post_init__(self) -> None:
+        try:
+            _check_scene(self)
+        except ValueError as exc:  # a jsonin checker's, or a SceneError
+            raise SceneError(str(exc)) from None
 
 
 def _check_scene(scene: SimScene) -> None:
@@ -135,11 +139,13 @@ def _check_scene(scene: SimScene) -> None:
         raise SceneError(f"name must be a string, got {scene.name!r}")
     integer(scene.screen_w, "screen")
     integer(scene.screen_h, "screen")
+    _hold_float(scene, "fps", "fps")
     integer(scene.duration_ms, "duration_ms")
+    for name in ("fov_y_deg", "near_m", "far_m"):
+        _hold_float(scene, name, name)
     if not (0 < scene.screen_w <= MAX_SCREEN_PX and 0 < scene.screen_h <= MAX_SCREEN_PX):
         raise SceneError(f"screen dimensions must be positive (at most {MAX_SCREEN_PX})")
-    # comparisons with NaN are false, so NaN fails these checks
-    if not 0.0 < scene.fps < math.inf or scene.duration_ms <= 0:
+    if scene.fps <= 0.0 or scene.duration_ms <= 0:
         raise SceneError("fps and duration must be positive, and fps finite")
     if 1000.0 / scene.fps == math.inf:  # frame_times rounds k * 1000 / fps to an int
         raise SceneError(f"fps {scene.fps} is too small: its frame period overflows a float")
@@ -151,7 +157,7 @@ def _check_scene(scene: SimScene) -> None:
         )
     if not (0.0 < scene.fov_y_deg < 180.0):
         raise SceneError("fov_y_deg must be in (0, 180)")
-    if not (0.0 < scene.near_m < scene.far_m < math.inf):
+    if not 0.0 < scene.near_m < scene.far_m:
         raise SceneError("need 0 < near < far < inf")
     # perspective_matrix divides by the tangent of half the fov, which is 0 for a tiny fov
     if math.tan(math.radians(scene.fov_y_deg) / 2.0) == 0.0 or not np.isfinite(perspective_matrix(
@@ -210,10 +216,7 @@ def jitter_from_dict(jd: Any) -> Jitter:
     """Jitter from its JSON object (a scene's or a trace's); missing fields are 0."""
     if not isinstance(jd, dict):
         raise SceneError(f"jitter must be an object, got {type(jd).__name__}")
-    return Jitter(
-        vertex_noise_m=finite(jd.get("vertex_noise_m", 0.0), "jitter vertex_noise_m"),
-        dropout_prob=finite(jd.get("dropout_prob", 0.0), "jitter dropout_prob"),
-    )
+    return Jitter(jd.get("vertex_noise_m", 0.0), jd.get("dropout_prob", 0.0))
 
 
 def _plane_from_dict(pd: dict) -> ScenePlane:
@@ -235,37 +238,36 @@ def _plane_from_dict(pd: dict) -> ScenePlane:
         axis_v=numbers(pd["axis_v"], 3, f"{where} axis_v"),
         extent_u=extent_u,
         extent_v=extent_v,
-        detect_delay_ms=integer(pd.get("detect_delay_ms", 0), f"{where} detect_delay_ms"),
-        lost_intervals=tuple(
-            (integer(s, f"{where} lost_intervals"), integer(e, f"{where} lost_intervals"))
-            for s, e in lost
-        ),
+        detect_delay_ms=pd.get("detect_delay_ms", 0),
+        lost_intervals=tuple(map(tuple, lost)),
         local_vertices=(np.array([numbers(xz, 2, f"{where} verts") for xz in pd["verts"]])
                         .reshape(-1, 2) if "verts" in pd else None),
     )
 
 
 def scene_from_dict(d: dict) -> SimScene:
+    """The scene of a scene file's object.  A fault of its structure (a missing key, a container
+    of the wrong kind, a bad number list) is "malformed scene: ..."; SimScene words the rest."""
     try:
         planes = tuple(_plane_from_dict(pd) for pd in d["planes"])
         path = tuple(
             CameraKeyframe(
-                t_ms=integer(kd["t_ms"], f"camera_path[{i}] t_ms"),
+                t_ms=kd["t_ms"],
                 position=numbers(kd["pos"], 3, f"camera_path[{i}] pos"),
                 look_at=numbers(kd["look_at"], 3, f"camera_path[{i}] look_at"),
                 up=numbers(kd.get("up", [0.0, 1.0, 0.0]), 3, f"camera_path[{i}] up"),
             )
             for i, kd in enumerate(d["camera_path"])
         )
-        scene = SimScene(
+        return SimScene(
             name=d.get("name", ""),
-            screen_w=integer(d["screen"][0], "screen"),
-            screen_h=integer(d["screen"][1], "screen"),
-            fps=finite(d["fps"], "fps"),
-            duration_ms=integer(d["duration_ms"], "duration_ms"),
-            fov_y_deg=finite(d["intrinsics"]["fov_y_deg"], "fov_y_deg"),
-            near_m=finite(d["intrinsics"]["near_m"], "near_m"),
-            far_m=finite(d["intrinsics"]["far_m"], "far_m"),
+            screen_w=d["screen"][0],
+            screen_h=d["screen"][1],
+            fps=d["fps"],
+            duration_ms=d["duration_ms"],
+            fov_y_deg=d["intrinsics"]["fov_y_deg"],
+            near_m=d["intrinsics"]["near_m"],
+            far_m=d["intrinsics"]["far_m"],
             camera_path=path,
             planes=planes,
             default_jitter=jitter_from_dict(d.get("jitter", {})),
@@ -274,7 +276,6 @@ def scene_from_dict(d: dict) -> SimScene:
         if isinstance(exc, SceneError):
             raise
         raise SceneError(f"malformed scene: {exc}") from None
-    return validate_scene(scene)
 
 
 def scene_to_dict(scene: SimScene) -> dict:
@@ -443,9 +444,8 @@ def render_frames(
     built, so the frames yielded equal those of the full render that keep
     accepts.  Without keep every frame is built.  Each block holds
     BOX_BLOCK_FRAMES frames, the last one fewer; every matrix is in C order,
-    and a block's projection is one matrix, broadcast.
+    and a block's projection is one matrix, broadcast.  The scene checked itself when made.
     """
-    validate_scene(scene)
     if jitter is None:
         jitter = scene.default_jitter
     rng = np.random.default_rng(jitter_seed)
@@ -603,9 +603,8 @@ def execute_schedule(
     A gesture succeeds only when every sampled point of every finger track
     lands on the same tracked surface for the whole gesture.  The summary
     maps each gesture kind (and "overall") to its success rate, with None
-    where the schedule contained no gesture of that kind.
+    where the schedule contained no gesture of that kind (the scene checked itself when made).
     """
-    validate_scene(scene)
     samples: list[tuple[np.ndarray, np.ndarray]] = []
     for ev in schedule.events:
         if ev.t_end_ms > scene.duration_ms:

@@ -22,7 +22,7 @@ from typing import (
 
 import numpy as np
 
-from .geometry import simple_polygon_rows, simple_polygons
+from .geometry import dot_rows, simple_polygon_rows, simple_polygons
 from .jsonin import (
     DECODE_ERRORS, MAX_INT, UNIT_EPS, decode_error, finite, finite_floats, integer, numbers, unit,
 )
@@ -330,11 +330,10 @@ def check_block(block: FrameBlock) -> bool:
     Its t_ms are ints within 2**53 in magnitude, its screen is two ints in
     (0, MAX_SCREEN_PX], its ids pass _valid_ids, its states are
     TrackingStates, its numbers are finite, its polygons simple (which
-    fails one of fewer than 3 vertices) and its normals of unit length.  A
-    normal is passed here only when it is clearly of unit length; one near
-    the tolerance goes to jsonin.unit.  Whether the frames follow each
-    other is _follows'.  The reader (_block_frames) and the writer
-    (_frame_texts) call it on each block.
+    fails one of fewer than 3 vertices) and its normals of unit length as
+    jsonin.unit tests one: dot_rows(v, v) is v.dot(v) to the bit.  Whether
+    the frames follow each other is _follows'.  The reader (_block_frames)
+    and the writer (_frame_texts) call it on each block.
     """
     t, screen, normal = block.t_ms, block.screen, block.normal
     if not (_only(int, t) and -MAX_INT <= min(t) and max(t) <= MAX_INT
@@ -346,15 +345,9 @@ def check_block(block: FrameBlock) -> bool:
                                                        block.verts))
             and simple_polygon_rows(block.verts, block.n_verts).all()):
         return False
-    with np.errstate(over="ignore"):
-        length = np.sqrt(normal[:, 0] * normal[:, 0] + normal[:, 1] * normal[:, 1]
-                         + normal[:, 2] * normal[:, 2])
-    try:
-        for i in np.flatnonzero(~(np.abs(length - 1.0) <= UNIT_EPS / 2)).tolist():
-            unit(normal[i], "normal")
-    except ValueError:
-        return False
-    return True
+    with np.errstate(over="ignore"):  # a length past the float range is inf, as in unit
+        length = np.sqrt(dot_rows(normal, normal))
+    return bool((np.abs(length - 1.0) <= UNIT_EPS).all())
 
 
 def _block_frames(lines: list[tuple[int | str, dict]]) -> FrameBlock | None:
@@ -458,11 +451,15 @@ def _fps(value: Any) -> float:
 
 
 def _finite_meta(meta: Any) -> None:
-    """Raise a ValueError when a header meta holds a NaN, an infinity or another value, such
-    as a numpy integer, a set or bytes, that JSON cannot hold."""
+    """Raise a ValueError when a header meta holds a NaN, an infinity, a value JSON cannot hold
+    (a numpy integer, a set, bytes...) or itself, or nests past the recursion limit."""
     try:
         json.dumps(meta, allow_nan=False)
-    except ValueError:
+    except RecursionError:  # the encoder recurses once per level of nesting
+        raise ValueError("header meta is nested too deeply") from None
+    except ValueError as exc:  # json's circular check, or a NaN or an infinity
+        if str(exc) == "Circular reference detected":
+            raise ValueError("header meta must not contain itself") from None
         raise ValueError("header meta must hold finite numbers only") from None
     except TypeError as exc:
         raise ValueError(f"header meta must hold JSON values only: {exc}") from None
@@ -487,7 +484,7 @@ def _header(objects: Iterator[tuple[int, dict]], name: str) -> tuple[float, dict
         raise TraceValidationError(f"{where}: {exc}") from None
     meta = obj.get("meta", {})
     if not isinstance(meta, dict):
-        raise TraceValidationError(f"{name}: header meta must be an object")
+        raise TraceValidationError(f"{where}: header meta must be an object")
     try:
         _finite_meta(meta)
     except ValueError as exc:

@@ -144,9 +144,8 @@ def block_pieces(block: FrameBlock) -> list[list[SurfacePieces]]:
     unchanged = on_screen & convex_unchanged(x, y, counts)
 
     # Bounding boxes.  An occluder whose box is more than OCCLUDER_MARGIN_PX from the box of
-    # the subject's polygon is apart from the box of each of its pieces too, so
-    # subtract_occluders would skip it or, past its own box test, return every piece
-    # unchanged (_boxes_apart).
+    # the subject's polygon misses each of its pieces, so subtract_occluders would return
+    # every piece unchanged; this is the one box test of an occluder.
     some = starts[counts > 0]
     box = np.full((len(rows), 4), np.nan)
     if some.size:

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import re
 import signal
 import sys
@@ -502,9 +501,8 @@ def test_scene_jitter_out_of_range(tmp_path, capsys, command, field, value):
         "compare": ["--runs", "1"],
     }[command]
     rc = main([command, str(scene_path), *args])
-    # a value out of range is the jitter's fault; one that is not a finite number, the file's
-    prefix = "" if math.isfinite(value) else "malformed scene: "
-    assert _assert_input_error(rc, capsys).startswith(f"error: {prefix}jitter {field} must be ")
+    # the jitter checks itself, so no value of its own bears the loader's prefix
+    assert _assert_input_error(rc, capsys).startswith(f"error: jitter {field} must be ")
 
 
 def test_analyze_rejects_trace_jitter_out_of_range(tmp_path, capsys):
@@ -857,21 +855,29 @@ def test_scenes_writes_pack(tmp_path, capsys):
     "path, value, message",
     [
         (("camera_path", 0, "pos", 0), float("nan"),
-         "camera_path[0] pos must be a list of 3 finite numbers, got [nan, 2.0, 0.0]"),
+         "malformed scene: camera_path[0] pos must be a list of 3 finite numbers, "
+         "got [nan, 2.0, 0.0]"),
         (("camera_path", 0, "look_at", 2), float("inf"),
-         "camera_path[0] look_at must be a list of 3 finite numbers, got [0.0, 0.0, inf]"),
+         "malformed scene: camera_path[0] look_at must be a list of 3 finite numbers, "
+         "got [0.0, 0.0, inf]"),
         (("camera_path", 0, "up", 1), float("nan"),
-         "camera_path[0] up must be a list of 3 finite numbers, got [0.0, nan, -1.0]"),
+         "malformed scene: camera_path[0] up must be a list of 3 finite numbers, "
+         "got [0.0, nan, -1.0]"),
         (("planes", 0, "center", 0), float("inf"),
-         "plane 'table' center must be a list of 3 finite numbers, got [inf, 0.0, 0.0]"),
+         "malformed scene: plane 'table' center must be a list of 3 finite numbers, "
+         "got [inf, 0.0, 0.0]"),
         (("planes", 0, "normal", 1), float("nan"),
-         "plane 'table' normal must be a list of 3 finite numbers, got [0.0, nan, 0.0]"),
+         "malformed scene: plane 'table' normal must be a list of 3 finite numbers, "
+         "got [0.0, nan, 0.0]"),
         (("planes", 0, "axis_u", 0), float("nan"),
-         "plane 'table' axis_u must be a list of 3 finite numbers, got [nan, 0.0, 0.0]"),
+         "malformed scene: plane 'table' axis_u must be a list of 3 finite numbers, "
+         "got [nan, 0.0, 0.0]"),
         (("planes", 0, "axis_v", 2), float("-inf"),
-         "plane 'table' axis_v must be a list of 3 finite numbers, got [0.0, 0.0, -inf]"),
+         "malformed scene: plane 'table' axis_v must be a list of 3 finite numbers, "
+         "got [0.0, 0.0, -inf]"),
         (("planes", 0, "extents", 1), float("nan"),
-         "plane 'table' extents must be a list of 2 finite numbers, got [0.6, nan]"),
+         "malformed scene: plane 'table' extents must be a list of 2 finite numbers, "
+         "got [0.6, nan]"),
         (("fps",), float("nan"), "fps must be a finite number, got nan"),
         (("intrinsics", "far_m"), float("inf"), "far_m must be a finite number, got inf"),
     ],
@@ -880,8 +886,9 @@ def test_scenes_writes_pack(tmp_path, capsys):
 )
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_scene_non_finite_number(tmp_path, capsys, command, path, value, message):
+    # a number list is the loader's to read, a single number the scene's own check
     rc = _run_edited_scene(tmp_path, command, path, value)
-    assert _assert_input_error(rc, capsys) == f"error: malformed scene: {message}\n"
+    assert _assert_input_error(rc, capsys) == f"error: {message}\n"
 
 
 def _run_edited_scene(tmp_path, command, path, value):
@@ -907,13 +914,13 @@ def _run_edited_scene(tmp_path, command, path, value):
 @pytest.mark.parametrize(
     "path, value, message",
     [
-        (("planes", 0, "extents", 0), "0.6",
+        (("planes", 0, "extents", 0), "0.6", "malformed scene: "
          "plane 'table' extents must be a list of 2 finite numbers, got ['0.6', 0.5]"),
-        (("planes", 0, "center", 0), True,
+        (("planes", 0, "center", 0), True, "malformed scene: "
          "plane 'table' center must be a list of 3 finite numbers, got [True, 0.0, 0.0]"),
-        (("planes", 0, "verts"), [[-0.5, -0.5], ["0.5", -0.5], [0.5, 0.5]],
+        (("planes", 0, "verts"), [[-0.5, -0.5], ["0.5", -0.5], [0.5, 0.5]], "malformed scene: "
          "plane 'table' verts must be a list of 2 finite numbers, got ['0.5', -0.5]"),
-        (("camera_path", 0, "up", 2), None,
+        (("camera_path", 0, "up", 2), None, "malformed scene: "
          "camera_path[0] up must be a list of 3 finite numbers, got [0.0, 0.0, None]"),
         (("fps",), "30", "fps must be a finite number, got '30'"),
         (("fps",), 10**400, f"fps must be a finite number, got {10**400}"),
@@ -936,8 +943,9 @@ def _run_edited_scene(tmp_path, command, path, value):
 )
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_scene_numbers_must_be_json_numbers(tmp_path, capsys, command, path, value, message):
+    # a number list is the loader's to read, a single number the scene's own check
     rc = _run_edited_scene(tmp_path, command, path, value)
-    assert _assert_input_error(rc, capsys) == f"error: malformed scene: {message}\n"
+    assert _assert_input_error(rc, capsys) == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -947,12 +955,12 @@ def test_scene_numbers_must_be_json_numbers(tmp_path, capsys, command, path, val
         (("planes", 0, "id"), "", "plane id must be a non-empty string, got ''"),
         (("name",), {"a": 1}, "name must be a string, got {'a': 1}"),
         (("screen", 1), 10**400,
-         f"malformed scene: screen must be an integer of at most 2**53 in magnitude, got {10**400}"),
+         f"screen must be an integer of at most 2**53 in magnitude, got {10**400}"),
         (("planes", 0, "detect_delay_ms"), 10**400,
-         "malformed scene: plane 'table' detect_delay_ms must be an integer of at most 2**53 "
+         "plane 'table' detect_delay_ms must be an integer of at most 2**53 "
          f"in magnitude, got {10**400}"),
         (("planes", 0, "lost_intervals"), [[0, 2**53 + 1]],
-         "malformed scene: plane 'table' lost_intervals must be an integer of at most 2**53 "
+         "plane 'table' lost_intervals must be an integer of at most 2**53 "
          "in magnitude, got 9007199254740993"),
         # finite numbers whose products overflow a float
         (("planes", 0, "normal"), [1e200, 0.0, 0.0],

@@ -515,13 +515,26 @@ def test_subtract_occluders_matches_unskipped(seed):
         if rng.random() < 0.3:
             occluders.append(oracles.random_convex(rng, (rng.uniform(350, 650), rng.uniform(250, 550)), 60.0))
             continue
-        # from overlapping the subject's box to just past the 1 px skip margin
+        # from overlapping the subject's box to just past the 1 px margin of block_pieces'
+        # box test; subtract_occluders has no skip of its own, and this guards against one
         gap = rng.choice([-3.0, -0.5, -1e-3, 0.0, 1e-3, 0.5, 0.999, 1.0, 1.001, 3.0])
         side = rng.choice(["right", "left", "below", "above"])
         occluders.append(oracles.band_beside(subject, side, gap, rng.uniform(1.0, 40.0)))
     assert subtract_occluders(convex_pieces(subject), occluders) == (
         oracles.subtract_occluders_unskipped(subject, occluders)
     )
+
+
+def test_dot_rows_of_a_row_with_itself_is_its_dot_to_the_bit():
+    # trace.check_block tests a normal's length with dot_rows, jsonin.unit with v.dot(v);
+    # the two must agree on every normal, or a rejected block could name no fault
+    rng = np.random.default_rng(7)
+    for scale in 10.0 ** np.arange(-200, 201, 25):
+        v = rng.normal(size=(2_000, 3)) * scale
+        with np.errstate(over="ignore"):
+            want = np.array([row.dot(row) for row in v])
+            for rows in (v, np.asfortranarray(v)):  # a block's column may be in either order
+                assert g.dot_rows(rows, rows).tobytes() == want.tobytes()
 
 
 def _polygon_near_the_thresholds(rng):

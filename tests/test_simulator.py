@@ -42,7 +42,6 @@ from playtrace.simulator import (
     save_scene,
     scene_from_dict,
     scene_to_dict,
-    validate_scene,
 )
 from playtrace.trace import (
     FrameBlock,
@@ -101,12 +100,8 @@ def _screen(wx, wz):
     return (960.0 + PX * wx, 540.0 + PX * wz)
 
 
-def test_validate_scene_rejects_bad_input():
+def test_scene_checks_itself_when_made():
     good = _scene([_plane()])
-    validate_scene(good)
-
-    import dataclasses
-
     for field, value in [
         ("screen_w", 0),
         ("fps", 0.0),
@@ -126,31 +121,52 @@ def test_validate_scene_rejects_bad_input():
         ("planes", (_plane(""),)),
         ("camera_path", (dataclasses.replace(good.camera_path[0], t_ms=0.5),)),
         ("planes", (_plane(lost_intervals=((100, 200.5),)),)),
+        # the type of each float field: a bool, a str or None is no number
+        ("fps", "30"),
+        ("fps", None),
+        ("fps", True),
+        ("fov_y_deg", "60"),
+        ("near_m", None),
+        ("far_m", True),
     ]:
         with pytest.raises(SceneError):
-            validate_scene(dataclasses.replace(good, **{field: value}))
+            dataclasses.replace(good, **{field: value})
 
     with pytest.raises(SceneError, match="duplicate"):
-        validate_scene(_scene([_plane("a"), _plane("a", center=(2, 0, 0))]))
+        _scene([_plane("a"), _plane("a", center=(2, 0, 0))])
     with pytest.raises(SceneError, match="unit length"):
         bad = _plane()
         object.__setattr__(bad, "normal", np.array([0.0, 2.0, 0.0]))
-        validate_scene(_scene([bad]))
+        _scene([bad])
     with pytest.raises(SceneError, match="orthogonal"):
         bad = _plane()
         object.__setattr__(bad, "axis_u", np.array([0.0, 1.0, 0.0]))
-        validate_scene(_scene([bad]))
+        _scene([bad])
     with pytest.raises(SceneError, match="extents"):
-        validate_scene(_scene([_plane(eu=0.0)]))
+        _scene([_plane(eu=0.0)])
     with pytest.raises(SceneError, match="lost interval"):
-        validate_scene(_scene([_plane(lost_intervals=((500, 400),))]))
+        _scene([_plane(lost_intervals=((500, 400),))])
+
+
+def test_scene_and_jitter_hold_their_float_fields_as_floats():
+    # so a scene file's 30 is written back as 30.0, as when the loader converted it
+    scene = dataclasses.replace(_scene([_plane()]), fps=30, near_m=1, far_m=100, fov_y_deg=60)
+    assert [type(v) for v in (scene.fps, scene.fov_y_deg, scene.near_m, scene.far_m)] == [float] * 4
+    assert [type(v) for v in dataclasses.astuple(Jitter(0, 1))] == [float, float]
+
+
+@pytest.mark.parametrize("field", ["vertex_noise_m", "dropout_prob"])
+@pytest.mark.parametrize("value", ["0.1", None, True], ids=["str", "none", "bool"])
+def test_jitter_checks_the_type_of_each_field(field, value):
+    with pytest.raises(SceneError, match=f"^jitter {field} must be a finite number, got "):
+        Jitter(**{field: value})
 
 
 def test_keyframe_order_checked():
     k0 = CameraKeyframe(0, np.zeros(3) + (0, 2, 0), np.zeros(3), np.array([0.0, 0.0, -1.0]))
     k1 = CameraKeyframe(0, np.zeros(3) + (1, 2, 0), np.zeros(3), np.array([0.0, 0.0, -1.0]))
     with pytest.raises(SceneError, match="increasing"):
-        validate_scene(_scene([_plane()], path=(k0, k1)))
+        _scene([_plane()], path=(k0, k1))
 
 
 def test_scene_round_trip(tmp_path):

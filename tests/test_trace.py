@@ -201,8 +201,9 @@ def test_header_faults_come_before_frame_faults(tmp_path):
     del broken["view"]
     p = _write(tmp_path, [_header(meta=[]), broken])
     for read in (read_header, load_trace, lambda p: next(iter_frames(p))):
-        with pytest.raises(TraceValidationError, match="header meta must be an object"):
+        with pytest.raises(TraceValidationError) as exc:
             read(p)
+        assert str(exc.value) == "t.jsonl:1: header meta must be an object"
 
 
 def test_float_timestamp_rejected(tmp_path):
@@ -606,6 +607,19 @@ def _with_meta(meta):
     return lambda tr: dataclasses.replace(tr, metadata=meta)
 
 
+def _circular():
+    meta = {}
+    meta["self"] = meta
+    return meta
+
+
+def _nested(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 # what save_trace rejects: an edit of _valid_trace and the message
 _REJECTED = {
     "fps-nan": (_with_fps(_NAN), "fps must be a finite number, got nan"),
@@ -674,11 +688,13 @@ _REJECTED = {
     "meta-negative-inf": (_with_meta({"x": -_INF}), _META),
     "meta-int64": (_with_meta({"x": np.int64(3)}), "header meta must hold JSON values only: "
                    "Object of type int64 is not JSON serializable"),
+    "meta-circular": (_with_meta(_circular()), "header meta must not contain itself"),
+    "meta-deep": (_with_meta({"x": _nested(100_000)}), "header meta is nested too deeply"),
 }
 # the rows whose trace is no FrameBlock: a header fault, no frames, or a wrong shape
 _NOT_BLOCKS = {"fps-nan", "fps-inf", "fps-zero", "view-3x3", "proj-flat", "cam-4", "pose-3x4",
                "verts-3d", "verts-flat", "normal-2", "no-frames", "meta-nan", "meta-inf",
-               "meta-negative-inf", "meta-int64"}
+               "meta-negative-inf", "meta-int64", "meta-circular", "meta-deep"}
 
 
 @pytest.mark.parametrize("edit, message", list(_REJECTED.values()), ids=list(_REJECTED))

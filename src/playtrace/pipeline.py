@@ -9,11 +9,13 @@ they keep as column blocks (FrameBlock), each with one screen; the strides
 of its matrices keep the producer's order.  The blocks pass through one
 loop (run_boxes) as they arrive, which holds them to the reader's run rule
 (one screen, strictly increasing t_ms), so a run costs memory for its boxes
-and for one block of frames, not for all its frames.  A run's boxes are one
-float64 array per trackable, a row per frame with NaN for "no box"; Rects
-are made only for the life spans found in them.  The boxes depend on the
-frames alone: AnalysisParams reaches the producer's walk (fps) and
-analyze_boxes (the visibility and duration thresholds), not run_boxes.
+and for one block of frames, not for all its frames.  The box stage gives
+a row per trackable row of a block, placed by trackable id and frame: a
+run's boxes are one float64 array per trackable it lists, a row per frame
+with NaN for "no box"; Rects are made only for the life spans found in
+them.  The boxes depend on the frames alone: AnalysisParams reaches the
+producer's walk (fps) and analyze_boxes (the visibility and duration
+thresholds), not run_boxes.
 """
 
 from __future__ import annotations
@@ -64,8 +66,8 @@ class AnalysisParams:
 class RunBoxes:
     """What the analysis keeps of one run: its boxes, not its frames."""
 
-    # per trackable in order of first appearance, a (len(timestamps_ms), 4) float64
-    # array of (x_min, y_min, x_max, y_max) rows, NaN where it has no box
+    # per trackable the run lists, in order of first appearance, a (len(timestamps_ms), 4)
+    # float64 array of (x_min, y_min, x_max, y_max) rows, NaN where it has no box
     boxes: dict[str, np.ndarray]
     timestamps_ms: list[int]             # of the frames analysed
     screen: tuple[int, int]
@@ -80,35 +82,36 @@ def run_boxes(frames: Iterable[FrameBlock]) -> RunBoxes:
     BOX_BLOCK_FRAMES frames (blocks), and each joined block goes through
     one block_pieces and one fit_boxes call.  An error from the stream is
     raised after the blocks before it are analysed, so an error those
-    frames raise comes first, as it would one frame at a time.  The boxes
-    dict is keyed in order of first appearance; each value has one row per
-    frame, NaN where the trackable produced no box.  Each block is held to
-    the reader's run rule (_after): the first block's screen and strictly
-    increasing t_ms.  A block that breaks it is a TraceValidationError at
-    "frame at <t> ms", raised before the joined block that holds it is
-    analysed.
+    frames raise comes first, as it would one frame at a time.  A block's
+    box rows are placed by block.ids and by the frame of each row, so the
+    boxes dict has a key for every trackable the frames list, in order of
+    first appearance; each value has one row per frame, NaN where the
+    trackable is absent or has no box.  Each block is held to the reader's
+    run rule (_after): the first block's screen and strictly increasing
+    t_ms.  A block that breaks it is a TraceValidationError at "frame at
+    <t> ms", raised before the joined block that holds it is analysed.
     """
     screen, prev = None, -math.inf   # the first block's screen, the previous frame's t_ms
-    chunks: dict[str, list[np.ndarray]] = {}   # per trackable, its rows of each block
+    columns: dict[str, int] = {}   # per trackable in order of first appearance, its column
+    chunks: list[list[np.ndarray]] = []   # per column, its rows of each block
     timestamps: list[int] = []
     for parts in blocks(frames, BOX_BLOCK_FRAMES, lambda b: len(b.t_ms)):
         for b in parts:
             screen, prev = _after(b, screen, prev)
         block = join_blocks(parts)
-        tids, frame_of, found = fit_boxes(block_pieces(block), *screen)
-        for tid in tids:
-            if tid not in chunks:
-                chunks[tid] = [np.full((len(timestamps), 4), np.nan)]
-        rows = np.full((len(chunks), len(block.t_ms), 4), np.nan)
-        column = {tid: k for k, tid in enumerate(chunks)}
-        rows[[column[tid] for tid in tids], frame_of] = found
-        for seq, part in zip(chunks.values(), rows):
+        found = fit_boxes(block_pieces(block), *screen)
+        column = [columns.setdefault(tid, len(columns)) for tid in block.ids]
+        for _ in range(len(chunks), len(columns)):   # the trackables new in this block
+            chunks.append([np.full((len(timestamps), 4), np.nan)])
+        rows = np.full((len(columns), len(block.t_ms), 4), np.nan)
+        rows[column, np.repeat(np.arange(len(block.t_ms)), block.n_trackables)] = found
+        for seq, part in zip(chunks, rows):
             seq.append(part)
         timestamps += block.t_ms
         del parts, b, block  # this block's frames go before the next block is read
     if screen is None:
         raise TraceValidationError("cannot analyze an empty trace")
-    boxes = {tid: np.concatenate(seq) for tid, seq in chunks.items()}
+    boxes = {tid: np.concatenate(seq) for tid, seq in zip(columns, chunks)}
     return RunBoxes(boxes, timestamps, screen)
 
 

@@ -51,11 +51,15 @@ def _lane_order(opportunities: Sequence[TestOpportunity]) -> list[str]:
 
 
 def _tick_step_ms(duration_ms: int) -> int:
-    # aim for 5 to 12 labeled ticks with a round second step
+    # aim for 5 to 12 labeled ticks with a round second step; past 10 min, ten times the
+    # step until at most 12 steps fit
     for step_s in (1, 2, 5, 10, 15, 30, 60, 120, 300):
         if duration_ms / (step_s * 1000.0) <= 12:
             return step_s * 1000
-    return 600_000
+    step = 600_000
+    while duration_ms > 12 * step:
+        step *= 10
+    return step
 
 
 def render_gantt(opportunities: Sequence[TestOpportunity], end_ms: int, start_ms: int = 0) -> str:

@@ -46,6 +46,23 @@ def _hold_float(obj: Any, name: str, what: str) -> None:
         raise SceneError(str(exc)) from None
 
 
+def _hold_numbers(obj: Any, name: str, what: str, rows: bool = False) -> None:
+    """Hold a frozen dataclass's vector field as a read-only float64 array: (3,) of 3 finite
+    numbers, or given rows, (n, 2) of rows of 2.  A list, a tuple or an array is read as the
+    list jsonin.numbers takes, and anything else is its ValueError."""
+    def listed(v: Any) -> Any:
+        return v.tolist() if isinstance(v, np.ndarray) else list(v) if isinstance(v, tuple) else v
+
+    value = listed(getattr(obj, name))
+    if rows:  # a value that is not a list is one bad row
+        value = np.array([numbers(listed(xz), 2, what) for xz in
+                          (value if isinstance(value, list) else [value])]).reshape(-1, 2)
+        value.flags.writeable = False
+    else:
+        value = numbers(value, 3, what)
+    object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True)
 class ScenePlane:
     """One flat surface: center, unit normal and two unit in-plane axes."""
@@ -172,9 +189,8 @@ def _check_scene(scene: SimScene) -> None:
     if times[0] < 0 or times[-1] > scene.duration_ms:
         raise SceneError("camera keyframe times must lie within the scene duration")
     for i, k in enumerate(scene.camera_path):
-        for name, v in (("pos", k.position), ("look_at", k.look_at), ("up", k.up)):
-            for x in np.ravel(v).tolist():
-                finite(x, f"camera_path[{i}] {name}")
+        for name, what in (("position", "pos"), ("look_at", "look_at"), ("up", "up")):
+            _hold_numbers(k, name, f"camera_path[{i}] {what}")
     seen: set[str] = set()
     for p in scene.planes:
         non_empty_string(p.plane_id, "plane id")
@@ -182,17 +198,16 @@ def _check_scene(scene: SimScene) -> None:
             raise SceneError(f"duplicate plane id '{p.plane_id}'")
         seen.add(p.plane_id)
         where = f"plane '{p.plane_id}'"
-        for name, v in (
-            ("center", p.center), ("normal", p.normal), ("axis_u", p.axis_u),
-            ("axis_v", p.axis_v), ("extents", (p.extent_u, p.extent_v)),
-            ("verts", () if p.local_vertices is None else p.local_vertices),
-        ):
-            for x in np.ravel(v).tolist():
-                finite(x, f"{where} {name}")
-        if p.local_vertices is not None and not (  # the trace reader's polygon rule
-                len(p.local_vertices) >= 3 and simple_polygons([p.local_vertices])[0]):
-            raise SceneError(f"{where} verts must be a simple polygon of at least 3 vertices, "
-                             f"got {p.local_vertices.tolist()!r}")
+        for name in ("center", "normal", "axis_u", "axis_v"):
+            _hold_numbers(p, name, f"{where} {name}")
+        finite(p.extent_u, f"{where} extents")
+        finite(p.extent_v, f"{where} extents")
+        if p.local_vertices is not None:
+            _hold_numbers(p, "local_vertices", f"{where} verts", rows=True)
+            # the trace reader's polygon rule
+            if not (len(p.local_vertices) >= 3 and simple_polygons([p.local_vertices])[0]):
+                raise SceneError(f"{where} verts must be a simple polygon of at least 3 "
+                                 f"vertices, got {p.local_vertices.tolist()!r}")
         for name in ("normal", "axis_u", "axis_v"):
             unit(getattr(p, name), f"{where} {name}")
         for a, b, names in (
@@ -240,8 +255,8 @@ def _plane_from_dict(pd: dict) -> ScenePlane:
         extent_v=extent_v,
         detect_delay_ms=pd.get("detect_delay_ms", 0),
         lost_intervals=tuple(map(tuple, lost)),
-        local_vertices=(np.array([numbers(xz, 2, f"{where} verts") for xz in pd["verts"]])
-                        .reshape(-1, 2) if "verts" in pd else None),
+        local_vertices=([numbers(xz, 2, f"{where} verts") for xz in pd["verts"]]
+                        if "verts" in pd else None),
     )
 
 

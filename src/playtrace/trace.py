@@ -849,8 +849,10 @@ def deadline_walk(source_fps: float, target_fps: float) -> DeadlineWalk:
     sampling deadline; deadlines are the multiples of 1000/target_fps ms.
     Each deadline depends only on the last kept timestamp, so the kept
     timestamps are kept again by a second walk.  When the target rate is
-    at or above the source rate every timestamp is kept.  The walk's
-    last_ms is the last timestamp it was asked about: a producer asks
-    about every timestamp of its source, so it ends there.
+    at or above the source rate every timestamp is kept, and so it is when
+    the period is 1 ms or less, since timestamps are whole milliseconds.
+    The walk's last_ms is the last timestamp it was asked about: a
+    producer asks about every timestamp of its source, so it ends there.
     """
-    return DeadlineWalk(1000.0 / target_fps if target_fps < source_fps else 0.0)
+    period = 1000.0 / target_fps
+    return DeadlineWalk(period if target_fps < source_fps and period > 1.0 else 0.0)

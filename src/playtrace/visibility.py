@@ -6,10 +6,10 @@ hidden behind nearer surfaces, then fit a conservative axis-aligned box into
 what is left.  No threshold applies here: every surface keeps its best box,
 and the life spans alone judge whether it is large enough.  Both steps take
 a block of frames (block_pieces, then fit_boxes), so that numpy passes and
-one inscribed_rects call serve many frames.  Boxes stay float64 rows of
-(x_min, y_min, x_max, y_max): inscribed_rects leaves a NaN row where a piece
-holds no box, and fit_boxes returns one row per surface as one array, with
-no object per box.
+one inscribed_rects call serve many frames, and both answer in the block's
+own layout: one entry per trackable row (FrameBlock.ids).  Boxes stay
+float64 rows of (x_min, y_min, x_max, y_max), one array with a NaN row
+where a trackable has no box, and no object per box.
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ from .geometry import (
     subtract_occluders,
 )
 from .trace import FrameBlock, TrackingState, TraceValidationError
-
-# (trackable id, visible convex pieces) of one surface in one frame
-SurfacePieces = tuple[str, list[list[Point]]]
-
 
 def screen_clip_polygon(screen_w: float, screen_h: float) -> list[Point]:
     """The screen rectangle as a clip polygon (clockwise in screen coords)."""
@@ -74,16 +70,15 @@ def _project(
     return x, y, w <= BEHIND_W_EPS
 
 
-def block_pieces(block: FrameBlock) -> list[list[SurfacePieces]]:
-    """The visible pieces of each candidate surface in each frame of a block, near to far.
+def block_pieces(block: FrameBlock) -> list[list[list[Point]] | None]:
+    """The visible convex pieces of each trackable row of a block (block.ids), in row order.
 
-    Surfaces that are PAUSED or STOPPED are ignored entirely, and so is a
-    surface with a vertex behind the camera.  Surfaces that face away from
-    the camera (normal . (camera - center) <= 0) get no entry but still
-    occlude: any TRACKING projection nearer to the camera (by distance to
-    the surface center) is subtracted from the on-screen polygon.  Ties in
-    distance keep the frame's trackable order.  An entry with no pieces is
-    fully occluded.  Every polygon is clipped to the block's screen.
+    A row's entry is None when it gives no surface: not TRACKING, a vertex
+    behind the camera, facing away (normal . (camera - center) <= 0), or
+    fewer than 3 vertices left after the clip to the block's screen.  Else
+    it is the pieces left once every nearer TRACKING projection of its
+    frame (by distance to the surface center; ties keep the frame's
+    trackable order), back-facing ones too, is subtracted: [] if covered.
 
     The projection, distances, facing signs, and the tests that let a
     polygon skip the screen clip (every vertex on screen) and convex_pieces
@@ -96,13 +91,11 @@ def block_pieces(block: FrameBlock) -> list[list[SurfacePieces]]:
     raise on the finite, bounded pixels left, so it is the fault a pass
     over one frame at a time would raise.
     """
-    n_frames = len(block.t_ms)
-    found: list[list[SurfacePieces]] = [[] for _ in range(n_frames)]
+    found: list[list[list[Point]] | None] = [None] * len(block.ids)
     rows = np.flatnonzero([s == TrackingState.TRACKING for s in block.states])
     if not rows.size:
         return found
-    owner = np.repeat(np.arange(n_frames), block.n_trackables)[rows]   # frame of each row
-    tids = [block.ids[k] for k in rows.tolist()]
+    owner = np.repeat(np.arange(len(block.t_ms)), block.n_trackables)[rows]   # frame of each row
 
     counts = block.n_verts[rows]
     ends = np.cumsum(counts)
@@ -121,7 +114,7 @@ def block_pieces(block: FrameBlock) -> list[list[SurfacePieces]]:
         k = int(fault[0])
         j = int(first_bad[k] - starts[k])
         raise TraceValidationError(
-            f"frame at {block.t_ms[owner[k]]} ms: trackable '{tids[k]}' "
+            f"frame at {block.t_ms[owner[k]]} ms: trackable '{block.ids[rows[k]]}' "
             f"vertex {j} {tuple(verts[starts[k] + j].tolist())!r} projects to screen "
             f"coordinates that are not finite numbers within ±{MAX_SCREEN_COORD_PX:g} px"
         )
@@ -158,54 +151,47 @@ def block_pieces(block: FrameBlock) -> list[list[SurfacePieces]]:
     facing_l, on_screen_l, unchanged_l = facing.tolist(), on_screen.tolist(), unchanged.tolist()
     m = OCCLUDER_MARGIN_PX
     order = np.lexsort((dist, owner))  # a stable sort: ties keep the frame's trackable order
-    order = order[visible[order]]
-    frame_ends = np.searchsorted(owner[order], np.arange(n_frames), side="right")
-    begin = 0
-    for i, end in enumerate(frame_ends.tolist()):
-        nearer: list[int] = []
-        for k in order[begin:end].tolist():
-            if facing_l[k]:
-                if unchanged_l[k]:
-                    pieces = [polys[k]]   # what convex_pieces would return
-                else:
-                    part = polys[k] if on_screen_l[k] else clip_by_loop(polys[k], sign, edges)
-                    pieces = convex_pieces(part) if len(part) >= 3 else None
-                if pieces is not None:
-                    d = dists[k]
-                    sx0, sx1, sy0, sy1 = boxes[k]
-                    occluders = [
-                        polys[j] for j in nearer
-                        if dists[j] < d and not (
-                            sx1 < boxes[j][0] - m or boxes[j][1] + m < sx0
-                            or sy1 < boxes[j][2] - m or boxes[j][3] + m < sy0
-                        )
-                    ]
-                    pieces = subtract_occluders(pieces, occluders)
-                    found[i].append((tids[k], pieces))
-            nearer.append(k)
-        begin = end
+    frame_l, row_l = owner.tolist(), rows.tolist()
+    frame, nearer = -1, []   # the frame of k, and its rows before k (nearer or level)
+    for k in order[visible[order]].tolist():
+        if frame_l[k] != frame:
+            frame, nearer = frame_l[k], []
+        if facing_l[k]:
+            if unchanged_l[k]:
+                pieces = [polys[k]]   # what convex_pieces would return
+            else:
+                part = polys[k] if on_screen_l[k] else clip_by_loop(polys[k], sign, edges)
+                pieces = convex_pieces(part) if len(part) >= 3 else None
+            if pieces is not None:
+                d = dists[k]
+                sx0, sx1, sy0, sy1 = boxes[k]
+                occluders = [
+                    polys[j] for j in nearer
+                    if dists[j] < d and not (
+                        sx1 < boxes[j][0] - m or boxes[j][1] + m < sx0
+                        or sy1 < boxes[j][2] - m or boxes[j][3] + m < sy0
+                    )
+                ]
+                found[row_l[k]] = subtract_occluders(pieces, occluders)
+        nearer.append(k)
     return found
 
 
 def fit_boxes(
-    frames: Sequence[list[SurfacePieces]], screen_w: int, screen_h: int
-) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The boxes of a block's surfaces from its block_pieces, with one inscribed_rects call.
+    pieces: Sequence[list[list[Point]] | None], screen_w: int, screen_h: int
+) -> np.ndarray:
+    """The box of each row of block_pieces' answer, with one inscribed_rects call.
 
-    A surface keeps the largest rect of its pieces (the first of equal
-    ones), or a NaN row when none of its pieces holds one.  Returns the
-    trackable ids, frame indices and (k, 4) box rows of every surface, in
-    frame order and near to far within a frame.
+    A row keeps the largest rect of its pieces (the first of equal ones),
+    as one (len(pieces), 4) float64 array; its row is NaN when its entry is
+    None or [] or none of its pieces holds a rect.
     """
-    tids = [tid for found in frames for tid, _ in found]
-    frame_of = np.repeat(np.arange(len(frames)), [len(found) for found in frames])
-    surface = np.repeat(np.arange(len(tids)), [len(ps) for found in frames for _, ps in found])
-    rects, _ = inscribed_rects([p for found in frames for _, ps in found for p in ps],
-                               screen_w, screen_h)
+    row_of = np.repeat(np.arange(len(pieces)), [len(ps or ()) for ps in pieces])   # of each piece
+    rects, _ = inscribed_rects([p for ps in pieces if ps for p in ps], screen_w, screen_h)
     area = (rects[:, 2] - rects[:, 0]) * (rects[:, 3] - rects[:, 1])   # NaN for no rect
-    # largest first within each surface, NaN last; a stable sort keeps equal ones in order
-    order = np.lexsort((-area, surface))
-    best = order[np.diff(surface[order], prepend=-1) != 0]
-    boxes = np.full((len(tids), 4), np.nan)   # a fully occluded surface has no pieces
-    boxes[surface[best]] = rects[best]
-    return tids, frame_of, boxes
+    # largest first within each row, NaN last; a stable sort keeps equal ones in order
+    order = np.lexsort((-area, row_of))
+    best = order[np.diff(row_of[order], prepend=-1) != 0]
+    boxes = np.full((len(pieces), 4), np.nan)
+    boxes[row_of[best]] = rects[best]
+    return boxes

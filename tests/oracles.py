@@ -911,7 +911,7 @@ def frame_blocks(frames):
 
 def decimate_reference(timestamps, source_fps, target_fps):
     """The timestamps decimate keeps, by its documented deadline walk."""
-    if target_fps >= source_fps:
+    if target_fps >= source_fps or 1000.0 / target_fps <= 1.0:
         return list(timestamps)
     period = 1000.0 / target_fps
     kept = []
@@ -945,12 +945,12 @@ def generated_runs_reference(scene, jitter, seed_base, runs, fps):
 
 
 def frame_boxes(frame):
-    """(trackable id, Rect | None) of each surface of one frame on its own: a one-frame
-    block_pieces and fit_boxes, None where the surface holds no box."""
+    """(trackable id, Rect | None) of each trackable of one frame on its own, in the frame's
+    order: a one-frame block_pieces and fit_boxes, None where the trackable has no box."""
     from playtrace.visibility import block_pieces, fit_boxes
 
-    tids, _, rows = fit_boxes(block_pieces(frames_block([frame])), frame.screen_w, frame.screen_h)
-    return list(zip(tids, rects_of(rows)))
+    rows = fit_boxes(block_pieces(frames_block([frame])), frame.screen_w, frame.screen_h)
+    return [(t.trackable_id, box) for t, box in zip(frame.trackables, rects_of(rows))]
 
 
 def eager_boxes(trace, fps):

@@ -114,6 +114,32 @@ def test_gantt_of_frames_before_time_zero_stays_in_the_chart(tmp_path):
     assert early == plain
 
 
+def _two_frames(tmp_path, trace_path, t_ms, **header_changes):
+    """trace_path's header (with header_changes) and its first frame at each of t_ms."""
+    header, frame = (json.loads(line) for line in trace_path.read_text().splitlines()[:2])
+    header.update(header_changes)
+    lines = [json.dumps(header)] + [json.dumps({**frame, "t_ms": t}) for t in t_ms]
+    path = tmp_path / "two.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_gantt_of_the_longest_trace_draws_few_ticks(tmp_path, trace_path):
+    path = _two_frames(tmp_path, trace_path, [0, 2**53])
+    assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 0
+    svg = (tmp_path / "out" / "gantt.svg").read_text(encoding="utf-8")
+    assert 2 <= svg.count('text-anchor="middle"') <= 13
+
+
+def test_analyze_at_a_sub_millisecond_period_keeps_every_frame(tmp_path, trace_path, capsys):
+    # 1000 / 1e299 ms: t / period overflows a float, and every whole-ms timestamp is kept
+    path = _two_frames(tmp_path, trace_path, [0, 2 * 10**12], fps=1e300)
+    out = tmp_path / "out"
+    assert main(["analyze", str(path), "--fps", "1e299", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "report.json").read_text(encoding="utf-8"))["metrics"]
+
+
 def test_parse_mix():
     mix = parse_mix("TAP=0.5, drag=0.5")
     assert mix == {GestureKind.TAP: 0.5, GestureKind.DRAG: 0.5}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -114,6 +115,15 @@ def test_gantt_empty_and_bad_duration():
     assert _blocks(svg) == []
     with pytest.raises(ValueError):
         render_gantt([], 0)
+
+
+@pytest.mark.parametrize("end_ms", [7_200_000, 10**8, 10**10, 2**53])
+def test_gantt_draws_at_most_13_ticks_however_long_the_span(end_ms):
+    # past the 600 s step, the step grows tenfold until at most 12 steps fit
+    labels = re.findall(r'text-anchor="middle">(\d+)s<', render_gantt([], end_ms))
+    assert 2 <= len(labels) <= 13
+    if end_ms == 7_200_000:   # 2 h, the longest span the step ladder covers
+        assert labels == [str(600 * k) for k in range(13)]
 
 
 def test_gantt_deterministic():

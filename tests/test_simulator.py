@@ -162,6 +162,42 @@ def test_jitter_checks_the_type_of_each_field(field, value):
         Jitter(**{field: value})
 
 
+@pytest.mark.parametrize("part, field, value, message", [
+    ("plane", "center", np.array([0.0, 0.0]),
+     "plane 'table' center must be a list of 3 finite numbers, got [0.0, 0.0]"),
+    ("plane", "center", "abc", "plane 'table' center must be a list of 3 finite numbers, got 'abc'"),
+    ("key", "position", np.array([0.0, 2.0]),
+     "camera_path[0] pos must be a list of 3 finite numbers, got [0.0, 2.0]"),
+    ("plane", "local_vertices", np.zeros((3, 3)),
+     "plane 'table' verts must be a list of 2 finite numbers, got [0.0, 0.0, 0.0]"),
+])
+def test_scene_checks_the_shape_and_type_of_its_vectors(part, field, value, message):
+    # each was accepted when made and failed later in numpy or as an AttributeError
+    good = benchmark_scene("static-center")
+    if part == "plane":
+        change = {"planes": (dataclasses.replace(good.planes[0], **{field: value}),)}
+    else:
+        change = {"camera_path": (dataclasses.replace(good.camera_path[0], **{field: value}),)}
+    with pytest.raises(SceneError) as exc:
+        dataclasses.replace(good, **change)
+    assert str(exc.value) == message
+
+
+def test_scene_holds_its_vectors_as_read_only_float_arrays():
+    # a list normal was an AttributeError, and tuple vertices are rows of 2 like an array's
+    good = benchmark_scene("static-center")
+    plane = dataclasses.replace(good.planes[0], normal=[0, 1, 0],
+                                local_vertices=((-0.5, -0.5), (0.5, -0.5), (0, 0.5)))
+    key = dataclasses.replace(good.camera_path[0], up=(0.0, 0.0, -1.0))
+    scene = dataclasses.replace(good, planes=(plane,), camera_path=(key,))
+    for v, shape in [(plane.normal, (3,)), (plane.center, (3,)), (plane.local_vertices, (3, 2)),
+                     (key.up, (3,)), (key.position, (3,))]:
+        assert isinstance(v, np.ndarray) and v.dtype == np.float64 and v.shape == shape
+        assert not v.flags.writeable
+    assert plane.normal.tolist() == [0.0, 1.0, 0.0]
+    assert scene_to_dict(scene)["planes"][0]["verts"] == [[-0.5, -0.5], [0.5, -0.5], [0.0, 0.5]]
+
+
 def test_keyframe_order_checked():
     k0 = CameraKeyframe(0, np.zeros(3) + (0, 2, 0), np.zeros(3), np.array([0.0, 0.0, -1.0]))
     k1 = CameraKeyframe(0, np.zeros(3) + (1, 2, 0), np.zeros(3), np.array([0.0, 0.0, -1.0]))

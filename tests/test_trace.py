@@ -285,6 +285,16 @@ def test_sample_frames_gap():
     assert _kept(tr, 5.0) == [0, 1000, 1250]
 
 
+@pytest.mark.parametrize("target_fps", [1000.0, 1000.5, 1e6, 1e299])
+def test_a_period_of_1_ms_or_less_keeps_every_timestamp(target_fps):
+    # timestamps are whole milliseconds; near 2**53 t / period rounds, or overflows a float
+    edge = 2**53
+    timestamps = [*range(-edge, -edge + 20), *range(-10, 11), *range(edge - 20, edge + 1)]
+    walk = deadline_walk(1e300, target_fps)
+    assert [t for t in timestamps if walk(t)] == timestamps
+    assert oracles.decimate_reference(timestamps, 1e300, target_fps) == timestamps
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     gaps=st.lists(st.integers(1, 400), max_size=60),

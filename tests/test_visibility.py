@@ -101,7 +101,7 @@ def test_project_trackable_behind_camera():
     above = _plane("t", (0.0, 3.0, 0.0), 0.5, 0.5)
     f = _frame([above])
     assert project_trackable(above, f) is None
-    assert oracles.frame_boxes(f) == []
+    assert oracles.frame_boxes(f) == [("t", None)]
 
 
 def test_single_plane_box():
@@ -133,7 +133,7 @@ def test_paused_and_stopped_ignored():
         _plane("p", (0, 0, 0), 1.0, 1.0, state=TrackingState.PAUSED),
         _plane("s", (0, 0, 0), 1.0, 1.0, state=TrackingState.STOPPED),
     ])
-    assert oracles.frame_boxes(f) == []
+    assert oracles.frame_boxes(f) == [("p", None), ("s", None)]
 
 
 def test_back_facing_yields_no_box_but_occludes():
@@ -141,9 +141,7 @@ def test_back_facing_yields_no_box_but_occludes():
     shade = _plane("shade", (0.0, 1.0, 0.0), 0.3, 0.3, normal=(0.0, -1.0, 0.0))
     floor = _plane("floor", (0.0, 0.0, 0.0), 1.0, 0.5)
     boxes = oracles.frame_boxes(_frame([floor, shade]))
-    ids = [tid for tid, _ in boxes]
-    assert "shade" not in ids
-    assert ids == ["floor"]
+    assert [(tid, box is None) for tid, box in boxes] == [("floor", False), ("shade", True)]
     # the floor box must sit beside the shade's projected square
     hole_half = 0.3 * _px_per_m(1.0)
     box = boxes[0][1]
@@ -170,13 +168,20 @@ def test_nearer_plane_unaffected_by_farther():
     assert set(by_id) == {"near", "far"}
     near_alone = oracles.frame_boxes(_frame([near]))[0][1]
     assert by_id["near"] == near_alone
-    # results come back ordered near to far
-    assert [tid for tid, _ in boxes] == ["near", "far"]
+    # one result per trackable, in the frame's order
+    assert [tid for tid, _ in boxes] == ["far", "near"]
 
 
 def test_offscreen_plane_clipped_away():
     f = _frame([_plane("gone", (50.0, 0.0, 0.0), 0.5, 0.5)])
-    assert oracles.frame_boxes(f) == []
+    assert oracles.frame_boxes(f) == [("gone", None)]
+
+
+def _by_row(frames, per_frame):
+    """A per-frame reference's (trackable id, answer) entries placed on the rows of the
+    frames' block, None for a trackable the reference does not list."""
+    return [dict(entries).get(t.trackable_id)
+            for f, entries in zip(frames, per_frame) for t in f.trackables]
 
 
 # ------------------------------------------------ against the per-vertex path
@@ -253,13 +258,11 @@ def test_analyze_frame_matches_per_vertex_pipeline(tmp_path, scene):
         for tr in (trace, load_trace(path)):
             frames = list(decimate(tr.frames, tr.source_fps, 10.0))
             pieces = block_pieces(frames_block(frames))
-            tids, frame_of, rows = fit_boxes(pieces, sc.screen_w, sc.screen_h)
-            assert frame_of.tolist() == sorted(frame_of.tolist())
-            boxes = list(zip(frame_of.tolist(), tids, oracles.rects_of(rows)))
-            assert boxes == [(i, tid, box) for i, f in enumerate(frames)
-                             for tid, box in oracles.analyze_frame_per_vertex(f)]
-            for i, f in enumerate(frames):
-                assert repr(pieces[i]) == repr(oracles.frame_pieces(f, screen)), i
+            rows = fit_boxes(pieces, sc.screen_w, sc.screen_h)
+            assert oracles.rects_of(rows) == _by_row(
+                frames, map(oracles.analyze_frame_per_vertex, frames))
+            assert repr(pieces) == repr(
+                _by_row(frames, (oracles.frame_pieces(f, screen) for f in frames)))
 
 
 @pytest.mark.parametrize("scene", [s.name for s in benchmark_scenes()])
@@ -268,7 +271,7 @@ def test_inscribed_rects_match_scalar_search_on_pack_pieces(scene):
     for seed in (1, 2):
         trace = generate_trace(sc, jitter_seed=seed, jitter=sc.default_jitter)
         found = block_pieces(frames_block(list(decimate(trace.frames, trace.source_fps, 10.0))))
-        pieces = [p for frame in found for _, ps in frame for p in ps]
+        pieces = [p for ps in found if ps for p in ps]
         rows, passes = g.inscribed_rects(pieces, sc.screen_w, sc.screen_h)
         assert oracles.rects_of(rows) == [
             oracles.inscribed_rect_pip(p, sc.screen_w, sc.screen_h) for p in pieces]
@@ -385,10 +388,10 @@ def _random_block(seed, order):
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["C", "F"]))
 def test_block_pieces_match_the_per_frame_reference(seed, order):
     frames = _random_block(seed, order)
-    found = block_pieces(frames_block(frames))
-    assert len(found) == len(frames)
-    for f, pieces in zip(frames, found):
-        assert repr(pieces) == repr(oracles.frame_pieces(f, SCREEN)), f.timestamp_ms
+    block = frames_block(frames)
+    found = block_pieces(block)
+    assert len(found) == len(block.ids)
+    assert repr(found) == repr(_by_row(frames, (oracles.frame_pieces(f, SCREEN) for f in frames)))
 
 
 def test_random_blocks_reach_every_case():
@@ -428,6 +431,48 @@ def test_random_blocks_reach_every_case():
     wanted = {*TrackingState, *range(3, 9), "behind", "back-facing", "edge-on", "facing", "left",
               "right", "top", "bottom", "off screen", "equal distance", "nested"}
     assert wanted <= seen, wanted - seen
+
+
+def test_fit_boxes_have_a_nan_row_exactly_where_the_reference_has_no_box():
+    seen = set()
+    for seed in range(40):
+        frames = _random_block(seed, "C")
+        block = frames_block(frames)
+        pieces = block_pieces(block)
+        rows = fit_boxes(pieces, W, H)
+        want = _by_row(frames, map(oracles.analyze_frame_per_vertex, frames))
+        assert rows.shape == (len(block.ids), 4)
+        assert oracles.rects_of(rows) == want   # None for a NaN row
+        tracks = [(f, t) for f in frames for t in f.trackables]
+        for (f, t), entry, box in zip(tracks, pieces, want):
+            if box is not None:
+                continue
+            if t.tracking_state != TrackingState.TRACKING:
+                seen.add(t.tracking_state)
+            elif project_trackable(t, f) is None:
+                seen.add("behind")
+            elif not facing_camera(t, f.camera_position):
+                seen.add("back-facing")
+            else:
+                seen.add("off screen" if entry is None else "fully occluded" if entry == [] else
+                         "no rect")
+    wanted = {TrackingState.PAUSED, TrackingState.STOPPED, "behind", "back-facing", "off screen",
+              "fully occluded"}
+    assert wanted <= seen, wanted - seen
+
+
+def test_run_boxes_give_a_trackable_with_no_surface_an_all_nan_column():
+    # "ghost" is listed from the second frame on, always PAUSED; "late" joins in the third
+    table = _plane("table", (0.0, 0.0, 0.0), 1.0, 0.5)
+    ghost = _plane("ghost", (0.5, 0.0, 0.0), 0.3, 0.3, state=TrackingState.PAUSED)
+    late = _plane("late", (-1.5, 0.0, 0.0), 0.2, 0.2)
+    frames = [_frame([table], t_ms=0), _frame([ghost, table], t_ms=100),
+              _frame([late, table, ghost], t_ms=200)]
+    run = run_boxes(frame_blocks(frames))
+    assert list(run.boxes) == ["table", "ghost", "late"]
+    assert not np.isnan(run.boxes["table"]).any()
+    assert np.isnan(run.boxes["ghost"]).all() and run.boxes["ghost"].shape == (3, 4)
+    assert np.isnan(run.boxes["late"]).all(axis=1).tolist() == [True, True, False]
 
 
 # Frames whose view and projection are the identity, with trackables whose pose takes local
@@ -472,8 +517,7 @@ def test_block_pieces_match_the_per_frame_reference_at_the_margins(seed):
             tracks.append(_at_pixels(f"band{j}", band, rng.choice([1.0, 2.0, 5.0, 7.0])))
         frames.append(_pixel_frame(tracks, 100 * k))
     found = block_pieces(frames_block(frames))
-    for f, pieces in zip(frames, found):
-        assert repr(pieces) == repr(oracles.frame_pieces(f, SCREEN)), f.timestamp_ms
+    assert repr(found) == repr(_by_row(frames, (oracles.frame_pieces(f, SCREEN) for f in frames)))
 
 
 def _huge_x(t):
@@ -507,7 +551,7 @@ def test_block_pieces_bound_huge_but_finite_pixels(scale, raises):
     frame = _frame([_plane("table", (0.0, 0.0, 0.0), 1.0, 1.0), dataclasses.replace(lid, pose=pose)])
     if not raises:
         found = block_pieces(frames_block([frame]))
-        assert repr(found[0]) == repr(oracles.frame_pieces(frame, SCREEN))
+        assert repr(found) == repr(_by_row([frame], [oracles.frame_pieces(frame, SCREEN)]))
         return
     with pytest.raises(ArithmeticError):
         oracles.frame_pieces(frame, SCREEN)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -249,6 +250,7 @@ def cmd_scenes(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache   # one parser per process: parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="playtrace",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -399,15 +400,18 @@ class EdgeLoops(NamedTuple):
 
     @classmethod
     def of(cls, polys: Sequence[Polygon]) -> EdgeLoops:
-        size = max(len(p) for p in polys)
-        xy = np.array([[*p, *[p[0]] * (size - len(p))] for p in polys], dtype=float)
-        ax, ay = xy[:, :, 0], xy[:, :, 1]
-        by = np.roll(ay, -1, axis=1)
-        dx = np.roll(ax, -1, axis=1) - ax
-        dy = by - ay
+        counts = np.array([len(p) for p in polys])
+        x, y = np.array(list(chain.from_iterable(polys)), dtype=float).reshape(-1, 2).T
+        col = np.arange(counts.max())
+        real = col < counts[:, None]
+        first = (np.cumsum(counts) - counts)[:, None]
+        a = first + np.where(real, col, 0)
+        b = first + np.where(col + 1 < counts[:, None], col + 1, 0)   # next, else the first
+        ax, ay = x[a], y[a]
+        dx = x[b] - ax
+        dy = y[b] - ay
         len_sq = dx * dx + dy * dy
-        real = np.arange(size) < np.array([len(p) for p in polys])[:, None]
-        return cls(ax, ay, by, dx, dy, np.where(len_sq <= PARALLEL_EPS, np.inf, len_sq), real)
+        return cls(ax, ay, y[b], dx, dy, np.where(len_sq <= PARALLEL_EPS, np.inf, len_sq), real)
 
 
 def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -435,21 +439,34 @@ def odd_crossings(e: EdgeLoops, px: np.ndarray, py: np.ndarray) -> np.ndarray:
 
 
 def _points_inside(e: EdgeLoops, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Even-odd containment of each point in row i of (px, py) in polygon i of e.
+    """Even-odd containment of each point of (px, py)[i] in polygon i of e.
 
-    A point within CONTAINMENT_EPS_PX of an edge (_point_segment_dist_sq)
-    counts as inside, else the parity of the edge crossings to its right
-    decides (odd_crossings).  The tests compare every answer with the
-    scalar oracles.point_in_polygon, whose expressions these copy in their
-    order.
+    px and py broadcast together, with one axis per polygon first and as
+    many axes each.  The parity of the edge crossings to a point's right
+    decides first (odd_crossings), so a point's crossings depend only on
+    its y and are counted once per row of py.  A point they put outside is
+    then measured against every edge, and counts as inside when within
+    CONTAINMENT_EPS_PX of one (_point_segment_dist_sq).  The tests compare
+    every answer with the scalar oracles.point_in_polygon, whose
+    expressions these copy in their order.
     """
-    px = px[:, :, None]
-    py = py[:, :, None]
-    e = EdgeLoops(*(a[:, None, :] for a in e))
-    t = np.clip(((px - e.ax) * e.dx + (py - e.ay) * e.dy) / e.len_sq, 0.0, 1.0)
-    dist_sq = _squared(px - (e.ax + t * e.dx)) + _squared(py - (e.ay + t * e.dy))
-    near = ((dist_sq <= CONTAINMENT_EPS_PX * CONTAINMENT_EPS_PX) & e.real).any(axis=2)
-    return near | odd_crossings(e, px, py)
+    lead = (slice(None),) + (None,) * (np.ndim(px) - 1)
+    inside = odd_crossings(EdgeLoops(*(a[lead] for a in e)), px[..., None], py[..., None])
+    out = ~inside
+    poly = np.nonzero(out)[0]
+    qx = np.broadcast_to(px, out.shape)[out][:, None]
+    qy = np.broadcast_to(py, out.shape)[out][:, None]
+    ax, ay, dx, dy = e.ax[poly], e.ay[poly], e.dx[poly], e.dy[poly]
+    t = np.clip(((qx - ax) * dx + (qy - ay) * dy) / e.len_sq[poly], 0.0, 1.0)
+    vx = qx - (ax + t * dx)
+    vy = qy - (ay + t * dy)
+    eps_sq = CONTAINMENT_EPS_PX * CONTAINMENT_EPS_PX
+    # v * v is within an ulp of Python's v ** 2 (_squared), so only a distance this passes
+    # can pass the exact test
+    near = (vx * vx + vy * vy <= eps_sq * (1.0 + 1e-6)) & e.real[poly]
+    near[near] = _squared(vx[near]) + _squared(vy[near]) <= eps_sq
+    inside[out] = near.any(axis=1)
+    return inside
 
 
 # Python's max(lo, v) and min(hi, v) elementwise, down to the sign of a zero
@@ -484,7 +501,8 @@ def simple_polygon_rows(xy: np.ndarray, counts: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         for n in set(counts[counts >= 3].tolist()):   # np.unique would import numpy.ma
             idx = np.flatnonzero(counts == n)
-            poly = xy[first[idx, None] + np.arange(n)]
+            poly = (xy[:len(idx) * n].reshape(-1, n, 2) if len(idx) == len(counts)
+                    else xy[first[idx, None] + np.arange(n)])
             simple[idx] = _simple_of_size(poly[:, :, 0], poly[:, :, 1])
     return simple
 
@@ -543,6 +561,62 @@ def _simple_of_size(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return ~(repeated.any(axis=1) | crossed.any(axis=1) | (collinear & near).any(axis=1) | overflow)
 
 
+def _rings(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Polygons stored one after another, polygon i the next counts[i] vertices, as indices:
+    the first vertex of each polygon, then the polygon, the vertex before and the vertex
+    after of each vertex."""
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    size = int(ends[-1]) if len(ends) else 0
+    some = counts > 0
+    prev = np.arange(-1, size - 1)
+    prev[starts[some]] = ends[some] - 1
+    nxt = np.arange(1, size + 1)
+    nxt[ends[some] - 1] = starts[some]
+    return starts, np.repeat(np.arange(len(counts)), counts), prev, nxt
+
+
+def clip_rows(
+    x: np.ndarray, y: np.ndarray, counts: np.ndarray, loop: ClipLoop
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """clip_by_loop of many polygons by one clip_loop, in one numpy pass per clip edge.
+
+    The polygons are stored one after another: polygon i has the next
+    counts[i] vertices of (x, y), and so has the clipped polygon i of the
+    answer (x, y, counts), with a count of 0 where clip_by_loop returns [].
+    The expressions are elementwise copies of _clip_one_edge's and
+    line_param_t's in their order, t = 0.5 where the lines are parallel, so
+    every vertex is clip_by_loop's to the bit wherever no product overflows.
+    """
+    sign, edges = loop
+    if not sign:
+        return x[:0], y[:0], np.zeros_like(counts)
+    for (ax, ay), (bx, by) in edges:
+        kept = sign * ((bx - ax) * (y - ay) - (by - ay) * (x - ax)) >= 0.0
+        if kept.all():
+            continue   # each vertex gives itself
+        _, poly_of, prev, _ = _rings(counts)
+        # _edge_intersection(s, e, a, b) of each vertex e and the vertex s before it
+        x1, y1 = x[prev], y[prev]
+        den = (x1 - x) * (ay - by) - (y1 - y) * (ax - bx)
+        parallel = np.abs(den) < PARALLEL_EPS
+        num = (x1 - ax) * (ay - by) - (y1 - ay) * (ax - bx)
+        t = np.where(parallel, 0.5, num / np.where(parallel, 1.0, den))
+        # each vertex gives the crossing of its edge from s if s is on the other side,
+        # then itself if kept
+        take = np.empty((len(x), 2), dtype=bool)
+        take[:, 0] = kept != kept[prev]
+        take[:, 1] = kept
+        out = np.empty((len(x), 2, 2))
+        out[:, 0, 0] = x1 + t * (x - x1)
+        out[:, 0, 1] = y1 + t * (y - y1)
+        out[:, 1, 0] = x
+        out[:, 1, 1] = y
+        x, y = out[take].T
+        counts = np.bincount(poly_of, weights=take.sum(axis=1), minlength=len(counts)).astype(int)
+    return x, y, counts
+
+
 def convex_unchanged(x: np.ndarray, y: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Whether convex_pieces would return each polygon as it is, as a bool array.
 
@@ -556,14 +630,7 @@ def convex_unchanged(x: np.ndarray, y: np.ndarray, counts: np.ndarray) -> np.nda
     vertex, so every verdict is the scalar code's wherever no square
     overflows.
     """
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    poly_of = np.repeat(np.arange(len(counts)), counts)
-    some = counts > 0
-    nxt = np.arange(1, len(x) + 1)
-    nxt[ends[some] - 1] = starts[some]
-    prev = np.arange(-1, len(x) - 1)
-    prev[starts[some]] = ends[some] - 1
+    starts, poly_of, prev, nxt = _rings(counts)
     with np.errstate(all="ignore"):
         dx = x - x[prev]
         dy = y - y[prev]
@@ -591,11 +658,12 @@ def inscribed_rects(
     """Largest-effort axis-aligned rectangles inside many polygons, searched in lockstep.
 
     Each rect starts as its polygon's bounding box clamped to the screen.
-    One numpy pass tests the corners of every rect still shrinking and
-    moves the sides whose corner pair is not fully inside by SHRINK_STEP of
-    the rect's extent on that axis.  A search ends with its rect when all
-    four corners are inside, or with none once an extent is
-    MIN_RECT_EXTENT_PX or less or after MAX_SHRINK_PASSES.  Not the maximal
+    One numpy pass tests the corners of every rect still shrinking
+    (_points_inside, which counts the crossings of its top and its bottom
+    row once each) and moves the sides whose corner pair is not fully
+    inside by SHRINK_STEP of the rect's extent on that axis.  A search ends
+    with its rect when all four corners are inside, or with none once an
+    extent is MIN_RECT_EXTENT_PX or less or after MAX_SHRINK_PASSES.  Not the maximal
     inscribed rectangle, but a cheap and stable one.  Returns the rects as
     an (n, 4) float64 array of (x_min, y_min, x_max, y_max) rows, NaN where
     a search found none, and each search's passes; raises ValueError for
@@ -619,11 +687,11 @@ def inscribed_rects(
     while idx.size:
         x_min, y_min, x_max, y_max = x_min[keep], y_min[keep], x_max[keep], y_max[keep]
         loops = EdgeLoops(*(a[keep] for a in loops))
-        in_tl, in_tr, in_bl, in_br = _points_inside(
+        (in_tl, in_tr), (in_bl, in_br) = _points_inside(
             loops,
-            np.stack([x_min, x_max, x_min, x_max], axis=1),
-            np.stack([y_min, y_min, y_max, y_max], axis=1),
-        ).T
+            np.stack([x_min, x_max], axis=1)[:, None, :],
+            np.stack([y_min, y_max], axis=1)[:, :, None],
+        ).transpose(1, 2, 0)
         found = in_tl & in_tr & in_bl & in_br
         rects[idx[found]] = np.stack([x_min, y_min, x_max, y_max], axis=1)[found]
         passes[idx] = n

@@ -457,7 +457,10 @@ def render_frames(
     frames whose timestamps keep (a decimation predicate such as
     deadline_walk's, asked about every timestamp in order) accepts are
     built, so the frames yielded equal those of the full render that keep
-    accepts.  Without keep every frame is built.  Each block holds
+    accepts.  Without keep every frame is built.  The vertex noise of the
+    polygons between two dropout draws, or up to a block's end, is one
+    rng.normal call, which draws the same numbers as one call per polygon;
+    the rows of frames not built are drawn and left out.  Each block holds
     BOX_BLOCK_FRAMES frames, the last one fewer; every matrix is in C order,
     and a block's projection is one matrix, broadcast.  The scene checked itself when made.
     """
@@ -476,28 +479,61 @@ def render_frames(
     poses = np.array([p.pose() for p in planes]).reshape(-1, 4, 4)
     centers = np.array([p.center for p in planes], dtype=float).reshape(-1, 3)
     normals = np.array([p.normal for p in planes], dtype=float).reshape(-1, 3)
-    shapes = [p.vertices() for p in planes]
+    outlines = [p.vertices() for p in planes]
+    sizes = np.array(list(map(len, outlines)), dtype=int)
+    shapes = np.concatenate([np.zeros((0, 2)), *outlines])   # every plane's polygon in turn
+    first = np.cumsum(sizes) - sizes
+    noise_m, dropout = jitter.vertex_noise_m, jitter.dropout_prob
+    run_n: list[int] = []       # the vertices of each polygon whose noise waits
+    run_kept: list[bool] = []   # and whether its frame is built
+    noise: list[np.ndarray] = []   # the noise of the kept polygons since the last block
 
-    def shown() -> Iterator[list[tuple[int, np.ndarray]]]:
-        """(plane index, polygon) of each trackable of each kept frame; every frame draws."""
+    def draw_run() -> None:
+        """One noise draw for the waiting polygons, the rows of frames not built left out.
+
+        Generator.normal fills its array element by element, so one draw of
+        the run is the polygons' own draws in turn, bit for bit.
+        """
+        if run_n:
+            rows = rng.normal(0.0, noise_m, size=(sum(run_n), 2))
+            if all(run_kept):
+                noise.append(rows)
+            elif any(run_kept):
+                noise.append(rows[np.repeat(run_kept, run_n)])
+            run_n.clear()
+            run_kept.clear()
+
+    def shown() -> Iterator[list[int]]:
+        """The plane of each trackable of each kept frame; every frame draws."""
         for i in range(len(times)):
             if not (kept[i] or jitter.draws):
                 continue  # a frame that is neither built nor draws jitter
             tracks = []
-            for k, verts in enumerate(shapes):
-                if not detected[k][i] or (
-                        jitter.dropout_prob > 0.0 and rng.random() < jitter.dropout_prob):
+            for k in range(len(planes)):
+                if not detected[k][i]:
                     continue
-                if jitter.vertex_noise_m > 0.0:
-                    verts = verts + rng.normal(0.0, jitter.vertex_noise_m, size=(len(verts), 2))
-                tracks.append((k, verts))
+                if dropout > 0.0:
+                    draw_run()   # the draws stay in order
+                    if rng.random() < dropout:
+                        continue
+                if noise_m > 0.0:
+                    run_n.append(len(outlines[k]))
+                    run_kept.append(kept[i])
+                tracks.append(k)
             if kept[i]:  # else its draws are made, but the frame is not built
                 yield tracks
 
     start = 0
     for part in blocks(shown(), BOX_BLOCK_FRAMES):
-        end, tracks = start + len(part), list(chain.from_iterable(part))
-        rows = np.array([k for k, _ in tracks], dtype=int)
+        draw_run()
+        end = start + len(part)
+        rows = np.array(list(chain.from_iterable(part)), dtype=int)
+        n_verts = sizes[rows]
+        verts = shapes[np.repeat(first[rows] - np.cumsum(n_verts) + n_verts, n_verts)
+                       + np.arange(n_verts.sum())]
+        if noise:
+            verts += np.concatenate(noise)
+            noise.clear()
         block = FrameBlock(
             screen=(scene.screen_w, scene.screen_h), t_ms=kept_times[start:end],
             view=views[start:end], proj=np.broadcast_to(proj, (len(part), 4, 4)),
@@ -505,8 +541,7 @@ def render_frames(
             ids=[planes[k].plane_id for k in rows.tolist()],
             states=[TrackingState.TRACKING] * len(rows),
             pose=poses[rows], center=centers[rows], normal=normals[rows],
-            n_verts=np.array([len(v) for _, v in tracks], dtype=int),
-            verts=np.concatenate([np.zeros((0, 2)), *(v for _, v in tracks)]),
+            n_verts=n_verts, verts=verts,
         )
         for col in block:
             if type(col) is np.ndarray:

@@ -23,8 +23,8 @@ from .geometry import (
     MAX_SCREEN_COORD_PX,
     OCCLUDER_MARGIN_PX,
     Point,
-    clip_by_loop,
     clip_loop,
+    clip_rows,
     convex_pieces,
     convex_unchanged,
     dot_rows,
@@ -80,16 +80,17 @@ def block_pieces(block: FrameBlock) -> list[list[list[Point]] | None]:
     frame (by distance to the surface center; ties keep the frame's
     trackable order), back-facing ones too, is subtracted: [] if covered.
 
-    The projection, distances, facing signs, and the tests that let a
-    polygon skip the screen clip (every vertex on screen) and convex_pieces
-    (convex_unchanged) are numpy passes over the block's columns, each
-    bit-equal to the scalar computation for one trackable.  Of a polygon's
-    vertices, the first that is behind the camera or lands on pixels that
-    are not finite numbers within MAX_SCREEN_COORD_PX decides: behind drops
-    the surface, the other is a TraceValidationError.  The block's first
-    such fault is raised before any frame is carved: nothing after it can
-    raise on the finite, bounded pixels left, so it is the fault a pass
-    over one frame at a time would raise.
+    The projection, distances, facing signs, the screen clip of the
+    polygons with a vertex off screen (clip_rows) and the test that lets a
+    part skip convex_pieces (convex_unchanged) are numpy passes over the
+    block's columns, each bit-equal to the scalar computation for one
+    trackable.  Of a polygon's vertices, the first that is behind the
+    camera or lands on pixels that are not finite numbers within
+    MAX_SCREEN_COORD_PX decides: behind drops the surface, the other is a
+    TraceValidationError.  The block's first such fault is raised before
+    any frame is carved: nothing after it can raise on the finite, bounded
+    pixels left, so it is the fault a pass over one frame at a time would
+    raise.
     """
     found: list[list[list[Point]] | None] = [None] * len(block.ids)
     rows = np.flatnonzero([s == TrackingState.TRACKING for s in block.states])
@@ -134,7 +135,15 @@ def block_pieces(block: FrameBlock) -> list[list[list[Point]] | None]:
         for (ax, ay), (bx, by) in edges:
             off |= ~(sign * ((bx - ax) * (y - ay) - (by - ay) * (x - ax)) >= 0.0)
     on_screen = np.bincount(track_of, weights=off, minlength=len(rows)) == 0
-    unchanged = on_screen & convex_unchanged(x, y, counts)
+    # the screen clip of every visible, facing row with a vertex off screen, in one pass
+    cut = visible & facing & ~on_screen
+    cut_x, cut_y, cut_counts = clip_rows(x[cut[track_of]], y[cut[track_of]], counts[cut],
+                                         (sign, edges))
+    # convex_unchanged of every row and of every clipped part, in one pass
+    both = convex_unchanged(np.concatenate([x, cut_x]), np.concatenate([y, cut_y]),
+                            np.concatenate([counts, cut_counts]))
+    unchanged = on_screen & both[:len(rows)]
+    unchanged[cut] = both[len(rows):]
 
     # Bounding boxes.  An occluder whose box is more than OCCLUDER_MARGIN_PX from the box of
     # the subject's polygon misses each of its pieces, so subtract_occluders would return
@@ -147,8 +156,13 @@ def block_pieces(block: FrameBlock) -> list[list[list[Point]] | None]:
 
     xy = list(zip(x.tolist(), y.tolist()))
     polys = [xy[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+    parts = polys[:]   # the part of each row on screen
+    cut_xy = list(zip(cut_x.tolist(), cut_y.tolist()))
+    cut_ends = np.cumsum(cut_counts).tolist()
+    for k, a, b in zip(np.flatnonzero(cut).tolist(), [0, *cut_ends], cut_ends):
+        parts[k] = cut_xy[a:b]
     dists, boxes = dist.tolist(), box.tolist()
-    facing_l, on_screen_l, unchanged_l = facing.tolist(), on_screen.tolist(), unchanged.tolist()
+    facing_l, unchanged_l = facing.tolist(), unchanged.tolist()
     m = OCCLUDER_MARGIN_PX
     order = np.lexsort((dist, owner))  # a stable sort: ties keep the frame's trackable order
     frame_l, row_l = owner.tolist(), rows.tolist()
@@ -156,23 +170,19 @@ def block_pieces(block: FrameBlock) -> list[list[list[Point]] | None]:
     for k in order[visible[order]].tolist():
         if frame_l[k] != frame:
             frame, nearer = frame_l[k], []
-        if facing_l[k]:
-            if unchanged_l[k]:
-                pieces = [polys[k]]   # what convex_pieces would return
-            else:
-                part = polys[k] if on_screen_l[k] else clip_by_loop(polys[k], sign, edges)
-                pieces = convex_pieces(part) if len(part) >= 3 else None
-            if pieces is not None:
-                d = dists[k]
-                sx0, sx1, sy0, sy1 = boxes[k]
-                occluders = [
-                    polys[j] for j in nearer
-                    if dists[j] < d and not (
-                        sx1 < boxes[j][0] - m or boxes[j][1] + m < sx0
-                        or sy1 < boxes[j][2] - m or boxes[j][3] + m < sy0
-                    )
-                ]
-                found[row_l[k]] = subtract_occluders(pieces, occluders)
+        if facing_l[k] and len(parts[k]) >= 3:
+            # [parts[k]] is what convex_pieces would return when unchanged
+            pieces = [parts[k]] if unchanged_l[k] else convex_pieces(parts[k])
+            d = dists[k]
+            sx0, sx1, sy0, sy1 = boxes[k]
+            occluders = [
+                polys[j] for j in nearer
+                if dists[j] < d and not (
+                    sx1 < boxes[j][0] - m or boxes[j][1] + m < sx0
+                    or sy1 < boxes[j][2] - m or boxes[j][3] + m < sy0
+                )
+            ]
+            found[row_l[k]] = subtract_occluders(pieces, occluders)
         nearer.append(k)
     return found
 

@@ -253,6 +253,19 @@ def clip_polygon(subject: list[Point], clip: list[Point]) -> list[Point]:
     return clip_by_loop(subject, *clip_loop(clip))
 
 
+def clip_rows_split(polys, loop):
+    """geometry.clip_rows of polygons given as vertex lists, split back into one list each."""
+    from playtrace.geometry import clip_rows
+
+    xy = np.array([p for poly in polys for p in poly], dtype=float).reshape(-1, 2)
+    x, y, counts = clip_rows(xy[:, 0], xy[:, 1], np.array([len(p) for p in polys], dtype=int),
+                             loop)
+    assert len(x) == len(y) == counts.sum() and len(counts) == len(polys)
+    xy = list(zip(x.tolist(), y.tolist()))
+    ends = np.cumsum(counts).tolist()
+    return [xy[a:b] for a, b in zip([0, *ends], ends)]
+
+
 # -------------------------------------------------------------- life spans
 
 def life_spans_reference(boxes, screen, min_visibility):
@@ -891,6 +904,42 @@ def frames_block(frames, col_major=None):
         n_verts=_frozen(np.array([len(t.local_vertices) for t in tracks], dtype=int)),
         verts=_frozen(np.concatenate([np.zeros((0, 2)), *(t.local_vertices for t in tracks)])),
     )
+
+
+def render_per_polygon(scene, jitter_seed, jitter=None, keep=None):
+    """The FrameRecords render_frames builds, with one noise draw per polygon.
+
+    The draw loop render_frames ran before it drew a run of polygons'
+    vertex noise at once: every frame of frame_times draws, plane by plane,
+    its dropout (rng.random) and then its noise (rng.normal, one per
+    polygon), and only the frames keep accepts are built.
+    """
+    from playtrace.simulator import camera_poses, frame_times, perspective_matrix, plane_detected
+    from playtrace.trace import FrameRecord, TrackableSnapshot, TrackingState
+
+    jitter = scene.default_jitter if jitter is None else jitter
+    rng = np.random.default_rng(jitter_seed)
+    proj = perspective_matrix(scene.fov_y_deg, scene.screen_w / scene.screen_h,
+                              scene.near_m, scene.far_m)
+    times = frame_times(scene)
+    kept = [keep is None or keep(t) for t in times]
+    eyes, views = camera_poses(scene, [t for t, k in zip(times, kept) if k])
+    built = 0
+    for t, k in zip(times, kept):
+        tracks = []
+        for plane in scene.planes:
+            if not plane_detected(plane, t) or (
+                    jitter.dropout_prob > 0.0 and rng.random() < jitter.dropout_prob):
+                continue
+            verts = plane.vertices()
+            if jitter.vertex_noise_m > 0.0:
+                verts = verts + rng.normal(0.0, jitter.vertex_noise_m, size=(len(verts), 2))
+            tracks.append(TrackableSnapshot(plane.plane_id, plane.pose(), _frozen(verts),
+                                            plane.center, plane.normal, TrackingState.TRACKING))
+        if k:
+            yield FrameRecord(t, views[built], proj, eyes[built], scene.screen_w,
+                              scene.screen_h, tuple(tracks))
+            built += 1
 
 
 def frame_blocks(frames):

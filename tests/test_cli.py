@@ -863,6 +863,29 @@ def test_compare_prints_table_and_writes_json(tmp_path, capsys):
     assert d["aggregate"]["guided"]["events"] <= d["aggregate"]["random"]["events"]
 
 
+def test_one_parser_serves_every_call_and_keeps_no_state(tmp_path, capsys):
+    # main parses with one parser per process: failed parses of compare, one of them after
+    # its --seeds were read, and good parses of other subcommands leave its defaults as
+    # they were, so a later default compare writes what the first one wrote
+    assert cli_module.build_parser() is cli_module.build_parser()
+    scene_path = tmp_path / "scene.json"
+    save_scene(_scene(), scene_path)
+    out = [tmp_path / "first.json", tmp_path / "again.json"]
+    assert main(["compare", str(scene_path), "--runs", "1", "--out", str(out[0])]) == 0
+    for argv in (["compare", str(scene_path), "--seeds", "5", "7", "--runs", "x"],
+                 ["compare", str(scene_path), "--seeds"], ["compare"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert main(["scenes", "--out", str(tmp_path / "pack")]) == 0
+    assert main(["analyze", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path)]) == 2
+    assert main(["compare", str(scene_path), "--runs", "1", "--out", str(out[1])]) == 0
+    assert json.loads(out[1].read_text())["seeds"] == [1]
+    assert out[0].read_bytes() == out[1].read_bytes()
+    args = cli_module.build_parser().parse_args(["compare", str(scene_path)])
+    assert (args.seeds, args.runs, args.out) == ([1], 3, None)
+
+
 def test_scenes_writes_pack(tmp_path, capsys):
     out = tmp_path / "pack"
     rc = main(["scenes", "--out", str(out)])

@@ -31,7 +31,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from playtrace import cli
 from playtrace.cli import main
 from playtrace.reporting import _escape
 from playtrace.scenes import benchmark_scene
@@ -167,13 +166,11 @@ def _assert_chart_ids(out) -> int:
     return len(ids)
 
 
-def test_every_path_of_a_frame_line_exits_cleanly(tmp_path, monkeypatch, base_lines):
+def test_every_path_of_a_frame_line_exits_cleanly(tmp_path, base_lines):
     # each path of a frame line with a trackable set to each odd value ([] among them) and
     # deleted, as the middle frame of three, all analysed: the block pass rejects the block,
     # and the one-line re-read words the first fault.  With no least life span every
     # analysis that exits 0 charts its opportunities, and the chart's ids are the report's.
-    parser = cli.build_parser()   # one parser for the 1,848 commands: building it is half the time
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
     header, before, line, after = base_lines[0], *base_lines[30:33]
     assert json.loads(line)["trackables"]
     path, out = tmp_path / "run.jsonl", tmp_path / "out"
@@ -249,11 +246,9 @@ def _probe_end_paths(text: str, path, commands) -> dict[tuple, int]:
     return codes
 
 
-def test_every_end_path_of_a_schedule_exits_cleanly(tmp_path, monkeypatch, base_files):
+def test_every_end_path_of_a_schedule_exits_cleanly(tmp_path, base_files):
     # each path of the guided schedule, entering each list at its ends, set to each odd
     # value ([] among them) and deleted, replayed by simulate
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
     text = (base_files / "schedule.json").read_text("utf-8")
     path = tmp_path / "schedule.json"
     argv = ["simulate", str(base_files / "scene.json"), "--schedule", str(path),
@@ -273,11 +268,9 @@ def _loads(path) -> bool:
     return True
 
 
-def test_every_end_path_of_a_scene_exits_cleanly(tmp_path, monkeypatch, base_files):
+def test_every_end_path_of_a_scene_exits_cleanly(tmp_path, base_files):
     # replayed by simulate; a scene that loads is also rendered and analysed by compare,
     # which takes about four times as long
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
 
     def commands(path):
         yield ["simulate", str(path), "--schedule", str(base_files / "schedule.json"),
@@ -296,10 +289,8 @@ def test_every_end_path_of_a_scene_exits_cleanly(tmp_path, monkeypatch, base_fil
     assert codes[("planes", 2, "verts"), _ODD_VALUES.index([])] == 1
 
 
-def test_every_end_path_of_a_report_exits_cleanly(tmp_path, monkeypatch, base_files):
+def test_every_end_path_of_a_report_exits_cleanly(tmp_path, base_files):
     # read back by schedule
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
     codes = _probe_end_paths(
         (base_files / "report.json").read_text("utf-8"), tmp_path / "report.json",
         lambda path: [["schedule", str(path), "--out", str(tmp_path / "schedule.json")]])

@@ -256,6 +256,73 @@ def test_clip_random_convex_pairs(seed, offset):
         assert polygon_area(again) == pytest.approx(a_out, rel=1e-9, abs=1e-9)
 
 
+# clip_rows is clip_by_loop for many polygons at once, to the bit: hypothesis polygons
+# that leave the screen, with a vertex exactly on a screen edge, a polygon that the first
+# screen edge empties, and an edge along a screen edge, straddling it by less than
+# PARALLEL_EPS of line_param_t's denominator (t = 0.5)
+
+SCREEN_LOOP = g.clip_loop([(0.0, 1080.0), (1920.0, 1080.0), (1920.0, 0.0), (0.0, 0.0)])
+
+
+def _assert_clip_rows_is_clip_by_loop(polys, loop):
+    want = [g.clip_by_loop(p, *loop) for p in polys]
+    assert repr(oracles.clip_rows_split(polys, loop)) == repr(want)   # -0.0 and 0.0 differ
+    return want
+
+
+def test_clip_rows_special_cases():
+    below = [(10.0, 1100.0), (50.0, 1100.0), (30.0, 1200.0)]   # the first edge empties it
+    on_edges = [(0.0, 10.0), (1920.0, 10.0), (1920.0, 1080.0), (5.0, 1080.0)]
+    along_top = [(100.0, 0.0), (300.0, -1e-17), (300.0, 200.0), (100.0, 200.0)]
+    beyond = [(-50.0, -50.0), (2000.0, -50.0), (2000.0, 1200.0), (-50.0, 1200.0)]
+    polys = [below, on_edges, along_top, [], [(5.0, 5.0)], beyond, SQUARE]
+    out = _assert_clip_rows_is_clip_by_loop(polys, SCREEN_LOOP)
+    assert out[0] == [] and out[1] == on_edges and out[4] == [(5.0, 5.0)]
+    assert (200.0, -5e-18) in out[2]   # the midpoint of the edge along y = 0
+    assert sorted(out[5]) == sorted(SCREEN_LOOP[1][k][0] for k in range(4))
+    sign, edges = SCREEN_LOOP
+    for loop in ((-sign, edges), (0.0, edges)):   # every vertex outside, or a degenerate loop
+        assert _assert_clip_rows_is_clip_by_loop(polys, loop) == [[]] * len(polys)
+
+
+def _screen_polygon(rng):
+    """A polygon on or across the screen's edges, possibly with a vertex on one or an edge
+    along one."""
+    center = (rng.uniform(-300.0, 2220.0), rng.uniform(-300.0, 1380.0))
+    radius = rng.choice([1e-3, 5.0, 200.0, 1500.0])
+    if rng.random() < 0.5:
+        poly = oracles.random_star(rng, center, 0.3 * radius, radius, rng.randrange(3, 10))
+    else:
+        poly = oracles.random_convex(rng, center, radius, rng.randrange(3, 10))
+    k = rng.randrange(len(poly))
+    x, y = poly[k]
+    edge = rng.choice(["x", "y", "along", "none"])
+    if edge == "x":
+        poly[k] = (rng.choice([0.0, 1920.0]), y)
+    elif edge == "y":
+        poly[k] = (x, rng.choice([0.0, 1080.0]))
+    elif edge == "along":
+        at = rng.choice([0.0, 1080.0])
+        poly[k] = (x, at)
+        poly[k - 1] = (poly[k - 1][0], at + rng.choice([-1e-17, 0.0, 1e-17, 1e-13]))
+    if rng.random() < 0.5:
+        poly.reverse()
+    return [(float(x), float(y)) for x, y in poly]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000))
+def test_clip_rows_is_clip_by_loop(seed):
+    rng = random.Random(seed)
+    polys = [_screen_polygon(rng) for _ in range(rng.randrange(1, 9))]
+    _assert_clip_rows_is_clip_by_loop(polys, SCREEN_LOOP)
+    # a clip polygon of its own, wound either way
+    clip = oracles.random_convex(rng, (960.0, 540.0), rng.choice([1.0, 300.0, 2000.0]))
+    if rng.random() < 0.5:
+        clip.reverse()
+    _assert_clip_rows_is_clip_by_loop(polys, g.clip_loop(clip))
+
+
 # ----------------------------------------------- triangulation and booleans
 
 def test_triangulate_simple_area_partition():
@@ -470,6 +537,33 @@ def test_padding_edges_stay_out_of_the_distance_test():
     inside = g._points_inside(g.EdgeLoops.of([tri, SQUARE]),
                               np.array([[p[0]], [5.0]]), np.array([[p[1]], [5.0]]))
     assert inside[:, 0].tolist() == [False, True]
+
+
+def test_corners_a_few_ulps_from_the_containment_distance():
+    # distances within a few ulps of CONTAINMENT_EPS_PX, and at ones whose square by
+    # v * v differs from Python's v ** 2, which _points_inside rechecks with _squared
+    eps, ulp = g.CONTAINMENT_EPS_PX, math.ulp(g.CONTAINMENT_EPS_PX)
+    differ = [v for v in (eps + k * ulp for k in range(-4000, 4000)) if v ** 2 != v * v]
+    assert len(differ) >= 2
+    ds = [eps + k * ulp for k in range(-6, 7)] + differ
+    tilted = [(0.0, 0.0), (100.0, 30.0), (70.0, 130.0), (-30.0, 100.0)]
+    polys = [SQUARE, tilted]
+    for d in ds:
+        # outside: off the top edges, past a vertex, and off a tilted edge along its normal
+        n = math.hypot(100.0, 30.0)
+        probes = [[(5.0, -d), (-d, 0.0), (10.0 + d, 10.0 + d), (10.0, -d)],
+                  [(50.0 + d * 30.0 / n, 15.0 - d * 100.0 / n), (-d, 0.0), (0.0, -d),
+                   (100.0 + d, 30.0)]]
+        xy = np.array(probes)
+        inside = g._points_inside(g.EdgeLoops.of(polys), xy[:, :, 0], xy[:, :, 1])
+        assert inside.tolist() == [[point_in_polygon(p, poly) for p in ps]
+                                   for poly, ps in zip(polys, probes)], d
+        # as inscribed_rects asks: the corners of (x_min, x_max) x (y_min, y_max)
+        xs = np.array([[-d, 5.0], [-d, 100.0 + d]])
+        ys = np.array([[-d, 5.0], [0.0, -d]])
+        inside = g._points_inside(g.EdgeLoops.of(polys), xs[:, None, :], ys[:, :, None])
+        assert inside.tolist() == [[[point_in_polygon((x, y), poly) for x in xr] for y in yr]
+                                   for poly, xr, yr in zip(polys, xs.tolist(), ys.tolist())], d
 
 
 @settings(max_examples=150, deadline=None)

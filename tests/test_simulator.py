@@ -587,6 +587,42 @@ def test_render_frames_equal_the_decimated_full_render(name):
         assert sum(len(b.t_ms) for b in got) < len(full.frames)
 
 
+@pytest.mark.parametrize(
+    "jitter",
+    [Jitter(), Jitter(vertex_noise_m=0.004), Jitter(dropout_prob=0.2),
+     Jitter(vertex_noise_m=0.004, dropout_prob=0.2)],
+    ids=["none", "noise", "dropout", "both"],
+)
+@pytest.mark.parametrize("walked", [False, True], ids=["every-frame", "walked"])
+def test_render_frames_draw_as_one_polygon_at_a_time(jitter, walked):
+    # a run of polygons draws its noise at once, and the rows of frames the walk drops are
+    # drawn and left out; planes of 4 and 3 vertices, one detected late, one lost a while
+    tri = np.array([(0.0, 0.0), (0.4, 0.0), (0.0, 0.3)])
+    scene = _scene([_plane("late", (-0.6, 0.0, 0.0), 0.3, 0.3, detect_delay_ms=400),
+                    _plane("tri", (0.6, 0.0, 0.0), local_vertices=tri),
+                    _plane("lost", (0.0, 0.0, 0.5), 0.2, 0.2, lost_intervals=((1000, 1600),))],
+                   duration=30000)
+    for seed in (1, 2, 3):
+        keep = (lambda: deadline_walk(scene.fps, 10.0)) if walked else (lambda: None)
+        got = list(render_frames(scene, seed, jitter, keep()))
+        assert len(got) >= 2
+        _assert_same_blocks(got, frame_blocks(oracles.render_per_polygon(scene, seed, jitter,
+                                                                         keep())))
+
+
+def test_one_normal_draw_is_its_split_draws_in_turn():
+    # what render_frames' batched noise rests on: Generator.normal with a scalar loc and
+    # scale fills its array element by element, so one draw of n rows equals draws of the
+    # parts in turn, bit for bit, and leaves the generator where they leave it
+    sizes = [4, 3, 1, 4, 7, 4] * 500
+    one, split = np.random.default_rng(11), np.random.default_rng(11)
+    whole = one.normal(0.0, 0.006, size=(sum(sizes), 2))
+    parts = np.concatenate([split.normal(0.0, 0.006, size=(n, 2)) for n in sizes])
+    assert whole.tobytes() == parts.tobytes()
+    assert one.bit_generator.state == split.bit_generator.state
+    assert one.random() == split.random()
+
+
 @pytest.mark.parametrize("fps", [10.0, 7.5])
 def test_render_frames_keep_every_frame_at_or_below_the_analysis_rate(fps):
     scene = dataclasses.replace(benchmark_scene("noisy-trio"), fps=fps)

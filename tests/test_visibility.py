@@ -14,12 +14,13 @@ from playtrace import geometry as g
 from playtrace.lifespan import life_spans
 from playtrace.pipeline import run_boxes
 from playtrace.scenes import benchmark_scene, benchmark_scenes
-from playtrace.simulator import generate_trace, perspective_matrix
+from playtrace.simulator import generate_trace, perspective_matrix, render_frames
 from playtrace.trace import (
     FrameRecord,
     TrackableSnapshot,
     TrackingState,
     TraceValidationError,
+    deadline_walk,
     load_trace,
     save_trace,
 )
@@ -276,6 +277,28 @@ def test_inscribed_rects_match_scalar_search_on_pack_pieces(scene):
         assert oracles.rects_of(rows) == [
             oracles.inscribed_rect_pip(p, sc.screen_w, sc.screen_h) for p in pieces]
         assert max(passes, default=0) <= g.MAX_SHRINK_PASSES
+
+
+def test_screen_clip_rows_match_clip_by_loop_on_pack_polygons():
+    # every projected polygon of the pack in front of the camera, on screen or not
+    clipped = 0
+    for sc in benchmark_scenes():
+        loop = g.clip_loop(screen_clip_polygon(sc.screen_w, sc.screen_h))
+        for block in render_frames(sc, 1, keep=deadline_walk(sc.fps, 10.0)):
+            counts = block.n_verts
+            track_of = np.repeat(np.arange(len(counts)), counts)
+            column = np.arange(len(track_of)) - (np.cumsum(counts) - counts)[track_of]
+            owner = np.repeat(np.arange(len(block.t_ms)), block.n_trackables)
+            x, y, behind = _project(block, np.arange(len(counts)), owner, block.verts,
+                                    track_of, column)
+            xy = list(zip(x.tolist(), y.tolist()))
+            ends = np.cumsum(counts).tolist()
+            polys = [xy[a:b] for a, b in zip([0, *ends], ends)
+                     if not behind[a:b].any()]
+            want = [g.clip_by_loop(p, *loop) for p in polys]
+            assert repr(oracles.clip_rows_split(polys, loop)) == repr(want)
+            clipped += sum(a != b for a, b in zip(polys, want))
+    assert clipped > 100
 
 
 def test_screen_clip_is_checked_once_per_run(monkeypatch):

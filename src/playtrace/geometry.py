@@ -1,11 +1,14 @@
 """Pure 2D screen-space geometry kernel.
 
-Everything here works on plain ``(x, y)`` pixel tuples using the screen
-convention: origin at the top-left corner, y growing downward.  Polygons are
-vertex lists, rectangles are axis-aligned, and the empty rectangle is
-represented as ``None`` rather than a degenerate object.  All functions are
-stateless.  Two helpers serve other spaces too: dot_rows takes rows of 3D
-vectors, and replay runs odd_crossings in a plane's local coordinates.
+Pixels use the screen convention: origin at the top-left corner, y growing
+downward.  The scalar kernels take polygons as vertex lists of ``(x, y)``
+tuples, or lists of them (simple_polygons, inscribed_rects); the numpy passes
+take many polygons stored one after another as rows: ``(x, y, counts)`` for
+clip_rows and convex_unchanged, ``(xy, counts)`` for simple_polygon_rows.
+Rectangles are axis-aligned, and the empty rectangle is represented as
+``None`` rather than a degenerate object.  All functions are stateless.  Two
+helpers serve other spaces too: dot_rows takes rows of 3D vectors, and replay
+runs odd_crossings in a plane's local coordinates.
 """
 
 from __future__ import annotations
@@ -90,22 +93,6 @@ def rect_intersect(a: Rect | None, b: Rect | None) -> Rect | None:
     return Rect(x_min, y_min, x_max, y_max)
 
 
-def line_param_t(p1: Point, p2: Point, p3: Point, p4: Point) -> float | None:
-    """Parameter t of the intersection of line p1->p2 with line p3->p4.
-
-    t is measured along p1->p2 (t=0 at p1, t=1 at p2).  Returns None when
-    the lines are parallel or nearly so.
-    """
-    x1, y1 = p1
-    x2, y2 = p2
-    x3, y3 = p3
-    x4, y4 = p4
-    den = (x1 - x2) * (y3 - y4) - (y1 - y2) * (x3 - x4)
-    if abs(den) < PARALLEL_EPS:
-        return None
-    return ((x1 - x3) * (y3 - y4) - (y1 - y3) * (x3 - x4)) / den
-
-
 def signed_area(poly: Polygon) -> float:
     """Shoelace signed area; the sign encodes winding."""
     total = 0.0
@@ -178,34 +165,6 @@ def _segments_cross(a1: Point, a2: Point, b1: Point, b2: Point) -> bool:
     return False
 
 
-def _edge_intersection(p1: Point, p2: Point, p3: Point, p4: Point) -> Point:
-    t = line_param_t(p1, p2, p3, p4)
-    if t is None:
-        # endpoints straddle a parallel edge only through float noise; split the difference
-        t = 0.5
-    return (p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1]))
-
-
-def _clip_one_edge(poly: list[Point], a: Point, b: Point, sign: float) -> list[Point]:
-    """Keep the part of poly where sign * cross(a->b, p) >= 0 (boundary kept)."""
-    if not poly:
-        return []
-    out: list[Point] = []
-    s = poly[-1]
-    s_in = sign * _cross(a, b, s) >= 0.0
-    for e in poly:
-        e_in = sign * _cross(a, b, e) >= 0.0
-        if e_in:
-            if not s_in:
-                out.append(_edge_intersection(s, e, a, b))
-            out.append(e)
-        elif s_in:
-            out.append(_edge_intersection(s, e, a, b))
-        s = e
-        s_in = e_in
-    return out
-
-
 def _winding_loop(poly: Polygon) -> ClipLoop:
     """Sign of poly's signed area (0.0 below AREA_EPS_PX2) and its edges."""
     orient = signed_area(poly)
@@ -219,18 +178,6 @@ def clip_loop(clip: Polygon) -> ClipLoop:
     if not is_convex(clip):
         raise ValueError("clip polygon must be convex")
     return _winding_loop(clip)
-
-
-def clip_by_loop(subject: Polygon, sign: float, edges: Sequence[tuple[Point, Point]]) -> list[Point]:
-    """Sutherland-Hodgman clip of subject by a clip_loop, keeping vertices on a clip edge."""
-    if not sign:
-        return []
-    out = [(float(x), float(y)) for x, y in subject]
-    for a, b in edges:
-        out = _clip_one_edge(out, a, b, sign)
-        if not out:
-            return []
-    return out
 
 
 def _clean_polygon(poly: Polygon) -> list[Point]:
@@ -342,24 +289,26 @@ def convex_subtract(piece: Polygon, occluder: Polygon) -> list[list[Point]]:
 
     Part i is the portion of the piece outside occluder edge i but inside
     edges 0..i-1, which tiles the complement of the occluder without overlap.
-    A piece that does not actually meet the occluder is returned whole, so
-    disjoint occluders never fragment it.
+    Every clip is a clip_rows of the piece, so the parts hold floats.  A
+    piece that does not actually meet the occluder is returned whole, as
+    given, so disjoint occluders never fragment it.
     """
     sign, occ_edges = _winding_loop(occluder)
-    overlap = clip_by_loop(piece, sign, occ_edges)
-    if not overlap or polygon_area(overlap) <= AREA_EPS_PX2:
+    x, y = np.array(piece, dtype=float).reshape(-1, 2).T
+    one = np.array([len(piece)])
+
+    def clipped(*loops: ClipLoop) -> list[Point]:
+        """The piece clipped by each loop in turn, as a vertex list."""
+        rows = x, y, one
+        for loop in loops:
+            rows = clip_rows(*rows, loop)
+        return list(zip(rows[0].tolist(), rows[1].tolist()))
+
+    if polygon_area(clipped((sign, occ_edges))) <= AREA_EPS_PX2:
         return [list(piece)]
-    parts: list[list[Point]] = []
-    for i, (a, b) in enumerate(occ_edges):
-        region = _clip_one_edge(list(piece), a, b, -sign)
-        for j in range(i):
-            if not region:
-                break
-            aj, bj = occ_edges[j]
-            region = _clip_one_edge(region, aj, bj, sign)
-        if region and polygon_area(region) > AREA_EPS_PX2:
-            parts.append(region)
-    return parts
+    parts = (clipped((-sign, occ_edges[i:i + 1]), (sign, occ_edges[:i]))
+             for i in range(len(occ_edges)))
+    return [part for part in parts if polygon_area(part) > AREA_EPS_PX2]
 
 
 def subtract_occluders(
@@ -579,14 +528,14 @@ def _rings(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
 def clip_rows(
     x: np.ndarray, y: np.ndarray, counts: np.ndarray, loop: ClipLoop
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """clip_by_loop of many polygons by one clip_loop, in one numpy pass per clip edge.
+    """Sutherland-Hodgman clip of many polygons by one clip_loop, one numpy pass per clip edge.
 
     The polygons are stored one after another: polygon i has the next
     counts[i] vertices of (x, y), and so has the clipped polygon i of the
-    answer (x, y, counts), with a count of 0 where clip_by_loop returns [].
-    The expressions are elementwise copies of _clip_one_edge's and
-    line_param_t's in their order, t = 0.5 where the lines are parallel, so
-    every vertex is clip_by_loop's to the bit wherever no product overflows.
+    answer (x, y, counts), 0 where nothing is left.  An edge a -> b keeps
+    each vertex p with sign * cross(a->b, p) >= 0 and adds the crossing of
+    each polygon edge that changes sides, at t = 0.5 where |den| < PARALLEL_EPS.
+    The tests compare every vertex, to the bit, with the scalar oracles.clip_by_loop.
     """
     sign, edges = loop
     if not sign:
@@ -596,7 +545,7 @@ def clip_rows(
         if kept.all():
             continue   # each vertex gives itself
         _, poly_of, prev, _ = _rings(counts)
-        # _edge_intersection(s, e, a, b) of each vertex e and the vertex s before it
+        # the crossing of the edge s -> e of each vertex e and the vertex s before it
         x1, y1 = x[prev], y[prev]
         den = (x1 - x) * (ay - by) - (y1 - y) * (ax - bx)
         parallel = np.abs(den) < PARALLEL_EPS

@@ -127,8 +127,9 @@ def block_pieces(block: FrameBlock) -> list[list[list[Point]] | None]:
         dist = np.sqrt(dot_rows(to_cam, to_cam))
         facing = dot_rows(block.normal[rows], to_cam) > 0.0
 
-    # on screen: sign * _cross(a, b, p) >= 0 for every screen edge a -> b, as in _clip_one_edge;
-    # a product overflows only at a vertex past MAX_SCREEN_COORD_PX, which is bad above
+    # on screen: sign * _cross(a, b, p) >= 0 for every screen edge a -> b, the test by which
+    # clip_rows keeps a vertex; a product overflows only at a vertex past MAX_SCREEN_COORD_PX,
+    # which is bad above
     sign, edges = clip_loop(screen_clip_polygon(*block.screen))
     off = np.full(len(x), not sign)
     with np.errstate(over="ignore", invalid="ignore"):

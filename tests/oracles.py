@@ -201,11 +201,13 @@ def is_simple_polygon(poly: list[Point]) -> bool:
     return True
 
 
-# -------------------------------------------------- scalar containment, clip
+# ------------------------------------- scalar containment, clip, subtraction
 # The one-at-a-time forms of what the package does in numpy passes:
 # geometry._points_inside copies point_in_polygon elementwise,
-# geometry.odd_crossings is points_in_polygon_mask with every edge at once, and
-# visibility.block_pieces clips by a clip_loop as clip_polygon does.
+# geometry.odd_crossings is points_in_polygon_mask with every edge at once,
+# geometry.clip_rows is clip_by_loop for many polygons at once, to the bit,
+# and geometry.convex_subtract is convex_subtract with its clips made by
+# clip_rows.  clip_polygon is the package's own clip, clip_rows, of one polygon.
 
 def points_in_polygon_mask(xs, ys, poly):
     """The even-odd rule for arrays of points in one polygon, one edge at a time.
@@ -246,11 +248,83 @@ def point_in_polygon(point: Point, poly: list[Point]) -> bool:
     return inside
 
 
-def clip_polygon(subject: list[Point], clip: list[Point]) -> list[Point]:
-    """clip_by_loop(subject, *clip_loop(clip)): raises ValueError when clip is not convex."""
-    from playtrace.geometry import clip_by_loop, clip_loop
+def _edge_intersection(p1: Point, p2: Point, p3: Point, p4: Point) -> Point:
+    """Where line p1->p2 meets line p3->p4, at t = 0.5 along p1->p2 when they are parallel."""
+    from playtrace.geometry import PARALLEL_EPS
 
-    return clip_by_loop(subject, *clip_loop(clip))
+    x1, y1 = p1
+    x2, y2 = p2
+    x3, y3 = p3
+    x4, y4 = p4
+    den = (x1 - x2) * (y3 - y4) - (y1 - y2) * (x3 - x4)
+    if abs(den) < PARALLEL_EPS:
+        # endpoints straddle a parallel edge only through float noise; split the difference
+        t = 0.5
+    else:
+        t = ((x1 - x3) * (y3 - y4) - (y1 - y3) * (x3 - x4)) / den
+    return (x1 + t * (x2 - x1), y1 + t * (y2 - y1))
+
+
+def _clip_one_edge(poly: list[Point], a: Point, b: Point, sign: float) -> list[Point]:
+    """Keep the part of poly where sign * cross(a->b, p) >= 0 (boundary kept)."""
+    from playtrace.geometry import _cross
+
+    if not poly:
+        return []
+    out: list[Point] = []
+    s = poly[-1]
+    s_in = sign * _cross(a, b, s) >= 0.0
+    for e in poly:
+        e_in = sign * _cross(a, b, e) >= 0.0
+        if e_in:
+            if not s_in:
+                out.append(_edge_intersection(s, e, a, b))
+            out.append(e)
+        elif s_in:
+            out.append(_edge_intersection(s, e, a, b))
+        s = e
+        s_in = e_in
+    return out
+
+
+def clip_by_loop(subject, sign, edges) -> list[Point]:
+    """Sutherland-Hodgman clip of subject by a clip_loop, one vertex at a time."""
+    if not sign:
+        return []
+    out = [(float(x), float(y)) for x, y in subject]
+    for a, b in edges:
+        out = _clip_one_edge(out, a, b, sign)
+        if not out:
+            return []
+    return out
+
+
+def convex_subtract(piece, occluder) -> list[list[Point]]:
+    """geometry.convex_subtract with every clip made by _clip_one_edge, one vertex at a time."""
+    from playtrace.geometry import AREA_EPS_PX2, _winding_loop, polygon_area
+
+    sign, occ_edges = _winding_loop(occluder)
+    overlap = clip_by_loop(piece, sign, occ_edges)
+    if not overlap or polygon_area(overlap) <= AREA_EPS_PX2:
+        return [list(piece)]
+    parts: list[list[Point]] = []
+    for i, (a, b) in enumerate(occ_edges):
+        region = _clip_one_edge(list(piece), a, b, -sign)
+        for j in range(i):
+            if not region:
+                break
+            aj, bj = occ_edges[j]
+            region = _clip_one_edge(region, aj, bj, sign)
+        if region and polygon_area(region) > AREA_EPS_PX2:
+            parts.append(region)
+    return parts
+
+
+def clip_polygon(subject: list[Point], clip: list[Point]) -> list[Point]:
+    """geometry.clip_rows of subject by clip_loop(clip): raises ValueError when clip is not convex."""
+    from playtrace.geometry import clip_loop
+
+    return clip_rows_split([subject], clip_loop(clip))[0]
 
 
 def clip_rows_split(polys, loop):
@@ -712,7 +786,7 @@ def project_trackable(t, frame):
 
 def frame_pieces(frame, screen):
     """block_pieces of one frame, one trackable at a time (ArithmeticError for pixels out of range)."""
-    from playtrace.geometry import clip_by_loop, convex_pieces, subtract_occluders
+    from playtrace.geometry import convex_pieces, subtract_occluders
     from playtrace.trace import TrackingState
 
     cam = frame.camera_position

@@ -16,7 +16,6 @@ from playtrace.geometry import (
     convex_subtract,
     inscribed_rects,
     is_convex,
-    line_param_t,
     polygon_area,
     rect_area,
     rect_intersect,
@@ -72,27 +71,6 @@ def test_rect_intersect():
     touching = rect_intersect(a, Rect(10, 0, 20, 10))
     assert touching == Rect(10, 0, 10, 10)
     assert rect_area(touching) == 0.0
-
-
-# ------------------------------------------------------------ line crossing
-
-def test_line_param_t_midpoint():
-    t = line_param_t((0, 0), (10, 0), (5, -5), (5, 5))
-    assert t == pytest.approx(0.5)
-
-
-def test_line_param_t_parallel():
-    assert line_param_t((0, 0), (10, 0), (0, 1), (10, 1)) is None
-
-
-def test_line_param_t_general():
-    # crossing point of p1->p2 at parameter t must lie on the second line
-    p1, p2, p3, p4 = (1.0, 2.0), (7.0, 8.0), (0.0, 9.0), (9.0, 1.0)
-    t = line_param_t(p1, p2, p3, p4)
-    x = p1[0] + t * (p2[0] - p1[0])
-    y = p1[1] + t * (p2[1] - p1[1])
-    cross = (p4[0] - p3[0]) * (y - p3[1]) - (p4[1] - p3[1]) * (x - p3[0])
-    assert cross == pytest.approx(0.0, abs=1e-9)
 
 
 # ----------------------------------------------------------- polygon checks
@@ -256,16 +234,16 @@ def test_clip_random_convex_pairs(seed, offset):
         assert polygon_area(again) == pytest.approx(a_out, rel=1e-9, abs=1e-9)
 
 
-# clip_rows is clip_by_loop for many polygons at once, to the bit: hypothesis polygons
-# that leave the screen, with a vertex exactly on a screen edge, a polygon that the first
-# screen edge empties, and an edge along a screen edge, straddling it by less than
-# PARALLEL_EPS of line_param_t's denominator (t = 0.5)
+# clip_rows is the scalar oracles.clip_by_loop for many polygons at once, to the bit:
+# hypothesis polygons that leave the screen, with a vertex exactly on a screen edge, a
+# polygon that the first screen edge empties, and an edge along a screen edge, straddling
+# it by less than PARALLEL_EPS of the crossing's denominator (t = 0.5)
 
 SCREEN_LOOP = g.clip_loop([(0.0, 1080.0), (1920.0, 1080.0), (1920.0, 0.0), (0.0, 0.0)])
 
 
 def _assert_clip_rows_is_clip_by_loop(polys, loop):
-    want = [g.clip_by_loop(p, *loop) for p in polys]
+    want = [oracles.clip_by_loop(p, *loop) for p in polys]
     assert repr(oracles.clip_rows_split(polys, loop)) == repr(want)   # -0.0 and 0.0 differ
     return want
 
@@ -360,6 +338,67 @@ def test_convex_subtract_disjoint_keeps_piece_whole():
 def test_convex_subtract_covered_returns_nothing():
     big = [(-5.0, -5.0), (15.0, -5.0), (15.0, 15.0), (-5.0, 15.0)]
     assert convex_subtract(SQUARE, big) == []
+
+
+def test_convex_subtract_parts_hold_floats():
+    # an int piece comes back as given when the occluder misses it, and cut as floats
+    square = [(0, 0), (10, 0), (10, 10), (0, 10)]
+    far = [(50.0, 50.0), (60.0, 50.0), (60.0, 60.0)]
+    assert repr(convex_subtract(square, far)) == repr([square])
+    parts = convex_subtract(square, [(2.0, 2.0), (5.0, 2.0), (5.0, 5.0), (2.0, 5.0)])
+    assert len(parts) == 4 and {type(v) for p in parts for q in p for v in q} == {float}
+
+
+PAIR_KINDS = ["overlapping", "shared vertex", "collinear", "disjoint", "covering"]
+
+
+def _convex_pair(seed, kind, flip_piece, flip_occluder):
+    """A convex piece and a convex occluder of the given kind, each wound either way."""
+    rng = random.Random(seed)
+    piece = oracles.random_convex(rng, (0.0, 0.0), 1.0, rng.randrange(3, 10))
+    if kind == "covering":   # a regular polygon whose inner radius, 3 cos(pi / n), exceeds 1
+        n = rng.randrange(4, 9)
+        occ = [(3.0 * math.cos(2.0 * math.pi * k / n), 3.0 * math.sin(2.0 * math.pi * k / n))
+               for k in range(n)]
+    elif kind == "collinear":   # zero area, so its winding sign is 0
+        (x0, y0), (x1, y1) = rng.choice(piece), (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        occ = [(x0, y0), ((x0 + x1) / 2.0, (y0 + y1) / 2.0), (x1, y1)]
+    else:
+        far = kind == "disjoint"
+        center = (5.0 if far else rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        occ = oracles.random_convex(rng, center, 1.0 if far else rng.uniform(0.2, 1.5),
+                                    rng.randrange(3, 10))
+        if kind == "shared vertex":   # moved so that one of its vertices is one of the piece's
+            (ox, oy), (px, py) = rng.choice(occ), rng.choice(piece)
+            occ = [(x - ox + px, y - oy + py) for x, y in occ]
+    return piece[::-1] if flip_piece else piece, occ[::-1] if flip_occluder else occ
+
+
+convex_pairs = st.builds(_convex_pair, st.integers(0, 10_000), st.sampled_from(PAIR_KINDS),
+                         st.booleans(), st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(convex_pairs)
+def test_convex_subtract_is_the_scalar_subtraction(pair):
+    # clip_rows makes convex_subtract's clips; the oracle makes them one vertex at a time
+    assert repr(convex_subtract(*pair)) == repr(oracles.convex_subtract(*pair))
+
+
+@settings(max_examples=150, deadline=None)
+@given(convex_pairs)
+def test_convex_subtract_partitions_the_piece(pair):
+    piece, occ = pair
+    parts = convex_subtract(piece, occ)
+    overlap = polygon_area(clip_polygon(piece, occ))
+    assert sum(polygon_area(p) for p in parts) + overlap == pytest.approx(polygon_area(piece),
+                                                                          rel=1e-9)
+    for p in parts:
+        assert is_convex(p)
+        for q in p:   # on the occluder's boundary at most, not strictly inside it
+            assert not oracles.contains(occ, q, eps=-1.0) or min(
+                oracles._point_segment_dist(q, a, b) for a, b in zip(occ, occ[1:] + occ[:1])
+            ) <= 1e-9
 
 
 def test_subtract_occluders_two_bites():

@@ -295,7 +295,7 @@ def test_screen_clip_rows_match_clip_by_loop_on_pack_polygons():
             ends = np.cumsum(counts).tolist()
             polys = [xy[a:b] for a, b in zip([0, *ends], ends)
                      if not behind[a:b].any()]
-            want = [g.clip_by_loop(p, *loop) for p in polys]
+            want = [oracles.clip_by_loop(p, *loop) for p in polys]
             assert repr(oracles.clip_rows_split(polys, loop)) == repr(want)
             clipped += sum(a != b for a, b in zip(polys, want))
     assert clipped > 100

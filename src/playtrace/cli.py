@@ -23,7 +23,7 @@ from typing import Sequence
 from .jsonin import dump_json, integer
 from .lifespan import DEFAULT_MIN_LIFESPAN_S, DEFAULT_MIN_VISIBILITY
 from .pipeline import (
-    DEFAULT_ANALYSIS_FPS, AnalysisParams, RunBoxes, analyze_boxes, run_boxes,
+    DEFAULT_ANALYSIS_FPS, AnalysisParams, RunBoxes, analyze_boxes, run_boxes, trace_runs,
 )
 from .reporting import load_report, render_gantt, write_report
 from .scenes import benchmark_scenes
@@ -75,9 +75,9 @@ def parse_mix(text: str) -> dict[GestureKind, float]:
     return mix
 
 
-def _check_runs(runs: int) -> None:
+def _check_runs(runs: int, what: str = "--runs") -> None:
     if not 1 <= runs <= MAX_RUNS:
-        raise ValueError(f"--runs must be between 1 and {MAX_RUNS}, the budget of runs, got {runs}")
+        raise ValueError(f"{what} must be between 1 and {MAX_RUNS}, the budget of runs, got {runs}")
 
 
 def _check_jitter_seeds(flag: str, seeds: Sequence[int]) -> None:
@@ -110,6 +110,7 @@ def _generated_runs(scene: SimScene, jitter: Jitter, seeds: range, fps: float) -
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     _check_runs(args.runs)
+    _check_runs(len(args.traces), "the number of trace files")
     if args.runs > 1 and len(args.traces) > 1:
         raise ValueError(f"--runs {args.runs} regenerates the runs of one trace, "
                          f"got {len(args.traces)} traces")
@@ -137,11 +138,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         runs = _generated_runs(scene, jitter, range(base, base + args.runs), params.fps)
         ends = [frame_times(scene)[-1]]  # where every render's walk ends
     else:
-        runs, ends = [], []
-        for p in args.traces:
-            walk = deadline_walk(read_header(p)[0], params.fps)
-            runs.append(run_boxes(iter_blocks(p, walk)))
-            ends.append(walk.last_ms)
+        runs, ends = map(list, zip(*trace_runs(args.traces, params.fps)))
     per_run, final, metrics = analyze_boxes(runs, params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

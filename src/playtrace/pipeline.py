@@ -15,14 +15,20 @@ run's boxes are one float64 array per trackable it lists, a row per frame
 with NaN for "no box"; Rects are made only for the life spans found in
 them.  The boxes depend on the frames alone: AnalysisParams reaches the
 producer's walk (fps) and analyze_boxes (the visibility and duration
-thresholds), not run_boxes.
+thresholds), not run_boxes.  Several trace files are independent runs until
+analyze_boxes, so trace_runs computes them on one process per usable CPU
+and hands them back in argument order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,7 +42,8 @@ from .lifespan import (
     opportunity_sort_key,
 )
 from .metrics import VideoMetrics, compute_metrics
-from .trace import FrameBlock, TraceValidationError, _after, blocks, join_blocks
+from .trace import (FrameBlock, TraceValidationError, _after, blocks, deadline_walk, iter_blocks,
+                    join_blocks, read_header)
 from .visibility import block_pieces, fit_boxes
 
 DEFAULT_ANALYSIS_FPS = 10.0
@@ -113,6 +120,75 @@ def run_boxes(frames: Iterable[FrameBlock]) -> RunBoxes:
         raise TraceValidationError("cannot analyze an empty trace")
     boxes = {tid: np.concatenate(seq) for tid, seq in zip(columns, chunks)}
     return RunBoxes(boxes, timestamps, screen)
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the system cannot say or cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def trace_runs(paths: Sequence[str], fps: float) -> Iterator[tuple[RunBoxes, int]]:
+    """Each trace file's boxes at fps and the t_ms of its last frame, in argument order.
+
+    The runs are spread over w = min(len(paths), usable_cpus()) processes:
+    this one computes runs i = 0 (mod w), and each of w - 1 helpers, forked
+    at the first next(), computes runs i = k (mod w) and pickles each result
+    to its own pipe, or None when the run raised an Exception.  A run a
+    helper answered None for, or could not answer (it died, or could not be
+    forked), is computed here, so every error is raised by this process, for
+    the first faulty run in argument order, as the one-process loop raises
+    it.  Closing the generator, or any exception out of it, kills and reaps
+    every helper.  The helpers are forked, not spawned, because a spawned
+    one imports numpy and the package again, which costs more than a run;
+    at the fork the only other threads are numpy's OpenBLAS pool, which
+    OpenBLAS shuts down before any fork.
+    """
+    def run(path: str) -> tuple[RunBoxes, int]:
+        walk = deadline_walk(read_header(path)[0], fps)
+        return run_boxes(iter_blocks(path, walk)), walk.last_ms
+
+    workers = min(len(paths), usable_cpus())
+    helpers: list[int] = []
+    pipes: list[BinaryIO | None] = [None] * workers   # per helper k, its pipe's read end
+    try:
+        for k in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:   # no helper k: this process computes its runs
+                os.close(read)
+                os.close(write)
+                continue
+            if pid == 0:   # helper k: never returns into the caller's code
+                try:
+                    with open(write, "wb") as out:
+                        for path in paths[k::workers]:
+                            try:
+                                result = run(path)
+                            except Exception:   # the caller runs it again and raises
+                                result = None
+                            pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
+                            out.flush()
+                finally:
+                    os._exit(0)
+            helpers.append(pid)
+            os.close(write)
+            pipes[k] = open(read, "rb")
+        for i, path in enumerate(paths):
+            result, pipe = None, pipes[i % workers]
+            if pipe is not None:
+                with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                    result = pickle.load(pipe)
+            yield run(path) if result is None else result
+    finally:
+        for pid in helpers:
+            os.kill(pid, signal.SIGKILL)   # an unreaped helper is there to kill, even when it ended
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            if pipe is not None:
+                pipe.close()
 
 
 def analyze_boxes(

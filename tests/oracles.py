@@ -1110,6 +1110,28 @@ def analyze_eager(traces, params):
     return final, compute_metrics(per_run, screens[0]), duration
 
 
+def eager_outputs(traces, out, params=None):
+    """Write report.json and gantt.svg to the new directory out as analyze would from
+    whole in-memory traces."""
+    import dataclasses
+
+    from playtrace.pipeline import AnalysisParams
+    from playtrace.reporting import render_gantt, write_report
+
+    params = params or AnalysisParams()
+    final, metrics, duration = analyze_eager(traces, params)
+    out.mkdir()
+    params_dict = {**dataclasses.asdict(params), "runs": len(traces)}
+    write_report(final, params_dict, out / "report.json", metrics=metrics)
+    (out / "gantt.svg").write_text(render_gantt(final, duration), encoding="utf-8")
+
+
+def assert_same_outputs(a, b):
+    """The report.json and gantt.svg in directories a and b are the same bytes."""
+    for name in ("report.json", "gantt.svg"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 # ------------------------------------------------------------- trace ingest
 
 def iter_frames(path, keep=None):

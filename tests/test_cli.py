@@ -13,6 +13,7 @@ import pytest
 import oracles
 from oracles import frame_blocks, iter_frames
 from playtrace import cli as cli_module
+from playtrace import pipeline as pipeline_module
 from playtrace import trace as trace_module
 from playtrace.cli import MAX_RUNS, main, parse_mix
 from playtrace.pipeline import AnalysisParams, analyze_boxes, run_boxes
@@ -249,6 +250,19 @@ def test_runs_outside_the_budget_are_rejected_first(tmp_path, capsys, command, r
     assert not out.exists()
 
 
+def test_trace_files_beyond_the_budget_are_rejected_first(tmp_path, capsys):
+    # each trace file is a run: the inputs do not exist, so opening one first would exit 2
+    missing = [str(tmp_path / f"missing{k}.jsonl") for k in range(MAX_RUNS + 1)]
+    out = tmp_path / "out"
+    rc = main(["analyze", *missing, "--out", str(out)])
+    err = _assert_input_error(rc, capsys)
+    assert err == (f"error: the number of trace files must be between 1 and {MAX_RUNS}, "
+                   f"the budget of runs, got {MAX_RUNS + 1}\n")
+    assert main(["analyze", *missing[:MAX_RUNS], "--out", str(out)]) == 2
+    assert f"No such file or directory: '{missing[0]}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("runs", [2, 5])
 def test_analyze_runs_with_several_traces_is_rejected_first(tmp_path, capsys, runs):
     # --runs regenerates the runs of one trace; with two traces it would be ignored.
@@ -424,7 +438,8 @@ def test_analyze_builds_only_the_frames_it_keeps(tmp_path, trace_path, monkeypat
             held.extend(block.t_ms)
             yield block
 
-    monkeypatch.setattr(cli_module, "iter_blocks", counted)
+    monkeypatch.setattr(cli_module, "iter_blocks", counted)   # --runs 2 checks the trace
+    monkeypatch.setattr(pipeline_module, "iter_blocks", counted)   # one trace is one run
     argv = ["analyze", str(trace_path), "--runs", str(runs), "--out", str(tmp_path / "x")]
     assert main(argv) == 0
     assert held == (kept if runs == 1 else [])

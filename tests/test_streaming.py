@@ -10,9 +10,10 @@ import pytest
 
 import oracles
 from oracles import frame_blocks
+from playtrace import pipeline, simulator
+from playtrace import trace as trace_module
 from playtrace.cli import _generated_runs, main
 from playtrace.pipeline import AnalysisParams, run_boxes
-from playtrace.reporting import render_gantt, write_report
 from playtrace.scenes import benchmark_scene, benchmark_scenes
 from playtrace.simulator import (
     CameraKeyframe,
@@ -22,22 +23,9 @@ from playtrace.simulator import (
     frame_times,
     generate_trace,
     render_frames,
+    save_scene,
 )
 from playtrace.trace import deadline_walk, iter_blocks, load_trace, save_trace
-
-
-def _eager_outputs(traces, out, params=AnalysisParams()):
-    """report.json and gantt.svg as analyze wrote them from whole traces."""
-    final, metrics, duration = oracles.analyze_eager(traces, params)
-    out.mkdir()
-    params_dict = {**dataclasses.asdict(params), "runs": len(traces)}
-    write_report(final, params_dict, out / "report.json", metrics=metrics)
-    (out / "gantt.svg").write_text(render_gantt(final, duration), encoding="utf-8")
-
-
-def _assert_same_outputs(a, b):
-    for name in ("report.json", "gantt.svg"):
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -56,8 +44,8 @@ def test_streamed_analyze_matches_eager_reference(tmp_path, name, fps, seed):
     loaded = [load_trace(p) for p in paths]
     for tag in (1, 2):
         assert main(["analyze", *map(str, paths[:tag]), "--out", str(tmp_path / f"s{tag}")]) == 0
-        _eager_outputs(loaded[:tag], tmp_path / f"e{tag}")
-        _assert_same_outputs(tmp_path / f"s{tag}", tmp_path / f"e{tag}")
+        oracles.eager_outputs(loaded[:tag], tmp_path / f"e{tag}")
+        oracles.assert_same_outputs(tmp_path / f"s{tag}", tmp_path / f"e{tag}")
 
 
 @pytest.mark.parametrize("name", [s.name for s in benchmark_scenes()])
@@ -68,8 +56,8 @@ def test_analyze_matches_the_scalar_span_oracle_on_the_pack(tmp_path, name):
     save_trace(generate_trace(scene, 4, scene.default_jitter), path)
     assert main(["analyze", str(path), "--out", str(tmp_path / "s")]) == 0
     trace = load_trace(path)
-    _eager_outputs([trace], tmp_path / "e")
-    _assert_same_outputs(tmp_path / "s", tmp_path / "e")
+    oracles.eager_outputs([trace], tmp_path / "e")
+    oracles.assert_same_outputs(tmp_path / "s", tmp_path / "e")
 
     params = AnalysisParams()
     run = run_boxes(iter_blocks(path, deadline_walk(trace.source_fps, params.fps)))
@@ -92,8 +80,34 @@ def test_streamed_multi_run_regeneration_matches_eager_reference(tmp_path):
         argv = ["analyze", str(path), "--runs", "3", "--jitter-seed-base", "5"]
         assert main([*argv, "--out", str(tmp_path / f"s-{name}")]) == 0
         traces = [generate_trace(scene, 5 + r, scene.default_jitter) for r in range(3)]
-        _eager_outputs(traces, tmp_path / f"e-{name}")
-        _assert_same_outputs(tmp_path / f"s-{name}", tmp_path / f"e-{name}")
+        oracles.eager_outputs(traces, tmp_path / f"e-{name}")
+        oracles.assert_same_outputs(tmp_path / f"s-{name}", tmp_path / f"e-{name}")
+
+
+def test_block_sizes_change_no_byte(tmp_path, monkeypatch):
+    # the reader's blocks of lines and the box stage's blocks of frames are sizes to cut
+    # the work by, not answers: every size gives analyze's and compare's outputs byte for
+    # byte; analyze forks its helpers after the patch, so they run at each size too
+    scene = dataclasses.replace(benchmark_scene("noisy-trio"), duration_ms=6000)
+    assert scene.default_jitter.vertex_noise_m > 0 and scene.default_jitter.dropout_prob > 0
+    paths = [str(tmp_path / f"run{r}.jsonl") for r in range(3)]
+    for r, path in enumerate(paths):
+        save_trace(generate_trace(scene, r), path)
+    save_scene(scene, tmp_path / "scene.json")
+    outputs = {}
+    for size in ("default", 1, 7, 10**6):
+        if size != "default":
+            monkeypatch.setattr(trace_module, "INGEST_BLOCK_LINES", size)
+            monkeypatch.setattr(pipeline, "BOX_BLOCK_FRAMES", size)
+            monkeypatch.setattr(simulator, "BOX_BLOCK_FRAMES", size)
+        out = tmp_path / f"size-{size}"
+        assert main(["analyze", *paths, "--out", str(out)]) == 0
+        assert main(["compare", str(tmp_path / "scene.json"), "--out", str(out / "compare.json")]) == 0
+        outputs[size] = [(out / name).read_bytes()
+                         for name in ("report.json", "gantt.svg", "compare.json")]
+    default = outputs.pop("default")
+    for size, got in outputs.items():
+        assert got == default, size
 
 
 @pytest.mark.parametrize("name", ["drift-trio", "noisy-trio", "pan-long"])

@@ -48,7 +48,7 @@ from .simulator import (
     scene_from_dict,
     save_scene,
 )
-from .trace import deadline_walk, iter_blocks, read_header
+from .trace import TraceFile, deadline_walk
 
 MAX_RUNS = 1_000  # runs one analyze or compare may take: each run is a whole trace
 
@@ -121,19 +121,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         min_lifespan_s=args.min_lifespan,
     )
     if args.runs > 1:
-        path = args.traces[0]
-        meta = read_header(path)[1]
-        # the frames go unused, but a bad one rejects the trace: read and check every line
-        for _ in iter_blocks(path, keep=lambda t: False):
-            pass
-        if "scene" not in meta:
+        with TraceFile(args.traces[0]) as trace:
+            # the frames go unused, but a bad one rejects the trace: read and check every line
+            for _ in trace.read_blocks(keep=lambda t: False):
+                pass
+        if "scene" not in trace.meta:
             raise ValueError(
                 "multi-run analysis of a single trace needs a scene description "
                 "embedded in the trace metadata"
             )
-        scene = scene_from_dict(meta["scene"])
+        scene = scene_from_dict(trace.meta["scene"])
         # the recorded jitter, which need not be the scene's default
-        jitter = jitter_from_dict(meta.get("jitter", {}))
+        jitter = jitter_from_dict(trace.meta.get("jitter", {}))
         base = args.jitter_seed_base
         runs = _generated_runs(scene, jitter, range(base, base + args.runs), params.fps)
         ends = [frame_times(scene)[-1]]  # where every render's walk ends

@@ -1,10 +1,11 @@
 """Pure 2D screen-space geometry kernel.
 
 Pixels use the screen convention: origin at the top-left corner, y growing
-downward.  The scalar kernels take polygons as vertex lists of ``(x, y)``
-tuples, or lists of them (simple_polygons, inscribed_rects); the numpy passes
-take many polygons stored one after another as rows: ``(x, y, counts)`` for
-clip_rows and convex_unchanged, ``(xy, counts)`` for simple_polygon_rows.
+downward.  The scalar kernels (convex_pieces, subtract_occluders...) take
+polygons as vertex lists of ``(x, y)`` tuples, and simple_polygons a list of
+them; the numpy passes take many polygons stored one after another as rows:
+``(x, y, counts)`` for clip_rows, convex_unchanged, inscribed_rects and
+EdgeLoops.of, ``(xy, counts)`` for simple_polygon_rows.
 Rectangles are axis-aligned, and the empty rectangle is represented as
 ``None`` rather than a degenerate object.  All functions are stateless.  Two
 helpers serve other spaces too: dot_rows takes rows of 3D vectors, and replay
@@ -16,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -348,9 +348,8 @@ class EdgeLoops(NamedTuple):
     real: np.ndarray
 
     @classmethod
-    def of(cls, polys: Sequence[Polygon]) -> EdgeLoops:
-        counts = np.array([len(p) for p in polys])
-        x, y = np.array(list(chain.from_iterable(polys)), dtype=float).reshape(-1, 2).T
+    def of(cls, x: np.ndarray, y: np.ndarray, counts: np.ndarray) -> EdgeLoops:
+        """Edges of polygons as rows: polygon i has the next counts[i] > 0 vertices of (x, y)."""
         col = np.arange(counts.max())
         real = col < counts[:, None]
         first = (np.cumsum(counts) - counts)[:, None]
@@ -602,30 +601,31 @@ def convex_unchanged(x: np.ndarray, y: np.ndarray, counts: np.ndarray) -> np.nda
 
 
 def inscribed_rects(
-    pieces: Sequence[Polygon], screen_w: float, screen_h: float
+    x: np.ndarray, y: np.ndarray, counts: np.ndarray, screen_w: float, screen_h: float
 ) -> tuple[np.ndarray, list[int]]:
     """Largest-effort axis-aligned rectangles inside many polygons, searched in lockstep.
 
-    Each rect starts as its polygon's bounding box clamped to the screen.
-    One numpy pass tests the corners of every rect still shrinking
-    (_points_inside, which counts the crossings of its top and its bottom
-    row once each) and moves the sides whose corner pair is not fully
-    inside by SHRINK_STEP of the rect's extent on that axis.  A search ends
-    with its rect when all four corners are inside, or with none once an
-    extent is MIN_RECT_EXTENT_PX or less or after MAX_SHRINK_PASSES.  Not the maximal
-    inscribed rectangle, but a cheap and stable one.  Returns the rects as
-    an (n, 4) float64 array of (x_min, y_min, x_max, y_max) rows, NaN where
-    a search found none, and each search's passes; raises ValueError for
-    fewer than 3 vertices.
+    Polygon i has the next counts[i] vertices of (x, y).  Each rect starts
+    as its polygon's bounding box clamped to the screen.  One numpy pass
+    tests the corners of every rect still shrinking (_points_inside, which
+    counts the crossings of its top and its bottom row once each) and moves
+    the sides whose corner pair is not fully inside by SHRINK_STEP of the
+    rect's extent on that axis.  A search ends with its rect when all four
+    corners are inside, or with none once an extent is MIN_RECT_EXTENT_PX or
+    less or after MAX_SHRINK_PASSES.  Not the maximal inscribed rectangle,
+    but a cheap and stable one.  Returns the rects as an (n, 4) float64
+    array of (x_min, y_min, x_max, y_max) rows, NaN where a search found
+    none, and each search's passes; raises ValueError for fewer than 3
+    vertices.
     """
-    if any(len(p) < 3 for p in pieces):
+    if (counts < 3).any():
         raise ValueError("polygon needs at least 3 vertices")
-    rects = np.full((len(pieces), 4), np.nan)
-    if not pieces:
+    rects = np.full((len(counts), 4), np.nan)
+    if not len(counts):
         return rects, []
-    passes = np.zeros(len(pieces), dtype=int)
+    passes = np.zeros(len(counts), dtype=int)
     w, h = float(screen_w), float(screen_h)
-    loops = EdgeLoops.of(pieces)
+    loops = EdgeLoops.of(x, y, counts)
     x_min = _at_least(0.0, loops.ax.min(axis=1))
     y_min = _at_least(0.0, loops.ay.min(axis=1))
     x_max = _at_most(w, loops.ax.max(axis=1))

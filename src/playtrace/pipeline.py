@@ -4,9 +4,9 @@ Chains the pieces together: compute per-frame visible boxes of the frames
 a producer kept at the analysis rate, split them into life spans, keep the
 long ones as test opportunities, and intersect several runs of the same
 recording when more than one is available.  Both producers, the trace
-reader (iter_blocks) and the renderer (render_frames), yield the frames
-they keep as column blocks (FrameBlock), each with one screen; the strides
-of its matrices keep the producer's order.  The blocks pass through one
+reader (TraceFile.read_blocks) and the renderer (render_frames), yield
+the frames they keep as column blocks (FrameBlock), each with one screen;
+the strides of its matrices keep the producer's order.  The blocks pass through one
 loop (run_boxes) as they arrive, which holds them to the reader's run rule
 (one screen, strictly increasing t_ms), so a run costs memory for its boxes
 and for one block of frames, not for all its frames.  The box stage gives
@@ -42,8 +42,8 @@ from .lifespan import (
     opportunity_sort_key,
 )
 from .metrics import VideoMetrics, compute_metrics
-from .trace import (FrameBlock, TraceValidationError, _after, blocks, deadline_walk, iter_blocks,
-                    join_blocks, read_header)
+from .trace import (FrameBlock, TraceFile, TraceValidationError, _after, blocks, deadline_walk,
+                    join_blocks)
 from .visibility import block_pieces, fit_boxes
 
 DEFAULT_ANALYSIS_FPS = 10.0
@@ -84,8 +84,8 @@ def run_boxes(frames: Iterable[FrameBlock]) -> RunBoxes:
     """The one frame loop: find the boxes of every frame given, a block at a time.
 
     frames is a stream of blocks of one run, as both producers yield them
-    (iter_blocks, render_frames), already decimated by a deadline_walk;
-    each frame is analysed.  The blocks are joined until they hold
+    (TraceFile.read_blocks, render_frames), already decimated by a
+    deadline_walk; each frame is analysed.  The blocks are joined until they hold
     BOX_BLOCK_FRAMES frames (blocks), and each joined block goes through
     one block_pieces and one fit_boxes call.  An error from the stream is
     raised after the blocks before it are analysed, so an error those
@@ -106,7 +106,7 @@ def run_boxes(frames: Iterable[FrameBlock]) -> RunBoxes:
         for b in parts:
             screen, prev = _after(b, screen, prev)
         block = join_blocks(parts)
-        found = fit_boxes(block_pieces(block), *screen)
+        found = fit_boxes(block_pieces(block), len(block.ids), *screen)
         column = [columns.setdefault(tid, len(columns)) for tid in block.ids]
         for _ in range(len(chunks), len(columns)):   # the trackables new in this block
             chunks.append([np.full((len(timestamps), 4), np.nan)])
@@ -146,8 +146,9 @@ def trace_runs(paths: Sequence[str], fps: float) -> Iterator[tuple[RunBoxes, int
     OpenBLAS shuts down before any fork.
     """
     def run(path: str) -> tuple[RunBoxes, int]:
-        walk = deadline_walk(read_header(path)[0], fps)
-        return run_boxes(iter_blocks(path, walk)), walk.last_ms
+        with TraceFile(path) as trace:
+            walk = deadline_walk(trace.fps, fps)
+            return run_boxes(trace.read_blocks(walk)), walk.last_ms
 
     workers = min(len(paths), usable_cpus())
     helpers: list[int] = []

@@ -616,7 +616,8 @@ def _cast(
                     np.abs(b) <= plane.extent_v + _HIT_EPS_M
                 )
             else:
-                loops = EdgeLoops.of([plane.local_vertices])
+                verts = plane.local_vertices
+                loops = EdgeLoops.of(*verts.T, np.array([len(verts)]))
                 inside = odd_crossings(loops, a[..., None], b[..., None])
             over_any |= valid & inside
             hit = valid & inside & plane_detected(plane, times)[:, None] & (t_ray < best_t)

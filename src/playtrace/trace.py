@@ -11,6 +11,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import chain, compress, islice
@@ -77,8 +78,8 @@ class FrameRecord:
 
 _TRACKING_STATES = {s.value: s for s in TrackingState}   # TrackingState(v), without the Enum call
 MAX_SCREEN_PX = 2**31 - 1
-# Frame lines iter_blocks checks in one pass.  A block's frames share its
-# column arrays, so this bounds the lines read ahead of the consumer.
+# Frame lines TraceFile.read_blocks checks in one pass.  A block's frames share
+# its column arrays, so this bounds the lines read ahead of the consumer.
 INGEST_BLOCK_LINES = 64
 
 
@@ -399,13 +400,8 @@ def _block_frames(lines: list[tuple[int | str, dict]]) -> FrameBlock | None:
     return block if check_block(block) else None
 
 
-def _open_trace(path: Path) -> TextIO:
-    """A trace file opened as UTF-8 text; bytes that are not UTF-8 reach their line as escapes."""
-    return path.open("r", encoding="utf-8", errors="surrogateescape")
-
-
 def _trace_objects(fh: TextIO, name: str) -> Iterator[tuple[int, dict]]:
-    """(line number, JSON object) for each non-blank line of a trace file opened by _open_trace.
+    """(line number, JSON object) for each non-blank line of a trace file opened by TraceFile.
 
     Each stripped line is decoded by one raw_decode, the scanner behind
     json.loads without its wrappers, and must be taken whole.  A line it
@@ -490,13 +486,6 @@ def _header(objects: Iterator[tuple[int, dict]], name: str) -> tuple[float, dict
     except ValueError as exc:
         raise TraceValidationError(f"{where}: {exc}") from None
     return fps, meta
-
-
-def read_header(path: str | Path) -> tuple[float, dict]:
-    """The recording fps and the meta object of a trace file, validated; no frame is read."""
-    path = Path(path)
-    with _open_trace(path) as fh:
-        return _header(_trace_objects(fh, path.name), path.name)
 
 
 def blocks(
@@ -588,37 +577,54 @@ def _read_block(
             gc.enable()
 
 
-def iter_blocks(
-    path: str | Path, keep: Callable[[int], bool] | None = None
-) -> Iterator[FrameBlock]:
-    """Validate a JSONL trace file and yield its frames as FrameBlocks, a block of lines at a time.
+class TraceFile(AbstractContextManager):
+    """A JSONL trace file opened once, for a with statement, which closes it.
 
-    The header is read and checked before the first frame.  Each frame is
-    checked on its own line and against the ones before it (one screen size,
-    strictly increasing timestamps), so an error names the line where the
-    fault first shows.  Frames are read and checked in blocks of
-    INGEST_BLOCK_LINES lines (see _block_frames), each with the cyclic
-    collector paused (_read_block), which is back in the caller's state
-    before the block is yielded, when the read raises and when the caller
-    stops early.  A block that fails any check is checked again as one-line
-    blocks, with the collector in the caller's state, and a line that fails
-    on its own raises its first fault (_frame_fault), so the first fault in
-    reading order is the one reported, after the frames before it.  A read
-    error inside a block is raised after the frames before it (blocks).
-    Raises TraceParseError for text that is not UTF-8, and for malformed
-    JSON or missing fields, TraceValidationError for contract violations,
-    and the usual OSError family for I/O trouble.
-
-    keep, a decimation predicate such as deadline_walk's, is asked about
-    each checked frame's timestamp in order, and only the frames it accepts
-    are yielded; every line is still read and checked.  Without keep every
-    frame is yielded.  No block is empty.
+    The header is read and checked on opening (fps and meta; a fault there
+    closes the file and is raised), and one read_blocks call reads the
+    frames after it, so a path that can be read only once, such as a pipe,
+    is read whole.
     """
-    path = Path(path)
-    with _open_trace(path) as fh:
-        objects = _trace_objects(fh, path.name)
-        _header(objects, path.name)
-        line_blocks = blocks(objects, INGEST_BLOCK_LINES)
+
+    def __init__(self, path: str | Path) -> None:
+        self.name = Path(path).name
+        # as UTF-8 text; bytes that are not UTF-8 reach their line as escapes (_trace_objects)
+        self._fh = Path(path).open("r", encoding="utf-8", errors="surrogateescape")
+        self._objects = _trace_objects(self._fh, self.name)
+        try:
+            self.fps, self.meta = _header(self._objects, self.name)
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._fh.close()
+
+    def read_blocks(self, keep: Callable[[int], bool] | None = None) -> Iterator[FrameBlock]:
+        """Validate the frames after the header and yield them as FrameBlocks, a block of lines
+        at a time.
+
+        Each frame is checked on its own line and against the ones before it
+        (one screen size, strictly increasing timestamps), so an error names
+        the line where the fault first shows.  Frames are read and checked in
+        blocks of INGEST_BLOCK_LINES lines (see _block_frames), each with the
+        cyclic collector paused (_read_block), which is back in the caller's
+        state before the block is yielded, when the read raises and when the
+        caller stops early.  A block that fails any check is checked again as
+        one-line blocks, with the collector in the caller's state, and a line
+        that fails on its own raises its first fault (_frame_fault), so the
+        first fault in reading order is the one reported, after the frames
+        before it.  A read error inside a block is raised after the frames
+        before it (blocks).  Raises TraceParseError for text that is not
+        UTF-8, and for malformed JSON or missing fields, TraceValidationError
+        for contract violations, and the usual OSError family for I/O trouble.
+
+        keep, a decimation predicate such as deadline_walk's, is asked about
+        each checked frame's timestamp in order, and only the frames it
+        accepts are yielded; every line is still read and checked.  Without
+        keep every frame is yielded.  No block is empty.
+        """
+        line_blocks = blocks(self._objects, INGEST_BLOCK_LINES)
         screen, prev = None, -math.inf   # the first frame's screen, the previous frame's t_ms
         while read := _read_block(line_blocks, screen, prev):
             block, lines = read
@@ -626,23 +632,23 @@ def iter_blocks(
                 checked: Iterable[tuple[str, FrameBlock]] = [("", block)]
             else:  # line by line, so that the first fault in reading order is raised
                 checked = ((where, _block_frames([(where, d)]) or _frame_fault(where, d))
-                           for where, d in ((f"{path.name}:{n}", d) for n, d in lines))
+                           for where, d in ((f"{self.name}:{n}", d) for n, d in lines))
             for where, part in checked:
-                screen, prev = _after(part, screen, prev, where, path.name)
+                screen, prev = _after(part, screen, prev, where, self.name)
                 if keep is not None:
                     part = _take(part, list(map(keep, part.t_ms)))
                 if part.t_ms:
                     yield part
             del read, lines, block, checked, part  # before the next block is read
-    if screen is None:
-        raise TraceValidationError(f"{path.name}: trace has no frames")
+        if screen is None:
+            raise TraceValidationError(f"{self.name}: trace has no frames")
 
 
 def load_trace(path: str | Path) -> PlaybackTrace:
-    """Load and validate a whole JSONL trace file, held as its blocks (iter_blocks, which lists
-    what it rejects)."""
-    fps, meta = read_header(path)
-    return PlaybackTrace(frames=TraceFrames(iter_blocks(path)), source_fps=fps, metadata=meta)
+    """Load and validate a whole JSONL trace file, held as its blocks (TraceFile.read_blocks,
+    which lists what it rejects)."""
+    with TraceFile(path) as trace:
+        return PlaybackTrace(TraceFrames(trace.read_blocks()), trace.fps, trace.meta)
 
 
 def _stacked(values: Sequence, shape: tuple[int, ...]) -> np.ndarray | None:

@@ -6,15 +6,14 @@ hidden behind nearer surfaces, then fit a conservative axis-aligned box into
 what is left.  No threshold applies here: every surface keeps its best box,
 and the life spans alone judge whether it is large enough.  Both steps take
 a block of frames (block_pieces, then fit_boxes), so that numpy passes and
-one inscribed_rects call serve many frames, and both answer in the block's
-own layout: one entry per trackable row (FrameBlock.ids).  Boxes stay
-float64 rows of (x_min, y_min, x_max, y_max), one array with a NaN row
-where a trackable has no box, and no object per box.
+one inscribed_rects call serve many frames.  Pieces are rows (x, y, counts,
+row), each tagged with its trackable row (FrameBlock.ids); only a part that
+convex_pieces would change, or that an occluder meets, is carved as a vertex
+list.  Boxes are float64 rows of (x_min, y_min, x_max, y_max), one per
+trackable row, NaN where a trackable has no box, and no object per box.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -32,6 +31,9 @@ from .geometry import (
     subtract_occluders,
 )
 from .trace import FrameBlock, TrackingState, TraceValidationError
+
+Pieces = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]   # (x, y, counts, row): block_pieces
+
 
 def screen_clip_polygon(screen_w: float, screen_h: float) -> list[Point]:
     """The screen rectangle as a clip polygon (clockwise in screen coords)."""
@@ -70,37 +72,39 @@ def _project(
     return x, y, w <= BEHIND_W_EPS
 
 
-def block_pieces(block: FrameBlock) -> list[list[list[Point]] | None]:
-    """The visible convex pieces of each trackable row of a block (block.ids), in row order.
+def _vertex_list(x: np.ndarray, y: np.ndarray, start: int, count: int) -> list[Point]:
+    """The count vertices of rows (x, y) from start, as a vertex list."""
+    return list(zip(x[start:start + count].tolist(), y[start:start + count].tolist()))
 
-    A row's entry is None when it gives no surface: not TRACKING, a vertex
-    behind the camera, facing away (normal . (camera - center) <= 0), or
-    fewer than 3 vertices left after the clip to the block's screen.  Else
-    it is the pieces left once every nearer TRACKING projection of its
-    frame (by distance to the surface center; ties keep the frame's
-    trackable order), back-facing ones too, is subtracted: [] if covered.
 
-    The projection, distances, facing signs, the screen clip of the
-    polygons with a vertex off screen (clip_rows) and the test that lets a
-    part skip convex_pieces (convex_unchanged) are numpy passes over the
-    block's columns, each bit-equal to the scalar computation for one
-    trackable.  Of a polygon's vertices, the first that is behind the
-    camera or lands on pixels that are not finite numbers within
-    MAX_SCREEN_COORD_PX decides: behind drops the surface, the other is a
-    TraceValidationError.  The block's first such fault is raised before
-    any frame is carved: nothing after it can raise on the finite, bounded
-    pixels left, so it is the fault a pass over one frame at a time would
-    raise.
+def block_pieces(block: FrameBlock) -> Pieces:
+    """The visible convex pieces of a block's trackable rows, as rows (x, y, counts, row).
+
+    Piece i has the next counts[i] vertices of (x, y) and belongs to the
+    trackable row row[i] (block.ids), a row's pieces in order.  A row has
+    none when it gives no surface (not TRACKING, a vertex behind the camera,
+    facing away: normal . (camera - center) <= 0, or fewer than 3 vertices
+    left after the clip to the block's screen) or when the nearer TRACKING
+    projections of its frame (by distance to the surface center; ties keep
+    the frame's trackable order), back-facing ones too, cover it.
+
+    Every step is a numpy pass over the block's columns, bit-equal to the
+    scalar computation for one trackable, but the carving of a part that
+    convex_pieces would change or that has an occluder: only such a part
+    goes through convex_pieces and subtract_occluders as a vertex list,
+    with its occluders nearest first.  Of a polygon's vertices, the first
+    that is behind the camera or lands on pixels that are not finite numbers
+    within MAX_SCREEN_COORD_PX decides: behind drops the surface, the other
+    is a TraceValidationError.  The block's first such fault is raised
+    before any frame is carved: nothing after it can raise on the finite,
+    bounded pixels left, so it is the fault a pass over one frame at a time
+    would raise.
     """
-    found: list[list[list[Point]] | None] = [None] * len(block.ids)
     rows = np.flatnonzero([s == TrackingState.TRACKING for s in block.states])
-    if not rows.size:
-        return found
     owner = np.repeat(np.arange(len(block.t_ms)), block.n_trackables)[rows]   # frame of each row
 
     counts = block.n_verts[rows]
-    ends = np.cumsum(counts)
-    starts = ends - counts
+    starts = np.cumsum(counts) - counts
     track_of = np.repeat(np.arange(len(rows)), counts)
     column = np.arange(len(track_of)) - starts[track_of]
     first_vertex = np.cumsum(block.n_verts) - block.n_verts
@@ -127,82 +131,70 @@ def block_pieces(block: FrameBlock) -> list[list[list[Point]] | None]:
         dist = np.sqrt(dot_rows(to_cam, to_cam))
         facing = dot_rows(block.normal[rows], to_cam) > 0.0
 
-    # on screen: sign * _cross(a, b, p) >= 0 for every screen edge a -> b, the test by which
-    # clip_rows keeps a vertex; a product overflows only at a vertex past MAX_SCREEN_COORD_PX,
-    # which is bad above
-    sign, edges = clip_loop(screen_clip_polygon(*block.screen))
-    off = np.full(len(x), not sign)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for (ax, ay), (bx, by) in edges:
-            off |= ~(sign * ((bx - ax) * (y - ay) - (by - ay) * (x - ax)) >= 0.0)
-    on_screen = np.bincount(track_of, weights=off, minlength=len(rows)) == 0
-    # the screen clip of every visible, facing row with a vertex off screen, in one pass
-    cut = visible & facing & ~on_screen
-    cut_x, cut_y, cut_counts = clip_rows(x[cut[track_of]], y[cut[track_of]], counts[cut],
-                                         (sign, edges))
-    # convex_unchanged of every row and of every clipped part, in one pass
-    both = convex_unchanged(np.concatenate([x, cut_x]), np.concatenate([y, cut_y]),
-                            np.concatenate([counts, cut_counts]))
-    unchanged = on_screen & both[:len(rows)]
-    unchanged[cut] = both[len(rows):]
+    # the part on screen of each visible, facing row (a polygon on screen keeps its vertices;
+    # another row has none), and whether convex_pieces would return it as it is
+    shown = visible & facing
+    px, py, part_counts = clip_rows(x[shown[track_of]], y[shown[track_of]],
+                                    np.where(shown, counts, 0),
+                                    clip_loop(screen_clip_polygon(*block.screen)))
+    unchanged = convex_unchanged(px, py, part_counts)
+    subject = part_counts >= 3
 
-    # Bounding boxes.  An occluder whose box is more than OCCLUDER_MARGIN_PX from the box of
-    # the subject's polygon misses each of its pieces, so subtract_occluders would return
-    # every piece unchanged; this is the one box test of an occluder.
+    # bounding boxes of the projected polygons, NaN for one with no vertex
     some = starts[counts > 0]
     box = np.full((len(rows), 4), np.nan)
     if some.size:
         box[counts > 0] = np.stack([np.minimum.reduceat(x, some), np.maximum.reduceat(x, some),
                                     np.minimum.reduceat(y, some), np.maximum.reduceat(y, some)], 1)
 
-    xy = list(zip(x.tolist(), y.tolist()))
-    polys = [xy[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
-    parts = polys[:]   # the part of each row on screen
-    cut_xy = list(zip(cut_x.tolist(), cut_y.tolist()))
-    cut_ends = np.cumsum(cut_counts).tolist()
-    for k, a, b in zip(np.flatnonzero(cut).tolist(), [0, *cut_ends], cut_ends):
-        parts[k] = cut_xy[a:b]
-    dists, boxes = dist.tolist(), box.tolist()
-    facing_l, unchanged_l = facing.tolist(), unchanged.tolist()
+    # The occluders of each subject k, in one pass over the visible rows j before it in its
+    # frame's near-to-far order (a stable sort: ties keep the frame's trackable order): j is
+    # nearer and its box within OCCLUDER_MARGIN_PX of k's.  An occluder farther away misses
+    # every piece of k, which subtract_occluders would return unchanged.
+    seq = np.lexsort((dist, owner))
+    seq = seq[visible[seq]]
+    first = np.searchsorted(owner[seq], owner[seq])   # where in seq each one's frame starts
+    at = np.flatnonzero(subject[seq])
+    before = at - first[at]
+    k = np.repeat(seq[at], before)
+    j = seq[np.arange(len(k)) + np.repeat(first[at] - (np.cumsum(before) - before), before)]
     m = OCCLUDER_MARGIN_PX
-    order = np.lexsort((dist, owner))  # a stable sort: ties keep the frame's trackable order
-    frame_l, row_l = owner.tolist(), rows.tolist()
-    frame, nearer = -1, []   # the frame of k, and its rows before k (nearer or level)
-    for k in order[visible[order]].tolist():
-        if frame_l[k] != frame:
-            frame, nearer = frame_l[k], []
-        if facing_l[k] and len(parts[k]) >= 3:
-            # [parts[k]] is what convex_pieces would return when unchanged
-            pieces = [parts[k]] if unchanged_l[k] else convex_pieces(parts[k])
-            d = dists[k]
-            sx0, sx1, sy0, sy1 = boxes[k]
-            occluders = [
-                polys[j] for j in nearer
-                if dists[j] < d and not (
-                    sx1 < boxes[j][0] - m or boxes[j][1] + m < sx0
-                    or sy1 < boxes[j][2] - m or boxes[j][3] + m < sy0
-                )
-            ]
-            found[row_l[k]] = subtract_occluders(pieces, occluders)
-        nearer.append(k)
-    return found
+    hit = (dist[j] < dist[k]) & ~((box[k, 1] < box[j, 0] - m) | (box[j, 1] + m < box[k, 0])
+                                  | (box[k, 3] < box[j, 2] - m) | (box[j, 3] + m < box[k, 2]))
+
+    # the list path for a part that convex_pieces changes or an occluder meets; any other
+    # part is its one piece, as convex_pieces returns it
+    listed = subject & ~unchanged
+    listed[k[hit]] = True
+    whole = subject & ~listed
+    kept = np.repeat(whole, part_counts)
+    pieces = [(px[kept], py[kept], part_counts[whole], rows[whole])]
+    occluders: dict[int, list[list[Point]]] = {a: [] for a in np.flatnonzero(listed).tolist()}
+    for a, b in zip(k[hit].tolist(), j[hit].tolist()):   # the nearest first
+        occluders[a].append(_vertex_list(x, y, starts[b], counts[b]))
+    part_at = np.cumsum(part_counts) - part_counts
+    for a, occ in occluders.items():
+        part = _vertex_list(px, py, part_at[a], part_counts[a])
+        carved = subtract_occluders([part] if unchanged[a] else convex_pieces(part), occ)
+        xy = np.array([v for p in carved for v in p], dtype=float).reshape(-1, 2)
+        pieces.append((xy[:, 0], xy[:, 1], np.array([len(p) for p in carved], dtype=int),
+                       np.full(len(carved), rows[a])))
+    return tuple(np.concatenate(c) for c in zip(*pieces))
 
 
-def fit_boxes(
-    pieces: Sequence[list[list[Point]] | None], screen_w: int, screen_h: int
-) -> np.ndarray:
-    """The box of each row of block_pieces' answer, with one inscribed_rects call.
+def fit_boxes(pieces: Pieces, n_rows: int, screen_w: int, screen_h: int) -> np.ndarray:
+    """The box of each of n_rows trackable rows, with one inscribed_rects call on their pieces.
 
     A row keeps the largest rect of its pieces (the first of equal ones),
-    as one (len(pieces), 4) float64 array; its row is NaN when its entry is
-    None or [] or none of its pieces holds a rect.
+    as one (n_rows, 4) float64 array; its row is NaN when it has no piece
+    or none of its pieces holds a rect.
     """
-    row_of = np.repeat(np.arange(len(pieces)), [len(ps or ()) for ps in pieces])   # of each piece
-    rects, _ = inscribed_rects([p for ps in pieces if ps for p in ps], screen_w, screen_h)
+    x, y, counts, row_of = pieces
+    rects, _ = inscribed_rects(x, y, counts, screen_w, screen_h)
     area = (rects[:, 2] - rects[:, 0]) * (rects[:, 3] - rects[:, 1])   # NaN for no rect
     # largest first within each row, NaN last; a stable sort keeps equal ones in order
     order = np.lexsort((-area, row_of))
     best = order[np.diff(row_of[order], prepend=-1) != 0]
-    boxes = np.full((len(pieces), 4), np.nan)
+    boxes = np.full((n_rows, 4), np.nan)
     boxes[row_of[best]] = rects[best]
     return boxes

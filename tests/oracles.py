@@ -327,17 +327,39 @@ def clip_polygon(subject: list[Point], clip: list[Point]) -> list[Point]:
     return clip_rows_split([subject], clip_loop(clip))[0]
 
 
+def poly_rows(polys):
+    """Vertex lists as rows (x, y, counts), the polygons one after another: the form of the
+    numpy passes of geometry."""
+    xy = np.array([p for poly in polys for p in poly], dtype=float).reshape(-1, 2)
+    return xy[:, 0], xy[:, 1], np.array([len(p) for p in polys], dtype=int)
+
+
+def split_rows(x, y, counts):
+    """Rows (x, y, counts) as one vertex list per polygon."""
+    assert len(x) == len(y) == counts.sum()
+    xy = list(zip(x.tolist(), y.tolist()))
+    ends = np.cumsum(counts).tolist()
+    return [xy[a:b] for a, b in zip([0, *ends], ends)]
+
+
 def clip_rows_split(polys, loop):
     """geometry.clip_rows of polygons given as vertex lists, split back into one list each."""
     from playtrace.geometry import clip_rows
 
-    xy = np.array([p for poly in polys for p in poly], dtype=float).reshape(-1, 2)
-    x, y, counts = clip_rows(xy[:, 0], xy[:, 1], np.array([len(p) for p in polys], dtype=int),
-                             loop)
-    assert len(x) == len(y) == counts.sum() and len(counts) == len(polys)
-    xy = list(zip(x.tolist(), y.tolist()))
-    ends = np.cumsum(counts).tolist()
-    return [xy[a:b] for a, b in zip([0, *ends], ends)]
+    x, y, counts = clip_rows(*poly_rows(polys), loop)
+    assert len(counts) == len(polys)
+    return split_rows(x, y, counts)
+
+
+def pieces_by_row(pieces, n_rows):
+    """visibility.block_pieces' rows (x, y, counts, row) as the pieces of each of n_rows
+    trackable rows, in order, as vertex lists: [] for a row with none."""
+    x, y, counts, row = pieces
+    assert len(counts) == len(row) and ((0 <= row) & (row < n_rows)).all()
+    found = [[] for _ in range(n_rows)]
+    for r, piece in zip(row.tolist(), split_rows(x, y, counts)):
+        found[r].append(piece)
+    return found
 
 
 # -------------------------------------------------------------- life spans
@@ -1072,7 +1094,8 @@ def frame_boxes(frame):
     order: a one-frame block_pieces and fit_boxes, None where the trackable has no box."""
     from playtrace.visibility import block_pieces, fit_boxes
 
-    rows = fit_boxes(block_pieces(frames_block([frame])), frame.screen_w, frame.screen_h)
+    rows = fit_boxes(block_pieces(frames_block([frame])), len(frame.trackables), frame.screen_w,
+                     frame.screen_h)
     return [(t.trackable_id, box) for t, box in zip(frame.trackables, rects_of(rows))]
 
 
@@ -1134,10 +1157,20 @@ def assert_same_outputs(a, b):
 
 # ------------------------------------------------------------- trace ingest
 
+
+def iter_blocks(path, keep=None):
+    """TraceFile(path).read_blocks(keep) in a with statement: the reader's blocks of a trace
+    file, which is opened at the first next() and closed when the blocks end."""
+    from playtrace.trace import TraceFile
+
+    with TraceFile(path) as trace:
+        yield from trace.read_blocks(keep)
+
+
 def iter_frames(path, keep=None):
     """The frames of iter_blocks(path, keep), one FrameRecord at a time: the records view
     of the block reader."""
-    from playtrace.trace import block_records, iter_blocks
+    from playtrace.trace import block_records
 
     for block in iter_blocks(path, keep):
         yield from block_records(block)
@@ -1154,22 +1187,13 @@ def iter_frames_per_line(path):
     """Yield the frames of a trace file, validating one line at a time."""
     from pathlib import Path
 
-    from playtrace.trace import (
-        TraceValidationError,
-        _block_frames,
-        _frame_fault,
-        _header,
-        block_records,
-        _open_trace,
-        _trace_objects,
-    )
+    from playtrace.trace import (TraceFile, TraceValidationError, _block_frames, _frame_fault,
+                                 block_records)
 
     path = Path(path)
-    with _open_trace(path) as fh:
-        objects = _trace_objects(fh, path.name)
-        _header(objects, path.name)
+    with TraceFile(path) as trace:
         first = prev = None
-        for lineno, obj in objects:
+        for lineno, obj in trace._objects:   # the lines after the header
             where = f"{path.name}:{lineno}"
             frame, = block_records(_block_frames([(where, obj)]) or _frame_fault(where, obj))
             if first is None:

@@ -112,7 +112,7 @@ def test_c2_inscribed_rectangle_containment():
         cx = rng.uniform(r_hi + 10.0, SCREEN[0] - r_hi - 10.0)
         cy = rng.uniform(r_hi + 10.0, SCREEN[1] - r_hi - 10.0)
         poly = oracles.random_star(rng, (cx, cy), r_lo, r_hi, rng.randrange(6, 16))
-        rows, (passes,) = g.inscribed_rects([poly], *SCREEN)
+        rows, (passes,) = g.inscribed_rects(*oracles.poly_rows([poly]), *SCREEN)
         (rect,) = oracles.rects_of(rows)
         assert rect is not None, "no rectangle found in a star with a fat kernel"
         assert rect.width > 0 and rect.height > 0

@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import frame_blocks, iter_frames
+from oracles import frame_blocks, iter_blocks, iter_frames
 from playtrace import cli as cli_module
-from playtrace import pipeline as pipeline_module
 from playtrace import trace as trace_module
 from playtrace.cli import MAX_RUNS, main, parse_mix
 from playtrace.pipeline import AnalysisParams, analyze_boxes, run_boxes
@@ -31,7 +30,6 @@ from playtrace.simulator import (
 from playtrace.trace import (
     TraceValidationError,
     deadline_walk,
-    iter_blocks,
     load_trace,
     save_trace,
 )
@@ -431,15 +429,15 @@ def test_analyze_builds_only_the_frames_it_keeps(tmp_path, trace_path, monkeypat
         made = getattr(trace_module, name)
         monkeypatch.setattr(trace_module, name,
                             lambda made=made, **kw: built.append(kw) or made(**kw))
-    read = cli_module.iter_blocks
+    read = trace_module.TraceFile.read_blocks
 
-    def counted(path, keep=None):
-        for block in read(path, keep):
+    def counted(self, keep=None):
+        for block in read(self, keep):
             held.extend(block.t_ms)
             yield block
 
-    monkeypatch.setattr(cli_module, "iter_blocks", counted)   # --runs 2 checks the trace
-    monkeypatch.setattr(pipeline_module, "iter_blocks", counted)   # one trace is one run
+    # the one read of a trace file: --runs 2 checks the trace, and one trace is one run
+    monkeypatch.setattr(trace_module.TraceFile, "read_blocks", counted)
     argv = ["analyze", str(trace_path), "--runs", str(runs), "--out", str(tmp_path / "x")]
     assert main(argv) == 0
     assert held == (kept if runs == 1 else [])

@@ -414,7 +414,7 @@ def test_subtract_occluders_two_bites():
 # ------------------------------------------------------------ inscribed box
 
 def _one_rect(poly, screen_w, screen_h):
-    (rect,) = oracles.rects_of(inscribed_rects([poly], screen_w, screen_h)[0])
+    (rect,) = oracles.rects_of(inscribed_rects(*oracles.poly_rows([poly]), screen_w, screen_h)[0])
     return rect
 
 
@@ -463,15 +463,15 @@ def test_inscribed_rect_random_stars():
 
 def test_shrink_pass_budget():
     poly = [(0.0, 0.0), (600.0, 0.0), (600.0, 400.0), (0.0, 400.0)]
-    (rect,), (passes,) = inscribed_rects([poly], 640.0, 480.0)
+    (rect,), (passes,) = inscribed_rects(*oracles.poly_rows([poly]), 640.0, 480.0)
     assert not np.isnan(rect).any()
     assert passes == 0
     star = oracles.random_star(random.Random(3), (300.0, 240.0), 70.0, 200.0)
-    (rect,), (passes,) = inscribed_rects([star], 640.0, 480.0)
+    (rect,), (passes,) = inscribed_rects(*oracles.poly_rows([star]), 640.0, 480.0)
     assert passes <= g.MAX_SHRINK_PASSES
     # a sliver across a huge screen never fits and shrinks 5 % a pass: the budget ends it
     sliver = [(0.0, 0.0), (1e12, 1e12), (1e12, 1e12 - 1.0)]
-    (rect,), (passes,) = inscribed_rects([sliver], 1e12, 1e12)
+    (rect,), (passes,) = inscribed_rects(*oracles.poly_rows([sliver]), 1e12, 1e12)
     assert np.isnan(rect).all() and passes == g.MAX_SHRINK_PASSES
 
 
@@ -481,16 +481,16 @@ def test_inscribed_rects_match_one_at_a_time():
                                  rng.uniform(1, 60), rng.uniform(60, 300), rng.randrange(5, 14))
              for _ in range(40)]
     polys += [SQUARE, L_SHAPE, [(700.0, 10.0), (720.0, 10.0), (720.0, 30.0)]]
-    rows, passes = inscribed_rects(polys, 640, 480)
+    rows, passes = inscribed_rects(*oracles.poly_rows(polys), 640, 480)
     assert rows.dtype == np.float64 and rows.shape == (len(polys), 4)
     rects = oracles.rects_of(rows)
     assert rects == [oracles.inscribed_rect_pip(p, 640, 480) for p in polys]
     assert rects == [_one_rect(p, 640, 480) for p in polys]
     assert all(0 <= n <= g.MAX_SHRINK_PASSES for n in passes)
-    rows, passes = inscribed_rects([], 640, 480)
+    rows, passes = inscribed_rects(*oracles.poly_rows([]), 640, 480)
     assert rows.shape == (0, 4) and passes == []
     with pytest.raises(ValueError):
-        inscribed_rects([SQUARE, [(0.0, 0.0), (1.0, 1.0)]], 640, 480)
+        inscribed_rects(*oracles.poly_rows([SQUARE, [(0.0, 0.0), (1.0, 1.0)]]), 640, 480)
 
 
 def test_squared_is_python_pow():
@@ -517,7 +517,7 @@ def _assert_batch_matches_scalar(polys, rng):
     probes = [_probe_points(poly, rng) for poly in polys]
     k = max(len(p) for p in probes)
     pts = np.array([p + [p[0]] * (k - len(p)) for p in probes])
-    inside = g._points_inside(g.EdgeLoops.of(polys), pts[:, :, 0], pts[:, :, 1])
+    inside = g._points_inside(g.EdgeLoops.of(*oracles.poly_rows(polys)), pts[:, :, 0], pts[:, :, 1])
     for i, (poly, ps) in enumerate(zip(polys, probes)):
         for j, p in enumerate(ps):
             assert inside[i, j] == point_in_polygon(p, poly), (poly, p)
@@ -573,7 +573,7 @@ def test_padding_edges_stay_out_of_the_distance_test():
     p = (1150.3444979997576, 64.89852961267714)
     assert not point_in_polygon(p, tri)
     # batched with a square, the triangle gets a zero-length edge at its first vertex
-    inside = g._points_inside(g.EdgeLoops.of([tri, SQUARE]),
+    inside = g._points_inside(g.EdgeLoops.of(*oracles.poly_rows([tri, SQUARE])),
                               np.array([[p[0]], [5.0]]), np.array([[p[1]], [5.0]]))
     assert inside[:, 0].tolist() == [False, True]
 
@@ -594,13 +594,14 @@ def test_corners_a_few_ulps_from_the_containment_distance():
                   [(50.0 + d * 30.0 / n, 15.0 - d * 100.0 / n), (-d, 0.0), (0.0, -d),
                    (100.0 + d, 30.0)]]
         xy = np.array(probes)
-        inside = g._points_inside(g.EdgeLoops.of(polys), xy[:, :, 0], xy[:, :, 1])
+        loops = g.EdgeLoops.of(*oracles.poly_rows(polys))
+        inside = g._points_inside(loops, xy[:, :, 0], xy[:, :, 1])
         assert inside.tolist() == [[point_in_polygon(p, poly) for p in ps]
                                    for poly, ps in zip(polys, probes)], d
         # as inscribed_rects asks: the corners of (x_min, x_max) x (y_min, y_max)
         xs = np.array([[-d, 5.0], [-d, 100.0 + d]])
         ys = np.array([[-d, 5.0], [0.0, -d]])
-        inside = g._points_inside(g.EdgeLoops.of(polys), xs[:, None, :], ys[:, :, None])
+        inside = g._points_inside(loops, xs[:, None, :], ys[:, :, None])
         assert inside.tolist() == [[[point_in_polygon((x, y), poly) for x in xr] for y in yr]
                                    for poly, xr, yr in zip(polys, xs.tolist(), ys.tolist())], d
 
@@ -625,7 +626,8 @@ def test_odd_crossings_is_the_edge_by_edge_even_odd_mask(seed, shape):
     xy = np.array(pts).reshape(3, -1, 2)
     xs, ys = xy[..., 0], xy[..., 1]
     with np.errstate(invalid="ignore"):
-        got = g.odd_crossings(g.EdgeLoops.of([tuple(poly)]), xs[..., None], ys[..., None])
+        got = g.odd_crossings(g.EdgeLoops.of(*oracles.poly_rows([poly])), xs[..., None],
+                              ys[..., None])
     assert got.tolist() == oracles.points_in_polygon_mask(xs, ys, poly).tolist()
 
 
@@ -634,8 +636,8 @@ def test_odd_crossings_is_the_edge_by_edge_even_odd_mask(seed, shape):
 def test_quick_containment_fixed_shapes(poly):
     _assert_batch_matches_scalar([poly, TRIANGLE, STAR], random.Random(5))
     # the pentagram's centre is wound twice: outside under the even-odd rule
-    assert not g._points_inside(g.EdgeLoops.of([PENTAGRAM]), np.array([[300.0]]),
-                                np.array([[200.0]]))[0, 0]
+    assert not g._points_inside(g.EdgeLoops.of(*oracles.poly_rows([PENTAGRAM])),
+                                np.array([[300.0]]), np.array([[200.0]]))[0, 0]
 
 
 @settings(max_examples=100, deadline=None)

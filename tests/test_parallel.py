@@ -7,9 +7,11 @@ one-process loop and the forced counts still check the helpers.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import errno
 import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,7 @@ from playtrace.cli import main
 from playtrace.pipeline import run_boxes, trace_runs
 from playtrace.scenes import benchmark_scene
 from playtrace.simulator import generate_trace
-from playtrace.trace import deadline_walk, iter_blocks, load_trace, read_header, save_trace
+from playtrace.trace import TraceFile, deadline_walk, load_trace, save_trace
 
 # 6 s of noisy-trio: vertex noise and a few dropouts in every run
 SCENE = dataclasses.replace(benchmark_scene("noisy-trio"), duration_ms=6000)
@@ -49,8 +51,9 @@ def _serial(paths):
     """(RunBoxes, t_ms of the last frame) of each path: the one-process loop of analyze."""
     out = []
     for p in paths:
-        walk = deadline_walk(read_header(p)[0], FPS)
-        out.append((run_boxes(iter_blocks(p, walk)), walk.last_ms))
+        with TraceFile(p) as trace:
+            walk = deadline_walk(trace.fps, FPS)
+            out.append((run_boxes(trace.read_blocks(walk)), walk.last_ms))
     return out
 
 
@@ -124,6 +127,30 @@ def test_the_first_fault_in_argument_order_is_the_serial_one(
     else:
         assert rc == 1 and "view" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_trace_that_can_be_read_once_is_read_once(tmp_path, traces):
+    # /dev/fd/N of a pipe gives its bytes once, so its header and frames must come from one
+    # open.  The pipe is run 0, which this process reads: a forked helper holds a copy of the
+    # write end until it exits, so a pipe read in a helper would never end.
+    read, write = os.pipe()
+    text = Path(traces[0]).read_bytes()
+
+    def feed():
+        with open(write, "wb") as out, contextlib.suppress(BrokenPipeError):
+            out.write(text)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        piped = ["analyze", f"/dev/fd/{read}", *traces[1:3], "--out", str(tmp_path / "pipe")]
+        assert main(piped) == 0
+    finally:
+        os.close(read)   # a writer still blocked gets BrokenPipeError
+        writer.join()
+    assert main(["analyze", *traces[:3], "--out", str(tmp_path / "file")]) == 0
+    assert (tmp_path / "pipe" / "report.json").read_bytes() == (
+        tmp_path / "file" / "report.json").read_bytes()
 
 
 def test_stopping_after_the_first_run_leaves_no_helper(monkeypatch, traces):

@@ -5,12 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import decimate, frame_blocks, frames_block
+from oracles import decimate, frame_blocks, frames_block, iter_blocks
 from playtrace.pipeline import AnalysisParams, analyze_boxes, run_boxes
 from playtrace.simulator import (
     CameraKeyframe, Jitter, ScenePlane, SimScene, generate_trace, render_frames,
 )
-from playtrace.trace import TraceValidationError, iter_blocks, save_trace
+from playtrace.trace import TraceValidationError, save_trace
 
 
 def _scene(duration=6000, planes=None, jitter=None):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import frame_blocks, frames_block
+from oracles import frame_blocks, frames_block, iter_blocks
 from playtrace import simulator as simulator_module
 from playtrace import trace as trace_module
 from playtrace.pipeline import BOX_BLOCK_FRAMES, analyze_boxes, run_boxes
@@ -48,7 +48,6 @@ from playtrace.trace import (
     _take,
     block_records,
     deadline_walk,
-    iter_blocks,
     join_blocks,
     save_trace,
 )

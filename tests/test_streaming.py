@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
-from oracles import frame_blocks
+from oracles import frame_blocks, iter_blocks
 from playtrace import pipeline, simulator
 from playtrace import trace as trace_module
 from playtrace.cli import _generated_runs, main
@@ -25,7 +26,7 @@ from playtrace.simulator import (
     render_frames,
     save_scene,
 )
-from playtrace.trace import deadline_walk, iter_blocks, load_trace, save_trace
+from playtrace.trace import deadline_walk, load_trace, save_trace
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -86,26 +87,35 @@ def test_streamed_multi_run_regeneration_matches_eager_reference(tmp_path):
 
 def test_block_sizes_change_no_byte(tmp_path, monkeypatch):
     # the reader's blocks of lines and the box stage's blocks of frames are sizes to cut
-    # the work by, not answers: every size gives analyze's and compare's outputs byte for
-    # byte; analyze forks its helpers after the patch, so they run at each size too
+    # the work by, not answers: every size gives the bytes of analyze, walked and at the
+    # full rate, of the schedule and the replay of its report, and of compare; analyze forks
+    # its helpers after the patch, so they run at each size too
     scene = dataclasses.replace(benchmark_scene("noisy-trio"), duration_ms=6000)
     assert scene.default_jitter.vertex_noise_m > 0 and scene.default_jitter.dropout_prob > 0
     paths = [str(tmp_path / f"run{r}.jsonl") for r in range(3)]
     for r, path in enumerate(paths):
         save_trace(generate_trace(scene, r), path)
-    save_scene(scene, tmp_path / "scene.json")
+    scene_path = str(tmp_path / "scene.json")
+    save_scene(scene, scene_path)
+    names = ("report.json", "gantt.svg", "full/report.json", "full/gantt.svg", "schedule.json",
+             "outcomes.json", "compare.json")
     outputs = {}
-    for size in ("default", 1, 7, 10**6):
+    for size in ("default", 1, 2, 3, 7, 10**6):
         if size != "default":
             monkeypatch.setattr(trace_module, "INGEST_BLOCK_LINES", size)
             monkeypatch.setattr(pipeline, "BOX_BLOCK_FRAMES", size)
             monkeypatch.setattr(simulator, "BOX_BLOCK_FRAMES", size)
         out = tmp_path / f"size-{size}"
         assert main(["analyze", *paths, "--out", str(out)]) == 0
-        assert main(["compare", str(tmp_path / "scene.json"), "--out", str(out / "compare.json")]) == 0
-        outputs[size] = [(out / name).read_bytes()
-                         for name in ("report.json", "gantt.svg", "compare.json")]
+        # at the recorded rate every frame is kept
+        assert main(["analyze", *paths, "--fps", str(scene.fps), "--out", str(out / "full")]) == 0
+        assert main(["schedule", str(out / "report.json"), "--out", str(out / "schedule.json")]) == 0
+        assert main(["simulate", scene_path, "--schedule", str(out / "schedule.json"),
+                     "--out", str(out / "outcomes.json")]) == 0
+        assert main(["compare", scene_path, "--out", str(out / "compare.json")]) == 0
+        outputs[size] = [(out / name).read_bytes() for name in names]
     default = outputs.pop("default")
+    assert json.loads(default[4])["events"]   # the replay has gestures to check
     for size, got in outputs.items():
         assert got == default, size
 

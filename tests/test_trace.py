@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import decimate, frame_blocks, iter_frames
+from oracles import decimate, frame_blocks, iter_blocks, iter_frames
 from playtrace import trace as trace_module
 from playtrace.geometry import simple_polygons
 from playtrace.jsonin import unit
@@ -26,6 +26,7 @@ from playtrace.trace import (
     FrameRecord,
     PlaybackTrace,
     TraceError,
+    TraceFile,
     TraceParseError,
     TraceValidationError,
     TraceFrames,
@@ -34,9 +35,7 @@ from playtrace.trace import (
     block_records,
     blocks,
     deadline_walk,
-    iter_blocks,
     load_trace,
-    read_header,
     save_trace,
 )
 
@@ -200,7 +199,7 @@ def test_header_faults_come_before_frame_faults(tmp_path):
     broken = _frame(0)
     del broken["view"]
     p = _write(tmp_path, [_header(meta=[]), broken])
-    for read in (read_header, load_trace, lambda p: next(iter_frames(p))):
+    for read in (TraceFile, load_trace, lambda p: next(iter_frames(p))):
         with pytest.raises(TraceValidationError) as exc:
             read(p)
         assert str(exc.value) == "t.jsonl:1: header meta must be an object"
@@ -749,7 +748,7 @@ def test_save_trace_takes_t_ms_and_screens_at_the_reader_s_bounds(tmp_path):
 @pytest.mark.parametrize("bad", [_NAN, _INF, -_INF], ids=["nan", "infinity", "negative-infinity"])
 def test_header_meta_must_hold_finite_numbers(tmp_path, bad):
     p = _write(tmp_path, [_header(meta={"x": [1, {"y": bad}]}), _frame()])
-    for read in (read_header, load_trace):
+    for read in (TraceFile, load_trace):
         with pytest.raises(TraceValidationError,
                            match=r"^t\.jsonl:1: header meta must hold finite numbers only$"):
             read(p)
@@ -1149,7 +1148,7 @@ def test_faults_at_a_block_boundary(tmp_path, spots):
     assert (seen, kind, message) == _outcome(oracles.iter_frames_per_line, p)
 
 
-# iter_blocks pauses the cyclic collector while it reads and checks a block,
+# the block reader pauses the cyclic collector while it reads and checks a block,
 # and gives it back as it found it before the consumer sees the block.
 
 def _collector_states(tmp_path, monkeypatch, lines, stop_after=None):

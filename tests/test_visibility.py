@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from playtrace import geometry as g
+from playtrace import visibility
 from playtrace.lifespan import life_spans
 from playtrace.pipeline import run_boxes
 from playtrace.scenes import benchmark_scene, benchmark_scenes
@@ -185,6 +186,14 @@ def _by_row(frames, per_frame):
             for f, entries in zip(frames, per_frame) for t in f.trackables]
 
 
+def _assert_reference_pieces(pieces, frames, screen=None):
+    """block_pieces' rows of the frames' block are oracles.frame_pieces' pieces, to the bit, row
+    by row ([] where the reference lists the trackable as None or not at all)."""
+    want = [p or [] for p in _by_row(frames, (oracles.frame_pieces(f, screen or SCREEN)
+                                              for f in frames))]
+    assert repr(oracles.pieces_by_row(pieces, len(want))) == repr(want)
+
+
 # ------------------------------------------------ against the per-vertex path
 
 def _rotation(rng):
@@ -258,12 +267,12 @@ def test_analyze_frame_matches_per_vertex_pipeline(tmp_path, scene):
         # rendered frames hold C-order matrices, loaded ones column-major views
         for tr in (trace, load_trace(path)):
             frames = list(decimate(tr.frames, tr.source_fps, 10.0))
-            pieces = block_pieces(frames_block(frames))
-            rows = fit_boxes(pieces, sc.screen_w, sc.screen_h)
+            block = frames_block(frames)
+            pieces = block_pieces(block)
+            rows = fit_boxes(pieces, len(block.ids), sc.screen_w, sc.screen_h)
             assert oracles.rects_of(rows) == _by_row(
                 frames, map(oracles.analyze_frame_per_vertex, frames))
-            assert repr(pieces) == repr(
-                _by_row(frames, (oracles.frame_pieces(f, screen) for f in frames)))
+            _assert_reference_pieces(pieces, frames, screen)
 
 
 @pytest.mark.parametrize("scene", [s.name for s in benchmark_scenes()])
@@ -271,9 +280,10 @@ def test_inscribed_rects_match_scalar_search_on_pack_pieces(scene):
     sc = benchmark_scene(scene)
     for seed in (1, 2):
         trace = generate_trace(sc, jitter_seed=seed, jitter=sc.default_jitter)
-        found = block_pieces(frames_block(list(decimate(trace.frames, trace.source_fps, 10.0))))
-        pieces = [p for ps in found if ps for p in ps]
-        rows, passes = g.inscribed_rects(pieces, sc.screen_w, sc.screen_h)
+        x, y, counts, _ = block_pieces(
+            frames_block(list(decimate(trace.frames, trace.source_fps, 10.0))))
+        pieces = oracles.split_rows(x, y, counts)
+        rows, passes = g.inscribed_rects(x, y, counts, sc.screen_w, sc.screen_h)
         assert oracles.rects_of(rows) == [
             oracles.inscribed_rect_pip(p, sc.screen_w, sc.screen_h) for p in pieces]
         assert max(passes, default=0) <= g.MAX_SHRINK_PASSES
@@ -412,9 +422,7 @@ def _random_block(seed, order):
 def test_block_pieces_match_the_per_frame_reference(seed, order):
     frames = _random_block(seed, order)
     block = frames_block(frames)
-    found = block_pieces(block)
-    assert len(found) == len(block.ids)
-    assert repr(found) == repr(_by_row(frames, (oracles.frame_pieces(f, SCREEN) for f in frames)))
+    _assert_reference_pieces(block_pieces(block), frames)
 
 
 def test_random_blocks_reach_every_case():
@@ -456,18 +464,44 @@ def test_random_blocks_reach_every_case():
     assert wanted <= seen, wanted - seen
 
 
+def test_random_blocks_reach_every_path_of_the_split(monkeypatch):
+    # a row with a part to carve is (unchanged by convex_pieces, met by an occluder): the list
+    # path calls subtract_occluders once a row, after convex_pieces unless the part is
+    # unchanged; the one-piece path, (True, False), calls neither, so a block takes it when
+    # more rows have pieces than subtract_occluders was called for
+    seen, changed, calls = set(), [], []
+    monkeypatch.setattr(visibility, "convex_pieces",
+                        lambda part: changed.append(part) or g.convex_pieces(part))
+
+    def subtract(pieces, occluders):
+        seen.add((not changed, bool(occluders)))
+        changed.clear()
+        calls.append(pieces)
+        return g.subtract_occluders(pieces, occluders)
+
+    monkeypatch.setattr(visibility, "subtract_occluders", subtract)
+    for seed in range(40):
+        calls.clear()
+        row = block_pieces(frames_block(_random_block(seed, "C")))[3]
+        if len(set(row.tolist())) > len(calls):
+            seen.add((True, False))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_fit_boxes_have_a_nan_row_exactly_where_the_reference_has_no_box():
     seen = set()
     for seed in range(40):
         frames = _random_block(seed, "C")
         block = frames_block(frames)
         pieces = block_pieces(block)
-        rows = fit_boxes(pieces, W, H)
+        rows = fit_boxes(pieces, len(block.ids), W, H)
         want = _by_row(frames, map(oracles.analyze_frame_per_vertex, frames))
         assert rows.shape == (len(block.ids), 4)
         assert oracles.rects_of(rows) == want   # None for a NaN row
         tracks = [(f, t) for f in frames for t in f.trackables]
-        for (f, t), entry, box in zip(tracks, pieces, want):
+        # the reference's pieces tell "off screen" (None) from "fully occluded" ([])
+        entries = _by_row(frames, (oracles.frame_pieces(f, SCREEN) for f in frames))
+        for (f, t), entry, box in zip(tracks, entries, want):
             if box is not None:
                 continue
             if t.tracking_state != TrackingState.TRACKING:
@@ -480,7 +514,7 @@ def test_fit_boxes_have_a_nan_row_exactly_where_the_reference_has_no_box():
                 seen.add("off screen" if entry is None else "fully occluded" if entry == [] else
                          "no rect")
     wanted = {TrackingState.PAUSED, TrackingState.STOPPED, "behind", "back-facing", "off screen",
-              "fully occluded"}
+              "fully occluded", "no rect"}
     assert wanted <= seen, wanted - seen
 
 
@@ -539,8 +573,7 @@ def test_block_pieces_match_the_per_frame_reference_at_the_margins(seed):
                                        gap, rng.uniform(1.0, 40.0))
             tracks.append(_at_pixels(f"band{j}", band, rng.choice([1.0, 2.0, 5.0, 7.0])))
         frames.append(_pixel_frame(tracks, 100 * k))
-    found = block_pieces(frames_block(frames))
-    assert repr(found) == repr(_by_row(frames, (oracles.frame_pieces(f, SCREEN) for f in frames)))
+    _assert_reference_pieces(block_pieces(frames_block(frames)), frames)
 
 
 def _huge_x(t):
@@ -573,8 +606,7 @@ def test_block_pieces_bound_huge_but_finite_pixels(scale, raises):
     pose[:, 0] *= scale
     frame = _frame([_plane("table", (0.0, 0.0, 0.0), 1.0, 1.0), dataclasses.replace(lid, pose=pose)])
     if not raises:
-        found = block_pieces(frames_block([frame]))
-        assert repr(found) == repr(_by_row([frame], [oracles.frame_pieces(frame, SCREEN)]))
+        _assert_reference_pieces(block_pieces(frames_block([frame])), [frame])
         return
     with pytest.raises(ArithmeticError):
         oracles.frame_pieces(frame, SCREEN)

@@ -9,8 +9,10 @@ is JSON Lines with a header line followed by one frame object per line.  All
 from __future__ import annotations
 
 import gc
+import io
 import json
 import math
+import os
 from contextlib import AbstractContextManager
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -577,13 +579,45 @@ def _read_block(
             gc.enable()
 
 
+class _Span(io.RawIOBase):
+    """Bytes [start, stop) of an open file, to its end when stop is None, read with os.pread,
+    which leaves the file's offset alone: processes that share the descriptor each read
+    their own bytes, and the opener's text layer reads on where it stopped."""
+
+    def __init__(self, fd: int, start: int, stop: int | None) -> None:
+        self.fd, self.at, self.stop = fd, start, stop
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        size = len(buf) if self.stop is None else min(len(buf), self.stop - self.at)
+        data = os.pread(self.fd, size, self.at)
+        buf[:len(data)] = data
+        self.at += len(data)
+        return len(data)
+
+
+def _line_start(fd: int, at: int) -> int | None:
+    """The offset past the first newline byte at or after offset at of an open file, or None."""
+    while chunk := os.pread(fd, 1 << 16, at):
+        if (i := chunk.find(b"\n")) >= 0:
+            return at + i + 1
+        at += len(chunk)
+    return None
+
+
 class TraceFile(AbstractContextManager):
     """A JSONL trace file opened once, for a with statement, which closes it.
 
     The header is read and checked on opening (fps and meta; a fault there
     closes the file and is raised), and one read_blocks call reads the
     frames after it, so a path that can be read only once, such as a pipe,
-    is read whole.
+    is read whole.  A regular file can also be read as byte ranges (spans):
+    read_blocks(keep, span) reads one range's frames with os.pread on the
+    descriptor of the one open, so helper processes forked after it read
+    their ranges at once, and the frames after the header stay unread for
+    a read_blocks of the whole file.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -600,9 +634,30 @@ class TraceFile(AbstractContextManager):
     def __exit__(self, *exc_info: object) -> None:
         self._fh.close()
 
-    def read_blocks(self, keep: Callable[[int], bool] | None = None) -> Iterator[FrameBlock]:
-        """Validate the frames after the header and yield them as FrameBlocks, a block of lines
-        at a time.
+    def spans(self, n: int) -> list[tuple[int, int | None]]:
+        """The file cut into at most n byte ranges (start, stop), in order, stop None at its end.
+
+        Cut k is the line start just past the first newline byte at or after
+        k/n of the file's bytes, the bytes the header was read from and the
+        cut before; a cut at or past the end is left out.  Each range is a
+        run of whole lines and the header lies in the first, so the ranges'
+        lines in turn are the file's (read_blocks).  Only for a regular file.
+        """
+        fd = self._fh.fileno()
+        size = os.fstat(fd).st_size
+        cuts = [0]
+        for k in range(1, n):
+            # the text layer took the header's bytes and some after it, never fewer
+            cut = _line_start(fd, max(size * k // n, self._fh.buffer.tell(), cuts[-1] + 1) - 1)
+            if cut is None or cut >= size:
+                break
+            cuts.append(cut)
+        return list(zip(cuts, [*cuts[1:], None]))
+
+    def read_blocks(self, keep: Callable[[int], bool] | None = None,
+                    span: tuple[int, int | None] | None = None) -> Iterator[FrameBlock]:
+        """Validate the frames after the header, or those of one byte range, and yield them as
+        FrameBlocks, a block of lines at a time.
 
         Each frame is checked on its own line and against the ones before it
         (one screen size, strictly increasing timestamps), so an error names
@@ -623,8 +678,21 @@ class TraceFile(AbstractContextManager):
         each checked frame's timestamp in order, and only the frames it
         accepts are yielded; every line is still read and checked.  Without
         keep every frame is yielded.  No block is empty.
+
+        span, one of spans(), reads that range's lines instead, decoded as the
+        whole file is (UTF-8 with escapes, universal newlines) by a text layer
+        of its own over os.pread (_Span), skipping the header in the first
+        range: its frames are checked as a file of them alone would be, and
+        its line numbers count from its start.
         """
-        line_blocks = blocks(self._objects, INGEST_BLOCK_LINES)
+        objects = self._objects
+        if span is not None:
+            text = io.TextIOWrapper(io.BufferedReader(_Span(self._fh.fileno(), *span)),
+                                    encoding="utf-8", errors="surrogateescape")
+            objects = _trace_objects(text, self.name)
+            if span[0] == 0:
+                next(objects)   # the header, checked on opening
+        line_blocks = blocks(objects, INGEST_BLOCK_LINES)
         screen, prev = None, -math.inf   # the first frame's screen, the previous frame's t_ms
         while read := _read_block(line_blocks, screen, prev):
             block, lines = read

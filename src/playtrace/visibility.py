@@ -147,30 +147,38 @@ def block_pieces(block: FrameBlock) -> Pieces:
         box[counts > 0] = np.stack([np.minimum.reduceat(x, some), np.maximum.reduceat(x, some),
                                     np.minimum.reduceat(y, some), np.maximum.reduceat(y, some)], 1)
 
-    # The occluders of each subject k, in one pass over the visible rows j before it in its
+    # The occluders of each subject k, in a pass over the visible rows j before it in its
     # frame's near-to-far order (a stable sort: ties keep the frame's trackable order): j is
     # nearer and its box within OCCLUDER_MARGIN_PX of k's.  An occluder farther away misses
-    # every piece of k, which subtract_occluders would return unchanged.
+    # every piece of k, which subtract_occluders would return unchanged.  The pairs grow with
+    # the square of a frame's rows, so the pass runs over runs of subjects whose pairs add up
+    # to about the block's row count.
     seq = np.lexsort((dist, owner))
     seq = seq[visible[seq]]
     first = np.searchsorted(owner[seq], owner[seq])   # where in seq each one's frame starts
     at = np.flatnonzero(subject[seq])
     before = at - first[at]
-    k = np.repeat(seq[at], before)
-    j = seq[np.arange(len(k)) + np.repeat(first[at] - (np.cumsum(before) - before), before)]
+    group = (np.cumsum(before) - before) // max(len(rows), 1)
+    hits = [(np.empty(0, dtype=int),) * 2]   # (k, j) of each pair that hit, in order
     m = OCCLUDER_MARGIN_PX
-    hit = (dist[j] < dist[k]) & ~((box[k, 1] < box[j, 0] - m) | (box[j, 1] + m < box[k, 0])
-                                  | (box[k, 3] < box[j, 2] - m) | (box[j, 3] + m < box[k, 2]))
+    for run in np.split(np.arange(len(at)), np.flatnonzero(np.diff(group)) + 1):
+        n = before[run]
+        k = np.repeat(seq[at[run]], n)
+        j = seq[np.arange(len(k)) + np.repeat(first[at[run]] - (np.cumsum(n) - n), n)]
+        hit = (dist[j] < dist[k]) & ~((box[k, 1] < box[j, 0] - m) | (box[j, 1] + m < box[k, 0])
+                                      | (box[k, 3] < box[j, 2] - m) | (box[j, 3] + m < box[k, 2]))
+        hits.append((k[hit], j[hit]))
+    k, j = map(np.concatenate, zip(*hits))
 
     # the list path for a part that convex_pieces changes or an occluder meets; any other
     # part is its one piece, as convex_pieces returns it
     listed = subject & ~unchanged
-    listed[k[hit]] = True
+    listed[k] = True
     whole = subject & ~listed
     kept = np.repeat(whole, part_counts)
     pieces = [(px[kept], py[kept], part_counts[whole], rows[whole])]
     occluders: dict[int, list[list[Point]]] = {a: [] for a in np.flatnonzero(listed).tolist()}
-    for a, b in zip(k[hit].tolist(), j[hit].tolist()):   # the nearest first
+    for a, b in zip(k.tolist(), j.tolist()):   # the nearest first
         occluders[a].append(_vertex_list(x, y, starts[b], counts[b]))
     part_at = np.cumsum(part_counts) - part_counts
     for a, occ in occluders.items():

@@ -11,7 +11,9 @@ in-process: it must exit 0, 1 or 2, let no exception escape, and write
 nothing to stderr but at most one line starting "error: ", so a warning
 (which the CLI would print there) fails it.  At --fps 1
 most mutated trace lines fall on frames the analysis drops, which must be
-checked all the same.
+checked all the same.  The reader's first fault, and the frames before it,
+must not depend on its block size, nor analyze's stderr and exit code on
+whether its trace is read whole or as byte ranges.
 """
 
 from __future__ import annotations
@@ -31,11 +33,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from playtrace import pipeline
+from playtrace import trace as trace_module
 from playtrace.cli import main
 from playtrace.reporting import _escape
 from playtrace.scenes import benchmark_scene
 from playtrace.simulator import SceneError, generate_trace, load_scene, save_scene
-from playtrace.trace import save_trace
+from playtrace.trace import TraceFile, save_trace
 
 # json.dumps cannot write an integer longer than int() converts, so this string stands
 # for one and is swapped for the digits after dumping
@@ -123,6 +127,11 @@ def _exit_code(argv) -> int:
     Every warning goes to stderr, as it would from the command line, and
     stderr must be empty or one "error: " line.
     """
+    return _exit_and_stderr(argv)[0]
+
+
+def _exit_and_stderr(argv) -> tuple[int, str]:
+    """_exit_code(argv) and what the command wrote to stderr."""
     previous = signal.signal(signal.SIGALRM, _hang)
     signal.alarm(5)
     err = io.StringIO()
@@ -138,7 +147,7 @@ def _exit_code(argv) -> int:
     text = err.getvalue()
     assert text == "" or (text.startswith("error: ") and text.count("\n") == 1
                           and text.endswith("\n")), text
-    return code
+    return code, text
 
 
 @settings(max_examples=100, deadline=None)
@@ -151,6 +160,46 @@ def test_mutated_traces_exit_cleanly(tmp_path_factory, base_lines, data):
     path = tmp / "run.jsonl"
     path.write_bytes(b"\n".join(lines) + b"\n")
     assert _exit_code(["analyze", str(path), "--fps", "1", "--out", str(tmp / "out")]) in (0, 1, 2)
+
+
+def _read_until_the_fault(path) -> tuple[list[int], str | None]:
+    """The t_ms of every frame TraceFile.read_blocks yields from path, and the first fault's
+    type and text, None when it reads to the end."""
+    t_ms: list[int] = []
+    try:
+        with TraceFile(path) as trace:
+            for block in trace.read_blocks():
+                t_ms += block.t_ms
+    except Exception as exc:   # noqa: BLE001 - which error comes first is the answer
+        return t_ms, f"{type(exc).__name__}: {exc}"
+    return t_ms, None
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_block_size_and_ranges_change_no_fault_of_a_mutated_trace(
+    tmp_path_factory, base_lines, data
+):
+    # the reader's first fault and the frames before it at every block size, and analyze's
+    # stderr and exit code whether its one file is read whole or as two byte ranges
+    lines = [line.encode("utf-8") for line in base_lines]
+    for k in data.draw(st.lists(st.integers(0, len(lines) - 1), min_size=1, max_size=3, unique=True)):
+        lines[k] = data.draw(_mutated(base_lines[k]))
+    tmp = tmp_path_factory.mktemp("mutated")
+    path = tmp / "run.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    want = _read_until_the_fault(path)
+    argv = ["analyze", str(path), "--out", str(tmp / "out")]
+    with pytest.MonkeyPatch.context() as patch:
+        for size in (1, 2, 3, 7, 10**6):
+            patch.setattr(trace_module, "INGEST_BLOCK_LINES", size)
+            assert _read_until_the_fault(path) == want, size
+        patch.undo()
+        patch.setattr(pipeline, "usable_cpus", lambda: 1)
+        whole = _exit_and_stderr(argv)
+        patch.setattr(pipeline, "usable_cpus", lambda: 2)
+        assert _exit_and_stderr(argv) == whole
+    assert want[1] is None or whole[0] != 0   # a trace the reader rejects is no analysis
 
 
 def _assert_chart_ids(out) -> int:

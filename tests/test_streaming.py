@@ -120,6 +120,27 @@ def test_block_sizes_change_no_byte(tmp_path, monkeypatch):
         assert got == default, size
 
 
+def test_block_sizes_change_no_byte_of_a_saved_trace(tmp_path, monkeypatch):
+    # a trace is written a block at a time: a render's blocks, records stacked into blocks
+    # of INGEST_BLOCK_LINES, and the reader's blocks of a loaded trace all give one text
+    scene = dataclasses.replace(benchmark_scene("noisy-trio"), duration_ms=3000)
+    texts = {}
+    for size in ("default", 1, 2, 3, 7, 10**6):
+        if size != "default":
+            monkeypatch.setattr(trace_module, "INGEST_BLOCK_LINES", size)
+            monkeypatch.setattr(simulator, "BOX_BLOCK_FRAMES", size)
+        rendered = generate_trace(scene, 4)
+        paths = [tmp_path / f"{size}-{how}.jsonl" for how in ("rendered", "records", "loaded")]
+        save_trace(rendered, paths[0])
+        save_trace(dataclasses.replace(rendered, frames=list(rendered.frames)), paths[1])
+        save_trace(load_trace(paths[0]), paths[2])
+        texts[size] = [p.read_bytes() for p in paths]
+    default = texts.pop("default")
+    assert default[0] == default[1] == default[2]
+    for size, got in texts.items():
+        assert got == default, size
+
+
 @pytest.mark.parametrize("name", ["drift-trio", "noisy-trio", "pan-long"])
 def test_rendered_runs_equal_the_runs_of_full_traces(name):
     # only the kept frames are rendered, but the runs are those of the decimated full

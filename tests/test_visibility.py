@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -548,6 +549,43 @@ def _at_pixels(tid, poly_px, depth):
 
 def _pixel_frame(trackables, t_ms):
     return FrameRecord(t_ms, np.eye(4), np.eye(4), np.zeros(3), W, H, tuple(trackables))
+
+
+def _squares(n, step, t_ms):
+    """A frame of n 3 px squares, 20 to a row and step px apart, each nearer than the next."""
+    corners = [(10.0 + step * (i % 20), 10.0 + step * (i // 20)) for i in range(n)]
+    return _pixel_frame([_at_pixels(f"s{i}", [(x, y), (x + 3, y), (x + 3, y + 3), (x, y + 3)],
+                                    1.0 + 0.01 * i) for i, (x, y) in enumerate(corners)], t_ms)
+
+
+def test_block_pieces_hold_pairs_of_about_the_block_rows():
+    # 128 frames of 300 disjoint squares: each square has up to 299 nearer ones of its frame
+    # to test as occluders, 5.7 million pairs in all, which one pass over all of them held
+    # at once (217 MB at its peak)
+    frames = [_squares(300, 6.0, 100 * f) for f in range(128)]
+    block = frames_block(frames)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pieces = block_pieces(block)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    # the frames differ only in t_ms, and the squares lie 3 px apart, past the 1 px margin of
+    # the box test, so every row's pieces are the reference's for its square alone
+    rows = oracles.pieces_by_row(pieces, len(block.ids))
+    want = repr([oracles.frame_pieces(_pixel_frame([t], 0), SCREEN)[0][1]
+                 for t in frames[0].trackables])
+    assert all(repr(rows[f * 300:(f + 1) * 300]) == want for f in range(128))
+
+
+def test_block_pieces_find_occluders_over_many_runs_of_subjects():
+    # squares 0.5 px apart, within the 1 px margin of the box test, so each one's nearer
+    # neighbours are its occluders; a frame's 40 rows make 780 pairs against the block's
+    # 80 rows, so the pair pass runs over about ten runs of subjects
+    frames = [_squares(40, 3.5, 0), _squares(40, 3.5, 100)]
+    _assert_reference_pieces(block_pieces(frames_block(frames)), frames)
 
 
 @settings(max_examples=150, deadline=None)

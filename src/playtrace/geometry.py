@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -331,35 +331,45 @@ def subtract_occluders(
     return pieces
 
 
-class EdgeLoops(NamedTuple):
-    """Edge a->b of each of many polygons, as (polygons, E) arrays.
+class EdgeLoops:
+    """Edge a->b of each of many polygons, packed in one (6, E, polygons) float64 array.
 
-    Shorter polygons are padded with their first vertex: the extra edges
-    have zero length, so they straddle no point, and ``real`` keeps them
-    out of the distance test.
+    Its rows are ax, ay, by, dx = bx - ax, dy = by - ay and len_sq =
+    |ab|^2, inf where that is <= PARALLEL_EPS, so t = 0 and the distance is
+    to a; edge j of polygon i is at [j, i].  The polygon axis is last, so a
+    numpy pass over the edges runs along the polygons.  Shorter polygons are
+    padded with zero-length edges at their first vertex: they straddle no
+    point, and their NaN len_sq keeps them out of the distance test.
+    Indexing picks polygons, on every row at once.
     """
 
-    ax: np.ndarray
-    ay: np.ndarray
-    by: np.ndarray
-    dx: np.ndarray          # b - a
-    dy: np.ndarray
-    len_sq: np.ndarray      # inf where |ab|^2 <= PARALLEL_EPS, so t = 0 and the distance is to a
-    real: np.ndarray
+    __slots__ = ("packed",)
+
+    def __init__(self, packed: np.ndarray) -> None:
+        self.packed = packed
+
+    def __getitem__(self, polygons: np.ndarray) -> EdgeLoops:
+        return EdgeLoops(self.packed.take(polygons, axis=-1))   # C order, unlike [..., polygons]
+
+    def against(self, *points: np.ndarray) -> np.ndarray:
+        """The six rows, each (E, 1, ..., polygons) to broadcast edges first against points
+        whose last axis is the polygons."""
+        ndim = max(map(np.ndim, points))
+        return self.packed.reshape(6, self.packed.shape[1], *(1,) * (ndim - 1), -1)
 
     @classmethod
     def of(cls, x: np.ndarray, y: np.ndarray, counts: np.ndarray) -> EdgeLoops:
         """Edges of polygons as rows: polygon i has the next counts[i] > 0 vertices of (x, y)."""
-        col = np.arange(counts.max())
-        real = col < counts[:, None]
-        first = (np.cumsum(counts) - counts)[:, None]
+        col = np.arange(counts.max())[:, None]
+        real = col < counts
+        first = np.cumsum(counts) - counts
         a = first + np.where(real, col, 0)
-        b = first + np.where(col + 1 < counts[:, None], col + 1, 0)   # next, else the first
-        ax, ay = x[a], y[a]
-        dx = x[b] - ax
-        dy = y[b] - ay
+        b = first + np.where(col + 1 < counts, col + 1, 0)   # next, else the first
+        ax, ay, by = x[a], y[a], y[b]
+        dx, dy = x[b] - ax, by - ay
         len_sq = dx * dx + dy * dy
-        return cls(ax, ay, y[b], dx, dy, np.where(len_sq <= PARALLEL_EPS, np.inf, len_sq), real)
+        len_sq = np.where(len_sq <= PARALLEL_EPS, np.inf, len_sq)
+        return cls(np.stack([ax, ay, by, dx, dy, np.where(real, len_sq, np.nan)]))
 
 
 def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -375,46 +385,41 @@ def _squared(v: np.ndarray) -> np.ndarray:
 def odd_crossings(e: EdgeLoops, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """The even-odd rule: whether an odd number of edges cross the ray from (px, py) to +x.
 
-    The edges lie along the last axis of e's arrays, and px and py
-    broadcast against them.  An edge counts when its ends straddle the
-    point's y and it crosses that y to the right of the point.  A point at
-    an infinite or NaN coordinate straddles no edge.
+    px and py broadcast together, their last axis against e's polygons.
+    An edge counts when its ends straddle the point's y and it crosses that
+    y to the right of the point.  A point at an infinite or NaN coordinate
+    straddles no edge.
     """
-    straddle = (e.ay > py) != (e.by > py)
+    ax, ay, by, dx, dy, _ = e.against(px, py)
+    straddle = (ay > py) != (by > py)
     # dy is nonzero wherever an edge straddles; elsewhere any divisor will do
-    x_cross = e.ax + (py - e.ay) / np.where(straddle, e.dy, 1.0) * e.dx
-    return np.count_nonzero(straddle & (x_cross > px), axis=-1) % 2 == 1
+    x_cross = ax + (py - ay) / np.where(straddle, dy, 1.0) * dx
+    return np.logical_xor.reduce(straddle & (x_cross > px), axis=0)
 
 
 def _points_inside(e: EdgeLoops, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Even-odd containment of each point of (px, py)[i] in polygon i of e.
+    """Even-odd containment of each point of (px, py)[..., i] in polygon i of e.
 
-    px and py broadcast together, with one axis per polygon first and as
-    many axes each.  The parity of the edge crossings to a point's right
-    decides first (odd_crossings), so a point's crossings depend only on
-    its y and are counted once per row of py.  A point they put outside is
-    then measured against every edge, and counts as inside when within
-    CONTAINMENT_EPS_PX of one (_point_segment_dist_sq).  The tests compare
-    every answer with the scalar oracles.point_in_polygon, whose
-    expressions these copy in their order.
+    px and py broadcast together, their last axis against e's polygons, so
+    each numpy pass runs along the polygons.  A point is inside when the
+    parity of the edge crossings to its right is odd (odd_crossings, whose
+    crossings depend only on the point's y and are counted once per value
+    of py), or when it is within CONTAINMENT_EPS_PX of an edge
+    (_point_segment_dist_sq).  Every point is measured against every edge
+    in the same pass, inside or not, so a pass makes no compaction.  The
+    tests compare every answer with the scalar oracles.point_in_polygon,
+    whose expressions these copy in their order.
     """
-    lead = (slice(None),) + (None,) * (np.ndim(px) - 1)
-    inside = odd_crossings(EdgeLoops(*(a[lead] for a in e)), px[..., None], py[..., None])
-    out = ~inside
-    poly = np.nonzero(out)[0]
-    qx = np.broadcast_to(px, out.shape)[out][:, None]
-    qy = np.broadcast_to(py, out.shape)[out][:, None]
-    ax, ay, dx, dy = e.ax[poly], e.ay[poly], e.dx[poly], e.dy[poly]
-    t = np.clip(((qx - ax) * dx + (qy - ay) * dy) / e.len_sq[poly], 0.0, 1.0)
-    vx = qx - (ax + t * dx)
-    vy = qy - (ay + t * dy)
+    ax, ay, _, dx, dy, len_sq = e.against(px, py)
+    t = np.clip(((px - ax) * dx + (py - ay) * dy) / len_sq, 0.0, 1.0)
+    vx = px - (ax + t * dx)
+    vy = py - (ay + t * dy)
     eps_sq = CONTAINMENT_EPS_PX * CONTAINMENT_EPS_PX
     # v * v is within an ulp of Python's v ** 2 (_squared), so only a distance this passes
-    # can pass the exact test
-    near = (vx * vx + vy * vy <= eps_sq * (1.0 + 1e-6)) & e.real[poly]
+    # can pass the exact test; NaN, on a padding edge, passes neither
+    near = vx * vx + vy * vy <= eps_sq * (1.0 + 1e-6)
     near[near] = _squared(vx[near]) + _squared(vy[near]) <= eps_sq
-    inside[out] = near.any(axis=1)
-    return inside
+    return odd_crossings(e, px, py) | near.any(axis=0)
 
 
 # Python's max(lo, v) and min(hi, v) elementwise, down to the sign of a zero
@@ -613,10 +618,14 @@ def inscribed_rects(
     rect's extent on that axis.  A search ends with its rect when all four
     corners are inside, or with none once an extent is MIN_RECT_EXTENT_PX or
     less or after MAX_SHRINK_PASSES.  Not the maximal inscribed rectangle,
-    but a cheap and stable one.  Returns the rects as an (n, 4) float64
-    array of (x_min, y_min, x_max, y_max) rows, NaN where a search found
-    none, and each search's passes; raises ValueError for fewer than 3
-    vertices.
+    but a cheap and stable one.  The rects of all searches are one (4, n)
+    array and their edges one EdgeLoops, and each pass takes the searches
+    still shrinking by index, so a pass costs the same few numpy calls
+    however many searches it holds.  A search's rect and passes depend on
+    its polygon alone, not on the others searched with it.  Returns the
+    rects as an (n, 4) float64 array of (x_min, y_min, x_max, y_max) rows,
+    NaN where a search found none, and each search's passes; raises
+    ValueError for fewer than 3 vertices.
     """
     if (counts < 3).any():
         raise ValueError("polygon needs at least 3 vertices")
@@ -624,34 +633,31 @@ def inscribed_rects(
     if not len(counts):
         return rects, []
     passes = np.zeros(len(counts), dtype=int)
-    w, h = float(screen_w), float(screen_h)
+    wh = np.array([[screen_w], [screen_h]], dtype=float)
     loops = EdgeLoops.of(x, y, counts)
-    x_min = _at_least(0.0, loops.ax.min(axis=1))
-    y_min = _at_least(0.0, loops.ay.min(axis=1))
-    x_max = _at_most(w, loops.ax.max(axis=1))
-    y_max = _at_most(h, loops.ay.max(axis=1))
-    keep = (x_min < x_max) & (y_min < y_max)
-    idx = np.flatnonzero(keep)
+    corner = loops.packed[:2]   # ax, ay: every vertex, and the first again for padding
+    # the rects as rows x_min, y_min, x_max, y_max, a column per search
+    box = np.concatenate([_at_least(0.0, corner.min(axis=1)), _at_most(wh, corner.max(axis=1))])
+    idx = np.flatnonzero((box[:2] < box[2:]).all(axis=0))
     n = 0
     while idx.size:
-        x_min, y_min, x_max, y_max = x_min[keep], y_min[keep], x_max[keep], y_max[keep]
-        loops = EdgeLoops(*(a[keep] for a in loops))
-        (in_tl, in_tr), (in_bl, in_br) = _points_inside(
-            loops,
-            np.stack([x_min, x_max], axis=1)[:, None, :],
-            np.stack([y_min, y_max], axis=1)[:, :, None],
-        ).transpose(1, 2, 0)
-        found = in_tl & in_tr & in_bl & in_br
-        rects[idx[found]] = np.stack([x_min, y_min, x_max, y_max], axis=1)[found]
+        rect = box[:, idx]
+        # inside[i, j, k]: corner (x_min, x_max)[j], (y_min, y_max)[i] of search idx[k]
+        inside = _points_inside(loops[idx], rect[None, 0::2], rect[1::2, None])
+        found = inside.all(axis=(0, 1))
+        rects[idx[found]] = rect[:, found].T
         passes[idx] = n
-        dx = x_max - x_min
-        dy = y_max - y_min
-        keep = ~found & (dx > MIN_RECT_EXTENT_PX) & (dy > MIN_RECT_EXTENT_PX)
-        keep &= n < MAX_SHRINK_PASSES
-        x_min = np.where(in_tl & in_bl, x_min, _at_least(0.0, x_min + SHRINK_STEP * dx))
-        x_max = np.where(in_tr & in_br, x_max, _at_most(w, x_max - SHRINK_STEP * dx))
-        y_min = np.where(in_tl & in_tr, y_min, _at_least(0.0, y_min + SHRINK_STEP * dy))
-        y_max = np.where(in_bl & in_br, y_max, _at_most(h, y_max - SHRINK_STEP * dy))
-        idx = idx[keep]
+        extent = rect[2:] - rect[:2]
+        if n >= MAX_SHRINK_PASSES:
+            break
+        # x_min and x_max stay where both their corners are inside, y_min and y_max likewise;
+        # any other side moves in by SHRINK_STEP of the extent (x_max - s is x_max + -s)
+        stay = np.stack([inside.all(axis=0), inside.all(axis=1)], axis=1).reshape(4, -1)
+        step = SHRINK_STEP * extent
+        moved = rect + np.concatenate([step, -step])
+        moved[:2] = _at_least(0.0, moved[:2])
+        moved[2:] = _at_most(wh, moved[2:])
+        box[:, idx] = np.where(stay, rect, moved)
+        idx = idx[~found & (extent > MIN_RECT_EXTENT_PX).all(axis=0)]
         n += 1
     return rects, passes.tolist()

@@ -8,8 +8,8 @@ reader (TraceFile.read_blocks) and the renderer (render_frames), yield
 the frames they keep as column blocks (FrameBlock), each with one screen;
 the strides of its matrices keep the producer's order.  The blocks pass through one
 loop (run_boxes) as they arrive, which holds them to the reader's run rule
-(one screen, strictly increasing t_ms), so a run costs memory for its boxes
-and for one block of frames, not for all its frames.  The box stage gives
+(one screen, strictly increasing t_ms), so a run costs memory for its boxes,
+one block of frames and the pieces of one box search, not for all its frames.  The box stage gives
 a row per trackable row of a block, placed by trackable id and frame: a
 run's boxes are one float64 array per trackable it lists, a row per frame
 with NaN for "no box"; Rects are made only for the life spans found in
@@ -48,13 +48,18 @@ from .lifespan import (
 from .metrics import VideoMetrics, compute_metrics
 from .trace import (FrameBlock, TraceFile, TraceValidationError, _after, _take, blocks,
                     deadline_walk, join_blocks)
-from .visibility import block_pieces, fit_boxes
+from .visibility import Pieces, block_pieces, fit_boxes
 
 DEFAULT_ANALYSIS_FPS = 10.0
-# Frames analysed together (block_pieces, then fit_boxes): run_boxes joins the
-# blocks it is given until they hold this many, and render_frames yields
-# blocks of this many, which run_boxes takes as they are.
+# Frames analysed together (block_pieces): run_boxes joins the blocks it is
+# given until they hold this many, and render_frames yields blocks of this
+# many, which run_boxes takes as they are.
 BOX_BLOCK_FRAMES = 128
+# Pieces searched together (fit_boxes): run_boxes joins the pieces of
+# consecutive blocks until they number this many.  A pass of the search holds
+# a few arrays of (pieces x the most edges of one); on long-session, 256 kept
+# the peak memory of searching each block alone, and 1,024 raised it by 0.9 MB.
+SEARCH_PIECES = 256
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -92,37 +97,55 @@ def run_boxes(frames: Iterable[FrameBlock]) -> RunBoxes:
 
     frames is a stream of blocks of one run, as both producers yield them
     (TraceFile.read_blocks, render_frames), already decimated by a
-    deadline_walk; each frame is analysed.  The blocks are joined until they hold
-    BOX_BLOCK_FRAMES frames (blocks), and each joined block goes through
-    one block_pieces and one fit_boxes call.  An error from the stream is
-    raised after the blocks before it are analysed, so an error those
-    frames raise comes first, as it would one frame at a time.  A block's
-    box rows are placed by block.ids and by the frame of each row, so the
-    boxes dict has a key for every trackable the frames list, in order of
-    first appearance; each value has one row per frame, NaN where the
-    trackable is absent or has no box.  Each block is held to the reader's
-    run rule (_after): the first block's screen and strictly increasing
-    t_ms.  A block that breaks it is a TraceValidationError at "frame at
-    <t> ms", raised before the joined block that holds it is analysed.
+    deadline_walk; each frame is analysed.  The blocks are joined until they
+    hold BOX_BLOCK_FRAMES frames (blocks), and each joined block goes
+    through one block_pieces call, after which its frames are freed.  The
+    pieces of consecutive joined blocks are then joined until they number
+    SEARCH_PIECES, and go through one fit_boxes call, so one box search
+    covers several blocks: a search's passes cost numpy calls whatever
+    its size, and a frame's boxes depend on that frame alone.  An error
+    from the stream is raised after the blocks before it are analysed, so
+    an error those frames raise comes first, as it would one frame at a
+    time.  A block's box rows are placed by block.ids and by the frame of
+    each row, so the boxes dict has a key for every trackable the frames
+    list, in order of first appearance; each value has one row per frame,
+    NaN where the trackable is absent or has no box.  Each block is held to
+    the reader's run rule (_after): the first block's screen and strictly
+    increasing t_ms.  A block that breaks it is a TraceValidationError at
+    "frame at <t> ms", raised before the joined block that holds it is
+    analysed.
     """
     screen, prev = None, -math.inf   # the first block's screen, the previous frame's t_ms
+
+    def pieces() -> Iterator[tuple[list[int], list[str], np.ndarray, Pieces]]:
+        """t_ms, ids and n_trackables of each joined block, and its block_pieces."""
+        nonlocal screen, prev
+        for parts in blocks(frames, BOX_BLOCK_FRAMES, lambda b: len(b.t_ms)):
+            for b in parts:
+                screen, prev = _after(b, screen, prev)
+            block = join_blocks(parts)
+            found = block.t_ms, block.ids, block.n_trackables, block_pieces(block)
+            del parts, b, block  # this block's frames go before the next block is read
+            yield found
+
     columns: dict[str, int] = {}   # per trackable in order of first appearance, its column
-    chunks: list[list[np.ndarray]] = []   # per column, its rows of each block
+    chunks: list[list[np.ndarray]] = []   # per column, its rows of each batch
     timestamps: list[int] = []
-    for parts in blocks(frames, BOX_BLOCK_FRAMES, lambda b: len(b.t_ms)):
-        for b in parts:
-            screen, prev = _after(b, screen, prev)
-        block = join_blocks(parts)
-        found = fit_boxes(block_pieces(block), len(block.ids), *screen)
-        column = [columns.setdefault(tid, len(columns)) for tid in block.ids]
-        for _ in range(len(chunks), len(columns)):   # the trackables new in this block
+    for batch in blocks(pieces(), SEARCH_PIECES, lambda block: len(block[3][2])):
+        t_ms, ids, n_trackables, cut = zip(*batch)   # cut: each block's block_pieces
+        first_row = np.cumsum([0, *map(len, ids)])   # of each block in the batch
+        x, y, counts, row = zip(*cut)
+        row = [r + k for r, k in zip(row, first_row)]
+        found = fit_boxes(tuple(map(np.concatenate, (x, y, counts, row))), first_row[-1], *screen)
+        t_ms, ids = list(chain.from_iterable(t_ms)), list(chain.from_iterable(ids))
+        column = [columns.setdefault(tid, len(columns)) for tid in ids]
+        for _ in range(len(chunks), len(columns)):   # the trackables new in this batch
             chunks.append([np.full((len(timestamps), 4), np.nan)])
-        rows = np.full((len(columns), len(block.t_ms), 4), np.nan)
-        rows[column, np.repeat(np.arange(len(block.t_ms)), block.n_trackables)] = found
+        rows = np.full((len(columns), len(t_ms), 4), np.nan)
+        rows[column, np.repeat(np.arange(len(t_ms)), np.concatenate(n_trackables))] = found
         for seq, part in zip(chunks, rows):
             seq.append(part)
-        timestamps += block.t_ms
-        del parts, b, block  # this block's frames go before the next block is read
+        timestamps += t_ms
     if screen is None:
         raise TraceValidationError("cannot analyze an empty trace")
     boxes = {tid: np.concatenate(seq) for tid, seq in zip(columns, chunks)}

@@ -618,7 +618,7 @@ def _cast(
             else:
                 verts = plane.local_vertices
                 loops = EdgeLoops.of(*verts.T, np.array([len(verts)]))
-                inside = odd_crossings(loops, a[..., None], b[..., None])
+                inside = odd_crossings(loops, a, b)
             over_any |= valid & inside
             hit = valid & inside & plane_detected(plane, times)[:, None] & (t_ray < best_t)
             best_t[hit] = t_ray[hit]
@@ -641,9 +641,84 @@ class GestureOutcome:
     reason: OutcomeReason
 
 
-def _track_positions(track: Sequence[tuple[int, float, float]], times: np.ndarray) -> np.ndarray:
-    ts, xs, ys = np.array(track, dtype=float).T
-    return np.stack([np.interp(times, ts, xs), np.interp(times, ts, ys)], axis=1)
+# the reason of each outcome code _classify gives
+_REASONS = (OutcomeReason.HIT, OutcomeReason.SPLIT_TARGETS, OutcomeReason.LEFT_PLANE_MID_GESTURE,
+            OutcomeReason.PLANE_NOT_TRACKED, OutcomeReason.MISS_NO_PLANE)
+
+
+def _gesture_samples(events: Sequence[GestureEvent]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sample times and finger positions of gestures with one finger count, in one pass.
+
+    A tap is sampled at its start, and any other gesture at n =
+    max(MIN_PATH_SAMPLES, its longest track) times from start to end, as
+    np.linspace spaces them: k * ((end - start) / (n - 1)) + start, then the
+    end itself.  Each finger is where np.interp puts it on its track at each
+    time, to the bit: in segment j = searchsorted(track times, t, 'right') -
+    1, the first or the last point outside them, a point's own position at
+    its time, and slope * (t - t_j) + p_j with numpy's slope (p_j+1 - p_j) /
+    (t_j+1 - t_j), computed from the point after when that is NaN, and p_j
+    when both are NaN and p_j = p_j+1.  Memory is O(samples + track points).
+    Returns the times (S,), the points (S, fingers, 2) and the first sample
+    of each gesture.
+    """
+    fingers = len(events[0].tracks)
+    tap = np.array([ev.kind == GestureKind.TAP for ev in events])
+    count = np.array([1 if t else max(MIN_PATH_SAMPLES, *map(len, ev.tracks))
+                      for t, ev in zip(tap.tolist(), events)])
+    start, end = np.array([(ev.t_start_ms, ev.t_end_ms) for ev in events], dtype=float).T
+    first = np.cumsum(count) - count
+    of = np.repeat(np.arange(len(events)), count)   # the gesture of each sample
+    step = np.where(tap, 0.0, (end - start) / np.maximum(count - 1, 1))
+    times = (np.arange(len(of)) - first[of]) * step[of] + start[of]
+    times[(first + count - 1)[~tap]] = end[~tap]
+
+    tracks = [tr for ev in events for tr in ev.tracks]
+    size = np.array(list(map(len, tracks)))
+    # rows (t, x, y)
+    nodes = np.fromiter(chain.from_iterable(chain.from_iterable(tracks)), float).reshape(-1, 3)
+    lo = np.cumsum(size) - size   # each track's first node, and its last
+    hi = lo + size - 1
+    track = of[:, None] * fingers + np.arange(fingers)   # of each finger at each sample
+    t = np.broadcast_to(times[:, None], track.shape)
+    # complex numbers order by their real part, then their imaginary part: keyed
+    # track + 1j * time, the nodes of every track in turn are in order, each by time
+    node_key = np.repeat(np.arange(len(tracks)), size) + 1j * nodes[:, 0]
+    seg = np.searchsorted(node_key, track + 1j * t, side="right") - 1
+    at = np.clip(seg, lo[track], hi[track])
+    points = nodes[at, 1:]
+    inner = (seg >= lo[track]) & (seg < hi[track]) & (nodes[at, 0] != t)
+    j = seg[inner]
+    tj, t1 = nodes[j, :1], nodes[j + 1, :1]
+    pj, p1 = nodes[j, 1:], nodes[j + 1, 1:]
+    ti = t[inner][:, None]
+    with np.errstate(all="ignore"):   # np.interp computes in C, and warns of nothing
+        slope = (p1 - pj) / (t1 - tj)
+        p = slope * (ti - tj) + pj
+        nan = np.isnan(p)
+        if nan.any():
+            p = np.where(nan, slope * (ti - t1) + p1, p)
+            p = np.where(np.isnan(p) & (pj == p1), pj, p)
+    points[inner] = p
+    return times, points, first
+
+
+def _classify(best: np.ndarray, over_any: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The outcome code (_REASONS) of each gesture, from _cast's answers for its samples.
+
+    Gesture i owns the rows of best and over_any from first[i] to the next
+    gesture's first row.  It hits when every finger at every sample is over
+    one tracked surface; else its targets split if two or more surfaces are
+    hit, it left its plane if one is, and with none, the plane was not
+    tracked where a point lay over any surface, else it missed.
+    """
+    at = first * best.shape[1]
+    flat = best.ravel()
+    missed = np.logical_or.reduceat(flat < 0, at)
+    top = np.maximum.reduceat(flat, at)
+    low = np.minimum.reduceat(np.where(flat < 0, np.iinfo(flat.dtype).max, flat), at)
+    one = (top >= 0) & (low == top)
+    over = np.logical_or.reduceat(over_any.ravel(), at)
+    return np.select([one & ~missed, (top >= 0) & ~one, one, over], [0, 1, 2, 3], 4)
 
 
 def execute_schedule(
@@ -652,51 +727,25 @@ def execute_schedule(
     """Run every gesture against the scene and score it.
 
     A gesture succeeds only when every sampled point of every finger track
-    lands on the same tracked surface for the whole gesture.  The summary
-    maps each gesture kind (and "overall") to its success rate, with None
-    where the schedule contained no gesture of that kind (the scene checked itself when made).
+    lands on the same tracked surface for the whole gesture.  The gestures
+    with the same finger count are sampled in one pass (_gesture_samples),
+    cast in one ray pass (_cast) and classified with reductions over each
+    gesture's samples (_classify).  The summary maps each gesture kind (and
+    "overall") to its success rate, with None where the schedule contained
+    no gesture of that kind (the scene checked itself when made).
     """
-    samples: list[tuple[np.ndarray, np.ndarray]] = []
-    for ev in schedule.events:
+    events = schedule.events
+    for ev in events:
         if ev.t_end_ms > scene.duration_ms:
             raise SceneError(f"gesture at {ev.t_start_ms} ms runs past the scene duration")
-        if ev.kind == GestureKind.TAP:
-            times = np.array([float(ev.t_start_ms)])
-        else:
-            n = max(MIN_PATH_SAMPLES, max(len(tr) for tr in ev.tracks))
-            times = np.linspace(float(ev.t_start_ms), float(ev.t_end_ms), n)
-        samples.append(
-            (times, np.stack([_track_positions(tr, times) for tr in ev.tracks], axis=1))
-        )
-    # one ray pass over all samples of the gestures with the same finger count
-    seen_over: dict[int, tuple[set[int], bool]] = {}  # event index -> planes seen, over any
-    for fingers in {pts.shape[1] for _, pts in samples}:
-        idx = [i for i, (_, pts) in enumerate(samples) if pts.shape[1] == fingers]
-        best, over_any = _cast(
-            scene,
-            np.concatenate([samples[i][0] for i in idx]),
-            np.concatenate([samples[i][1] for i in idx]),
-        )
-        bounds = np.cumsum([0] + [len(samples[i][0]) for i in idx]).tolist()
-        for i, lo, hi in zip(idx, bounds, bounds[1:]):
-            seen_over[i] = set(best[lo:hi].ravel().tolist()), bool(over_any[lo:hi].any())
-    outcomes: list[GestureOutcome] = []
-    for i, ev in enumerate(schedule.events):
-        seen, over_any = seen_over[i]
-        if -1 not in seen and len(seen) == 1:
-            outcomes.append(GestureOutcome(ev, True, OutcomeReason.HIT))
-            continue
-        hit_ids = seen - {-1}
-        if len(hit_ids) >= 2:
-            reason = OutcomeReason.SPLIT_TARGETS
-        elif len(hit_ids) == 1:
-            reason = OutcomeReason.LEFT_PLANE_MID_GESTURE
-        else:
-            # nothing tracked anywhere: was there geometry at all?
-            reason = OutcomeReason.PLANE_NOT_TRACKED if over_any else OutcomeReason.MISS_NO_PLANE
-        outcomes.append(GestureOutcome(ev, False, reason))
-    summary = gsr_summary(outcomes)
-    return outcomes, summary
+    codes = np.zeros(len(events), dtype=int)
+    for fingers in {len(ev.tracks) for ev in events}:
+        idx = [i for i, ev in enumerate(events) if len(ev.tracks) == fingers]
+        times, points, first = _gesture_samples([events[i] for i in idx])
+        codes[idx] = _classify(*_cast(scene, times, points), first)
+    outcomes = [GestureOutcome(ev, code == 0, _REASONS[code])
+                for ev, code in zip(events, codes.tolist())]
+    return outcomes, gsr_summary(outcomes)
 
 
 def gsr_summary(outcomes: Sequence[GestureOutcome]) -> dict[str, float | None]:

@@ -715,24 +715,33 @@ def _cast_per_time(scene, t_ms, points):
     return best_id, over_any
 
 
+def event_samples(ev):
+    """A gesture's sample times and finger positions, (n,) and (n, fingers, 2).
+
+    A tap is sampled at its start, another gesture at max(10, its longest
+    track) times by np.linspace, and each finger by one np.interp per track
+    and coordinate.
+    """
+    if ev.kind.value == "TAP":
+        times = np.array([float(ev.t_start_ms)])
+    else:
+        n = max(10, max(len(tr) for tr in ev.tracks))
+        times = np.linspace(float(ev.t_start_ms), float(ev.t_end_ms), n)
+    tracks = []
+    for tr in ev.tracks:
+        ts, xs, ys = np.array(tr, dtype=float).T
+        tracks.append(np.stack([np.interp(times, ts, xs), np.interp(times, ts, ys)], axis=1))
+    return times, np.stack(tracks, axis=1)
+
+
 def replay_per_sample(scene, schedule):
     """(success, reason) of every gesture, casting one timestamp at a time.
 
-    Taps are checked at their start, other gestures at max(10, track length)
-    evenly spaced times, every finger at every time.
+    Each gesture is sampled by event_samples, every finger at every time.
     """
     results = []
     for ev in schedule.events:
-        if ev.kind.value == "TAP":
-            times = np.array([float(ev.t_start_ms)])
-        else:
-            n = max(10, max(len(tr) for tr in ev.tracks))
-            times = np.linspace(float(ev.t_start_ms), float(ev.t_end_ms), n)
-        tracks = []
-        for tr in ev.tracks:
-            ts, xs, ys = np.array(tr, dtype=float).T
-            tracks.append(np.stack([np.interp(times, ts, xs), np.interp(times, ts, ys)], axis=1))
-        track_pts = np.stack(tracks, axis=1)
+        times, track_pts = event_samples(ev)
         seen = set()
         over_any = False
         for t, pts in zip(times, track_pts):

@@ -517,7 +517,8 @@ def _assert_batch_matches_scalar(polys, rng):
     probes = [_probe_points(poly, rng) for poly in polys]
     k = max(len(p) for p in probes)
     pts = np.array([p + [p[0]] * (k - len(p)) for p in probes])
-    inside = g._points_inside(g.EdgeLoops.of(*oracles.poly_rows(polys)), pts[:, :, 0], pts[:, :, 1])
+    inside = g._points_inside(g.EdgeLoops.of(*oracles.poly_rows(polys)), pts[:, :, 0].T,
+                              pts[:, :, 1].T).T
     for i, (poly, ps) in enumerate(zip(polys, probes)):
         for j, p in enumerate(ps):
             assert inside[i, j] == point_in_polygon(p, poly), (poly, p)
@@ -574,8 +575,8 @@ def test_padding_edges_stay_out_of_the_distance_test():
     assert not point_in_polygon(p, tri)
     # batched with a square, the triangle gets a zero-length edge at its first vertex
     inside = g._points_inside(g.EdgeLoops.of(*oracles.poly_rows([tri, SQUARE])),
-                              np.array([[p[0]], [5.0]]), np.array([[p[1]], [5.0]]))
-    assert inside[:, 0].tolist() == [False, True]
+                              np.array([p[0], 5.0]), np.array([p[1], 5.0]))
+    assert inside.tolist() == [False, True]
 
 
 def test_corners_a_few_ulps_from_the_containment_distance():
@@ -595,13 +596,13 @@ def test_corners_a_few_ulps_from_the_containment_distance():
                    (100.0 + d, 30.0)]]
         xy = np.array(probes)
         loops = g.EdgeLoops.of(*oracles.poly_rows(polys))
-        inside = g._points_inside(loops, xy[:, :, 0], xy[:, :, 1])
+        inside = g._points_inside(loops, xy[:, :, 0].T, xy[:, :, 1].T).T
         assert inside.tolist() == [[point_in_polygon(p, poly) for p in ps]
                                    for poly, ps in zip(polys, probes)], d
         # as inscribed_rects asks: the corners of (x_min, x_max) x (y_min, y_max)
         xs = np.array([[-d, 5.0], [-d, 100.0 + d]])
         ys = np.array([[-d, 5.0], [0.0, -d]])
-        inside = g._points_inside(loops, xs[:, None, :], ys[:, :, None])
+        inside = g._points_inside(loops, xs.T[None], ys.T[:, None]).transpose(2, 0, 1)
         assert inside.tolist() == [[[point_in_polygon((x, y), poly) for x in xr] for y in yr]
                                    for poly, xr, yr in zip(polys, xs.tolist(), ys.tolist())], d
 
@@ -626,8 +627,7 @@ def test_odd_crossings_is_the_edge_by_edge_even_odd_mask(seed, shape):
     xy = np.array(pts).reshape(3, -1, 2)
     xs, ys = xy[..., 0], xy[..., 1]
     with np.errstate(invalid="ignore"):
-        got = g.odd_crossings(g.EdgeLoops.of(*oracles.poly_rows([poly])), xs[..., None],
-                              ys[..., None])
+        got = g.odd_crossings(g.EdgeLoops.of(*oracles.poly_rows([poly])), xs, ys)
     assert got.tolist() == oracles.points_in_polygon_mask(xs, ys, poly).tolist()
 
 

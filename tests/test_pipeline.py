@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import decimate, frame_blocks, frames_block, iter_blocks
+from playtrace import pipeline, visibility
 from playtrace.pipeline import AnalysisParams, analyze_boxes, run_boxes
 from playtrace.simulator import (
     CameraKeyframe, Jitter, ScenePlane, SimScene, generate_trace, render_frames,
@@ -180,3 +181,46 @@ def test_run_boxes_rejects_timestamps_that_repeat_or_go_back():
                    f"\\({prev} then {at}\\)$")
         with pytest.raises(TraceValidationError, match=message):
             run_boxes(stream)
+
+
+def test_a_search_batch_changes_no_box_and_is_boxed_before_a_stream_error(monkeypatch):
+    # run_boxes searches the pieces of consecutive blocks together, SEARCH_PIECES at a time
+    blocks = list(render_frames(_scene(duration=6000, jitter=Jitter(0.004, 0.2))))
+    rows = [len(b.ids) for b in blocks]   # a row per trackable of each frame
+    assert len(rows) == 2
+    calls = []
+
+    def fit_boxes(pieces, n_rows, w, h):
+        calls.append(n_rows)
+        return visibility.fit_boxes(pieces, n_rows, w, h)
+
+    monkeypatch.setattr(pipeline, "fit_boxes", fit_boxes)
+    runs = {}
+    for size, want in ((1, rows), (10**6, [sum(rows)])):
+        monkeypatch.setattr(pipeline, "SEARCH_PIECES", size)
+        calls.clear()
+        runs[size] = run_boxes(blocks)
+        assert calls == want
+    for run in runs.values():
+        assert run.timestamps_ms == runs[1].timestamps_ms
+        assert run.boxes.keys() == runs[1].boxes.keys()
+        for tid, boxes in run.boxes.items():
+            assert boxes.tobytes() == runs[1].boxes[tid].tobytes()
+
+    # a stream error waits for the batch pending when it comes, so the boxes of the blocks
+    # before it are computed first, and an error there is the one raised
+    def stream():
+        yield from blocks
+        raise RuntimeError("stream")
+
+    calls.clear()
+    with pytest.raises(RuntimeError, match="stream"):
+        run_boxes(stream())
+    assert calls == [sum(rows)]
+
+    def failing(pieces, n_rows, w, h):
+        raise ValueError("boxes")
+
+    monkeypatch.setattr(pipeline, "fit_boxes", failing)
+    with pytest.raises(ValueError, match="boxes"):
+        run_boxes(stream())

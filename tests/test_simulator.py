@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oracles import frame_blocks, frames_block, iter_blocks
@@ -30,6 +32,7 @@ from playtrace.simulator import (
     ScenePlane,
     SimScene,
     _cast,
+    _gesture_samples,
     camera_poses,
     execute_schedule,
     frame_times,
@@ -520,6 +523,43 @@ def test_replay_matches_per_sample_oracle(name):
             ]
             got = outcomes_to_dict(*execute_schedule(scene, sched))
             assert got == outcomes_to_dict(expected, gsr_summary(expected))
+
+
+@st.composite
+def _gestures(draw, fingers):
+    """Gestures of one finger count: taps, zero-length drags, one-point tracks, repeated
+    track times, track points at sample times, and infinite positions."""
+    kind = draw(st.sampled_from(list(GestureKind)))
+    t0 = draw(st.integers(0, 5000))
+    n = draw(st.integers(1, 30))   # points of the longest track
+    # a duration that is a multiple of the sample spacing puts samples on whole ms; (n - 1) *
+    # (dur / (n - 1)) + t0 need not be t0 + dur, which linspace puts last all the same
+    dur = draw(st.one_of(st.sampled_from([0, 1, 49, (max(n, 10) - 1) * 11]),
+                         st.integers(0, 100_000)))
+    whole = [t0 + round(dur * k / (max(n, 10) - 1)) for k in range(max(n, 10))]
+    times = st.one_of(st.sampled_from(whole), st.integers(t0, t0 + dur))
+    pos = st.one_of(st.floats(-500.0, 3000.0), st.sampled_from([0.0, 1e308, -1e308]),
+                    st.sampled_from([math.inf, -math.inf]))
+    tracks = []
+    for f in range(fingers):
+        k = n if f == 0 else draw(st.integers(1, n))
+        ts = sorted(draw(st.lists(times, min_size=k, max_size=k)))
+        still = draw(st.booleans())   # a finger that does not move
+        first = (draw(pos), draw(pos))
+        tracks.append(tuple((t,) + (first if still else (draw(pos), draw(pos))) for t in ts))
+    return GestureEvent(kind, t0, t0 + dur, tuple(tracks))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda f: st.lists(_gestures(f), min_size=1, max_size=6)))
+# 11 * (49 / 11) is 48.99999999999999: only linspace's last sample is 49.0
+@example([GestureEvent(GestureKind.DRAG, 0, 49, (tuple((t, 1.0, 2.0) for t in range(12)),))])
+def test_gesture_samples_are_linspace_and_interp_to_the_bit(events):
+    times, points, first = _gesture_samples(events)
+    want = [oracles.event_samples(ev) for ev in events]
+    assert first.tolist() == np.cumsum([0] + [len(t) for t, _ in want])[:-1].tolist()
+    assert times.tobytes() == np.concatenate([t for t, _ in want]).tobytes()
+    assert points.tobytes() == np.concatenate([p for _, p in want]).tobytes()
 
 
 # SHA-256 of save_trace bytes, recorded before the camera path was batched:

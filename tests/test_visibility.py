@@ -489,6 +489,21 @@ def test_random_blocks_reach_every_path_of_the_split(monkeypatch):
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def test_a_search_gives_the_same_bits_alone_in_its_block_and_batched():
+    # run_boxes searches the pieces of several blocks at once: each piece's rect and passes
+    # are those it gets searched alone, and with its own block's pieces
+    cuts = [block_pieces(frames_block(_random_block(seed, "C")))[:3] for seed in range(20)]
+    alone = [g.inscribed_rects(x[s:s + n], y[s:s + n], np.array([n]), W, H)
+             for x, y, counts in cuts
+             for s, n in zip((np.cumsum(counts) - counts).tolist(), counts.tolist())]
+    in_block = [g.inscribed_rects(*cut, W, H) for cut in cuts]
+    rects, passes = g.inscribed_rects(*map(np.concatenate, zip(*cuts)), W, H)
+    for answers in (alone, in_block):
+        assert rects.tobytes() == np.concatenate([r for r, _ in answers]).tobytes()
+        assert passes == [n for _, p in answers for n in p]
+    assert max(passes) >= 10 and np.isnan(rects).all(axis=1).any()
+
+
 def test_fit_boxes_have_a_nan_row_exactly_where_the_reference_has_no_box():
     seen = set()
     for seed in range(40):
